@@ -86,6 +86,8 @@ def main(argv=None) -> int:
         check_prime(args.q)
         if args.samples < 1:
             raise EngineError("--samples must be >= 1")
+        if args.bound < 0:
+            raise EngineError("--bound must be >= 0")
         cat = RepCategory(quiver, args.q)
     except (OSError, ValueError, EngineError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,13 +17,22 @@ from .errors import (
     ShapeError,
     SignConventionBroken,
 )
-from .linalg import FpMatrix, echelon_subspaces, gaussian_binomial, subspace_contains
+from .linalg import (
+    FpMatrix,
+    combine_flat,
+    echelon_subspaces,
+    gaussian_binomial,
+    split_flat,
+    subspace_contains,
+)
 from .reps import (
     DECOMPOSE_DIM_GUARD,
     SCAN_BUDGET,
     Rep,
     RepCategory,
     RepMorphism,
+    check_dim,
+    check_scan,
 )
 
 
@@ -82,14 +91,6 @@ class Cx2Morphism:
         self.cod = cod
         self.s0 = s0
         self.s1 = s1
-
-    def is_chain_map(self) -> bool:
-        for i in range(self.dom.cat.quiver.n):
-            if (self.s1.mats[i] @ self.dom.d0.mats[i]) != (self.cod.d0.mats[i] @ self.s0.mats[i]):
-                return False
-            if (self.s0.mats[i] @ self.dom.d1.mats[i]) != (self.cod.d1.mats[i] @ self.s1.mats[i]):
-                return False
-        return True
 
     def entries_flat(self) -> tuple:
         return self.s0.entries_flat() + self.s1.entries_flat()
@@ -269,18 +270,12 @@ class Cx2Tools:
             A = FpMatrix(p, rows, cols=nvars)
         else:
             A = FpMatrix.zero(p, 1, nvars)
+        shapes = ([(M.M0.dim[i], L.M0.dim[i]) for i in range(n)]
+                  + [(M.M1.dim[i], L.M1.dim[i]) for i in range(n)])
         basis = []
         for v in A.kernel_basis():
-            m0, m1 = [], []
-            for i in range(n):
-                blk = v[off0[i]:off0[i] + M.M0.dim[i] * L.M0.dim[i]]
-                m0.append(FpMatrix(p, [blk[r * L.M0.dim[i]:(r + 1) * L.M0.dim[i]]
-                                       for r in range(M.M0.dim[i])], cols=L.M0.dim[i]))
-            for i in range(n):
-                blk = v[off1[i]:off1[i] + M.M1.dim[i] * L.M1.dim[i]]
-                m1.append(FpMatrix(p, [blk[r * L.M1.dim[i]:(r + 1) * L.M1.dim[i]]
-                                       for r in range(M.M1.dim[i])], cols=L.M1.dim[i]))
-            basis.append((tuple(m0), tuple(m1)))
+            mats = split_flat(p, v, shapes)
+            basis.append((tuple(mats[:n]), tuple(mats[n:])))
         return basis
 
     def hom_dim(self, L: Cx2, M: Cx2) -> int:
@@ -369,8 +364,7 @@ class Cx2Tools:
         basis = self.chain_maps_basis(L, SM)
         t = len(basis)
         p = self.cat.p
-        if p ** t > SCAN_BUDGET:
-            raise BudgetExceeded("extension-class enumeration budget exceeded")
+        check_scan("extension-class enumeration", p, t)
         if t == 0:
             return [(None, direct_sum_cx2(self.cat, [M, L]))]
         flat_len = len(basis[0].entries_flat())
@@ -399,17 +393,15 @@ class Cx2Tools:
         return out
 
     def _cx2_from_coeffs(self, basis: list, coeffs, L: Cx2, SM: Cx2) -> Cx2Morphism:
-        cat = self.cat
-        p = cat.p
-        n = cat.quiver.n
-        s0 = [FpMatrix.zero(p, SM.M0.dim[i], L.M0.dim[i]) for i in range(n)]
-        s1 = [FpMatrix.zero(p, SM.M1.dim[i], L.M1.dim[i]) for i in range(n)]
-        for b, c in zip(basis, coeffs):
-            if c:
-                s0 = [acc + m.scale(c) for acc, m in zip(s0, b.s0.mats)]
-                s1 = [acc + m.scale(c) for acc, m in zip(s1, b.s1.mats)]
-        return Cx2Morphism(L, SM, RepMorphism(L.M0, SM.M0, s0),
-                           RepMorphism(L.M1, SM.M1, s1))
+        p = self.cat.p
+        n = self.cat.quiver.n
+        shapes = ([(SM.M0.dim[i], L.M0.dim[i]) for i in range(n)]
+                  + [(SM.M1.dim[i], L.M1.dim[i]) for i in range(n)])
+        flat = combine_flat(p, [b.entries_flat() for b in basis], coeffs,
+                            sum(r * c for r, c in shapes))
+        mats = split_flat(p, flat, shapes)
+        return Cx2Morphism(L, SM, RepMorphism(L.M0, SM.M0, mats[:n]),
+                           RepMorphism(L.M1, SM.M1, mats[n:]))
 
     def middle_term(self, L: Cx2, M: Cx2, f) -> Cx2:
         """Extension of L by M along f: L -> ΣM (f may be None for 0)."""
@@ -442,25 +434,15 @@ class Cx2Tools:
         if self.homology_keys(X) != self.homology_keys(Y):
             return False
         basis = self.chain_maps_basis(X, Y)
-        k = len(basis)
-        if k != self.hom_dim(Y, X):
+        if len(basis) != self.hom_dim(Y, X):
             return False
-        p = self.cat.p
-        if p ** k > SCAN_BUDGET:
-            raise BudgetExceeded("complex isomorphism scan budget exceeded")
-        for coeffs in product(range(p), repeat=k):
-            if not any(coeffs):
-                continue
-            f = self._cx2_from_coeffs(basis, coeffs, X, Y)
-            if f.is_isomorphism():
-                return True
-        return False
+        found = self.cat.invertible_coeffs(basis, X.M0.dim + X.M1.dim, "complex isomorphism scan")
+        return next(found, None) is not None
 
     def end_scan(self, X: Cx2):
         basis = self.chain_maps_basis(X, X)
         k = len(basis)
-        if self.cat.p ** k > SCAN_BUDGET:
-            raise BudgetExceeded("complex endomorphism scan budget exceeded")
+        check_scan("complex endomorphism scan", self.cat.p, k)
         for coeffs in product(range(self.cat.p), repeat=k):
             yield self._cx2_from_coeffs(basis, coeffs, X, X)
 
@@ -471,10 +453,9 @@ class Cx2Tools:
         cached = self._aut_cache.get(ck)
         if cached is not None:
             return cached
-        n = 0
-        for f in self.end_scan(X):
-            if f.is_isomorphism():
-                n += 1
+        n = sum(1 for _ in self.cat.invertible_coeffs(self.chain_maps_basis(X, X),
+                                                      X.M0.dim + X.M1.dim,
+                                                      "complex endomorphism scan"))
         self._aut_cache[ck] = n
         return n
 
@@ -562,8 +543,8 @@ class Cx2Tools:
 
     def decompose2(self, X: Cx2) -> list:
         """Indecomposable direct summands (concrete complexes), by idempotent scan."""
-        if X.total_dim() > DECOMPOSE_DIM_GUARD:
-            raise BudgetExceeded("decompose2 guardrail: total dimension > 12")
+        check_dim("decompose2 guardrail", X.total_dim(), DECOMPOSE_DIM_GUARD,
+                  "DECOMPOSE_DIM_GUARD")
         if X.is_zero():
             return []
         cat = self.cat

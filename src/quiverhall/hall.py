@@ -61,9 +61,6 @@ class HallElement:
     def __mul__(self, other: "HallElement") -> "HallElement":
         return self.algebra.twisted_product(self, other)
 
-    def diamond(self, other: "HallElement") -> "HallElement":
-        return self.algebra.hall_product(self, other)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

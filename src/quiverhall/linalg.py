@@ -32,15 +32,26 @@ class FpMatrix:
         if rows is not None and rows != len(rows_t):
             raise ShapeError("row count mismatch")
 
+    @classmethod
+    def _trusted(cls, p: int, data, cols: int) -> "FpMatrix":
+        """Wrap rows whose entries are already reduced mod p and whose lengths
+        all equal cols, skipping the checks and the re-reduction of __init__."""
+        m = object.__new__(cls)
+        m.p = p
+        m.data = tuple(map(tuple, data))
+        m.rows = len(m.data)
+        m.cols = cols
+        return m
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(p: int, rows: int, cols: int) -> "FpMatrix":
-        return FpMatrix(p, [[0] * cols for _ in range(rows)], cols=cols)
+        return FpMatrix._trusted(p, [(0,) * cols] * rows, cols)
 
     @staticmethod
     def identity(p: int, n: int) -> "FpMatrix":
-        return FpMatrix(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return FpMatrix._trusted(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(p: int, columns: Iterable[Iterable[int]], nrows: int) -> "FpMatrix":
@@ -75,27 +86,27 @@ class FpMatrix:
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
         p = self.p
-        return FpMatrix(p, [
+        return FpMatrix._trusted(p, [
             [(a + b) % p for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.data, other.data)
-        ], cols=self.cols)
+        ], self.cols)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
         p = self.p
-        return FpMatrix(p, [
+        return FpMatrix._trusted(p, [
             [(a - b) % p for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.data, other.data)
-        ], cols=self.cols)
+        ], self.cols)
 
     def __neg__(self) -> "FpMatrix":
         p = self.p
-        return FpMatrix(p, [[(-a) % p for a in row] for row in self.data], cols=self.cols)
+        return FpMatrix._trusted(p, [[(-a) % p for a in row] for row in self.data], self.cols)
 
     def scale(self, c: int) -> "FpMatrix":
         p = self.p
         c %= p
-        return FpMatrix(p, [[(c * a) % p for a in row] for row in self.data], cols=self.cols)
+        return FpMatrix._trusted(p, [[(c * a) % p for a in row] for row in self.data], self.cols)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.cols != other.rows:
@@ -111,7 +122,7 @@ class FpMatrix:
                     for j in range(other.cols):
                         row[j] += a * rk[j]
             out.append([x % p for x in row])
-        return FpMatrix(p, out, cols=other.cols)
+        return FpMatrix._trusted(p, out, other.cols)
 
     def mul_vec(self, vec: Iterable[int]) -> tuple:
         v = tuple(vec)
@@ -121,8 +132,8 @@ class FpMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) % p for row in self.data)
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, [[self.data[i][j] for i in range(self.rows)]
-                                 for j in range(self.cols)], cols=self.rows)
+        return FpMatrix._trusted(self.p, zip(*self.data) if self.rows else
+                                 [()] * self.cols, self.rows)
 
     def _same_shape(self, other: "FpMatrix") -> None:
         if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
@@ -156,7 +167,7 @@ class FpMatrix:
             r += 1
             if r == nr:
                 break
-        return FpMatrix(p, m, cols=nc), tuple(pivots)
+        return FpMatrix._trusted(p, m, nc), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -227,8 +238,8 @@ class FpMatrix:
         nr = mats[0].rows
         if any(m.rows != nr or m.p != p for m in mats):
             raise ShapeError("hstack row mismatch")
-        return FpMatrix(p, [sum((list(m.data[i]) for m in mats), []) for i in range(nr)],
-                        cols=sum(m.cols for m in mats))
+        return FpMatrix._trusted(p, [sum((m.data[i] for m in mats), ()) for i in range(nr)],
+                                 sum(m.cols for m in mats))
 
     @staticmethod
     def vstack(mats: list) -> "FpMatrix":
@@ -237,10 +248,7 @@ class FpMatrix:
         nc = mats[0].cols
         if any(m.cols != nc or m.p != p for m in mats):
             raise ShapeError("vstack column mismatch")
-        data = []
-        for m in mats:
-            data.extend(list(row) for row in m.data)
-        return FpMatrix(p, data, cols=nc)
+        return FpMatrix._trusted(p, [row for m in mats for row in m.data], nc)
 
     @staticmethod
     def block(p: int, grid: list) -> "FpMatrix":
@@ -256,6 +264,85 @@ def field_inverse(x: int, p: int) -> int:
     if x == 0:
         raise ZeroDivisionError("inverse of 0 in F_p")
     return pow(x, -1, p)
+
+
+def combine_flat(p: int, vecs, coeffs, size: int) -> tuple:
+    """The flat entry vector sum_i coeffs[i] * vecs[i] mod p, of length size."""
+    out = [0] * size
+    for v, c in zip(vecs, coeffs):
+        if c:
+            out = [a + c * x for a, x in zip(out, v)]
+    return tuple([a % p for a in out])
+
+
+def split_flat(p: int, flat, shapes) -> list:
+    """Cut a flat entry vector into one matrix per (rows, cols) block, in order."""
+    mats = []
+    off = 0
+    for r, c in shapes:
+        mats.append(FpMatrix._trusted(p, [flat[off + i * c:off + (i + 1) * c]
+                                          for i in range(r)], c))
+        off += r * c
+    return mats
+
+
+def invertible_combinations(p: int, vecs, sides, coeff_tuples):
+    """Yield each coefficient tuple whose combination of vecs is invertible.
+
+    vecs are flat entry vectors made of square row-major blocks with the
+    given sides, back to back; a combination is invertible when every block
+    is.  The partial sums of the prefix shared with the previous tuple are
+    reused, so a walk in itertools.product order adds about one vector per
+    tuple, and each block is tested on plain lists without building a matrix.
+    """
+    k = len(vecs)
+    partial = [[0] * sum(n * n for n in sides)]   # partial[j]: sum of j terms
+    prev = ()
+    for coeffs in coeff_tuples:
+        if prev and coeffs[:-1] == prev[:-1]:
+            j = k - 1
+        else:
+            j = 0
+            while j < len(prev) and coeffs[j] == prev[j]:
+                j += 1
+        del partial[j + 1:]
+        flat = partial[j]
+        for i in range(j, k):
+            c = coeffs[i]
+            if c:
+                flat = [(a + c * x) % p for a, x in zip(flat, vecs[i])]
+            partial.append(flat)
+        prev = coeffs
+        off = 0
+        for n in sides:
+            if not _block_invertible(p, flat, off, n):
+                break
+            off += n * n
+        else:
+            yield coeffs
+
+
+def _block_invertible(p: int, flat, off: int, n: int) -> bool:
+    if n < 2:
+        return n == 0 or flat[off] != 0
+    if n == 2:
+        return (flat[off] * flat[off + 3] - flat[off + 1] * flat[off + 2]) % p != 0
+    m = [flat[off + r * n:off + (r + 1) * n] for r in range(n)]
+    for c in range(n):
+        for pr in range(c, n):
+            if m[pr][c]:
+                break
+        else:
+            return False
+        m[c], m[pr] = m[pr], m[c]
+        row = m[c]
+        inv = pow(row[c], -1, p)
+        for i in range(c + 1, n):
+            f = m[i][c]
+            if f:
+                f = f * inv % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
+    return True
 
 
 def reduce_against_rows(p: int, rows: list, v: Iterable[int]) -> tuple:

@@ -92,7 +92,13 @@ class Quiver:
         obj = json.loads(text)
         if not isinstance(obj, dict) or "vertices" not in obj or "arrows" not in obj:
             raise PreconditionError('quiver JSON must be {"vertices": n, "arrows": [[s,t],...]}')
-        return Quiver(int(obj["vertices"]), obj["arrows"])
+        n, arrows = obj["vertices"], obj["arrows"]
+        if not _is_int(n):
+            raise PreconditionError(f'"vertices" must be an integer, got {n!r}')
+        if not isinstance(arrows, list) or not all(
+                isinstance(a, list) and len(a) == 2 and all(map(_is_int, a)) for a in arrows):
+            raise PreconditionError(f'"arrows" must be a list of integer pairs, got {arrows!r}')
+        return Quiver(n, arrows)
 
     def to_json(self) -> str:
         return json.dumps({"vertices": self.n, "arrows": [list(a) for a in self.arrows]})
@@ -105,6 +111,10 @@ class Quiver:
 
     def __repr__(self):
         return f"Quiver(n={self.n}, arrows={list(self.arrows)})"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def a_n_quiver(n: int) -> Quiver:

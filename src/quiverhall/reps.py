@@ -23,9 +23,12 @@ from .errors import (
 )
 from .linalg import (
     FpMatrix,
+    combine_flat,
     echelon_subspaces,
     gaussian_binomial,
+    invertible_combinations,
     reduce_against_rows,
+    split_flat,
     subspace_contains,
 )
 from .quiver import Quiver
@@ -34,6 +37,18 @@ from .scalars import check_prime
 SCAN_BUDGET = 1 << 20
 ENUM_DIM_GUARD = 6
 DECOMPOSE_DIM_GUARD = 12
+
+
+def check_scan(guard: str, p: int, k: int) -> None:
+    """Raise BudgetExceeded, naming the guard, when p^k exceeds SCAN_BUDGET."""
+    if p ** k > SCAN_BUDGET:
+        raise BudgetExceeded(f"{guard}: {p}^{k} = {p ** k} > SCAN_BUDGET {SCAN_BUDGET}")
+
+
+def check_dim(guard: str, dim: int, limit: int, name: str) -> None:
+    """Raise BudgetExceeded, naming the guard, when dim exceeds limit."""
+    if dim > limit:
+        raise BudgetExceeded(f"{guard}: total dimension {dim} > {name} {limit}")
 
 
 class Rep:
@@ -175,11 +190,6 @@ class RepCategory:
     # ------------------------------------------------------------------
     # constructors
 
-    def zero_rep(self) -> Rep:
-        Q = self.quiver
-        return Rep(Q, self.p, (0,) * Q.n,
-                   [FpMatrix.zero(self.p, 0, 0) for _ in Q.arrows])
-
     def rep(self, dim, maps=None) -> Rep:
         Q = self.quiver
         dim = tuple(dim)
@@ -262,18 +272,6 @@ class RepCategory:
             mats.append(FpMatrix.block(self.p, blocks))
         return Rep(Q, self.p, dim, mats)
 
-    def summand_inclusion(self, reps: list, k: int) -> RepMorphism:
-        """Inclusion of the k-th summand into direct_sum(reps)."""
-        total = self.direct_sum(reps)
-        mats = []
-        for i in range(self.quiver.n):
-            off = sum(r.dim[i] for r in reps[:k])
-            m = [[0] * reps[k].dim[i] for _ in range(total.dim[i])]
-            for r in range(reps[k].dim[i]):
-                m[off + r][r] = 1
-            mats.append(FpMatrix(self.p, m, cols=reps[k].dim[i]))
-        return RepMorphism(reps[k], total, mats)
-
     # ------------------------------------------------------------------
     # hom spaces
 
@@ -319,14 +317,8 @@ class RepCategory:
             A = FpMatrix.zero(p, 1, nvars)
         else:
             A = FpMatrix(p, rows, cols=nvars)
-        basis_mats = []
-        for v in A.kernel_basis():
-            mats = []
-            for i in range(Q.n):
-                block = v[offsets[i]:offsets[i] + N.dim[i] * M.dim[i]]
-                mats.append(FpMatrix(p, [block[r * M.dim[i]:(r + 1) * M.dim[i]]
-                                         for r in range(N.dim[i])], cols=M.dim[i]))
-            basis_mats.append(tuple(mats))
+        shapes = [(N.dim[i], M.dim[i]) for i in range(Q.n)]
+        basis_mats = [tuple(split_flat(p, v, shapes)) for v in A.kernel_basis()]
         self._hom_cache[key] = basis_mats
         return [RepMorphism(M, N, mats) for mats in basis_mats]
 
@@ -354,11 +346,19 @@ class RepCategory:
     def morphisms_from_coeffs(self, basis: list, coeffs) -> Optional[RepMorphism]:
         if not basis:
             return None
-        f = basis[0].scale(coeffs[0])
-        for b, c in zip(basis[1:], coeffs[1:]):
-            if c:
-                f = f + b.scale(c)
-        return f
+        M, N = basis[0].dom, basis[0].cod
+        shapes = [(N.dim[i], M.dim[i]) for i in range(self.quiver.n)]
+        flat = combine_flat(self.p, [b.entries_flat() for b in basis], coeffs,
+                            sum(r * c for r, c in shapes))
+        return RepMorphism(M, N, split_flat(self.p, flat, shapes))
+
+    def invertible_coeffs(self, basis: list, sides, guard: str):
+        """Coefficient tuples of the invertible elements of span(basis), whose
+        entries_flat() are square blocks with the given sides (budget-guarded)."""
+        k = len(basis)
+        check_scan(guard, self.p, k)
+        return invertible_combinations(self.p, [b.entries_flat() for b in basis], sides,
+                                       product(range(self.p), repeat=k))
 
     def is_isomorphic(self, M: Rep, N: Rep) -> bool:
         """Exhaustive scan of Hom(M, N) for an invertible element."""
@@ -368,23 +368,15 @@ class RepCategory:
         if M.signature() == N.signature():
             return True
         basis = self.hom_basis(M, N)
-        k = len(basis)
-        if k != self.hom_dim(N, M) or self.hom_dim(M, M) != self.hom_dim(N, N):
+        if len(basis) != self.hom_dim(N, M) or self.hom_dim(M, M) != self.hom_dim(N, N):
             return False
-        if self.p ** k > SCAN_BUDGET:
-            raise BudgetExceeded(f"hom space size {self.p}^{k} exceeds scan budget")
-        for coeffs in product(range(self.p), repeat=k):
-            f = self.morphisms_from_coeffs(basis, coeffs)
-            if f is not None and f.is_isomorphism():
-                return True
-        return False
+        return next(self.invertible_coeffs(basis, M.dim, "isomorphism scan"), None) is not None
 
     def end_scan(self, M: Rep):
         """Iterate over all endomorphisms of M (budget-guarded)."""
         basis = self.hom_basis(M, M)
         k = len(basis)
-        if self.p ** k > SCAN_BUDGET:
-            raise BudgetExceeded(f"endomorphism space size {self.p}^{k} exceeds scan budget")
+        check_scan("endomorphism scan", self.p, k)
         for coeffs in product(range(self.p), repeat=k):
             yield self.morphisms_from_coeffs(basis, coeffs)
 
@@ -399,8 +391,7 @@ class RepCategory:
         sig = M.signature()
         if sig in self._aut_cache:
             return self._aut_cache[sig]
-        if M.total_dim() > ENUM_DIM_GUARD:
-            raise BudgetExceeded("aut_count guardrail: total dimension > 6")
+        check_dim("aut_count guardrail", M.total_dim(), ENUM_DIM_GUARD, "ENUM_DIM_GUARD")
         if M.is_zero():
             self._aut_cache[sig] = 1
             return 1
@@ -415,10 +406,8 @@ class RepCategory:
                 out *= _gl_order(n, self.p)
             self._aut_cache[sig] = out
             return out
-        n = 0
-        for f in self.end_scan(M):
-            if f is not None and f.is_isomorphism():
-                n += 1
+        n = sum(1 for _ in self.invertible_coeffs(self.hom_basis(M, M), M.dim,
+                                                  "endomorphism scan"))
         self._aut_cache[sig] = n
         return n
 
@@ -535,24 +524,25 @@ class RepCategory:
         cheaply; indecomposability is certified either by a one-dimensional
         endomorphism ring or by the exhaustive idempotent scan.
         """
-        if M.total_dim() > DECOMPOSE_DIM_GUARD:
-            raise BudgetExceeded("decompose guardrail: total dimension > 12")
+        check_dim("decompose guardrail", M.total_dim(), DECOMPOSE_DIM_GUARD,
+                  "DECOMPOSE_DIM_GUARD")
         if M.is_zero():
             return []
         basis = self.hom_basis(M, M)
         if len(basis) == 1:
             return [M]
-        candidates = list(basis)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                candidates.append(basis[i] + basis[j])
-        rng = random.Random(0xF177)
-        for _ in range(200):
-            coeffs = [rng.randrange(self.p) for _ in basis]
-            f = self.morphisms_from_coeffs(basis, coeffs)
-            if f is not None:
-                candidates.append(f)
-        for f in candidates:
+
+        def candidates():
+            # Built one at a time: the first basis element usually splits.
+            yield from basis
+            for i in range(len(basis)):
+                for j in range(i + 1, len(basis)):
+                    yield basis[i] + basis[j]
+            rng = random.Random(0xF177)
+            for _ in range(200):
+                yield self.morphisms_from_coeffs(basis, [rng.randrange(self.p) for _ in basis])
+
+        for f in candidates():
             split = self._fitting_split(M, f)
             if split is not None:
                 S1, S2 = split

@@ -54,9 +54,6 @@ class CoeffScalar:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "CoeffScalar") -> None:

@@ -232,9 +232,6 @@ class SDH2Algebra:
         z = self.cat.zero_key()
         return (z, z)
 
-    def key_of(self, X: Cx2) -> tuple:
-        return self.tools.homology_keys(X)
-
     def rep_of_key(self, key) -> Cx2:
         ck = (key[0].sig, key[1].sig)
         R = self._rep_cache.get(ck)

@@ -768,17 +768,6 @@ class SDHZAlgebra:
             return self.unit()
         return self.term(((m, a),), ())
 
-    def v_object_quotient(self, alpha_dim, m: int) -> SDHZElement:
-        """The literal product [v_{A,m}] o [v_{B,m}]^{-1} for the minimal
-        nonnegative splitting alpha = A - B in projective coordinates."""
-        a = self.coords(alpha_dim)
-        if not any(a):
-            return self.unit()
-        ap = tuple(max(x, 0) for x in a)
-        am = tuple(max(-x, 0) for x in a)
-        exp = self._hom_bilinear(ap, am) - self._hom_bilinear(am, am)
-        return self.term(((m, a),), (), q_power(self.q, exp))
-
     # -- product ----------------------------------------------------------------
 
     def productZ(self, x: SDHZElement, y: SDHZElement) -> SDHZElement:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from quiverhall.cli import main
 
 A1 = '{"vertices": 1, "arrows": []}'
 A2 = '{"vertices": 2, "arrows": [[1, 2]]}'
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_quivers"
 
 
 @pytest.fixture
@@ -46,6 +49,42 @@ def test_bad_input_exit_two(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(A2)
     assert main(["--quiver", str(good), "--q", "4", "--suite", "ringel"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": 2, "arrows": 5}',
+    '{"vertices": 2.7, "arrows": [[1, 2]]}',
+    '{"vertices": true, "arrows": []}',
+    '{"vertices": 2, "arrows": [["1", 2]]}',
+    '{"vertices": 2, "arrows": [[1, 2, 3]]}',
+])
+def test_malformed_quiver_exit_two(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["--quiver", str(bad), "--q", "2", "--suite", "ringel"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_bound_exit_two(quiver_files, capsys):
+    assert main(["--quiver", quiver_files["a2"], "--q", "3",
+                 "--table", "--bound", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--bound" in captured.err
+
+
+@pytest.mark.parametrize("quiver, q, args, sha256", [
+    ("a2", 3, ["--table", "--bound", "4"],
+     "0cd4defcb29d169a66e46c3357f125b053964e14d9752e230ca9cdf9f95d9ba2"),
+    ("a1", 2, ["--suite", "bridgeland-compare"],
+     "c1e5559299bcaacccf688319c72bc08cd17d9406cbb82cfdd2e0b59d92410dd9"),
+])
+def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
+    """Reports stay byte-identical to those of the exhaustive object-building
+    scans that the flat-vector walks replaced."""
+    out = tmp_path / "out.json"
+    assert main(["--quiver", str(EXAMPLES / f"{quiver}.json"), "--q", str(q),
+                 "--out", str(out)] + args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_report_determinism(quiver_files):

@@ -114,3 +114,36 @@ def test_lines_in_f2_squared():
     # q + 1 = 3 lines
     assert gaussian_binomial(2, 1, 2) == 3
     assert len(list(echelon_subspaces(2, 2, 1))) == 3
+
+
+def test_ops_match_naive_formulas_seeded():
+    """Each op's result equals the checked constructor applied to the
+    entrywise formula, empty shapes included."""
+    rng = random.Random(4)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5))
+        r, c, k = (rng.randrange(4) for _ in range(3))
+        rand = lambda nr, nc: FpMatrix(p, [[rng.randrange(p) for _ in range(nc)]
+                                           for _ in range(nr)], cols=nc)
+        A, B, C = rand(r, c), rand(r, c), rand(c, k)
+        ent = lambda M, i, j: M.data[i][j]
+        naive = lambda f, nr, nc: FpMatrix(p, [[f(i, j) for j in range(nc)]
+                                               for i in range(nr)], cols=nc)
+        s = rng.randrange(-7, 8)
+        assert A + B == naive(lambda i, j: ent(A, i, j) + ent(B, i, j), r, c)
+        assert A - B == naive(lambda i, j: ent(A, i, j) - ent(B, i, j), r, c)
+        assert -A == naive(lambda i, j: -ent(A, i, j), r, c)
+        assert A.scale(s) == naive(lambda i, j: s * ent(A, i, j), r, c)
+        assert A @ C == naive(lambda i, j: sum(ent(A, i, t) * ent(C, t, j)
+                                               for t in range(c)), r, k)
+        assert A.transpose() == naive(lambda i, j: ent(A, j, i), c, r)
+        assert FpMatrix.hstack([A, B]) == naive(
+            lambda i, j: ent(A, i, j) if j < c else ent(B, i, j - c), r, 2 * c)
+        assert FpMatrix.vstack([A, B]) == naive(
+            lambda i, j: ent(A, i, j) if i < r else ent(B, i - r, j), 2 * r, c)
+        R, piv = A.rref()
+        assert R.rows == r and R.cols == c and len(piv) == A.rank()
+        assert R == FpMatrix(p, R.data, cols=c)
+        for M in (A + B, A @ C, A.transpose(), R, FpMatrix.zero(p, r, c),
+                  FpMatrix.identity(p, r)):
+            assert hash(M) == hash(FpMatrix(p, M.data, rows=M.rows, cols=M.cols))

@@ -279,6 +279,16 @@ def test_budget_guardrails():
         cat.aut_count(big)
 
 
+def test_budget_message_names_guard_and_size():
+    cat = RepCategory(Quiver(1, []), 3)
+    with pytest.raises(BudgetExceeded, match=r"^endomorphism scan: 3\^16 = 43046721 "
+                                             r"> SCAN_BUDGET 1048576$"):
+        next(cat.end_scan(cat.rep((4,))))
+    with pytest.raises(BudgetExceeded, match=r"^aut_count guardrail: total dimension 8 "
+                                             r"> ENUM_DIM_GUARD 6$"):
+        a2().aut_count(a2().rep((4, 4)))
+
+
 def test_quiver_rejects_cycles_and_bad_arrows():
     with pytest.raises(PreconditionError):
         Quiver(2, [(1, 2), (2, 1)])
