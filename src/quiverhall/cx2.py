@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import (
-    BudgetExceeded,
     CategoryMismatch,
     ShapeError,
     SignConventionBroken,
@@ -20,6 +19,7 @@ from .errors import (
 from .linalg import (
     FpMatrix,
     combine_flat,
+    coset_points,
     echelon_subspaces,
     gaussian_binomial,
     split_flat,
@@ -27,10 +27,10 @@ from .linalg import (
 )
 from .reps import (
     DECOMPOSE_DIM_GUARD,
-    SCAN_BUDGET,
     Rep,
     RepCategory,
     RepMorphism,
+    check_count,
     check_dim,
     check_scan,
 )
@@ -353,43 +353,28 @@ class Cx2Tools:
     # -- extension classes ------------------------------------------------
 
     def ext1_classes_proj(self, L: Cx2, M: Cx2) -> list:
-        """One representative chain map f: L -> ΣM per extension class of L
-        by M, with the middle term E(f); requires projective components of L.
+        """(f, E(f), weight) for one chain map f: L -> ΣM per line of
+        extension classes of L by M, with its middle term E(f); requires
+        projective components of L.
 
         Ext^1(L, M) is identified with chain maps L -> ΣM modulo homotopy;
         the middle term uses the block differential [[d_M, f], [0, d_L]] and
-        is validated against d*d = 0 on construction.
+        is validated against d*d = 0 on construction.  diag(λ, 1) is a chain
+        isomorphism E(f) -> E(λf), so one class stands for the weight
+        classes of its line (linalg.coset_points); the weights sum to
+        |Ext^1(L, M)|.
         """
         SM = M.shift()
         basis = self.chain_maps_basis(L, SM)
-        t = len(basis)
         p = self.cat.p
-        check_scan("extension-class enumeration", p, t)
-        if t == 0:
-            return [(None, direct_sum_cx2(self.cat, [M, L]))]
-        flat_len = len(basis[0].entries_flat())
-        Bmat = FpMatrix.from_columns(p, [b.entries_flat() for b in basis], flat_len)
-        hrows = self.homotopy_subspace(L, SM)
-        coords_rows = []
-        for h in hrows:
-            y = Bmat.solve(h)
-            if y is None:
-                raise ShapeError("homotopy outside chain-map space (engine bug)")
-            coords_rows.append(y)
-        if coords_rows:
-            R, piv = FpMatrix(p, coords_rows, cols=t).rref()
-            pivots = set(piv)
-        else:
-            pivots = set()
-        free_pos = [j for j in range(t) if j not in pivots]
+        check_scan("extension-class enumeration", p, len(basis))
+        if not basis:
+            return [(None, direct_sum_cx2(self.cat, [M, L]), 1)]
         out = []
-        for vals in product(range(p), repeat=len(free_pos)):
-            coeffs = [0] * t
-            for pos, v in zip(free_pos, vals):
-                coeffs[pos] = v
+        for coeffs, weight in coset_points(p, [b.entries_flat() for b in basis],
+                                           self.homotopy_subspace(L, SM)):
             f = self._cx2_from_coeffs(basis, coeffs, L, SM)
-            E = self.middle_term(L, M, f)
-            out.append((f, E))
+            out.append((f, self.middle_term(L, M, f), weight))
         return out
 
     def _cx2_from_coeffs(self, basis: list, coeffs, L: Cx2, SM: Cx2) -> Cx2Morphism:
@@ -453,9 +438,9 @@ class Cx2Tools:
         cached = self._aut_cache.get(ck)
         if cached is not None:
             return cached
-        n = sum(1 for _ in self.cat.invertible_coeffs(self.chain_maps_basis(X, X),
-                                                      X.M0.dim + X.M1.dim,
-                                                      "complex endomorphism scan"))
+        n = sum(w for _, w in self.cat.invertible_coeffs(self.chain_maps_basis(X, X),
+                                                         X.M0.dim + X.M1.dim,
+                                                         "complex endomorphism scan"))
         self._aut_cache[ck] = n
         return n
 
@@ -516,13 +501,12 @@ class Cx2Tools:
         """All subcomplexes with prescribed per-vertex dimensions (both degrees)."""
         cat = self.cat
         p = cat.p
-        if X.total_dim() > 2 * (DECOMPOSE_DIM_GUARD // 2):
-            raise BudgetExceeded("subcomplex enumeration guardrail")
+        check_dim("subcomplex enumeration guardrail", X.total_dim(),
+                  2 * (DECOMPOSE_DIM_GUARD // 2), "DECOMPOSE_DIM_GUARD")
         count = 1
         for di, ci in zip(tuple(d0dims) + tuple(d1dims), X.M0.dim + X.M1.dim):
             count *= gaussian_binomial(ci, di, p)
-        if count > SCAN_BUDGET:
-            raise BudgetExceeded("subcomplex enumeration budget exceeded")
+        check_count("subcomplex enumeration", count, "subspace tuples")
         per0 = [list(echelon_subspaces(p, X.M0.dim[i], d0dims[i]))
                 for i in range(cat.quiver.n)]
         per1 = [list(echelon_subspaces(p, X.M1.dim[i], d1dims[i]))

@@ -15,10 +15,8 @@ since it can only be an engine bug.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-
 from .errors import ConversionMismatch
-from .linalg import FpMatrix
+from .linalg import FpMatrix, coset_points
 from .reps import IsoClassKey, RepCategory, RepMorphism
 from .scalars import CoeffScalar, v_power
 
@@ -121,7 +119,9 @@ class HallAlgebra:
 
         Classes of Ext^1(top, bottom) are cosets of Hom(P0, bottom) o incl
         inside Hom(P1, bottom); the middle term of a class f is the pushout
-        (bottom + P0)/(f, -incl)(P1).
+        (bottom + P0)/(f, -incl)(P1).  λ·1_bottom + 1_P0 carries the pushout
+        of f to that of λf, so one class per line is classified and counted
+        with its line's weight (linalg.coset_points).
         """
         ck = (top.sig, bottom.sig)
         if ck in self._ext_cache:
@@ -140,40 +140,16 @@ class HallAlgebra:
             counts[cat.intern(D)] = 1
             self._ext_cache[ck] = counts
             return counts
-        # Coordinates of morphisms P1 -> C in the HB1 basis.
-        flat_len = len(HB1[0].entries_flat())
-        Bmat = FpMatrix.from_columns(p, [h.entries_flat() for h in HB1], flat_len) \
-            if flat_len else FpMatrix.zero(p, 0, e1)
-        img_rows = []
-        for g in HB0:
-            comp = g.compose(incl)
-            coords = Bmat.solve(comp.entries_flat())
-            if coords is None:
-                raise ConversionMismatch("restriction left the hom space (engine bug)")
-            img_rows.append(coords)
-        if img_rows:
-            R, piv = FpMatrix(p, img_rows, cols=e1).rref()
-            sub_rows = [R.data[i] for i in range(len(piv))]
-            pivots = set(piv)
-        else:
-            sub_rows = []
-            pivots = set()
-        free_pos = [j for j in range(e1) if j not in pivots]
         D = cat.direct_sum([C, P0])
-        for vals in product(range(p), repeat=len(free_pos)):
-            coeffs = [0] * e1
-            for pos, v in zip(free_pos, vals):
-                coeffs[pos] = v
+        restricted = [g.compose(incl).entries_flat() for g in HB0]
+        for coeffs, weight in coset_points(p, [h.entries_flat() for h in HB1], restricted):
             f = cat.morphisms_from_coeffs(HB1, coeffs)
-            if f is None:
-                f = RepMorphism(P1, C, [FpMatrix.zero(p, C.dim[i], P1.dim[i])
-                                        for i in range(cat.quiver.n)])
             graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], (-incl.mats[i])])
                                         for i in range(cat.quiver.n)])
             W = cat.image_subspaces(graph)
             E, _ = cat.quotient(D, W)
             k = cat.intern(E)
-            counts[k] = counts.get(k, 0) + 1
+            counts[k] = counts.get(k, 0) + weight
         self._ext_cache[ck] = counts
         return counts
 

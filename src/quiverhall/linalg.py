@@ -8,6 +8,7 @@ representatives, subspace enumerations) is deterministic run to run.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Optional
 
 from .errors import ShapeError
@@ -286,19 +287,78 @@ def split_flat(p: int, flat, shapes) -> list:
     return mats
 
 
-def invertible_combinations(p: int, vecs, sides, coeff_tuples):
-    """Yield each coefficient tuple whose combination of vecs is invertible.
+def projective_points(p: int, k: int):
+    """Yield (coeffs, weight) for one vector of each line of F_p^k.
+
+    First the zero vector with weight 1, then every vector whose first
+    nonzero entry is 1, with weight p - 1 (the number of nonzero vectors on
+    its line); the weights sum to p^k.  The order is that of
+    itertools.product(range(p), repeat=k) restricted to these vectors: a
+    line's normalised vector is the first of its vectors in that order, so a
+    weighted walk meets every class in the order a full walk would.
+    """
+    yield (0,) * k, 1
+    for lead in reversed(range(k)):
+        head = (0,) * lead + (1,)
+        for tail in product(range(p), repeat=k - lead - 1):
+            yield head + tail, p - 1
+
+
+def coset_points(p: int, basis, sub):
+    """Yield (coeffs, weight) for one vector on each line of span(basis)/span(sub).
+
+    basis and sub are lists of flat vectors, with sub inside span(basis).
+    coeffs are coordinates in basis that vanish at the pivots of sub's
+    coordinates, so they run over a complement of span(sub): every coset
+    stands on exactly one line, and the weights (those of
+    projective_points) sum to the number of cosets.
+    """
+    t = len(basis)
+    Bmat = FpMatrix.from_columns(p, basis, len(basis[0]))
+    coords = []
+    for v in sub:
+        y = Bmat.solve(v)
+        if y is None:
+            raise ShapeError("subspace outside the span of the basis (engine bug)")
+        coords.append(y)
+    pivots = set(FpMatrix(p, coords, cols=t).rref()[1]) if coords else set()
+    free = [j for j in range(t) if j not in pivots]
+    for vals, weight in projective_points(p, len(free)):
+        coeffs = [0] * t
+        for pos, v in zip(free, vals):
+            coeffs[pos] = v
+        yield coeffs, weight
+
+
+def line_index(p: int, coeffs) -> int:
+    """Position in projective_points(p, len(coeffs)) of the line through coeffs."""
+    k = len(coeffs)
+    lead = next((i for i, x in enumerate(coeffs) if x % p), None)
+    if lead is None:
+        return 0
+    inv = pow(coeffs[lead], -1, p)
+    tail = 0
+    for x in coeffs[lead + 1:]:
+        tail = tail * p + x * inv % p
+    return 1 + sum(p ** (k - j - 1) for j in range(lead + 1, k)) + tail
+
+
+def invertible_combinations(p: int, vecs, sides, points):
+    """Yield each (coeffs, weight) of points whose combination of vecs is
+    invertible.
 
     vecs are flat entry vectors made of square row-major blocks with the
     given sides, back to back; a combination is invertible when every block
     is.  The partial sums of the prefix shared with the previous tuple are
-    reused, so a walk in itertools.product order adds about one vector per
-    tuple, and each block is tested on plain lists without building a matrix.
+    reused, so a walk in itertools.product order (or the projective_points
+    order, a subsequence of it) adds about one vector per tuple, and each
+    block is tested on plain lists without building a matrix.
     """
     k = len(vecs)
     partial = [[0] * sum(n * n for n in sides)]   # partial[j]: sum of j terms
     prev = ()
-    for coeffs in coeff_tuples:
+    for point in points:
+        coeffs = point[0]
         if prev and coeffs[:-1] == prev[:-1]:
             j = k - 1
         else:
@@ -319,7 +379,7 @@ def invertible_combinations(p: int, vecs, sides, coeff_tuples):
                 break
             off += n * n
         else:
-            yield coeffs
+            yield point
 
 
 def _block_invertible(p: int, flat, off: int, n: int) -> bool:
@@ -369,7 +429,7 @@ def echelon_subspaces(p: int, n: int, d: int):
     echelon form; enumeration order is deterministic (pivot sets in
     lexicographic order, then free entries in odometer order).
     """
-    from itertools import combinations, product
+    from itertools import combinations
 
     if d == 0:
         yield ()

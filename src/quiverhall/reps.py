@@ -27,6 +27,7 @@ from .linalg import (
     echelon_subspaces,
     gaussian_binomial,
     invertible_combinations,
+    projective_points,
     reduce_against_rows,
     split_flat,
     subspace_contains,
@@ -43,6 +44,13 @@ def check_scan(guard: str, p: int, k: int) -> None:
     """Raise BudgetExceeded, naming the guard, when p^k exceeds SCAN_BUDGET."""
     if p ** k > SCAN_BUDGET:
         raise BudgetExceeded(f"{guard}: {p}^{k} = {p ** k} > SCAN_BUDGET {SCAN_BUDGET}")
+
+
+def check_count(guard: str, count: int, what: str) -> None:
+    """Raise BudgetExceeded, naming the guard, when count items of an
+    enumeration exceed SCAN_BUDGET."""
+    if count > SCAN_BUDGET:
+        raise BudgetExceeded(f"{guard}: {count} {what} > SCAN_BUDGET {SCAN_BUDGET}")
 
 
 def check_dim(guard: str, dim: int, limit: int, name: str) -> None:
@@ -353,12 +361,14 @@ class RepCategory:
         return RepMorphism(M, N, split_flat(self.p, flat, shapes))
 
     def invertible_coeffs(self, basis: list, sides, guard: str):
-        """Coefficient tuples of the invertible elements of span(basis), whose
-        entries_flat() are square blocks with the given sides (budget-guarded)."""
+        """(coeffs, weight) of one invertible element per invertible line of
+        span(basis), weight being the number of invertible elements it stands
+        for; the entries_flat() of the basis are square blocks with the given
+        sides.  The budget still bounds the p^k elements of the span."""
         k = len(basis)
         check_scan(guard, self.p, k)
         return invertible_combinations(self.p, [b.entries_flat() for b in basis], sides,
-                                       product(range(self.p), repeat=k))
+                                       projective_points(self.p, k))
 
     def is_isomorphic(self, M: Rep, N: Rep) -> bool:
         """Exhaustive scan of Hom(M, N) for an invertible element."""
@@ -406,8 +416,8 @@ class RepCategory:
                 out *= _gl_order(n, self.p)
             self._aut_cache[sig] = out
             return out
-        n = sum(1 for _ in self.invertible_coeffs(self.hom_basis(M, M), M.dim,
-                                                  "endomorphism scan"))
+        n = sum(w for _, w in self.invertible_coeffs(self.hom_basis(M, M), M.dim,
+                                                     "endomorphism scan"))
         self._aut_cache[sig] = n
         return n
 
@@ -581,8 +591,7 @@ class RepCategory:
         if d == 0:
             out = [FpMatrix.zero(p, 0, 0)]
         else:
-            if p ** (d * d) > SCAN_BUDGET:
-                raise BudgetExceeded("GL enumeration too large for canonical form")
+            check_scan("GL enumeration", p, d * d)
             out = []
             for entries in product(range(p), repeat=d * d):
                 m = FpMatrix(p, [entries[r * d:(r + 1) * d] for r in range(d)], cols=d)
@@ -601,8 +610,7 @@ class RepCategory:
         total = 1
         for g in gls:
             total *= len(g)
-        if total > SCAN_BUDGET:
-            raise BudgetExceeded("canonical form orbit too large")
+        check_count("canonical form orbit", total, "base changes")
         best = None
         best_maps = None
         for combo in product(*gls):
@@ -650,15 +658,14 @@ class RepCategory:
     def submodules_with_dim(self, C: Rep, d) -> list:
         """All arrow-stable subspace tuples of prescribed dimension vector."""
         d = tuple(d)
-        if C.total_dim() > ENUM_DIM_GUARD:
-            raise BudgetExceeded("submodule enumeration guardrail: total dim > 6")
+        check_dim("submodule enumeration guardrail", C.total_dim(), ENUM_DIM_GUARD,
+                  "ENUM_DIM_GUARD")
         if any(di > ci for di, ci in zip(d, C.dim)) or any(di < 0 for di in d):
             return []
         count = 1
         for di, ci in zip(d, C.dim):
             count *= gaussian_binomial(ci, di, self.p)
-        if count > SCAN_BUDGET:
-            raise BudgetExceeded("submodule enumeration budget exceeded")
+        check_count("submodule enumeration", count, "subspace tuples")
         per_vertex = [list(echelon_subspaces(self.p, C.dim[i], d[i]))
                       for i in range(self.quiver.n)]
         out = []
@@ -799,8 +806,7 @@ class RepCategory:
         total = 1
         for s, t in Q.arrows:
             total *= self.p ** (d[t - 1] * d[s - 1])
-        if total > SCAN_BUDGET:
-            raise BudgetExceeded("representation enumeration budget exceeded")
+        check_count("representation enumeration", total, "representations")
         spaces = []
         for s, t in Q.arrows:
             r, c = d[t - 1], d[s - 1]

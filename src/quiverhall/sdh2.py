@@ -396,12 +396,12 @@ class SDH2Algebra:
         g12 = (tuple(a + b for a, b in zip(g1[0], g2[0])),
                tuple(a + b for a, b in zip(g1[1], g2[1])))
         terms = {}
-        for _f, E in self.tools.ext1_classes_proj(R1, R2):
+        for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
             nf = self.normal_form(E)
             ell = (nf.alpha, nf.beta)
             g = (tuple(a + b for a, b in zip(g12[0], ell[0])),
                  tuple(a + b for a, b in zip(g12[1], ell[1])))
-            c = nf.coeff * q_power(self.q, base_exp - self.exp_g_h(g12, ell))
+            c = (nf.coeff * q_power(self.q, base_exp - self.exp_g_h(g12, ell))).scale(weight)
             key = (g, nf.key)
             cur = terms.get(key)
             tot = c if cur is None else cur + c

@@ -17,16 +17,13 @@ raise WindowExceeded.  Torus bookkeeping is integer exponent arithmetic:
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import (
-    BudgetExceeded,
     ShapeError,
     SignConventionBroken,
     WindowExceeded,
 )
-from .linalg import FpMatrix
-from .reps import SCAN_BUDGET, Rep, RepCategory, RepMorphism
+from .linalg import FpMatrix, coset_points
+from .reps import Rep, RepCategory, RepMorphism, check_scan
 from .scalars import CoeffScalar, q_power, v_power
 
 WINDOW_LO = -8
@@ -408,34 +405,19 @@ class CxBTools:
     # -- extension classes -------------------------------------------------
 
     def ext1_classes_proj(self, L: CxB, M: CxB) -> list:
+        """(f, E(f), weight) per line of extension classes of L by M, as in
+        cx2.Cx2Tools.ext1_classes_proj."""
         SM = M.shift(1)
         basis = self.chain_maps_basis(L, SM)
-        t = len(basis)
         p = self.cat.p
-        if p ** t > SCAN_BUDGET:
-            raise BudgetExceeded("extension-class enumeration budget exceeded")
-        if t == 0:
-            return [(None, direct_sum_cxb(self.cat, [M, L]))]
-        flats = [self._flatten(L, SM, b) for b in basis]
-        Bmat = FpMatrix.from_columns(p, flats, len(flats[0]))
-        coords_rows = []
-        for h in self.homotopy_subspace(L, SM):
-            y = Bmat.solve(h)
-            if y is None:
-                raise ShapeError("homotopy outside chain-map space (engine bug)")
-            coords_rows.append(y)
-        pivots = set()
-        if coords_rows:
-            R, piv = FpMatrix(p, coords_rows, cols=t).rref()
-            pivots = set(piv)
-        free_pos = [j for j in range(t) if j not in pivots]
+        check_scan("extension-class enumeration", p, len(basis))
+        if not basis:
+            return [(None, direct_sum_cxb(self.cat, [M, L]), 1)]
         out = []
-        for vals in product(range(p), repeat=len(free_pos)):
-            coeffs = [0] * t
-            for pos, v in zip(free_pos, vals):
-                coeffs[pos] = v
+        for coeffs, weight in coset_points(p, [self._flatten(L, SM, b) for b in basis],
+                                           self.homotopy_subspace(L, SM)):
             f = self._combine(basis, coeffs, L, SM)
-            out.append((f, self.middle_term(L, M, f)))
+            out.append((f, self.middle_term(L, M, f), weight))
         return out
 
     def _combine(self, basis, coeffs, U, V) -> dict:
@@ -586,6 +568,7 @@ class SDHZAlgebra:
         self._rep_cache = {}
         self._nf_cache = {}
         self._pair_cache = {}
+        self._euler_cache = {}
 
     # -- lattice / key plumbing ---------------------------------------------
 
@@ -794,12 +777,12 @@ class SDHZAlgebra:
                     - self.tools.hom_dim(R1, R2))
         g12 = self.lattice_add(g1, g2)
         terms = {}
-        for _f, E in self.tools.ext1_classes_proj(R1, R2):
+        for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
             coeffE, ell, keyE = self.normal_form(E)
             self.window_check_key(keyE)
             g = self.lattice_add(g12, ell)
             self.window_check_lattice(g)
-            c = coeffE * q_power(self.q, base_exp - self.exp_g_h(g12, ell))
+            c = (coeffE * q_power(self.q, base_exp - self.exp_g_h(g12, ell))).scale(weight)
             tk = (g, keyE)
             cur = terms.get(tk)
             tot = c if cur is None else cur + c
@@ -846,6 +829,14 @@ class SDHZAlgebra:
         """log_q of the multiplicative Euler form between two generator
         complexes, from chain-map/homotopy dimensions (independent of any
         closed-form identity)."""
+        ck = ((spec1[0], spec1[1].signature(), spec1[2]),
+              (spec2[0], spec2[1].signature(), spec2[2]))
+        e = self._euler_cache.get(ck)
+        if e is None:
+            e = self._euler_cache[ck] = self._euler_exponent_uncached(spec1, spec2)
+        return e
+
+    def _euler_exponent_uncached(self, spec1, spec2) -> int:
         Y = self._concrete(spec2)
         R, K = self._proj_replacement(spec1)
         if Y.is_zero():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .cx2 import direct_sum_cx2, make_KP, make_KPstar
 from .hall import HallAlgebra, verify_ringel
+from .linalg import line_index
 from .reflection import SinkReflection
 from .reps import RepCategory
 from .scalars import CoeffScalar, q_power
@@ -279,18 +280,18 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
             # independent route: count extension classes per middle By
             # subcomplex enumeration and the automorphism conversion.
             middles = []
-            for _f, E in tools.ext1_classes_proj(L, M):
+            for _f, E, weight in tools.ext1_classes_proj(L, M):
                 found = None
                 for X, cnt in middles:
                     if tools.is_isomorphic(X, E):
                         found = X
                         break
                 if found is None:
-                    middles.append([E, 1])
+                    middles.append([E, weight])
                 else:
                     for item in middles:
                         if item[0] is found:
-                            item[1] += 1
+                            item[1] += weight
             aut_l = tools.aut_count(L)
             aut_m = tools.aut_count(M)
             hom_lm = tools.hom_dim(L, M)
@@ -358,6 +359,19 @@ def suite_torus_commutation(cat: RepCategory) -> list:
     return out
 
 
+def _drawn_middle(classes, p: int, rng):
+    """Middle term of a uniform draw among all p^k extension classes: the
+    drawn number's k base-p digits name a class, and classes lists the one
+    on its line (weights as in linalg.projective_points)."""
+    total = sum(weight for _f, _E, weight in classes)
+    k = 0
+    while p ** k < total:
+        k += 1
+    r = rng.randrange(total)
+    digits = [r // p ** (k - 1 - i) % p for i in range(k)]
+    return classes[line_index(p, digits)][1]
+
+
 def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
     """Conflations with acyclic kernel: the class of the middle equals the
     class of (kernel + cokernel), in both gradings."""
@@ -379,8 +393,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         Mrep = alg2.rep_of_key((cat.intern(H0), cat.intern(H1)))
         P = rng.choice(projs)
         K = make_KP(cat, P) if rng.random() < 0.5 else make_KPstar(cat, P)
-        classes = tools2.ext1_classes_proj(Mrep, K)
-        _f, L = classes[rng.randrange(len(classes))]
+        L = _drawn_middle(tools2.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = alg2.element_of(L)
         rhs = alg2.element_of(direct_sum_cx2(cat, [K, Mrep]))
         out.append(_row(f"z2 conflation #{k} (H0={H0.dim}, H1={H1.dim}, K on {P.dim})",
@@ -392,8 +405,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         P = rng.choice(projs)
         slot = rng.choice((m - 1, m))
         K = v_complex(cat, P, slot)
-        classes = toolsz.ext1_classes_proj(Mrep, K)
-        _f, L = classes[rng.randrange(len(classes))]
+        L = _drawn_middle(toolsz.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = algz.element_of(L)
         rhs = algz.element_of(direct_sum_cxb(cat, [K, Mrep]))
         out.append(_row(f"z conflation #{k} (A={A.dim}@{m}, v on {P.dim}@{slot})",

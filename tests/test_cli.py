@@ -77,10 +77,16 @@ def test_negative_bound_exit_two(quiver_files, capsys):
      "0cd4defcb29d169a66e46c3357f125b053964e14d9752e230ca9cdf9f95d9ba2"),
     ("a1", 2, ["--suite", "bridgeland-compare"],
      "c1e5559299bcaacccf688319c72bc08cd17d9406cbb82cfdd2e0b59d92410dd9"),
+    # At large q one line stands for q - 1 classes, so a weight error shows.
+    ("a2", 11, ["--suite", "quantum-group"],
+     "3df942e251b1fcdc5f02c853554d496ff4eeb8e24e089a76da8e6edda5769dc8"),
+    ("a2", 13, ["--table", "--bound", "3"],
+     "0a132ae70ecb7ee1d9845b45c8f1e1b4ecca304da6b1d4b5da28e4ff6de5f0a6"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building
-    scans that the flat-vector walks replaced."""
+    scans over every coefficient vector that the flat walks over one vector
+    per line replaced."""
     out = tmp_path / "out.json"
     assert main(["--quiver", str(EXAMPLES / f"{quiver}.json"), "--q", str(q),
                  "--out", str(out)] + args) == 0

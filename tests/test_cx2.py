@@ -134,14 +134,14 @@ def test_ext1_classes_counts():
     L = stalk_cx2(v, k, 0)
     M = stalk_cx2(v, k, 1)
     classes = tools.ext1_classes_proj(L, M)
-    assert len(classes) == 2  # q = 2
+    assert len(classes) == 2  # q = 2: two lines, each of weight 1
     # the zero class is split
-    split = [E for f, E in classes
+    split = [E for f, E, _w in classes
              if f is None or all(m.is_zero() for m in f.s0.mats + f.s1.mats)]
     assert len(split) == 1
     assert tools.is_isomorphic(split[0], direct_sum_cx2(v, [M, L]))
     # nonsplit middles are contractible of K-type on k
-    nonsplit = [E for f, E in classes if E not in split]
+    nonsplit = [E for f, E, _w in classes if E not in split]
     for E in nonsplit:
         assert tools.is_acyclic(E)
         kind, P = tools.classify_acyclic_indec(tools.decompose2(E)[0])
@@ -149,14 +149,17 @@ def test_ext1_classes_counts():
 
 
 def test_ext1_count_equals_q_power():
-    cat = a2()
+    # At q = 3 a line holds two nonzero classes, so the weights, not the
+    # number of listed classes, must add up to |Ext^1|.
+    cat = a2(3)
     tools = Cx2Tools(cat)
     L = minimal_complex(cat, cat.simple(1), cat.rep((0, 0)))
     M = minimal_complex(cat, cat.simple(2), cat.rep((0, 0)))
     classes = tools.ext1_classes_proj(L, M)
-    expected = cat.p ** (tools.hom_dim(L, M.shift())
-                         - tools.homotopy_dim(L, M.shift()))
-    assert len(classes) == expected
+    k = tools.hom_dim(L, M.shift()) - tools.homotopy_dim(L, M.shift())
+    assert k > 0
+    assert sum(w for _f, _E, w in classes) == cat.p ** k
+    assert len(classes) == 1 + (cat.p ** k - 1) // (cat.p - 1)
 
 
 def test_middle_term_d_squared_validated():
@@ -164,7 +167,7 @@ def test_middle_term_d_squared_validated():
     tools = Cx2Tools(cat)
     L = minimal_complex(cat, cat.simple(1), cat.simple(2))
     M = minimal_complex(cat, cat.simple(2), cat.simple(1))
-    for f, E in tools.ext1_classes_proj(L, M):
+    for f, E, _w in tools.ext1_classes_proj(L, M):
         assert E.M0.dim == tuple(a + b for a, b in zip(M.M0.dim, L.M0.dim))
 
 
@@ -182,7 +185,7 @@ def test_long_exact_sequence_dimension_bounds():
             hM = tools.homology(M)
             euler = tuple(hL[0].dim[i] - hL[1].dim[i] + hM[0].dim[i] - hM[1].dim[i]
                           for i in range(2))
-            for _f, E in tools.ext1_classes_proj(L, M):
+            for _f, E, _w in tools.ext1_classes_proj(L, M):
                 hE = tools.homology(E)
                 for b in (0, 1):
                     for i in range(2):

@@ -6,9 +6,12 @@ import pytest
 from quiverhall.errors import ShapeError
 from quiverhall.linalg import (
     FpMatrix,
+    coset_points,
     echelon_subspaces,
     field_inverse,
     gaussian_binomial,
+    line_index,
+    projective_points,
 )
 
 
@@ -147,3 +150,46 @@ def test_ops_match_naive_formulas_seeded():
         for M in (A + B, A @ C, A.transpose(), R, FpMatrix.zero(p, r, c),
                   FpMatrix.identity(p, r)):
             assert hash(M) == hash(FpMatrix(p, M.data, rows=M.rows, cols=M.cols))
+
+
+def test_projective_points_cover_each_line_once():
+    for p in (2, 3, 5):
+        assert list(projective_points(p, 0)) == [((), 1)]
+        for k in range(1, 4):
+            points = list(projective_points(p, k))
+            assert sum(w for _, w in points) == p ** k
+            assert points[0] == ((0,) * k, 1)
+            assert all(w == p - 1 for _, w in points[1:])
+            # every nonzero vector is a multiple of exactly one point
+            lines = {}
+            for i, (c, _w) in enumerate(points[1:], 1):
+                for lam in range(1, p):
+                    v = tuple(lam * x % p for x in c)
+                    assert v not in lines
+                    lines[v] = i
+            nonzero = [v for v in product(range(p), repeat=k) if any(v)]
+            assert sorted(lines) == nonzero
+            # the points keep itertools.product order, and line_index finds them
+            assert [c for c, _ in points] == sorted(c for c, _ in points)
+            assert all(line_index(p, v) == lines[v] for v in nonzero)
+            assert line_index(p, (0,) * k) == 0
+
+
+def test_coset_points_meet_each_coset_on_one_line():
+    # span(basis) = F_3^3 with the coordinate basis; sub = span{(1, 1, 0)}
+    p = 3
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    sub = [(1, 1, 0)]
+    points = list(coset_points(p, basis, sub))
+    assert sum(w for _, w in points) == p ** 2
+    cosets = set()
+    for c, _w in points:
+        for lam in range(1, p) if any(c) else (1,):
+            v = tuple(lam * x % p for x in c)
+            coset = min(tuple((a + t * b) % p for a, b in zip(v, sub[0]))
+                        for t in range(p))
+            assert coset not in cosets
+            cosets.add(coset)
+    assert len(cosets) == p ** 2
+    with pytest.raises(ShapeError):
+        list(coset_points(p, basis[:2], [(0, 0, 1)]))

@@ -289,6 +289,29 @@ def test_budget_message_names_guard_and_size():
         a2().aut_count(a2().rep((4, 4)))
 
 
+def test_enumeration_budget_messages_name_guard_size_and_limit():
+    from quiverhall.cx2 import Cx2Tools, stalk_cx2
+
+    cat = RepCategory(a_n_quiver(2), 3)
+    big = RepCategory(a_n_quiver(2), 97)
+    cases = [
+        (lambda: cat._gl(4), r"GL enumeration: 3\^16 = 43046721 > SCAN_BUDGET 1048576"),
+        (lambda: next(cat.all_reps_of_dim((4, 4))),
+         r"representation enumeration: 43046721 representations > SCAN_BUDGET 1048576"),
+        (lambda: cat.submodules_with_dim(cat.rep((4, 4)), (2, 2)),
+         r"submodule enumeration guardrail: total dimension 8 > ENUM_DIM_GUARD 6"),
+        # [3 choose 1]_97 = 9507 lines at each vertex, 9507^2 pairs
+        (lambda: big.submodules_with_dim(big.rep((3, 3)), (1, 1)),
+         r"submodule enumeration: 90383049 subspace tuples > SCAN_BUDGET 1048576"),
+        (lambda: Cx2Tools(cat).sub_complexes_with_dims(
+            stalk_cx2(cat, cat.rep((7, 7)), 0), (1, 1), (0, 0)),
+         r"subcomplex enumeration guardrail: total dimension 14 > DECOMPOSE_DIM_GUARD 12"),
+    ]
+    for call, message in cases:
+        with pytest.raises(BudgetExceeded, match="^" + message + "$"):
+            call()
+
+
 def test_quiver_rejects_cycles_and_bad_arrows():
     with pytest.raises(PreconditionError):
         Quiver(2, [(1, 2), (2, 1)])
