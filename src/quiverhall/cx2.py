@@ -163,6 +163,30 @@ def _block_diag(p: int, mats: list) -> FpMatrix:
     return FpMatrix(p, out, cols=cols)
 
 
+def _homology_at(cat: RepCategory, comp: Rep, d_out: RepMorphism, d_in: RepMorphism) -> Rep:
+    """ker d_out / im d_in at one component, for complexes of either grading."""
+    ker = cat.kernel_subspaces(d_out)
+    K, incl = cat.sub_rep(comp, ker)
+    # express the image of d_in inside kernel coordinates
+    rows_by_vertex = []
+    for i in range(cat.quiver.n):
+        BT = incl.mats[i]  # comp.dim x K.dim, columns are the kernel basis
+        img_rows = []
+        for c in range(d_in.mats[i].cols):
+            col = tuple(d_in.mats[i].data[r][c] for r in range(d_in.mats[i].rows))
+            y = BT.solve(col)
+            if y is None:
+                raise ShapeError("image not inside kernel (engine bug)")
+            img_rows.append(y)
+        if img_rows:
+            R, piv = FpMatrix(cat.p, img_rows, cols=K.dim[i]).rref()
+            rows_by_vertex.append(tuple(R.data[k] for k in range(len(piv))))
+        else:
+            rows_by_vertex.append(())
+    H, _ = cat.quotient(K, tuple(rows_by_vertex))
+    return H
+
+
 def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
     """Minimal projective-component complex with homology (A, B).
 
@@ -314,33 +338,10 @@ class Cx2Tools:
         cached = self._homology_cache.get(ck)
         if cached is not None:
             return cached
-        H0 = self._homology_once(X.M0, X.d0, X.d1)
-        H1 = self._homology_once(X.M1, X.d1, X.d0)
+        H0 = _homology_at(self.cat, X.M0, X.d0, X.d1)
+        H1 = _homology_at(self.cat, X.M1, X.d1, X.d0)
         self._homology_cache[ck] = (H0, H1)
         return (H0, H1)
-
-    def _homology_once(self, comp: Rep, d_out: RepMorphism, d_in: RepMorphism) -> Rep:
-        cat = self.cat
-        ker = cat.kernel_subspaces(d_out)
-        K, incl = cat.sub_rep(comp, ker)
-        # express the image of d_in inside kernel coordinates
-        rows_by_vertex = []
-        for i in range(cat.quiver.n):
-            BT = incl.mats[i]  # comp.dim x K.dim, columns are the kernel basis
-            img_rows = []
-            for c in range(d_in.mats[i].cols):
-                col = tuple(d_in.mats[i].data[r][c] for r in range(d_in.mats[i].rows))
-                y = BT.solve(col)
-                if y is None:
-                    raise ShapeError("image not inside kernel (engine bug)")
-                img_rows.append(y)
-            if img_rows:
-                R, piv = FpMatrix(cat.p, img_rows, cols=K.dim[i]).rref()
-                rows_by_vertex.append(tuple(R.data[k] for k in range(len(piv))))
-            else:
-                rows_by_vertex.append(())
-        H, _ = cat.quotient(K, tuple(rows_by_vertex))
-        return H
 
     def homology_keys(self, X: Cx2) -> tuple:
         H0, H1 = self.homology(X)

@@ -18,54 +18,19 @@ from fractions import Fraction
 from .errors import ConversionMismatch
 from .linalg import FpMatrix, coset_points
 from .reps import IsoClassKey, RepCategory, RepMorphism
-from .scalars import CoeffScalar, v_power
+from .scalars import CoeffScalar, LinComb, bilinear, v_power
 
 
-class HallElement:
-    """Finite linear combination of isomorphism classes."""
+def _hall_str(terms) -> str:
+    return " + ".join(f"({terms[k]})*[{k.label}]" for k in sorted(terms))
 
-    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: "HallAlgebra", terms=None):
-        self.algebra = algebra
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
-
-    def __add__(self, other: "HallElement") -> "HallElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return HallElement(self.algebra, out)
-
-    def __sub__(self, other: "HallElement") -> "HallElement":
-        return self + other.scale_scalar(CoeffScalar.of(self.algebra.q, -1))
-
-    def scale_scalar(self, c: CoeffScalar) -> "HallElement":
-        return HallElement(self.algebra, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HallElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __mul__(self, other: "HallElement") -> "HallElement":
-        return self.algebra.twisted_product(self, other)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms):
-            bits.append(f"({self.terms[k]})*[{k.label}]")
-        return " + ".join(bits)
+def _ext_str(terms) -> str:
+    bits = []
+    for (al, k) in sorted(terms, key=lambda t: (t[0], t[1].sig)):
+        ks = f"K{list(al)}*[{k.label}]" if any(al) else f"[{k.label}]"
+        bits.append(f"({terms[(al, k)]})*{ks}")
+    return " + ".join(bits)
 
 
 class HallAlgebra:
@@ -80,15 +45,19 @@ class HallAlgebra:
 
     # -- basic elements --------------------------------------------------
 
-    def cls(self, M) -> HallElement:
-        key = M if isinstance(M, IsoClassKey) else self.cat.intern(M)
-        return HallElement(self, {key: CoeffScalar.one(self.q)})
+    def element(self, terms) -> LinComb:
+        """Combination of iso classes; * is the twisted product."""
+        return LinComb(self.q, terms, self.twisted_product, _hall_str)
 
-    def unit(self) -> HallElement:
+    def cls(self, M) -> LinComb:
+        key = M if isinstance(M, IsoClassKey) else self.cat.intern(M)
+        return self.element({key: CoeffScalar.one(self.q)})
+
+    def unit(self) -> LinComb:
         return self.cls(self.cat.zero_key())
 
-    def zero(self) -> HallElement:
-        return HallElement(self, {})
+    def zero(self) -> LinComb:
+        return self.element({})
 
     # -- structure constants ----------------------------------------------
 
@@ -182,7 +151,7 @@ class HallAlgebra:
                     f"{middle.label}): counting {conv}, enumeration {val}")
         return CoeffScalar.of(self.q, val)
 
-    def product_pair(self, top: IsoClassKey, bottom: IsoClassKey) -> HallElement:
+    def product_pair(self, top: IsoClassKey, bottom: IsoClassKey) -> LinComb:
         """[top] o [bottom] expanded in the basis."""
         counts = self.ext_class_counts(top, bottom)
         hom = self.cat.hom_dim(top.rep, bottom.rep)
@@ -195,130 +164,74 @@ class HallAlgebra:
                     raise ConversionMismatch(
                         f"structure constant mismatch at middle {mid.label}")
             terms[mid] = CoeffScalar.of(self.q, val)
-        return HallElement(self, terms)
+        return self.element(terms)
 
     # -- products ----------------------------------------------------------
 
-    def hall_product(self, x: HallElement, y: HallElement) -> HallElement:
-        out = self.zero()
-        for kx, cx in x.terms.items():
-            for ky, cy in y.terms.items():
-                out = out + self.product_pair(kx, ky).scale_scalar(cx * cy)
-        return out
+    def _twisted_pair(self, top, bottom, e: int):
+        """Terms of v^e [top] o [bottom]."""
+        tw = v_power(self.q, e)
+        return ((k, c * tw) for k, c in self.product_pair(top, bottom).terms.items())
 
-    def twisted_product(self, x: HallElement, y: HallElement) -> HallElement:
-        out = self.zero()
-        for kx, cx in x.terms.items():
-            for ky, cy in y.terms.items():
-                tw = v_power(self.q, self.cat.euler_form_int(kx.dim, ky.dim))
-                out = out + self.product_pair(kx, ky).scale_scalar(cx * cy * tw)
-        return out
+    def hall_product(self, x: LinComb, y: LinComb) -> LinComb:
+        return bilinear(x, y, lambda a, b: self.product_pair(a, b).terms.items())
 
+    def twisted_product(self, x: LinComb, y: LinComb) -> LinComb:
+        return bilinear(x, y, lambda a, b: self._twisted_pair(
+            a, b, self.cat.euler_form_int(a.dim, b.dim)))
 
-class ExtHallElement:
-    """Element of the twisted extended Hall algebra, K_alpha normal-ordered left."""
+    # -- extended algebra ----------------------------------------------------
+    # Elements of the twisted extended Hall algebra are combinations of
+    # K_alpha * [M], keyed (alpha, M), with the K-symbol normal-ordered left.
 
-    __slots__ = ("algebra", "terms")
+    def extended_element(self, terms) -> LinComb:
+        return LinComb(self.q, terms, self.extended_product, _ext_str)
 
-    def __init__(self, algebra: HallAlgebra, terms=None):
-        self.algebra = algebra
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
+    def extended(self, x: LinComb) -> LinComb:
+        """A Hall element as an element of the extended algebra."""
+        zero_alpha = (0,) * self.cat.quiver.n
+        return self.extended_element({(zero_alpha, k): c for k, c in x.terms.items()})
 
-    @staticmethod
-    def from_hall(x: HallElement) -> "ExtHallElement":
-        zero_alpha = (0,) * x.algebra.cat.quiver.n
-        return ExtHallElement(x.algebra, {(zero_alpha, k): c for k, c in x.terms.items()})
+    def k_symbol(self, alpha) -> LinComb:
+        key = (tuple(int(a) for a in alpha), self.cat.zero_key())
+        return self.extended_element({key: CoeffScalar.one(self.q)})
 
-    @staticmethod
-    def k_symbol(algebra: HallAlgebra, alpha) -> "ExtHallElement":
-        key = (tuple(int(a) for a in alpha), algebra.cat.zero_key())
-        return ExtHallElement(algebra, {key: CoeffScalar.one(algebra.q)})
-
-    def __add__(self, other: "ExtHallElement") -> "ExtHallElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return ExtHallElement(self.algebra, out)
-
-    def __sub__(self, other: "ExtHallElement") -> "ExtHallElement":
-        return self + other.scale_scalar(CoeffScalar.of(self.algebra.q, -1))
-
-    def scale_scalar(self, c: CoeffScalar) -> "ExtHallElement":
-        return ExtHallElement(self.algebra, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExtHallElement) and self.terms == other.terms
-
-    def __mul__(self, other: "ExtHallElement") -> "ExtHallElement":
+    def extended_product(self, x: LinComb, y: LinComb) -> LinComb:
         """Twisted extended product.
 
         K_alpha * [B] = v^{sym(alpha, dim B)} [B] * K_alpha, with sym the
         symmetrized Euler exponent; module classes multiply by the twisted
         Hall product and K-symbols add.
         """
-        alg = self.algebra
-        cat = alg.cat
-        out = ExtHallElement(alg, {})
-        for (al, ka), ca in self.terms.items():
-            for (be, kb), cb in other.terms.items():
-                # move K_be across [ka]: [ka] * K_be = v^{-sym(be, dim ka)} K_be * [ka]
-                sym = cat.quiver.symmetrized_euler(be, ka.dim)
-                pref = v_power(alg.q, -sym)
-                mods = alg.twisted_product(alg.cls(ka), alg.cls(kb))
-                alpha = tuple(a + b for a, b in zip(al, be))
-                for km, cm in mods.terms.items():
-                    key = (alpha, km)
-                    add = ca * cb * pref * cm
-                    cur = out.terms.get(key)
-                    tot = add if cur is None else cur + add
-                    if tot.is_zero():
-                        out.terms.pop(key, None)
-                    else:
-                        out.terms[key] = tot
-        return out
+        sym = self.cat.quiver.symmetrized_euler
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (al, k) in sorted(self.terms, key=lambda t: (t[0], t[1].sig)):
-            c = self.terms[(al, k)]
-            ks = f"K{list(al)}*[{k.label}]" if any(al) else f"[{k.label}]"
-            bits.append(f"({c})*{ks}")
-        return " + ".join(bits)
+        def pair(s, t):
+            (al, ka), (be, kb) = s, t
+            alpha = tuple(a + b for a, b in zip(al, be))
+            # move K_be across [ka]: [ka] * K_be = v^{-sym(be, dim ka)} K_be * [ka]
+            e = self.cat.euler_form_int(ka.dim, kb.dim) - sym(be, ka.dim)
+            return (((alpha, k), c) for k, c in self._twisted_pair(ka, kb, e))
+
+        return bilinear(x, y, pair)
 
 
-def serre_checks(algebra: HallAlgebra, gens: dict) -> list:
+def serre_checks(cat: RepCategory, gens: dict, tag: str = "") -> list:
     """Quantum Serre relation residuals for an assignment i -> E_i.
 
-    Returns [(name, element)] where every element must be zero; adjacency is
-    read off the quiver (simply-laced assumption: at most one edge per pair).
+    Returns [(name, element)] where every element must be zero.  The Cartan
+    entry a_ij = -(number of arrows between i and j) is read off the quiver;
+    for a pair with no arrows the relation is the commutator, checked once.
     """
-    Q = algebra.cat.quiver
-    q = algebra.q
+    n = cat.quiver.n
     out = []
-    v = v_power(q, 1)
-    vbar = v_power(q, -1)
-    for i in range(1, Q.n + 1):
-        for j in range(1, Q.n + 1):
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
             if i == j:
                 continue
-            Ei, Ej = gens[i], gens[j]
-            if Q.adjacent(i, j):
-                lhs = (Ei * Ei) * Ej \
-                    - (Ei * Ej * Ei).scale_scalar(v + vbar) \
-                    + Ej * (Ei * Ei)
-                out.append((f"serre({i},{j})", lhs))
-            elif i < j:
-                out.append((f"commute({i},{j})", Ei * Ej - Ej * Ei))
+            a = cat.quiver.symmetrized_euler(cat.simple(i).dim, cat.simple(j).dim)
+            if a or i < j:
+                kind = "serre" if a else "commute"
+                out.append((f"{kind}{tag}({i},{j})", gens[i].serre(gens[j], a)))
     return out
 
 
@@ -331,7 +244,7 @@ def verify_ringel(cat: RepCategory, cross_check: str = "always"):
     gens = {i: alg.cls(cat.simple(i)).scale_scalar(inv)
             for i in range(1, cat.quiver.n + 1)}
     checks = []
-    for name, residual in serre_checks(alg, gens):
+    for name, residual in serre_checks(cat, gens):
         status = "pass" if residual.is_zero() else "fail"
         checks.append((name, status, str(residual), "0"))
     if cat.quiver.n == 1:

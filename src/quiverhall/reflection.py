@@ -23,8 +23,8 @@ from .cx2 import Cx2, direct_sum_cx2, zero_morphism
 from .errors import PreconditionError, ShapeError
 from .linalg import FpMatrix
 from .reps import Rep, RepCategory, RepMorphism
-from .scalars import q_power, v_power
-from .sdh2 import SDH2Algebra, SDH2Element, SDH2Reduced
+from .scalars import LinComb, q_power, v_power
+from .sdh2 import SDH2Algebra
 
 
 def lift_through_epi(cat: RepCategory, f: RepMorphism, e: RepMorphism) -> RepMorphism:
@@ -83,7 +83,7 @@ def shift_piece(p: Piece) -> Piece:
     return Piece(p.X.shift(), p.P.shift(), (b, a))
 
 
-def class_of_pieces(alg: SDH2Algebra, pieces) -> SDH2Element:
+def class_of_pieces(alg: SDH2Algebra, pieces) -> LinComb:
     """Class of the direct sum of the pieces' complexes, via the piecewise
     deflation from projective-component complexes with contractible kernel."""
     cat = alg.cat
@@ -261,16 +261,18 @@ class SinkReflection:
 
     # -- the map on reduced elements --------------------------------------------
 
-    def xi(self, key) -> SDH2Reduced:
-        """Image of the pure basis term (lattice 0, key)."""
+    def xi(self, key) -> LinComb:
+        """Image of the pure basis term (lattice 0, key); a fresh copy of the
+        cached value, so callers may add to it in place."""
         ck = (key[0].sig, key[1].sig)
-        cached = self._xi_cache.get(ck)
-        if cached is not None:
-            return cached
+        out = self._xi_cache.get(ck)
+        if out is None:
+            out = self._xi_cache[ck] = self._xi_uncached(key)
+        return out.like(out.terms)
+
+    def _xi_uncached(self, key) -> LinComb:
         if key == self.alg.zero_key2():
-            out = self.alg2.reduced_unit()
-            self._xi_cache[ck] = out
-            return out
+            return self.alg2.reduced_unit()
         pieces = self.pieces_for_key(key)
         w_elt = class_of_pieces(self.alg, pieces)
         (h, wkey), nu = next(iter(w_elt.terms.items()))
@@ -283,11 +285,9 @@ class SinkReflection:
         tneg = (tuple(-x for x in th[0]), tuple(-x for x in th[1]))
         torus_red = self.alg2.reduce(self.alg2.torus_term(tneg))
         out = self.alg2.reduced_product(torus_red, self.alg2.reduce(w2_elt))
-        out = out.scale_scalar(nu.inverse() * v_power(self.q, cw))
-        self._xi_cache[ck] = out
-        return out
+        return out.scale_scalar(nu.inverse() * v_power(self.q, cw))
 
-    def t_hat(self, x: SDH2Reduced) -> SDH2Reduced:
+    def t_hat(self, x: LinComb) -> LinComb:
         """The reflection isomorphism on a reduced twisted element."""
         out = self.alg2.reduced_zero()
         zero = (0,) * self.cat.quiver.n
@@ -297,7 +297,7 @@ class SinkReflection:
             tc = self.t_lattice((c, zero))
             torus_red = self.alg2.reduce(self.alg2.torus_term(tc))
             part = self.alg2.reduced_product(torus_red, self.xi(key))
-            out = out + part.scale_scalar(coeff * v_power(self.q, -cw))
+            out += part.scale_scalar(coeff * v_power(self.q, -cw))
         return out
 
     # -- verification suite --------------------------------------------------------
@@ -346,8 +346,8 @@ class SinkReflection:
         # involution compatibility on generators
         gens = self.generator_elements()
         for name, x in gens:
-            lhs = self.t_hat(x.star())
-            rhs = self.t_hat(x).star()
+            lhs = self.t_hat(self.alg.reduced_star(x))
+            rhs = self.alg2.reduced_star(self.t_hat(x))
             out.append((f"*t_i = t_i* on {name}",
                         "pass" if (lhs - rhs).is_zero() else "fail", str(lhs), str(rhs)))
         # multiplicativity on generator pairs

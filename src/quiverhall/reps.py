@@ -10,6 +10,7 @@ across runs.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
@@ -823,6 +824,73 @@ class RepCategory:
             for R in self.all_reps_of_dim(d):
                 keys.add(self.intern(R))
         return sorted(keys)
+
+
+class ProjectiveCoords:
+    """K_0(rep Q) in the basis of the indecomposable projectives P_1..P_n.
+
+    The dimension vectors of the P_j form a unimodular matrix (Q is acyclic),
+    so every class has integer coordinates.  Both semi-derived algebras index
+    their quantum tori by these coordinates.
+    """
+
+    def __init__(self, cat: RepCategory):
+        n = cat.quiver.n
+        self.projectives = [cat.projective(i) for i in range(1, n + 1)]
+        # hom(P_j, P_k) = dim of P_k at vertex j
+        self.hom_pp = [[self.projectives[k].dim[j] for k in range(n)] for j in range(n)]
+        self._inv_cols = self._inverse_columns()
+        self._coords_cache = {}
+
+    def _inverse_columns(self):
+        """Inverse of the matrix whose columns are dim P_j, over Q."""
+        n = len(self.projectives)
+        A = [[Fraction(P.dim[i]) for P in self.projectives] for i in range(n)]
+        inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        for c in range(n):
+            piv = next((r for r in range(c, n) if A[r][c] != 0), None)
+            if piv is None:
+                raise ShapeError("projective dimension vectors are dependent (engine bug)")
+            A[c], A[piv] = A[piv], A[c]
+            inv[c], inv[piv] = inv[piv], inv[c]
+            f = A[c][c]
+            A[c] = [x / f for x in A[c]]
+            inv[c] = [x / f for x in inv[c]]
+            for r in range(n):
+                if r != c and A[r][c] != 0:
+                    g = A[r][c]
+                    A[r] = [x - g * y for x, y in zip(A[r], A[c])]
+                    inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
+        return inv
+
+    def coords(self, dimvec) -> tuple:
+        """Coordinates of a K_0 class (dimension-vector valued) in the P-basis."""
+        dv = tuple(int(x) for x in dimvec)
+        res = self._coords_cache.get(dv)
+        if res is None:
+            out = []
+            for row in self._inv_cols:
+                val = sum(r * d for r, d in zip(row, dv))
+                if val.denominator != 1:
+                    raise ShapeError("non-integral projective coordinates (engine bug)")
+                out.append(int(val))
+            res = self._coords_cache[dv] = tuple(out)
+        return res
+
+    def dim_of_coords(self, a) -> tuple:
+        n = len(self.projectives)
+        return tuple(sum(a[j] * self.projectives[j].dim[i] for j in range(n))
+                     for i in range(n))
+
+    def hom_form(self, a, b) -> int:
+        """sum_jk a_j b_k hom(P_j, P_k) for coordinate vectors a, b."""
+        e = 0
+        for j, aj in enumerate(a):
+            if aj:
+                for k, bk in enumerate(b):
+                    if bk:
+                        e += aj * bk * self.hom_pp[j][k]
+        return e
 
 
 def _gl_order(n: int, p: int) -> int:

@@ -140,6 +140,115 @@ def v_power(q: int, e: int) -> CoeffScalar:
     return q_power(q, Fraction(e, 2))
 
 
+def v_binomial(q: int, n: int, k: int) -> CoeffScalar:
+    """Symmetric quantum binomial [n choose k]_v = v^(-k(n-k)) [n choose k]_q,
+    the Gaussian binomial at q = v^2 carried to the bar-invariant form."""
+    g = 1
+    for i in range(k):
+        g = g * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return v_power(q, -k * (n - k)).scale(g)
+
+
+class LinComb:
+    """Finitely supported map from basis keys to CoeffScalar coefficients.
+
+    Every Hall-type algebra of the engine is free on a basis, so its elements
+    are all of this one type.  Zero coefficients are dropped on construction
+    and on every accumulation, so equality is equality of the term dicts.  The
+    algebra binds how two elements multiply (``mul``, behind ``*``) and how an
+    element prints (``fmt``, given the nonempty term dict).
+    """
+
+    __slots__ = ("q", "terms", "mul", "fmt")
+
+    def __init__(self, q: int, terms=None, mul=None, fmt=None):
+        self.q = q
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
+        self.mul = mul
+        self.fmt = fmt
+
+    def like(self, terms) -> "LinComb":
+        """A new element of the same algebra with the given terms."""
+        return LinComb(self.q, terms, self.mul, self.fmt)
+
+    def add_term(self, key, c: CoeffScalar) -> None:
+        """terms[key] += c in place; the key is dropped when the sum is 0."""
+        cur = self.terms.get(key)
+        if cur is not None:
+            c = cur + c
+        if c.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = c
+
+    def __iadd__(self, other: "LinComb") -> "LinComb":
+        for k, c in other.terms.items():
+            self.add_term(k, c)
+        return self
+
+    def __add__(self, other: "LinComb") -> "LinComb":
+        out = self.like(self.terms)
+        out += other
+        return out
+
+    def __sub__(self, other: "LinComb") -> "LinComb":
+        out = self.like(self.terms)
+        for k, c in other.terms.items():
+            out.add_term(k, -c)
+        return out
+
+    def scale_scalar(self, c: CoeffScalar) -> "LinComb":
+        return self.like({k: v * c for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinComb) and self.terms == other.terms
+
+    def __mul__(self, other: "LinComb") -> "LinComb":
+        return self.mul(self, other)
+
+    def serre(self, other: "LinComb", a: int) -> "LinComb":
+        """The quantum Serre expression for x = self, y = other and the Cartan
+        entry a = a_ij <= 0:
+
+            sum_k (-1)^k [1-a choose k]_v x^(1-a-k) y x^k,
+
+        which vanishes in the algebra when x, y are the generators E_i, E_j.
+        For a = 0 it is the commutator xy - yx.
+        """
+        n = 1 - a
+        powers = [None, self]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * self)
+        out = self.like({})
+        for k in range(n + 1):
+            t = powers[n - k] * other if k < n else other
+            if k:
+                t = t * powers[k]
+            coeff = v_binomial(self.q, n, k)
+            out += t.scale_scalar(-coeff if k % 2 else coeff)
+        return out
+
+    def __str__(self) -> str:
+        return self.fmt(self.terms) if self.terms else "0"
+
+
+def bilinear(x: LinComb, y: LinComb, pair) -> LinComb:
+    """sum over terms of x and y of cx * cy * pair(kx, ky), accumulated in
+    place into one new element of x's algebra.  pair returns an iterable of
+    (key, coefficient) items; it is only read, so it may be a cached dict's
+    items()."""
+    out = x.like({})
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
+            c = cx * cy
+            for k, ck in pair(kx, ky):
+                out.add_term(k, c * ck)
+    return out
+
+
 def format_scalar(x: CoeffScalar) -> str:
     """Deterministic compact rendering, e.g. '1', '-1/2', 'v', '1/2+3*v'."""
     if x.is_zero():

@@ -17,14 +17,15 @@ raise WindowExceeded.  Torus bookkeeping is integer exponent arithmetic:
 
 from __future__ import annotations
 
+from .cx2 import _block_diag, _homology_at
 from .errors import (
     ShapeError,
     SignConventionBroken,
     WindowExceeded,
 )
 from .linalg import FpMatrix, coset_points
-from .reps import Rep, RepCategory, RepMorphism, check_scan
-from .scalars import CoeffScalar, q_power, v_power
+from .reps import ProjectiveCoords, Rep, RepCategory, RepMorphism, check_scan
+from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
 
 WINDOW_LO = -8
 WINDOW_HI = 8
@@ -222,23 +223,9 @@ def direct_sum_cxb(cat: RepCategory, parts) -> CxB:
         cod = comps[m + 1 - lo]
         mats = []
         for i in range(cat.quiver.n):
-            mats.append(_direct_block(cat.p, [X.diff(m).mats[i] for X in parts]))
+            mats.append(_block_diag(cat.p, [X.diff(m).mats[i] for X in parts]))
         diffs.append(RepMorphism(dom, cod, mats))
     return CxB(cat, lo, comps, diffs)
-
-
-def _direct_block(p: int, mats) -> FpMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    ro = co = 0
-    for m in mats:
-        for r in range(m.rows):
-            for c in range(m.cols):
-                out[ro + r][co + c] = m.data[r][c]
-        ro += m.rows
-        co += m.cols
-    return FpMatrix(p, out, cols=cols)
 
 
 class CxBTools:
@@ -470,30 +457,9 @@ class CxBTools:
         cached = self._homology_cache.get(ck)
         if cached is not None:
             return cached
-        cat = self.cat
         out = {}
         for m in X.degrees():
-            d_out = X.diff(m)
-            d_in = X.diff(m - 1)
-            ker = cat.kernel_subspaces(d_out)
-            K, incl = cat.sub_rep(X.component(m), ker)
-            rows_by_vertex = []
-            for i in range(cat.quiver.n):
-                BT = incl.mats[i]
-                img_rows = []
-                for c in range(d_in.mats[i].cols):
-                    col = tuple(d_in.mats[i].data[r][c]
-                                for r in range(d_in.mats[i].rows))
-                    y = BT.solve(col)
-                    if y is None:
-                        raise ShapeError("image not inside kernel (engine bug)")
-                    img_rows.append(y)
-                if img_rows:
-                    R, piv = FpMatrix(cat.p, img_rows, cols=K.dim[i]).rref()
-                    rows_by_vertex.append(tuple(R.data[j] for j in range(len(piv))))
-                else:
-                    rows_by_vertex.append(())
-            H, _ = cat.quotient(K, tuple(rows_by_vertex))
+            H = _homology_at(self.cat, X.component(m), X.diff(m), X.diff(m - 1))
             if not H.is_zero():
                 out[m] = H
         self._homology_cache[ck] = out
@@ -503,56 +469,15 @@ class CxBTools:
 # ----------------------------------------------------------------------
 
 
-class SDHZElement:
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: "SDHZAlgebra", terms=None):
-        self.algebra = algebra
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            t = c if s is None else s + c
-            if t.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = t
-        return SDHZElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + other.scale_scalar(CoeffScalar.of(self.algebra.q, -1))
-
-    def scale_scalar(self, c: CoeffScalar):
-        return SDHZElement(self.algebra, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, SDHZElement) and self.terms == other.terms
-
-    def __mul__(self, other):
-        # the plain product; twists are applied per generator pair, see twist_mode
-        return self.algebra.productZ(self, other)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (g, hom) in sorted(self.terms, key=lambda t: (t[0], tuple(
-                (m, k.sig) for m, k in t[1]))):
-            c = self.terms[(g, hom)]
-            gs = "".join(f"v[{list(cc)}]@{m}" for m, cc in g)
-            hs = "".join(f"[{k.label}]@{m}" for m, k in hom)
-            body = (gs + "." + hs) if gs and hs else (gs or hs or "1")
-            bits.append(f"({c})*{body}")
-        return " + ".join(bits)
+def _sdhz_str(terms) -> str:
+    bits = []
+    for (g, hom) in sorted(terms, key=lambda t: (t[0], tuple(
+            (m, k.sig) for m, k in t[1]))):
+        gs = "".join(f"v[{list(cc)}]@{m}" for m, cc in g)
+        hs = "".join(f"[{k.label}]@{m}" for m, k in hom)
+        body = (gs + "." + hs) if gs and hs else (gs or hs or "1")
+        bits.append(f"({terms[(g, hom)]})*{body}")
+    return " + ".join(bits)
 
 
 class SDHZAlgebra:
@@ -560,23 +485,15 @@ class SDHZAlgebra:
         self.cat = cat
         self.q = cat.p
         self.tools = CxBTools(cat)
-        n = cat.quiver.n
-        self.projectives = [cat.projective(i) for i in range(1, n + 1)]
-        self.hom_pp = [[self.projectives[k].dim[j] for k in range(n)] for j in range(n)]
-        from .sdh2 import SDH2Algebra  # reuse the coordinate solver
-        self._coord_helper = SDH2Algebra(cat)
+        self.proj = ProjectiveCoords(cat)
+        self.coords = self.proj.coords
+        self.dim_of_coords = self.proj.dim_of_coords
         self._rep_cache = {}
         self._nf_cache = {}
         self._pair_cache = {}
         self._euler_cache = {}
 
     # -- lattice / key plumbing ---------------------------------------------
-
-    def coords(self, dimvec) -> tuple:
-        return self._coord_helper.coords(dimvec)
-
-    def dim_of_coords(self, a) -> tuple:
-        return self._coord_helper.dim_of_coords(a)
 
     @staticmethod
     def lattice_add(g, h) -> tuple:
@@ -637,21 +554,13 @@ class SDHZAlgebra:
             comp = Y.component(m + 1)
             for j, cj in enumerate(c):
                 if cj:
-                    e += cj * self.cat.euler_form_int(comp.dim, self.projectives[j].dim)
+                    e += cj * self.cat.euler_form_int(comp.dim, self.proj.projectives[j].dim)
         return e
 
     def exp_g_h(self, g, h) -> int:
-        e = 0
-        n = self.cat.quiver.n
-        for m, c in g:
-            for l, d in h:
-                if l == m or l == m - 1:
-                    for j in range(n):
-                        if c[j]:
-                            for k in range(n):
-                                if d[k]:
-                                    e += c[j] * d[k] * self.hom_pp[j][k]
-        return e
+        """log_q of the Euler form between two torus lattice points."""
+        return sum(self.proj.hom_form(c, d) for m, c in g for l, d in h
+                   if l == m or l == m - 1)
 
     # -- normal form ------------------------------------------------------------
 
@@ -690,23 +599,28 @@ class SDHZAlgebra:
         self._nf_cache[ck] = nf
         return nf
 
-    def element_of(self, X: CxB) -> SDHZElement:
+    def element_of(self, X: CxB) -> LinComb:
         coeff, g, key = self.normal_form(X)
-        return SDHZElement(self, {(g, key): coeff})
+        return self.term(g, key, coeff)
 
     # -- constructors -------------------------------------------------------------
 
-    def unit(self) -> SDHZElement:
-        return SDHZElement(self, {((), ()): CoeffScalar.one(self.q)})
+    def element(self, terms) -> LinComb:
+        """Combination of basis terms (lattice, key); * is productZ, the plain
+        product (twists are applied per generator pair, see twist_mode)."""
+        return LinComb(self.q, terms, self.productZ, _sdhz_str)
 
-    def zero(self) -> SDHZElement:
-        return SDHZElement(self, {})
+    def unit(self) -> LinComb:
+        return self.term((), ())
 
-    def term(self, g, key, coeff=None) -> SDHZElement:
+    def zero(self) -> LinComb:
+        return self.element({})
+
+    def term(self, g, key, coeff=None) -> LinComb:
         c = coeff if coeff is not None else CoeffScalar.one(self.q)
-        return SDHZElement(self, {(g, key): c})
+        return self.element({(g, key): c})
 
-    def u_gen(self, A: Rep, m: int) -> SDHZElement:
+    def u_gen(self, A: Rep, m: int) -> LinComb:
         """Class of the stalk complex with A in degree m."""
         if A.is_zero():
             return self.unit()
@@ -720,20 +634,9 @@ class SDHZAlgebra:
             raise WindowExceeded(f"u generator at degree {m} needs torus slot {m-1}")
         e1 = self.coords(P1A.dim)
         g = ((m - 1, tuple(-x for x in e1)),)
-        h11 = self._hom_bilinear(e1, e1)
-        return self.term(g, key, q_power(self.q, -h11))
+        return self.term(g, key, q_power(self.q, -self.proj.hom_form(e1, e1)))
 
-    def _hom_bilinear(self, a, b) -> int:
-        n = self.cat.quiver.n
-        e = 0
-        for j in range(n):
-            if a[j]:
-                for k in range(n):
-                    if b[k]:
-                        e += a[j] * b[k] * self.hom_pp[j][k]
-        return e
-
-    def v_gen(self, alpha_dim, m: int) -> SDHZElement:
+    def v_gen(self, alpha_dim, m: int) -> LinComb:
         """Torus generator for the class alpha at slot m (degrees m, m+1).
 
         This is the lattice basis element of the class in K_0 of acyclic
@@ -753,21 +656,19 @@ class SDHZAlgebra:
 
     # -- product ----------------------------------------------------------------
 
-    def productZ(self, x: SDHZElement, y: SDHZElement) -> SDHZElement:
-        out = self.zero()
-        for kx, cx in x.terms.items():
-            for ky, cy in y.terms.items():
-                out = out + self._product_terms(kx, ky).scale_scalar(cx * cy)
-        return out
+    def productZ(self, x: LinComb, y: LinComb) -> LinComb:
+        return bilinear(x, y, lambda s, t: self._product_terms(s, t).items())
 
-    def _product_terms(self, t1, t2) -> SDHZElement:
+    def _product_terms(self, t1, t2) -> dict:
+        """The product of two basis terms, {term: coefficient}; cached, so
+        callers only read it."""
         g1, k1 = t1
         g2, k2 = t2
         pk = (g1, tuple((m, k.sig) for m, k in k1),
               g2, tuple((m, k.sig) for m, k in k2))
         cached = self._pair_cache.get(pk)
         if cached is not None:
-            return SDHZElement(self, dict(cached))
+            return cached
         R1 = self.rep_of_key(k1)
         R2 = self.rep_of_key(k2)
         if not R2.is_zero() and R2.lo - 1 < _HARD_LO:
@@ -776,22 +677,16 @@ class SDHZAlgebra:
                     - self.exp_g_h(g1, g2)
                     - self.tools.hom_dim(R1, R2))
         g12 = self.lattice_add(g1, g2)
-        terms = {}
+        out = LinComb(self.q)
         for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
             coeffE, ell, keyE = self.normal_form(E)
             self.window_check_key(keyE)
             g = self.lattice_add(g12, ell)
             self.window_check_lattice(g)
             c = (coeffE * q_power(self.q, base_exp - self.exp_g_h(g12, ell))).scale(weight)
-            tk = (g, keyE)
-            cur = terms.get(tk)
-            tot = c if cur is None else cur + c
-            if tot.is_zero():
-                terms.pop(tk, None)
-            else:
-                terms[tk] = tot
-        self._pair_cache[pk] = terms
-        return SDHZElement(self, dict(terms))
+            out.add_term((g, keyE), c)
+        self._pair_cache[pk] = out.terms
+        return out.terms
 
     # -- Euler pairings of generators, by linear algebra -----------------------
 
@@ -883,19 +778,19 @@ class SDHZAlgebra:
     def _proj_of_dims(self, coeffs) -> Rep:
         parts = []
         for j, c in enumerate(coeffs):
-            parts.extend([self.projectives[j]] * c)
+            parts.extend([self.proj.projectives[j]] * c)
         return self.cat.direct_sum(parts)
 
     # -- twists ---------------------------------------------------------------
 
-    def generator_element(self, spec) -> SDHZElement:
+    def generator_element(self, spec) -> LinComb:
         if spec[0] == "u":
             return self.u_gen(spec[1], spec[2])
         if spec[0] == "v":
             return self.v_gen(spec[1], spec[2])
         raise ShapeError(f"unknown generator spec {spec[0]}")
 
-    def twist_mode(self, mode: int, spec1, spec2) -> SDHZElement:
+    def twist_mode(self, mode: int, spec1, spec2) -> LinComb:
         """Twisted product of two generator classes, with the mode-specific
         prefactor applied to the plain product."""
         x = self.generator_element(spec1)

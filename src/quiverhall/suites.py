@@ -311,7 +311,7 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
                 if expected_ext != n_ext:
                     counts_ok = False
                 const = CoeffScalar.of(cat.p, Fraction(g * aut_l * aut_m, aut_x))
-                route_b = route_b + alg.element_of(X).scale_scalar(const)
+                route_b += alg.element_of(X).scale_scalar(const)
             name = (f"bridgeland L(dims {L.M0.dim}|{L.M1.dim}) "
                     f"M(dims {M.M0.dim}|{M.M1.dim})")
             status = "pass" if counts_ok and (route_a - route_b).is_zero() else "fail"
@@ -427,7 +427,7 @@ def embed_im_checks(cat: RepCategory, m: int, bound: int = 4) -> list:
             lhs = alg.productZ(alg.u_gen(A.rep, m), alg.u_gen(B.rep, m))
             img = alg.zero()
             for C, c in hall.product_pair(A, B).terms.items():
-                img = img + alg.u_gen(C.rep, m).scale_scalar(c)
+                img += alg.u_gen(C.rep, m).scale_scalar(c)
             out.append(_row(f"I_{m}([{A.label}] o [{B.label}]) multiplicative",
                             lhs, img))
     seen = set()

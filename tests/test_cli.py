@@ -32,6 +32,21 @@ def test_verify_pass_exit_zero(quiver_files, capsys):
     assert all(set(c) == {"name", "status", "lhs", "rhs"} for c in out["checks"])
 
 
+@pytest.mark.parametrize("suite, names", [
+    ("ringel", ["serre(1,2)", "serre(2,1)"]),
+    ("quantum-group", ["serre-E(1,2)", "serre-E(2,1)", "serre-F(1,2)", "serre-F(2,1)"]),
+])
+def test_kronecker_serre_relations_pass(tmp_path, capsys, suite, names):
+    """Two arrows between the vertices give the Cartan entry a_12 = -2, so the
+    Serre relation is cubic in E_i; the simply-laced quadratic one fails."""
+    kron = tmp_path / "kronecker.json"
+    kron.write_text('{"vertices": 2, "arrows": [[1, 2], [1, 2]]}')
+    assert main(["--quiver", str(kron), "--q", "2", "--suite", suite]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if "serre" in c["name"]] == names
+    assert all(c["status"] == "pass" for c in checks)
+
+
 def test_negative_control_exit_one(quiver_files, capsys):
     code = main(["--quiver", quiver_files["a1"], "--q", "2",
                  "--suite", "quantum-group", "--perturb"])

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from quiverhall.hall import ExtHallElement, HallAlgebra, verify_ringel
+from quiverhall.hall import HallAlgebra, verify_ringel
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory
@@ -165,14 +165,14 @@ def test_hall_associativity_seeded():
 def test_extended_algebra_relations():
     cat = a2()
     alg = HallAlgebra(cat)
-    Ka = ExtHallElement.k_symbol(alg, (1, 0))
-    Kb = ExtHallElement.k_symbol(alg, (0, 2))
-    assert Ka * Kb == ExtHallElement.k_symbol(alg, (1, 2))
-    B = ExtHallElement.from_hall(alg.cls(cat.simple(2)))
-    K0 = ExtHallElement.k_symbol(alg, (0, 0))
+    Ka = alg.k_symbol((1, 0))
+    Kb = alg.k_symbol((0, 2))
+    assert Ka * Kb == alg.k_symbol((1, 2))
+    B = alg.extended(alg.cls(cat.simple(2)))
+    K0 = alg.k_symbol((0, 0))
     assert K0 * B == B * K0
     # K_{S_1} * [S_2] = v^{sym(S1,S2)} [S_2] * K_{S_1}; sym exponent is -1
-    KS1 = ExtHallElement.k_symbol(alg, cat.simple(1).dim)
+    KS1 = alg.k_symbol(cat.simple(1).dim)
     lhs = KS1 * B
     rhs = (B * KS1).scale_scalar(v_power(2, -1))
     assert lhs == rhs

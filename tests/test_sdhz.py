@@ -78,7 +78,7 @@ def test_v_gen_additivity_up_to_twist():
         # product of torus basis elements: T_a T_b = (1/<a,b>) T_{a+b}
         ca = alg.coords(al)
         cb = alg.coords(be)
-        tw = alg._hom_bilinear(ca, cb)
+        tw = alg.proj.hom_form(ca, cb)
         rhs = alg.v_gen(s, m).scale_scalar(q_power(2, -tw))
         assert (lhs - rhs).is_zero()
 
