@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample count for randomized suites (default 20)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--sink", type=int, default=None,
-                   help="sink vertex for the reflection suite (default: first sink)")
+                   help="sink vertex for the reflection suite (default: first "
+                        "sink with an incoming arrow)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--perturb", action="store_true",
@@ -100,9 +101,10 @@ def main(argv=None) -> int:
             return 0
         sink = args.sink
         if args.suite == "reflection" and sink is None:
-            sinks = [v for v in range(1, quiver.n + 1) if quiver.is_sink(v)]
+            sinks = [v for v in range(1, quiver.n + 1)
+                     if quiver.is_sink(v) and quiver.arrows_into(v)]
             if not sinks:
-                raise EngineError("quiver has no sink")
+                raise EngineError("quiver has no sink with an incoming arrow")
             sink = sinks[0]
         rows = SUITES[args.suite](cat, args.samples, args.seed, sink, args.perturb)
         report = Report(suite=args.suite, q=args.q,

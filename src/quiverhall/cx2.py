@@ -1,14 +1,27 @@
-"""Z/2-graded complexes of quiver representations.
+"""Complexes of quiver representations in either grading, and one engine for both.
 
-A complex is a pair of representations with differentials both ways composing
-to zero.  Chain maps, homotopies, homology, the contractible complexes K_P
-and K_P*, minimal projective-component representatives of quasi-isomorphism
-classes, extension-class enumeration and Krull-Schmidt decomposition all live
-here; the semi-derived algebra itself is in sdh2.
+A Z/2-graded complex (Cx2) is a pair of representations with differentials
+both ways composing to zero, read as a 2-periodic complex; a Z-graded bounded
+complex is sdhz.CxB.  Both expose one protocol:
+
+  degrees()           the degrees of the components, in increasing order
+  degree(m)           how the complex reads the integer m (Cx2: m mod 2)
+  component(m)        the representation in degree m
+  diff(m)             the differential component(m) -> component(m + 1)
+  shift(k=1)          Sigma^k, differentials negated k times
+  like(comps, mats)   a complex of the same grading with comps[m] in degree m
+                      and the per-vertex matrices mats[m] of d^m
+
+Cx2Tools solves chain maps, homotopies, homology, extension classes and their
+middle terms through this protocol alone.  The contractible complexes K_P and
+K_P*, minimal projective-component representatives of quasi-isomorphism
+classes, sub- and quotient complexes and Krull-Schmidt decomposition of Z/2
+complexes also live here; the semi-derived algebras are in sdh2 and sdhz.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 from .errors import (
@@ -67,11 +80,28 @@ class Cx2:
     def is_zero(self) -> bool:
         return self.M0.is_zero() and self.M1.is_zero()
 
-    def component(self, b: int) -> Rep:
-        return self.M0 if b % 2 == 0 else self.M1
+    def degrees(self) -> tuple:
+        return (0, 1)
 
-    def shift(self) -> "Cx2":
+    @staticmethod
+    def degree(m: int) -> int:
+        return m % 2
+
+    def component(self, m: int) -> Rep:
+        return self.M1 if m % 2 else self.M0
+
+    def diff(self, m: int) -> RepMorphism:
+        """d^m: component(m) -> component(m + 1)."""
+        return self.d1 if m % 2 else self.d0
+
+    def shift(self, k: int = 1) -> "Cx2":
+        if k % 2 == 0:
+            return self
         return Cx2(self.cat, self.M1, self.M0, -self.d1, -self.d0)
+
+    def like(self, comps: dict, mats: dict) -> "Cx2":
+        M0, M1 = comps[0], comps[1]
+        return Cx2(self.cat, M0, M1, RepMorphism(M0, M1, mats[0]), RepMorphism(M1, M0, mats[1]))
 
     def __eq__(self, other):
         return isinstance(other, Cx2) and self.signature() == other.signature()
@@ -83,30 +113,35 @@ class Cx2:
         return f"Cx2(dim0={self.M0.dim}, dim1={self.M1.dim})"
 
 
-class Cx2Morphism:
-    __slots__ = ("dom", "cod", "s0", "s1")
+def _dims(X) -> dict:
+    """{degree: dimension vector} of a complex of either grading."""
+    return {m: X.component(m).dim for m in X.degrees()}
 
-    def __init__(self, dom: Cx2, cod: Cx2, s0: RepMorphism, s1: RepMorphism):
+
+class ChainMorphism:
+    """A chain map dom -> cod of complexes of either grading: one RepMorphism
+    per degree of Cx2Tools._layout(dom, cod)."""
+
+    __slots__ = ("dom", "cod", "maps", "_flat")
+
+    def __init__(self, dom, cod, maps: dict, flat: tuple = None):
         self.dom = dom
         self.cod = cod
-        self.s0 = s0
-        self.s1 = s1
+        self.maps = maps
+        self._flat = flat
 
     def entries_flat(self) -> tuple:
-        return self.s0.entries_flat() + self.s1.entries_flat()
+        if self._flat is None:
+            self._flat = tuple(x for s in self.maps.values() for x in s.entries_flat())
+        return self._flat
 
     def is_isomorphism(self) -> bool:
-        return self.s0.is_isomorphism() and self.s1.is_isomorphism()
+        return (_dims(self.dom) == _dims(self.cod)
+                and all(s.is_isomorphism() for s in self.maps.values()))
 
-    def compose(self, other: "Cx2Morphism") -> "Cx2Morphism":
-        return Cx2Morphism(other.dom, self.cod,
-                           self.s0.compose(other.s0), self.s1.compose(other.s1))
-
-
-def zero_cx2(cat: RepCategory) -> Cx2:
-    Z = cat.rep((0,) * cat.quiver.n)
-    zm = RepMorphism(Z, Z, [FpMatrix.zero(cat.p, 0, 0) for _ in range(cat.quiver.n)])
-    return Cx2(cat, Z, Z, zm, zm)
+    def compose(self, other: "ChainMorphism") -> "ChainMorphism":
+        return ChainMorphism(other.dom, self.cod,
+                             {m: s.compose(other.maps[m]) for m, s in self.maps.items()})
 
 
 def zero_morphism(cat: RepCategory, dom: Rep, cod: Rep) -> RepMorphism:
@@ -136,35 +171,34 @@ def make_KPstar(cat: RepCategory, P: Rep) -> Cx2:
     return Cx2(cat, P, P, zero_morphism(cat, P, P), identity_morphism(cat, P))
 
 
-def direct_sum_cx2(cat: RepCategory, parts: list) -> Cx2:
-    if not parts:
-        return zero_cx2(cat)
-    M0 = cat.direct_sum([X.M0 for X in parts])
-    M1 = cat.direct_sum([X.M1 for X in parts])
-    n = cat.quiver.n
-    d0 = RepMorphism(M0, M1, [
-        _block_diag(cat.p, [X.d0.mats[i] for X in parts]) for i in range(n)])
-    d1 = RepMorphism(M1, M0, [
-        _block_diag(cat.p, [X.d1.mats[i] for X in parts]) for i in range(n)])
-    return Cx2(cat, M0, M1, d0, d1)
+def middle_term(L, M, f=None):
+    """Extension of L by M along a chain map f: L -> ΣM, with block
+    differential [[d_M, f], [0, d_L]] in each degree; f = None gives the
+    direct sum M (+) L.  d*d = 0 is validated on construction."""
+    cat = L.cat
+    p = cat.p
+    degs = set(L.degrees()) | set(M.degrees())
+    span = range(min(degs, default=0), max(degs, default=-1) + 1)
+    comps = {m: cat.direct_sum([M.component(m), L.component(m)]) for m in span}
+    mats = {}
+    for m in span:
+        if L.degree(m + 1) not in comps:
+            continue  # the top of a bounded span
+        fm = f.maps.get(m) if f is not None else None
+        mats[m] = [FpMatrix.block(p, [
+            [dM, fm.mats[i] if fm is not None else FpMatrix.zero(p, dM.rows, dL.cols)],
+            [FpMatrix.zero(p, dL.rows, dM.cols), dL],
+        ]) for i, (dM, dL) in enumerate(zip(M.diff(m).mats, L.diff(m).mats))]
+    return L.like(comps, mats)
 
 
-def _block_diag(p: int, mats: list) -> FpMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    ro = co = 0
-    for m in mats:
-        for r in range(m.rows):
-            for c in range(m.cols):
-                out[ro + r][co + c] = m.data[r][c]
-        ro += m.rows
-        co += m.cols
-    return FpMatrix(p, out, cols=cols)
+def direct_sum(parts: list):
+    """Degreewise direct sum of one or more complexes of one grading."""
+    return reduce(lambda S, X: middle_term(X, S), parts[1:], parts[0])
 
 
 def _homology_at(cat: RepCategory, comp: Rep, d_out: RepMorphism, d_in: RepMorphism) -> Rep:
-    """ker d_out / im d_in at one component, for complexes of either grading."""
+    """ker d_out / im d_in at one component."""
     ker = cat.kernel_subspaces(d_out)
     K, incl = cat.sub_rep(comp, ker)
     # express the image of d_in inside kernel coordinates
@@ -216,7 +250,8 @@ def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
 
 
 class Cx2Tools:
-    """Caches and linear-algebra routines for Z/2 complexes over one category."""
+    """Caches and linear-algebra routines for complexes of either grading over
+    one category, through the protocol of the module docstring."""
 
     def __init__(self, cat: RepCategory):
         self.cat = cat
@@ -225,195 +260,173 @@ class Cx2Tools:
         self._homology_cache = {}
         self._aut_cache = {}
 
-    def _check(self, L: Cx2, M: Cx2) -> None:
+    def _check(self, L, M) -> None:
         if L.cat is not self.cat or M.cat is not self.cat:
             raise CategoryMismatch("complexes from a different category context")
 
-    def chain_maps_basis(self, L: Cx2, M: Cx2) -> list:
-        """Deterministic basis of Hom_{C_Z/2}(L, M)."""
+    def _layout(self, U, V) -> tuple:
+        """(degrees, offsets, shapes, size) of the flat chain maps U -> V:
+        over the degrees of both, one row-major block of the given shape per
+        degree and vertex, degree-major and vertex-minor, the block of
+        (degree, vertex) starting at offsets[degree, vertex]."""
+        degs = [m for m in U.degrees() if m in V.degrees()]
+        offsets = {}
+        shapes = []
+        size = 0
+        for m in degs:
+            for i in range(self.cat.quiver.n):
+                offsets[m, i] = size
+                shapes.append((V.component(m).dim[i], U.component(m).dim[i]))
+                size += shapes[-1][0] * shapes[-1][1]
+        return degs, offsets, shapes, size
+
+    def _chain_map(self, U, V, degs, shapes, flat) -> ChainMorphism:
+        """The chain map U -> V with the given flat entries, in the layout
+        (degs, shapes) of U -> V."""
+        n = self.cat.quiver.n
+        mats = split_flat(self.cat.p, flat, shapes)
+        return ChainMorphism(U, V, {
+            m: RepMorphism(U.component(m), V.component(m), mats[k * n:(k + 1) * n])
+            for k, m in enumerate(degs)}, flat)
+
+    def _from_coeffs(self, basis: list, coeffs, U, V) -> ChainMorphism:
+        """The chain map sum_i coeffs[i] * basis[i]: U -> V (zero for an
+        empty basis)."""
+        degs, _, shapes, size = self._layout(U, V)
+        flat = combine_flat(self.cat.p, [b.entries_flat() for b in basis], coeffs, size)
+        return self._chain_map(U, V, degs, shapes, flat)
+
+    def chain_maps_basis(self, L, M) -> list:
+        """Deterministic basis of the chain maps L -> M (a cached list)."""
         self._check(L, M)
         ck = (L.signature(), M.signature())
-        cached = self._chain_cache.get(ck)
-        if cached is None:
-            cached = self._solve_chain_maps(L, M)
-            self._chain_cache[ck] = cached
-        out = []
-        for (m0, m1) in cached:
-            out.append(Cx2Morphism(L, M, RepMorphism(L.M0, M.M0, m0),
-                                   RepMorphism(L.M1, M.M1, m1)))
-        return out
+        basis = self._chain_cache.get(ck)
+        if basis is None:
+            degs, _, shapes, _ = self._layout(L, M)
+            basis = self._chain_cache[ck] = [self._chain_map(L, M, degs, shapes, v)
+                                             for v in self._solve_chain_maps(L, M)]
+        return basis
 
-    def _solve_chain_maps(self, L: Cx2, M: Cx2) -> list:
-        p = self.cat.p
-        n = self.cat.quiver.n
-        # variable layout: s0 blocks per vertex, then s1 blocks per vertex
-        off0, off1 = [], []
-        off = 0
-        for i in range(n):
-            off0.append(off)
-            off += M.M0.dim[i] * L.M0.dim[i]
-        for i in range(n):
-            off1.append(off)
-            off += M.M1.dim[i] * L.M1.dim[i]
-        nvars = off
+    def _solve_chain_maps(self, U, V) -> list:
+        """Flat basis of the kernel of the intertwining and square equations.
+        It is read off the unique rref of the equations, so it does not depend
+        on the order they are emitted in."""
+        degs, offsets, _, nvars = self._layout(U, V)
         if nvars == 0:
             return []
         rows = []
 
-        def emit(U_off, U_cols, Cmat, V_off, V_cols, Dmat, nrows, ncols):
-            # equation U o Cmat - Dmat o V = 0 entrywise
-            for r in range(nrows):
-                for c in range(ncols):
+        def emit(o1, C, o2, D):
+            # S1 o C - D o S2 = 0 entrywise, S1 and S2 the blocks at offsets
+            # o1 and o2.  A block outside the layout has a zero source or
+            # target, so its loop below never runs.
+            for r in range(D.rows):
+                for c in range(C.cols):
                     row = [0] * nvars
-                    for k in range(Cmat.rows):
-                        row[U_off + r * U_cols + k] = (row[U_off + r * U_cols + k]
-                                                       + Cmat.data[k][c]) % p
-                    for k in range(Dmat.cols):
-                        row[V_off + k * V_cols + c] = (row[V_off + k * V_cols + c]
-                                                       - Dmat.data[r][k]) % p
-                    rows.append(row)
+                    for k in range(C.rows):
+                        row[o1 + r * C.rows + k] += C.data[k][c]
+                    for k in range(D.cols):
+                        row[o2 + k * C.cols + c] -= D.data[r][k]
+                    if any(row):
+                        rows.append(row)
 
-        # intertwining of s0 and s1 with the arrow maps
-        for a, (s, t) in enumerate(self.cat.quiver.arrows):
-            si, ti = s - 1, t - 1
-            emit(off0[ti], L.M0.dim[ti], L.M0.maps[a],
-                 off0[si], L.M0.dim[si], M.M0.maps[a],
-                 M.M0.dim[ti], L.M0.dim[si])
-            emit(off1[ti], L.M1.dim[ti], L.M1.maps[a],
-                 off1[si], L.M1.dim[si], M.M1.maps[a],
-                 M.M1.dim[ti], L.M1.dim[si])
-        # squares: s1 d0_L = d0_M s0  and  s0 d1_L = d1_M s1
-        for i in range(n):
-            emit(off1[i], L.M1.dim[i], L.d0.mats[i],
-                 off0[i], L.M0.dim[i], M.d0.mats[i],
-                 M.M1.dim[i], L.M0.dim[i])
-            emit(off0[i], L.M0.dim[i], L.d1.mats[i],
-                 off1[i], L.M1.dim[i], M.d1.mats[i],
-                 M.M0.dim[i], L.M1.dim[i])
-        if rows:
-            A = FpMatrix(p, rows, cols=nvars)
-        else:
-            A = FpMatrix.zero(p, 1, nvars)
-        shapes = ([(M.M0.dim[i], L.M0.dim[i]) for i in range(n)]
-                  + [(M.M1.dim[i], L.M1.dim[i]) for i in range(n)])
-        basis = []
-        for v in A.kernel_basis():
-            mats = split_flat(p, v, shapes)
-            basis.append((tuple(mats[:n]), tuple(mats[n:])))
-        return basis
+        for m in degs:
+            Um, Vm = U.component(m), V.component(m)
+            for a, (s, t) in enumerate(self.cat.quiver.arrows):
+                emit(offsets[m, t - 1], Um.maps[a], offsets[m, s - 1], Vm.maps[a])
+        # squares s^(m+1) dU^m = dV^m s^m
+        for m in U.degrees():
+            dU, dV = U.diff(m), V.diff(m)
+            for i in range(self.cat.quiver.n):
+                emit(offsets.get((U.degree(m + 1), i)), dU.mats[i],
+                     offsets.get((m, i)), dV.mats[i])
+        p = self.cat.p
+        A = FpMatrix(p, rows, cols=nvars) if rows else FpMatrix.zero(p, 1, nvars)
+        return A.kernel_basis()
 
-    def hom_dim(self, L: Cx2, M: Cx2) -> int:
+    def hom_dim(self, L, M) -> int:
         return len(self.chain_maps_basis(L, M))
 
-    def homotopy_subspace(self, L: Cx2, M: Cx2) -> list:
-        """rref rows (in flat chain-map coordinates) of the null-homotopic maps."""
+    def homotopy_subspace(self, L, M) -> list:
+        """rref rows (in flat chain-map coordinates) of the null-homotopic
+        maps d_M h + h d_L, over h^m: L^m -> M^(m-1)."""
         ck = (L.signature(), M.signature())
         cached = self._homotopy_cache.get(ck)
         if cached is not None:
             return cached
         cat = self.cat
+        _, offsets, _, size = self._layout(L, M)
         gens = []
-        for h0 in cat.hom_basis(L.M0, M.M1):
-            t0 = M.d1.compose(h0)
-            t1 = h0.compose(L.d1)
-            gens.append(t0.entries_flat() + t1.entries_flat())
-        for h1 in cat.hom_basis(L.M1, M.M0):
-            t0 = h1.compose(L.d0)
-            t1 = M.d0.compose(h1)
-            gens.append(t0.entries_flat() + t1.entries_flat())
-        if not gens or not gens[0]:
-            self._homotopy_cache[ck] = []
-            return []
-        R, piv = FpMatrix(cat.p, gens, cols=len(gens[0])).rref()
-        rows = [R.data[i] for i in range(len(piv))]
+        # null-homotopic maps are chain maps, so with none there is nothing to do
+        for m in L.degrees() if self.chain_maps_basis(L, M) else ():
+            for h in cat.hom_basis(L.component(m), M.component(m - 1)):
+                vec = [0] * size
+                for deg, t in ((m, M.diff(m - 1).compose(h)),
+                               (L.degree(m - 1), h.compose(L.diff(m - 1)))):
+                    # a degree outside the layout has only empty blocks
+                    for i, mat in enumerate(t.mats):
+                        for j, x in enumerate(mat.entries_flat()):
+                            vec[offsets[deg, i] + j] += x
+                if any(vec):
+                    gens.append(vec)
+        rows = []
+        if gens:
+            R, piv = FpMatrix(cat.p, gens, cols=size).rref()
+            rows = [R.data[i] for i in range(len(piv))]
         self._homotopy_cache[ck] = rows
         return rows
 
-    def homotopy_dim(self, L: Cx2, M: Cx2) -> int:
+    def homotopy_dim(self, L, M) -> int:
         return len(self.homotopy_subspace(L, M))
 
-    def homology(self, X: Cx2) -> tuple:
-        """(H0, H1) as concrete representations."""
+    def hom_k_dim(self, L, M) -> int:
+        """dim Hom in the homotopy category."""
+        return self.hom_dim(L, M) - self.homotopy_dim(L, M)
+
+    def homology(self, X) -> dict:
+        """{degree: homology representation} over X.degrees()."""
         ck = X.signature()
         cached = self._homology_cache.get(ck)
-        if cached is not None:
-            return cached
-        H0 = _homology_at(self.cat, X.M0, X.d0, X.d1)
-        H1 = _homology_at(self.cat, X.M1, X.d1, X.d0)
-        self._homology_cache[ck] = (H0, H1)
-        return (H0, H1)
+        if cached is None:
+            cached = self._homology_cache[ck] = {
+                m: _homology_at(self.cat, X.component(m), X.diff(m), X.diff(m - 1))
+                for m in X.degrees()}
+        return cached
 
-    def homology_keys(self, X: Cx2) -> tuple:
-        H0, H1 = self.homology(X)
-        return (self.cat.intern(H0), self.cat.intern(H1))
+    def homology_keys(self, X) -> tuple:
+        return tuple(self.cat.intern(H) for H in self.homology(X).values())
 
-    def is_acyclic(self, X: Cx2) -> bool:
-        H0, H1 = self.homology(X)
-        return H0.is_zero() and H1.is_zero()
+    def is_acyclic(self, X) -> bool:
+        return all(H.is_zero() for H in self.homology(X).values())
 
     # -- extension classes ------------------------------------------------
 
-    def ext1_classes_proj(self, L: Cx2, M: Cx2) -> list:
+    def ext1_classes_proj(self, L, M) -> list:
         """(f, E(f), weight) for one chain map f: L -> ΣM per line of
         extension classes of L by M, with its middle term E(f); requires
         projective components of L.
 
-        Ext^1(L, M) is identified with chain maps L -> ΣM modulo homotopy;
-        the middle term uses the block differential [[d_M, f], [0, d_L]] and
-        is validated against d*d = 0 on construction.  diag(λ, 1) is a chain
-        isomorphism E(f) -> E(λf), so one class stands for the weight
-        classes of its line (linalg.coset_points); the weights sum to
-        |Ext^1(L, M)|.
+        Ext^1(L, M) is identified with chain maps L -> ΣM modulo homotopy.
+        diag(λ, 1) is a chain isomorphism E(f) -> E(λf), so one class stands
+        for the weight classes of its line (linalg.coset_points); the weights
+        sum to |Ext^1(L, M)|.
         """
         SM = M.shift()
         basis = self.chain_maps_basis(L, SM)
         p = self.cat.p
         check_scan("extension-class enumeration", p, len(basis))
-        if not basis:
-            return [(None, direct_sum_cx2(self.cat, [M, L]), 1)]
         out = []
         for coeffs, weight in coset_points(p, [b.entries_flat() for b in basis],
                                            self.homotopy_subspace(L, SM)):
-            f = self._cx2_from_coeffs(basis, coeffs, L, SM)
-            out.append((f, self.middle_term(L, M, f), weight))
+            f = self._from_coeffs(basis, coeffs, L, SM)
+            out.append((f, middle_term(L, M, f), weight))
         return out
-
-    def _cx2_from_coeffs(self, basis: list, coeffs, L: Cx2, SM: Cx2) -> Cx2Morphism:
-        p = self.cat.p
-        n = self.cat.quiver.n
-        shapes = ([(SM.M0.dim[i], L.M0.dim[i]) for i in range(n)]
-                  + [(SM.M1.dim[i], L.M1.dim[i]) for i in range(n)])
-        flat = combine_flat(p, [b.entries_flat() for b in basis], coeffs,
-                            sum(r * c for r, c in shapes))
-        mats = split_flat(p, flat, shapes)
-        return Cx2Morphism(L, SM, RepMorphism(L.M0, SM.M0, mats[:n]),
-                           RepMorphism(L.M1, SM.M1, mats[n:]))
-
-    def middle_term(self, L: Cx2, M: Cx2, f) -> Cx2:
-        """Extension of L by M along f: L -> ΣM (f may be None for 0)."""
-        cat = self.cat
-        p = cat.p
-        n = cat.quiver.n
-        E0 = cat.direct_sum([M.M0, L.M0])
-        E1 = cat.direct_sum([M.M1, L.M1])
-        d0m, d1m = [], []
-        for i in range(n):
-            f0 = f.s0.mats[i] if f is not None else FpMatrix.zero(p, M.M1.dim[i], L.M0.dim[i])
-            f1 = f.s1.mats[i] if f is not None else FpMatrix.zero(p, M.M0.dim[i], L.M1.dim[i])
-            d0m.append(FpMatrix.block(p, [
-                [M.d0.mats[i], f0],
-                [FpMatrix.zero(p, L.M1.dim[i], M.M0.dim[i]), L.d0.mats[i]],
-            ]))
-            d1m.append(FpMatrix.block(p, [
-                [M.d1.mats[i], f1],
-                [FpMatrix.zero(p, L.M0.dim[i], M.M1.dim[i]), L.d1.mats[i]],
-            ]))
-        return Cx2(cat, E0, E1, RepMorphism(E0, E1, d0m), RepMorphism(E1, E0, d1m))
 
     # -- isomorphism and decomposition --------------------------------------
 
-    def is_isomorphic(self, X: Cx2, Y: Cx2) -> bool:
-        if X.M0.dim != Y.M0.dim or X.M1.dim != Y.M1.dim:
+    def is_isomorphic(self, X, Y) -> bool:
+        dims = _dims(X)
+        if dims != _dims(Y):
             return False
         if X.signature() == Y.signature():
             return True
@@ -422,17 +435,18 @@ class Cx2Tools:
         basis = self.chain_maps_basis(X, Y)
         if len(basis) != self.hom_dim(Y, X):
             return False
-        found = self.cat.invertible_coeffs(basis, X.M0.dim + X.M1.dim, "complex isomorphism scan")
+        found = self.cat.invertible_coeffs(basis, sum(dims.values(), ()),
+                                           "complex isomorphism scan")
         return next(found, None) is not None
 
-    def end_scan(self, X: Cx2):
+    def end_scan(self, X):
         basis = self.chain_maps_basis(X, X)
         k = len(basis)
         check_scan("complex endomorphism scan", self.cat.p, k)
         for coeffs in product(range(self.cat.p), repeat=k):
-            yield self._cx2_from_coeffs(basis, coeffs, X, X)
+            yield self._from_coeffs(basis, coeffs, X, X)
 
-    def aut_count(self, X: Cx2) -> int:
+    def aut_count(self, X) -> int:
         if X.is_zero():
             return 1
         ck = X.signature()
@@ -440,7 +454,7 @@ class Cx2Tools:
         if cached is not None:
             return cached
         n = sum(w for _, w in self.cat.invertible_coeffs(self.chain_maps_basis(X, X),
-                                                         X.M0.dim + X.M1.dim,
+                                                         sum(_dims(X).values(), ()),
                                                          "complex endomorphism scan"))
         self._aut_cache[ck] = n
         return n
@@ -533,24 +547,15 @@ class Cx2Tools:
         if X.is_zero():
             return []
         cat = self.cat
-        n = cat.quiver.n
+        one = ChainMorphism(X, X, {b: identity_morphism(cat, X.component(b)) for b in (0, 1)})
         for f in self.end_scan(X):
-            if all(m.is_zero() for m in f.s0.mats) and all(m.is_zero() for m in f.s1.mats):
+            flat = f.entries_flat()
+            if not any(flat) or flat == one.entries_flat():
                 continue
-            ident0 = identity_morphism(cat, X.M0)
-            if (tuple(f.s0.mats) == tuple(ident0.mats)
-                    and tuple(f.s1.mats) == tuple(identity_morphism(cat, X.M1).mats)):
-                continue
-            sq = f.compose(f)
-            if tuple(sq.s0.mats) == tuple(f.s0.mats) and tuple(sq.s1.mats) == tuple(f.s1.mats):
-                one0 = identity_morphism(cat, X.M0) + (-f.s0)
-                one1 = identity_morphism(cat, X.M1) + (-f.s1)
-                U0a = cat.image_subspaces(f.s0)
-                U1a = cat.image_subspaces(f.s1)
-                U0b = cat.image_subspaces(one0)
-                U1b = cat.image_subspaces(one1)
-                Xa = self.sub_complex(X, U0a, U1a)
-                Xb = self.sub_complex(X, U0b, U1b)
+            if f.compose(f).entries_flat() == flat:
+                Xa = self.sub_complex(X, *(cat.image_subspaces(f.maps[b]) for b in (0, 1)))
+                Xb = self.sub_complex(X, *(cat.image_subspaces(one.maps[b] + (-f.maps[b]))
+                                           for b in (0, 1)))
                 if Xa.total_dim() + Xb.total_dim() != X.total_dim():
                     raise ShapeError("idempotent split mismatch (engine bug)")
                 return self.decompose2(Xa) + self.decompose2(Xb)

@@ -254,8 +254,13 @@ class FpMatrix:
     @staticmethod
     def block(p: int, grid: list) -> "FpMatrix":
         """Assemble a block matrix from a grid of FpMatrix entries."""
-        rows = [FpMatrix.hstack(row) for row in grid]
-        return FpMatrix.vstack(rows)
+        cols = sum(m.cols for m in grid[0])
+        data = []
+        for row in grid:
+            if any(m.rows != row[0].rows for m in row) or sum(m.cols for m in row) != cols:
+                raise ShapeError("block grid shape mismatch")
+            data.extend(sum(parts, ()) for parts in zip(*(m.data for m in row)))
+        return FpMatrix._trusted(p, data, cols)
 
 
 def field_inverse(x: int, p: int) -> int:
@@ -314,7 +319,7 @@ def coset_points(p: int, basis, sub):
     projective_points) sum to the number of cosets.
     """
     t = len(basis)
-    Bmat = FpMatrix.from_columns(p, basis, len(basis[0]))
+    Bmat = FpMatrix.from_columns(p, basis, len(basis[0]) if basis else 0)
     coords = []
     for v in sub:
         y = Bmat.solve(v)

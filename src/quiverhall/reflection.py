@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cx2 import Cx2, direct_sum_cx2, zero_morphism
+from .cx2 import Cx2, direct_sum, zero_morphism
 from .errors import PreconditionError, ShapeError
 from .linalg import FpMatrix
 from .reps import Rep, RepCategory, RepMorphism
@@ -89,8 +89,8 @@ def class_of_pieces(alg: SDH2Algebra, pieces) -> LinComb:
     cat = alg.cat
     if not pieces:
         return alg.unit()
-    X = direct_sum_cx2(cat, [p.X for p in pieces])
-    P = direct_sum_cx2(cat, [p.P for p in pieces])
+    X = direct_sum([p.X for p in pieces])
+    P = direct_sum([p.P for p in pieces])
     zero = (0,) * cat.quiver.n
     a = list(zero)
     b = list(zero)
@@ -117,6 +117,10 @@ class SinkReflection:
     def __init__(self, cat: RepCategory, sink: int):
         if not cat.quiver.is_sink(sink):
             raise PreconditionError(f"vertex {sink} is not a sink")
+        if not cat.quiver.arrows_into(sink):
+            # S_i is then projective-injective and tau^-(S_i) = 0, so the
+            # sink piece (+)P_j -> tau^-(S_i) is 0 -> 0 and has no homology.
+            raise PreconditionError(f"sink {sink} has no incoming arrow")
         self.cat = cat
         self.sink = sink
         self.cat2 = RepCategory(cat.quiver.reflect_at_sink(sink), cat.p)

@@ -195,6 +195,7 @@ class RepCategory:
         self._aut_cache = {}
         self._paths_cache = None
         self._gl_cache = {}
+        self.zero_rep = self.rep((0,) * quiver.n)
 
     # ------------------------------------------------------------------
     # constructors

@@ -137,8 +137,7 @@ class SDH2Algebra:
         if nf is not None:
             return nf
         cat = self.cat
-        H0, H1 = self.tools.homology(X)
-        k0, k1 = cat.intern(H0), cat.intern(H1)
+        k0, k1 = self.tools.homology_keys(X)
         rank0 = tuple(m.rank() for m in X.d0.mats)
         rank1 = tuple(m.rank() for m in X.d1.mats)
         P1H0 = cat.min_proj_resolution(k0.rep)[0]

@@ -1,6 +1,8 @@
 """The Z-graded semi-derived Hall algebra of bounded complexes over rep_k(Q).
 
-Mirrors the Z/2 module: elements are combinations of T_g . [R_key] with
+Bounded complexes (CxB) follow the complex protocol of cx2, whose Cx2Tools
+solves their chain maps, homotopies, homology and extension classes.
+Elements are combinations of T_g . [R_key] with
 
   g    a finitely supported map  degree -> Z^n  (exponents of the classes of
        the two-term contractible complexes on the indecomposable projectives,
@@ -17,14 +19,14 @@ raise WindowExceeded.  Torus bookkeeping is integer exponent arithmetic:
 
 from __future__ import annotations
 
-from .cx2 import _block_diag, _homology_at
+from .cx2 import Cx2Tools, direct_sum
 from .errors import (
     ShapeError,
     SignConventionBroken,
     WindowExceeded,
 )
-from .linalg import FpMatrix, coset_points
-from .reps import ProjectiveCoords, Rep, RepCategory, RepMorphism, check_scan
+from .linalg import FpMatrix
+from .reps import ProjectiveCoords, Rep, RepCategory, RepMorphism
 from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
 
 WINDOW_LO = -8
@@ -80,7 +82,7 @@ class CxB:
     def component(self, m: int) -> Rep:
         if self.comps and self.lo <= m <= self.hi:
             return self.comps[m - self.lo]
-        return self.cat.rep((0,) * self.cat.quiver.n)
+        return self.cat.zero_rep
 
     def diff(self, m: int) -> RepMorphism:
         """d^m: component(m) -> component(m+1)."""
@@ -95,6 +97,10 @@ class CxB:
     def degrees(self):
         return range(self.lo, self.hi + 1) if self.comps else range(0)
 
+    @staticmethod
+    def degree(m: int) -> int:
+        return m
+
     def total_dim(self) -> int:
         return sum(c.total_dim() for c in self.comps)
 
@@ -105,6 +111,12 @@ class CxB:
             return self
         diffs = list(self.diffs) if k % 2 == 0 else [-d for d in self.diffs]
         return CxB(self.cat, self.lo - k, list(self.comps), diffs)
+
+    def like(self, comps: dict, mats: dict) -> "CxB":
+        """comps over consecutive degrees, mats[m] for each degree but the last."""
+        degs = list(comps)
+        return CxB(self.cat, degs[0] if degs else 0, comps.values(),
+                   [RepMorphism(comps[m], comps[m + 1], mats[m]) for m in degs[:-1]])
 
     def signature(self):
         if self._sig is None:
@@ -208,264 +220,6 @@ def tau_top_split(cat: RepCategory, K: CxB) -> tuple:
     return sub, top
 
 
-def direct_sum_cxb(cat: RepCategory, parts) -> CxB:
-    parts = [X for X in parts if not X.is_zero()]
-    if not parts:
-        return zero_cxb(cat)
-    lo = min(X.lo for X in parts)
-    hi = max(X.hi for X in parts)
-    comps = []
-    diffs = []
-    for m in range(lo, hi + 1):
-        comps.append(cat.direct_sum([X.component(m) for X in parts]))
-    for m in range(lo, hi):
-        dom = comps[m - lo]
-        cod = comps[m + 1 - lo]
-        mats = []
-        for i in range(cat.quiver.n):
-            mats.append(_block_diag(cat.p, [X.diff(m).mats[i] for X in parts]))
-        diffs.append(RepMorphism(dom, cod, mats))
-    return CxB(cat, lo, comps, diffs)
-
-
-class CxBTools:
-    """Chain maps, homotopies, extensions and homology for bounded complexes."""
-
-    def __init__(self, cat: RepCategory):
-        self.cat = cat
-        self._chain_cache = {}
-        self._homotopy_cache = {}
-        self._homology_cache = {}
-
-    def chain_maps_basis(self, U: CxB, V: CxB) -> list:
-        ck = (U.signature(), V.signature())
-        cached = self._chain_cache.get(ck)
-        if cached is None:
-            cached = self._solve(U, V)
-            self._chain_cache[ck] = cached
-        return cached
-
-    def _var_degrees(self, U: CxB, V: CxB):
-        out = []
-        if U.is_zero() or V.is_zero():
-            return out
-        for m in range(max(U.lo, V.lo), min(U.hi, V.hi) + 1):
-            if not U.component(m).is_zero() and not V.component(m).is_zero():
-                out.append(m)
-        return out
-
-    def _layout(self, U: CxB, V: CxB):
-        degs = self._var_degrees(U, V)
-        offsets = {}
-        off = 0
-        n = self.cat.quiver.n
-        for m in degs:
-            for i in range(n):
-                offsets[(m, i)] = off
-                off += V.component(m).dim[i] * U.component(m).dim[i]
-        return degs, offsets, off
-
-    def _solve(self, U: CxB, V: CxB) -> list:
-        p = self.cat.p
-        n = self.cat.quiver.n
-        degs, offsets, nvars = self._layout(U, V)
-        if nvars == 0:
-            return []
-        rows = []
-
-        def emit(var1, cols1, Cmat, var2, cols2, Dmat, nrows, ncols):
-            # eq: S1 o Cmat - Dmat o S2 = 0; either var may be None (absent = 0)
-            for r in range(nrows):
-                for c in range(ncols):
-                    row = [0] * nvars
-                    if var1 is not None:
-                        o1 = offsets[var1]
-                        for k in range(Cmat.rows):
-                            row[o1 + r * cols1 + k] = (row[o1 + r * cols1 + k]
-                                                       + Cmat.data[k][c]) % p
-                    if var2 is not None:
-                        o2 = offsets[var2]
-                        for k in range(Dmat.cols):
-                            row[o2 + k * cols2 + c] = (row[o2 + k * cols2 + c]
-                                                       - Dmat.data[r][k]) % p
-                    if any(row):
-                        rows.append(row)
-
-        degset = set(degs)
-        for m in degs:
-            Um = U.component(m)
-            Vm = V.component(m)
-            for a, (s, t) in enumerate(self.cat.quiver.arrows):
-                si, ti = s - 1, t - 1
-                emit((m, ti), Um.dim[ti], Um.maps[a],
-                     (m, si), Um.dim[si], Vm.maps[a],
-                     Vm.dim[ti], Um.dim[si])
-        # squares s^{m+1} dU^m = dV^m s^m, in Hom(U^m, V^{m+1})
-        lo = min(U.lo, V.lo) - 1
-        hi = max(U.hi, V.hi) + 1
-        for m in range(lo, hi):
-            Um = U.component(m)
-            Vm1 = V.component(m + 1)
-            if Um.is_zero() or Vm1.is_zero():
-                continue
-            dU = U.diff(m)
-            dV = V.diff(m)
-            for i in range(n):
-                v1 = (m + 1, i) if (m + 1) in degset else None
-                v2 = (m, i) if m in degset else None
-                if v1 is None and v2 is None:
-                    continue
-                emit(v1 if v1 else None, U.component(m + 1).dim[i], dU.mats[i],
-                     v2 if v2 else None, Um.dim[i], dV.mats[i],
-                     Vm1.dim[i], Um.dim[i])
-        A = FpMatrix(p, rows, cols=nvars) if rows else FpMatrix.zero(p, 1, nvars)
-        basis = []
-        for vvec in A.kernel_basis():
-            per_deg = {}
-            for m in degs:
-                mats = []
-                for i in range(n):
-                    o = offsets[(m, i)]
-                    rdim = V.component(m).dim[i]
-                    cdim = U.component(m).dim[i]
-                    blk = vvec[o:o + rdim * cdim]
-                    mats.append(FpMatrix(p, [blk[r * cdim:(r + 1) * cdim]
-                                             for r in range(rdim)], cols=cdim))
-                per_deg[m] = RepMorphism(U.component(m), V.component(m), mats)
-            basis.append(per_deg)
-        return basis
-
-    def hom_dim(self, U: CxB, V: CxB) -> int:
-        return len(self.chain_maps_basis(U, V))
-
-    def _flatten(self, U: CxB, V: CxB, per_deg: dict) -> tuple:
-        degs = self._var_degrees(U, V)
-        out = []
-        for m in degs:
-            if m in per_deg:
-                out.extend(per_deg[m].entries_flat())
-            else:
-                out.extend([0] * sum(V.component(m).dim[i] * U.component(m).dim[i]
-                                     for i in range(self.cat.quiver.n)))
-        return tuple(out)
-
-    def homotopy_subspace(self, U: CxB, V: CxB) -> list:
-        ck = (U.signature(), V.signature())
-        cached = self._homotopy_cache.get(ck)
-        if cached is not None:
-            return cached
-        cat = self.cat
-        gens = []
-        lo = min(U.lo, V.lo) - 1
-        hi = max(U.hi, V.hi) + 1
-        for m in range(lo, hi + 1):
-            Um = U.component(m)
-            Vm1 = V.component(m - 1)
-            if Um.is_zero() or Vm1.is_zero():
-                continue
-            for h in cat.hom_basis(Um, Vm1):
-                per = {}
-                t_m = V.diff(m - 1).compose(h)
-                if not t_m.is_zero():
-                    per[m] = t_m
-                t_prev = h.compose(U.diff(m - 1))
-                if not t_prev.is_zero():
-                    prev = per.get(m - 1)
-                    per[m - 1] = t_prev if prev is None else prev + t_prev
-                gens.append(self._flatten(U, V, per))
-        gens = [g for g in gens if g and any(g)]
-        if not gens:
-            self._homotopy_cache[ck] = []
-            return []
-        R, piv = FpMatrix(cat.p, gens, cols=len(gens[0])).rref()
-        rows = [R.data[i] for i in range(len(piv))]
-        self._homotopy_cache[ck] = rows
-        return rows
-
-    def homotopy_dim(self, U: CxB, V: CxB) -> int:
-        return len(self.homotopy_subspace(U, V))
-
-    def hom_k_dim(self, U: CxB, V: CxB) -> int:
-        """dim Hom in the homotopy category."""
-        return self.hom_dim(U, V) - self.homotopy_dim(U, V)
-
-    # -- extension classes -------------------------------------------------
-
-    def ext1_classes_proj(self, L: CxB, M: CxB) -> list:
-        """(f, E(f), weight) per line of extension classes of L by M, as in
-        cx2.Cx2Tools.ext1_classes_proj."""
-        SM = M.shift(1)
-        basis = self.chain_maps_basis(L, SM)
-        p = self.cat.p
-        check_scan("extension-class enumeration", p, len(basis))
-        if not basis:
-            return [(None, direct_sum_cxb(self.cat, [M, L]), 1)]
-        out = []
-        for coeffs, weight in coset_points(p, [self._flatten(L, SM, b) for b in basis],
-                                           self.homotopy_subspace(L, SM)):
-            f = self._combine(basis, coeffs, L, SM)
-            out.append((f, self.middle_term(L, M, f), weight))
-        return out
-
-    def _combine(self, basis, coeffs, U, V) -> dict:
-        out = {}
-        for b, c in zip(basis, coeffs):
-            if not c:
-                continue
-            for m, mor in b.items():
-                cur = out.get(m)
-                scaled = mor.scale(c)
-                out[m] = scaled if cur is None else cur + scaled
-        return out
-
-    def middle_term(self, L: CxB, M: CxB, f) -> CxB:
-        """Extension of L by M along f: L -> Sigma M (per-degree block form)."""
-        cat = self.cat
-        p = cat.p
-        n = cat.quiver.n
-        if M.is_zero() and L.is_zero():
-            return zero_cxb(cat)
-        lo = min([x for x in (L.lo if not L.is_zero() else None,
-                              M.lo if not M.is_zero() else None) if x is not None])
-        hi = max([x for x in (L.hi if not L.is_zero() else None,
-                              M.hi if not M.is_zero() else None) if x is not None])
-        comps = [cat.direct_sum([M.component(m), L.component(m)])
-                 for m in range(lo, hi + 1)]
-        diffs = []
-        for m in range(lo, hi):
-            dom = comps[m - lo]
-            cod = comps[m + 1 - lo]
-            fm = f.get(m) if f else None
-            mats = []
-            for i in range(n):
-                fmat = (fm.mats[i] if fm is not None
-                        else FpMatrix.zero(p, M.component(m + 1).dim[i],
-                                           L.component(m).dim[i]))
-                mats.append(FpMatrix.block(p, [
-                    [M.diff(m).mats[i], fmat],
-                    [FpMatrix.zero(p, L.component(m + 1).dim[i],
-                                   M.component(m).dim[i]), L.diff(m).mats[i]],
-                ]))
-            diffs.append(RepMorphism(dom, cod, mats))
-        return CxB(cat, lo, comps, diffs)
-
-    # -- homology ------------------------------------------------------------
-
-    def homology(self, X: CxB) -> dict:
-        """{degree: homology rep}, nonzero entries only."""
-        ck = X.signature()
-        cached = self._homology_cache.get(ck)
-        if cached is not None:
-            return cached
-        out = {}
-        for m in X.degrees():
-            H = _homology_at(self.cat, X.component(m), X.diff(m), X.diff(m - 1))
-            if not H.is_zero():
-                out[m] = H
-        self._homology_cache[ck] = out
-        return out
-
-
 # ----------------------------------------------------------------------
 
 
@@ -484,7 +238,7 @@ class SDHZAlgebra:
     def __init__(self, cat: RepCategory):
         self.cat = cat
         self.q = cat.p
-        self.tools = CxBTools(cat)
+        self.tools = Cx2Tools(cat)
         self.proj = ProjectiveCoords(cat)
         self.coords = self.proj.coords
         self.dim_of_coords = self.proj.dim_of_coords
@@ -531,7 +285,7 @@ class SDHZAlgebra:
                 if P0.is_zero():
                     continue
                 parts.append(two_term_cxb(self.cat, m - 1, P1, P0, incl))
-            R = direct_sum_cxb(self.cat, parts)
+            R = direct_sum(parts) if parts else zero_cxb(self.cat)
             self._rep_cache[ck] = R
         return R
 
@@ -572,7 +326,7 @@ class SDHZAlgebra:
             return nf
         cat = self.cat
         hom = self.tools.homology(X)
-        key = tuple(sorted((m, cat.intern(H)) for m, H in hom.items()))
+        key = tuple(sorted((m, cat.intern(H)) for m, H in hom.items() if not H.is_zero()))
         keyd = dict(key)
         res = {m: cat.min_proj_resolution(k.rep) for m, k in key}
         zero = (0,) * cat.quiver.n

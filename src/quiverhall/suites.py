@@ -10,14 +10,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cx2 import direct_sum_cx2, make_KP, make_KPstar
+from .cx2 import direct_sum, make_KP, make_KPstar
 from .hall import HallAlgebra, verify_ringel
 from .linalg import line_index
 from .reflection import SinkReflection
 from .reps import RepCategory
 from .scalars import CoeffScalar, q_power
 from .sdh2 import SDH2Algebra
-from .sdhz import SDHZAlgebra, direct_sum_cxb, v_complex
+from .sdhz import SDHZAlgebra, v_complex
 
 
 def _row(name, lhs, rhs):
@@ -395,7 +395,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         K = make_KP(cat, P) if rng.random() < 0.5 else make_KPstar(cat, P)
         L = _drawn_middle(tools2.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = alg2.element_of(L)
-        rhs = alg2.element_of(direct_sum_cx2(cat, [K, Mrep]))
+        rhs = alg2.element_of(direct_sum([K, Mrep]))
         out.append(_row(f"z2 conflation #{k} (H0={H0.dim}, H1={H1.dim}, K on {P.dim})",
                         lhs, rhs))
     for k in range(samples - half):
@@ -407,7 +407,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         K = v_complex(cat, P, slot)
         L = _drawn_middle(toolsz.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = algz.element_of(L)
-        rhs = algz.element_of(direct_sum_cxb(cat, [K, Mrep]))
+        rhs = algz.element_of(direct_sum([K, Mrep]))
         out.append(_row(f"z conflation #{k} (A={A.dim}@{m}, v on {P.dim}@{slot})",
                         lhs, rhs))
     return out

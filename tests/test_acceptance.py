@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from quiverhall.cx2 import direct_sum_cx2, make_KP, make_KPstar
+from quiverhall.cx2 import direct_sum, make_KP, make_KPstar
 from quiverhall.hall import HallAlgebra, verify_ringel
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
@@ -151,7 +151,7 @@ def test_criterion_08_acyclic_decomposition_uniqueness():
             P = rng.choice((P1, P2))
             parts.append(make_KP(cat, P) if rng.random() < 0.5
                          else make_KPstar(cat, P))
-        X = direct_sum_cx2(cat, parts)
+        X = direct_sum(parts)
         g0 = [rng.choice(cat._gl(d)) for d in X.M0.dim]
         g1 = [rng.choice(cat._gl(d)) for d in X.M1.dim]
         M0c = Rep(cat.quiver, cat.p, X.M0.dim,

@@ -97,6 +97,19 @@ def test_negative_bound_exit_two(quiver_files, capsys):
      "3df942e251b1fcdc5f02c853554d496ff4eeb8e24e089a76da8e6edda5769dc8"),
     ("a2", 13, ["--table", "--bound", "3"],
      "0a132ae70ecb7ee1d9845b45c8f1e1b4ecca304da6b1d4b5da28e4ff6de5f0a6"),
+    # The Z-graded algebra: chain maps, homotopies, homology and extension
+    # classes of bounded complexes.
+    ("a2", 3, ["--suite", "assoc-z"],
+     "3eb65f74801be5b6cc23e8d1d8f11a96b165d1cbe4b4bcfdce32eacf732a7ec8"),
+    ("a2", 3, ["--suite", "quotient-relations"],
+     "19c6a648602f75a830da1abd62a1f1d7e768d2e6c7b5f9f2d1cebb5256a60829"),
+    ("a2", 3, ["--suite", "euler-lemmas"],
+     "3927a8783994e64ff5411cc23b7fbde467a25dcc9dac4c2959cf618674177e9a"),
+    ("a2", 3, ["--suite", "presentation-uv"],
+     "8314eaae4869b8a7de7523c09631f29c72076978e6cbc3020955016ee0601222"),
+    # Reads the homology keys of Z/2 complexes.
+    ("a2", 2, ["--suite", "reflection"],
+     "e0a3496e6e4539194b96b5cb53829fea2f22eb5231c61f01665ebad0641fbd4b"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building
@@ -157,6 +170,19 @@ def test_reflection_default_sink(quiver_files, capsys):
     code = main(["--quiver", quiver_files["a2"], "--q", "2",
                  "--suite", "reflection"])
     assert code == 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("sink, message", [
+    ([], "error: quiver has no sink with an incoming arrow\n"),
+    (["--sink", "1"], "error: sink 1 has no incoming arrow\n"),
+])
+def test_reflection_rejects_isolated_sink(quiver_files, capsys, q, sink, message):
+    """The one vertex of A1 is a sink without incoming arrows."""
+    code = main(["--quiver", quiver_files["a1"], "--q", str(q),
+                 "--suite", "reflection"] + sink)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == message
 
 
 def test_console_script_runs(quiver_files):

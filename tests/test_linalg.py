@@ -87,6 +87,8 @@ def test_solve_deterministic_representative():
 def test_solve_shape_error():
     with pytest.raises(ShapeError):
         FpMatrix.identity(2, 2).solve((1, 0, 0))
+    with pytest.raises(ShapeError):
+        FpMatrix.block(2, [[FpMatrix.identity(2, 2)], [FpMatrix.identity(2, 1)]])
 
 
 def test_rank_nullity_seeded():
@@ -144,6 +146,9 @@ def test_ops_match_naive_formulas_seeded():
             lambda i, j: ent(A, i, j) if j < c else ent(B, i, j - c), r, 2 * c)
         assert FpMatrix.vstack([A, B]) == naive(
             lambda i, j: ent(A, i, j) if i < r else ent(B, i - r, j), 2 * r, c)
+        AC, BC = A @ C, B @ C
+        assert FpMatrix.block(p, [[A, AC], [B, BC]]) == FpMatrix.vstack(
+            [FpMatrix.hstack([A, AC]), FpMatrix.hstack([B, BC])])
         R, piv = A.rref()
         assert R.rows == r and R.cols == c and len(piv) == A.rank()
         assert R == FpMatrix(p, R.data, cols=c)
@@ -193,3 +198,5 @@ def test_coset_points_meet_each_coset_on_one_line():
     assert len(cosets) == p ** 2
     with pytest.raises(ShapeError):
         list(coset_points(p, basis[:2], [(0, 0, 1)]))
+    # an empty basis has one coset, the zero combination
+    assert list(coset_points(p, [], [])) == [([], 1)]

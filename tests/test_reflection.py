@@ -11,6 +11,9 @@ def test_not_a_sink_rejected():
     cat = RepCategory(a_n_quiver(2), 2)
     with pytest.raises(PreconditionError):
         SinkReflection(cat, 1)
+    # an isolated vertex is a sink, but tau^-(S_1) = 0 there
+    with pytest.raises(PreconditionError, match="sink 1 has no incoming arrow"):
+        SinkReflection(RepCategory(a_n_quiver(1), 2), 1)
 
 
 def test_tau_minus_of_sink_simple():

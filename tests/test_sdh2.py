@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quiverhall.cx2 import (
-    direct_sum_cx2,
+    direct_sum,
     make_KP,
     make_KPstar,
     minimal_complex,
@@ -73,7 +73,7 @@ def test_normal_form_examples():
     assert nf.coeff == CoeffScalar.one(2)
     assert nf.alpha == (1, 0) and nf.beta == (0, 0)
     assert nf.key == alg.zero_key2()
-    X = direct_sum_cx2(cat, [KP1, minimal_complex(cat, S1, cat.rep((0, 0)))])
+    X = direct_sum([KP1, minimal_complex(cat, S1, cat.rep((0, 0)))])
     nf = alg.normal_form(X)
     assert nf.alpha == (1, 0) and nf.beta == (0, 0)
     assert nf.key == (cat.intern(S1), cat.zero_key())
@@ -95,7 +95,7 @@ def test_normal_form_agrees_with_decomposition_route():
             P = rng.choice((P1, P2))
             parts.append(make_KP(cat, P) if rng.random() < 0.5
                          else make_KPstar(cat, P))
-        X = direct_sum_cx2(cat, parts)
+        X = direct_sum(parts)
         if X.total_dim() > 10:
             continue
         nf = alg.normal_form(X)
@@ -151,7 +151,7 @@ def test_torus_absorption():
     g = ((1, 0), (0, 0))
     got = alg.product2(alg.torus_term(g), x)
     # module rule: [K] . [M] = (1/<K, M>) [K + M]
-    want = alg.element_of(direct_sum_cx2(cat, [KP1, R])).scale_scalar(
+    want = alg.element_of(direct_sum([KP1, R])).scale_scalar(
         q_power(2, -alg.tools.hom_dim(KP1, R)))
     assert (got - want).is_zero()
     # and the result is the plain basis term at the shifted lattice
@@ -265,7 +265,7 @@ def test_freeness_relation_seeded():
         X = minimal_complex(cat, rng.choice(reps), rng.choice(reps))
         P = rng.choice((cat.projective(1), cat.projective(2)))
         K = make_KP(cat, P) if rng.random() < 0.5 else make_KPstar(cat, P)
-        lhs = alg.element_of(direct_sum_cx2(cat, [K, X]))
+        lhs = alg.element_of(direct_sum([K, X]))
         knf = alg.normal_form(K)
         g = (knf.alpha, knf.beta)
         rhs = alg.product2(alg.torus_term(g), alg.element_of(X)).scale_scalar(

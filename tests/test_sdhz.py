@@ -7,7 +7,8 @@ from quiverhall.hall import HallAlgebra
 from quiverhall.quiver import a_n_quiver
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import CoeffScalar, q_power, v_power
-from quiverhall.sdhz import SDHZAlgebra, direct_sum_cxb, stalk_cxb
+from quiverhall.cx2 import direct_sum
+from quiverhall.sdhz import SDHZAlgebra, stalk_cxb
 from quiverhall.suites import suite_euler_lemmas, suite_presentation_uv
 
 
@@ -26,14 +27,14 @@ def class_of_stalk_sum(alg, stalks):
     exp_pair = 0
     for A, m in stalks:
         W_parts.append(stalk_cxb(cat, A, m))
-    W = direct_sum_cxb(cat, W_parts)
+    W = direct_sum(W_parts)
     for A, m in stalks:
         P1A, P0A, incl, _ = cat.min_proj_resolution(A)
         from quiverhall.sdhz import two_term_cxb
         parts_R.append(two_term_cxb(cat, m - 1, P1A, P0A, incl))
         if not P1A.is_zero():
             ell = alg.lattice_add(ell, ((m - 1, alg.coords(P1A.dim)),))
-    R = direct_sum_cxb(cat, parts_R)
+    R = direct_sum(parts_R)
     # <K_ell, W> with W arbitrary: product over slots of q^(dim W^slot at j)
     expKW = alg.exp_g_Y(ell, W)
     coeffR, gR, keyR = alg.normal_form(R)
@@ -270,7 +271,7 @@ def test_truncations():
     cat = a2()
     alg = SDHZAlgebra(cat)
     P1, P2 = cat.projective(1), cat.projective(2)
-    K = direct_sum_cxb(cat, [v_complex(cat, P1, 0), v_complex(cat, P2, 1)])
+    K = direct_sum([v_complex(cat, P1, 0), v_complex(cat, P2, 1)])
     # brutal truncations chop components
     up = sigma_ge(cat, K, 1)
     assert up.lo == 1 and up.hi == 2
@@ -281,7 +282,7 @@ def test_truncations():
     sub, top = tau_top_split(cat, K)
     assert top.component(2).dim == P2.dim
     lhs = alg.element_of(K)
-    rhs = alg.element_of(direct_sum_cxb(cat, [sub, top]))
+    rhs = alg.element_of(direct_sum([sub, top]))
     assert (lhs - rhs).is_zero()
     # iterate down to nothing
     rest = sub
