@@ -24,6 +24,9 @@ def check_prime(p: int) -> int:
     return p
 
 
+_ZERO = Fraction(0)
+
+
 class CoeffScalar:
     """An element a + b*sqrt(q) of Q(sqrt(q)), stored exactly."""
 
@@ -33,6 +36,17 @@ class CoeffScalar:
         self.q = q
         self.a = Fraction(a)
         self.b = Fraction(b)
+
+    @staticmethod
+    def _trusted(q: int, a: Fraction, b: Fraction) -> "CoeffScalar":
+        """A scalar from components that are already Fractions, without the
+        coercion of the public constructor; the ring operations build their
+        results this way."""
+        x = object.__new__(CoeffScalar)
+        x.q = q
+        x.a = a
+        x.b = b
+        return x
 
     # -- constructors -------------------------------------------------
 
@@ -52,7 +66,7 @@ class CoeffScalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     # -- ring operations ----------------------------------------------
 
@@ -62,23 +76,34 @@ class CoeffScalar:
 
     def __add__(self, other: "CoeffScalar") -> "CoeffScalar":
         self._check(other)
-        return CoeffScalar(self.q, self.a + other.a, self.b + other.b)
+        return CoeffScalar._trusted(self.q, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "CoeffScalar") -> "CoeffScalar":
         self._check(other)
-        return CoeffScalar(self.q, self.a - other.a, self.b - other.b)
+        return CoeffScalar._trusted(self.q, self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "CoeffScalar":
-        return CoeffScalar(self.q, -self.a, -self.b)
+        return CoeffScalar._trusted(self.q, -self.a, -self.b)
 
     def __mul__(self, other: "CoeffScalar") -> "CoeffScalar":
         self._check(other)
         a, b, c, d, q = self.a, self.b, other.a, other.b, self.q
-        return CoeffScalar(q, a * c + q * b * d, a * d + b * c)
+        # Most engine scalars are pure rationals or pure multiples of v, so
+        # the products with a zero component are skipped.
+        if not b:
+            return CoeffScalar._trusted(q, a * c, a * d)
+        if not d:
+            return CoeffScalar._trusted(q, a * c, b * c)
+        if not a:
+            return CoeffScalar._trusted(q, q * b * d, b * c)
+        if not c:
+            return CoeffScalar._trusted(q, q * b * d, a * d)
+        return CoeffScalar._trusted(q, a * c + q * b * d, a * d + b * c)
 
     def scale(self, r) -> "CoeffScalar":
-        r = Fraction(r)
-        return CoeffScalar(self.q, self.a * r, self.b * r)
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        return CoeffScalar._trusted(self.q, self.a * r, self.b * r)
 
     def inverse(self) -> "CoeffScalar":
         # (a + b v)^(-1) = (a - b v) / (a^2 - q b^2); the norm is nonzero
@@ -86,7 +111,7 @@ class CoeffScalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         norm = self.a * self.a - self.q * self.b * self.b
-        return CoeffScalar(self.q, self.a / norm, -self.b / norm)
+        return CoeffScalar._trusted(self.q, self.a / norm, -self.b / norm)
 
     def __truediv__(self, other: "CoeffScalar") -> "CoeffScalar":
         return self * other.inverse()
@@ -123,16 +148,26 @@ class CoeffScalar:
         return format_scalar(self)
 
 
+_q_powers = {}
+
+
 def q_power(q: int, m) -> CoeffScalar:
-    """q**m for m in (1/2)Z, exactly.  q_power(1/2) is v = sqrt(q)."""
-    m = Fraction(m)
-    if m.denominator == 1:
-        k = m.numerator
-        return CoeffScalar(q, Fraction(q) ** k, 0)
-    if m.denominator == 2:
-        k = int(m - Fraction(1, 2))
-        return CoeffScalar(q, 0, Fraction(q) ** k)
-    raise PreconditionError(f"q_power exponent must be a half-integer, got {m}")
+    """q**m for m in (1/2)Z, exactly.  q_power(1/2) is v = sqrt(q).
+
+    Results are memoised per (q, m); scalars are immutable, so callers may
+    share them.  A rejected exponent is never stored."""
+    x = _q_powers.get((q, m))
+    if x is not None:
+        return x
+    e = Fraction(m)
+    if e.denominator == 1:
+        x = CoeffScalar._trusted(q, Fraction(q) ** e.numerator, _ZERO)
+    elif e.denominator == 2:
+        x = CoeffScalar._trusted(q, _ZERO, Fraction(q) ** int(e - Fraction(1, 2)))
+    else:
+        raise PreconditionError(f"q_power exponent must be a half-integer, got {e}")
+    _q_powers[(q, m)] = x
+    return x
 
 
 def v_power(q: int, e: int) -> CoeffScalar:

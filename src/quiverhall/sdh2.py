@@ -224,31 +224,46 @@ class SDH2Algebra:
         return bilinear(x, y, lambda s, t: self._product_terms(s, t).items())
 
     def _product_terms(self, t1, t2) -> dict:
-        """The product of two basis terms, {term: coefficient}; cached, so
-        callers only read it."""
+        """The product of two basis terms, as a fresh {term: coefficient}
+        dict.  [R1] . [R2] is cached per homology-key pair (_key_pair); the
+        torus twist of g1, g2 against each term's acyclic part is applied
+        here, per call."""
         g1, k1 = t1
         g2, k2 = t2
-        pk = (g1, k1[0].sig, k1[1].sig, g2, k2[0].sig, k2[1].sig)
+        hom, terms = self._key_pair(k1, k2)
+        base_exp = (self.exp_g_R(g2, k1) - self.exp_R_g(k1, g2)
+                    - self.exp_g_h(g1, g2) - hom)
+        g12 = (tuple(a + b for a, b in zip(g1[0], g2[0])),
+               tuple(a + b for a, b in zip(g1[1], g2[1])))
+        out = {}
+        for (ell, key), c in terms:
+            g = (tuple(a + b for a, b in zip(g12[0], ell[0])),
+                 tuple(a + b for a, b in zip(g12[1], ell[1])))
+            e = base_exp - self.exp_g_h(g12, ell)
+            out[(g, key)] = c * q_power(self.q, e) if e else c
+        return out
+
+    def _key_pair(self, k1, k2) -> tuple:
+        """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
+        k1, k2: the middle terms of Ext^1(R1, R2), grouped by normal form
+        T_ell . [R_key], each with the sum of nf.coeff * weight over its
+        classes.  The coefficients are positive, so no group cancels."""
+        pk = (k1[0].sig, k1[1].sig, k2[0].sig, k2[1].sig)
         cached = self._pair_cache.get(pk)
         if cached is not None:
             return cached
         R1 = self.rep_of_key(k1)
         R2 = self.rep_of_key(k2)
-        base_exp = (self.exp_g_R(g2, k1) - self.exp_R_g(k1, g2)
-                    - self.exp_g_h(g1, g2)
-                    - self.tools.hom_dim(R1, R2))
-        g12 = (tuple(a + b for a, b in zip(g1[0], g2[0])),
-               tuple(a + b for a, b in zip(g1[1], g2[1])))
-        out = LinComb(self.q)
+        hom = self.tools.hom_dim(R1, R2)
+        groups = {}
         for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
             nf = self.normal_form(E)
-            ell = (nf.alpha, nf.beta)
-            g = (tuple(a + b for a, b in zip(g12[0], ell[0])),
-                 tuple(a + b for a, b in zip(g12[1], ell[1])))
-            c = (nf.coeff * q_power(self.q, base_exp - self.exp_g_h(g12, ell))).scale(weight)
-            out.add_term((g, nf.key), c)
-        self._pair_cache[pk] = out.terms
-        return out.terms
+            gk = ((nf.alpha, nf.beta), nf.key)
+            c = nf.coeff.scale(weight)
+            groups[gk] = groups[gk] + c if gk in groups else c
+        cached = (hom, list(groups.items()))
+        self._pair_cache[pk] = cached
+        return cached
 
     def comp_class(self, term_key, degree: int) -> tuple:
         """K_0 class (dimension-vector valued) of the degree-b component of a

@@ -246,6 +246,7 @@ class SDHZAlgebra:
         self._nf_cache = {}
         self._pair_cache = {}
         self._euler_cache = {}
+        self._proj_cache = {}
 
     # -- lattice / key plumbing ---------------------------------------------
 
@@ -414,33 +415,49 @@ class SDHZAlgebra:
         return bilinear(x, y, lambda s, t: self._product_terms(s, t).items())
 
     def _product_terms(self, t1, t2) -> dict:
-        """The product of two basis terms, {term: coefficient}; cached, so
-        callers only read it."""
+        """The product of two basis terms, as a fresh {term: coefficient}
+        dict.  [R1] . [R2] is cached per homology-key pair (_key_pair); the
+        torus twist of g1, g2 against each term's acyclic part, and the
+        window checks of each term, are applied here, per call."""
         g1, k1 = t1
         g2, k2 = t2
-        pk = (g1, tuple((m, k.sig) for m, k in k1),
-              g2, tuple((m, k.sig) for m, k in k2))
-        cached = self._pair_cache.get(pk)
-        if cached is not None:
-            return cached
         R1 = self.rep_of_key(k1)
         R2 = self.rep_of_key(k2)
         if not R2.is_zero() and R2.lo - 1 < _HARD_LO:
             raise WindowExceeded("shift leaves the hard window")
+        hom, terms = self._key_pair(k1, k2, R1, R2)
         base_exp = (self.exp_g_Y(g2, R1) - self.exp_Y_g(R1, g2)
-                    - self.exp_g_h(g1, g2)
-                    - self.tools.hom_dim(R1, R2))
+                    - self.exp_g_h(g1, g2) - hom)
         g12 = self.lattice_add(g1, g2)
-        out = LinComb(self.q)
-        for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
-            coeffE, ell, keyE = self.normal_form(E)
+        out = {}
+        for (ell, keyE), c in terms:
             self.window_check_key(keyE)
             g = self.lattice_add(g12, ell)
             self.window_check_lattice(g)
-            c = (coeffE * q_power(self.q, base_exp - self.exp_g_h(g12, ell))).scale(weight)
-            out.add_term((g, keyE), c)
-        self._pair_cache[pk] = out.terms
-        return out.terms
+            e = base_exp - self.exp_g_h(g12, ell)
+            out[(g, keyE)] = c * q_power(self.q, e) if e else c
+        return out
+
+    def _key_pair(self, k1, k2, R1: CxB, R2: CxB) -> tuple:
+        """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
+        k1, k2 with representatives R1, R2: the middle terms of
+        Ext^1(R1, R2), grouped by normal form T_ell . [R_key], each with the
+        sum of coeff * weight over its classes.  The coefficients are
+        positive, so no group cancels and every key is window-checked."""
+        pk = (tuple((m, k.sig) for m, k in k1), tuple((m, k.sig) for m, k in k2))
+        cached = self._pair_cache.get(pk)
+        if cached is not None:
+            return cached
+        hom = self.tools.hom_dim(R1, R2)
+        groups = {}
+        for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
+            coeffE, ell, keyE = self.normal_form(E)
+            gk = (ell, keyE)
+            c = coeffE.scale(weight)
+            groups[gk] = groups[gk] + c if gk in groups else c
+        cached = (hom, list(groups.items()))
+        self._pair_cache[pk] = cached
+        return cached
 
     # -- Euler pairings of generators, by linear algebra -----------------------
 
@@ -530,10 +547,15 @@ class SDHZAlgebra:
         raise ShapeError(f"unknown generator spec {spec[0]}")
 
     def _proj_of_dims(self, coeffs) -> Rep:
-        parts = []
-        for j, c in enumerate(coeffs):
-            parts.extend([self.proj.projectives[j]] * c)
-        return self.cat.direct_sum(parts)
+        """The direct sum of coeffs[j] copies of each indecomposable
+        projective P_j, built once per coefficient tuple."""
+        P = self._proj_cache.get(coeffs)
+        if P is None:
+            parts = []
+            for j, c in enumerate(coeffs):
+                parts.extend([self.proj.projectives[j]] * c)
+            P = self._proj_cache[coeffs] = self.cat.direct_sum(parts)
+        return P
 
     # -- twists ---------------------------------------------------------------
 

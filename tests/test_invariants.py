@@ -9,6 +9,7 @@ from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
+from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh2 import SDH2Algebra
 from quiverhall.sdhz import SDHZAlgebra, two_term_cxb
 from quiverhall.suites import (
@@ -329,3 +330,81 @@ def test_hall_to_sdh2_unit_compat():
     # [0] maps to the unit on both sides
     assert alg.E_class(cat.rep((0, 0))) == alg.unit()
     assert hall.cls(cat.rep((0, 0))) == hall.unit()
+
+
+def _sdh2_product_oracle(alg, t1, t2):
+    """T_g1[R1] . T_g2[R2] straight from the extension classes of R1, R2,
+    with the torus twist of each class applied there, and no caching."""
+    (g1, k1), (g2, k2) = t1, t2
+    R1, R2 = alg.rep_of_key(k1), alg.rep_of_key(k2)
+    base_exp = (alg.exp_g_R(g2, k1) - alg.exp_R_g(k1, g2) - alg.exp_g_h(g1, g2)
+                - alg.tools.hom_dim(R1, R2))
+    g12 = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(g1, g2))
+    out = LinComb(alg.q)
+    for _f, E, weight in alg.tools.ext1_classes_proj(R1, R2):
+        nf = alg.normal_form(E)
+        ell = (nf.alpha, nf.beta)
+        g = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(g12, ell))
+        c = nf.coeff * q_power(alg.q, base_exp - alg.exp_g_h(g12, ell))
+        out.add_term((g, nf.key), c.scale(weight))
+    return out.terms
+
+
+def _sdhz_product_oracle(alg, t1, t2):
+    """The Z-graded counterpart of _sdh2_product_oracle."""
+    (g1, k1), (g2, k2) = t1, t2
+    R1, R2 = alg.rep_of_key(k1), alg.rep_of_key(k2)
+    base_exp = (alg.exp_g_Y(g2, R1) - alg.exp_Y_g(R1, g2) - alg.exp_g_h(g1, g2)
+                - alg.tools.hom_dim(R1, R2))
+    g12 = alg.lattice_add(g1, g2)
+    out = LinComb(alg.q)
+    for _f, E, weight in alg.tools.ext1_classes_proj(R1, R2):
+        coeff, ell, key = alg.normal_form(E)
+        g = alg.lattice_add(g12, ell)
+        c = coeff * q_power(alg.q, base_exp - alg.exp_g_h(g12, ell))
+        out.add_term((g, key), c.scale(weight))
+    return out.terms
+
+
+def _decorations(n):
+    """Torus exponent vectors: zero, a unit vector, a negative and a mixed one."""
+    e1 = (1,) + (0,) * (n - 1)
+    mixed = (-1,) + (1,) * (n - 1) if n > 1 else (-2,)
+    return [(0,) * n, e1, tuple(-x for x in e1), mixed]
+
+
+def test_product_terms_match_uncached_oracle():
+    """The products cache [R1] . [R2] per homology-key pair and twist each
+    term per call.  Each key pair is multiplied under several torus
+    decorations, so all but the first call of a pair read a cache filled
+    under another g."""
+    for p in (2, 3):
+        for cat in _a1_a2(p):
+            n = cat.quiver.n
+            dec = _decorations(n)
+            classes = cat.iso_classes_up_to(2)
+            nonzero = [k for k in classes if sum(k.dim)]
+            small = [k for k in classes if sum(k.dim) <= 1]
+
+            alg2 = SDH2Algebra(cat)
+            keys2 = [(a, b) for a in classes for b in small
+                     if sum(a.dim) + sum(b.dim) <= 2]
+            gs2 = [(dec[0], dec[1]), (dec[2], dec[3]), (dec[3], dec[0])]
+            for k1 in keys2:
+                for k2 in keys2:
+                    for g1, g2 in zip(gs2, gs2[1:] + gs2[:1]):
+                        t1, t2 = (g1, k1), (g2, k2)
+                        assert alg2._product_terms(t1, t2) == \
+                            _sdh2_product_oracle(alg2, t1, t2), (p, n, t1, t2)
+
+            algz = SDHZAlgebra(cat)
+            simples = [k for k in nonzero if sum(k.dim) == 1]
+            keysz = [()] + [((m, a),) for a in nonzero for m in (0, 1)]
+            keysz += [((0, a), (1, b)) for a in simples for b in simples]
+            gsz = [((0, dec[1]),), ((-1, dec[2]), (1, dec[3])), ((0, dec[3]),)]
+            for k1 in keysz:
+                for k2 in keysz:
+                    for g1, g2 in zip(gsz, gsz[1:] + gsz[:1]):
+                        t1, t2 = (g1, k1), (g2, k2)
+                        assert algz._product_terms(t1, t2) == \
+                            _sdhz_product_oracle(algz, t1, t2), (p, n, t1, t2)

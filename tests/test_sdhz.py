@@ -240,6 +240,20 @@ def test_window_guards():
     with pytest.raises(WindowExceeded):
         alg.v_gen((1, 0), 8)
     assert alg.u_gen(cat.simple(2), -8) is not None  # projective: no slot below
+    # Products check the homology key, then the torus lattice, of every
+    # term, on every call: a cached key pair must not skip the checks.
+    S1 = cat.intern(cat.simple(1))
+    torus = alg.term(((9, (1, 0)),), ())
+    homology = alg.term((), ((9, S1),))
+    both = alg.term(((9, (1, 0)),), ((9, S1),))
+    cases = ((torus, "torus slot 9 outside \\[-8, 8\\]"),
+             (homology, "homology degree 9 outside \\[-8, 8\\]"),
+             (both, "homology degree 9 outside \\[-8, 8\\]"))
+    for x, message in cases:
+        for _ in range(2):
+            for lhs, rhs in ((x, alg.unit()), (alg.unit(), x)):
+                with pytest.raises(WindowExceeded, match=message):
+                    alg.productZ(lhs, rhs)
 
 
 def test_assoc_seeded_z():
