@@ -16,7 +16,8 @@ Cx2Tools solves chain maps, homotopies, homology, extension classes and their
 middle terms through this protocol alone.  The contractible complexes K_P and
 K_P*, minimal projective-component representatives of quasi-isomorphism
 classes, sub- and quotient complexes and Krull-Schmidt decomposition of Z/2
-complexes also live here; the semi-derived algebras are in sdh2 and sdhz.
+complexes also live here; the semi-derived algebras are in sdh (the core of
+both), sdh2 and sdhz.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def zero_morphism(cat: RepCategory, dom: Rep, cod: Rep) -> RepMorphism:
 
 def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
     """Stalk complex with A in the given degree (0 or 1)."""
-    Z = cat.rep((0,) * cat.quiver.n)
+    Z = cat.zero_rep
     if degree % 2 == 0:
         return Cx2(cat, A, Z, zero_morphism(cat, A, Z), zero_morphism(cat, Z, A))
     return Cx2(cat, Z, A, zero_morphism(cat, Z, A), zero_morphism(cat, A, Z))

@@ -98,11 +98,8 @@ def class_of_pieces(alg: SDH2Algebra, pieces) -> LinComb:
         a = [x + y for x, y in zip(a, p.ell[0])]
         b = [x + y for x, y in zip(b, p.ell[1])]
     ell = (tuple(a), tuple(b))
-    # <K_ell, X> = q^(sum a_j dim X^0_j + b_j dim X^1_j), valid for any X
-    expKW = (sum(aj * X.M0.dim[j] for j, aj in enumerate(ell[0]))
-             + sum(bj * X.M1.dim[j] for j, bj in enumerate(ell[1])))
     elt = alg.product2(alg.torus_inverse_term(ell), alg.element_of(P))
-    elt = elt.scale_scalar(q_power(alg.q, -expKW))
+    elt = elt.scale_scalar(q_power(alg.q, -alg.exp_g_Y(ell, X)))
     if len(elt.terms) != 1:
         raise ShapeError("piece class is not a single normal-form term (engine bug)")
     (g, key), _c = next(iter(elt.terms.items()))
@@ -235,7 +232,7 @@ class SinkReflection:
             if regular:
                 # stalk piece: two_term(0, A) has homology in degree 1
                 A = cat.direct_sum(regular)
-                Z = cat.rep((0,) * cat.quiver.n)
+                Z = cat.zero_rep
                 stalk = two_term_piece(self.alg, Z, A, zero_morphism(cat, Z, A))
                 pieces.append(shift_piece(stalk) if degree == 0 else stalk)
             for _ in range(m_count):

@@ -652,7 +652,7 @@ class RepCategory:
         return key
 
     def zero_key(self) -> IsoClassKey:
-        return self.intern(self.rep((0,) * self.quiver.n))
+        return self.intern(self.zero_rep)
 
     # ------------------------------------------------------------------
     # submodule enumeration

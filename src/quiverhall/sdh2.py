@@ -1,42 +1,28 @@
 """The Z/2-graded semi-derived Hall algebra of rep_k(Q).
 
-Elements are kept in normal form: every term is
+Elements are kept in normal form (sdh.SemiDerivedAlgebra): every term is
 
     coeff * T_g . [R_key],
 
 where g = (alpha, beta) is a point of the Grothendieck lattice of acyclic
 complexes (exponents of the classes [K_{P_j}] and [K*_{P_j}] over the
-indecomposable projectives), and R_key is the minimal projective-component
-complex with homology pair key.  Freeness over the quantum torus makes this
-a basis, so equality of elements is equality of normal forms.
-
-All torus bookkeeping reduces to integer exponents of q:
-  <K_{P_j}, X>  = q^(dim X^0 at j)          (chain maps from K_{P_j})
-  <K*_{P_j}, X> = q^(dim X^1 at j)
-  <X, K_{P_j}>  = q^(hom(X^1, P_j))         (X with projective components)
-  <X, K*_{P_j}> = q^(hom(X^0, P_j))
-with hom between projectives given by the additive Euler form.
+indecomposable projectives, the torus slots 0 and 1), and R_key is the
+minimal projective-component complex with homology pair key = (H0, H1).
+Freeness over the quantum torus makes this a basis, so equality of elements
+is equality of normal forms.  The torus pairings of sdh read, for example,
+<K_{P_j}, X> = q^(dim X^0 at j) and <X, K*_{P_j}> = q^(hom(X^0, P_j)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .cx2 import Cx2, Cx2Tools, minimal_complex
+from .cx2 import Cx2, minimal_complex
 from .hall import serre_checks
-from .reps import ProjectiveCoords, Rep, RepCategory
+from .reps import Rep
 from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
-
-
-@dataclass(frozen=True)
-class NormalForm2:
-    """[X] = coeff * T_(alpha,beta) . [minimal_complex(key)]."""
-    coeff: CoeffScalar
-    alpha: tuple
-    beta: tuple
-    key: tuple
+from .sdh import SemiDerivedAlgebra
 
 
 def _format_terms(terms, reduced: bool) -> str:
@@ -63,96 +49,35 @@ _plain_str = partial(_format_terms, reduced=False)
 _reduced_str = partial(_format_terms, reduced=True)
 
 
-class SDH2Algebra:
-    def __init__(self, cat: RepCategory):
-        self.cat = cat
-        self.q = cat.p
-        self.tools = Cx2Tools(cat)
-        self.proj = ProjectiveCoords(cat)
-        self.coords = self.proj.coords
-        self.dim_of_coords = self.proj.dim_of_coords
-        self._rep_cache = {}
-        self._nf_cache = {}
-        self._pair_cache = {}
+class SDH2Algebra(SemiDerivedAlgebra):
+    complex_type = Cx2
+
+    # Bound in this class body, so that a per-class trace (bench/tracer.py)
+    # counts them apart from the Z-graded algebra's.
+    product2 = SemiDerivedAlgebra.product
+    normal_form = SemiDerivedAlgebra.normal_form
 
     # ------------------------------------------------------------------
-    # basis representatives
+    # lattice points, keys and their representatives
+
+    @staticmethod
+    def _slots(g) -> tuple:
+        return ((0, g[0]), (1, g[1]))
+
+    @staticmethod
+    def _from_slots(slots: dict, zero) -> tuple:
+        return (slots.get(0, zero), slots.get(1, zero))
+
+    def _representative(self, key) -> Cx2:
+        return minimal_complex(self.cat, key[0].rep, key[1].rep)
 
     def zero_key2(self) -> tuple:
         z = self.cat.zero_key()
         return (z, z)
 
-    def rep_of_key(self, key) -> Cx2:
-        ck = (key[0].sig, key[1].sig)
-        R = self._rep_cache.get(ck)
-        if R is None:
-            R = minimal_complex(self.cat, key[0].rep, key[1].rep)
-            self._rep_cache[ck] = R
-        return R
-
-    # ------------------------------------------------------------------
-    # integer exponent pairings
-
-    def exp_g_R(self, g, key) -> int:
-        """log_q <K_g, R_key> for the Euler form (left acyclic argument)."""
-        R = self.rep_of_key(key)
-        a, b = g
-        return (sum(aj * R.M0.dim[j] for j, aj in enumerate(a))
-                + sum(bj * R.M1.dim[j] for j, bj in enumerate(b)))
-
-    def exp_R_g(self, key, g) -> int:
-        """log_q <R_key, K_g> (right acyclic argument; R has projective parts)."""
-        R = self.rep_of_key(key)
-        a, b = g
-        e = 0
-        for j, aj in enumerate(a):
-            if aj:
-                e += aj * self.cat.euler_form_int(R.M1.dim, self.proj.projectives[j].dim)
-        for j, bj in enumerate(b):
-            if bj:
-                e += bj * self.cat.euler_form_int(R.M0.dim, self.proj.projectives[j].dim)
-        return e
-
-    def exp_g_h(self, g, h) -> int:
-        """log_q of the Euler form between two acyclic lattice points."""
-        return self.proj.hom_form([x + y for x, y in zip(*g)],
-                                  [x + y for x, y in zip(*h)])
-
     def torus_euler(self, g, h) -> CoeffScalar:
         """Euler form of two acyclic lattice points, as a power of q."""
         return q_power(self.q, self.exp_g_h(g, h))
-
-    # ------------------------------------------------------------------
-    # normal form
-
-    def normal_form(self, X: Cx2) -> NormalForm2:
-        """Normal form of a projective-component complex.
-
-        The homology pair gives the key; the acyclic direct complement is
-        identified through the ranks of the differentials:
-            alpha-class = [im d0] - [P1(H1)],  beta-class = [im d1] - [P1(H0)].
-        """
-        ck = X.signature()
-        nf = self._nf_cache.get(ck)
-        if nf is not None:
-            return nf
-        cat = self.cat
-        k0, k1 = self.tools.homology_keys(X)
-        rank0 = tuple(m.rank() for m in X.d0.mats)
-        rank1 = tuple(m.rank() for m in X.d1.mats)
-        P1H0 = cat.min_proj_resolution(k0.rep)[0]
-        P1H1 = cat.min_proj_resolution(k1.rep)[0]
-        alpha = self.coords(tuple(r - d for r, d in zip(rank0, P1H1.dim)))
-        beta = self.coords(tuple(r - d for r, d in zip(rank1, P1H0.dim)))
-        key = (k0, k1)
-        coeff = q_power(self.q, self.exp_g_R((alpha, beta), key))
-        nf = NormalForm2(coeff, alpha, beta, key)
-        self._nf_cache[ck] = nf
-        return nf
-
-    def element_of(self, X: Cx2) -> LinComb:
-        nf = self.normal_form(X)
-        return self.element({((nf.alpha, nf.beta), nf.key): nf.coeff})
 
     # ------------------------------------------------------------------
     # element constructors
@@ -165,17 +90,6 @@ class SDH2Algebra:
         """Element of the reduced twisted algebra, the torus lattice collapsed
         to Z^n: terms (c, key); * is reduced_product."""
         return LinComb(self.q, terms, self.reduced_product, _reduced_str)
-
-    def unit(self) -> LinComb:
-        z = (0,) * self.cat.quiver.n
-        return self.term((z, z), self.zero_key2())
-
-    def zero(self) -> LinComb:
-        return self.element({})
-
-    def term(self, g, key, coeff=None) -> LinComb:
-        c = coeff if coeff is not None else CoeffScalar.one(self.q)
-        return self.element({(g, key): c})
 
     def torus_term(self, g) -> LinComb:
         return self.term(g, self.zero_key2())
@@ -193,7 +107,7 @@ class SDH2Algebra:
             return self.unit()
         P1A, _P0A, _i, _p = self.cat.min_proj_resolution(A)
         e1 = self.coords(P1A.dim)
-        z = (0,) * self.cat.quiver.n
+        z = self._zero
         g = (tuple(-x for x in e1), z)
         key = (self.cat.zero_key(), self.cat.intern(A))
         coeff = q_power(self.q, -self.exp_g_h((e1, z), (e1, z)))
@@ -203,14 +117,10 @@ class SDH2Algebra:
         return self.star(self.E_class(A))
 
     def K_class(self, alpha_dim) -> LinComb:
-        a = self.coords(alpha_dim)
-        z = (0,) * self.cat.quiver.n
-        return self.torus_term((a, z))
+        return self.torus_term((self.coords(alpha_dim), self._zero))
 
     def Kstar_class(self, alpha_dim) -> LinComb:
-        a = self.coords(alpha_dim)
-        z = (0,) * self.cat.quiver.n
-        return self.torus_term((z, a))
+        return self.torus_term((self._zero, self.coords(alpha_dim)))
 
     def star(self, x: LinComb) -> LinComb:
         """Shift involution: swaps the two torus slots and the homology pair."""
@@ -218,75 +128,31 @@ class SDH2Algebra:
                              for ((a, b), (h0, h1)), c in x.terms.items()})
 
     # ------------------------------------------------------------------
-    # products
+    # componentwise twist
 
-    def product2(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear(x, y, lambda s, t: self._product_terms(s, t).items())
-
-    def _product_terms(self, t1, t2) -> dict:
-        """The product of two basis terms, as a fresh {term: coefficient}
-        dict.  [R1] . [R2] is cached per homology-key pair (_key_pair); the
-        torus twist of g1, g2 against each term's acyclic part is applied
-        here, per call."""
-        g1, k1 = t1
-        g2, k2 = t2
-        hom, terms = self._key_pair(k1, k2)
-        base_exp = (self.exp_g_R(g2, k1) - self.exp_R_g(k1, g2)
-                    - self.exp_g_h(g1, g2) - hom)
-        g12 = (tuple(a + b for a, b in zip(g1[0], g2[0])),
-               tuple(a + b for a, b in zip(g1[1], g2[1])))
-        out = {}
-        for (ell, key), c in terms:
-            g = (tuple(a + b for a, b in zip(g12[0], ell[0])),
-                 tuple(a + b for a, b in zip(g12[1], ell[1])))
-            e = base_exp - self.exp_g_h(g12, ell)
-            out[(g, key)] = c * q_power(self.q, e) if e else c
-        return out
-
-    def _key_pair(self, k1, k2) -> tuple:
-        """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
-        k1, k2: the middle terms of Ext^1(R1, R2), grouped by normal form
-        T_ell . [R_key], each with the sum of nf.coeff * weight over its
-        classes.  The coefficients are positive, so no group cancels."""
-        pk = (k1[0].sig, k1[1].sig, k2[0].sig, k2[1].sig)
-        cached = self._pair_cache.get(pk)
-        if cached is not None:
-            return cached
-        R1 = self.rep_of_key(k1)
-        R2 = self.rep_of_key(k2)
-        hom = self.tools.hom_dim(R1, R2)
-        groups = {}
-        for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
-            nf = self.normal_form(E)
-            gk = ((nf.alpha, nf.beta), nf.key)
-            c = nf.coeff.scale(weight)
-            groups[gk] = groups[gk] + c if gk in groups else c
-        cached = (hom, list(groups.items()))
-        self._pair_cache[pk] = cached
-        return cached
-
-    def comp_class(self, term_key, degree: int) -> tuple:
-        """K_0 class (dimension-vector valued) of the degree-b component of a
-        normal-form term's representative complex."""
+    def comp_classes(self, term_key) -> tuple:
+        """K_0 classes (dimension-vector valued) of the degree-0 and degree-1
+        components of a normal-form term's representative complex."""
         g, key = term_key
         R = self.rep_of_key(key)
-        base = R.M0.dim if degree % 2 == 0 else R.M1.dim
-        a, b = g
-        extra = self.dim_of_coords(tuple(x + y for x, y in zip(a, b)))
-        return tuple(u + v for u, v in zip(base, extra))
+        extra = self.dim_of_coords(tuple(x + y for x, y in zip(*g)))
+        return tuple(tuple(u + v for u, v in zip(M.dim, extra)) for M in (R.M0, R.M1))
+
+    def _cw(self, c1, c2) -> int:
+        """log_v of the componentwise twist between terms of classes c1, c2."""
+        euler = self.cat.euler_form_int
+        return euler(c1[0], c2[0]) + euler(c1[1], c2[1])
 
     def cw_exponent(self, t1, t2) -> int:
         """log_v of the componentwise twist between two basis terms."""
-        c0x = self.comp_class(t1, 0)
-        c1x = self.comp_class(t1, 1)
-        c0y = self.comp_class(t2, 0)
-        c1y = self.comp_class(t2, 1)
-        return (self.cat.euler_form_int(c0x, c0y)
-                + self.cat.euler_form_int(c1x, c1y))
+        return self._cw(self.comp_classes(t1), self.comp_classes(t2))
 
     def twisted_product2(self, x: LinComb, y: LinComb) -> LinComb:
+        cx = {t: self.comp_classes(t) for t in x.terms}
+        cy = {t: self.comp_classes(t) for t in y.terms}
+
         def pair(s, t):
-            tw = v_power(self.q, self.cw_exponent(s, t))
+            tw = v_power(self.q, self._cw(cx[s], cy[t]))
             return ((k, c * tw) for k, c in self._product_terms(s, t).items())
         return bilinear(x, y, pair)
 
@@ -314,7 +180,7 @@ class SDH2Algebra:
         return out
 
     def lift(self, x: LinComb) -> LinComb:
-        z = (0,) * self.cat.quiver.n
+        z = self._zero
         return self.element({((c, z), key): coeff for (c, key), coeff in x.terms.items()})
 
     def reduced_product(self, x: LinComb, y: LinComb) -> LinComb:

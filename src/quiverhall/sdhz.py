@@ -11,23 +11,25 @@ Elements are combinations of T_g . [R_key] with
        represented by the direct sum of shifted two-term minimal resolutions.
 
 Ambient degrees are capped at [-8, 8]; operations that would leave the window
-raise WindowExceeded.  Torus bookkeeping is integer exponent arithmetic:
-  <v_{P_j,m}, Y>  = q^(dim Y^m at j)
-  <Y, v_{P_j,m}>  = q^(euler(dim Y^{m+1}, dim P_j))   (Y with projective parts)
-  <v_{P_j,m}, v_{P_k,l}> = q^(hom(P_j, P_k)) when l in {m-1, m}, else 1.
+raise WindowExceeded.  Normal forms, products and the torus pairings are those
+of sdh; for example <v_{P_j,m}, v_{P_k,l}> = q^(hom(P_j, P_k)) when l is m - 1
+or m, else 1.
 """
 
 from __future__ import annotations
 
-from .cx2 import Cx2Tools, direct_sum
+from fractions import Fraction
+
+from .cx2 import direct_sum
 from .errors import (
     ShapeError,
     SignConventionBroken,
     WindowExceeded,
 )
 from .linalg import FpMatrix
-from .reps import ProjectiveCoords, Rep, RepCategory, RepMorphism
-from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
+from .reps import Rep, RepCategory, RepMorphism
+from .scalars import CoeffScalar, LinComb, q_power, v_power
+from .sdh import SemiDerivedAlgebra
 
 WINDOW_LO = -8
 WINDOW_HI = 8
@@ -234,33 +236,28 @@ def _sdhz_str(terms) -> str:
     return " + ".join(bits)
 
 
-class SDHZAlgebra:
+class SDHZAlgebra(SemiDerivedAlgebra):
+    complex_type = CxB
+
+    # Bound in this class body, so that a per-class trace (bench/tracer.py)
+    # counts them apart from the Z/2-graded algebra's.
+    productZ = SemiDerivedAlgebra.product
+    normal_form = SemiDerivedAlgebra.normal_form
+
     def __init__(self, cat: RepCategory):
-        self.cat = cat
-        self.q = cat.p
-        self.tools = Cx2Tools(cat)
-        self.proj = ProjectiveCoords(cat)
-        self.coords = self.proj.coords
-        self.dim_of_coords = self.proj.dim_of_coords
-        self._rep_cache = {}
-        self._nf_cache = {}
-        self._pair_cache = {}
+        super().__init__(cat)
         self._euler_cache = {}
         self._proj_cache = {}
 
     # -- lattice / key plumbing ---------------------------------------------
 
     @staticmethod
-    def lattice_add(g, h) -> tuple:
-        out = {}
-        for m, c in g:
-            out[m] = list(c)
-        for m, c in h:
-            if m in out:
-                out[m] = [a + b for a, b in zip(out[m], c)]
-            else:
-                out[m] = list(c)
-        return tuple(sorted((m, tuple(c)) for m, c in out.items() if any(c)))
+    def _slots(g) -> tuple:
+        return g
+
+    @staticmethod
+    def _from_slots(slots: dict, zero) -> tuple:
+        return tuple(sorted(slots.items()))
 
     @staticmethod
     def lattice_neg(g) -> tuple:
@@ -276,87 +273,14 @@ class SDHZAlgebra:
             if not (WINDOW_LO <= m <= WINDOW_HI):
                 raise WindowExceeded(f"torus slot {m} outside [-8, 8]")
 
-    def rep_of_key(self, hom) -> CxB:
-        ck = tuple((m, k.sig) for m, k in hom)
-        R = self._rep_cache.get(ck)
-        if R is None:
-            parts = []
-            for m, k in hom:
-                P1, P0, incl, _ = self.cat.min_proj_resolution(k.rep)
-                if P0.is_zero():
-                    continue
-                parts.append(two_term_cxb(self.cat, m - 1, P1, P0, incl))
-            R = direct_sum(parts) if parts else zero_cxb(self.cat)
-            self._rep_cache[ck] = R
-        return R
-
-    # -- exponent pairings -----------------------------------------------------
-
-    def exp_g_Y(self, g, Y: CxB) -> int:
-        """log_q <K_g, Y> for a torus lattice point against any complex."""
-        e = 0
-        for m, c in g:
-            comp = Y.component(m)
-            for j, cj in enumerate(c):
-                if cj:
-                    e += cj * comp.dim[j]
-        return e
-
-    def exp_Y_g(self, Y: CxB, g) -> int:
-        """log_q <Y, K_g>; Y must have projective components."""
-        e = 0
-        for m, c in g:
-            comp = Y.component(m + 1)
-            for j, cj in enumerate(c):
-                if cj:
-                    e += cj * self.cat.euler_form_int(comp.dim, self.proj.projectives[j].dim)
-        return e
-
-    def exp_g_h(self, g, h) -> int:
-        """log_q of the Euler form between two torus lattice points."""
-        return sum(self.proj.hom_form(c, d) for m, c in g for l, d in h
-                   if l == m or l == m - 1)
-
-    # -- normal form ------------------------------------------------------------
-
-    def normal_form(self, X: CxB):
-        """(coeff, lattice, key) for a projective-component complex."""
-        ck = X.signature()
-        nf = self._nf_cache.get(ck)
-        if nf is not None:
-            return nf
-        cat = self.cat
-        hom = self.tools.homology(X)
-        key = tuple(sorted((m, cat.intern(H)) for m, H in hom.items() if not H.is_zero()))
-        keyd = dict(key)
-        res = {m: cat.min_proj_resolution(k.rep) for m, k in key}
-        zero = (0,) * cat.quiver.n
-        lo = X.lo if not X.is_zero() else 0
-        hi = X.hi if not X.is_zero() else -1
-        if key:
-            lo = min(lo, min(m for m, _ in key) - 1)
-        ell = {}
-        prev = zero
-        for m in range(lo - 1, hi + 1):
-            xm = X.component(m).dim
-            p0 = res[m][1].dim if m in keyd else zero
-            p1 = res[m + 1][0].dim if (m + 1) in keyd else zero
-            delta = tuple(x - a - b for x, a, b in zip(xm, p0, p1))
-            cur = tuple(d - pv for d, pv in zip(self.coords(delta), prev))
-            ell[m] = cur
-            prev = cur
-        if any(prev):
-            raise ShapeError("acyclic ledger does not close (engine bug)")
-        g = tuple(sorted((m, c) for m, c in ell.items() if any(c)))
-        R = self.rep_of_key(key)
-        coeff = q_power(self.q, self.exp_g_Y(g, R))
-        nf = (coeff, g, key)
-        self._nf_cache[ck] = nf
-        return nf
-
-    def element_of(self, X: CxB) -> LinComb:
-        coeff, g, key = self.normal_form(X)
-        return self.term(g, key, coeff)
+    def _representative(self, hom) -> CxB:
+        parts = []
+        for m, k in hom:
+            P1, P0, incl, _ = self.cat.min_proj_resolution(k.rep)
+            if P0.is_zero():
+                continue
+            parts.append(two_term_cxb(self.cat, m - 1, P1, P0, incl))
+        return direct_sum(parts) if parts else zero_cxb(self.cat)
 
     # -- constructors -------------------------------------------------------------
 
@@ -364,16 +288,6 @@ class SDHZAlgebra:
         """Combination of basis terms (lattice, key); * is productZ, the plain
         product (twists are applied per generator pair, see twist_mode)."""
         return LinComb(self.q, terms, self.productZ, _sdhz_str)
-
-    def unit(self) -> LinComb:
-        return self.term((), ())
-
-    def zero(self) -> LinComb:
-        return self.element({})
-
-    def term(self, g, key, coeff=None) -> LinComb:
-        c = coeff if coeff is not None else CoeffScalar.one(self.q)
-        return self.element({(g, key): c})
 
     def u_gen(self, A: Rep, m: int) -> LinComb:
         """Class of the stalk complex with A in degree m."""
@@ -411,53 +325,18 @@ class SDHZAlgebra:
 
     # -- product ----------------------------------------------------------------
 
-    def productZ(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear(x, y, lambda s, t: self._product_terms(s, t).items())
-
     def _product_terms(self, t1, t2) -> dict:
-        """The product of two basis terms, as a fresh {term: coefficient}
-        dict.  [R1] . [R2] is cached per homology-key pair (_key_pair); the
-        torus twist of g1, g2 against each term's acyclic part, and the
-        window checks of each term, are applied here, per call."""
-        g1, k1 = t1
-        g2, k2 = t2
-        R1 = self.rep_of_key(k1)
-        R2 = self.rep_of_key(k2)
+        """SemiDerivedAlgebra._product_terms inside the degree window: the
+        hard window is checked before the key-pair lookup, and the homology
+        key, then the torus lattice, of every term on every call."""
+        R2 = self.rep_of_key(t2[1])
         if not R2.is_zero() and R2.lo - 1 < _HARD_LO:
             raise WindowExceeded("shift leaves the hard window")
-        hom, terms = self._key_pair(k1, k2, R1, R2)
-        base_exp = (self.exp_g_Y(g2, R1) - self.exp_Y_g(R1, g2)
-                    - self.exp_g_h(g1, g2) - hom)
-        g12 = self.lattice_add(g1, g2)
-        out = {}
-        for (ell, keyE), c in terms:
-            self.window_check_key(keyE)
-            g = self.lattice_add(g12, ell)
+        out = super()._product_terms(t1, t2)
+        for g, key in out:
+            self.window_check_key(key)
             self.window_check_lattice(g)
-            e = base_exp - self.exp_g_h(g12, ell)
-            out[(g, keyE)] = c * q_power(self.q, e) if e else c
         return out
-
-    def _key_pair(self, k1, k2, R1: CxB, R2: CxB) -> tuple:
-        """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
-        k1, k2 with representatives R1, R2: the middle terms of
-        Ext^1(R1, R2), grouped by normal form T_ell . [R_key], each with the
-        sum of coeff * weight over its classes.  The coefficients are
-        positive, so no group cancels and every key is window-checked."""
-        pk = (tuple((m, k.sig) for m, k in k1), tuple((m, k.sig) for m, k in k2))
-        cached = self._pair_cache.get(pk)
-        if cached is not None:
-            return cached
-        hom = self.tools.hom_dim(R1, R2)
-        groups = {}
-        for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
-            coeffE, ell, keyE = self.normal_form(E)
-            gk = (ell, keyE)
-            c = coeffE.scale(weight)
-            groups[gk] = groups[gk] + c if gk in groups else c
-        cached = (hom, list(groups.items()))
-        self._pair_cache[pk] = cached
-        return cached
 
     # -- Euler pairings of generators, by linear algebra -----------------------
 
@@ -536,14 +415,8 @@ class SDHZAlgebra:
         if spec[0] == "v":
             _, alpha, m = spec
             a = self.coords(alpha)
-            ap = self.dim_of_coords(tuple(max(x, 0) for x in a))
-            am = self.dim_of_coords(tuple(max(-x, 0) for x in a))
-            out = []
-            if any(ap):
-                out.append((("vA", self._proj_of_dims(tuple(max(x, 0) for x in a)), m), 1))
-            if any(am):
-                out.append((("vA", self._proj_of_dims(tuple(max(-x, 0) for x in a)), m), -1))
-            return out
+            parts = ((tuple(max(s * x, 0) for x in a), s) for s in (1, -1))
+            return [(("vA", self._proj_of_dims(c), m), s) for c, s in parts if any(c)]
         raise ShapeError(f"unknown generator spec {spec[0]}")
 
     def _proj_of_dims(self, coeffs) -> Rep:
@@ -596,7 +469,6 @@ class SDHZAlgebra:
 
 def _q_exponent(x: CoeffScalar, q: int) -> int:
     """The integer e with x = q^e (x must be a plain q-power)."""
-    from fractions import Fraction
     if x.b != 0 or x.a <= 0:
         raise ShapeError("not a q-power")
     val = Fraction(x.a)

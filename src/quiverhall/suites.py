@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
-from .cx2 import direct_sum, make_KP, make_KPstar
+from .cx2 import Cx2, direct_sum, make_KP, make_KPstar, zero_morphism
 from .hall import HallAlgebra, verify_ringel
 from .linalg import line_index
 from .reflection import SinkReflection
@@ -175,7 +176,7 @@ def suite_assoc_z(cat: RepCategory, samples: int, seed: int) -> list:
 def suite_assoc_z2(cat: RepCategory, samples: int, seed: int) -> list:
     alg = SDH2Algebra(cat)
     rng = random.Random(seed)
-    pool_reps = [cat.rep((0,) * cat.quiver.n)]
+    pool_reps = [cat.zero_rep]
     pool_reps += [cat.simple(i) for i in range(1, cat.quiver.n + 1)]
     if cat.quiver.n > 1:
         pool_reps.append(cat.projective(1))
@@ -213,7 +214,7 @@ def proj_complex_pool(alg: SDH2Algebra, max_total: int) -> list:
     total component dimension <= max_total."""
     cat = alg.cat
     tools = alg.tools
-    projs = [cat.rep((0,) * cat.quiver.n)]
+    projs = [cat.zero_rep]
     seen_dims = {projs[0].dim}
     # direct sums of indecomposable projectives with total dim <= max_total
     def extend(current):
@@ -238,13 +239,12 @@ def proj_complex_pool(alg: SDH2Algebra, max_total: int) -> list:
                 continue
             b01 = cat.hom_basis(M0, M1)
             b10 = cat.hom_basis(M1, M0)
-            from itertools import product as iproduct
-            for c01 in iproduct(range(cat.p), repeat=len(b01)):
+            for c01 in product(range(cat.p), repeat=len(b01)):
                 f01 = cat.morphisms_from_coeffs(b01, c01) if any(c01) else None
-                for c10 in iproduct(range(cat.p), repeat=len(b10)):
+                for c10 in product(range(cat.p), repeat=len(b10)):
                     f10 = cat.morphisms_from_coeffs(b10, c10) if any(c10) else None
-                    d0 = f01 if f01 is not None else _zero_mor(cat, M0, M1)
-                    d1 = f10 if f10 is not None else _zero_mor(cat, M1, M0)
+                    d0 = f01 if f01 is not None else zero_morphism(cat, M0, M1)
+                    d1 = f10 if f10 is not None else zero_morphism(cat, M1, M0)
                     ok = True
                     for i in range(cat.quiver.n):
                         if not (d1.mats[i] @ d0.mats[i]).is_zero() \
@@ -253,16 +253,10 @@ def proj_complex_pool(alg: SDH2Algebra, max_total: int) -> list:
                             break
                     if not ok:
                         continue
-                    from .cx2 import Cx2
                     X = Cx2(cat, M0, M1, d0, d1)
                     if not any(tools.is_isomorphic(X, Y) for Y in pool):
                         pool.append(X)
     return pool
-
-
-def _zero_mor(cat, dom, cod):
-    from .cx2 import zero_morphism
-    return zero_morphism(cat, dom, cod)
 
 
 def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
@@ -281,17 +275,12 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
             # subcomplex enumeration and the automorphism conversion.
             middles = []
             for _f, E, weight in tools.ext1_classes_proj(L, M):
-                found = None
-                for X, cnt in middles:
-                    if tools.is_isomorphic(X, E):
-                        found = X
+                for item in middles:
+                    if tools.is_isomorphic(item[0], E):
+                        item[1] += weight
                         break
-                if found is None:
-                    middles.append([E, weight])
                 else:
-                    for item in middles:
-                        if item[0] is found:
-                            item[1] += weight
+                    middles.append([E, weight])
             aut_l = tools.aut_count(L)
             aut_m = tools.aut_count(M)
             hom_lm = tools.hom_dim(L, M)
@@ -388,8 +377,8 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
     out = []
     half = samples // 2
     for k in range(half):
-        H0 = rng.choice(small + [cat.rep((0,) * n)])
-        H1 = rng.choice(small + [cat.rep((0,) * n)])
+        H0 = rng.choice(small + [cat.zero_rep])
+        H1 = rng.choice(small + [cat.zero_rep])
         Mrep = alg2.rep_of_key((cat.intern(H0), cat.intern(H1)))
         P = rng.choice(projs)
         K = make_KP(cat, P) if rng.random() < 0.5 else make_KPstar(cat, P)
@@ -449,9 +438,10 @@ def embed_im_checks(cat: RepCategory, m: int, bound: int = 4) -> list:
 def table_rows(cat: RepCategory, bound: int) -> list:
     """All structure constants for iso classes of total dimension <= bound.
 
-    Rows are (A, B, C) with C a middle term of an extension of A by C... the
-    Hall number g counts subobjects of C of class B with quotient class A, and
-    the Bridgeland constant is |Ext^1(A,B)_C| / |Hom(A,B)|.
+    Rows are (A, B, C) with C a middle term of an extension of A by B, that is
+    0 -> B -> C -> A -> 0.  The Hall number g counts the subobjects of C
+    isomorphic to B with quotient isomorphic to A, and the Bridgeland
+    constant is |Ext^1(A,B)_C| / |Hom(A,B)|.
     """
     alg = HallAlgebra(cat, cross_check="sampled")
     keys = cat.iso_classes_up_to(bound)

@@ -110,6 +110,14 @@ def test_negative_bound_exit_two(quiver_files, capsys):
     # Reads the homology keys of Z/2 complexes.
     ("a2", 2, ["--suite", "reflection"],
      "e0a3496e6e4539194b96b5cb53829fea2f22eb5231c61f01665ebad0641fbd4b"),
+    # The Z/2-graded algebra: plain and twisted products, torus pairings and
+    # the reduced algebra of the quantum group.
+    ("a2", 3, ["--suite", "assoc-z2", "--samples", "5", "--seed", "0"],
+     "f1ab8ed49830556fba12fe4c748975bcbf33fbdca6d79c0e2f544988d895a86d"),
+    ("a2", 3, ["--suite", "torus-commutation"],
+     "a199a55d04973cf94ea25a045e103ac1ad38fa3bee98454acbd74cfe2818ebd5"),
+    ("a2", 3, ["--suite", "quantum-group"],
+     "55080bb9c6e1324c3f20dbe3e66ef3f85ee619aadf47a58fd0139878424c7c17"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building

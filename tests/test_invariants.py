@@ -180,19 +180,15 @@ def test_cx2_ext1_classes_match_full_enumeration():
             tools = alg.tools
             pool = proj_complex_pool(alg, 3)
 
-            def nf(E):
-                n = alg.normal_form(E)
-                return n.coeff, n.alpha, n.beta, n.key
-
             for L, M in _ext_pairs(pool, _bound(p) + 1):
                 SM = M.shift()
                 basis = tools.chain_maps_basis(L, SM)
                 lines = Counter()
                 for _f, E, w in tools.ext1_classes_proj(L, M):
-                    lines[nf(E)] += w
+                    lines[alg.normal_form(E)] += w
                 # every chain map, so each class is met p^(homotopy dim) times
                 full = Counter(
-                    nf(middle_term(L, M, tools._from_coeffs(basis, c, L, SM)))
+                    alg.normal_form(middle_term(L, M, tools._from_coeffs(basis, c, L, SM)))
                     for c in product(range(p), repeat=len(basis)))
                 mult = p ** tools.homotopy_dim(L, SM)
                 assert full == Counter({k: n * mult for k, n in lines.items()}), (p, L, M)
@@ -337,15 +333,14 @@ def _sdh2_product_oracle(alg, t1, t2):
     with the torus twist of each class applied there, and no caching."""
     (g1, k1), (g2, k2) = t1, t2
     R1, R2 = alg.rep_of_key(k1), alg.rep_of_key(k2)
-    base_exp = (alg.exp_g_R(g2, k1) - alg.exp_R_g(k1, g2) - alg.exp_g_h(g1, g2)
+    base_exp = (alg.exp_g_Y(g2, R1) - alg.exp_Y_g(R1, g2) - alg.exp_g_h(g1, g2)
                 - alg.tools.hom_dim(R1, R2))
     g12 = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(g1, g2))
     out = LinComb(alg.q)
     for _f, E, weight in alg.tools.ext1_classes_proj(R1, R2):
         nf = alg.normal_form(E)
-        ell = (nf.alpha, nf.beta)
-        g = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(g12, ell))
-        c = nf.coeff * q_power(alg.q, base_exp - alg.exp_g_h(g12, ell))
+        g = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(g12, nf.g))
+        c = nf.coeff * q_power(alg.q, base_exp - alg.exp_g_h(g12, nf.g))
         out.add_term((g, nf.key), c.scale(weight))
     return out.terms
 
@@ -408,3 +403,78 @@ def test_product_terms_match_uncached_oracle():
                         t1, t2 = (g1, k1), (g2, k2)
                         assert algz._product_terms(t1, t2) == \
                             _sdhz_product_oracle(algz, t1, t2), (p, n, t1, t2)
+
+
+def _ledger_walk_nf(alg, X):
+    """The Z-graded normal form by a walk up the degrees: slot m is what
+    dim X^m leaves after P0(H^m), P1(H^(m+1)) and slot m - 1, and the
+    walk must end on a zero slot."""
+    cat = alg.cat
+    key = tuple(sorted((m, cat.intern(H)) for m, H in alg.tools.homology(X).items()
+                       if not H.is_zero()))
+    res = {m: cat.min_proj_resolution(k.rep) for m, k in key}
+    zero = (0,) * cat.quiver.n
+    lo, hi = (X.lo, X.hi) if not X.is_zero() else (0, -1)
+    if key:
+        lo = min(lo, key[0][0] - 1)
+    ell = {}
+    prev = zero
+    for m in range(lo - 1, hi + 1):
+        p0 = res[m][1].dim if m in res else zero
+        p1 = res[m + 1][0].dim if m + 1 in res else zero
+        delta = tuple(x - a - b for x, a, b in zip(X.component(m).dim, p0, p1))
+        prev = ell[m] = tuple(d - v for d, v in zip(alg.coords(delta), prev))
+    assert not any(prev), X
+    g = tuple(sorted((m, c) for m, c in ell.items() if any(c)))
+    R = alg.rep_of_key(key)
+    exp = sum(cj * dj for m, c in g for cj, dj in zip(c, R.component(m).dim))
+    return q_power(alg.q, exp), g, key
+
+
+def _z2_rank_nf(alg, X):
+    """The Z/2-graded normal form, alpha = [im d0] - [P1(H1)] and
+    beta = [im d1] - [P1(H0)], with <K_(alpha,beta), R> read off R^0, R^1."""
+    cat = alg.cat
+    k0, k1 = (cat.intern(H) for H in alg.tools.homology(X).values())
+    rank0 = tuple(m.rank() for m in X.d0.mats)
+    rank1 = tuple(m.rank() for m in X.d1.mats)
+    P1H0 = cat.min_proj_resolution(k0.rep)[0]
+    P1H1 = cat.min_proj_resolution(k1.rep)[0]
+    alpha = alg.coords(tuple(r - d for r, d in zip(rank0, P1H1.dim)))
+    beta = alg.coords(tuple(r - d for r, d in zip(rank1, P1H0.dim)))
+    R = alg.rep_of_key((k0, k1))
+    exp = (sum(a * d for a, d in zip(alpha, R.M0.dim))
+           + sum(b * d for b, d in zip(beta, R.M1.dim)))
+    return q_power(alg.q, exp), (alpha, beta), (k0, k1)
+
+
+def _with_middle_terms(tools, pool, max_total):
+    """pool and the middle terms of every extension between two of its
+    complexes of total dimension <= max_total, one per signature."""
+    out = {X.signature(): X for X in pool}
+    for L, M in _ext_pairs(pool, max_total):
+        for _f, E, _w in tools.ext1_classes_proj(L, M):
+            out.setdefault(E.signature(), E)
+    return list(out.values())
+
+
+def test_normal_forms_match_grading_specific_oracles():
+    """One rank formula gives the normal forms of both gradings.  It is
+    checked against the degree-by-degree ledger walk for Z-graded complexes
+    and against the rank formula written out for Z/2, on the bound-3 pool
+    of Z/2 complexes, its two-term Z-graded folds shifted by 0, 1 and -2,
+    and the middle terms of the extensions among each of these sets."""
+    for p in (2, 3):
+        for n in (1, 2, 3):
+            cat = RepCategory(a_n_quiver(n), p)
+            alg2, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+            pool2 = proj_complex_pool(alg2, 3)
+            poolz = []
+            for X in pool2:
+                if not X.is_zero():
+                    Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
+                    poolz += [Y, Y.shift(1), Y.shift(-2)]
+            for X in _with_middle_terms(alg2.tools, pool2, 4):
+                assert alg2.normal_form(X) == _z2_rank_nf(alg2, X), (p, n, X)
+            for X in _with_middle_terms(algz.tools, poolz, 4):
+                assert algz.normal_form(X) == _ledger_walk_nf(algz, X), (p, n, X)

@@ -59,6 +59,28 @@ def test_torus_euler_bilinear_seeded():
         assert alg.torus_euler(s, g3) == alg.torus_euler(g1, g3) * alg.torus_euler(g2, g3)
 
 
+def test_torus_pairings_match_z2_formulas():
+    """The slot pairings of sdh read, for Z/2: <K_(a,b), X> off dim X^0 and
+    dim X^1, <X, K_(a,b)> off euler(X^1, P_j) and euler(X^0, P_j), and
+    <K_(a,b), K_(c,d)> = hom(a + b, c + d)."""
+    for p in (2, 3):
+        cat = a2(p)
+        alg = SDH2Algebra(cat)
+        P = alg.proj.projectives
+        rng = random.Random(7)
+        reps = [cat.rep((0, 0)), cat.simple(1), cat.simple(2), cat.projective(1)]
+        for _ in range(30):
+            a, b, c, d = (tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(4))
+            X = minimal_complex(cat, rng.choice(reps), rng.choice(reps))
+            assert alg.exp_g_Y((a, b), X) == sum(
+                a[j] * X.M0.dim[j] + b[j] * X.M1.dim[j] for j in range(2))
+            assert alg.exp_Y_g(X, (a, b)) == sum(
+                a[j] * cat.euler_form_int(X.M1.dim, P[j].dim)
+                + b[j] * cat.euler_form_int(X.M0.dim, P[j].dim) for j in range(2))
+            assert alg.exp_g_h((a, b), (c, d)) == alg.proj.hom_form(
+                [x + y for x, y in zip(a, b)], [x + y for x, y in zip(c, d)])
+
+
 def test_normal_form_examples():
     cat = a2()
     alg = SDH2Algebra(cat)
@@ -66,16 +88,16 @@ def test_normal_form_examples():
     X = minimal_complex(cat, S1, cat.simple(2))
     nf = alg.normal_form(X)
     assert nf.coeff == CoeffScalar.one(2)
-    assert not any(nf.alpha) and not any(nf.beta)
+    assert nf.g == ((0, 0), (0, 0))
     assert nf.key == (cat.intern(S1), cat.intern(cat.simple(2)))
     KP1 = make_KP(cat, cat.projective(1))
     nf = alg.normal_form(KP1)
     assert nf.coeff == CoeffScalar.one(2)
-    assert nf.alpha == (1, 0) and nf.beta == (0, 0)
+    assert nf.g == ((1, 0), (0, 0))
     assert nf.key == alg.zero_key2()
     X = direct_sum([KP1, minimal_complex(cat, S1, cat.rep((0, 0)))])
     nf = alg.normal_form(X)
-    assert nf.alpha == (1, 0) and nf.beta == (0, 0)
+    assert nf.g == ((1, 0), (0, 0))
     assert nf.key == (cat.intern(S1), cat.zero_key())
     hom = alg.tools.hom_dim(KP1, minimal_complex(cat, S1, cat.rep((0, 0))))
     assert nf.coeff == q_power(2, hom)
@@ -109,8 +131,7 @@ def test_normal_form_agrees_with_decomposition_route():
             tgt = alpha if kind == "K" else beta
             for j in range(2):
                 tgt[j] += coords[j]
-        assert nf.alpha == tuple(alpha)
-        assert nf.beta == tuple(beta)
+        assert nf.g == (tuple(alpha), tuple(beta))
 
 
 def test_product2_unit():
@@ -266,10 +287,9 @@ def test_freeness_relation_seeded():
         P = rng.choice((cat.projective(1), cat.projective(2)))
         K = make_KP(cat, P) if rng.random() < 0.5 else make_KPstar(cat, P)
         lhs = alg.element_of(direct_sum([K, X]))
-        knf = alg.normal_form(K)
-        g = (knf.alpha, knf.beta)
+        g = alg.normal_form(K).g
         rhs = alg.product2(alg.torus_term(g), alg.element_of(X)).scale_scalar(
-            q_power(2, alg.exp_g_R(g, alg.normal_form(X).key)))
+            q_power(2, alg.exp_g_Y(g, alg.rep_of_key(alg.normal_form(X).key))))
         assert (lhs - rhs).is_zero()
 
 
