@@ -13,11 +13,11 @@ complex is sdhz.CxB.  Both expose one protocol:
                       and the per-vertex matrices mats[m] of d^m
 
 Cx2Tools solves chain maps, homotopies, homology, extension classes and their
-middle terms through this protocol alone.  The contractible complexes K_P and
-K_P*, minimal projective-component representatives of quasi-isomorphism
-classes, sub- and quotient complexes and Krull-Schmidt decomposition of Z/2
-complexes also live here; the semi-derived algebras are in sdh (the core of
-both), sdh2 and sdhz.
+middle terms, and builds sub- and quotient complexes, through this protocol
+alone.  The contractible complexes K_P and K_P*, minimal projective-component
+representatives of quasi-isomorphism classes, sub-complex enumeration and
+Krull-Schmidt decomposition of Z/2 complexes also live here; the semi-derived
+algebras are in sdh (the core of both), sdh2 and sdhz.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .linalg import (
     echelon_subspaces,
     gaussian_binomial,
     split_flat,
-    subspace_contains,
 )
 from .reps import (
     DECOMPOSE_DIM_GUARD,
@@ -47,6 +46,8 @@ from .reps import (
     check_count,
     check_dim,
     check_scan,
+    corestrict,
+    maps_into,
 )
 
 
@@ -200,50 +201,21 @@ def direct_sum(parts: list):
 
 def _homology_at(cat: RepCategory, comp: Rep, d_out: RepMorphism, d_in: RepMorphism) -> Rep:
     """ker d_out / im d_in at one component."""
-    ker = cat.kernel_subspaces(d_out)
-    K, incl = cat.sub_rep(comp, ker)
-    # express the image of d_in inside kernel coordinates
-    rows_by_vertex = []
-    for i in range(cat.quiver.n):
-        BT = incl.mats[i]  # comp.dim x K.dim, columns are the kernel basis
-        img_rows = []
-        for c in range(d_in.mats[i].cols):
-            col = tuple(d_in.mats[i].data[r][c] for r in range(d_in.mats[i].rows))
-            y = BT.solve(col)
-            if y is None:
-                raise ShapeError("image not inside kernel (engine bug)")
-            img_rows.append(y)
-        if img_rows:
-            R, piv = FpMatrix(cat.p, img_rows, cols=K.dim[i]).rref()
-            rows_by_vertex.append(tuple(R.data[k] for k in range(len(piv))))
-        else:
-            rows_by_vertex.append(())
-    H, _ = cat.quotient(K, tuple(rows_by_vertex))
-    return H
+    K, incl = cat.sub_rep(comp, cat.kernel_subspaces(d_out))
+    d_in = corestrict(d_in, incl)
+    if d_in is None:
+        raise ShapeError("image not inside kernel (engine bug)")
+    return cat.quotient(K, cat.image_subspaces(d_in))[0]
 
 
 def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
-    """Minimal projective-component complex with homology (A, B).
-
-    Built from the minimal projective resolutions: the A-part is
-    (deg0: P0(A), deg1: P1(A), d1 = inclusion, d0 = 0); the B-part is the
-    same for B, shifted.
-    """
-    P1A, P0A, iA, _ = cat.min_proj_resolution(A)
-    P1B, P0B, iB, _ = cat.min_proj_resolution(B)
-    p = cat.p
-    n = cat.quiver.n
-    M0 = cat.direct_sum([P0A, P1B])
-    M1 = cat.direct_sum([P1A, P0B])
-    d0 = RepMorphism(M0, M1, [FpMatrix.block(p, [
-        [FpMatrix.zero(p, P1A.dim[i], P0A.dim[i]), FpMatrix.zero(p, P1A.dim[i], P1B.dim[i])],
-        [FpMatrix.zero(p, P0B.dim[i], P0A.dim[i]), -iB.mats[i]],
-    ]) for i in range(n)])
-    d1 = RepMorphism(M1, M0, [FpMatrix.block(p, [
-        [iA.mats[i], FpMatrix.zero(p, P0A.dim[i], P0B.dim[i])],
-        [FpMatrix.zero(p, P1B.dim[i], P1A.dim[i]), FpMatrix.zero(p, P1B.dim[i], P0B.dim[i])],
-    ]) for i in range(n)])
-    return Cx2(cat, M0, M1, d0, d1)
+    """Minimal projective-component complex with homology (A, B): res(A)
+    plus the shift of res(B), where res(H) = (P0(H) <-> P1(H)) with d0 = 0
+    and d1 the inclusion of the minimal projective resolution of H."""
+    def res(H):
+        P1, P0, incl, _ = cat.min_proj_resolution(H)
+        return Cx2(cat, P0, P1, zero_morphism(cat, P0, P1), incl)
+    return direct_sum([res(A), res(B).shift()])
 
 
 # ----------------------------------------------------------------------
@@ -460,58 +432,31 @@ class Cx2Tools:
         self._aut_cache[ck] = n
         return n
 
-    def sub_complex(self, X: Cx2, U0, U1) -> Cx2:
-        cat = self.cat
-        S0, i0 = cat.sub_rep(X.M0, U0)
-        S1, i1 = cat.sub_rep(X.M1, U1)
-        d0 = self._restrict(X.d0, S0, i0, S1, i1)
-        d1 = self._restrict(X.d1, S1, i1, S0, i0)
-        return Cx2(cat, S0, S1, d0, d1)
-
-    def _restrict(self, d: RepMorphism, Sdom: Rep, idom: RepMorphism,
-                  Scod: Rep, icod: RepMorphism) -> RepMorphism:
-        cat = self.cat
-        mats = []
-        for i in range(cat.quiver.n):
-            cols = []
-            for c in range(Sdom.dim[i]):
-                col = tuple(idom.mats[i].data[r][c] for r in range(idom.mats[i].rows))
-                img = d.mats[i].mul_vec(col)
-                y = icod.mats[i].solve(img)
-                if y is None:
+    def sub_complex(self, X, U):
+        """The subcomplex on the per-degree subrepresentations with echelon
+        row bases U[m], differentials corestricted."""
+        subs = {m: self.cat.sub_rep(X.component(m), U[m]) for m in X.degrees()}
+        mats = {}
+        for m in X.degrees():
+            if X.degree(m + 1) in subs:
+                d = corestrict(X.diff(m).compose(subs[m][1]), subs[X.degree(m + 1)][1])
+                if d is None:
                     raise ShapeError("subspaces not differential-stable")
-                cols.append(y)
-            mats.append(FpMatrix.from_columns(cat.p, cols, Scod.dim[i])
-                        if cols else FpMatrix.zero(cat.p, Scod.dim[i], 0))
-        return RepMorphism(Sdom, Scod, mats)
+                mats[m] = d.mats
+        return X.like({m: S for m, (S, _) in subs.items()}, mats)
 
-    def quotient_complex(self, X: Cx2, U0, U1) -> Cx2:
+    def quotient_complex(self, X, U):
+        """The quotient complex by the per-degree subrepresentations with
+        echelon row bases U[m]; the induced differential is p o d o section."""
         cat = self.cat
-        Q0, p0 = cat.quotient(X.M0, U0)
-        Q1, p1 = cat.quotient(X.M1, U1)
-        # induced differentials: solve p o d = dbar o p via sections
-        d0 = self._induce_quotient(X.d0, X.M0, Q0, p0, Q1, p1)
-        d1 = self._induce_quotient(X.d1, X.M1, Q1, p1, Q0, p0)
-        return Cx2(cat, Q0, Q1, d0, d1)
-
-    def _induce_quotient(self, d: RepMorphism, dom: Rep, Qdom: Rep,
-                         pdom: RepMorphism, Qcod: Rep, pcod: RepMorphism) -> RepMorphism:
-        cat = self.cat
-        mats = []
-        for i in range(cat.quiver.n):
-            # a section of pdom: for each quotient basis vector pick a preimage
-            cols = []
-            for c in range(Qdom.dim[i]):
-                e = [0] * Qdom.dim[i]
-                e[c] = 1
-                x = pdom.mats[i].solve(e)
-                if x is None:
-                    raise ShapeError("projection not surjective (engine bug)")
-                img = d.mats[i].mul_vec(x)
-                cols.append(pcod.mats[i].mul_vec(img))
-            mats.append(FpMatrix.from_columns(cat.p, cols, Qcod.dim[i])
-                        if cols else FpMatrix.zero(cat.p, Qcod.dim[i], 0))
-        return RepMorphism(Qdom, Qcod, mats)
+        quos = {m: cat.quotient(X.component(m), U[m]) for m in X.degrees()}
+        mats = {}
+        for m in X.degrees():
+            if X.degree(m + 1) in quos:
+                proj = quos[X.degree(m + 1)][1]
+                sec = cat.quotient_section(X.component(m), U[m])
+                mats[m] = [e @ d @ s for e, d, s in zip(proj.mats, X.diff(m).mats, sec)]
+        return X.like({m: Qm for m, (Qm, _) in quos.items()}, mats)
 
     def sub_complexes_with_dims(self, X: Cx2, d0dims, d1dims) -> list:
         """All subcomplexes with prescribed per-vertex dimensions (both degrees)."""
@@ -527,19 +472,10 @@ class Cx2Tools:
                 for i in range(cat.quiver.n)]
         per1 = [list(echelon_subspaces(p, X.M1.dim[i], d1dims[i]))
                 for i in range(cat.quiver.n)]
-        out = []
-        for U0 in product(*per0):
-            if not _arrow_stable(cat, X.M0, U0):
-                continue
-            for U1 in product(*per1):
-                if not _arrow_stable(cat, X.M1, U1):
-                    continue
-                if not _map_into(cat, X.d0, U0, U1):
-                    continue
-                if not _map_into(cat, X.d1, U1, U0):
-                    continue
-                out.append((U0, U1))
-        return out
+        stable1 = [U1 for U1 in product(*per1) if cat.is_stable(X.M1, U1)]
+        return [(U0, U1) for U0 in product(*per0) if cat.is_stable(X.M0, U0)
+                for U1 in stable1
+                if maps_into(p, X.d0.mats, U0, U1) and maps_into(p, X.d1.mats, U1, U0)]
 
     def decompose2(self, X: Cx2) -> list:
         """Indecomposable direct summands (concrete complexes), by idempotent scan."""
@@ -554,9 +490,9 @@ class Cx2Tools:
             if not any(flat) or flat == one.entries_flat():
                 continue
             if f.compose(f).entries_flat() == flat:
-                Xa = self.sub_complex(X, *(cat.image_subspaces(f.maps[b]) for b in (0, 1)))
-                Xb = self.sub_complex(X, *(cat.image_subspaces(one.maps[b] + (-f.maps[b]))
-                                           for b in (0, 1)))
+                Xa = self.sub_complex(X, tuple(cat.image_subspaces(f.maps[b]) for b in (0, 1)))
+                Xb = self.sub_complex(X, tuple(cat.image_subspaces(one.maps[b] + (-f.maps[b]))
+                                               for b in (0, 1)))
                 if Xa.total_dim() + Xb.total_dim() != X.total_dim():
                     raise ShapeError("idempotent split mismatch (engine bug)")
                 return self.decompose2(Xa) + self.decompose2(Xb)
@@ -575,21 +511,3 @@ class Cx2Tools:
         if d0zero and not d1zero:
             return ("K*", Z.M1)
         raise ShapeError("acyclic indecomposable with both differentials nonzero")
-
-
-def _arrow_stable(cat: RepCategory, M: Rep, U) -> bool:
-    for a, (s, t) in enumerate(cat.quiver.arrows):
-        rows_t = list(U[t - 1])
-        for row in U[s - 1]:
-            if not subspace_contains(cat.p, rows_t, M.maps[a].mul_vec(row)):
-                return False
-    return True
-
-
-def _map_into(cat: RepCategory, d: RepMorphism, Usrc, Udst) -> bool:
-    for i in range(cat.quiver.n):
-        rows_dst = list(Udst[i])
-        for row in Usrc[i]:
-            if not subspace_contains(cat.p, rows_dst, d.mats[i].mul_vec(row)):
-                return False
-    return True

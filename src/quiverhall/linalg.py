@@ -193,26 +193,36 @@ class FpMatrix:
         return basis
 
     def solve(self, rhs: Iterable[int]) -> Optional[tuple]:
-        """Some x with M x = rhs, or None when inconsistent.
-
-        Free variables are set to 0 in echelon order, so the representative
-        is deterministic.
-        """
-        b = tuple(int(x) % self.p for x in rhs)
+        """Some x with M x = rhs, or None when inconsistent (see solve_matrix)."""
+        b = [(int(x) % self.p,) for x in rhs]
         if len(b) != self.rows:
             raise ShapeError("rhs length mismatch")
-        aug = FpMatrix(self.p, [list(row) + [b[i]] for i, row in enumerate(self.data)],
-                       cols=self.cols + 1)
-        R, pivots = aug.rref()
-        if self.cols in pivots:
+        X = self.solve_matrix(FpMatrix._trusted(self.p, b, 1))
+        return None if X is None else tuple(row[0] for row in X.data)
+
+    def solve_matrix(self, B: "FpMatrix") -> Optional["FpMatrix"]:
+        """Some X with M X = B, or None when some column is inconsistent.
+
+        One elimination of [M | B], none when B has no columns.  Free
+        variables are set to 0 in echelon order, so X is deterministic, and
+        each column is the one solve would give for it alone.
+        """
+        if B.rows != self.rows:
+            raise ShapeError("rhs length mismatch")
+        n, k = self.cols, B.cols
+        if k == 0:
+            return FpMatrix.zero(self.p, n, 0)
+        R, pivots = FpMatrix._trusted(self.p, [a + b for a, b in zip(self.data, B.data)],
+                                      n + k).rref()
+        if pivots and pivots[-1] >= n:
             return None
-        x = [0] * self.cols
+        X = [(0,) * k] * n
         for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.cols]
-        return tuple(x)
+            X[pc] = R.data[r][n:]
+        return FpMatrix._trusted(self.p, X, k)
 
     def column_space_basis(self) -> list:
-        """Echelonized basis of the column space, as column vectors."""
+        """The reduced echelon basis of the column space, as column vectors."""
         Rt, pivots = self.transpose().rref()
         return [tuple(Rt.data[i]) for i in range(len(pivots))]
 
@@ -320,13 +330,10 @@ def coset_points(p: int, basis, sub):
     """
     t = len(basis)
     Bmat = FpMatrix.from_columns(p, basis, len(basis[0]) if basis else 0)
-    coords = []
-    for v in sub:
-        y = Bmat.solve(v)
-        if y is None:
-            raise ShapeError("subspace outside the span of the basis (engine bug)")
-        coords.append(y)
-    pivots = set(FpMatrix(p, coords, cols=t).rref()[1]) if coords else set()
+    coords = Bmat.solve_matrix(FpMatrix.from_columns(p, sub, Bmat.rows))
+    if coords is None:
+        raise ShapeError("subspace outside the span of the basis (engine bug)")
+    pivots = set(coords.transpose().rref()[1]) if sub else set()
     free = [j for j in range(t) if j not in pivots]
     for vals, weight in projective_points(p, len(free)):
         coeffs = [0] * t

@@ -159,15 +159,6 @@ class SinkReflection:
     def reflect_rep(self, M: Rep) -> Rep:
         return self.cat.reflect_sink(self.sink, M, self.cat2)
 
-    def _kernel_basis_matrix(self, M: Rep) -> FpMatrix:
-        Q = self.cat.quiver
-        blocks = [M.maps[a] for a in self.incoming]
-        phi = FpMatrix.hstack(blocks) if blocks else FpMatrix.zero(self.cat.p, M.dim[self.sink - 1], 0)
-        ker = phi.kernel_basis()
-        ncols = phi.cols
-        return FpMatrix.from_columns(self.cat.p, ker, ncols) if ker \
-            else FpMatrix.zero(self.cat.p, ncols, 0)
-
     def reflect_morphism(self, f: RepMorphism) -> RepMorphism:
         """Induced morphism between the reflected representations."""
         M2 = self.reflect_rep(f.dom)
@@ -178,8 +169,8 @@ class SinkReflection:
             if v != self.sink:
                 mats.append(f.mats[v - 1])
                 continue
-            KM = self._kernel_basis_matrix(f.dom)
-            KN = self._kernel_basis_matrix(f.cod)
+            KM = self.cat.sink_kernel(self.sink, f.dom)
+            KN = self.cat.sink_kernel(self.sink, f.cod)
             blocks = []
             for kk, sk in enumerate(self.sources):
                 row = []
@@ -191,16 +182,10 @@ class SinkReflection:
                                                  f.dom.dim[sj - 1]))
                 blocks.append(row)
             big = FpMatrix.block(p, blocks) if blocks else FpMatrix.zero(p, 0, 0)
-            cols = []
-            for c in range(KM.cols):
-                col = tuple(KM.data[r][c] for r in range(KM.rows))
-                img = big.mul_vec(col)
-                y = KN.solve(img)
-                if y is None:
-                    raise ShapeError("reflected morphism leaves the kernel (engine bug)")
-                cols.append(y)
-            mats.append(FpMatrix.from_columns(p, cols, KN.cols)
-                        if cols else FpMatrix.zero(p, KN.cols, 0))
+            m = KN.solve_matrix(big @ KM)
+            if m is None:
+                raise ShapeError("reflected morphism leaves the kernel (engine bug)")
+            mats.append(m)
         return RepMorphism(M2, N2, mats)
 
     # -- lattice transport --------------------------------------------------

@@ -155,12 +155,13 @@ class RepMorphism:
 class IsoClassKey:
     """Interned key for an isomorphism class; holds a canonical representative."""
 
-    __slots__ = ("sig", "rep", "label")
+    __slots__ = ("sig", "rep", "label", "_hash")
 
     def __init__(self, sig, rep, label):
         self.sig = sig
         self.rep = rep
         self.label = label
+        self._hash = hash(sig)   # tuples do not cache theirs
 
     @property
     def dim(self):
@@ -170,7 +171,7 @@ class IsoClassKey:
         return isinstance(other, IsoClassKey) and self.sig == other.sig
 
     def __hash__(self):
-        return hash(self.sig)
+        return self._hash
 
     def __lt__(self, other):
         return self.sig < other.sig
@@ -426,79 +427,54 @@ class RepCategory:
     def sub_rep(self, C: Rep, U) -> tuple:
         """Subrepresentation on the row bases U=(U_1..U_n); returns (rep, inclusion)."""
         p = self.p
-        Q = self.quiver
-        bases = [FpMatrix(p, u, cols=C.dim[i]) if u else FpMatrix.zero(p, 0, C.dim[i])
-                 for i, u in enumerate(U)]
-        dims = tuple(b.rows for b in bases)
+        incl = [FpMatrix(p, u, cols=C.dim[i]).transpose() if u else FpMatrix.zero(p, C.dim[i], 0)
+                for i, u in enumerate(U)]
         mats = []
-        for a, (s, t) in enumerate(Q.arrows):
-            Bs, Bt = bases[s - 1], bases[t - 1]
-            cols = []
-            BtT = Bt.transpose()
-            for r in range(Bs.rows):
-                img = C.maps[a].mul_vec(Bs.data[r])
-                y = BtT.solve(img)
-                if y is None:
-                    raise NotASubmodule("subspaces not stable under arrow maps")
-                cols.append(y)
-            mats.append(FpMatrix.from_columns(p, cols, dims[t - 1])
-                        if cols else FpMatrix.zero(p, dims[t - 1], 0))
-        sub = Rep(Q, p, dims, mats)
-        incl = RepMorphism(sub, C, [b.transpose() for b in bases])
-        return sub, incl
+        for a, (s, t) in enumerate(self.quiver.arrows):
+            m = incl[t - 1].solve_matrix(C.maps[a] @ incl[s - 1])
+            if m is None:
+                raise NotASubmodule("subspaces not stable under arrow maps")
+            mats.append(m)
+        sub = Rep(self.quiver, p, tuple(e.cols for e in incl), mats)
+        return sub, RepMorphism(sub, C, incl)
+
+    def is_stable(self, C: Rep, U) -> bool:
+        """Whether the echelon row bases U = (U_1..U_n) span a subrepresentation of C."""
+        arrows = self.quiver.arrows
+        return maps_into(self.p, C.maps, [U[s - 1] for s, _ in arrows],
+                         [U[t - 1] for _, t in arrows])
+
+    def quotient_section(self, C: Rep, U) -> list:
+        """Per vertex, the unit columns at the positions that lead no row of the
+        echelon basis U_i: a section of the projection of quotient(C, U)."""
+        out = []
+        for i, d in enumerate(C.dim):
+            free = _free_positions(U[i], d)
+            out.append(FpMatrix._trusted(self.p, [[int(j == k) for k in free] for j in range(d)],
+                                         len(free)))
+        return out
 
     def quotient(self, C: Rep, U) -> tuple:
-        """Quotient of C by the subrepresentation with row bases U; (rep, projection)."""
+        """Quotient of C by the subrepresentation with echelon row bases U;
+        (rep, projection).  The projection sends a vector to its reduction
+        against U_i, read at the positions quotient_section takes as units."""
+        if not self.is_stable(C, U):
+            raise NotASubmodule("subspaces not stable under arrow maps")
         p = self.p
-        Q = self.quiver
-        # Validate stability first.
-        for a, (s, t) in enumerate(Q.arrows):
-            for row in U[s - 1]:
-                img = C.maps[a].mul_vec(row)
-                if not subspace_contains(p, list(U[t - 1]), img):
-                    raise NotASubmodule("subspaces not stable under arrow maps")
         projs = []
-        sections = []
-        dims = []
-        for i in range(Q.n):
-            rows = list(U[i])
-            pivots = set()
-            for row in rows:
-                lead = next((j for j, a in enumerate(row) if a), None)
-                if lead is not None:
-                    pivots.add(lead)
-            nonpiv = [j for j in range(C.dim[i]) if j not in pivots]
-            dims.append(len(nonpiv))
-            pm = []
-            for j in range(C.dim[i]):
-                e = [0] * C.dim[i]
-                e[j] = 1
-                resid = reduce_against_rows(p, rows, e)
-                pm.append([resid[np] for np in nonpiv])
-            proj = FpMatrix(p, [[pm[j][r] for j in range(C.dim[i])]
-                                for r in range(len(nonpiv))], cols=C.dim[i])
-            sec = FpMatrix(p, [[1 if nonpiv[c] == j else 0 for c in range(len(nonpiv))]
-                               for j in range(C.dim[i])], cols=len(nonpiv))
-            projs.append(proj)
-            sections.append(sec)
-        mats = []
-        for a, (s, t) in enumerate(Q.arrows):
-            mats.append(projs[t - 1] @ C.maps[a] @ sections[s - 1])
-        quo = Rep(Q, p, tuple(dims), mats)
-        proj_mor = RepMorphism(C, quo, projs)
-        return quo, proj_mor
+        for i, d in enumerate(C.dim):
+            resid = [reduce_against_rows(p, U[i], e) for e in FpMatrix.identity(p, d).data]
+            projs.append(FpMatrix._trusted(p, [[r[k] for r in resid]
+                                               for k in _free_positions(U[i], d)], d))
+        sections = self.quotient_section(C, U)
+        quo = Rep(self.quiver, p, tuple(m.rows for m in projs),
+                  [projs[t - 1] @ C.maps[a] @ sections[s - 1]
+                   for a, (s, t) in enumerate(self.quiver.arrows)])
+        return quo, RepMorphism(C, quo, projs)
 
     def image_subspaces(self, f: RepMorphism) -> tuple:
         """Per-vertex rref row bases of the image of a morphism."""
-        out = []
-        for i in range(self.quiver.n):
-            cols = f.mats[i].column_space_basis()
-            if cols:
-                R, _ = FpMatrix(self.p, cols, cols=f.cod.dim[i]).rref()
-                out.append(tuple(R.data[:len(cols)]))
-            else:
-                out.append(())
-        return tuple(out)
+        return tuple(tuple(m.column_space_basis()) for m in f.mats)
 
     def kernel_subspaces(self, f: RepMorphism) -> tuple:
         out = []
@@ -670,21 +646,7 @@ class RepCategory:
         check_count("submodule enumeration", count, "subspace tuples")
         per_vertex = [list(echelon_subspaces(self.p, C.dim[i], d[i]))
                       for i in range(self.quiver.n)]
-        out = []
-        for U in product(*per_vertex):
-            ok = True
-            for a, (s, t) in enumerate(self.quiver.arrows):
-                rows_t = list(U[t - 1])
-                for row in U[s - 1]:
-                    img = C.maps[a].mul_vec(row)
-                    if not subspace_contains(self.p, rows_t, img):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(U)
-        return out
+        return [U for U in product(*per_vertex) if self.is_stable(C, U)]
 
     # ------------------------------------------------------------------
     # projective resolutions
@@ -721,16 +683,10 @@ class RepCategory:
         rad = self.radical_subspaces(A)
         cover_data = []  # (vertex i, lift vector w in A_i)
         for i in range(Q.n):
-            pivots = set()
-            for row in rad[i]:
-                lead = next((j for j, a in enumerate(row) if a), None)
-                if lead is not None:
-                    pivots.add(lead)
-            for j in range(A.dim[i]):
-                if j not in pivots:
-                    w = [0] * A.dim[i]
-                    w[j] = 1
-                    cover_data.append((i + 1, tuple(w)))
+            for j in _free_positions(rad[i], A.dim[i]):
+                w = [0] * A.dim[i]
+                w[j] = 1
+                cover_data.append((i + 1, tuple(w)))
         summands = [self.projective(i) for i, _w in cover_data]
         P0 = self.direct_sum(summands)
         # Assemble proj: P0 -> A columnwise over path bases.
@@ -768,35 +724,32 @@ class RepCategory:
             raise PreconditionError(f"vertex {i} is not a sink")
         if target.quiver != Q.reflect_at_sink(i) or target.p != self.p:
             raise CategoryMismatch("target category is not the reflected quiver")
-        incoming = Q.arrows_into(i)
-        blocks = [M.maps[a] for a in incoming]
-        if blocks:
-            phi = FpMatrix.hstack(blocks)
-        else:
-            phi = FpMatrix.zero(self.p, M.dim[i - 1], 0)
-        if phi.rank() != M.dim[i - 1]:
+        K = self.sink_kernel(i, M)
+        if K.rows - K.cols != M.dim[i - 1]:   # the rank of the incoming map
             raise NotInSubcategory(f"representation has the simple at sink {i} as a summand")
-        ker = phi.kernel_basis()
         new_dim = list(M.dim)
-        new_dim[i - 1] = len(ker)
+        new_dim[i - 1] = K.cols
         offsets = {}
         off = 0
-        for a in incoming:
-            s = Q.arrows[a][0]
+        for a in Q.arrows_into(i):
             offsets[a] = off
-            off += M.dim[s - 1]
+            off += M.dim[Q.arrows[a][0] - 1]
         mats = []
         for a, (s, t) in enumerate(Q.arrows):
             if t == i:
-                # reversed arrow i -> s: project kernel vectors to the a-block
-                ssz = M.dim[s - 1]
+                # reversed arrow i -> s: the a-block of the kernel vectors
                 o = offsets[a]
-                cols = [tuple(v[o:o + ssz]) for v in ker]
-                mats.append(FpMatrix.from_columns(self.p, cols, ssz)
-                            if cols else FpMatrix.zero(self.p, ssz, 0))
+                mats.append(FpMatrix._trusted(self.p, K.data[o:o + M.dim[s - 1]], K.cols))
             else:
                 mats.append(M.maps[a])
         return Rep(target.quiver, self.p, tuple(new_dim), mats)
+
+    def sink_kernel(self, i: int, M: Rep) -> FpMatrix:
+        """Kernel of (X_a)_a: (+)_{a: s -> i} M_s -> M_i over the arrows into
+        i, as the matrix whose columns are its echelonized basis."""
+        blocks = [M.maps[a] for a in self.quiver.arrows_into(i)]
+        phi = FpMatrix.hstack(blocks) if blocks else FpMatrix.zero(self.p, M.dim[i - 1], 0)
+        return FpMatrix.from_columns(self.p, phi.kernel_basis(), phi.cols)
 
     # ------------------------------------------------------------------
     # enumeration of isomorphism classes
@@ -892,6 +845,28 @@ class ProjectiveCoords:
                     if bk:
                         e += aj * bk * self.hom_pp[j][k]
         return e
+
+
+def maps_into(p: int, maps, src, dst) -> bool:
+    """Whether each maps[k] sends the span of the echelon rows src[k] into the
+    span of dst[k]: the one stability test of sub-objects."""
+    return all(subspace_contains(p, rows_t, m.mul_vec(row))
+               for m, rows_s, rows_t in zip(maps, src, dst) for row in rows_s)
+
+
+def corestrict(f: RepMorphism, incl: RepMorphism) -> Optional[RepMorphism]:
+    """The g with incl o g = f, for an inclusion incl (full column rank at
+    every vertex), or None when f does not factor through it."""
+    mats = [e.solve_matrix(m) for e, m in zip(incl.mats, f.mats)]
+    if any(m is None for m in mats):
+        return None
+    return RepMorphism(f.dom, incl.dom, mats)
+
+
+def _free_positions(rows, n: int) -> list:
+    """The positions in range(n) that lead none of the echelon rows."""
+    leads = {next((j for j, a in enumerate(row) if a), None) for row in rows}
+    return [j for j in range(n) if j not in leads]
 
 
 def _gl_order(n: int, p: int) -> int:

@@ -27,7 +27,7 @@ from .errors import (
     WindowExceeded,
 )
 from .linalg import FpMatrix
-from .reps import Rep, RepCategory, RepMorphism
+from .reps import Rep, RepCategory, RepMorphism, corestrict
 from .scalars import CoeffScalar, LinComb, q_power, v_power
 from .sdh import SemiDerivedAlgebra
 
@@ -205,19 +205,10 @@ def tau_top_split(cat: RepCategory, K: CxB) -> tuple:
         diffs.append(K.diff(m))
     if hi - 1 > K.lo:
         # corestrict d^{hi-2} to the kernel of d^{hi-1}
-        prev = K.diff(hi - 2)
-        mats = []
-        for i in range(cat.quiver.n):
-            cols = []
-            for c in range(prev.mats[i].cols):
-                col = tuple(prev.mats[i].data[r][c] for r in range(prev.mats[i].rows))
-                y = incl.mats[i].solve(col)
-                if y is None:
-                    raise ShapeError("image not inside kernel: complex not acyclic")
-                cols.append(y)
-            mats.append(FpMatrix.from_columns(cat.p, cols, Ksub.dim[i])
-                        if cols else FpMatrix.zero(cat.p, Ksub.dim[i], 0))
-        diffs.append(RepMorphism(K.component(hi - 2), Ksub, mats))
+        prev = corestrict(K.diff(hi - 2), incl)
+        if prev is None:
+            raise ShapeError("image not inside kernel: complex not acyclic")
+        diffs.append(prev)
     sub = CxB(cat, K.lo, comps, diffs)
     return sub, top
 

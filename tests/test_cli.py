@@ -118,6 +118,10 @@ def test_negative_bound_exit_two(quiver_files, capsys):
      "a199a55d04973cf94ea25a045e103ac1ad38fa3bee98454acbd74cfe2818ebd5"),
     ("a2", 3, ["--suite", "quantum-group"],
      "55080bb9c6e1324c3f20dbe3e66ef3f85ee619aadf47a58fd0139878424c7c17"),
+    # Sub-complex counting (sub, quotient and their induced differentials)
+    # on a quiver with more than one vertex.
+    ("a2", 2, ["--suite", "bridgeland-compare"],
+     "947a0088033289377b0d874702d9599ab302fb8018e2a2e63d19f04de1c33d7b"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building

@@ -14,6 +14,7 @@ from quiverhall.errors import SignConventionBroken
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory, RepMorphism
+from quiverhall.sdhz import two_term_cxb
 
 
 def a2(p=2):
@@ -238,12 +239,19 @@ def test_sub_and_quotient_complexes():
     tools = Cx2Tools(cat)
     P = cat.projective(1)
     X = make_KP(cat, P)
+    # its Z-graded fold, with U indexed by degree through the same engine
+    Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
     subs = tools.sub_complexes_with_dims(X, (0, 1), (0, 1))
     assert subs
     for U0, U1 in subs:
-        S = tools.sub_complex(X, U0, U1)
-        Q = tools.quotient_complex(X, U0, U1)
+        S = tools.sub_complex(X, (U0, U1))
+        Q = tools.quotient_complex(X, (U0, U1))
         assert S.total_dim() + Q.total_dim() == X.total_dim()
+        for Z, Zy in ((S, tools.sub_complex(Y, {0: U0, 1: U1})),
+                      (Q, tools.quotient_complex(Y, {0: U0, 1: U1}))):
+            assert [Zy.component(m).signature() for m in (0, 1)] == \
+                [Z.component(m).signature() for m in (0, 1)]
+            assert Zy.diff(0).mats == Z.d0.mats
 
 
 def test_sign_convention_guard():

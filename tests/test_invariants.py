@@ -6,7 +6,7 @@ from itertools import product
 
 from quiverhall.cx2 import Cx2, middle_term, zero_morphism
 from quiverhall.hall import HallAlgebra
-from quiverhall.linalg import FpMatrix
+from quiverhall.linalg import FpMatrix, reduce_against_rows, subspace_contains
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
 from quiverhall.scalars import LinComb, q_power
@@ -478,3 +478,144 @@ def test_normal_forms_match_grading_specific_oracles():
                 assert alg2.normal_form(X) == _z2_rank_nf(alg2, X), (p, n, X)
             for X in _with_middle_terms(algz.tools, poolz, 4):
                 assert algz.normal_form(X) == _ledger_walk_nf(algz, X), (p, n, X)
+
+
+# Sub-objects, quotients and their induced maps, computed one column at a time
+# as the engine once did: test-local oracles for the matrix solves, the one
+# stability test and the shared quotient section.
+
+
+def _sub_rep_oracle(cat, C, U):
+    p = cat.p
+    bases = [FpMatrix(p, u, cols=C.dim[i]) if u else FpMatrix.zero(p, 0, C.dim[i])
+             for i, u in enumerate(U)]
+    dims = tuple(b.rows for b in bases)
+    mats = []
+    for a, (s, t) in enumerate(cat.quiver.arrows):
+        BtT = bases[t - 1].transpose()
+        cols = [BtT.solve(C.maps[a].mul_vec(row)) for row in bases[s - 1].data]
+        assert None not in cols
+        mats.append(FpMatrix.from_columns(p, cols, dims[t - 1])
+                    if cols else FpMatrix.zero(p, dims[t - 1], 0))
+    sub = Rep(cat.quiver, p, dims, mats)
+    return sub, RepMorphism(sub, C, [b.transpose() for b in bases])
+
+
+def _quotient_oracle(cat, C, U):
+    p = cat.p
+    for a, (s, t) in enumerate(cat.quiver.arrows):
+        for row in U[s - 1]:
+            assert subspace_contains(p, list(U[t - 1]), C.maps[a].mul_vec(row))
+    projs, sections, dims = [], [], []
+    for i in range(cat.quiver.n):
+        rows = list(U[i])
+        pivots = {next(j for j, a in enumerate(row) if a) for row in rows}
+        nonpiv = [j for j in range(C.dim[i]) if j not in pivots]
+        dims.append(len(nonpiv))
+        pm = [[reduce_against_rows(p, rows, [int(k == j) for k in range(C.dim[i])])[np]
+               for np in nonpiv] for j in range(C.dim[i])]
+        projs.append(FpMatrix(p, [[pm[j][r] for j in range(C.dim[i])]
+                                  for r in range(len(nonpiv))], cols=C.dim[i]))
+        sections.append(FpMatrix(p, [[1 if nonpiv[c] == j else 0 for c in range(len(nonpiv))]
+                                     for j in range(C.dim[i])], cols=len(nonpiv)))
+    quo = Rep(cat.quiver, p, tuple(dims),
+              [projs[t - 1] @ C.maps[a] @ sections[s - 1]
+               for a, (s, t) in enumerate(cat.quiver.arrows)])
+    return quo, RepMorphism(C, quo, projs)
+
+
+def _restrict_oracle(cat, d, Sdom, idom, Scod, icod):
+    mats = []
+    for i in range(cat.quiver.n):
+        cols = []
+        for c in range(Sdom.dim[i]):
+            col = tuple(idom.mats[i].data[r][c] for r in range(idom.mats[i].rows))
+            y = icod.mats[i].solve(d.mats[i].mul_vec(col))
+            assert y is not None
+            cols.append(y)
+        mats.append(FpMatrix.from_columns(cat.p, cols, Scod.dim[i])
+                    if cols else FpMatrix.zero(cat.p, Scod.dim[i], 0))
+    return RepMorphism(Sdom, Scod, mats)
+
+
+def _induce_quotient_oracle(cat, d, Qdom, pdom, Qcod, pcod):
+    mats = []
+    for i in range(cat.quiver.n):
+        cols = []
+        for c in range(Qdom.dim[i]):
+            x = pdom.mats[i].solve([int(k == c) for k in range(Qdom.dim[i])])
+            assert x is not None
+            cols.append(pcod.mats[i].mul_vec(d.mats[i].mul_vec(x)))
+        mats.append(FpMatrix.from_columns(cat.p, cols, Qcod.dim[i])
+                    if cols else FpMatrix.zero(cat.p, Qcod.dim[i], 0))
+    return RepMorphism(Qdom, Qcod, mats)
+
+
+def _homology_at_oracle(cat, comp, d_out, d_in):
+    K, incl = _sub_rep_oracle(cat, comp, cat.kernel_subspaces(d_out))
+    rows_by_vertex = []
+    for i in range(cat.quiver.n):
+        img_rows = []
+        for c in range(d_in.mats[i].cols):
+            y = incl.mats[i].solve([d_in.mats[i].data[r][c] for r in range(d_in.mats[i].rows)])
+            assert y is not None
+            img_rows.append(y)
+        R, piv = FpMatrix(cat.p, img_rows, cols=K.dim[i]).rref() if img_rows else (None, ())
+        rows_by_vertex.append(tuple(R.data[k] for k in range(len(piv))))
+    return _quotient_oracle(cat, K, tuple(rows_by_vertex))[0]
+
+
+def test_sub_objects_quotients_and_homology_match_columnwise_oracles():
+    """Sub-complexes and quotient complexes of the bridgeland-compare middles,
+    homology of the pool complexes, of their middles and of their Z-graded
+    two-term folds, and sub_rep and quotient on every submodule of the
+    bound-3 iso classes: identical signatures to the one-column oracles."""
+    counts = Counter()
+    for p in (2, 3):
+        for cat in _a1_a2(p):
+            alg = SDH2Algebra(cat)
+            tools = alg.tools
+            pool = proj_complex_pool(alg, 3)
+            middles = {}
+            for L, M in _ext_pairs(pool, 4):
+                for _f, X, _w in tools.ext1_classes_proj(L, M):
+                    for U0, U1 in tools.sub_complexes_with_dims(X, M.M0.dim, M.M1.dim):
+                        S = tools.sub_complex(X, (U0, U1))
+                        (S0, i0), (S1, i1) = (_sub_rep_oracle(cat, X.M0, U0),
+                                              _sub_rep_oracle(cat, X.M1, U1))
+                        assert S.signature() == Cx2(
+                            cat, S0, S1, _restrict_oracle(cat, X.d0, S0, i0, S1, i1),
+                            _restrict_oracle(cat, X.d1, S1, i1, S0, i0)).signature()
+                        Qc = tools.quotient_complex(X, (U0, U1))
+                        (Q0, p0), (Q1, p1) = (_quotient_oracle(cat, X.M0, U0),
+                                              _quotient_oracle(cat, X.M1, U1))
+                        assert Qc.signature() == Cx2(
+                            cat, Q0, Q1, _induce_quotient_oracle(cat, X.d0, Q0, p0, Q1, p1),
+                            _induce_quotient_oracle(cat, X.d1, Q1, p1, Q0, p0)).signature()
+                        counts["sub-complexes"] += 1
+                    middles[X.signature()] = X
+            folds = [Y for X in pool if not X.is_zero()
+                     for Y in (two_term_cxb(cat, 0, X.M0, X.M1, X.d0),
+                               two_term_cxb(cat, 0, X.M0, X.M1, X.d0).shift(1))]
+            for X in pool + list(middles.values()) + folds:
+                H = tools.homology(X)
+                assert {m: H[m].signature() for m in X.degrees()} == {
+                    m: _homology_at_oracle(cat, X.component(m), X.diff(m),
+                                           X.diff(m - 1)).signature()
+                    for m in X.degrees()}
+                counts["homology"] += 1
+            for key in cat.iso_classes_up_to(3):
+                C = key.rep
+                for d in product(*(range(c + 1) for c in C.dim)):
+                    for U in cat.submodules_with_dim(C, d):
+                        S, incl = cat.sub_rep(C, U)
+                        S_o, incl_o = _sub_rep_oracle(cat, C, U)
+                        assert (S.signature(), incl.entries_flat()) == \
+                            (S_o.signature(), incl_o.entries_flat())
+                        Qt, proj = cat.quotient(C, U)
+                        Qt_o, proj_o = _quotient_oracle(cat, C, U)
+                        assert (Qt.signature(), proj.entries_flat()) == \
+                            (Qt_o.signature(), proj_o.entries_flat())
+                        counts["submodules"] += 1
+    assert counts["sub-complexes"] > 100 and counts["homology"] > 100 \
+        and counts["submodules"] > 100, counts

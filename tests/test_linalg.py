@@ -91,6 +91,38 @@ def test_solve_shape_error():
         FpMatrix.block(2, [[FpMatrix.identity(2, 2)], [FpMatrix.identity(2, 1)]])
 
 
+def test_solve_matrix_matches_columnwise_solve():
+    """One elimination of [A | B] gives each column that solve gives alone,
+    and None exactly when some column is inconsistent."""
+    rng = random.Random(11)
+    shapes = [(0, 3, 2), (3, 0, 2), (0, 0, 2), (3, 4, 0), (0, 3, 0), (0, 0, 0)]
+    shapes += [(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)) for _ in range(300)]
+    seen = set()
+    for r, c, k in shapes:
+        p = rng.choice((2, 3, 5))
+        inner = rng.randint(0, min(r, c))   # rank at most inner
+        A = (FpMatrix(p, [[rng.randrange(p) for _ in range(inner)] for _ in range(r)], cols=inner)
+             @ FpMatrix(p, [[rng.randrange(p) for _ in range(c)] for _ in range(inner)], cols=c))
+        if rng.random() < 0.5:
+            B = A @ FpMatrix(p, [[rng.randrange(p) for _ in range(k)] for _ in range(c)], cols=k)
+        else:
+            B = FpMatrix(p, [[rng.randrange(p) for _ in range(k)] for _ in range(r)], cols=k)
+        cols = [A.solve(col) for col in B.transpose().data]
+        X = A.solve_matrix(B)
+        if None in cols:
+            assert X is None, (A, B)
+            seen.add("inconsistent")
+        else:
+            assert X == FpMatrix.from_columns(p, cols, c), (A, B)
+            assert A @ X == B
+            seen.add("consistent")
+        if A.rank() < min(r, c):
+            seen.add("rank-deficient")
+    assert seen == {"consistent", "inconsistent", "rank-deficient"}
+    with pytest.raises(ShapeError):
+        FpMatrix.identity(2, 2).solve_matrix(FpMatrix.zero(2, 3, 1))
+
+
 def test_rank_nullity_seeded():
     rng = random.Random(3)
     for _ in range(200):
