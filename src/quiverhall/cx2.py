@@ -15,9 +15,10 @@ complex is sdhz.CxB.  Both expose one protocol:
 Cx2Tools solves chain maps, homotopies, homology, extension classes and their
 middle terms, and builds sub- and quotient complexes, through this protocol
 alone.  The contractible complexes K_P and K_P*, minimal projective-component
-representatives of quasi-isomorphism classes, sub-complex enumeration and
-Krull-Schmidt decomposition of Z/2 complexes also live here; the semi-derived
-algebras are in sdh (the core of both), sdh2 and sdhz.
+representatives of quasi-isomorphism classes and sub-complex enumeration
+also live here; Krull-Schmidt decomposition and hom-space counts are those of
+reps.KrullSchmidt.  The semi-derived algebras are in sdh (the core of both),
+sdh2 and sdhz.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .linalg import (
 )
 from .reps import (
     DECOMPOSE_DIM_GUARD,
+    KrullSchmidt,
     Rep,
     RepCategory,
     RepMorphism,
@@ -47,6 +49,7 @@ from .reps import (
     check_dim,
     check_scan,
     corestrict,
+    intertwiners,
     maps_into,
 )
 
@@ -137,6 +140,9 @@ class ChainMorphism:
             self._flat = tuple(x for s in self.maps.values() for x in s.entries_flat())
         return self._flat
 
+    def is_zero(self) -> bool:
+        return all(s.is_zero() for s in self.maps.values())
+
     def is_isomorphism(self) -> bool:
         return (_dims(self.dom) == _dims(self.cod)
                 and all(s.is_isomorphism() for s in self.maps.values()))
@@ -222,12 +228,15 @@ def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
 # chain maps, homotopies, extensions
 
 
-class Cx2Tools:
+class Cx2Tools(KrullSchmidt):
     """Caches and linear-algebra routines for complexes of either grading over
     one category, through the protocol of the module docstring."""
 
+    scan_prefix = "complex "
+
     def __init__(self, cat: RepCategory):
         self.cat = cat
+        self.p = cat.p
         self._chain_cache = {}
         self._homotopy_cache = {}
         self._homology_cache = {}
@@ -269,7 +278,10 @@ class Cx2Tools:
         flat = combine_flat(self.cat.p, [b.entries_flat() for b in basis], coeffs, size)
         return self._chain_map(U, V, degs, shapes, flat)
 
-    def chain_maps_basis(self, L, M) -> list:
+    def morphisms_from_coeffs(self, basis: list, coeffs) -> ChainMorphism:
+        return self._from_coeffs(basis, coeffs, basis[0].dom, basis[0].cod)
+
+    def hom_basis(self, L, M) -> list:
         """Deterministic basis of the chain maps L -> M (a cached list)."""
         self._check(L, M)
         ck = (L.signature(), M.signature())
@@ -281,44 +293,21 @@ class Cx2Tools:
         return basis
 
     def _solve_chain_maps(self, U, V) -> list:
-        """Flat basis of the kernel of the intertwining and square equations.
-        It is read off the unique rref of the equations, so it does not depend
-        on the order they are emitted in."""
+        """Flat basis of the chain maps U -> V: the intertwining equations of
+        each degree, then the squares s^(m+1) dU^m = dV^m s^m."""
         degs, offsets, _, nvars = self._layout(U, V)
-        if nvars == 0:
-            return []
-        rows = []
+        arrows = self.cat.quiver.arrows
 
-        def emit(o1, C, o2, D):
-            # S1 o C - D o S2 = 0 entrywise, S1 and S2 the blocks at offsets
-            # o1 and o2.  A block outside the layout has a zero source or
-            # target, so its loop below never runs.
-            for r in range(D.rows):
-                for c in range(C.cols):
-                    row = [0] * nvars
-                    for k in range(C.rows):
-                        row[o1 + r * C.rows + k] += C.data[k][c]
-                    for k in range(D.cols):
-                        row[o2 + k * C.cols + c] -= D.data[r][k]
-                    if any(row):
-                        rows.append(row)
+        def equations():
+            for m in degs:
+                Um, Vm = U.component(m), V.component(m)
+                for a, (s, t) in enumerate(arrows):
+                    yield offsets[m, t - 1], Um.maps[a], offsets[m, s - 1], Vm.maps[a]
+            for m in U.degrees():
+                for i, (dU, dV) in enumerate(zip(U.diff(m).mats, V.diff(m).mats)):
+                    yield offsets.get((U.degree(m + 1), i)), dU, offsets.get((m, i)), dV
 
-        for m in degs:
-            Um, Vm = U.component(m), V.component(m)
-            for a, (s, t) in enumerate(self.cat.quiver.arrows):
-                emit(offsets[m, t - 1], Um.maps[a], offsets[m, s - 1], Vm.maps[a])
-        # squares s^(m+1) dU^m = dV^m s^m
-        for m in U.degrees():
-            dU, dV = U.diff(m), V.diff(m)
-            for i in range(self.cat.quiver.n):
-                emit(offsets.get((U.degree(m + 1), i)), dU.mats[i],
-                     offsets.get((m, i)), dV.mats[i])
-        p = self.cat.p
-        A = FpMatrix(p, rows, cols=nvars) if rows else FpMatrix.zero(p, 1, nvars)
-        return A.kernel_basis()
-
-    def hom_dim(self, L, M) -> int:
-        return len(self.chain_maps_basis(L, M))
+        return intertwiners(self.cat.p, nvars, equations())
 
     def homotopy_subspace(self, L, M) -> list:
         """rref rows (in flat chain-map coordinates) of the null-homotopic
@@ -331,7 +320,7 @@ class Cx2Tools:
         _, offsets, _, size = self._layout(L, M)
         gens = []
         # null-homotopic maps are chain maps, so with none there is nothing to do
-        for m in L.degrees() if self.chain_maps_basis(L, M) else ():
+        for m in L.degrees() if self.hom_basis(L, M) else ():
             for h in cat.hom_basis(L.component(m), M.component(m - 1)):
                 vec = [0] * size
                 for deg, t in ((m, M.diff(m - 1).compose(h)),
@@ -385,7 +374,7 @@ class Cx2Tools:
         sum to |Ext^1(L, M)|.
         """
         SM = M.shift()
-        basis = self.chain_maps_basis(L, SM)
+        basis = self.hom_basis(L, SM)
         p = self.cat.p
         check_scan("extension-class enumeration", p, len(basis))
         out = []
@@ -405,19 +394,11 @@ class Cx2Tools:
             return True
         if self.homology_keys(X) != self.homology_keys(Y):
             return False
-        basis = self.chain_maps_basis(X, Y)
+        basis = self.hom_basis(X, Y)
         if len(basis) != self.hom_dim(Y, X):
             return False
-        found = self.cat.invertible_coeffs(basis, sum(dims.values(), ()),
-                                           "complex isomorphism scan")
+        found = self.invertible_coeffs(basis, sum(dims.values(), ()), "isomorphism scan")
         return next(found, None) is not None
-
-    def end_scan(self, X):
-        basis = self.chain_maps_basis(X, X)
-        k = len(basis)
-        check_scan("complex endomorphism scan", self.cat.p, k)
-        for coeffs in product(range(self.cat.p), repeat=k):
-            yield self._from_coeffs(basis, coeffs, X, X)
 
     def aut_count(self, X) -> int:
         if X.is_zero():
@@ -426,13 +407,13 @@ class Cx2Tools:
         cached = self._aut_cache.get(ck)
         if cached is not None:
             return cached
-        n = sum(w for _, w in self.cat.invertible_coeffs(self.chain_maps_basis(X, X),
-                                                         sum(_dims(X).values(), ()),
-                                                         "complex endomorphism scan"))
+        n = sum(w for _, w in self.invertible_coeffs(self.hom_basis(X, X),
+                                                     sum(_dims(X).values(), ()),
+                                                     "endomorphism scan"))
         self._aut_cache[ck] = n
         return n
 
-    def sub_complex(self, X, U):
+    def sub_object(self, X, U):
         """The subcomplex on the per-degree subrepresentations with echelon
         row bases U[m], differentials corestricted."""
         subs = {m: self.cat.sub_rep(X.component(m), U[m]) for m in X.degrees()}
@@ -444,6 +425,12 @@ class Cx2Tools:
                     raise ShapeError("subspaces not differential-stable")
                 mats[m] = d.mats
         return X.like({m: S for m, (S, _) in subs.items()}, mats)
+
+    def image_subspaces(self, f: ChainMorphism) -> dict:
+        return {m: self.cat.image_subspaces(s) for m, s in f.maps.items()}
+
+    def kernel_subspaces(self, f: ChainMorphism) -> dict:
+        return {m: self.cat.kernel_subspaces(s) for m, s in f.maps.items()}
 
     def quotient_complex(self, X, U):
         """The quotient complex by the per-degree subrepresentations with
@@ -477,26 +464,12 @@ class Cx2Tools:
                 for U1 in stable1
                 if maps_into(p, X.d0.mats, U0, U1) and maps_into(p, X.d1.mats, U1, U0)]
 
-    def decompose2(self, X: Cx2) -> list:
-        """Indecomposable direct summands (concrete complexes), by idempotent scan."""
+    def decompose2(self, X) -> list:
+        """Indecomposable direct summands of a complex of either grading, as
+        concrete complexes (Fitting splits, KrullSchmidt._summands)."""
         check_dim("decompose2 guardrail", X.total_dim(), DECOMPOSE_DIM_GUARD,
                   "DECOMPOSE_DIM_GUARD")
-        if X.is_zero():
-            return []
-        cat = self.cat
-        one = ChainMorphism(X, X, {b: identity_morphism(cat, X.component(b)) for b in (0, 1)})
-        for f in self.end_scan(X):
-            flat = f.entries_flat()
-            if not any(flat) or flat == one.entries_flat():
-                continue
-            if f.compose(f).entries_flat() == flat:
-                Xa = self.sub_complex(X, tuple(cat.image_subspaces(f.maps[b]) for b in (0, 1)))
-                Xb = self.sub_complex(X, tuple(cat.image_subspaces(one.maps[b] + (-f.maps[b]))
-                                               for b in (0, 1)))
-                if Xa.total_dim() + Xb.total_dim() != X.total_dim():
-                    raise ShapeError("idempotent split mismatch (engine bug)")
-                return self.decompose2(Xa) + self.decompose2(Xb)
-        return [X]
+        return self._summands(X)
 
     def classify_acyclic_indec(self, Z: Cx2) -> tuple:
         """('K', P) or ('K*', P) for an indecomposable contractible summand.

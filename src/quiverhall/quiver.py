@@ -72,9 +72,6 @@ class Quiver:
     def symmetrized_euler(self, d, e) -> int:
         return self.euler_form(d, e) + self.euler_form(e, d)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return any({s, t} == {i, j} for s, t in self.arrows)
-
     def simple_reflection(self, i: int, d) -> tuple:
         """Weyl simple reflection s_i on dimension vectors (simply-laced rule)."""
         if len(d) != self.n:

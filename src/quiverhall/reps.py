@@ -10,8 +10,7 @@ across runs.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Optional
 
 from .errors import (
@@ -29,7 +28,6 @@ from .linalg import (
     gaussian_binomial,
     invertible_combinations,
     projective_points,
-    reduce_against_rows,
     split_flat,
     subspace_contains,
 )
@@ -180,7 +178,86 @@ class IsoClassKey:
         return self.label
 
 
-class RepCategory:
+class KrullSchmidt:
+    """Hom spaces and Krull-Schmidt decomposition shared by the category of
+    representations (RepCategory) and that of complexes (cx2.Cx2Tools).
+
+    A subclass supplies the field order p, scan_prefix (the prefix of its scan
+    guards), hom_basis(X, Y) (a deterministic basis of morphisms X -> Y),
+    morphisms_from_coeffs(basis, coeffs) (the sum of coeffs[i] * basis[i]),
+    image_subspaces and kernel_subspaces of a morphism, and sub_object(X, U)
+    (the sub-object of X on those subspaces).  Its objects have total_dim()
+    and is_zero(); its morphisms compose(), is_zero(), is_isomorphism() and
+    entries_flat().
+    """
+
+    scan_prefix = ""
+
+    def hom_dim(self, X, Y) -> int:
+        return len(self.hom_basis(X, Y))
+
+    def invertible_coeffs(self, basis: list, sides, guard: str):
+        """(coeffs, weight) of one invertible element per invertible line of
+        span(basis), weight being the number of invertible elements it stands
+        for; the entries_flat() of the basis are square blocks with the given
+        sides.  The budget still bounds the p^k elements of the span."""
+        k = len(basis)
+        check_scan(self.scan_prefix + guard, self.p, k)
+        return invertible_combinations(self.p, [b.entries_flat() for b in basis], sides,
+                                       projective_points(self.p, k))
+
+    def _fitting_split(self, X, f):
+        """Split X = im(f^N) + ker(f^N), N >= total_dim(X), when f is neither
+        nilpotent nor invertible (Fitting's lemma); returns (S1, S2) or None."""
+        h = f
+        for _ in range(max(X.total_dim().bit_length(), 1)):
+            h = h.compose(h)
+        if h.is_zero() or h.is_isomorphism():
+            return None
+        S1 = self.sub_object(X, self.image_subspaces(h))
+        S2 = self.sub_object(X, self.kernel_subspaces(h))
+        if S1.total_dim() + S2.total_dim() != X.total_dim() \
+                or S1.is_zero() or S2.is_zero():
+            return None
+        return S1, S2
+
+    def _summands(self, X) -> list:
+        """Indecomposable direct summands of X, as concrete sub-objects.
+
+        By Fitting's lemma X is indecomposable exactly when every endomorphism
+        is nilpotent or invertible, and a scalar multiple of one is too.  The
+        candidates are the basis of End X, its pairwise sums and 200 seeded
+        random elements, which usually split at once; then one endomorphism
+        per line of End X, which certifies X indecomposable when none splits.
+        """
+        if X.is_zero():
+            return []
+        basis = self.hom_basis(X, X)
+        k = len(basis)
+        if k == 1:
+            return [X]
+
+        def candidates():
+            # Built one at a time: the first basis element usually splits.
+            yield from basis
+            for i in range(k):
+                for j in range(i + 1, k):
+                    yield self.morphisms_from_coeffs(basis, [int(c in (i, j)) for c in range(k)])
+            rng = random.Random(0xF177)
+            for _ in range(200):
+                yield self.morphisms_from_coeffs(basis, [rng.randrange(self.p) for _ in basis])
+            check_scan(self.scan_prefix + "endomorphism scan", self.p, k)
+            for coeffs, _ in projective_points(self.p, k):
+                yield self.morphisms_from_coeffs(basis, coeffs)
+
+        for f in candidates():
+            split = self._fitting_split(X, f)
+            if split is not None:
+                return self._summands(split[0]) + self._summands(split[1])
+        return [X]
+
+
+class RepCategory(KrullSchmidt):
     """Context for rep_k(Q) over F_p: constructors, hom spaces, registry."""
 
     def __init__(self, quiver: Quiver, p: int):
@@ -297,44 +374,15 @@ class RepCategory:
         cached = self._hom_cache.get(key)
         if cached is not None:
             return [RepMorphism(M, N, mats) for mats in cached]
-        Q = self.quiver
-        p = self.p
-        offsets = []
-        off = 0
-        for i in range(Q.n):
-            offsets.append(off)
-            off += N.dim[i] * M.dim[i]
-        nvars = off
-        rows = []
-        for a, (s, t) in enumerate(Q.arrows):
-            XM = M.maps[a]
-            XN = N.maps[a]
-            si, ti = s - 1, t - 1
-            for r in range(N.dim[ti]):
-                for c in range(M.dim[si]):
-                    row = [0] * nvars
-                    # (f_t XM)[r][c] = sum_k f_t[r][k] XM[k][c]
-                    for k in range(M.dim[ti]):
-                        row[offsets[ti] + r * M.dim[ti] + k] = XM.data[k][c] % p
-                    # -(XN f_s)[r][c] = -sum_k XN[r][k] f_s[k][c]
-                    for k in range(N.dim[si]):
-                        row[offsets[si] + k * M.dim[si] + c] = (
-                            row[offsets[si] + k * M.dim[si] + c] - XN.data[r][k]) % p
-                    rows.append(row)
-        if nvars == 0:
-            self._hom_cache[key] = []
-            return []
-        if not rows:
-            A = FpMatrix.zero(p, 1, nvars)
-        else:
-            A = FpMatrix(p, rows, cols=nvars)
-        shapes = [(N.dim[i], M.dim[i]) for i in range(Q.n)]
-        basis_mats = [tuple(split_flat(p, v, shapes)) for v in A.kernel_basis()]
+        shapes = [(N.dim[i], M.dim[i]) for i in range(self.quiver.n)]
+        offsets = [0, *accumulate(r * c for r, c in shapes)]
+        # f_t X_a^M = X_a^N f_s for every arrow a: s -> t
+        flats = intertwiners(self.p, offsets[-1], (
+            (offsets[t - 1], M.maps[a], offsets[s - 1], N.maps[a])
+            for a, (s, t) in enumerate(self.quiver.arrows)))
+        basis_mats = [tuple(split_flat(self.p, v, shapes)) for v in flats]
         self._hom_cache[key] = basis_mats
         return [RepMorphism(M, N, mats) for mats in basis_mats]
-
-    def hom_dim(self, M: Rep, N: Rep) -> int:
-        return len(self.hom_basis(M, N))
 
     def euler_form_int(self, d, e) -> int:
         return self.quiver.euler_form(tuple(d), tuple(e))
@@ -363,16 +411,6 @@ class RepCategory:
                             sum(r * c for r, c in shapes))
         return RepMorphism(M, N, split_flat(self.p, flat, shapes))
 
-    def invertible_coeffs(self, basis: list, sides, guard: str):
-        """(coeffs, weight) of one invertible element per invertible line of
-        span(basis), weight being the number of invertible elements it stands
-        for; the entries_flat() of the basis are square blocks with the given
-        sides.  The budget still bounds the p^k elements of the span."""
-        k = len(basis)
-        check_scan(guard, self.p, k)
-        return invertible_combinations(self.p, [b.entries_flat() for b in basis], sides,
-                                       projective_points(self.p, k))
-
     def is_isomorphic(self, M: Rep, N: Rep) -> bool:
         """Exhaustive scan of Hom(M, N) for an invertible element."""
         self._check_same(M, N)
@@ -384,14 +422,6 @@ class RepCategory:
         if len(basis) != self.hom_dim(N, M) or self.hom_dim(M, M) != self.hom_dim(N, N):
             return False
         return next(self.invertible_coeffs(basis, M.dim, "isomorphism scan"), None) is not None
-
-    def end_scan(self, M: Rep):
-        """Iterate over all endomorphisms of M (budget-guarded)."""
-        basis = self.hom_basis(M, M)
-        k = len(basis)
-        check_scan("endomorphism scan", self.p, k)
-        for coeffs in product(range(self.p), repeat=k):
-            yield self.morphisms_from_coeffs(basis, coeffs)
 
     def aut_count(self, M: Rep) -> int:
         """|Aut M|.
@@ -455,17 +485,20 @@ class RepCategory:
         return out
 
     def quotient(self, C: Rep, U) -> tuple:
-        """Quotient of C by the subrepresentation with echelon row bases U;
+        """Quotient of C by the subrepresentation with reduced echelon row
+        bases U (each lead entry 1, the only nonzero entry of its column);
         (rep, projection).  The projection sends a vector to its reduction
-        against U_i, read at the positions quotient_section takes as units."""
+        against U_i, read at the positions quotient_section takes as units:
+        column j is the unit at j when j leads no row, else -row[free]."""
         if not self.is_stable(C, U):
             raise NotASubmodule("subspaces not stable under arrow maps")
         p = self.p
         projs = []
         for i, d in enumerate(C.dim):
-            resid = [reduce_against_rows(p, U[i], e) for e in FpMatrix.identity(p, d).data]
-            projs.append(FpMatrix._trusted(p, [[r[k] for r in resid]
-                                               for k in _free_positions(U[i], d)], d))
+            lead = {next(j for j, a in enumerate(row) if a): row for row in U[i]}
+            projs.append(FpMatrix._trusted(p, [[-lead[j][k] % p if j in lead else int(j == k)
+                                                for j in range(d)]
+                                               for k in range(d) if k not in lead], d))
         sections = self.quotient_section(C, U)
         quo = Rep(self.quiver, p, tuple(m.rows for m in projs),
                   [projs[t - 1] @ C.maps[a] @ sections[s - 1]
@@ -487,71 +520,15 @@ class RepCategory:
                 out.append(())
         return tuple(out)
 
-    def _fitting_split(self, M: Rep, f: RepMorphism):
-        """Split M = ker(f^N) + im(f^N) when f is neither nilpotent nor
-        invertible; returns (S1, S2) or None."""
-        h = f
-        steps = max(M.total_dim().bit_length(), 1)
-        for _ in range(steps):
-            h = h.compose(h)
-        if h.is_zero() or h.is_isomorphism():
-            return None
-        U_im = self.image_subspaces(h)
-        U_ker = self.kernel_subspaces(h)
-        S1, _ = self.sub_rep(M, U_im)
-        S2, _ = self.sub_rep(M, U_ker)
-        if S1.total_dim() + S2.total_dim() != M.total_dim() \
-                or S1.is_zero() or S2.is_zero():
-            return None
-        return S1, S2
+    def sub_object(self, C: Rep, U) -> Rep:
+        return self.sub_rep(C, U)[0]
 
     def decompose_reps(self, M: Rep) -> list:
-        """Indecomposable direct summands of M, as concrete reps.
-
-        Fitting splittings along endomorphism powers peel off summands
-        cheaply; indecomposability is certified either by a one-dimensional
-        endomorphism ring or by the exhaustive idempotent scan.
-        """
+        """Indecomposable direct summands of M, as concrete reps (Fitting
+        splits, KrullSchmidt._summands)."""
         check_dim("decompose guardrail", M.total_dim(), DECOMPOSE_DIM_GUARD,
                   "DECOMPOSE_DIM_GUARD")
-        if M.is_zero():
-            return []
-        basis = self.hom_basis(M, M)
-        if len(basis) == 1:
-            return [M]
-
-        def candidates():
-            # Built one at a time: the first basis element usually splits.
-            yield from basis
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    yield basis[i] + basis[j]
-            rng = random.Random(0xF177)
-            for _ in range(200):
-                yield self.morphisms_from_coeffs(basis, [rng.randrange(self.p) for _ in basis])
-
-        for f in candidates():
-            split = self._fitting_split(M, f)
-            if split is not None:
-                S1, S2 = split
-                return self.decompose_reps(S1) + self.decompose_reps(S2)
-        # no splitter found: certify indecomposability by idempotent scan
-        ident = RepMorphism(M, M, [FpMatrix.identity(self.p, d) for d in M.dim])
-        for f in self.end_scan(M):
-            if f is None:
-                continue
-            if f.is_zero() or all(a == b for a, b in zip(f.mats, ident.mats)):
-                continue
-            if f.compose(f).mats == f.mats:
-                one_minus = ident + (-f)
-                U1 = self.image_subspaces(f)
-                U2 = self.image_subspaces(one_minus)
-                S1, _ = self.sub_rep(M, U1)
-                S2, _ = self.sub_rep(M, U2)
-                if S1.total_dim() + S2.total_dim() != M.total_dim():
-                    raise ShapeError("idempotent split dimension mismatch (engine bug)")
-                return self.decompose_reps(S1) + self.decompose_reps(S2)
-        return [M]
+        return self._summands(M)
 
     def decompose(self, M: Rep) -> tuple:
         """Multiset (sorted tuple) of IsoClassKeys of indecomposable summands."""
@@ -790,45 +767,21 @@ class ProjectiveCoords:
 
     def __init__(self, cat: RepCategory):
         n = cat.quiver.n
+        self.quiver = cat.quiver
         self.projectives = [cat.projective(i) for i in range(1, n + 1)]
         # hom(P_j, P_k) = dim of P_k at vertex j
         self.hom_pp = [[self.projectives[k].dim[j] for k in range(n)] for j in range(n)]
-        self._inv_cols = self._inverse_columns()
         self._coords_cache = {}
 
-    def _inverse_columns(self):
-        """Inverse of the matrix whose columns are dim P_j, over Q."""
-        n = len(self.projectives)
-        A = [[Fraction(P.dim[i]) for P in self.projectives] for i in range(n)]
-        inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if A[r][c] != 0), None)
-            if piv is None:
-                raise ShapeError("projective dimension vectors are dependent (engine bug)")
-            A[c], A[piv] = A[piv], A[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-            f = A[c][c]
-            A[c] = [x / f for x in A[c]]
-            inv[c] = [x / f for x in inv[c]]
-            for r in range(n):
-                if r != c and A[r][c] != 0:
-                    g = A[r][c]
-                    A[r] = [x - g * y for x, y in zip(A[r], A[c])]
-                    inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
-        return inv
-
     def coords(self, dimvec) -> tuple:
-        """Coordinates of a K_0 class (dimension-vector valued) in the P-basis."""
+        """Coordinates of a K_0 class (dimension-vector valued) in the P-basis:
+        <dim P_j, y> = y_j, so the j-th one is the Euler form <d, e_j>."""
         dv = tuple(int(x) for x in dimvec)
         res = self._coords_cache.get(dv)
         if res is None:
-            out = []
-            for row in self._inv_cols:
-                val = sum(r * d for r, d in zip(row, dv))
-                if val.denominator != 1:
-                    raise ShapeError("non-integral projective coordinates (engine bug)")
-                out.append(int(val))
-            res = self._coords_cache[dv] = tuple(out)
+            Q = self.quiver
+            res = self._coords_cache[dv] = tuple(
+                Q.euler_form(dv, tuple(int(i == j) for i in range(Q.n))) for j in range(Q.n))
         return res
 
     def dim_of_coords(self, a) -> tuple:
@@ -845,6 +798,31 @@ class ProjectiveCoords:
                     if bk:
                         e += aj * bk * self.hom_pp[j][k]
         return e
+
+
+def intertwiners(p: int, nvars: int, equations) -> list:
+    """Flat basis of the solutions S in F_p^nvars of S1 C = D S2 for every
+    equation (o1, C, o2, D), S1 and S2 being the row-major blocks of S at
+    offsets o1 (shape D.rows x C.rows) and o2 (shape D.cols x C.cols): the one
+    solver of hom spaces and chain maps.  It is read off the unique rref of
+    the equations, so it does not depend on the order they come in.  A block
+    outside the unknowns has a zero source or target, so its loop never runs.
+    """
+    if nvars == 0:
+        return []
+    rows = []
+    for o1, C, o2, D in equations:
+        for r in range(D.rows):
+            for c in range(C.cols):
+                row = [0] * nvars
+                for k in range(C.rows):
+                    row[o1 + r * C.rows + k] += C.data[k][c]
+                for k in range(D.cols):
+                    row[o2 + k * C.cols + c] -= D.data[r][k]
+                if any(row):
+                    rows.append(row)
+    A = FpMatrix(p, rows, cols=nvars) if rows else FpMatrix.zero(p, 1, nvars)
+    return A.kernel_basis()
 
 
 def maps_into(p: int, maps, src, dst) -> bool:

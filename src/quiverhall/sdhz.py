@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cx2 import direct_sum
+from .cx2 import direct_sum, identity_morphism, zero_morphism
 from .errors import (
     ShapeError,
     SignConventionBroken,
     WindowExceeded,
 )
-from .linalg import FpMatrix
 from .reps import Rep, RepCategory, RepMorphism, corestrict
 from .scalars import CoeffScalar, LinComb, q_power, v_power
 from .sdh import SemiDerivedAlgebra
@@ -91,10 +90,7 @@ class CxB:
         idx = m - self.lo
         if 0 <= idx < len(self.diffs):
             return self.diffs[idx]
-        dom = self.component(m)
-        cod = self.component(m + 1)
-        return RepMorphism(dom, cod, [FpMatrix.zero(self.cat.p, cod.dim[i], dom.dim[i])
-                                      for i in range(self.cat.quiver.n)])
+        return zero_morphism(self.cat, self.component(m), self.component(m + 1))
 
     def degrees(self):
         return range(self.lo, self.hi + 1) if self.comps else range(0)
@@ -154,8 +150,7 @@ def two_term_cxb(cat: RepCategory, m: int, dom: Rep, cod: Rep, d: RepMorphism) -
 
 def v_complex(cat: RepCategory, A: Rep, m: int) -> CxB:
     """The contractible complex A = A concentrated in degrees m, m+1."""
-    ident = RepMorphism(A, A, [FpMatrix.identity(cat.p, d) for d in A.dim])
-    return two_term_cxb(cat, m, A, A, ident)
+    return two_term_cxb(cat, m, A, A, identity_morphism(cat, A))
 
 
 def sigma_ge(cat: RepCategory, X: CxB, n: int) -> CxB:

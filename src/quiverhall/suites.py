@@ -289,7 +289,7 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
             for X, n_ext in middles:
                 g = 0
                 for U0, U1 in tools.sub_complexes_with_dims(X, M.M0.dim, M.M1.dim):
-                    S = tools.sub_complex(X, (U0, U1))
+                    S = tools.sub_object(X, (U0, U1))
                     if not tools.is_isomorphic(S, M):
                         continue
                     Qc = tools.quotient_complex(X, (U0, U1))

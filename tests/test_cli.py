@@ -122,6 +122,12 @@ def test_negative_bound_exit_two(quiver_files, capsys):
     # on a quiver with more than one vertex.
     ("a2", 2, ["--suite", "bridgeland-compare"],
      "947a0088033289377b0d874702d9599ab302fb8018e2a2e63d19f04de1c33d7b"),
+    # Three vertices: iso classes, canonical forms and Fitting splits of A3.
+    ("a3", 2, ["--table", "--bound", "4"],
+     "c4aa00a77ffb3ab1deb80cb0d5ff7d9ca9ea301d0412f96fc6f2037688bcd515"),
+    # The one row that decomposes reps (pieces_for_key) on three vertices.
+    ("a3", 3, ["--suite", "reflection"],
+     "0721c6d6917a0db28650d762cfacec34f438bb8c45136abee6fa1cc2c6b75b79"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building

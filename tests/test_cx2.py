@@ -29,7 +29,7 @@ def test_chain_maps_contains_identity():
     cat = a2()
     tools = Cx2Tools(cat)
     X = minimal_complex(cat, cat.simple(1), cat.simple(2))
-    basis = tools.chain_maps_basis(X, X)
+    basis = tools.hom_basis(X, X)
     found_id = False
     from itertools import product
     for coeffs in product(range(2), repeat=len(basis)):
@@ -67,9 +67,9 @@ def test_every_homotopy_is_a_chain_map():
     L = minimal_complex(cat, cat.simple(1), cat.simple(2))
     M = minimal_complex(cat, cat.simple(2), cat.simple(1))
     rows = tools.homotopy_subspace(L, M)
-    flats = {b.entries_flat() for b in tools.chain_maps_basis(L, M)}
+    flats = {b.entries_flat() for b in tools.hom_basis(L, M)}
     # homotopy rows lie in the span of the chain-map space
-    B = [b.entries_flat() for b in tools.chain_maps_basis(L, M)]
+    B = [b.entries_flat() for b in tools.hom_basis(L, M)]
     if rows:
         Bm = FpMatrix.from_columns(cat.p, B, len(B[0]))
         for h in rows:
@@ -244,10 +244,10 @@ def test_sub_and_quotient_complexes():
     subs = tools.sub_complexes_with_dims(X, (0, 1), (0, 1))
     assert subs
     for U0, U1 in subs:
-        S = tools.sub_complex(X, (U0, U1))
+        S = tools.sub_object(X, (U0, U1))
         Q = tools.quotient_complex(X, (U0, U1))
         assert S.total_dim() + Q.total_dim() == X.total_dim()
-        for Z, Zy in ((S, tools.sub_complex(Y, {0: U0, 1: U1})),
+        for Z, Zy in ((S, tools.sub_object(Y, {0: U0, 1: U1})),
                       (Q, tools.quotient_complex(Y, {0: U0, 1: U1}))):
             assert [Zy.component(m).signature() for m in (0, 1)] == \
                 [Z.component(m).signature() for m in (0, 1)]

@@ -4,14 +4,21 @@ import random
 from collections import Counter
 from itertools import product
 
-from quiverhall.cx2 import Cx2, middle_term, zero_morphism
+from quiverhall.cx2 import (
+    Cx2,
+    direct_sum,
+    make_KP,
+    make_KPstar,
+    middle_term,
+    zero_morphism,
+)
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix, reduce_against_rows, subspace_contains
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
 from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh2 import SDH2Algebra
-from quiverhall.sdhz import SDHZAlgebra, two_term_cxb
+from quiverhall.sdhz import SDHZAlgebra, two_term_cxb, v_complex
 from quiverhall.suites import (
     proj_complex_pool,
     suite_quotient_relations,
@@ -43,15 +50,14 @@ def test_aut_formula_matches_scan():
                 basis = cat.hom_basis(M, M)
                 if p ** len(basis) > 100000:
                     continue
-                scan = sum(1 for f in cat.end_scan(M)
-                           if f is not None and f.is_isomorphism())
+                scan = sum(1 for _ in _scan_rep_isos(cat, M, M))
                 assert scan == cat.aut_count(M), (p, qv.n, M.dim)
 
 
 def _scan_cx2_isos(tools, X, Y):
     """Brute force: the chain maps X -> Y, each built as a morphism, that
     are invertible."""
-    basis = tools.chain_maps_basis(X, Y)
+    basis = tools.hom_basis(X, Y)
     return (c for c in product(range(tools.cat.p), repeat=len(basis))
             if tools._from_coeffs(basis, c, X, Y).is_isomorphism())
 
@@ -148,7 +154,7 @@ def test_flat_combination_matches_scale_and_add():
     cat = RepCategory(a_n_quiver(2), 3)
     tools = SDH2Algebra(cat).tools
     for X in proj_complex_pool(SDH2Algebra(cat), 3)[1:]:
-        basis = tools.chain_maps_basis(X, X)
+        basis = tools.hom_basis(X, X)
         rbasis = cat.hom_basis(X.M0, X.M0) or cat.hom_basis(X.M1, X.M1)
         for _ in range(5):
             c = [rng.randrange(-3, 6) for _ in basis]
@@ -162,6 +168,72 @@ def test_flat_combination_matches_scale_and_add():
             for b, ci in zip(rbasis[1:], c[1:]):
                 h = h + b.scale(ci)
             assert cat.morphisms_from_coeffs(rbasis, c).mats == h.mats
+
+
+def _idempotent_scan(ks, X):
+    """The decomposer before Fitting's lemma certified indecomposability:
+    walk every endomorphism of X and split X = im e + ker e along the first
+    idempotent e other than 0 and 1; ks is a RepCategory or a Cx2Tools."""
+    if X.is_zero():
+        return []
+    basis = ks.hom_basis(X, X)
+    for c in product(range(ks.p), repeat=len(basis)):
+        e = ks.morphisms_from_coeffs(basis, c)
+        if e.is_zero() or e.is_isomorphism() \
+                or e.compose(e).entries_flat() != e.entries_flat():
+            continue
+        parts = [ks.sub_object(X, U) for U in (ks.image_subspaces(e), ks.kernel_subspaces(e))]
+        assert sum(S.total_dim() for S in parts) == X.total_dim()
+        return [S for part in parts for S in _idempotent_scan(ks, part)]
+    return [X]
+
+
+def test_rep_decomposition_matches_idempotent_scan():
+    """Every rep of total dimension <= 3 on A1, A2 and A3 at q = 2 and on A2
+    at q = 3, and every Kronecker rep up to (2, 2) at q = 2, among them the
+    local module with End = k[x]/(x^2): the same summand keys."""
+    def up_to(n, bound):
+        return [d for d in product(range(bound + 1), repeat=n) if sum(d) <= bound]
+
+    kron = RepCategory(Quiver(2, [(1, 2), (1, 2)]), 2)
+    cases = [(RepCategory(a_n_quiver(n), 2), up_to(n, 3)) for n in (1, 2, 3)]
+    cases += [(RepCategory(a_n_quiver(2), 3), up_to(2, 3)),
+              (kron, list(product(range(3), repeat=2)))]
+    local = kron.rep((2, 2), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    seen = 0
+    for cat, dims in cases:
+        for d in dims:
+            for M in cat.all_reps_of_dim(d):
+                got = sorted(cat.intern(S) for S in cat.decompose_reps(M))
+                assert got == sorted(cat.intern(S) for S in _idempotent_scan(cat, M)), M
+                seen += M == local
+    assert seen == 1 and len(kron.decompose_reps(local)) == 1
+
+
+def test_complex_decomposition_matches_idempotent_scan():
+    """The bound-3 complex pool of A1 and A2 at q = 2 and 3, the middle terms
+    of its extensions, the sums K_P + K_Q* and, Z-graded, the sums of P = P
+    and Q = Q in degrees (0, 1) and (m, m + 1): summands isomorphic one to
+    one, and the same contractible kinds."""
+    for p in (2, 3):
+        for cat in _a1_a2(p):
+            alg = SDH2Algebra(cat)
+            tools = alg.tools
+            projs = [cat.projective(i) for i in range(1, cat.quiver.n + 1)]
+            sums = [direct_sum([make_KP(cat, P), make_KPstar(cat, Q)])
+                    for P in projs for Q in projs]
+            sums += [direct_sum([v_complex(cat, P, 0), v_complex(cat, Q, m)])
+                     for P in projs for Q in projs for m in (-1, 0, 1)]
+            for X in _with_middle_terms(tools, proj_complex_pool(alg, 3), 4) + sums:
+                got, want = tools.decompose2(X), _idempotent_scan(tools, X)
+                assert len(got) == len(want), (p, X)
+                for Z in got:
+                    match = next(W for W in want if tools.is_isomorphic(Z, W))
+                    want.remove(match)
+                    if isinstance(Z, Cx2) and tools.is_acyclic(Z):
+                        (k1, P1), (k2, P2) = (tools.classify_acyclic_indec(Z),
+                                              tools.classify_acyclic_indec(match))
+                        assert (k1, cat.intern(P1)) == (k2, cat.intern(P2)), (p, X)
 
 
 def _a1_a2(p):
@@ -182,7 +254,7 @@ def test_cx2_ext1_classes_match_full_enumeration():
 
             for L, M in _ext_pairs(pool, _bound(p) + 1):
                 SM = M.shift()
-                basis = tools.chain_maps_basis(L, SM)
+                basis = tools.hom_basis(L, SM)
                 lines = Counter()
                 for _f, E, w in tools.ext1_classes_proj(L, M):
                     lines[alg.normal_form(E)] += w
@@ -206,7 +278,7 @@ def test_cxb_ext1_classes_match_full_enumeration():
                     pool += [Y, Y.shift(1)]
             for L, M in _ext_pairs(pool, _bound(p) + 1):
                 SM = M.shift(1)
-                basis = tools.chain_maps_basis(L, SM)
+                basis = tools.hom_basis(L, SM)
                 lines = Counter()
                 for _f, E, w in tools.ext1_classes_proj(L, M):
                     lines[alg.normal_form(E)] += w
@@ -236,8 +308,8 @@ def test_gradings_agree_on_two_term_complexes():
                         assert hZ[b].is_zero(), (p, X, b)
             for Y1, Z1 in pairs:
                 for Y2, Z2 in pairs:
-                    assert ([f.entries_flat() for f in tools.chain_maps_basis(Y1, Y2)]
-                            == [f.entries_flat() for f in tools.chain_maps_basis(Z1, Z2)])
+                    assert ([f.entries_flat() for f in tools.hom_basis(Y1, Y2)]
+                            == [f.entries_flat() for f in tools.hom_basis(Z1, Z2)])
                     assert tools.homotopy_subspace(Y1, Y2) == tools.homotopy_subspace(Z1, Z2)
 
 
@@ -580,7 +652,7 @@ def test_sub_objects_quotients_and_homology_match_columnwise_oracles():
             for L, M in _ext_pairs(pool, 4):
                 for _f, X, _w in tools.ext1_classes_proj(L, M):
                     for U0, U1 in tools.sub_complexes_with_dims(X, M.M0.dim, M.M1.dim):
-                        S = tools.sub_complex(X, (U0, U1))
+                        S = tools.sub_object(X, (U0, U1))
                         (S0, i0), (S1, i1) = (_sub_rep_oracle(cat, X.M0, U0),
                                               _sub_rep_oracle(cat, X.M1, U1))
                         assert S.signature() == Cx2(

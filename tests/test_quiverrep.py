@@ -149,6 +149,21 @@ def test_projective_dimensions():
     assert cat3.projective(1).dim == (1, 1, 1)
 
 
+def test_projective_coords_expand_to_the_dimension_vector():
+    """sum_j coords_j(d) dim P_j = d for every d in [-2, 3]^n."""
+    from quiverhall.reps import ProjectiveCoords
+
+    quivers = [a_n_quiver(1), a_n_quiver(2), a_n_quiver(3), Quiver(3, [(1, 2), (3, 2)]),
+               Quiver(2, [(1, 2), (1, 2)]), Quiver(4, [(1, 2), (1, 3), (2, 4), (3, 4)]),
+               Quiver(3, [(2, 1), (3, 1), (2, 3)])]
+    for qv in quivers:
+        pc = ProjectiveCoords(RepCategory(qv, 2))
+        for d in product(range(-2, 4), repeat=qv.n):
+            a = pc.coords(d)
+            assert all(type(x) is int for x in a)
+            assert pc.dim_of_coords(a) == d, (qv.arrows, d)
+
+
 def test_min_proj_resolution():
     cat = a2()
     S1 = cat.simple(1)
@@ -280,10 +295,12 @@ def test_budget_guardrails():
 
 
 def test_budget_message_names_guard_and_size():
+    from quiverhall.cx2 import Cx2Tools, make_KP
+
     cat = RepCategory(Quiver(1, []), 3)
-    with pytest.raises(BudgetExceeded, match=r"^endomorphism scan: 3\^16 = 43046721 "
+    with pytest.raises(BudgetExceeded, match=r"^complex endomorphism scan: 3\^16 = 43046721 "
                                              r"> SCAN_BUDGET 1048576$"):
-        next(cat.end_scan(cat.rep((4,))))
+        Cx2Tools(cat).aut_count(make_KP(cat, cat.rep((4,))))
     with pytest.raises(BudgetExceeded, match=r"^aut_count guardrail: total dimension 8 "
                                              r"> ENUM_DIM_GUARD 6$"):
         a2().aut_count(a2().rep((4, 4)))
