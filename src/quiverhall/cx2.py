@@ -16,9 +16,9 @@ Cx2Tools solves chain maps, homotopies, homology, extension classes and their
 middle terms, and builds sub- and quotient complexes, through this protocol
 alone.  The contractible complexes K_P and K_P*, minimal projective-component
 representatives of quasi-isomorphism classes and sub-complex enumeration
-also live here; Krull-Schmidt decomposition and hom-space counts are those of
-reps.KrullSchmidt.  The semi-derived algebras are in sdh (the core of both),
-sdh2 and sdhz.
+also live here; Krull-Schmidt decomposition, isomorphism tests, automorphism
+and hom-space counts are those of reps.KrullSchmidt.  The semi-derived
+algebras are in sdh (the core of both), sdh2 and sdhz.
 """
 
 from __future__ import annotations
@@ -233,18 +233,24 @@ class Cx2Tools(KrullSchmidt):
     one category, through the protocol of the module docstring."""
 
     scan_prefix = "complex "
+    # The Krull-Schmidt core, under the names the rest of the engine uses.
+    decompose2 = KrullSchmidt._summands
+    is_isomorphic = KrullSchmidt.is_isomorphic
+    aut_count = KrullSchmidt.aut_count
 
     def __init__(self, cat: RepCategory):
+        super().__init__(cat.p)
         self.cat = cat
-        self.p = cat.p
         self._chain_cache = {}
         self._homotopy_cache = {}
         self._homology_cache = {}
-        self._aut_cache = {}
 
-    def _check(self, L, M) -> None:
+    def _check_same(self, L, M) -> None:
         if L.cat is not self.cat or M.cat is not self.cat:
             raise CategoryMismatch("complexes from a different category context")
+
+    def sides(self, X) -> tuple:
+        return sum(_dims(X).values(), ())
 
     def _layout(self, U, V) -> tuple:
         """(degrees, offsets, shapes, size) of the flat chain maps U -> V:
@@ -283,7 +289,7 @@ class Cx2Tools(KrullSchmidt):
 
     def hom_basis(self, L, M) -> list:
         """Deterministic basis of the chain maps L -> M (a cached list)."""
-        self._check(L, M)
+        self._check_same(L, M)
         ck = (L.signature(), M.signature())
         basis = self._chain_cache.get(ck)
         if basis is None:
@@ -384,35 +390,6 @@ class Cx2Tools(KrullSchmidt):
             out.append((f, middle_term(L, M, f), weight))
         return out
 
-    # -- isomorphism and decomposition --------------------------------------
-
-    def is_isomorphic(self, X, Y) -> bool:
-        dims = _dims(X)
-        if dims != _dims(Y):
-            return False
-        if X.signature() == Y.signature():
-            return True
-        if self.homology_keys(X) != self.homology_keys(Y):
-            return False
-        basis = self.hom_basis(X, Y)
-        if len(basis) != self.hom_dim(Y, X):
-            return False
-        found = self.invertible_coeffs(basis, sum(dims.values(), ()), "isomorphism scan")
-        return next(found, None) is not None
-
-    def aut_count(self, X) -> int:
-        if X.is_zero():
-            return 1
-        ck = X.signature()
-        cached = self._aut_cache.get(ck)
-        if cached is not None:
-            return cached
-        n = sum(w for _, w in self.invertible_coeffs(self.hom_basis(X, X),
-                                                     sum(_dims(X).values(), ()),
-                                                     "endomorphism scan"))
-        self._aut_cache[ck] = n
-        return n
-
     def sub_object(self, X, U):
         """The subcomplex on the per-degree subrepresentations with echelon
         row bases U[m], differentials corestricted."""
@@ -463,13 +440,6 @@ class Cx2Tools(KrullSchmidt):
         return [(U0, U1) for U0 in product(*per0) if cat.is_stable(X.M0, U0)
                 for U1 in stable1
                 if maps_into(p, X.d0.mats, U0, U1) and maps_into(p, X.d1.mats, U1, U0)]
-
-    def decompose2(self, X) -> list:
-        """Indecomposable direct summands of a complex of either grading, as
-        concrete complexes (Fitting splits, KrullSchmidt._summands)."""
-        check_dim("decompose2 guardrail", X.total_dim(), DECOMPOSE_DIM_GUARD,
-                  "DECOMPOSE_DIM_GUARD")
-        return self._summands(X)
 
     def classify_acyclic_indec(self, Z: Cx2) -> tuple:
         """('K', P) or ('K*', P) for an indecomposable contractible summand.

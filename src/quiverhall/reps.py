@@ -179,19 +179,27 @@ class IsoClassKey:
 
 
 class KrullSchmidt:
-    """Hom spaces and Krull-Schmidt decomposition shared by the category of
-    representations (RepCategory) and that of complexes (cx2.Cx2Tools).
+    """Hom spaces, Krull-Schmidt decomposition, isomorphism tests and
+    automorphism counts shared by the category of representations
+    (RepCategory) and that of complexes (cx2.Cx2Tools).
 
-    A subclass supplies the field order p, scan_prefix (the prefix of its scan
-    guards), hom_basis(X, Y) (a deterministic basis of morphisms X -> Y),
+    A subclass supplies scan_prefix (the prefix of its guards),
+    _check_same(X, Y) (CategoryMismatch unless both objects are its own),
+    hom_basis(X, Y) (a deterministic basis of morphisms X -> Y),
     morphisms_from_coeffs(basis, coeffs) (the sum of coeffs[i] * basis[i]),
-    image_subspaces and kernel_subspaces of a morphism, and sub_object(X, U)
-    (the sub-object of X on those subspaces).  Its objects have total_dim()
-    and is_zero(); its morphisms compose(), is_zero(), is_isomorphism() and
-    entries_flat().
+    image_subspaces and kernel_subspaces of a morphism, sub_object(X, U) (the
+    sub-object of X on those subspaces) and sides(X) (the square block sides
+    of an endomorphism's entries_flat()).  Its objects have signature(),
+    total_dim() and is_zero(); its morphisms compose(), is_zero(),
+    is_isomorphism() and entries_flat().
     """
 
     scan_prefix = ""
+
+    def __init__(self, p: int):
+        self.p = p
+        self._aut_cache = {}
+        self._groups_cache = {}
 
     def hom_dim(self, X, Y) -> int:
         return len(self.hom_basis(X, Y))
@@ -230,6 +238,8 @@ class KrullSchmidt:
         random elements, which usually split at once; then one endomorphism
         per line of End X, which certifies X indecomposable when none splits.
         """
+        check_dim(self.scan_prefix + "decompose guardrail", X.total_dim(),
+                  DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
         if X.is_zero():
             return []
         basis = self.hom_basis(X, X)
@@ -256,21 +266,89 @@ class KrullSchmidt:
                 return self._summands(split[0]) + self._summands(split[1])
         return [X]
 
+    def _groups(self, X) -> list:
+        """[S, m] per isomorphism class of indecomposable summands of X: one
+        summand S of the class and its multiplicity m."""
+        sig = X.signature()
+        if sig not in self._groups_cache:
+            groups = []
+            for S in self._summands(X):
+                g = next((g for g in groups if self._indecomposables_isomorphic(g[0], S)), None)
+                if g is None:
+                    groups.append([S, 1])
+                else:
+                    g[1] += 1
+            self._groups_cache[sig] = groups
+        return self._groups_cache[sig]
+
+    def _indecomposables_isomorphic(self, S, T) -> bool:
+        """S ~ T for indecomposable S and T: some g o f over basis maps
+        f: S -> T and g: T -> S is invertible.  End S is local, so its
+        non-invertible elements form a subspace, its radical; if every such
+        g o f lies in it, so does every composite S -> T -> S."""
+        if self.sides(S) != self.sides(T):
+            return False
+        back = self.hom_basis(T, S)
+        return any(g.compose(f).is_isomorphism() for f in self.hom_basis(S, T) for g in back)
+
+    def is_isomorphic(self, X, Y) -> bool:
+        """X ~ Y: their classes of indecomposable summands match one to one,
+        with multiplicity (Krull-Schmidt).  The classes of one object are
+        pairwise distinct, so each class of X matches at most one of Y."""
+        self._check_same(X, Y)
+        if self.sides(X) != self.sides(Y):
+            return False
+        if X.signature() == Y.signature():
+            return True
+        gx, gy = self._groups(X), self._groups(Y)
+        return len(gx) == len(gy) and all(
+            any(n == m and self._indecomposables_isomorphic(S, T) for T, n in gy)
+            for S, m in gx)
+
+    def aut_count(self, X) -> int:
+        """|Aut X| = q^(dim End X) * prod_j |GL_{m_j}(F_{Q_j})| / Q_j^(m_j^2)
+        over the classes S_j of indecomposable summands, of multiplicity m_j.
+
+        End X modulo its radical is prod_j M_{m_j}(D_j), the residue field
+        D_j = End S_j / rad End S_j having some order Q_j, and an endomorphism
+        is invertible when its image there is: |Aut X| = |rad End X| *
+        prod_j |GL_{m_j}(D_j)|.  The local ring End S_j has the units outside
+        its radical, so Q_j = q^k / (q^k - |Aut S_j|), k = dim End S_j, and
+        |Aut S_j| comes from a scan of End S_j (k = 1 for a brick).
+        """
+        self._check_same(X, X)
+        sig = X.signature()
+        if sig not in self._aut_cache:
+            q = self.p
+            units, orders = 1, 1
+            for S, m in self._groups(X):
+                basis = self.hom_basis(S, S)
+                qk = q ** len(basis)
+                Q = qk // (qk - sum(w for _, w in self.invertible_coeffs(
+                    basis, self.sides(S), "endomorphism scan")))
+                units *= _gl_order(m, Q)
+                orders *= Q ** (m * m)
+            self._aut_cache[sig] = q ** self.hom_dim(X, X) * units // orders
+        return self._aut_cache[sig]
+
 
 class RepCategory(KrullSchmidt):
     """Context for rep_k(Q) over F_p: constructors, hom spaces, registry."""
 
+    # The Krull-Schmidt core, under the names the rest of the engine uses.
+    decompose_reps = KrullSchmidt._summands
+    is_isomorphic = KrullSchmidt.is_isomorphic
+    aut_count = KrullSchmidt.aut_count
+
     def __init__(self, quiver: Quiver, p: int):
         check_prime(p)
+        super().__init__(p)
         self.quiver = quiver
-        self.p = p
         self._hom_cache = {}
         self._intern_cache = {}
         self._registry = {}
         self._canonical_cache = {}
-        self._decompose_cache = {}
         self._resolution_cache = {}
-        self._aut_cache = {}
         self._paths_cache = None
         self._gl_cache = {}
         self.zero_rep = self.rep((0,) * quiver.n)
@@ -411,49 +489,6 @@ class RepCategory(KrullSchmidt):
                             sum(r * c for r, c in shapes))
         return RepMorphism(M, N, split_flat(self.p, flat, shapes))
 
-    def is_isomorphic(self, M: Rep, N: Rep) -> bool:
-        """Exhaustive scan of Hom(M, N) for an invertible element."""
-        self._check_same(M, N)
-        if M.dim != N.dim:
-            return False
-        if M.signature() == N.signature():
-            return True
-        basis = self.hom_basis(M, N)
-        if len(basis) != self.hom_dim(N, M) or self.hom_dim(M, M) != self.hom_dim(N, N):
-            return False
-        return next(self.invertible_coeffs(basis, M.dim, "isomorphism scan"), None) is not None
-
-    def aut_count(self, M: Rep) -> int:
-        """|Aut M|.
-
-        When every indecomposable summand is a brick (one-dimensional
-        endomorphism ring), units are counted through the semisimple quotient
-        of End(M):  q^(dim rad) * prod |GL_{n_j}(F_q)| over the summand
-        multiplicities.  Otherwise End(M) is scanned exhaustively.
-        """
-        sig = M.signature()
-        if sig in self._aut_cache:
-            return self._aut_cache[sig]
-        check_dim("aut_count guardrail", M.total_dim(), ENUM_DIM_GUARD, "ENUM_DIM_GUARD")
-        if M.is_zero():
-            self._aut_cache[sig] = 1
-            return 1
-        mult = {}
-        for key in self.decompose(M):
-            mult[key] = mult.get(key, 0) + 1
-        if all(self.hom_dim(k.rep, k.rep) == 1 for k in mult):
-            dim_end = self.hom_dim(M, M)
-            rad_dim = dim_end - sum(n * n for n in mult.values())
-            out = self.p ** rad_dim
-            for n in mult.values():
-                out *= _gl_order(n, self.p)
-            self._aut_cache[sig] = out
-            return out
-        n = sum(w for _, w in self.invertible_coeffs(self.hom_basis(M, M), M.dim,
-                                                     "endomorphism scan"))
-        self._aut_cache[sig] = n
-        return n
-
     def sub_rep(self, C: Rep, U) -> tuple:
         """Subrepresentation on the row bases U=(U_1..U_n); returns (rep, inclusion)."""
         p = self.p
@@ -523,21 +558,8 @@ class RepCategory(KrullSchmidt):
     def sub_object(self, C: Rep, U) -> Rep:
         return self.sub_rep(C, U)[0]
 
-    def decompose_reps(self, M: Rep) -> list:
-        """Indecomposable direct summands of M, as concrete reps (Fitting
-        splits, KrullSchmidt._summands)."""
-        check_dim("decompose guardrail", M.total_dim(), DECOMPOSE_DIM_GUARD,
-                  "DECOMPOSE_DIM_GUARD")
-        return self._summands(M)
-
-    def decompose(self, M: Rep) -> tuple:
-        """Multiset (sorted tuple) of IsoClassKeys of indecomposable summands."""
-        sig = M.signature()
-        if sig in self._decompose_cache:
-            return self._decompose_cache[sig]
-        keys = tuple(sorted(self.intern(S) for S in self.decompose_reps(M)))
-        self._decompose_cache[sig] = keys
-        return keys
+    def sides(self, M: Rep) -> tuple:
+        return M.dim
 
     def _gl(self, d: int) -> list:
         if d in self._gl_cache:

@@ -139,6 +139,17 @@ def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_bridgeland_compare_past_q2(q, capsys):
+    """The Z/2 comparison at q > 2, where a scan of a whole chain
+    endomorphism space (3^16 on K_{k^4}) would exceed SCAN_BUDGET."""
+    assert main(["--quiver", str(EXAMPLES / "a1.json"), "--q", str(q),
+                 "--suite", "bridgeland-compare"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 112
+    assert all(c["status"] == "pass" for c in checks)
+
+
 def test_report_determinism(quiver_files):
     out1 = quiver_files["dir"] / "r1.json"
     out2 = quiver_files["dir"] / "r2.json"

@@ -142,11 +142,54 @@ def test_rep_aut_count_scan_fallback():
         R = kron.rep((2, 2), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
         assert weighted_scan(kron, R) == sum(1 for _ in _scan_rep_isos(kron, R, R)) \
             == (p - 1) * p
+        assert kron.aut_count(R) == (p - 1) * p
         if p < 5:
-            # aut_count first interns R, whose canonical form searches the
-            # GL_2 x GL_2 orbit: 230400 base changes at q = 5.
-            assert len(kron.decompose(R)) == 1 and kron.hom_dim(R, R) == 2
-            assert kron.aut_count(R) == (p - 1) * p
+            # intern searches the GL_2 x GL_2 orbit of R's canonical form:
+            # 230400 base changes at q = 5.
+            keys = sorted(kron.intern(S) for S in kron.decompose_reps(R))
+            assert len(keys) == 1 and kron.hom_dim(R, R) == 2
+
+
+# x^2 + a x + b irreducible over F_p, as (a, b)
+IRREDUCIBLE_QUADRATICS = {2: (1, 1), 3: (0, 1), 5: (0, 2)}
+
+
+def _kronecker_field_module(kron, a, b):
+    """The Kronecker module (I, C), C the companion matrix of x^2 + a x + b.
+    Its End is F_p[C], a field of order p^2 when the polynomial is
+    irreducible: an indecomposable that is not a brick."""
+    p = kron.p
+    return kron.rep((2, 2), [[[1, 0], [0, 1]], [[0, -b % p], [1, -a % p]]])
+
+
+def test_aut_formula_with_residue_field_extension():
+    for p, (a, b) in IRREDUCIBLE_QUADRATICS.items():
+        kron = RepCategory(Quiver(2, [(1, 2), (1, 2)]), p)
+        R = _kronecker_field_module(kron, a, b)
+        RR = kron.direct_sum([R, R])
+        assert kron.hom_dim(R, R) == 2 and len(kron.decompose_reps(RR)) == 2
+        assert kron.aut_count(R) == p * p - 1 == sum(1 for _ in _scan_rep_isos(kron, R, R))
+        # |GL_2(F_{p^2})|
+        assert kron.aut_count(RR) == (p ** 4 - 1) * (p ** 4 - p ** 2)
+        if p <= 3:
+            assert kron.aut_count(RR) == sum(1 for _ in _scan_rep_isos(kron, RR, RR))
+
+
+def test_is_isomorphic_tells_residue_fields_apart():
+    """x^2 + 1 and x^2 + x + 2 are irreducible over F_3 with different
+    roots, so their Kronecker modules have isomorphic Ends but are not
+    isomorphic; a base change of one is isomorphic to it."""
+    kron = RepCategory(Quiver(2, [(1, 2), (1, 2)]), 3)
+    R1 = _kronecker_field_module(kron, 0, 1)
+    R2 = _kronecker_field_module(kron, 1, 2)
+    assert not kron.is_isomorphic(R1, R2)
+    assert not any(True for _ in _scan_rep_isos(kron, R1, R2))
+    assert kron.is_isomorphic(_conjugate(kron, R1, random.Random(3)), R1)
+    R12, R11 = kron.direct_sum([R1, R2]), kron.direct_sum([R1, R1])
+    assert not kron.is_isomorphic(R12, R11)
+    assert kron.is_isomorphic(R12, kron.direct_sum([R2, R1]))
+    # Hom(R1, R2) = 0, so End(R1 + R2) = F_9 x F_9.
+    assert kron.aut_count(R12) == 8 * 8
 
 
 def test_flat_combination_matches_scale_and_add():

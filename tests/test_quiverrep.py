@@ -5,6 +5,7 @@ import pytest
 
 from quiverhall.errors import (
     BudgetExceeded,
+    CategoryMismatch,
     NotASubmodule,
     NotInSubcategory,
     PreconditionError,
@@ -97,11 +98,12 @@ def test_is_isomorphic_examples():
 def test_decompose_examples():
     cat = a2()
     S1 = cat.simple(1)
-    assert cat.decompose(S1) == (cat.intern(S1),)
+    keys = lambda M: sorted(cat.intern(S) for S in cat.decompose_reps(M))
+    assert keys(S1) == [cat.intern(S1)]
     two = cat.direct_sum([S1, S1])
-    assert cat.decompose(two) == (cat.intern(S1), cat.intern(S1))
+    assert keys(two) == [cat.intern(S1), cat.intern(S1)]
     mixed = cat.direct_sum([cat.projective(1), cat.simple(2)])
-    assert sorted(k.dim for k in cat.decompose(mixed)) == [(0, 1), (1, 1)]
+    assert sorted(k.dim for k in keys(mixed)) == [(0, 1), (1, 1)]
 
 
 def test_submodules_examples():
@@ -227,14 +229,15 @@ def test_decompose_iso_invariant_under_base_change():
     rng = random.Random(5)
     P1 = cat.projective(1)
     M = cat.direct_sum([P1, cat.simple(1)])
-    base = cat.decompose(M)
+    keys = lambda M: sorted(cat.intern(S) for S in cat.decompose_reps(M))
+    base = keys(M)
     gl = [g for g in cat._gl(2) ]
     for _ in range(50):
         g1 = rng.choice(cat._gl(M.dim[0]))
         g2 = rng.choice(cat._gl(M.dim[1]))
         conj = Rep(cat.quiver, cat.p, M.dim,
                    [g2 @ M.maps[0] @ g1.inverse()])
-        assert cat.decompose(conj) == base
+        assert keys(conj) == base
 
 
 def test_submodule_quotient_duality():
@@ -290,20 +293,40 @@ def test_budget_guardrails():
     big = cat.rep((4, 4))
     with pytest.raises(BudgetExceeded):
         cat.submodules_with_dim(big, (2, 2))
-    with pytest.raises(BudgetExceeded):
-        cat.aut_count(big)
+    # Eight simples in two classes: |GL_4(F_2)|^2, with no scan.
+    assert cat.aut_count(big) == 406425600
 
 
 def test_budget_message_names_guard_and_size():
     from quiverhall.cx2 import Cx2Tools, make_KP
 
     cat = RepCategory(Quiver(1, []), 3)
+    tools = Cx2Tools(cat)
+    K = make_KP(cat, cat.rep((4,)))
+    # Four copies of K_k, each with End = k: |GL_4(F_3)|, with no scan.
+    assert tools.aut_count(K) == 24261120
     with pytest.raises(BudgetExceeded, match=r"^complex endomorphism scan: 3\^16 = 43046721 "
                                              r"> SCAN_BUDGET 1048576$"):
-        Cx2Tools(cat).aut_count(make_KP(cat, cat.rep((4,))))
-    with pytest.raises(BudgetExceeded, match=r"^aut_count guardrail: total dimension 8 "
-                                             r"> ENUM_DIM_GUARD 6$"):
-        a2().aut_count(a2().rep((4, 4)))
+        tools.invertible_coeffs(tools.hom_basis(K, K), tools.sides(K), "endomorphism scan")
+    with pytest.raises(BudgetExceeded, match=r"^decompose guardrail: total dimension 13 "
+                                             r"> DECOMPOSE_DIM_GUARD 12$"):
+        a2().aut_count(a2().rep((7, 6)))
+
+
+def test_isomorphism_and_aut_refuse_another_category():
+    """Objects of another category are refused before any comparison, even
+    when their signatures agree: S1 over 1 -> 2 and over 2 -> 1."""
+    from quiverhall.cx2 import Cx2Tools, make_KP
+
+    cat, other = a2(), RepCategory(Quiver(2, [(2, 1)]), 2)
+    S, T = cat.simple(1), other.simple(1)
+    X, Y = make_KP(cat, S), make_KP(other, T)
+    assert S.signature() == T.signature() and X.signature() == Y.signature()
+    tools = Cx2Tools(cat)
+    for call in (lambda: cat.is_isomorphic(S, T), lambda: cat.aut_count(T),
+                 lambda: tools.is_isomorphic(X, Y), lambda: tools.aut_count(Y)):
+        with pytest.raises(CategoryMismatch):
+            call()
 
 
 def test_enumeration_budget_messages_name_guard_size_and_limit():
