@@ -157,14 +157,6 @@ def zero_morphism(cat: RepCategory, dom: Rep, cod: Rep) -> RepMorphism:
                                   for i in range(cat.quiver.n)])
 
 
-def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
-    """Stalk complex with A in the given degree (0 or 1)."""
-    Z = cat.zero_rep
-    if degree % 2 == 0:
-        return Cx2(cat, A, Z, zero_morphism(cat, A, Z), zero_morphism(cat, Z, A))
-    return Cx2(cat, Z, A, zero_morphism(cat, Z, A), zero_morphism(cat, A, Z))
-
-
 def identity_morphism(cat: RepCategory, M: Rep) -> RepMorphism:
     return RepMorphism(M, M, [FpMatrix.identity(cat.p, d) for d in M.dim])
 
@@ -364,9 +356,6 @@ class Cx2Tools(KrullSchmidt):
     def homology_keys(self, X) -> tuple:
         return tuple(self.cat.intern(H) for H in self.homology(X).values())
 
-    def is_acyclic(self, X) -> bool:
-        return all(H.is_zero() for H in self.homology(X).values())
-
     # -- extension classes ------------------------------------------------
 
     def ext1_classes_proj(self, L, M) -> list:
@@ -427,7 +416,7 @@ class Cx2Tools(KrullSchmidt):
         cat = self.cat
         p = cat.p
         check_dim("subcomplex enumeration guardrail", X.total_dim(),
-                  2 * (DECOMPOSE_DIM_GUARD // 2), "DECOMPOSE_DIM_GUARD")
+                  DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
         count = 1
         for di, ci in zip(tuple(d0dims) + tuple(d1dims), X.M0.dim + X.M1.dim):
             count *= gaussian_binomial(ci, di, p)
@@ -440,17 +429,3 @@ class Cx2Tools(KrullSchmidt):
         return [(U0, U1) for U0 in product(*per0) if cat.is_stable(X.M0, U0)
                 for U1 in stable1
                 if maps_into(p, X.d0.mats, U0, U1) and maps_into(p, X.d1.mats, U1, U0)]
-
-    def classify_acyclic_indec(self, Z: Cx2) -> tuple:
-        """('K', P) or ('K*', P) for an indecomposable contractible summand.
-
-        An indecomposable acyclic complex with projective components has one
-        differential exactly zero; the other is then an isomorphism.
-        """
-        d0zero = all(m.is_zero() for m in Z.d0.mats)
-        d1zero = all(m.is_zero() for m in Z.d1.mats)
-        if d1zero and not d0zero:
-            return ("K", Z.M0)
-        if d0zero and not d1zero:
-            return ("K*", Z.M1)
-        raise ShapeError("acyclic indecomposable with both differentials nonzero")

@@ -135,22 +135,6 @@ class HallAlgebra:
         h = hash((top.sig, bottom.sig, middle.sig))
         return h % 16 == 0
 
-    def ext_constant(self, top: IsoClassKey, bottom: IsoClassKey,
-                     middle: IsoClassKey) -> CoeffScalar:
-        """|Ext^1(top, bottom)_middle| / |Hom(top, bottom)|, cross-checked
-        against the Hall-number/automorphism conversion."""
-        counts = self.ext_class_counts(top, bottom)
-        n = counts.get(middle, 0)
-        hom = self.cat.hom_dim(top.rep, bottom.rep)
-        val = Fraction(n, self.q ** hom)
-        if self._should_cross_check(top, bottom, middle):
-            conv = self._riedtmann_value(top, bottom, middle)
-            if conv != val:
-                raise ConversionMismatch(
-                    f"structure constant mismatch for ({top.label},{bottom.label},"
-                    f"{middle.label}): counting {conv}, enumeration {val}")
-        return CoeffScalar.of(self.q, val)
-
     def product_pair(self, top: IsoClassKey, bottom: IsoClassKey) -> LinComb:
         """[top] o [bottom] expanded in the basis."""
         counts = self.ext_class_counts(top, bottom)
@@ -235,10 +219,10 @@ def serre_checks(cat: RepCategory, gens: dict, tag: str = "") -> list:
     return out
 
 
-def verify_ringel(cat: RepCategory, cross_check: str = "always"):
+def verify_ringel(cat: RepCategory):
     """Check that E_i = [S_i]/(q-1) satisfies the quantum Serre relations
     in the twisted Hall algebra.  Returns [(name, status, lhs, rhs)]."""
-    alg = HallAlgebra(cat, cross_check=cross_check)
+    alg = HallAlgebra(cat)
     q = alg.q
     inv = CoeffScalar.of(q, Fraction(1, q - 1))
     gens = {i: alg.cls(cat.simple(i)).scale_scalar(inv)

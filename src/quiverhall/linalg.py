@@ -12,7 +12,6 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .errors import ShapeError
-from .scalars import check_prime
 
 
 class FpMatrix:
@@ -271,15 +270,6 @@ class FpMatrix:
                 raise ShapeError("block grid shape mismatch")
             data.extend(sum(parts, ()) for parts in zip(*(m.data for m in row)))
         return FpMatrix._trusted(p, data, cols)
-
-
-def field_inverse(x: int, p: int) -> int:
-    """Inverse of x modulo the prime p."""
-    check_prime(p)
-    x %= p
-    if x == 0:
-        raise ZeroDivisionError("inverse of 0 in F_p")
-    return pow(x, -1, p)
 
 
 def combine_flat(p: int, vecs, coeffs, size: int) -> tuple:

@@ -51,6 +51,8 @@ class Quiver:
         return [a for a, (s, t) in enumerate(self.arrows) if s == i]
 
     def is_sink(self, i: int) -> bool:
+        if not 1 <= i <= self.n:
+            raise PreconditionError(f"vertex {i} out of range 1..{self.n}")
         return not self.arrows_out_of(i)
 
     def reflect_at_sink(self, i: int) -> "Quiver":

@@ -44,10 +44,7 @@ def lift_through_epi(cat: RepCategory, f: RepMorphism, e: RepMorphism) -> RepMor
     y = B.solve(target)
     if y is None:
         raise ShapeError("no lift exists (source not projective enough)")
-    g = cat.morphisms_from_coeffs(basis, y)
-    if g is None:
-        g = zero_morphism(cat, X, Y)
-    return g
+    return cat.morphisms_from_coeffs(basis, y)
 
 
 @dataclass

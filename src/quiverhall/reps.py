@@ -9,7 +9,6 @@ across runs.
 
 from __future__ import annotations
 
-import random
 from itertools import accumulate, product
 from typing import Iterable, Optional
 
@@ -234,9 +233,9 @@ class KrullSchmidt:
 
         By Fitting's lemma X is indecomposable exactly when every endomorphism
         is nilpotent or invertible, and a scalar multiple of one is too.  The
-        candidates are the basis of End X, its pairwise sums and 200 seeded
-        random elements, which usually split at once; then one endomorphism
-        per line of End X, which certifies X indecomposable when none splits.
+        candidates are the basis of End X, which usually splits at once, then
+        one endomorphism per line of End X, which certifies X indecomposable
+        when none splits.
         """
         check_dim(self.scan_prefix + "decompose guardrail", X.total_dim(),
                   DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
@@ -250,12 +249,6 @@ class KrullSchmidt:
         def candidates():
             # Built one at a time: the first basis element usually splits.
             yield from basis
-            for i in range(k):
-                for j in range(i + 1, k):
-                    yield self.morphisms_from_coeffs(basis, [int(c in (i, j)) for c in range(k)])
-            rng = random.Random(0xF177)
-            for _ in range(200):
-                yield self.morphisms_from_coeffs(basis, [rng.randrange(self.p) for _ in basis])
             check_scan(self.scan_prefix + "endomorphism scan", self.p, k)
             for coeffs, _ in projective_points(self.p, k):
                 yield self.morphisms_from_coeffs(basis, coeffs)
@@ -464,18 +457,6 @@ class RepCategory(KrullSchmidt):
 
     def euler_form_int(self, d, e) -> int:
         return self.quiver.euler_form(tuple(d), tuple(e))
-
-    def ext1_dim(self, M: Rep, N: Rep) -> int:
-        """dim Ext^1(M, N), via the hereditary identity, cross-validated
-        against the projective-resolution cokernel."""
-        self._check_same(M, N)
-        h = self.hom_dim(M, N)
-        e = h - self.euler_form_int(M.dim, N.dim)
-        P1, P0, _incl, _proj = self.min_proj_resolution(M)
-        e2 = self.hom_dim(P1, N) - self.hom_dim(P0, N) + h
-        if e != e2:
-            raise ShapeError(f"Euler identity violated: {e} vs {e2} (engine bug)")
-        return e
 
     # ------------------------------------------------------------------
     # isomorphism, decomposition, canonical keys

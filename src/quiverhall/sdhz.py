@@ -18,16 +18,14 @@ or m, else 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cx2 import direct_sum, identity_morphism, zero_morphism
 from .errors import (
     ShapeError,
     SignConventionBroken,
     WindowExceeded,
 )
-from .reps import Rep, RepCategory, RepMorphism, corestrict
-from .scalars import CoeffScalar, LinComb, q_power, v_power
+from .reps import Rep, RepCategory, RepMorphism
+from .scalars import CoeffScalar, LinComb, q_power
 from .sdh import SemiDerivedAlgebra
 
 WINDOW_LO = -8
@@ -153,61 +151,6 @@ def v_complex(cat: RepCategory, A: Rep, m: int) -> CxB:
     return two_term_cxb(cat, m, A, A, identity_morphism(cat, A))
 
 
-def sigma_ge(cat: RepCategory, X: CxB, n: int) -> CxB:
-    """Brutal truncation: components in degrees >= n, differentials kept."""
-    if X.is_zero() or n > X.hi:
-        return zero_cxb(cat)
-    lo = max(n, X.lo)
-    comps = [X.component(m) for m in range(lo, X.hi + 1)]
-    diffs = [X.diff(m) for m in range(lo, X.hi)]
-    return CxB(cat, lo, comps, diffs)
-
-
-def sigma_lt(cat: RepCategory, X: CxB, n: int) -> CxB:
-    """Brutal truncation: components in degrees < n."""
-    if X.is_zero() or n <= X.lo:
-        return zero_cxb(cat)
-    hi = min(n - 1, X.hi)
-    comps = [X.component(m) for m in range(X.lo, hi + 1)]
-    diffs = [X.diff(m) for m in range(X.lo, hi)]
-    return CxB(cat, X.lo, comps, diffs)
-
-
-def tau_top_split(cat: RepCategory, K: CxB) -> tuple:
-    """Peel the top of an acyclic complex along its intelligent truncation.
-
-    Returns (sub, top) where top is the contractible two-term complex on the
-    top component (in degrees hi-1, hi), the deflation K ->> top is
-    (d^{hi-1}, id), and sub is its degreewise kernel; so sub >-> K ->> top is
-    a conflation with both ends acyclic.
-    """
-    if K.is_zero():
-        return zero_cxb(cat), zero_cxb(cat)
-    hi = K.hi
-    top = v_complex(cat, K.component(hi), hi - 1)
-    d = K.diff(hi - 1)
-    for i in range(cat.quiver.n):
-        if d.mats[i].rank() != K.component(hi).dim[i]:
-            raise ShapeError("top differential not surjective: complex not acyclic")
-    comps = []
-    kerrows = cat.kernel_subspaces(d)
-    Ksub, incl = cat.sub_rep(K.component(hi - 1), kerrows)
-    for m in range(K.lo, hi - 1):
-        comps.append(K.component(m))
-    comps.append(Ksub)
-    diffs = []
-    for m in range(K.lo, hi - 2):
-        diffs.append(K.diff(m))
-    if hi - 1 > K.lo:
-        # corestrict d^{hi-2} to the kernel of d^{hi-1}
-        prev = corestrict(K.diff(hi - 2), incl)
-        if prev is None:
-            raise ShapeError("image not inside kernel: complex not acyclic")
-        diffs.append(prev)
-    sub = CxB(cat, K.lo, comps, diffs)
-    return sub, top
-
-
 # ----------------------------------------------------------------------
 
 
@@ -245,10 +188,6 @@ class SDHZAlgebra(SemiDerivedAlgebra):
     def _from_slots(slots: dict, zero) -> tuple:
         return tuple(sorted(slots.items()))
 
-    @staticmethod
-    def lattice_neg(g) -> tuple:
-        return tuple(sorted((m, tuple(-x for x in c)) for m, c in g))
-
     def window_check_key(self, hom) -> None:
         for m, _k in hom:
             if not (WINDOW_LO <= m <= WINDOW_HI):
@@ -271,8 +210,7 @@ class SDHZAlgebra(SemiDerivedAlgebra):
     # -- constructors -------------------------------------------------------------
 
     def element(self, terms) -> LinComb:
-        """Combination of basis terms (lattice, key); * is productZ, the plain
-        product (twists are applied per generator pair, see twist_mode)."""
+        """Combination of basis terms (lattice, key); * is productZ."""
         return LinComb(self.q, terms, self.productZ, _sdhz_str)
 
     def u_gen(self, A: Rep, m: int) -> LinComb:
@@ -415,56 +353,3 @@ class SDHZAlgebra(SemiDerivedAlgebra):
                 parts.extend([self.proj.projectives[j]] * c)
             P = self._proj_cache[coeffs] = self.cat.direct_sum(parts)
         return P
-
-    # -- twists ---------------------------------------------------------------
-
-    def generator_element(self, spec) -> LinComb:
-        if spec[0] == "u":
-            return self.u_gen(spec[1], spec[2])
-        if spec[0] == "v":
-            return self.v_gen(spec[1], spec[2])
-        raise ShapeError(f"unknown generator spec {spec[0]}")
-
-    def twist_mode(self, mode: int, spec1, spec2) -> LinComb:
-        """Twisted product of two generator classes, with the mode-specific
-        prefactor applied to the plain product."""
-        x = self.generator_element(spec1)
-        y = self.generator_element(spec2)
-        base = self.productZ(x, y)
-        cls1 = spec1[1].dim if spec1[0] == "u" else tuple(spec1[1])
-        cls2 = spec2[1].dim if spec2[0] == "u" else tuple(spec2[1])
-        m = spec1[2]
-        n_ = spec2[2]
-        if mode == 1:
-            pref = self.euler_pairZ(spec1, spec2)
-        elif mode == 2:
-            full = self.euler_pairZ(spec1, spec2)
-            # exact square root of a q-power
-            e = _q_exponent(full, self.q)
-            pref = v_power(self.q, e)
-        elif mode == 3:
-            e = self.cat.euler_form_int(cls1, cls2) if m == n_ else 0
-            pref = v_power(self.q, e)
-        elif mode == 4:
-            e = self.cat.euler_form_int(cls1, cls2)
-            pref = v_power(self.q, e if (n_ - m) % 2 == 0 else -e)
-        else:
-            raise ShapeError("twist mode must be 1..4")
-        return base.scale_scalar(pref)
-
-
-def _q_exponent(x: CoeffScalar, q: int) -> int:
-    """The integer e with x = q^e (x must be a plain q-power)."""
-    if x.b != 0 or x.a <= 0:
-        raise ShapeError("not a q-power")
-    val = Fraction(x.a)
-    e = 0
-    while val > 1:
-        val /= q
-        e += 1
-    while val < 1:
-        val *= q
-        e -= 1
-    if val != 1:
-        raise ShapeError("not a q-power")
-    return e

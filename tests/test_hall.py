@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from quiverhall.errors import ConversionMismatch
 from quiverhall.hall import HallAlgebra, verify_ringel
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
@@ -57,24 +58,36 @@ def test_aut_counts():
     assert alg2.aut_count(v2.intern(v2.rep((2,)))) == 6
 
 
+def test_product_pair_raises_on_route_mismatch(monkeypatch):
+    """A Hall number one too large makes the two routes to a structure
+    constant disagree, which the default "always" profile reports."""
+    cat = a2()
+    alg = HallAlgebra(cat)
+    count = HallAlgebra.hall_number
+    monkeypatch.setattr(HallAlgebra, "hall_number",
+                        lambda self, *keys: count(self, *keys) + 1)
+    with pytest.raises(ConversionMismatch, match="structure constant mismatch"):
+        alg.product_pair(cat.intern(cat.simple(1)), cat.intern(cat.simple(2)))
+
+
 def test_ext_constant_trivial_and_vect():
     cat = a2()
     alg = HallAlgebra(cat)
     C = cat.intern(cat.projective(1))
-    assert alg.ext_constant(C, cat.zero_key(), C) == CoeffScalar.one(2)
+    assert alg.product_pair(C, cat.zero_key()).terms[C] == CoeffScalar.one(2)
     v = vect()
     av = HallAlgebra(v)
     k = v.intern(v.rep((1,)))
     k2 = v.intern(v.rep((2,)))
-    assert av.ext_constant(k, k, k2) == CoeffScalar.of(2, Fraction(1, 2))
+    assert av.product_pair(k, k).terms[k2] == CoeffScalar.of(2, Fraction(1, 2))
 
 
 def test_ext_constant_a2_both_routes():
     for p in (2, 3):
         cat = a2(p)
         alg = HallAlgebra(cat)  # cross_check="always" validates both routes
-        c = alg.ext_constant(cat.intern(cat.simple(1)), cat.intern(cat.simple(2)),
-                             cat.intern(cat.projective(1)))
+        c = alg.product_pair(cat.intern(cat.simple(1)),
+                             cat.intern(cat.simple(2))).terms[cat.intern(cat.projective(1))]
         assert c == CoeffScalar.of(p, p - 1)
 
 

@@ -4,6 +4,9 @@ import random
 from collections import Counter
 from itertools import product
 
+import pytest
+
+from oracles import classify_acyclic_indec, is_acyclic
 from quiverhall.cx2 import (
     Cx2,
     direct_sum,
@@ -150,6 +153,49 @@ def test_rep_aut_count_scan_fallback():
             assert len(keys) == 1 and kron.hom_dim(R, R) == 2
 
 
+KRONECKER = Quiver(2, [(1, 2), (1, 2)])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_decompose_certifies_indecomposable_with_one_candidate_per_line(p, monkeypatch):
+    """(I, J_2) is indecomposable with End = k[x]/(x^2): no basis element
+    splits it, and the walk builds the zero vector and one endomorphism per
+    line of End, q + 2 candidates in all."""
+    kron = RepCategory(KRONECKER, p)
+    R = kron.rep((2, 2), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    built = []
+    build = kron.morphisms_from_coeffs
+
+    def counting(basis, coeffs):
+        built.append(tuple(coeffs))
+        return build(basis, coeffs)
+
+    monkeypatch.setattr(kron, "morphisms_from_coeffs", counting)
+    assert kron.decompose_reps(R) == [R]
+    assert len(built) == p + 2
+
+
+def test_decompose_splits_into_fitting_indecomposables():
+    """Every Kronecker representation of dimension (2, 2) over F_2: the
+    summands' dimension vectors add up to X's, and a full scan of each
+    summand's End finds only nilpotent or invertible elements, which by
+    Fitting's lemma makes it indecomposable."""
+    kron = RepCategory(KRONECKER, 2)
+    reps = list(kron.all_reps_of_dim((2, 2)))
+    assert len(reps) == 256
+    for X in reps:
+        summands = kron.decompose_reps(X)
+        assert tuple(map(sum, zip(*(S.dim for S in summands)))) == X.dim
+        for S in summands:
+            assert not S.is_zero()
+            basis = kron.hom_basis(S, S)
+            for c in product(range(2), repeat=len(basis)):
+                f = h = kron.morphisms_from_coeffs(basis, c)
+                for _ in range(sum(S.dim)):
+                    h = h.compose(f)
+                assert h.is_zero() or f.is_isomorphism(), (X, S, c)
+
+
 # x^2 + a x + b irreducible over F_p, as (a, b)
 IRREDUCIBLE_QUADRATICS = {2: (1, 1), 3: (0, 1), 5: (0, 2)}
 
@@ -273,9 +319,9 @@ def test_complex_decomposition_matches_idempotent_scan():
                 for Z in got:
                     match = next(W for W in want if tools.is_isomorphic(Z, W))
                     want.remove(match)
-                    if isinstance(Z, Cx2) and tools.is_acyclic(Z):
-                        (k1, P1), (k2, P2) = (tools.classify_acyclic_indec(Z),
-                                              tools.classify_acyclic_indec(match))
+                    if isinstance(Z, Cx2) and is_acyclic(tools, Z):
+                        (k1, P1), (k2, P2) = (classify_acyclic_indec(Z),
+                                              classify_acyclic_indec(match))
                         assert (k1, cat.intern(P1)) == (k2, cat.intern(P2)), (p, X)
 
 

@@ -8,42 +8,10 @@ from quiverhall.linalg import (
     FpMatrix,
     coset_points,
     echelon_subspaces,
-    field_inverse,
     gaussian_binomial,
     line_index,
     projective_points,
 )
-
-
-def brute_force_inverse(x, p):
-    for y in range(1, p):
-        if (x * y) % p == 1:
-            return y
-    raise AssertionError("no inverse found")
-
-
-def test_field_inverse_examples():
-    assert field_inverse(1, 5) == 1
-    assert field_inverse(2, 5) == 3
-    # derived: scan residues 1..6 for the product congruent to 1
-    assert brute_force_inverse(4, 7) == 2
-    assert field_inverse(4, 7) == 2
-
-
-def test_field_inverse_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        field_inverse(0, 5)
-
-
-def test_field_inverse_bijection_involution():
-    for p in (2, 3, 5):
-        images = set()
-        for x in range(1, p):
-            y = field_inverse(x, p)
-            assert (x * y) % p == 1
-            assert field_inverse(y, p) == x
-            images.add(y)
-        assert images == set(range(1, p))
 
 
 def test_kernel_identity_empty():
