@@ -9,7 +9,12 @@ Structure constants are computed by two independent routes:
 
 The two routes are cross-checked (always in the "always" profile, one
 triple in 16 in the "sampled" profile); a mismatch raises ConversionMismatch
-since it can only be an engine bug.
+since it can only be an engine bug.  Where a Hall number is wanted for every
+triple (the --table rows), it is read back from the extension route's
+constant by Riedtmann's formula, so subobjects are counted only on the
+triples that are cross-checked.  Counting needs middle terms within
+ENUM_DIM_GUARD (total dimension 6), so a table whose bound exceeds it is
+rejected (exit 2) before any enumeration.
 """
 
 from __future__ import annotations
@@ -128,6 +133,18 @@ class HallAlgebra:
             return Fraction(0)
         return Fraction(g * self.aut_count(top) * self.aut_count(bottom),
                         self.aut_count(middle))
+
+    def riedtmann_hall_number(self, top, bottom, middle, const: CoeffScalar) -> int:
+        """g^middle_{top,bottom} = const * |Aut middle| / (|Aut top| |Aut bottom|)
+        for const = |Ext^1(top, bottom)_middle| / |Hom(top, bottom)| (Riedtmann),
+        the inverse of _riedtmann_value.  A √q part or a value that is not a
+        non-negative integer raises ConversionMismatch: it can only be an
+        engine bug."""
+        g = const.a * self.aut_count(middle) / (self.aut_count(top) * self.aut_count(bottom))
+        if const.b or g < 0 or g.denominator != 1:
+            raise ConversionMismatch(f"Riedtmann Hall number from constant {const} "
+                                     f"is not a non-negative integer at middle {middle.label}")
+        return int(g)
 
     def _should_cross_check(self, top, bottom, middle) -> bool:
         if self.cross_check == "always":

@@ -9,7 +9,7 @@ across runs.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from typing import Iterable, Optional
 
 from .errors import (
@@ -234,8 +234,8 @@ class KrullSchmidt:
         By Fitting's lemma X is indecomposable exactly when every endomorphism
         is nilpotent or invertible, and a scalar multiple of one is too.  The
         candidates are the basis of End X, which usually splits at once, then
-        one endomorphism per line of End X, which certifies X indecomposable
-        when none splits.
+        one endomorphism per nonzero line of End X, which certifies X
+        indecomposable when none splits.
         """
         check_dim(self.scan_prefix + "decompose guardrail", X.total_dim(),
                   DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
@@ -250,7 +250,8 @@ class KrullSchmidt:
             # Built one at a time: the first basis element usually splits.
             yield from basis
             check_scan(self.scan_prefix + "endomorphism scan", self.p, k)
-            for coeffs, _ in projective_points(self.p, k):
+            # The zero vector comes first; the zero map never splits X.
+            for coeffs, _ in islice(projective_points(self.p, k), 1, None):
                 yield self.morphisms_from_coeffs(basis, coeffs)
 
         for f in candidates():

@@ -15,7 +15,7 @@ from .cx2 import Cx2, direct_sum, make_KP, make_KPstar, zero_morphism
 from .hall import HallAlgebra, verify_ringel
 from .linalg import line_index
 from .reflection import SinkReflection
-from .reps import RepCategory
+from .reps import ENUM_DIM_GUARD, RepCategory, check_dim
 from .scalars import CoeffScalar, q_power
 from .sdh2 import SDH2Algebra
 from .sdhz import SDHZAlgebra, v_complex
@@ -410,10 +410,14 @@ def table_rows(cat: RepCategory, bound: int) -> list:
     """All structure constants for iso classes of total dimension <= bound.
 
     Rows are (A, B, C) with C a middle term of an extension of A by B, that is
-    0 -> B -> C -> A -> 0.  The Hall number g counts the subobjects of C
-    isomorphic to B with quotient isomorphic to A, and the Bridgeland
-    constant is |Ext^1(A,B)_C| / |Hom(A,B)|.
+    0 -> B -> C -> A -> 0.  The Bridgeland constant is
+    |Ext^1(A,B)_C| / |Hom(A,B)|, and the Hall number g, the number of
+    subobjects of C isomorphic to B with quotient isomorphic to A, follows
+    from it by Riedtmann's formula.  Subobjects are counted only in the
+    sampled cross-check of product_pair, whose guard ENUM_DIM_GUARD bounds
+    the middle terms; a larger bound is rejected before any enumeration.
     """
+    check_dim("submodule enumeration guardrail", bound, ENUM_DIM_GUARD, "ENUM_DIM_GUARD")
     alg = HallAlgebra(cat, cross_check="sampled")
     keys = cat.iso_classes_up_to(bound)
     rows = []
@@ -423,11 +427,10 @@ def table_rows(cat: RepCategory, bound: int) -> list:
                 continue
             prod = alg.product_pair(A, B)
             for C in sorted(prod.terms):
-                g = alg.hall_number(A, C, B)
                 const = prod.terms[C]
                 rows.append({
                     "A": A.label, "B": B.label, "C": C.label,
-                    "hall_number": g,
+                    "hall_number": alg.riedtmann_hall_number(A, B, C, const),
                     "bridgeland_constant": str(const),
                 })
     rows.sort(key=lambda r: (r["C"], r["A"], r["B"]))

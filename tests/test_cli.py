@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from quiverhall.cli import main
+from quiverhall.reps import RepCategory
 
 A1 = '{"vertices": 1, "arrows": []}'
 A2 = '{"vertices": 2, "arrows": [[1, 2]]}'
@@ -87,6 +88,22 @@ def test_negative_bound_exit_two(quiver_files, capsys):
     assert captured.out == "" and "--bound" in captured.err
 
 
+def test_table_bound_past_enum_guard_exits_before_enumeration(quiver_files, capsys,
+                                                               monkeypatch):
+    """Some middle term of a table with bound 7 has total dimension 7, so the
+    run is refused before any iso class is enumerated."""
+    def refuse(self, bound):
+        raise AssertionError("iso classes enumerated")
+
+    monkeypatch.setattr(RepCategory, "iso_classes_up_to", refuse)
+    code = main(["--quiver", quiver_files["a2"], "--q", "2",
+                 "--table", "--bound", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: submodule enumeration guardrail: "
+                            "total dimension 7 > ENUM_DIM_GUARD 6\n")
+
+
 @pytest.mark.parametrize("quiver, q, args, sha256", [
     ("a2", 3, ["--table", "--bound", "4"],
      "0cd4defcb29d169a66e46c3357f125b053964e14d9752e230ca9cdf9f95d9ba2"),
@@ -132,6 +149,10 @@ def test_negative_bound_exit_two(quiver_files, capsys):
     # non-brick indecomposables by its walk over the lines of End X.
     ("kronecker", 2, ["--table", "--bound", "4"],
      "2dee9c2bf4e6202f86d7748123ed9945d1026a270607622f3b6ba522d0d3b4cb"),
+    # The largest table within ENUM_DIM_GUARD: middle terms of total
+    # dimension 6, whose Hall numbers come from Riedtmann's formula.
+    ("a2", 2, ["--table", "--bound", "6"],
+     "c0376262c308f3f49c71e4a8b0c312bb838e776e897be96df07259f2dc0bd3ba"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building

@@ -10,6 +10,7 @@ from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import CoeffScalar, v_power
+from quiverhall.suites import table_rows
 
 
 def vect(p=2):
@@ -68,6 +69,48 @@ def test_product_pair_raises_on_route_mismatch(monkeypatch):
                         lambda self, *keys: count(self, *keys) + 1)
     with pytest.raises(ConversionMismatch, match="structure constant mismatch"):
         alg.product_pair(cat.intern(cat.simple(1)), cat.intern(cat.simple(2)))
+
+
+@pytest.mark.parametrize("quiver, p", [
+    (a_n_quiver(3), 2),
+    (a_n_quiver(2), 3),
+    (Quiver(2, [(1, 2), (1, 2)]), 2),
+])
+def test_table_hall_numbers_match_subobject_counts(quiver, p):
+    """Every row's Hall number, read off the extension constant by
+    Riedtmann's formula, equals the count of subobjects it replaced."""
+    cat = RepCategory(quiver, p)
+    rows = table_rows(cat, 4)
+    keys = {k.label: k for k in cat.iso_classes_up_to(4)}
+    oracle = HallAlgebra(cat)
+    assert rows
+    for r in rows:
+        A, B, C = keys[r["A"]], keys[r["B"]], keys[r["C"]]
+        assert r["hall_number"] == oracle.hall_number(A, C, B) > 0, r
+
+
+def test_table_rows_raise_on_non_integral_riedtmann_value(monkeypatch):
+    """An |Aut S1| seven times too large makes g/7 or g/49 the Hall number
+    of every row with S1 as A or B; g <= 3 at bound 2, so none is an
+    integer.  With the sampled cross-check off, the raise is Riedtmann's."""
+    cat = a2()
+    s1 = cat.intern(cat.simple(1))
+    count = HallAlgebra.aut_count
+    monkeypatch.setattr(HallAlgebra, "aut_count",
+                        lambda self, key: count(self, key) * (7 if key == s1 else 1))
+    monkeypatch.setattr(HallAlgebra, "_should_cross_check", lambda self, *keys: False)
+    with pytest.raises(ConversionMismatch, match="Riedtmann Hall number"):
+        table_rows(cat, 2)
+
+
+def test_riedtmann_hall_number_rejects_sqrt_q_part():
+    cat = a2()
+    alg = HallAlgebra(cat)
+    s1, s2 = cat.intern(cat.simple(1)), cat.intern(cat.simple(2))
+    mid = cat.intern(cat.projective(1))
+    assert alg.riedtmann_hall_number(s1, s2, mid, CoeffScalar.one(2)) == 1
+    with pytest.raises(ConversionMismatch, match="Riedtmann Hall number"):
+        alg.riedtmann_hall_number(s1, s2, mid, CoeffScalar(2, 1, 1))
 
 
 def test_ext_constant_trivial_and_vect():
