@@ -14,11 +14,11 @@ complex is sdhz.CxB.  Both expose one protocol:
 
 Cx2Tools solves chain maps, homotopies, homology, extension classes and their
 middle terms, and builds sub- and quotient complexes, through this protocol
-alone.  The contractible complexes K_P and K_P*, minimal projective-component
-representatives of quasi-isomorphism classes and sub-complex enumeration
-also live here; Krull-Schmidt decomposition, isomorphism tests, automorphism
-and hom-space counts are those of reps.KrullSchmidt.  The semi-derived
-algebras are in sdh (the core of both), sdh2 and sdhz.
+alone.  The contractible complexes K_P and K_P* and minimal projective-component
+representatives of quasi-isomorphism classes also live here; Krull-Schmidt
+decomposition, isomorphism tests, automorphism and hom-space counts,
+sub-complex enumeration and Hall numbers are those of reps.KrullSchmidt.  The
+semi-derived algebras are in sdh (the core of both), sdh2 and sdhz.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from itertools import product
 
 from .errors import (
     CategoryMismatch,
+    NotASubmodule,
     ShapeError,
     SignConventionBroken,
 )
@@ -35,8 +36,6 @@ from .linalg import (
     FpMatrix,
     combine_flat,
     coset_points,
-    echelon_subspaces,
-    gaussian_binomial,
     split_flat,
 )
 from .reps import (
@@ -45,8 +44,6 @@ from .reps import (
     Rep,
     RepCategory,
     RepMorphism,
-    check_count,
-    check_dim,
     check_scan,
     corestrict,
     intertwiners,
@@ -67,9 +64,8 @@ class Cx2:
         self.d1 = d1
         if not (d0.check_intertwining() and d1.check_intertwining()):
             raise ShapeError("differentials are not morphisms of representations")
-        for i in range(cat.quiver.n):
-            if not (d1.mats[i] @ d0.mats[i]).is_zero() or not (d0.mats[i] @ d1.mats[i]).is_zero():
-                raise SignConventionBroken("d o d != 0 in Z/2 complex")
+        if not squares_to_zero(d0, d1):
+            raise SignConventionBroken("d o d != 0 in Z/2 complex")
         self._sig = None
 
     def signature(self) -> tuple:
@@ -116,6 +112,11 @@ class Cx2:
 
     def __repr__(self):
         return f"Cx2(dim0={self.M0.dim}, dim1={self.M1.dim})"
+
+
+def squares_to_zero(d0: RepMorphism, d1: RepMorphism) -> bool:
+    """Whether d1 o d0 = d0 o d1 = 0 at every vertex."""
+    return all((b @ a).is_zero() and (a @ b).is_zero() for a, b in zip(d0.mats, d1.mats))
 
 
 def _dims(X) -> dict:
@@ -225,10 +226,12 @@ class Cx2Tools(KrullSchmidt):
     one category, through the protocol of the module docstring."""
 
     scan_prefix = "complex "
+    sub_guard = ("subcomplex", DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
     # The Krull-Schmidt core, under the names the rest of the engine uses.
     decompose2 = KrullSchmidt._summands
     is_isomorphic = KrullSchmidt.is_isomorphic
     aut_count = KrullSchmidt.aut_count
+    sub_complexes_with_dims = KrullSchmidt.sub_objects
 
     def __init__(self, cat: RepCategory):
         super().__init__(cat.p)
@@ -253,11 +256,10 @@ class Cx2Tools(KrullSchmidt):
         offsets = {}
         shapes = []
         size = 0
-        for m in degs:
-            for i in range(self.cat.quiver.n):
-                offsets[m, i] = size
-                shapes.append((V.component(m).dim[i], U.component(m).dim[i]))
-                size += shapes[-1][0] * shapes[-1][1]
+        for m, i in product(degs, range(self.cat.quiver.n)):
+            offsets[m, i] = size
+            shapes.append((V.component(m).dim[i], U.component(m).dim[i]))
+            size += shapes[-1][0] * shapes[-1][1]
         return degs, offsets, shapes, size
 
     def _chain_map(self, U, V, degs, shapes, flat) -> ChainMorphism:
@@ -379,53 +381,59 @@ class Cx2Tools(KrullSchmidt):
             out.append((f, middle_term(L, M, f), weight))
         return out
 
+    def structure_maps(self, X) -> list:
+        """The arrow maps of each component, then _diff_maps(X)."""
+        n = self.cat.quiver.n
+        return [(f, k * n + s, k * n + t) for k, m in enumerate(X.degrees())
+                for f, s, t in self.cat.structure_maps(X.component(m))] + self._diff_maps(X)
+
+    def _diff_maps(self, X) -> list:
+        """(d^m at vertex i, its source side, its target side) over sides(X)."""
+        n = self.cat.quiver.n
+        off = {m: k * n for k, m in enumerate(X.degrees())}
+        return [(f, off[m] + i, off[X.degree(m + 1)] + i) for m in off if X.degree(m + 1) in off
+                for i, f in enumerate(X.diff(m).mats)]
+
+    def _by_degree(self, X, U) -> dict:
+        """{degree: its per-vertex row bases} of U, in sides() order."""
+        n = self.cat.quiver.n
+        return {m: U[k * n:(k + 1) * n] for k, m in enumerate(X.degrees())}
+
     def sub_object(self, X, U):
-        """The subcomplex on the per-degree subrepresentations with echelon
-        row bases U[m], differentials corestricted."""
-        subs = {m: self.cat.sub_rep(X.component(m), U[m]) for m in X.degrees()}
+        """The subcomplex on the echelon row bases U, differentials
+        corestricted; NotASubmodule unless U spans one."""
+        subs = {m: self.cat.sub_rep(X.component(m), Um)
+                for m, Um in self._by_degree(X, U).items()}
         mats = {}
         for m in X.degrees():
             if X.degree(m + 1) in subs:
                 d = corestrict(X.diff(m).compose(subs[m][1]), subs[X.degree(m + 1)][1])
                 if d is None:
-                    raise ShapeError("subspaces not differential-stable")
+                    raise NotASubmodule("subspaces not stable under the differential")
                 mats[m] = d.mats
         return X.like({m: S for m, (S, _) in subs.items()}, mats)
 
-    def image_subspaces(self, f: ChainMorphism) -> dict:
-        return {m: self.cat.image_subspaces(s) for m, s in f.maps.items()}
+    def image_subspaces(self, f: ChainMorphism) -> tuple:
+        return tuple(U for s in f.maps.values() for U in self.cat.image_subspaces(s))
 
-    def kernel_subspaces(self, f: ChainMorphism) -> dict:
-        return {m: self.cat.kernel_subspaces(s) for m, s in f.maps.items()}
+    def kernel_subspaces(self, f: ChainMorphism) -> tuple:
+        return tuple(U for s in f.maps.values() for U in self.cat.kernel_subspaces(s))
 
     def quotient_complex(self, X, U):
-        """The quotient complex by the per-degree subrepresentations with
-        echelon row bases U[m]; the induced differential is p o d o section."""
+        """The quotient complex by the subcomplex on the echelon row bases U;
+        the induced differential is p o d o section."""
+        # RepCategory.quotient tests the arrow maps of each degree.
+        if not maps_into(self.p, self._diff_maps(X), U):
+            raise NotASubmodule("subspaces not stable under the differential")
         cat = self.cat
-        quos = {m: cat.quotient(X.component(m), U[m]) for m in X.degrees()}
+        by_degree = self._by_degree(X, U)
+        quos = {m: cat.quotient(X.component(m), Um) for m, Um in by_degree.items()}
         mats = {}
         for m in X.degrees():
             if X.degree(m + 1) in quos:
                 proj = quos[X.degree(m + 1)][1]
-                sec = cat.quotient_section(X.component(m), U[m])
+                sec = cat.quotient_section(X.component(m), by_degree[m])
                 mats[m] = [e @ d @ s for e, d, s in zip(proj.mats, X.diff(m).mats, sec)]
         return X.like({m: Qm for m, (Qm, _) in quos.items()}, mats)
 
-    def sub_complexes_with_dims(self, X: Cx2, d0dims, d1dims) -> list:
-        """All subcomplexes with prescribed per-vertex dimensions (both degrees)."""
-        cat = self.cat
-        p = cat.p
-        check_dim("subcomplex enumeration guardrail", X.total_dim(),
-                  DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
-        count = 1
-        for di, ci in zip(tuple(d0dims) + tuple(d1dims), X.M0.dim + X.M1.dim):
-            count *= gaussian_binomial(ci, di, p)
-        check_count("subcomplex enumeration", count, "subspace tuples")
-        per0 = [list(echelon_subspaces(p, X.M0.dim[i], d0dims[i]))
-                for i in range(cat.quiver.n)]
-        per1 = [list(echelon_subspaces(p, X.M1.dim[i], d1dims[i]))
-                for i in range(cat.quiver.n)]
-        stable1 = [U1 for U1 in product(*per1) if cat.is_stable(X.M1, U1)]
-        return [(U0, U1) for U0 in product(*per0) if cat.is_stable(X.M0, U0)
-                for U1 in stable1
-                if maps_into(p, X.d0.mats, U0, U1) and maps_into(p, X.d1.mats, U1, U0)]
+    quotient_object = quotient_complex

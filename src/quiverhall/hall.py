@@ -71,19 +71,9 @@ class HallAlgebra:
         if tuple(a + b for a, b in zip(quot.dim, sub.dim)) != ambient.dim:
             return 0
         ck = (quot.sig, ambient.sig, sub.sig)
-        if ck in self._hall_cache:
-            return self._hall_cache[ck]
-        C = ambient.rep
-        n = 0
-        for U in self.cat.submodules_with_dim(C, sub.dim):
-            S, _ = self.cat.sub_rep(C, U)
-            if self.cat.intern(S) != sub:
-                continue
-            Qt, _ = self.cat.quotient(C, U)
-            if self.cat.intern(Qt) == quot:
-                n += 1
-        self._hall_cache[ck] = n
-        return n
+        if ck not in self._hall_cache:
+            self._hall_cache[ck] = self.cat.hall_count(quot.rep, ambient.rep, sub.rep)
+        return self._hall_cache[ck]
 
     def aut_count(self, key: IsoClassKey) -> int:
         return self.cat.aut_count(key.rep)
@@ -128,11 +118,8 @@ class HallAlgebra:
         return counts
 
     def _riedtmann_value(self, top, bottom, middle) -> Fraction:
-        g = self.hall_number(top, middle, bottom)
-        if g == 0:
-            return Fraction(0)
-        return Fraction(g * self.aut_count(top) * self.aut_count(bottom),
-                        self.aut_count(middle))
+        return self.cat.riedtmann(self.hall_number(top, middle, bottom),
+                                  top.rep, middle.rep, bottom.rep)
 
     def riedtmann_hall_number(self, top, bottom, middle, const: CoeffScalar) -> int:
         """g^middle_{top,bottom} = const * |Aut middle| / (|Aut top| |Aut bottom|)
@@ -173,9 +160,6 @@ class HallAlgebra:
         """Terms of v^e [top] o [bottom]."""
         tw = v_power(self.q, e)
         return ((k, c * tw) for k, c in self.product_pair(top, bottom).terms.items())
-
-    def hall_product(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear(x, y, lambda a, b: self.product_pair(a, b).terms.items())
 
     def twisted_product(self, x: LinComb, y: LinComb) -> LinComb:
         return bilinear(x, y, lambda a, b: self._twisted_pair(

@@ -9,6 +9,7 @@ across runs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate, islice, product
 from typing import Iterable, Optional
 
@@ -182,15 +183,18 @@ class KrullSchmidt:
     automorphism counts shared by the category of representations
     (RepCategory) and that of complexes (cx2.Cx2Tools).
 
-    A subclass supplies scan_prefix (the prefix of its guards),
+    A subclass supplies scan_prefix (the prefix of its guards), sub_guard
+    (the name, limit and limit name of the sub-object walk's guardrail),
     _check_same(X, Y) (CategoryMismatch unless both objects are its own),
     hom_basis(X, Y) (a deterministic basis of morphisms X -> Y),
     morphisms_from_coeffs(basis, coeffs) (the sum of coeffs[i] * basis[i]),
-    image_subspaces and kernel_subspaces of a morphism, sub_object(X, U) (the
-    sub-object of X on those subspaces) and sides(X) (the square block sides
-    of an endomorphism's entries_flat()).  Its objects have signature(),
-    total_dim() and is_zero(); its morphisms compose(), is_zero(),
-    is_isomorphism() and entries_flat().
+    sides(X) (the square block sides of an endomorphism's entries_flat()),
+    structure_maps(X) (the (matrix, source side, target side) a sub-object
+    is stable under), sub_object(X, U), quotient_object(X, U), and
+    image_subspaces and kernel_subspaces of an endomorphism.  A sub-object U
+    is a tuple of echelon row bases, one per side, in sides() order.  The
+    objects have signature(), total_dim() and is_zero(); the morphisms
+    compose(), is_zero(), is_isomorphism() and entries_flat().
     """
 
     scan_prefix = ""
@@ -299,6 +303,44 @@ class KrullSchmidt:
             any(n == m and self._indecomposables_isomorphic(S, T) for T, n in gy)
             for S, m in gx)
 
+    def is_stable(self, X, U) -> bool:
+        """Whether the echelon row bases U span a sub-object of X."""
+        return maps_into(self.p, self.structure_maps(X), U)
+
+    def sub_objects(self, X, dims) -> list:
+        """Every sub-object U of X with dims[k]-dimensional U[k], in product
+        order, one side at a time: a map is tested once both its sides are."""
+        kind, limit, name = self.sub_guard
+        check_dim(kind + " enumeration guardrail", X.total_dim(), limit, name)
+        sides = self.sides(X)
+        count = 1
+        for c, d in zip(sides, dims):
+            count *= gaussian_binomial(c, d, self.p)
+        check_count(kind + " enumeration", count, "subspace tuples")
+        if not count:
+            return []
+        closing = [[] for _ in sides]
+        for f, s, t in self.structure_maps(X):
+            closing[max(s, t)].append((f, s, t))
+        found = [()]
+        for c, d, maps in zip(sides, dims, closing):
+            extended = (U + (V,) for U, V in product(found, list(echelon_subspaces(self.p, c, d))))
+            found = [U for U in extended if maps_into(self.p, maps, U)]
+        return found
+
+    def hall_count(self, quot, X, sub) -> int:
+        """The Hall number: how many sub-objects of X are isomorphic to sub
+        with quotient isomorphic to quot."""
+        return sum(1 for U in self.sub_objects(X, self.sides(sub))
+                   if self.is_isomorphic(self.sub_object(X, U), sub)
+                   and self.is_isomorphic(self.quotient_object(X, U), quot))
+
+    def riedtmann(self, g: int, quot, X, sub) -> Fraction:
+        """|Ext^1(quot, sub)_X| / |Hom(quot, sub)| = g |Aut quot| |Aut sub| / |Aut X|
+        for the Hall number g (Riedtmann, J. Algebra 1994; for complexes,
+        Bridgeland, Ann. Math. 2013)."""
+        return Fraction(g * self.aut_count(quot) * self.aut_count(sub), self.aut_count(X))
+
     def aut_count(self, X) -> int:
         """|Aut X| = q^(dim End X) * prod_j |GL_{m_j}(F_{Q_j})| / Q_j^(m_j^2)
         over the classes S_j of indecomposable summands, of multiplicity m_j.
@@ -329,10 +371,12 @@ class KrullSchmidt:
 class RepCategory(KrullSchmidt):
     """Context for rep_k(Q) over F_p: constructors, hom spaces, registry."""
 
+    sub_guard = ("submodule", ENUM_DIM_GUARD, "ENUM_DIM_GUARD")
     # The Krull-Schmidt core, under the names the rest of the engine uses.
     decompose_reps = KrullSchmidt._summands
     is_isomorphic = KrullSchmidt.is_isomorphic
     aut_count = KrullSchmidt.aut_count
+    submodules_with_dim = KrullSchmidt.sub_objects
 
     def __init__(self, quiver: Quiver, p: int):
         check_prime(p)
@@ -485,11 +529,9 @@ class RepCategory(KrullSchmidt):
         sub = Rep(self.quiver, p, tuple(e.cols for e in incl), mats)
         return sub, RepMorphism(sub, C, incl)
 
-    def is_stable(self, C: Rep, U) -> bool:
-        """Whether the echelon row bases U = (U_1..U_n) span a subrepresentation of C."""
-        arrows = self.quiver.arrows
-        return maps_into(self.p, C.maps, [U[s - 1] for s, _ in arrows],
-                         [U[t - 1] for _, t in arrows])
+    def structure_maps(self, C: Rep) -> list:
+        """(X_a, s - 1, t - 1) for each arrow a: s -> t."""
+        return [(m, s - 1, t - 1) for m, (s, t) in zip(C.maps, self.quiver.arrows)]
 
     def quotient_section(self, C: Rep, U) -> list:
         """Per vertex, the unit columns at the positions that lead no row of the
@@ -539,6 +581,9 @@ class RepCategory(KrullSchmidt):
 
     def sub_object(self, C: Rep, U) -> Rep:
         return self.sub_rep(C, U)[0]
+
+    def quotient_object(self, C: Rep, U) -> Rep:
+        return self.quotient(C, U)[0]
 
     def sides(self, M: Rep) -> tuple:
         return M.dim
@@ -610,24 +655,6 @@ class RepCategory(KrullSchmidt):
 
     def zero_key(self) -> IsoClassKey:
         return self.intern(self.zero_rep)
-
-    # ------------------------------------------------------------------
-    # submodule enumeration
-
-    def submodules_with_dim(self, C: Rep, d) -> list:
-        """All arrow-stable subspace tuples of prescribed dimension vector."""
-        d = tuple(d)
-        check_dim("submodule enumeration guardrail", C.total_dim(), ENUM_DIM_GUARD,
-                  "ENUM_DIM_GUARD")
-        if any(di > ci for di, ci in zip(d, C.dim)) or any(di < 0 for di in d):
-            return []
-        count = 1
-        for di, ci in zip(d, C.dim):
-            count *= gaussian_binomial(ci, di, self.p)
-        check_count("submodule enumeration", count, "subspace tuples")
-        per_vertex = [list(echelon_subspaces(self.p, C.dim[i], d[i]))
-                      for i in range(self.quiver.n)]
-        return [U for U in product(*per_vertex) if self.is_stable(C, U)]
 
     # ------------------------------------------------------------------
     # projective resolutions
@@ -829,11 +856,10 @@ def intertwiners(p: int, nvars: int, equations) -> list:
     return A.kernel_basis()
 
 
-def maps_into(p: int, maps, src, dst) -> bool:
-    """Whether each maps[k] sends the span of the echelon rows src[k] into the
-    span of dst[k]: the one stability test of sub-objects."""
-    return all(subspace_contains(p, rows_t, m.mul_vec(row))
-               for m, rows_s, rows_t in zip(maps, src, dst) for row in rows_s)
+def maps_into(p: int, maps, U) -> bool:
+    """Whether each (f, s, t) of maps sends the span of the echelon rows U[s]
+    into the span of U[t]: the one stability test of sub-objects."""
+    return all(subspace_contains(p, U[t], f.mul_vec(row)) for f, s, t in maps for row in U[s])
 
 
 def corestrict(f: RepMorphism, incl: RepMorphism) -> Optional[RepMorphism]:

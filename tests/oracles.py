@@ -1,12 +1,13 @@
 """Test oracles: helpers that tests use to check the engine's behaviour, but
 that the engine itself never calls.  Those that read an engine object (a
-RepCategory or a Cx2Tools) take it as their first argument.
+RepCategory, a Cx2Tools or a HallAlgebra) take it as their first argument.
 """
 
 from quiverhall.cx2 import Cx2, zero_morphism
 from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
 from quiverhall.reps import Rep, RepCategory
+from quiverhall.scalars import LinComb, bilinear
 from quiverhall.sdhz import SDHZAlgebra
 from quiverhall.suites import _row
 
@@ -17,6 +18,11 @@ def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
     if degree % 2 == 0:
         return Cx2(cat, A, Z, zero_morphism(cat, A, Z), zero_morphism(cat, Z, A))
     return Cx2(cat, Z, A, zero_morphism(cat, Z, A), zero_morphism(cat, A, Z))
+
+
+def hall_product(alg: HallAlgebra, x: LinComb, y: LinComb) -> LinComb:
+    """The untwisted Hall product x o y."""
+    return bilinear(x, y, lambda a, b: alg.product_pair(a, b).terms.items())
 
 
 def is_acyclic(tools, X) -> bool:

@@ -153,6 +153,12 @@ def test_table_bound_past_enum_guard_exits_before_enumeration(quiver_files, caps
     # dimension 6, whose Hall numbers come from Riedtmann's formula.
     ("a2", 2, ["--table", "--bound", "6"],
      "c0376262c308f3f49c71e4a8b0c312bb838e776e897be96df07259f2dc0bd3ba"),
+    # The non-Dynkin sub-complex walk and Hall count of route B.
+    ("kronecker", 2, ["--suite", "bridgeland-compare"],
+     "73f726ae9f0bbf6351a0b8557081b95f4a74fbfd877f2e109d03d1e24308c84f"),
+    # Submodule Hall counts on non-brick Kronecker middle terms.
+    ("kronecker", 3, ["--suite", "ringel"],
+     "5d8aaa8ac16c4b1b2329b5f800c6dcb2cde5bc45c07fd6d1036bc8e8e50e2da5"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building

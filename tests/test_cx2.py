@@ -10,7 +10,7 @@ from quiverhall.cx2 import (
     make_KPstar,
     minimal_complex,
 )
-from quiverhall.errors import SignConventionBroken
+from quiverhall.errors import NotASubmodule, SignConventionBroken
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory, RepMorphism
@@ -241,17 +241,30 @@ def test_sub_and_quotient_complexes():
     X = make_KP(cat, P)
     # its Z-graded fold, with U indexed by degree through the same engine
     Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
-    subs = tools.sub_complexes_with_dims(X, (0, 1), (0, 1))
+    subs = tools.sub_complexes_with_dims(X, (0, 1, 0, 1))
     assert subs
-    for U0, U1 in subs:
-        S = tools.sub_object(X, (U0, U1))
-        Q = tools.quotient_complex(X, (U0, U1))
+    for U in subs:
+        S = tools.sub_object(X, U)
+        Q = tools.quotient_complex(X, U)
         assert S.total_dim() + Q.total_dim() == X.total_dim()
-        for Z, Zy in ((S, tools.sub_object(Y, {0: U0, 1: U1})),
-                      (Q, tools.quotient_complex(Y, {0: U0, 1: U1}))):
+        for Z, Zy in ((S, tools.sub_object(Y, U)), (Q, tools.quotient_complex(Y, U))):
             assert [Zy.component(m).signature() for m in (0, 1)] == \
                 [Z.component(m).signature() for m in (0, 1)]
             assert Zy.diff(0).mats == Z.d0.mats
+
+
+def test_non_subcomplex_is_refused():
+    """All of degree 0 and nothing of degree 1 is arrow-stable in K_k but not
+    stable under d0 = id, so neither a sub- nor a quotient complex exists."""
+    cat = vect()
+    tools = Cx2Tools(cat)
+    X = make_KP(cat, cat.rep((1,)))
+    U = (((1,),), ())
+    for build in (tools.sub_object, tools.quotient_complex):
+        with pytest.raises(NotASubmodule):
+            build(X, U)
+    assert tools.sub_complexes_with_dims(X, (1, 0)) == []
+    assert tools.sub_complexes_with_dims(X, (0, 1)) == [((), ((1,),))]
 
 
 def test_sign_convention_guard():

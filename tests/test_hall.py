@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from oracles import hall_product
 from quiverhall.errors import ConversionMismatch
 from quiverhall.hall import HallAlgebra, verify_ringel
 from quiverhall.linalg import FpMatrix
@@ -138,15 +139,15 @@ def test_hall_product_unit():
     cat = a2()
     alg = HallAlgebra(cat)
     x = alg.cls(cat.projective(1)) + alg.cls(cat.simple(1))
-    assert alg.hall_product(alg.unit(), x) == x
-    assert alg.hall_product(x, alg.unit()) == x
+    assert hall_product(alg, alg.unit(), x) == x
+    assert hall_product(alg, x, alg.unit()) == x
 
 
 def test_hall_product_a2_simples():
     for p in (2, 3):
         cat = a2(p)
         alg = HallAlgebra(cat)
-        prod = alg.hall_product(alg.cls(cat.simple(1)), alg.cls(cat.simple(2)))
+        prod = hall_product(alg, alg.cls(cat.simple(1)), alg.cls(cat.simple(2)))
         sum_key = cat.intern(cat.rep((1, 1)))
         p1_key = cat.intern(cat.projective(1))
         assert prod.terms[sum_key] == CoeffScalar.one(p)
@@ -157,7 +158,7 @@ def test_hall_product_a2_simples():
 def test_hall_product_vect():
     v = vect()
     alg = HallAlgebra(v)
-    prod = alg.hall_product(alg.cls(v.rep((1,))), alg.cls(v.rep((1,))))
+    prod = hall_product(alg, alg.cls(v.rep((1,))), alg.cls(v.rep((1,))))
     assert prod.terms == {v.intern(v.rep((2,))): CoeffScalar.of(2, Fraction(1, 2))}
 
 
@@ -167,7 +168,7 @@ def test_twisted_product_examples():
     x = alg.cls(cat.simple(1))
     assert alg.twisted_product(alg.unit(), x) == x
     tw = alg.twisted_product(x, alg.cls(cat.simple(2)))
-    plain = alg.hall_product(x, alg.cls(cat.simple(2)))
+    plain = hall_product(alg, x, alg.cls(cat.simple(2)))
     assert tw == plain.scale_scalar(v_power(2, -1))
     v = vect()
     av = HallAlgebra(v)
@@ -186,7 +187,7 @@ def test_twist_coherence_on_pool():
             if sum(A.dim) + sum(B.dim) > 3:
                 continue
             tw = alg.twisted_product(alg.cls(A), alg.cls(B))
-            pl = alg.hall_product(alg.cls(A), alg.cls(B)).scale_scalar(
+            pl = hall_product(alg, alg.cls(A), alg.cls(B)).scale_scalar(
                 v_power(2, cat.euler_form_int(A.dim, B.dim)))
             assert tw == pl
 
@@ -199,7 +200,7 @@ def test_grading():
         for B in keys:
             if sum(A.dim) + sum(B.dim) > 3:
                 continue
-            prod = alg.hall_product(alg.cls(A), alg.cls(B))
+            prod = hall_product(alg, alg.cls(A), alg.cls(B))
             for C in prod.terms:
                 assert C.dim == tuple(a + b for a, b in zip(A.dim, B.dim))
 
@@ -214,8 +215,8 @@ def test_hall_associativity_seeded():
         if sum(A.dim) + sum(B.dim) + sum(C.dim) > 4:
             continue
         x, y, z = alg.cls(A), alg.cls(B), alg.cls(C)
-        assert alg.hall_product(alg.hall_product(x, y), z) == \
-            alg.hall_product(x, alg.hall_product(y, z))
+        assert hall_product(alg, hall_product(alg, x, y), z) == \
+            hall_product(alg, x, hall_product(alg, y, z))
 
 
 def test_extended_algebra_relations():

@@ -15,8 +15,14 @@ from quiverhall.cx2 import (
     middle_term,
     zero_morphism,
 )
+from quiverhall.errors import NotASubmodule
 from quiverhall.hall import HallAlgebra
-from quiverhall.linalg import FpMatrix, reduce_against_rows, subspace_contains
+from quiverhall.linalg import (
+    FpMatrix,
+    echelon_subspaces,
+    reduce_against_rows,
+    subspace_contains,
+)
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
 from quiverhall.scalars import LinComb, q_power
@@ -740,14 +746,15 @@ def test_sub_objects_quotients_and_homology_match_columnwise_oracles():
             middles = {}
             for L, M in _ext_pairs(pool, 4):
                 for _f, X, _w in tools.ext1_classes_proj(L, M):
-                    for U0, U1 in tools.sub_complexes_with_dims(X, M.M0.dim, M.M1.dim):
-                        S = tools.sub_object(X, (U0, U1))
+                    for U in tools.sub_complexes_with_dims(X, tools.sides(M)):
+                        U0, U1 = U[:cat.quiver.n], U[cat.quiver.n:]
+                        S = tools.sub_object(X, U)
                         (S0, i0), (S1, i1) = (_sub_rep_oracle(cat, X.M0, U0),
                                               _sub_rep_oracle(cat, X.M1, U1))
                         assert S.signature() == Cx2(
                             cat, S0, S1, _restrict_oracle(cat, X.d0, S0, i0, S1, i1),
                             _restrict_oracle(cat, X.d1, S1, i1, S0, i0)).signature()
-                        Qc = tools.quotient_complex(X, (U0, U1))
+                        Qc = tools.quotient_complex(X, U)
                         (Q0, p0), (Q1, p1) = (_quotient_oracle(cat, X.M0, U0),
                                               _quotient_oracle(cat, X.M1, U1))
                         assert Qc.signature() == Cx2(
@@ -780,3 +787,64 @@ def test_sub_objects_quotients_and_homology_match_columnwise_oracles():
                         counts["submodules"] += 1
     assert counts["sub-complexes"] > 100 and counts["homology"] > 100 \
         and counts["submodules"] > 100, counts
+
+
+# The module pools of the sub-object walk and Hall count cross-checks.
+WALK_POOLS = ((a_n_quiver(2), 2), (a_n_quiver(2), 3), (Quiver(2, [(1, 2), (1, 2)]), 2))
+
+
+def _walk_pools():
+    """(engine, objects): for each of WALK_POOLS the representations of the
+    bound-3 iso classes, then the middle terms of the extensions of the
+    bridgeland-compare pool (bound 3, pairs of total dimension <= 4)."""
+    for qv, p in WALK_POOLS:
+        cat = RepCategory(qv, p)
+        yield cat, [k.rep for k in cat.iso_classes_up_to(3)]
+        alg = SDH2Algebra(cat)
+        middles = {E.signature(): E for L, M in _ext_pairs(proj_complex_pool(alg, 3), 4)
+                   for _f, E, _w in alg.tools.ext1_classes_proj(L, M)}
+        yield alg.tools, list(middles.values())
+
+
+def test_sub_object_walk_matches_filter_of_every_subspace_tuple():
+    """The walk, which tests each structure map as soon as both its sides
+    are chosen, gives the tuples, in order, that sub_object builds (the
+    solve-based test of sub_rep and corestrict) among all of
+    itertools.product over echelon_subspaces, for every dimension per side."""
+    counts = Counter()
+    for ks, objects in _walk_pools():
+        for X in objects:
+            sides = ks.sides(X)
+            for dims in product(*(range(c + 1) for c in sides)):
+                built = []
+                for U in product(*(echelon_subspaces(ks.p, c, d) for c, d in zip(sides, dims))):
+                    try:
+                        ks.sub_object(X, U)
+                    except NotASubmodule:
+                        counts["refused", type(ks).__name__] += 1
+                        continue
+                    built.append(U)
+                assert ks.sub_objects(X, dims) == built, (X, dims)
+                counts["found", type(ks).__name__] += len(built)
+    assert min(counts.values()) > 40, counts
+
+
+def test_module_hall_count_matches_interned_key_count():
+    """The Hall count by is_isomorphic equals the count by interned keys of
+    sub and quotient that it replaced, on every triple of the bound-3 pools,
+    zero counts included."""
+    nonzero = 0
+    for qv, p in WALK_POOLS:
+        cat = RepCategory(qv, p)
+        keys = cat.iso_classes_up_to(3)
+        for C in keys:
+            by_keys = Counter()
+            for d in product(*(range(c + 1) for c in C.dim)):
+                for U in cat.submodules_with_dim(C.rep, d):
+                    by_keys[cat.intern(cat.quotient(C.rep, U)[0]),
+                            cat.intern(cat.sub_rep(C.rep, U)[0])] += 1
+            for A, B in product(keys, keys):
+                if tuple(a + b for a, b in zip(A.dim, B.dim)) == C.dim:
+                    assert cat.hall_count(A.rep, C.rep, B.rep) == by_keys[A, B], (A, B, C)
+                    nonzero += by_keys[A, B] > 0
+    assert nonzero > 50, nonzero

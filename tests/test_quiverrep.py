@@ -345,7 +345,7 @@ def test_enumeration_budget_messages_name_guard_size_and_limit():
         (lambda: big.submodules_with_dim(big.rep((3, 3)), (1, 1)),
          r"submodule enumeration: 90383049 subspace tuples > SCAN_BUDGET 1048576"),
         (lambda: Cx2Tools(cat).sub_complexes_with_dims(
-            stalk_cx2(cat, cat.rep((7, 7)), 0), (1, 1), (0, 0)),
+            stalk_cx2(cat, cat.rep((7, 7)), 0), (1, 1, 0, 0)),
          r"subcomplex enumeration guardrail: total dimension 14 > DECOMPOSE_DIM_GUARD 12"),
     ]
     for call, message in cases:
