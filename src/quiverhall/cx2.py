@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product
+from typing import Optional
 
 from .errors import (
     CategoryMismatch,
@@ -278,7 +279,9 @@ class Cx2Tools(KrullSchmidt):
         flat = combine_flat(self.cat.p, [b.entries_flat() for b in basis], coeffs, size)
         return self._chain_map(U, V, degs, shapes, flat)
 
-    def morphisms_from_coeffs(self, basis: list, coeffs) -> ChainMorphism:
+    def morphisms_from_coeffs(self, basis: list, coeffs) -> Optional[ChainMorphism]:
+        if not basis:
+            return None
         return self._from_coeffs(basis, coeffs, basis[0].dom, basis[0].cod)
 
     def hom_basis(self, L, M) -> list:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from .errors import ConversionMismatch
 from .linalg import FpMatrix, coset_points
-from .reps import IsoClassKey, RepCategory, RepMorphism
+from .reps import IsoClassKey, RepCategory, RepMorphism, check_scan
 from .scalars import CoeffScalar, LinComb, bilinear, v_power
 
 
@@ -104,6 +104,8 @@ class HallAlgebra:
             counts[cat.intern(D)] = 1
             self._ext_cache[ck] = counts
             return counts
+        # dim Ext^1(A, C) = dim Hom(P1, C) - dim Hom(P0, C) + dim Hom(A, C)
+        check_scan("extension-class enumeration", p, e1 - len(HB0) + cat.hom_dim(A, C))
         D = cat.direct_sum([C, P0])
         restricted = [g.compose(incl).entries_flat() for g in HB0]
         for coeffs, weight in coset_points(p, [h.entries_flat() for h in HB1], restricted):

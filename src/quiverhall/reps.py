@@ -187,7 +187,8 @@ class KrullSchmidt:
     (the name, limit and limit name of the sub-object walk's guardrail),
     _check_same(X, Y) (CategoryMismatch unless both objects are its own),
     hom_basis(X, Y) (a deterministic basis of morphisms X -> Y),
-    morphisms_from_coeffs(basis, coeffs) (the sum of coeffs[i] * basis[i]),
+    morphisms_from_coeffs(basis, coeffs) (the sum of coeffs[i] * basis[i];
+    None for an empty basis, which names no domain or codomain),
     sides(X) (the square block sides of an endomorphism's entries_flat()),
     structure_maps(X) (the (matrix, source side, target side) a sub-object
     is stable under), sub_object(X, U), quotient_object(X, U), and

@@ -24,14 +24,45 @@ grading's degree():
   <T_g, T_h> = q^(sum of hom(g_m, h_l) over slot pairs with
                   l in {deg(m), deg(m - 1)})
 For Z/2 the last rule counts each of the four slot pairs once.
+
+A product of two basis terms needs one product [R1] . [R2] of
+representatives per pair of homology keys (_key_pair), given by its middle
+terms in normal form.  In general these are read off the extension classes
+of R1 by R2 in the category of complexes (Cx2Tools.ext1_classes_proj), a
+space much larger than the Ext^1 of the homology.  Two kinds of key pair
+need no such enumeration:
+
+* the zero key: [R_0] is the unit, so [R_0] . [R] = [R] . [R_0] = [R];
+* two stalk keys, with homology one module A, resp. B, in the same degree
+  m.  The grading's stalk_term(X, m) gives the class E_X of the stalk
+  complex with X in degree m, and for a hereditary category the stalk
+  classes multiply by the Ringel-Hall formula (the paper's theorem on
+  hereditary E; for Z/2 also Bridgeland, "Quantum groups via Hall algebras
+  of complexes", Ann. Math. 2013):
+
+    E_A . E_B = sum over C of |Ext^1(A, B)_C| / |Hom(A, B)| . E_C,
+
+  with the counts |Ext^1(A, B)_C| of HallAlgebra.ext_class_counts.  Write
+  E_X = gamma_X T_(g_X) [R_X].  By _product_terms, the term (ell, key) of
+  the key pair, with coefficient c, contributes
+    gamma_A gamma_B c q^(base - <g_A + g_B, ell>) T_(g_A + g_B + ell) [R_key]
+  to E_A . E_B, where hom = hom_dim(R_A, R_B) and
+    base = <T_(g_B), R_A> - <R_A, T_(g_B)> - <g_A, g_B> - hom
+  (all pairings as exponents of q).  Matching this against gamma_C T_(g_C)
+  [R_C] term by term gives one key-pair term per middle term C: ell is
+  g_C - g_A - g_B, key is key_C, and c is
+    |Ext^1(A, B)_C| / |Hom(A, B)| . gamma_C / gamma_A gamma_B
+      . q^(<g_A + g_B, ell> - base).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .cx2 import Cx2Tools
 from .errors import ShapeError
+from .hall import HallAlgebra
 from .reps import ProjectiveCoords, RepCategory
 from .scalars import CoeffScalar, LinComb, bilinear, q_power
 
@@ -48,13 +79,15 @@ class SemiDerivedAlgebra:
 
     A subclass names its complex class (complex_type, for degree()), builds
     the representative of a key (_representative), lists and builds lattice
-    points and keys (_slots, _from_slots), and wraps terms into its own
+    points and keys (_slots, _from_slots), builds the class of a stalk
+    complex (stalk_term(A, m), one term) and wraps terms into its own
     elements (element)."""
 
     def __init__(self, cat: RepCategory):
         self.cat = cat
         self.q = cat.p
         self.tools = Cx2Tools(cat)
+        self.hall = HallAlgebra(cat)
         self.proj = ProjectiveCoords(cat)
         self.coords = self.proj.coords
         self.dim_of_coords = self.proj.dim_of_coords
@@ -76,6 +109,10 @@ class SemiDerivedAlgebra:
         for m, c in self._slots(h):
             out[m] = tuple(a + b for a, b in zip(out[m], c)) if m in out else c
         return self._from_slots({m: c for m, c in out.items() if any(c)}, self._zero)
+
+    def _lattice_neg(self, g) -> tuple:
+        return self._from_slots({m: tuple(-x for x in c) for m, c in self._slots(g)},
+                                self._zero)
 
     # -- exponent pairings -------------------------------------------------------
 
@@ -182,12 +219,53 @@ class SemiDerivedAlgebra:
 
     def _key_pair(self, k1, k2) -> tuple:
         """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
-        k1, k2: the middle terms of Ext^1(R1, R2), grouped by normal form
-        T_ell . [R_key], each with the sum of coeff * weight over its
-        classes.  The coefficients are positive, so no group cancels."""
+        k1, k2: [R1] . [R2] is q^-hom times the sum of coeff * T_ell . [R_key].
+        Cached per pair; zero-key and same-degree stalk pairs are read off
+        the Hall numbers (module docstring), every other pair off the
+        extension classes (_resolution_pair)."""
         cached = self._pair_cache.get((k1, k2))
         if cached is not None:
             return cached
+        h1, h2 = self._homology_parts(k1), self._homology_parts(k2)
+        if not h1 or not h2:
+            one = CoeffScalar.one(self.q)
+            cached = (0, [((self._from_slots({}, self._zero), k1 if h1 else k2), one)])
+        elif len(h1) == len(h2) == 1 and h1[0][0] == h2[0][0]:
+            cached = self._stalk_pair(h1[0][1], h2[0][1], h1[0][0])
+        else:
+            cached = self._resolution_pair(k1, k2)
+        self._pair_cache[(k1, k2)] = cached
+        return cached
+
+    def _homology_parts(self, key) -> list:
+        """[(degree, iso class)] of the nonzero homology of a key."""
+        return [(m, k) for m, k in self._slots(key) if any(k.dim)]
+
+    def _stalk_pair(self, A, B, m) -> tuple:
+        """_key_pair of the stalk keys of the iso classes A, B in degree m, by
+        the Ringel-Hall formula of the module docstring."""
+        q = self.q
+        [((gA, kA), cA)] = self.stalk_term(A.rep, m).terms.items()
+        [((gB, kB), cB)] = self.stalk_term(B.rep, m).terms.items()
+        RA, RB = self.rep_of_key(kA), self.rep_of_key(kB)
+        hom = self.tools.hom_dim(RA, RB)
+        gAB = self.lattice_add(gA, gB)
+        base = self.exp_g_Y(gB, RA) - self.exp_Y_g(RA, gB) - self.exp_g_h(gA, gB) - hom
+        scale = (cA * cB).inverse().scale(Fraction(1, q ** self.cat.hom_dim(A.rep, B.rep)))
+        neg = self._lattice_neg(gAB)
+        terms = []
+        for C, count in self.hall.ext_class_counts(A, B).items():
+            [((gC, kC), cC)] = self.stalk_term(C.rep, m).terms.items()
+            ell = self.lattice_add(gC, neg)
+            c = cC * scale.scale(count) * q_power(q, self.exp_g_h(gAB, ell) - base)
+            terms.append(((ell, kC), c))
+        return hom, terms
+
+    def _resolution_pair(self, k1, k2) -> tuple:
+        """_key_pair uncached, by enumeration: the middle terms of Ext^1(R1, R2)
+        grouped by normal form T_ell . [R_key], each with the sum of
+        coeff * weight over its classes.  The coefficients are positive, so
+        no group cancels."""
         R1 = self.rep_of_key(k1)
         R2 = self.rep_of_key(k2)
         hom = self.tools.hom_dim(R1, R2)
@@ -197,5 +275,4 @@ class SemiDerivedAlgebra:
             gk = (ell, key)
             c = coeff.scale(weight)
             groups[gk] = groups[gk] + c if gk in groups else c
-        cached = self._pair_cache[(k1, k2)] = (hom, list(groups.items()))
-        return cached
+        return hom, list(groups.items())

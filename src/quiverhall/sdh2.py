@@ -116,6 +116,10 @@ class SDH2Algebra(SemiDerivedAlgebra):
     def F_class(self, A: Rep) -> LinComb:
         return self.star(self.E_class(A))
 
+    def stalk_term(self, A: Rep, m: int) -> LinComb:
+        """Class of the stalk complex with A in degree m (mod 2)."""
+        return self.E_class(A) if m % 2 else self.F_class(A)
+
     def K_class(self, alpha_dim) -> LinComb:
         return self.torus_term((self.coords(alpha_dim), self._zero))
 

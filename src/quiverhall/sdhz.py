@@ -37,7 +37,7 @@ _HARD_HI = 24
 class CxB:
     """Bounded complex; comps[i] sits in degree lo + i, differentials raise degree."""
 
-    __slots__ = ("cat", "lo", "comps", "diffs", "_sig")
+    __slots__ = ("cat", "lo", "comps", "diffs", "_sig", "_zero_diffs")
 
     def __init__(self, cat: RepCategory, lo: int, comps, diffs):
         comps = list(comps)
@@ -70,6 +70,7 @@ class CxB:
                 if not (self.diffs[i + 1].mats[m] @ self.diffs[i].mats[m]).is_zero():
                     raise SignConventionBroken("d o d != 0 in bounded complex")
         self._sig = None
+        self._zero_diffs = {}
 
     @property
     def hi(self) -> int:
@@ -84,11 +85,18 @@ class CxB:
         return self.cat.zero_rep
 
     def diff(self, m: int) -> RepMorphism:
-        """d^m: component(m) -> component(m+1)."""
+        """d^m: component(m) -> component(m+1).  Past either end it is a zero
+        map, one of three (into the bottom, out of the top, between zeros),
+        each built on first use."""
         idx = m - self.lo
         if 0 <= idx < len(self.diffs):
             return self.diffs[idx]
-        return zero_morphism(self.cat, self.component(m), self.component(m + 1))
+        end = m if m in (self.lo - 1, self.hi) else None
+        d = self._zero_diffs.get(end)
+        if d is None:
+            d = self._zero_diffs[end] = zero_morphism(self.cat, self.component(m),
+                                                      self.component(m + 1))
+        return d
 
     def degrees(self):
         return range(self.lo, self.hi + 1) if self.comps else range(0)
@@ -219,12 +227,17 @@ class SDHZAlgebra(SemiDerivedAlgebra):
             return self.unit()
         if not (WINDOW_LO <= m <= WINDOW_HI):
             raise WindowExceeded(f"u generator at degree {m} leaves the window")
+        if m - 1 < WINDOW_LO and not self.cat.min_proj_resolution(A)[0].is_zero():
+            raise WindowExceeded(f"u generator at degree {m} needs torus slot {m-1}")
+        return self.stalk_term(A, m)
+
+    def stalk_term(self, A: Rep, m: int) -> LinComb:
+        """u_gen(A, m) for nonzero A, without the window checks, which the
+        product applies to every term it returns."""
         P1A, _P0A, _i, _p = self.cat.min_proj_resolution(A)
         key = ((m, self.cat.intern(A)),)
         if P1A.is_zero():
             return self.term((), key)
-        if m - 1 < WINDOW_LO:
-            raise WindowExceeded(f"u generator at degree {m} needs torus slot {m-1}")
         e1 = self.coords(P1A.dim)
         g = ((m - 1, tuple(-x for x in e1)),)
         return self.term(g, key, q_power(self.q, -self.proj.hom_form(e1, e1)))

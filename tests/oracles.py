@@ -8,8 +8,6 @@ from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
 from quiverhall.reps import Rep, RepCategory
 from quiverhall.scalars import LinComb, bilinear
-from quiverhall.sdhz import SDHZAlgebra
-from quiverhall.suites import _row
 
 
 def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
@@ -61,31 +59,3 @@ def lattice_neg(g) -> tuple:
     """The negative of a Z-graded torus lattice element of sdhz."""
     return tuple(sorted((m, tuple(-x for x in c)) for m, c in g))
 
-
-def embed_im_checks(cat: RepCategory, m: int, bound: int = 4) -> list:
-    """The stalk embedding at degree m is a ring homomorphism on pairs with
-    total dimension <= bound, and is injective on basis keys."""
-    hall = HallAlgebra(cat, cross_check="sampled")
-    alg = SDHZAlgebra(cat)
-    out = []
-    keys = cat.iso_classes_up_to(bound)
-    for A in keys:
-        for B in keys:
-            if sum(A.dim) + sum(B.dim) > bound:
-                continue
-            lhs = alg.productZ(alg.u_gen(A.rep, m), alg.u_gen(B.rep, m))
-            img = alg.zero()
-            for C, c in hall.product_pair(A, B).terms.items():
-                img += alg.u_gen(C.rep, m).scale_scalar(c)
-            out.append(_row(f"I_{m}([{A.label}] o [{B.label}]) multiplicative",
-                            lhs, img))
-    seen = set()
-    inj = True
-    for A in keys:
-        tk = frozenset(alg.u_gen(A.rep, m).terms)
-        if tk in seen:
-            inj = False
-        seen.add(tk)
-    out.append((f"I_{m} injective on basis keys", "pass" if inj else "fail",
-                str(len(seen)), str(len(keys))))
-    return out

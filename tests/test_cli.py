@@ -159,6 +159,14 @@ def test_table_bound_past_enum_guard_exits_before_enumeration(quiver_files, caps
     # Submodule Hall counts on non-brick Kronecker middle terms.
     ("kronecker", 3, ["--suite", "ringel"],
      "5d8aaa8ac16c4b1b2329b5f800c6dcb2cde5bc45c07fd6d1036bc8e8e50e2da5"),
+    # Stalk products of the semi-derived algebras (E.E and F.F pairs from
+    # Hall numbers), on a non-Dynkin quiver and on three vertices.
+    ("kronecker", 3, ["--suite", "quantum-group"],
+     "496adcb2b45740da57a23e8ae21e34b130579620d8049ac8a7d9f02069423427"),
+    ("kronecker", 3, ["--suite", "reflection"],
+     "744757576dc311049913d99d231b5b99ee074b7fee3f897bb81310cfebced4e3"),
+    ("a3", 3, ["--suite", "quantum-group"],
+     "4df7192c39a78d741bdbadc23f2db9df895cc05ca6049029d287092137a68afa"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building
@@ -178,6 +186,17 @@ def test_bridgeland_compare_past_q2(q, capsys):
                  "--suite", "bridgeland-compare"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert len(checks) == 112
+    assert all(c["status"] == "pass" for c in checks)
+
+
+def test_kronecker_reflection_at_q5(capsys):
+    """Stalk products read off Hall numbers: at q = 5 the extension classes
+    in complexes between the resolutions of two Kronecker stalks span 5^12,
+    past SCAN_BUDGET, while Ext^1 of the modules stays small."""
+    assert main(["--quiver", str(EXAMPLES / "kronecker.json"), "--q", "5",
+                 "--suite", "reflection"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 76
     assert all(c["status"] == "pass" for c in checks)
 
 

@@ -15,7 +15,8 @@ from quiverhall.cx2 import (
     middle_term,
     zero_morphism,
 )
-from quiverhall.errors import NotASubmodule
+from quiverhall import reps
+from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import (
     FpMatrix,
@@ -27,7 +28,7 @@ from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
 from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh2 import SDH2Algebra
-from quiverhall.sdhz import SDHZAlgebra, two_term_cxb, v_complex
+from quiverhall.sdhz import WINDOW_LO, SDHZAlgebra, two_term_cxb, v_complex
 from quiverhall.suites import (
     proj_complex_pool,
     suite_quotient_relations,
@@ -848,3 +849,86 @@ def test_module_hall_count_matches_interned_key_count():
                     assert cat.hall_count(A.rep, C.rep, B.rep) == by_keys[A, B], (A, B, C)
                     nonzero += by_keys[A, B] > 0
     assert nonzero > 50, nonzero
+
+
+# The pools of the stalk-pair cross-check: (quiver, q, bound of the iso classes).
+STALK_POOLS = ((a_n_quiver(2), 2, 3), (a_n_quiver(2), 3, 2), (a_n_quiver(3), 2, 2),
+               (KRONECKER, 2, 2))
+
+
+def _key_pair_outcome(route, k1, k2):
+    """(hom, {term: coefficient}, number of terms) of one key-pair route, or
+    "WindowExceeded"."""
+    try:
+        hom, terms = route(k1, k2)
+    except WindowExceeded:
+        return "WindowExceeded"
+    return hom, dict(terms), len(terms)
+
+
+def test_stalk_key_pairs_match_resolution_route():
+    """_key_pair reads zero-key and same-degree stalk pairs off the Hall
+    numbers.  On every such pair of the pools (Z/2 in degrees 0 and 1, Z in
+    degrees -1, 0 and 1) it gives the hom and the terms, with exact
+    coefficients, of the resolution route it bypasses.  The stalk embedding
+    of each degree is multiplicative, E_A . E_B = sum over C of
+    |Ext^1(A, B)_C| / |Hom(A, B)| E_C, and injective on iso classes."""
+    pairs = 0
+    for qv, p, bound in STALK_POOLS:
+        cat = RepCategory(qv, p)
+        classes = cat.iso_classes_up_to(bound)
+        nonzero = [k for k in classes if any(k.dim)]
+        hall = HallAlgebra(cat, cross_check="sampled")
+        zero = cat.zero_key()
+        alg2, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+        cases = [(alg2, m, lambda k, m=m: (zero, k) if m else (k, zero)) for m in (0, 1)]
+        cases += [(algz, m, lambda k, m=m: ((m, k),) if any(k.dim) else ()) for m in (-1, 0, 1)]
+        for alg, m, key in cases:
+            for A, B in product(classes, classes):
+                k1, k2 = key(A), key(B)
+                assert _key_pair_outcome(alg._key_pair, k1, k2) == \
+                    _key_pair_outcome(alg._resolution_pair, k1, k2), (p, m, A, B)
+                pairs += 1
+            for A, B in product(nonzero, nonzero):
+                rhs = alg.zero()
+                for C, c in hall.product_pair(A, B).terms.items():
+                    rhs += alg.stalk_term(C.rep, m).scale_scalar(c)
+                assert alg.product(alg.stalk_term(A.rep, m), alg.stalk_term(B.rep, m)) == rhs
+            stalks = [alg.stalk_term(A.rep, m) for A in nonzero]
+            assert len({frozenset(s.terms) for s in stalks}) == len(nonzero)
+            if alg is algz:
+                assert all(s == algz.u_gen(A.rep, m) for s, A in zip(stalks, nonzero))
+    assert pairs > 2000, pairs
+    # At the bottom of the window a stalk key's resolution reaches torus
+    # slot WINDOW_LO - 1; both routes still agree on the key pair, and the
+    # product refuses the terms there.
+    cat = RepCategory(a_n_quiver(2), 2)
+    alg = SDHZAlgebra(cat)
+    S1, S2 = (((WINDOW_LO, cat.intern(cat.simple(i))),) for i in (1, 2))
+    new = _key_pair_outcome(alg._key_pair, S1, S2)
+    assert new == _key_pair_outcome(alg._resolution_pair, S1, S2)
+    assert new != "WindowExceeded" and any(ell for ell, _key in new[1])
+    with pytest.raises(WindowExceeded):
+        alg.productZ(alg.term((), S1), alg.term((), S2))
+
+
+def test_ext_class_counts_scan_guard(monkeypatch):
+    """The extension-class walk of HallAlgebra is budgeted by dim Ext^1: on
+    the Kronecker quiver Ext^1(S1, S2) has dimension 2, so it runs within a
+    budget of q^2 and trips the guard, named, below it."""
+    cat = RepCategory(KRONECKER, 2)
+    S1, S2 = cat.intern(cat.simple(1)), cat.intern(cat.simple(2))
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match=r"^extension-class enumeration: 2\^2 = 4 > "
+                                             r"SCAN_BUDGET 3$"):
+        HallAlgebra(cat).ext_class_counts(S1, S2)
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 4)
+    assert sum(HallAlgebra(cat).ext_class_counts(S1, S2).values()) == 4
+
+
+def test_morphisms_from_coeffs_empty_basis_is_none():
+    """Both categories give None for an empty basis, whose domain and
+    codomain are unknown."""
+    cat = RepCategory(a_n_quiver(2), 2)
+    assert cat.morphisms_from_coeffs([], ()) is None
+    assert SDH2Algebra(cat).tools.morphisms_from_coeffs([], ()) is None

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import embed_im_checks, lattice_neg
+from oracles import lattice_neg
 from quiverhall.errors import WindowExceeded
 from quiverhall.hall import HallAlgebra
 from quiverhall.quiver import a_n_quiver
@@ -246,9 +246,3 @@ def test_assoc_seeded_z():
         assert (alg.productZ(alg.productZ(x, y), z)
                 - alg.productZ(x, alg.productZ(y, z))).is_zero()
 
-
-def test_embed_im_suite():
-    checks = embed_im_checks(a2(), 0, bound=3)
-    assert checks and all(c[1] == "pass" for c in checks)
-    checks = embed_im_checks(a2(), 1, bound=3)
-    assert checks and all(c[1] == "pass" for c in checks)
