@@ -96,26 +96,30 @@ def main(argv=None) -> int:
 
     try:
         if args.table:
-            rows = table_rows(cat, args.bound)
-            _emit(_table_text(rows, args.format), args.out)
-            return 0
-        sink = args.sink
-        if args.suite == "reflection" and sink is None:
-            sinks = [v for v in range(1, quiver.n + 1)
-                     if quiver.is_sink(v) and quiver.arrows_into(v)]
-            if not sinks:
-                raise EngineError("quiver has no sink with an incoming arrow")
-            sink = sinks[0]
-        rows = SUITES[args.suite](cat, args.samples, args.seed, sink, args.perturb)
-        report = Report(suite=args.suite, q=args.q,
-                        quiver=json.loads(quiver.to_json()),
-                        seed=args.seed)
-        report.add_all(rows)
-        _emit(_report_text(report, args.format), args.out)
-        return 0 if report.all_pass() else 1
+            text, code = _table_text(table_rows(cat, args.bound), args.format), 0
+        else:
+            sink = args.sink
+            if args.suite == "reflection" and sink is None:
+                sinks = [v for v in range(1, quiver.n + 1)
+                         if quiver.is_sink(v) and quiver.arrows_into(v)]
+                if not sinks:
+                    raise EngineError("quiver has no sink with an incoming arrow")
+                sink = sinks[0]
+            rows = SUITES[args.suite](cat, args.samples, args.seed, sink, args.perturb)
+            report = Report(suite=args.suite, q=args.q,
+                            quiver=json.loads(quiver.to_json()),
+                            seed=args.seed)
+            report.add_all(rows)
+            text, code = _report_text(report, args.format), 0 if report.all_pass() else 1
     except EngineError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    try:
+        _emit(text, args.out)
+    except OSError as exc:   # an unwritable --out is bad input, not a failed relation
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -27,12 +27,7 @@ from functools import reduce
 from itertools import product
 from typing import Optional
 
-from .errors import (
-    CategoryMismatch,
-    NotASubmodule,
-    ShapeError,
-    SignConventionBroken,
-)
+from .errors import CategoryMismatch, ShapeError, SignConventionBroken
 from .linalg import (
     FpMatrix,
     combine_flat,
@@ -48,7 +43,6 @@ from .reps import (
     check_scan,
     corestrict,
     intertwiners,
-    maps_into,
 )
 
 
@@ -205,7 +199,7 @@ def _homology_at(cat: RepCategory, comp: Rep, d_out: RepMorphism, d_in: RepMorph
     d_in = corestrict(d_in, incl)
     if d_in is None:
         raise ShapeError("image not inside kernel (engine bug)")
-    return cat.quotient(K, cat.image_subspaces(d_in))[0]
+    return cat.quotient_object(K, cat.image_subspaces(d_in))
 
 
 def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
@@ -385,36 +379,26 @@ class Cx2Tools(KrullSchmidt):
         return out
 
     def structure_maps(self, X) -> list:
-        """The arrow maps of each component, then _diff_maps(X)."""
-        n = self.cat.quiver.n
-        return [(f, k * n + s, k * n + t) for k, m in enumerate(X.degrees())
-                for f, s, t in self.cat.structure_maps(X.component(m))] + self._diff_maps(X)
-
-    def _diff_maps(self, X) -> list:
-        """(d^m at vertex i, its source side, its target side) over sides(X)."""
+        """The arrow maps of each component, then (d^m at vertex i, its source
+        side, its target side), over sides(X)."""
         n = self.cat.quiver.n
         off = {m: k * n for k, m in enumerate(X.degrees())}
-        return [(f, off[m] + i, off[X.degree(m + 1)] + i) for m in off if X.degree(m + 1) in off
-                for i, f in enumerate(X.diff(m).mats)]
+        return [(f, off[m] + s, off[m] + t) for m in off
+                for f, s, t in self.cat.structure_maps(X.component(m))] + [
+            (f, off[m] + i, off[X.degree(m + 1)] + i) for m in off if X.degree(m + 1) in off
+            for i, f in enumerate(X.diff(m).mats)]
 
-    def _by_degree(self, X, U) -> dict:
-        """{degree: its per-vertex row bases} of U, in sides() order."""
-        n = self.cat.quiver.n
-        return {m: U[k * n:(k + 1) * n] for k, m in enumerate(X.degrees())}
-
-    def sub_object(self, X, U):
-        """The subcomplex on the echelon row bases U, differentials
-        corestricted; NotASubmodule unless U spans one."""
-        subs = {m: self.cat.sub_rep(X.component(m), Um)
-                for m, Um in self._by_degree(X, U).items()}
-        mats = {}
-        for m in X.degrees():
-            if X.degree(m + 1) in subs:
-                d = corestrict(X.diff(m).compose(subs[m][1]), subs[X.degree(m + 1)][1])
-                if d is None:
-                    raise NotASubmodule("subspaces not stable under the differential")
-                mats[m] = d.mats
-        return X.like({m: S for m, (S, _) in subs.items()}, mats)
+    def from_structure(self, X, dims, mats):
+        """The complex of X's grading and degrees with these sides, arrow maps
+        and differentials, split by degree as structure_maps lists them."""
+        Q = self.cat.quiver
+        n, k = Q.n, len(Q.arrows)
+        degs = X.degrees()
+        comps = {m: Rep(Q, self.p, dims[j * n:(j + 1) * n], mats[j * k:(j + 1) * k])
+                 for j, m in enumerate(degs)}
+        diffs = mats[len(degs) * k:]
+        ends = [m for m in degs if X.degree(m + 1) in comps]
+        return X.like(comps, {m: diffs[j * n:(j + 1) * n] for j, m in enumerate(ends)})
 
     def image_subspaces(self, f: ChainMorphism) -> tuple:
         return tuple(U for s in f.maps.values() for U in self.cat.image_subspaces(s))
@@ -422,21 +406,4 @@ class Cx2Tools(KrullSchmidt):
     def kernel_subspaces(self, f: ChainMorphism) -> tuple:
         return tuple(U for s in f.maps.values() for U in self.cat.kernel_subspaces(s))
 
-    def quotient_complex(self, X, U):
-        """The quotient complex by the subcomplex on the echelon row bases U;
-        the induced differential is p o d o section."""
-        # RepCategory.quotient tests the arrow maps of each degree.
-        if not maps_into(self.p, self._diff_maps(X), U):
-            raise NotASubmodule("subspaces not stable under the differential")
-        cat = self.cat
-        by_degree = self._by_degree(X, U)
-        quos = {m: cat.quotient(X.component(m), Um) for m, Um in by_degree.items()}
-        mats = {}
-        for m in X.degrees():
-            if X.degree(m + 1) in quos:
-                proj = quos[X.degree(m + 1)][1]
-                sec = cat.quotient_section(X.component(m), by_degree[m])
-                mats[m] = [e @ d @ s for e, d, s in zip(proj.mats, X.diff(m).mats, sec)]
-        return X.like({m: Qm for m, (Qm, _) in quos.items()}, mats)
-
-    quotient_object = quotient_complex
+    quotient_complex = KrullSchmidt.quotient_object

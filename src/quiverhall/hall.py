@@ -112,9 +112,7 @@ class HallAlgebra:
             f = cat.morphisms_from_coeffs(HB1, coeffs)
             graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], (-incl.mats[i])])
                                         for i in range(cat.quiver.n)])
-            W = cat.image_subspaces(graph)
-            E, _ = cat.quotient(D, W)
-            k = cat.intern(E)
+            k = cat.intern(cat.quotient_object(D, cat.image_subspaces(graph)))
             counts[k] = counts.get(k, 0) + weight
         self._ext_cache[ck] = counts
         return counts

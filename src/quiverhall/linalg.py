@@ -407,23 +407,6 @@ def _block_invertible(p: int, flat, off: int, n: int) -> bool:
     return True
 
 
-def reduce_against_rows(p: int, rows: list, v: Iterable[int]) -> tuple:
-    """Reduce v against an rref row basis; the residual has 0 at all pivots."""
-    v = list(int(x) % p for x in v)
-    for row in rows:
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is None:
-            continue
-        if v[lead]:
-            f = (v[lead] * pow(row[lead], -1, p)) % p
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def subspace_contains(p: int, rref_rows: list, v: Iterable[int]) -> bool:
-    return all(x == 0 for x in reduce_against_rows(p, rref_rows, v))
-
-
 def echelon_subspaces(p: int, n: int, d: int):
     """Yield all d-dimensional subspaces of F_p^n as rref row bases.
 

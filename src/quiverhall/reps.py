@@ -29,7 +29,6 @@ from .linalg import (
     invertible_combinations,
     projective_points,
     split_flat,
-    subspace_contains,
 )
 from .quiver import Quiver
 from .scalars import check_prime
@@ -191,11 +190,14 @@ class KrullSchmidt:
     None for an empty basis, which names no domain or codomain),
     sides(X) (the square block sides of an endomorphism's entries_flat()),
     structure_maps(X) (the (matrix, source side, target side) a sub-object
-    is stable under), sub_object(X, U), quotient_object(X, U), and
-    image_subspaces and kernel_subspaces of an endomorphism.  A sub-object U
-    is a tuple of echelon row bases, one per side, in sides() order.  The
-    objects have signature(), total_dim() and is_zero(); the morphisms
-    compose(), is_zero(), is_isomorphism() and entries_flat().
+    is stable under), from_structure(X, dims, mats) (its inverse: the object
+    of X's kind with these sides and structure maps, in the order of sides()
+    and structure_maps()), and image_subspaces and kernel_subspaces of an
+    endomorphism.  A sub-object U is a tuple of row bases in reduced echelon
+    form (each lead entry 1, the only nonzero entry of its column), one per
+    side, in sides() order; sub_object and quotient_object read coordinates
+    in them.  The objects have signature(), total_dim() and is_zero(); the
+    morphisms compose(), is_zero(), is_isomorphism() and entries_flat().
     """
 
     scan_prefix = ""
@@ -304,10 +306,6 @@ class KrullSchmidt:
             any(n == m and self._indecomposables_isomorphic(S, T) for T, n in gy)
             for S, m in gx)
 
-    def is_stable(self, X, U) -> bool:
-        """Whether the echelon row bases U span a sub-object of X."""
-        return maps_into(self.p, self.structure_maps(X), U)
-
     def sub_objects(self, X, dims) -> list:
         """Every sub-object U of X with dims[k]-dimensional U[k], in product
         order, one side at a time: a map is tested once both its sides are."""
@@ -328,6 +326,40 @@ class KrullSchmidt:
             extended = (U + (V,) for U, V in product(found, list(echelon_subspaces(self.p, c, d))))
             found = [U for U in extended if maps_into(self.p, maps, U)]
         return found
+
+    def sub_object(self, X, U):
+        """The sub-object of X on U: column j of each restricted structure map
+        f: s -> t holds the coordinates of f U[s][j] in U[t]; NotASubmodule
+        unless U spans a sub-object."""
+        p = self.p
+        mats = []
+        for f, s, t in self.structure_maps(X):
+            cols = []
+            for row in U[s]:
+                coords, residual = echelon_coords(p, U[t], f.mul_vec(row))
+                if any(residual):
+                    raise NotASubmodule("subspaces not stable under the structure maps")
+                cols.append(coords)
+            mats.append(_from_columns(p, cols, len(U[t])))
+        return self.from_structure(X, tuple(map(len, U)), mats)
+
+    def quotient_object(self, X, U):
+        """The quotient of X by the sub-object on U: each structure map
+        f: s -> t, its columns reduced against U[t], read at the free positions
+        (those that lead no row of U) of t and of s; NotASubmodule unless U
+        spans a sub-object."""
+        p = self.p
+        maps = self.structure_maps(X)
+        if not maps_into(p, maps, U):
+            raise NotASubmodule("subspaces not stable under the structure maps")
+        free = [_free_positions(u, c) for u, c in zip(U, self.sides(X))]
+        mats = []
+        for f, s, t in maps:
+            cols = f.transpose().data
+            residuals = [echelon_coords(p, U[t], cols[j])[1] for j in free[s]]
+            mats.append(_from_columns(p, [[r[i] for i in free[t]] for r in residuals],
+                                      len(free[t])))
+        return self.from_structure(X, tuple(map(len, free)), mats)
 
     def hall_count(self, quot, X, sub) -> int:
         """The Hall number: how many sub-objects of X are isomorphic to sub
@@ -517,41 +549,24 @@ class RepCategory(KrullSchmidt):
         return RepMorphism(M, N, split_flat(self.p, flat, shapes))
 
     def sub_rep(self, C: Rep, U) -> tuple:
-        """Subrepresentation on the row bases U=(U_1..U_n); returns (rep, inclusion)."""
-        p = self.p
-        incl = [FpMatrix(p, u, cols=C.dim[i]).transpose() if u else FpMatrix.zero(p, C.dim[i], 0)
-                for i, u in enumerate(U)]
-        mats = []
-        for a, (s, t) in enumerate(self.quiver.arrows):
-            m = incl[t - 1].solve_matrix(C.maps[a] @ incl[s - 1])
-            if m is None:
-                raise NotASubmodule("subspaces not stable under arrow maps")
-            mats.append(m)
-        sub = Rep(self.quiver, p, tuple(e.cols for e in incl), mats)
-        return sub, RepMorphism(sub, C, incl)
+        """Subrepresentation on the reduced echelon row bases U=(U_1..U_n);
+        returns (rep, inclusion)."""
+        sub = self.sub_object(C, U)
+        return sub, RepMorphism(sub, C, [_from_columns(self.p, u, d) for u, d in zip(U, C.dim)])
 
     def structure_maps(self, C: Rep) -> list:
         """(X_a, s - 1, t - 1) for each arrow a: s -> t."""
         return [(m, s - 1, t - 1) for m, (s, t) in zip(C.maps, self.quiver.arrows)]
 
-    def quotient_section(self, C: Rep, U) -> list:
-        """Per vertex, the unit columns at the positions that lead no row of the
-        echelon basis U_i: a section of the projection of quotient(C, U)."""
-        out = []
-        for i, d in enumerate(C.dim):
-            free = _free_positions(U[i], d)
-            out.append(FpMatrix._trusted(self.p, [[int(j == k) for k in free] for j in range(d)],
-                                         len(free)))
-        return out
+    def from_structure(self, C: Rep, dims, mats) -> Rep:
+        return Rep(self.quiver, self.p, dims, mats)
 
     def quotient(self, C: Rep, U) -> tuple:
         """Quotient of C by the subrepresentation with reduced echelon row
-        bases U (each lead entry 1, the only nonzero entry of its column);
-        (rep, projection).  The projection sends a vector to its reduction
-        against U_i, read at the positions quotient_section takes as units:
+        bases U; (rep, projection).  The projection sends a vector to its
+        reduction against U_i, read at the positions that lead no row:
         column j is the unit at j when j leads no row, else -row[free]."""
-        if not self.is_stable(C, U):
-            raise NotASubmodule("subspaces not stable under arrow maps")
+        quo = self.quotient_object(C, U)
         p = self.p
         projs = []
         for i, d in enumerate(C.dim):
@@ -559,10 +574,6 @@ class RepCategory(KrullSchmidt):
             projs.append(FpMatrix._trusted(p, [[-lead[j][k] % p if j in lead else int(j == k)
                                                 for j in range(d)]
                                                for k in range(d) if k not in lead], d))
-        sections = self.quotient_section(C, U)
-        quo = Rep(self.quiver, p, tuple(m.rows for m in projs),
-                  [projs[t - 1] @ C.maps[a] @ sections[s - 1]
-                   for a, (s, t) in enumerate(self.quiver.arrows)])
         return quo, RepMorphism(C, quo, projs)
 
     def image_subspaces(self, f: RepMorphism) -> tuple:
@@ -579,12 +590,6 @@ class RepCategory(KrullSchmidt):
             else:
                 out.append(())
         return tuple(out)
-
-    def sub_object(self, C: Rep, U) -> Rep:
-        return self.sub_rep(C, U)[0]
-
-    def quotient_object(self, C: Rep, U) -> Rep:
-        return self.quotient(C, U)[0]
 
     def sides(self, M: Rep) -> tuple:
         return M.dim
@@ -857,19 +862,45 @@ def intertwiners(p: int, nvars: int, equations) -> list:
     return A.kernel_basis()
 
 
+def echelon_coords(p: int, rows, v) -> tuple:
+    """(coords, residual) of the vector v against rows in reduced echelon
+    form: coords are v's entries at the leads (the first 1 of each row), and
+    the residual v - sum_k coords[k] rows[k], 0 at every lead, is zero exactly
+    when v lies in the span of rows, coords then being its coordinates."""
+    coords = tuple(v[row.index(1)] for row in rows)
+    residual = v
+    for c, row in zip(coords, rows):
+        if c:
+            residual = [(a - c * b) % p for a, b in zip(residual, row)]
+    return coords, residual
+
+
 def maps_into(p: int, maps, U) -> bool:
-    """Whether each (f, s, t) of maps sends the span of the echelon rows U[s]
-    into the span of U[t]: the one stability test of sub-objects."""
-    return all(subspace_contains(p, U[t], f.mul_vec(row)) for f, s, t in maps for row in U[s])
+    """Whether each (f, s, t) of maps sends the span of the reduced echelon
+    rows U[s] into the span of U[t]: the one stability test of sub-objects."""
+    return not any(any(echelon_coords(p, U[t], f.mul_vec(row))[1])
+                   for f, s, t in maps for row in U[s])
 
 
 def corestrict(f: RepMorphism, incl: RepMorphism) -> Optional[RepMorphism]:
-    """The g with incl o g = f, for an inclusion incl (full column rank at
-    every vertex), or None when f does not factor through it."""
-    mats = [e.solve_matrix(m) for e, m in zip(incl.mats, f.mats)]
-    if any(m is None for m in mats):
-        return None
+    """The g with incl o g = f, for an inclusion incl whose columns at each
+    vertex are reduced echelon rows (as sub_rep builds it), or None when f
+    does not factor through it."""
+    p = f.dom.p
+    mats = []
+    for e, m in zip(incl.mats, f.mats):
+        rows = e.transpose().data
+        read = [echelon_coords(p, rows, col) for col in m.transpose().data]
+        if any(any(residual) for _, residual in read):
+            return None
+        mats.append(_from_columns(p, [coords for coords, _ in read], len(rows)))
     return RepMorphism(f.dom, incl.dom, mats)
+
+
+def _from_columns(p: int, cols, nrows: int) -> FpMatrix:
+    """The nrows x len(cols) matrix with the given columns, whose entries
+    are already reduced mod p."""
+    return FpMatrix._trusted(p, zip(*cols) if cols else [()] * nrows, len(cols))
 
 
 def _free_positions(rows, n: int) -> list:

@@ -3,6 +3,8 @@ that the engine itself never calls.  Those that read an engine object (a
 RepCategory, a Cx2Tools or a HallAlgebra) take it as their first argument.
 """
 
+from typing import Iterable
+
 from quiverhall.cx2 import Cx2, zero_morphism
 from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
@@ -21,6 +23,23 @@ def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
 def hall_product(alg: HallAlgebra, x: LinComb, y: LinComb) -> LinComb:
     """The untwisted Hall product x o y."""
     return bilinear(x, y, lambda a, b: alg.product_pair(a, b).terms.items())
+
+
+def reduce_against_rows(p: int, rows: list, v: Iterable[int]) -> tuple:
+    """Reduce v against an rref row basis; the residual has 0 at all pivots."""
+    v = list(int(x) % p for x in v)
+    for row in rows:
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is None:
+            continue
+        if v[lead]:
+            f = (v[lead] * pow(row[lead], -1, p)) % p
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def subspace_contains(p: int, rref_rows: list, v: Iterable[int]) -> bool:
+    return all(x == 0 for x in reduce_against_rows(p, rref_rows, v))
 
 
 def is_acyclic(tools, X) -> bool:

@@ -104,6 +104,18 @@ def test_table_bound_past_enum_guard_exits_before_enumeration(quiver_files, caps
                             "total dimension 7 > ENUM_DIM_GUARD 6\n")
 
 
+@pytest.mark.parametrize("mode", [["--suite", "ringel"], ["--table", "--bound", "2"]])
+@pytest.mark.parametrize("out", ["missing/x.json", "."])
+def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
+    """An --out whose directory is missing, or that is a directory, is bad
+    input (exit 2), not a failed relation (exit 1)."""
+    code = main(["--quiver", quiver_files["a2"], "--q", "2", *mode,
+                 "--out", str(quiver_files["dir"] / out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+
+
 @pytest.mark.parametrize("quiver, q, args, sha256", [
     ("a2", 3, ["--table", "--bound", "4"],
      "0cd4defcb29d169a66e46c3357f125b053964e14d9752e230ca9cdf9f95d9ba2"),

@@ -6,7 +6,12 @@ from itertools import product
 
 import pytest
 
-from oracles import classify_acyclic_indec, is_acyclic
+from oracles import (
+    classify_acyclic_indec,
+    is_acyclic,
+    reduce_against_rows,
+    subspace_contains,
+)
 from quiverhall.cx2 import (
     Cx2,
     direct_sum,
@@ -18,17 +23,12 @@ from quiverhall.cx2 import (
 from quiverhall import reps
 from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
 from quiverhall.hall import HallAlgebra
-from quiverhall.linalg import (
-    FpMatrix,
-    echelon_subspaces,
-    reduce_against_rows,
-    subspace_contains,
-)
+from quiverhall.linalg import FpMatrix, echelon_subspaces
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
 from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh2 import SDH2Algebra
-from quiverhall.sdhz import WINDOW_LO, SDHZAlgebra, two_term_cxb, v_complex
+from quiverhall.sdhz import WINDOW_LO, SDHZAlgebra, two_term_cxb, v_complex, zero_cxb
 from quiverhall.suites import (
     proj_complex_pool,
     suite_quotient_relations,
@@ -649,8 +649,8 @@ def test_normal_forms_match_grading_specific_oracles():
 
 
 # Sub-objects, quotients and their induced maps, computed one column at a time
-# as the engine once did: test-local oracles for the matrix solves, the one
-# stability test and the shared quotient section.
+# by solves and subspace tests: test-local oracles for the coordinate reads of
+# the sub-object and quotient builders and for the one stability test.
 
 
 def _sub_rep_oracle(cat, C, U):
@@ -809,8 +809,8 @@ def _walk_pools():
 
 def test_sub_object_walk_matches_filter_of_every_subspace_tuple():
     """The walk, which tests each structure map as soon as both its sides
-    are chosen, gives the tuples, in order, that sub_object builds (the
-    solve-based test of sub_rep and corestrict) among all of
+    are chosen, gives the tuples, in order, that sub_object builds (its
+    coordinate read refuses the rest) among all of
     itertools.product over echelon_subspaces, for every dimension per side."""
     counts = Counter()
     for ks, objects in _walk_pools():
@@ -849,6 +849,26 @@ def test_module_hall_count_matches_interned_key_count():
                     assert cat.hall_count(A.rep, C.rep, B.rep) == by_keys[A, B], (A, B, C)
                     nonzero += by_keys[A, B] > 0
     assert nonzero > 50, nonzero
+
+
+def test_from_structure_inverts_structure_maps():
+    """from_structure(X, sides(X), the matrices of structure_maps(X)) gives X
+    back: on the modules of the bound-3 iso classes of WALK_POOLS, on the
+    bridgeland-compare pool complexes (bound 3), on their Z-graded two-term
+    folds and on the zero CxB."""
+    counts = Counter()
+    for qv, p in WALK_POOLS:
+        cat = RepCategory(qv, p)
+        alg = SDH2Algebra(cat)
+        pool = proj_complex_pool(alg, 3)
+        folds = [two_term_cxb(cat, 0, X.M0, X.M1, X.d0) for X in pool if not X.is_zero()]
+        for ks, objects in ((cat, [k.rep for k in cat.iso_classes_up_to(3)]),
+                            (alg.tools, pool + folds + [zero_cxb(cat)])):
+            for X in objects:
+                Y = ks.from_structure(X, ks.sides(X), [f for f, _, _ in ks.structure_maps(X)])
+                assert Y.signature() == X.signature(), X
+                counts[type(X).__name__] += 1
+    assert min(counts.values()) > 20, counts
 
 
 # The pools of the stalk-pair cross-check: (quiver, q, bound of the iso classes).
