@@ -365,15 +365,16 @@ class Cx2Tools(KrullSchmidt):
         Ext^1(L, M) is identified with chain maps L -> ΣM modulo homotopy.
         diag(λ, 1) is a chain isomorphism E(f) -> E(λf), so one class stands
         for the weight classes of its line (linalg.coset_points); the weights
-        sum to |Ext^1(L, M)|.
+        sum to |Ext^1(L, M)|.  The guard bounds the p^(dim Ext^1) classes,
+        not the chain maps.
         """
         SM = M.shift()
         basis = self.hom_basis(L, SM)
+        homotopies = self.homotopy_subspace(L, SM)
         p = self.cat.p
-        check_scan("extension-class enumeration", p, len(basis))
+        check_scan("extension-class enumeration", p, len(basis) - len(homotopies))
         out = []
-        for coeffs, weight in coset_points(p, [b.entries_flat() for b in basis],
-                                           self.homotopy_subspace(L, SM)):
+        for coeffs, weight in coset_points(p, [b.entries_flat() for b in basis], homotopies):
             f = self._from_coeffs(basis, coeffs, L, SM)
             out.append((f, middle_term(L, M, f), weight))
         return out

@@ -7,6 +7,7 @@ Vertices are 1-indexed, matching the JSON input format
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import PreconditionError, ShapeError
 
@@ -73,6 +74,26 @@ class Quiver:
 
     def symmetrized_euler(self, d, e) -> int:
         return self.euler_form(d, e) + self.euler_form(e, d)
+
+    def is_dynkin(self) -> bool:
+        """Whether the symmetrized Euler form is positive definite, that is,
+        whether every connected component is of type A, D or E (Gabriel).
+
+        Sylvester's criterion, in exact arithmetic: elimination without row
+        exchanges leaves the k-th pivot equal to the ratio of the k-th and
+        (k-1)-th leading principal minors, so all minors are positive exactly
+        when all pivots are.  A disconnected quiver's form is block diagonal,
+        and so needs no special case."""
+        units = [tuple(int(i == j) for i in range(self.n)) for j in range(self.n)]
+        a = [[Fraction(self.symmetrized_euler(u, v)) for v in units] for u in units]
+        for k in range(self.n):
+            if a[k][k] <= 0:
+                return False
+            for r in range(k + 1, self.n):
+                c = a[r][k] / a[k][k]
+                for j in range(k, self.n):
+                    a[r][j] -= c * a[k][j]
+        return True
 
     def simple_reflection(self, i: int, d) -> tuple:
         """Weyl simple reflection s_i on dimension vectors (simply-laced rule)."""

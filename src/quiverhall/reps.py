@@ -595,20 +595,26 @@ class RepCategory(KrullSchmidt):
         return M.dim
 
     def _gl(self, d: int) -> list:
-        if d in self._gl_cache:
-            return self._gl_cache[d]
-        p = self.p
-        if d == 0:
-            out = [FpMatrix.zero(p, 0, 0)]
-        else:
-            check_scan("GL enumeration", p, d * d)
-            out = []
-            for entries in product(range(p), repeat=d * d):
-                m = FpMatrix(p, [entries[r * d:(r + 1) * d] for r in range(d)], cols=d)
-                if m.is_invertible():
-                    out.append(m)
-        self._gl_cache[d] = out
-        return out
+        """GL_d(F_p), in entry order."""
+        return [g for g, _ in self._gl_pairs(d)]
+
+    def _gl_pairs(self, d: int) -> list:
+        """(g, g^-1) for each g in GL_d(F_p), in entry order: each element is
+        inverted once, not at every base change of the orbit walk."""
+        if d not in self._gl_cache:
+            p = self.p
+            if d == 0:
+                g = FpMatrix.zero(p, 0, 0)
+                pairs = [(g, g)]
+            else:
+                check_scan("GL enumeration", p, d * d)
+                pairs = []
+                for entries in product(range(p), repeat=d * d):
+                    g = FpMatrix(p, [entries[r * d:(r + 1) * d] for r in range(d)], cols=d)
+                    if g.is_invertible():
+                        pairs.append((g, g.inverse()))
+            self._gl_cache[d] = pairs
+        return self._gl_cache[d]
 
     def _canonical_indec(self, M: Rep) -> Rep:
         """Lex-least representative of the base-change orbit of M."""
@@ -616,7 +622,7 @@ class RepCategory(KrullSchmidt):
         if sig in self._canonical_cache:
             return self._canonical_cache[sig]
         Q = self.quiver
-        gls = [self._gl(d) for d in M.dim]
+        gls = [self._gl_pairs(d) for d in M.dim]
         total = 1
         for g in gls:
             total *= len(g)
@@ -624,10 +630,8 @@ class RepCategory(KrullSchmidt):
         best = None
         best_maps = None
         for combo in product(*gls):
-            invs = [g.inverse() if g.rows else g for g in combo]
-            mats = []
-            for a, (s, t) in enumerate(Q.arrows):
-                mats.append(combo[t - 1] @ M.maps[a] @ invs[s - 1])
+            mats = [combo[t - 1][0] @ M.maps[a] @ combo[s - 1][1]
+                    for a, (s, t) in enumerate(Q.arrows)]
             entry_sig = tuple(m.entries_flat() for m in mats)
             if best is None or entry_sig < best:
                 best = entry_sig
@@ -786,11 +790,55 @@ class RepCategory(KrullSchmidt):
             yield Rep(Q, self.p, d, list(combo))
 
     def iso_classes_up_to(self, bound: int) -> list:
-        """Sorted IsoClassKeys of all classes with total dimension <= bound."""
+        """Sorted IsoClassKeys of all classes with total dimension <= bound:
+        built from the positive roots for a Dynkin quiver, by enumerating every
+        representation otherwise."""
+        if self.quiver.is_dynkin():
+            return self._classes_from_roots(bound)
+        return self._classes_by_enumeration(bound)
+
+    def _classes_by_enumeration(self, bound: int) -> list:
+        """iso_classes_up_to by interning every representation; the oracle of
+        _classes_from_roots."""
         keys = set()
         for d in _dim_vectors(self.quiver.n, bound):
             for R in self.all_reps_of_dim(d):
                 keys.add(self.intern(R))
+        return sorted(keys)
+
+    def _classes_from_roots(self, bound: int) -> list:
+        """iso_classes_up_to for a Dynkin quiver, without enumerating
+        representations.
+
+        By Gabriel's theorem the indecomposables are bricks, one for each
+        positive root d (d >= 0 with <d, d> = 1): the first representation of
+        dimension d with dim End = 1 is it, and _canonical_indec gives the
+        lex-least member of its orbit.  By Krull-Schmidt every class is a
+        multiset of these, and canonical_rep of any of its members is the
+        direct sum of their canonical forms sorted by signature, since each
+        summand's orbit has one lex-least member.  So the keys built here, with
+        their signatures and labels, are exactly those intern gives the
+        enumerated representations, and reports are byte-identical.  Each key's
+        summand classes seed _groups_cache, so aut_count and is_isomorphic do
+        not decompose it again.
+        """
+        Q = self.quiver
+        indecs = []
+        for d in _dim_vectors(Q.n, bound):
+            if Q.euler_form(d, d) == 1:
+                brick = next(R for R in self.all_reps_of_dim(d) if self.hom_dim(R, R) == 1)
+                indecs.append(self._canonical_indec(brick))
+        indecs.sort(key=Rep.signature)
+        keys = []
+        for groups in _multisets(indecs, bound):
+            canon = self.direct_sum([S for S, m in groups for _ in range(m)])
+            csig = canon.signature()
+            key = self._registry.get(csig)
+            if key is None:
+                key = self._registry[csig] = IsoClassKey(csig, canon, _label_for(canon))
+            self._intern_cache[csig] = key
+            self._groups_cache.setdefault(csig, [[S, m] for S, m in groups])
+            keys.append(key)
         return sorted(keys)
 
 
@@ -924,6 +972,19 @@ def _dim_vectors(n: int, bound: int):
     for first in range(bound + 1):
         for rest in _dim_vectors(n - 1, bound - first):
             yield (first,) + rest
+
+
+def _multisets(parts: list, bound: int):
+    """Every list of (part, multiplicity >= 1), in the order of parts, of
+    total dimension at most bound."""
+    if not parts:
+        if bound >= 0:
+            yield []
+        return
+    first, rest = parts[0], parts[1:]
+    for m in range(bound // first.total_dim() + 1):
+        for tail in _multisets(rest, bound - m * first.total_dim()):
+            yield [(first, m)] + tail if m else tail
 
 
 def _label_for(canon: Rep) -> str:

@@ -179,6 +179,9 @@ def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
      "744757576dc311049913d99d231b5b99ee074b7fee3f897bb81310cfebced4e3"),
     ("a3", 3, ["--suite", "quantum-group"],
      "4df7192c39a78d741bdbadc23f2db9df895cc05ca6049029d287092137a68afa"),
+    # A Dynkin quiver of type D, whose table is built from its positive roots.
+    ("d4", 3, ["--table", "--bound", "4"],
+     "a98dd59b4198635f3e0063a71484ac6b13f5ae6647dae7bc7bfb15d927e1e8a4"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building

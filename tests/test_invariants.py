@@ -946,6 +946,27 @@ def test_ext_class_counts_scan_guard(monkeypatch):
     assert sum(HallAlgebra(cat).ext_class_counts(S1, S2).values()) == 4
 
 
+def test_ext1_classes_proj_scan_guard(monkeypatch):
+    """The extension-class walk of complexes is budgeted by dim Ext^1, not by
+    the chain maps: stalk(k, 0) + K_k by stalk(k, 1) over one vertex has two
+    chain maps to the shift but one class dimension, so at q = 3 it runs
+    within a budget of 3 and trips the guard, named, below it."""
+    cat = RepCategory(Quiver(1, []), 3)
+    k = cat.rep((1,))
+    Z = cat.zero_rep
+    stalk0 = Cx2(cat, k, Z, zero_morphism(cat, k, Z), zero_morphism(cat, Z, k))
+    L = direct_sum([stalk0, make_KP(cat, k)])
+    M = Cx2(cat, Z, k, zero_morphism(cat, Z, k), zero_morphism(cat, k, Z))
+    tools = SDH2Algebra(cat).tools
+    assert tools.hom_dim(L, M.shift()) == 2 and tools.homotopy_dim(L, M.shift()) == 1
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match=r"^extension-class enumeration: 3\^1 = 3 > "
+                                             r"SCAN_BUDGET 2$"):
+        tools.ext1_classes_proj(L, M)
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 3)
+    assert sum(w for _f, _E, w in tools.ext1_classes_proj(L, M)) == 3
+
+
 def test_morphisms_from_coeffs_empty_basis_is_none():
     """Both categories give None for an empty basis, whose domain and
     codomain are unknown."""

@@ -353,6 +353,66 @@ def test_enumeration_budget_messages_name_guard_size_and_limit():
             call()
 
 
+def test_gl_inverses_cached():
+    """The orbit walk reads each element's inverse from the GL cache."""
+    cat = RepCategory(a_n_quiver(2), 3)
+    pairs = cat._gl_pairs(2)
+    assert [g for g, _ in pairs] == cat._gl(2) and len(pairs) == 48
+    for g, inv in pairs:
+        assert g @ inv == FpMatrix.identity(3, 2)
+
+
+D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
+
+
+@pytest.mark.parametrize("quiver, q, bound", [
+    (Quiver(1, []), 2, 5),
+    (a_n_quiver(2), 2, 5),
+    (a_n_quiver(2), 3, 4),
+    (a_n_quiver(2), 5, 4),
+    (Quiver(3, [(1, 2), (3, 2)]), 2, 4),
+    (Quiver(3, [(2, 1), (2, 3)]), 3, 4),
+    (a_n_quiver(4), 2, 4),
+    (D4, 2, 4),
+    (Quiver(4, [(4, 1), (2, 4), (3, 4)]), 3, 4),
+    (Quiver(2, []), 3, 5),
+])
+def test_root_classes_match_enumeration(quiver, q, bound):
+    """The Dynkin route builds the classes the enumeration of every
+    representation finds, with the same labels in the same order."""
+    assert quiver.is_dynkin()
+    roots = RepCategory(quiver, q).iso_classes_up_to(bound)
+    enumerated = RepCategory(quiver, q)._classes_by_enumeration(bound)
+    assert [k.label for k in roots] == [k.label for k in enumerated]
+
+
+@pytest.mark.parametrize("quiver, q", [(Quiver(3, [(2, 1), (2, 3)]), 3), (D4, 2)])
+def test_root_keys_seed_summand_groups(quiver, q, monkeypatch):
+    """Keys built from roots carry their summand classes, so aut_count needs
+    no decomposition, and it agrees with a category that decomposes."""
+    cat, fresh = RepCategory(quiver, q), RepCategory(quiver, q)
+    keys = cat.iso_classes_up_to(4)
+
+    def refuse(X):
+        raise AssertionError("root-built key decomposed again")
+    monkeypatch.setattr(cat, "_summands", refuse)
+    for key in keys:
+        assert cat.aut_count(key.rep) == fresh.aut_count(key.rep)
+
+
+@pytest.mark.parametrize("quiver, dynkin", [
+    *((a_n_quiver(n), True) for n in range(1, 7)),
+    (D4, True),
+    (Quiver(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]), True),   # E6
+    (Quiver(2, []), True),                                          # A1 + A1
+    (Quiver(2, [(1, 2), (1, 2)]), False),                           # Kronecker
+    (Quiver(3, [(1, 2), (2, 3), (1, 3)]), False),                   # affine A2
+    (Quiver(5, [(1, 5), (2, 5), (3, 5), (4, 5)]), False),           # affine D4
+])
+def test_dynkin_detection(quiver, dynkin):
+    assert quiver.is_dynkin() == dynkin
+
+
 def test_quiver_rejects_cycles_and_bad_arrows():
     with pytest.raises(PreconditionError):
         Quiver(2, [(1, 2), (2, 1)])
