@@ -421,7 +421,7 @@ class RepCategory(KrullSchmidt):
         self._canonical_cache = {}
         self._resolution_cache = {}
         self._paths_cache = None
-        self._gl_cache = {}
+        self._forms = {}
         self.zero_rep = self.rep((0,) * quiver.n)
 
     # ------------------------------------------------------------------
@@ -594,52 +594,35 @@ class RepCategory(KrullSchmidt):
     def sides(self, M: Rep) -> tuple:
         return M.dim
 
-    def _gl(self, d: int) -> list:
-        """GL_d(F_p), in entry order."""
-        return [g for g, _ in self._gl_pairs(d)]
-
-    def _gl_pairs(self, d: int) -> list:
-        """(g, g^-1) for each g in GL_d(F_p), in entry order: each element is
-        inverted once, not at every base change of the orbit walk."""
-        if d not in self._gl_cache:
-            p = self.p
-            if d == 0:
-                g = FpMatrix.zero(p, 0, 0)
-                pairs = [(g, g)]
-            else:
-                check_scan("GL enumeration", p, d * d)
-                pairs = []
-                for entries in product(range(p), repeat=d * d):
-                    g = FpMatrix(p, [entries[r * d:(r + 1) * d] for r in range(d)], cols=d)
-                    if g.is_invertible():
-                        pairs.append((g, g.inverse()))
-            self._gl_cache[d] = pairs
-        return self._gl_cache[d]
-
     def _canonical_indec(self, M: Rep) -> Rep:
-        """Lex-least representative of the base-change orbit of M."""
+        """Lex-least member of the base-change orbit of the indecomposable M.
+
+        The orbit is every R of M's dimension vector with R ~ M, so this is
+        the first such R in the walk of all_reps_of_dim, which goes in
+        signature order.  _indecomposables_isomorphic(M, R) is exact for such
+        R: an invertible g o f (f: M -> R, g: R -> M) makes M a direct summand
+        of R, and equal dimensions force R = f(M).  Isomorphic modules share
+        one orbit, so a form already found for M's class is the answer, and
+        each class is walked once.
+        """
         sig = M.signature()
-        if sig in self._canonical_cache:
-            return self._canonical_cache[sig]
-        Q = self.quiver
-        gls = [self._gl_pairs(d) for d in M.dim]
-        total = 1
-        for g in gls:
-            total *= len(g)
-        check_count("canonical form orbit", total, "base changes")
-        best = None
-        best_maps = None
-        for combo in product(*gls):
-            mats = [combo[t - 1][0] @ M.maps[a] @ combo[s - 1][1]
-                    for a, (s, t) in enumerate(Q.arrows)]
-            entry_sig = tuple(m.entries_flat() for m in mats)
-            if best is None or entry_sig < best:
-                best = entry_sig
-                best_maps = mats
-        canon = Rep(Q, self.p, M.dim, best_maps)
-        self._canonical_cache[sig] = canon
-        # every orbit member canonicalizes identically; prime the cache
-        self._canonical_cache[canon.signature()] = canon
+        if sig not in self._canonical_cache:
+            shape = _shape(M)
+            iso = lambda R: self._indecomposables_isomorphic(M, R)
+            canon = next(filter(iso, self._forms.get(shape, ())), None)
+            self._canonical_cache[sig] = canon or self._register_form(
+                next(filter(iso, self._reps_of_dim(*shape))))
+        return self._canonical_cache[sig]
+
+    def _register_form(self, canon: Rep) -> Rep:
+        """Record canon as the canonical form of its class."""
+        if canon.signature() not in self._canonical_cache:
+            # Keyed by the arrow ranks too, orbit invariants: they keep each
+            # list short (the regular Kronecker classes grow with q), and the
+            # walk skips candidates of other ranks.  Without them Kronecker
+            # q=5 assoc-z2 took 71 s and 292 MB, not 5 s and 44 MB (2 CPUs).
+            self._forms.setdefault(_shape(canon), []).append(canon)
+            self._canonical_cache[canon.signature()] = canon
         return canon
 
     def canonical_rep(self, M: Rep) -> Rep:
@@ -773,19 +756,24 @@ class RepCategory(KrullSchmidt):
     # enumeration of isomorphism classes
 
     def all_reps_of_dim(self, d):
-        """All representations with dimension vector d (budget-guarded)."""
-        d = tuple(d)
+        """All representations with dimension vector d (budget-guarded), in
+        increasing signature order: arrow 0 slowest, each matrix row-major."""
+        return self._reps_of_dim(tuple(d), None)
+
+    def _reps_of_dim(self, d: tuple, ranks):
+        """all_reps_of_dim(d), keeping only the representations whose arrow a
+        has rank ranks[a] unless ranks is None; the budget counts them all."""
         Q = self.quiver
         total = 1
         for s, t in Q.arrows:
             total *= self.p ** (d[t - 1] * d[s - 1])
         check_count("representation enumeration", total, "representations")
         spaces = []
-        for s, t in Q.arrows:
+        for a, (s, t) in enumerate(Q.arrows):
             r, c = d[t - 1], d[s - 1]
             mats = [FpMatrix(self.p, [ent[k * c:(k + 1) * c] for k in range(r)], cols=c)
                     for ent in product(range(self.p), repeat=r * c)]
-            spaces.append(mats)
+            spaces.append(mats if ranks is None else [m for m in mats if m.rank() == ranks[a]])
         for combo in product(*spaces):
             yield Rep(Q, self.p, d, list(combo))
 
@@ -811,23 +799,24 @@ class RepCategory(KrullSchmidt):
         representations.
 
         By Gabriel's theorem the indecomposables are bricks, one for each
-        positive root d (d >= 0 with <d, d> = 1): the first representation of
-        dimension d with dim End = 1 is it, and _canonical_indec gives the
-        lex-least member of its orbit.  By Krull-Schmidt every class is a
-        multiset of these, and canonical_rep of any of its members is the
-        direct sum of their canonical forms sorted by signature, since each
-        summand's orbit has one lex-least member.  So the keys built here, with
-        their signatures and labels, are exactly those intern gives the
-        enumerated representations, and reports are byte-identical.  Each key's
-        summand classes seed _groups_cache, so aut_count and is_isomorphic do
-        not decompose it again.
+        positive root d (d >= 0 with <d, d> = 1).  Every brick of dimension d
+        lies in that one class, so the first representation of dimension d
+        with dim End = 1 is the first member of the class in the walk of
+        _canonical_indec: its own canonical form, registered with no search.
+        By Krull-Schmidt every class is a multiset of these, and canonical_rep
+        of any of its members is the direct sum of their canonical forms
+        sorted by signature, since each summand's orbit has one lex-least
+        member.  So the keys built here, with their signatures and labels, are
+        exactly those intern gives the enumerated representations, and reports
+        are byte-identical.  Each key's summand classes seed _groups_cache, so
+        aut_count and is_isomorphic do not decompose it again.
         """
         Q = self.quiver
         indecs = []
         for d in _dim_vectors(Q.n, bound):
             if Q.euler_form(d, d) == 1:
                 brick = next(R for R in self.all_reps_of_dim(d) if self.hom_dim(R, R) == 1)
-                indecs.append(self._canonical_indec(brick))
+                indecs.append(self._register_form(brick))
         indecs.sort(key=Rep.signature)
         keys = []
         for groups in _multisets(indecs, bound):
@@ -985,6 +974,11 @@ def _multisets(parts: list, bound: int):
     for m in range(bound // first.total_dim() + 1):
         for tail in _multisets(rest, bound - m * first.total_dim()):
             yield [(first, m)] + tail if m else tail
+
+
+def _shape(M: Rep) -> tuple:
+    """(dimension vector, arrow ranks): the same on M's whole orbit."""
+    return M.dim, tuple(m.rank() for m in M.maps)
 
 
 def _label_for(canon: Rep) -> str:

@@ -3,12 +3,14 @@ that the engine itself never calls.  Those that read an engine object (a
 RepCategory, a Cx2Tools or a HallAlgebra) take it as their first argument.
 """
 
+from itertools import product
 from typing import Iterable
 
 from quiverhall.cx2 import Cx2, zero_morphism
 from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
-from quiverhall.reps import Rep, RepCategory
+from quiverhall.linalg import FpMatrix
+from quiverhall.reps import Rep, RepCategory, check_count, check_scan
 from quiverhall.scalars import LinComb, bilinear
 
 
@@ -18,6 +20,35 @@ def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
     if degree % 2 == 0:
         return Cx2(cat, A, Z, zero_morphism(cat, A, Z), zero_morphism(cat, Z, A))
     return Cx2(cat, Z, A, zero_morphism(cat, Z, A), zero_morphism(cat, A, Z))
+
+
+def gl_elements(p: int, d: int) -> list:
+    """GL_d(F_p), in entry order; the budget bounds the p^(d^2) matrices
+    walked."""
+    if d == 0:
+        return [FpMatrix.zero(p, 0, 0)]
+    check_scan("GL enumeration", p, d * d)
+    mats = (FpMatrix(p, [entries[r * d:(r + 1) * d] for r in range(d)], cols=d)
+            for entries in product(range(p), repeat=d * d))
+    return [g for g in mats if g.is_invertible()]
+
+
+def base_change_orbit(cat: RepCategory, M: Rep) -> set:
+    """The signatures of every g . M, g walking GL_(d_1) x ... x GL_(d_n):
+    the reference for RepCategory._canonical_indec, whose answer is the
+    lex-least of them.  The matrix of an arrow s -> t depends only on the
+    base changes at s and t, so each is moved once per such pair."""
+    arrows = cat.quiver.arrows
+    gls = [[(g, g.inverse()) for g in gl_elements(cat.p, d)] for d in M.dim]
+    total = 1
+    for g in gls:
+        total *= len(g)
+    check_count("canonical form orbit", total, "base changes")
+    moved = [{(i, j): (g @ X @ h).entries_flat()
+              for i, (g, _) in enumerate(gls[t - 1]) for j, (_, h) in enumerate(gls[s - 1])}
+             for X, (s, t) in zip(M.maps, arrows)]
+    return {(M.dim, tuple(m[c[t - 1], c[s - 1]] for m, (s, t) in zip(moved, arrows)))
+            for c in product(*(range(len(g)) for g in gls))}
 
 
 def hall_product(alg: HallAlgebra, x: LinComb, y: LinComb) -> LinComb:

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import classify_acyclic_indec
+from oracles import classify_acyclic_indec, gl_elements
 from quiverhall.cx2 import direct_sum, make_KP, make_KPstar
 from quiverhall.hall import HallAlgebra, verify_ringel
 from quiverhall.quiver import Quiver, a_n_quiver
@@ -153,8 +153,8 @@ def test_criterion_08_acyclic_decomposition_uniqueness():
             parts.append(make_KP(cat, P) if rng.random() < 0.5
                          else make_KPstar(cat, P))
         X = direct_sum(parts)
-        g0 = [rng.choice(cat._gl(d)) for d in X.M0.dim]
-        g1 = [rng.choice(cat._gl(d)) for d in X.M1.dim]
+        g0 = [rng.choice(gl_elements(cat.p, d)) for d in X.M0.dim]
+        g1 = [rng.choice(gl_elements(cat.p, d)) for d in X.M1.dim]
         M0c = Rep(cat.quiver, cat.p, X.M0.dim,
                   [g0[1] @ X.M0.maps[0] @ g0[0].inverse()])
         M1c = Rep(cat.quiver, cat.p, X.M1.dim,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import classify_acyclic_indec, is_acyclic, stalk_cx2
+from oracles import classify_acyclic_indec, gl_elements, is_acyclic, stalk_cx2
 from quiverhall.cx2 import (
     Cx2Tools,
     direct_sum,
@@ -209,8 +209,8 @@ def test_acyclic_decomposition_unique_seeded():
         X = direct_sum(parts)
         # conjugate the whole complex by a random per-vertex base change,
         # applied to both gradings and the representation structure
-        g0 = [rng.choice(cat._gl(d)) for d in X.M0.dim]
-        g1 = [rng.choice(cat._gl(d)) for d in X.M1.dim]
+        g0 = [rng.choice(gl_elements(cat.p, d)) for d in X.M0.dim]
+        g1 = [rng.choice(gl_elements(cat.p, d)) for d in X.M1.dim]
         from quiverhall.reps import Rep
         M0c = Rep(cat.quiver, cat.p, X.M0.dim,
                   [g0[1] @ X.M0.maps[0] @ g0[0].inverse()])

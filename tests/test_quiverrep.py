@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oracles import ext1_dim, stalk_cx2
+from oracles import base_change_orbit, ext1_dim, gl_elements, stalk_cx2
 from quiverhall.errors import (
     BudgetExceeded,
     CategoryMismatch,
@@ -232,10 +232,9 @@ def test_decompose_iso_invariant_under_base_change():
     M = cat.direct_sum([P1, cat.simple(1)])
     keys = lambda M: sorted(cat.intern(S) for S in cat.decompose_reps(M))
     base = keys(M)
-    gl = [g for g in cat._gl(2) ]
     for _ in range(50):
-        g1 = rng.choice(cat._gl(M.dim[0]))
-        g2 = rng.choice(cat._gl(M.dim[1]))
+        g1 = rng.choice(gl_elements(cat.p, M.dim[0]))
+        g2 = rng.choice(gl_elements(cat.p, M.dim[1]))
         conj = Rep(cat.quiver, cat.p, M.dim,
                    [g2 @ M.maps[0] @ g1.inverse()])
         assert keys(conj) == base
@@ -336,7 +335,7 @@ def test_enumeration_budget_messages_name_guard_size_and_limit():
     cat = RepCategory(a_n_quiver(2), 3)
     big = RepCategory(a_n_quiver(2), 97)
     cases = [
-        (lambda: cat._gl(4), r"GL enumeration: 3\^16 = 43046721 > SCAN_BUDGET 1048576"),
+        (lambda: gl_elements(3, 4), r"GL enumeration: 3\^16 = 43046721 > SCAN_BUDGET 1048576"),
         (lambda: next(cat.all_reps_of_dim((4, 4))),
          r"representation enumeration: 43046721 representations > SCAN_BUDGET 1048576"),
         (lambda: cat.submodules_with_dim(cat.rep((4, 4)), (2, 2)),
@@ -351,15 +350,6 @@ def test_enumeration_budget_messages_name_guard_size_and_limit():
     for call, message in cases:
         with pytest.raises(BudgetExceeded, match="^" + message + "$"):
             call()
-
-
-def test_gl_inverses_cached():
-    """The orbit walk reads each element's inverse from the GL cache."""
-    cat = RepCategory(a_n_quiver(2), 3)
-    pairs = cat._gl_pairs(2)
-    assert [g for g, _ in pairs] == cat._gl(2) and len(pairs) == 48
-    for g, inv in pairs:
-        assert g @ inv == FpMatrix.identity(3, 2)
 
 
 D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
@@ -398,6 +388,100 @@ def test_root_keys_seed_summand_groups(quiver, q, monkeypatch):
     monkeypatch.setattr(cat, "_summands", refuse)
     for key in keys:
         assert cat.aut_count(key.rep) == fresh.aut_count(key.rep)
+
+
+KRONECKER = Quiver(2, [(1, 2), (1, 2)])
+
+
+def _dims(n, bound, top=2):
+    """Nonzero dimension vectors with entries at most top, total at most bound."""
+    return [d for d in product(range(top + 1), repeat=n) if 0 < sum(d) <= bound]
+
+
+@pytest.mark.parametrize("quiver, bound", [
+    (a_n_quiver(2), 4), (a_n_quiver(3), 4), (D4, 5), (KRONECKER, 4)])
+@pytest.mark.parametrize("q", [2, 3])
+def test_canonical_forms_match_orbit_oracle(quiver, q, bound):
+    """_canonical_indec gives the lex-least member of the whole base-change
+    orbit on every indecomposable up to the bound with entries at most 2:
+    every root of A2, A3 and D4 has them, and Kronecker is taken up to
+    (2, 2).  Representations come in reverse walk order, so each class is
+    first met at its lex-greatest member."""
+    cat = RepCategory(quiver, q)
+    oracle = {}
+    checked = 0
+    for d in _dims(quiver.n, bound):
+        for R in reversed(list(cat.all_reps_of_dim(d))):
+            if R.signature() not in oracle:
+                orbit = base_change_orbit(cat, R)
+                indecomposable = len(cat.decompose_reps(R)) == 1
+                oracle.update(dict.fromkeys(orbit, min(orbit) if indecomposable else None))
+            if oracle[R.signature()] is not None:
+                assert cat._canonical_indec(R).signature() == oracle[R.signature()], R
+                checked += 1
+    assert checked
+
+
+def _count_walks(cat, monkeypatch) -> list:
+    """The dimension vectors of the canonical-form walks cat runs from now on."""
+    walks = []
+    reps_of_dim = cat._reps_of_dim
+
+    def counting(d, ranks):
+        if ranks is not None:
+            walks.append(d)
+        return reps_of_dim(d, ranks)
+    monkeypatch.setattr(cat, "_reps_of_dim", counting)
+    return walks
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_kronecker_classes_one_walk_each(q, monkeypatch):
+    """Interning every Kronecker representation up to total dimension 4
+    walks once per class of indecomposables, and a second pass not at all.
+    Up to dimension (2, 2) the classes are those of Kronecker's
+    classification of pencils: one each of (1,0), (0,1), (1,2) and (2,1),
+    one per point of P^1(F_q) of dimension (1,1), and one per point of P^1
+    of degree 1 or 2 of dimension (2,2)."""
+    cat = RepCategory(KRONECKER, q)
+    walks = _count_walks(cat, monkeypatch)
+    keys = cat.iso_classes_up_to(4)
+    indecomposables = [k for k in keys if len(cat.decompose_reps(k.rep)) == 1]
+    assert sorted(walks) == sorted(k.dim for k in indecomposables)
+    assert cat.iso_classes_up_to(4) == keys and len(walks) == len(indecomposables)
+    found = {d: 0 for d in product(range(3), repeat=2)}
+    for k in indecomposables:
+        if k.dim in found:
+            found[k.dim] += 1
+    expected = dict.fromkeys(found, 0)
+    expected.update({(1, 0): 1, (0, 1): 1, (1, 2): 1, (2, 1): 1,
+                     (1, 1): q + 1, (2, 2): q + 1 + (q * q - q) // 2})
+    assert found == expected
+
+
+@pytest.mark.parametrize("quiver, q", [(a_n_quiver(3), 3), (D4, 2)])
+def test_root_bricks_need_no_walk(quiver, q, monkeypatch):
+    """The Dynkin route registers each root brick as its own canonical form,
+    so neither it nor interning any representation afterwards walks."""
+    cat = RepCategory(quiver, q)
+    walks = _count_walks(cat, monkeypatch)
+    keys = cat.iso_classes_up_to(3)
+    for d in _dims(quiver.n, 3, top=3):
+        for R in cat.all_reps_of_dim(d):
+            assert cat.intern(R) in keys
+    assert walks == []
+
+
+def test_canonical_walk_budget():
+    """The walk is bounded by the representations of the dimension vector:
+    a 3-arrow Kronecker brick of dimension (2, 2) at q = 5 is refused, with
+    5^12 representations against 480^2 base changes."""
+    cat = RepCategory(Quiver(2, [(1, 2)] * 3), 5)
+    M = cat.rep((2, 2), [[[1, 0], [0, 1]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]])
+    assert cat.hom_dim(M, M) == 1
+    with pytest.raises(BudgetExceeded, match=r"^representation enumeration: 244140625 "
+                                             r"representations > SCAN_BUDGET 1048576$"):
+        cat.intern(M)
 
 
 @pytest.mark.parametrize("quiver, dynkin", [
