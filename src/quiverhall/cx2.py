@@ -63,6 +63,15 @@ class Cx2:
             raise SignConventionBroken("d o d != 0 in Z/2 complex")
         self._sig = None
 
+    @classmethod
+    def _trusted(cls, cat: RepCategory, M0: Rep, M1: Rep, d0: RepMorphism,
+                 d1: RepMorphism) -> "Cx2":
+        """Wrap differentials already known to be morphisms with d o d = 0,
+        such as those of a shifted complex, skipping the checks of __init__."""
+        X = object.__new__(cls)
+        X.cat, X.M0, X.M1, X.d0, X.d1, X._sig = cat, M0, M1, d0, d1, None
+        return X
+
     def signature(self) -> tuple:
         if self._sig is None:
             self._sig = (self.M0.signature(), self.M1.signature(),
@@ -93,7 +102,7 @@ class Cx2:
     def shift(self, k: int = 1) -> "Cx2":
         if k % 2 == 0:
             return self
-        return Cx2(self.cat, self.M1, self.M0, -self.d1, -self.d0)
+        return Cx2._trusted(self.cat, self.M1, self.M0, -self.d1, -self.d0)
 
     def like(self, comps: dict, mats: dict) -> "Cx2":
         M0, M1 = comps[0], comps[1]

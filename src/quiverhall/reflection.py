@@ -122,6 +122,7 @@ class SinkReflection:
         self.alg2 = SDH2Algebra(self.cat2)
         self.q = cat.p
         self._xi_cache = {}
+        self._image_cache = {}
         # natural mono S_i = P_i -> (+)_{j->i} P_j and its cokernel tau^-(S_i)
         Q = cat.quiver
         self.incoming = Q.arrows_into(sink)
@@ -271,17 +272,28 @@ class SinkReflection:
         return out.scale_scalar(nu.inverse() * v_power(self.q, cw))
 
     def t_hat(self, x: LinComb) -> LinComb:
-        """The reflection isomorphism on a reduced twisted element."""
+        """The reflection isomorphism on a reduced twisted element, by
+        linearity over its basis terms."""
         out = self.alg2.reduced_zero()
-        zero = (0,) * self.cat.quiver.n
         for (c, key), coeff in x.terms.items():
-            cw = self.alg.cw_exponent(((c, zero), self.alg.zero_key2()),
-                                      ((zero, zero), key))
-            tc = self.t_lattice((c, zero))
-            torus_red = self.alg2.reduce(self.alg2.torus_term(tc))
-            part = self.alg2.reduced_product(torus_red, self.xi(key))
-            out += part.scale_scalar(coeff * v_power(self.q, -cw))
+            out += self._term_image(c, key).scale_scalar(coeff)
         return out
+
+    def _term_image(self, c, key) -> LinComb:
+        """t_hat of the basis term (c, key) with coefficient 1, built once per
+        term; the cached value itself, so callers must not change it in place."""
+        ck = (c, key[0].sig, key[1].sig)
+        out = self._image_cache.get(ck)
+        if out is None:
+            out = self._image_cache[ck] = self._term_image_uncached(c, key)
+        return out
+
+    def _term_image_uncached(self, c, key) -> LinComb:
+        zero = (0,) * self.cat.quiver.n
+        cw = self.alg.cw_exponent(((c, zero), self.alg.zero_key2()), ((zero, zero), key))
+        torus_red = self.alg2.reduce(self.alg2.torus_term(self.t_lattice((c, zero))))
+        part = self.alg2.reduced_product(torus_red, self.xi(key))
+        return part.scale_scalar(v_power(self.q, -cw))
 
     # -- verification suite --------------------------------------------------------
 

@@ -29,8 +29,8 @@ A product of two basis terms needs one product [R1] . [R2] of
 representatives per pair of homology keys (_key_pair), given by its middle
 terms in normal form.  In general these are read off the extension classes
 of R1 by R2 in the category of complexes (Cx2Tools.ext1_classes_proj), a
-space much larger than the Ext^1 of the homology.  Two kinds of key pair
-need no such enumeration:
+space much larger than the Ext^1 of the homology.  A pair of keys neither
+of which has homology in two or more degrees needs no such enumeration:
 
 * the zero key: [R_0] is the unit, so [R_0] . [R] = [R] . [R_0] = [R];
 * two stalk keys, with homology one module A, resp. B, in the same degree
@@ -53,6 +53,31 @@ need no such enumeration:
   g_C - g_A - g_B, key is key_C, and c is
     |Ext^1(A, B)_C| / |Hom(A, B)| . gamma_C / gamma_A gamma_B
       . q^(<g_A + g_B, ell> - base).
+
+* two stalk keys in different degrees, A in degree m and B in degree
+  m2 != m, with R1 = P1(A) -> P0(A) in degrees m - 1, m and R2 =
+  P1(B) -> P0(B) in degrees m2 - 1, m2.  R1 has projective components, so
+  Ext^1(R1, R2) is the chain maps R1 -> Sigma R2 up to homotopy: the
+  morphisms A[-m] -> B[1 - m2] of the derived category, Ext^(m - m2 + 1)(A, B)
+  (for Z/2 the sum over the exponents of that parity).  For a hereditary
+  category only the exponents 0 and 1 survive, and 1 is the same-degree case.
+  - deg(m2) != deg(m + 1), which only Z allows (m2 < m or m2 > m + 1):
+    Ext^1(R1, R2) = 0, so the one middle term is R2 (+) R1.  It has the
+    homology key {m: A, m2: B}, and each d^l has the rank of the
+    differential of the one resolution it lives in, dim P1(H^(l+1)), so g = 0
+    and [R1] . [R2] = q^-hom [R_key] with hom = hom_dim(R1, R2).
+  - deg(m2) = deg(m + 1), Z with m2 = m + 1 and every pair for Z/2:
+    Ext^1(R1, R2) = Hom(A, B).  The long exact homology sequence of
+    R2 -> E -> R1 has connecting map f: A = H^m(R1) -> H^(m+1)(R2) = B, the
+    class of E, so E has homology ker f in degree m and coker f in degree
+    m + 1, and the components of R2 (+) R1.  In E, d^(m-1) is injective on
+    P1(A), the only component it does not kill, so rank d^(m-1) = dim P1(A);
+    H^(m+1) = coker f is the cokernel of d^m into P0(B), so
+    rank d^m = dim P0(B) - dim coker f = dim P1(B) + dim A - dim ker f.  The
+    rank formula of normal_form turns these into the normal form
+    q^<T_g, R_key> T_g [R_key] of E.  Scaling f by a unit keeps ker f and
+    coker f, so one f per line of Hom(A, B), weighted by the size of its
+    line, stands for every class (linalg.projective_points).
 """
 
 from __future__ import annotations
@@ -60,10 +85,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cx2 import Cx2Tools
+from .cx2 import Cx2Tools, zero_morphism
 from .errors import ShapeError
 from .hall import HallAlgebra
-from .reps import ProjectiveCoords, RepCategory
+from .linalg import projective_points
+from .reps import ProjectiveCoords, RepCategory, check_scan
 from .scalars import CoeffScalar, LinComb, bilinear, q_power
 
 
@@ -153,28 +179,36 @@ class SemiDerivedAlgebra:
         nf = self._nf_cache.get(ck)
         if nf is not None:
             return nf
-        cat = self.cat
-        deg = X.degree
-        keys = {m: cat.intern(H) for m, H in self.tools.homology(X).items()
+        keys = {m: self.cat.intern(H) for m, H in self.tools.homology(X).items()
                 if not H.is_zero()}
+        dims = {m: X.component(m).dim for m in X.degrees()}
+        ranks = {m: tuple(M.rank() for M in X.diff(m).mats) for m in X.degrees()}
+        nf = self._nf_cache[ck] = self._normal_term(dims, ranks, keys)
+        return nf
+
+    def _normal_term(self, dims, ranks, keys) -> NormalForm:
+        """The normal form of a projective-component complex with components
+        of dimension dims[d], differentials d^m of rank ranks[m] and nonzero
+        homology classes keys[m], by the rank formula and the ledger of
+        normal_form (a degree missing from dims has a zero component)."""
+        cat = self.cat
+        deg = self.complex_type.degree
         res = {m: cat.min_proj_resolution(k.rep) for m, k in keys.items()}
         zero = self._zero
 
         def p_dim(m, i):
             return res[deg(m)][i].dim if deg(m) in res else zero
 
-        slots = {m: tuple(M.rank() - d for M, d in zip(X.diff(m).mats, p_dim(m + 1, 0)))
-                 for m in X.degrees()}
-        for d in set(X.degrees()) | {deg(m - 1) for m in res}:
+        slots = {m: tuple(r - d for r, d in zip(rank, p_dim(m + 1, 0)))
+                 for m, rank in ranks.items()}
+        for d in set(dims) | {deg(m - 1) for m in res}:
             parts = (p_dim(d, 1), p_dim(d + 1, 0), slots.get(d, zero),
                      slots.get(deg(d - 1), zero))
-            if X.component(d).dim != tuple(map(sum, zip(*parts))):
+            if dims.get(d, zero) != tuple(map(sum, zip(*parts))):
                 raise ShapeError("acyclic ledger does not close (engine bug)")
         g = self._from_slots({m: self.coords(s) for m, s in slots.items() if any(s)}, zero)
         key = self._from_slots(keys, cat.zero_key())
-        coeff = q_power(self.q, self.exp_g_Y(g, self.rep_of_key(key)))
-        nf = self._nf_cache[ck] = NormalForm(coeff, g, key)
-        return nf
+        return NormalForm(q_power(self.q, self.exp_g_Y(g, self.rep_of_key(key))), g, key)
 
     # -- elements ------------------------------------------------------------------
 
@@ -220,9 +254,11 @@ class SemiDerivedAlgebra:
     def _key_pair(self, k1, k2) -> tuple:
         """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
         k1, k2: [R1] . [R2] is q^-hom times the sum of coeff * T_ell . [R_key].
-        Cached per pair; zero-key and same-degree stalk pairs are read off
-        the Hall numbers (module docstring), every other pair off the
-        extension classes (_resolution_pair)."""
+        Cached per pair.  Zero-key and single-stalk pairs come from module
+        data (module docstring): the unit, the Hall numbers for two stalks in
+        one degree (_stalk_pair) and Hom(A, B) for two stalks in different
+        degrees (_cone_pair).  A key with homology in two or more degrees
+        takes the extension classes of the resolutions (_resolution_pair)."""
         cached = self._pair_cache.get((k1, k2))
         if cached is not None:
             return cached
@@ -230,8 +266,10 @@ class SemiDerivedAlgebra:
         if not h1 or not h2:
             one = CoeffScalar.one(self.q)
             cached = (0, [((self._from_slots({}, self._zero), k1 if h1 else k2), one)])
-        elif len(h1) == len(h2) == 1 and h1[0][0] == h2[0][0]:
-            cached = self._stalk_pair(h1[0][1], h2[0][1], h1[0][0])
+        elif len(h1) == len(h2) == 1:
+            (m, A), (m2, B) = h1[0], h2[0]
+            cached = (self._stalk_pair(A, B, m) if m == m2
+                      else self._cone_pair(k1, k2, A, B, m, m2))
         else:
             cached = self._resolution_pair(k1, k2)
         self._pair_cache[(k1, k2)] = cached
@@ -260,6 +298,38 @@ class SemiDerivedAlgebra:
             c = cC * scale.scale(count) * q_power(q, self.exp_g_h(gAB, ell) - base)
             terms.append(((ell, kC), c))
         return hom, terms
+
+    def _cone_pair(self, k1, k2, A, B, m, m2) -> tuple:
+        """_key_pair of the stalk keys k1 (the iso class A in degree m) and
+        k2 (B in degree m2 != m), from Hom(A, B) as the module docstring
+        derives it; the guard bounds the q^(dim Hom(A, B)) extension
+        classes, as in _resolution_pair."""
+        cat = self.cat
+        deg = self.complex_type.degree
+        R1, R2 = self.rep_of_key(k1), self.rep_of_key(k2)
+        hom = self.tools.hom_dim(R1, R2)
+        if deg(m2) != deg(m + 1):
+            key = self._from_slots({m: A, m2: B}, cat.zero_key())
+            return hom, [((self._from_slots({}, self._zero), key), CoeffScalar.one(self.q))]
+        basis = cat.hom_basis(A.rep, B.rep)
+        check_scan("extension-class enumeration", self.q, len(basis))
+        dims = {d: tuple(map(sum, zip(R1.component(d).dim, R2.component(d).dim)))
+                for d in set(R1.degrees()) | set(R2.degrees())}
+        p1a = cat.min_proj_resolution(A.rep)[0].dim
+        p1b = cat.min_proj_resolution(B.rep)[0].dim
+        groups = {}
+        for coeffs, weight in projective_points(self.q, len(basis)):
+            f = (cat.morphisms_from_coeffs(basis, coeffs) if basis
+                 else zero_morphism(cat, A.rep, B.rep))
+            ker = cat.sub_object(A.rep, cat.kernel_subspaces(f))
+            coker = cat.quotient_object(B.rep, cat.image_subspaces(f))
+            keys = {d: cat.intern(H) for d, H in ((m, ker), (m2, coker)) if not H.is_zero()}
+            ranks = {deg(m - 1): p1a,
+                     m: tuple(b + a - k for b, a, k in zip(p1b, A.dim, ker.dim))}
+            coeff, g, key = self._normal_term(dims, ranks, keys)
+            c = coeff.scale(weight)
+            groups[g, key] = groups[g, key] + c if (g, key) in groups else c
+        return hom, list(groups.items())
 
     def _resolution_pair(self, k1, k2) -> tuple:
         """_key_pair uncached, by enumeration: the middle terms of Ext^1(R1, R2)

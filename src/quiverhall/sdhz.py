@@ -52,12 +52,7 @@ class CxB:
             comps.pop()
             if diffs:
                 diffs.pop()
-        self.cat = cat
-        self.lo = lo
-        self.comps = tuple(comps)
-        self.diffs = tuple(diffs)
-        if comps and not (_HARD_LO <= lo and lo + len(comps) - 1 <= _HARD_HI):
-            raise WindowExceeded("complex outside the hard degree window")
+        self._wrap(cat, lo, comps, diffs)
         if len(self.diffs) != max(len(self.comps) - 1, 0):
             raise ShapeError("need one differential per adjacent pair")
         for i, d in enumerate(self.diffs):
@@ -69,8 +64,27 @@ class CxB:
             for m in range(cat.quiver.n):
                 if not (self.diffs[i + 1].mats[m] @ self.diffs[i].mats[m]).is_zero():
                     raise SignConventionBroken("d o d != 0 in bounded complex")
+
+    def _wrap(self, cat: RepCategory, lo: int, comps, diffs) -> None:
+        """Set the fields from nonzero end components and their differentials;
+        only the hard degree window is checked."""
+        self.cat = cat
+        self.lo = lo
+        self.comps = tuple(comps)
+        self.diffs = tuple(diffs)
+        if comps and not (_HARD_LO <= lo and lo + len(comps) - 1 <= _HARD_HI):
+            raise WindowExceeded("complex outside the hard degree window")
         self._sig = None
         self._zero_diffs = {}
+
+    @classmethod
+    def _trusted(cls, cat: RepCategory, lo: int, comps, diffs) -> "CxB":
+        """Wrap components with nonzero ends and differentials already known
+        to form a complex, such as those of a shifted complex, skipping the
+        checks of __init__ but the hard degree window."""
+        X = object.__new__(cls)
+        X._wrap(cat, lo, comps, diffs)
+        return X
 
     @property
     def hi(self) -> int:
@@ -113,8 +127,8 @@ class CxB:
         differentials negated k times."""
         if self.is_zero():
             return self
-        diffs = list(self.diffs) if k % 2 == 0 else [-d for d in self.diffs]
-        return CxB(self.cat, self.lo - k, list(self.comps), diffs)
+        diffs = self.diffs if k % 2 == 0 else [-d for d in self.diffs]
+        return CxB._trusted(self.cat, self.lo - k, self.comps, diffs)
 
     def like(self, comps: dict, mats: dict) -> "CxB":
         """comps over consecutive degrees, mats[m] for each degree but the last."""

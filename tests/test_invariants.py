@@ -27,11 +27,14 @@ from quiverhall.linalg import FpMatrix, echelon_subspaces
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
 from quiverhall.scalars import LinComb, q_power
+from quiverhall.sdh import SemiDerivedAlgebra
 from quiverhall.sdh2 import SDH2Algebra
-from quiverhall.sdhz import WINDOW_LO, SDHZAlgebra, two_term_cxb, v_complex, zero_cxb
+from quiverhall.sdhz import WINDOW_LO, CxB, SDHZAlgebra, two_term_cxb, v_complex, zero_cxb
 from quiverhall.suites import (
     proj_complex_pool,
+    suite_presentation_uv,
     suite_quotient_relations,
+    suite_reflection,
     suite_torus_commutation,
 )
 
@@ -868,6 +871,28 @@ def test_from_structure_inverts_structure_maps():
     assert min(counts.values()) > 20, counts
 
 
+def test_shifts_pass_the_public_checks():
+    """shift builds its complex without the checks of the constructors; every
+    shift, once and twice, of the bridgeland-compare pool complexes (bound 3)
+    of WALK_POOLS and of their Z-graded two-term folds passes them."""
+    count = 0
+    for qv, p in WALK_POOLS:
+        cat = RepCategory(qv, p)
+        pool = proj_complex_pool(SDH2Algebra(cat), 3)
+        folds = [two_term_cxb(cat, 0, X.M0, X.M1, X.d0) for X in pool if not X.is_zero()]
+        for X in pool + folds:
+            for k in (1, 2, 3):
+                Y = X.shift(k)
+                if isinstance(Y, Cx2):
+                    Z = Cx2(cat, Y.M0, Y.M1, Y.d0, Y.d1)
+                else:
+                    Z = CxB(cat, Y.lo, Y.comps, Y.diffs)
+                    assert Y.lo == X.lo - k
+                assert Z.signature() == Y.signature(), (X, k)
+                count += 1
+    assert count > 100, count
+
+
 # The pools of the stalk-pair cross-check: (quiver, q, bound of the iso classes).
 STALK_POOLS = ((a_n_quiver(2), 2, 3), (a_n_quiver(2), 3, 2), (a_n_quiver(3), 2, 2),
                (KRONECKER, 2, 2))
@@ -927,6 +952,95 @@ def test_stalk_key_pairs_match_resolution_route():
     assert new != "WindowExceeded" and any(ell for ell, _key in new[1])
     with pytest.raises(WindowExceeded):
         alg.productZ(alg.term((), S1), alg.term((), S2))
+
+
+def test_cone_key_pairs_match_resolution_route():
+    """_key_pair reads a pair of stalk keys in different degrees off
+    Hom(A, B).  On every such pair of nonzero classes of the pools, at bound
+    at most 2 (Z/2 in degrees (0, 1) and (1, 0), Z from degree 0 to degrees
+    -2, -1, 1 and 2), it gives the hom and the terms, with exact
+    coefficients, of the resolution route it bypasses; so it does at the
+    bottom of the Z window, where a term can reach torus slot WINDOW_LO - 1
+    and the product refuses it."""
+    pairs = 0
+    for qv, p, bound in STALK_POOLS:
+        cat = RepCategory(qv, p)
+        nonzero = [k for k in cat.iso_classes_up_to(min(bound, 2)) if any(k.dim)]
+        zero = cat.zero_key()
+        alg2, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+
+        def z2(k, m):
+            return (zero, k) if m else (k, zero)
+
+        cases = [(alg2, z2, m, 1 - m) for m in (0, 1)]
+        cases += [(algz, lambda k, m: ((m, k),), 0, m2) for m2 in (-2, -1, 1, 2)]
+        for alg, key, m, m2 in cases:
+            for A, B in product(nonzero, nonzero):
+                k1, k2 = key(A, m), key(B, m2)
+                assert _key_pair_outcome(alg._key_pair, k1, k2) == \
+                    _key_pair_outcome(alg._resolution_pair, k1, k2), (p, m, m2, A, B)
+                pairs += 1
+    assert pairs > 1000, pairs
+    cat = RepCategory(a_n_quiver(2), 2)
+    alg = SDHZAlgebra(cat)
+    nonzero = [k for k in cat.iso_classes_up_to(2) if any(k.dim)]
+    for A, B in product(nonzero, nonzero):
+        for m, m2 in ((WINDOW_LO, WINDOW_LO + 1), (WINDOW_LO + 1, WINDOW_LO)):
+            k1, k2 = ((m, A),), ((m2, B),)
+            assert _key_pair_outcome(alg._key_pair, k1, k2) == \
+                _key_pair_outcome(alg._resolution_pair, k1, k2), (m, A, B)
+    # id: S1 -> S1 has ker 0, so P1(S1) = P2 is left in torus slot WINDOW_LO - 1.
+    S1 = cat.intern(cat.simple(1))
+    k1, k2 = ((WINDOW_LO, S1),), ((WINDOW_LO + 1, S1),)
+    assert any(any(m < WINDOW_LO for m, _c in ell) for (ell, _key), _c in alg._key_pair(k1, k2)[1])
+    with pytest.raises(WindowExceeded):
+        alg.productZ(alg.term((), k1), alg.term((), k2))
+
+
+def test_single_stalk_pairs_skip_resolution_route(monkeypatch):
+    """Every pair of single-stalk keys comes from module data: A3 q=3
+    presentation-uv and A2 q=3 reflection pass without one call of
+    _resolution_pair on such a pair, and take some pairs from Hom(A, B)."""
+    stalk_pairs, cone_pairs = [], []
+    resolution_pair, cone_pair = SemiDerivedAlgebra._resolution_pair, SemiDerivedAlgebra._cone_pair
+
+    def counted_resolution_pair(self, k1, k2):
+        if len(self._homology_parts(k1)) == len(self._homology_parts(k2)) == 1:
+            stalk_pairs.append((k1, k2))
+        return resolution_pair(self, k1, k2)
+
+    def counted_cone_pair(self, *args):
+        cone_pairs.append(args)
+        return cone_pair(self, *args)
+
+    monkeypatch.setattr(SemiDerivedAlgebra, "_resolution_pair", counted_resolution_pair)
+    monkeypatch.setattr(SemiDerivedAlgebra, "_cone_pair", counted_cone_pair)
+    for rows in (suite_presentation_uv(RepCategory(a_n_quiver(3), 3)),
+                 suite_reflection(RepCategory(a_n_quiver(2), 3), 2)):
+        assert rows and all(row[1] == "pass" for row in rows)
+    assert not stalk_pairs
+    assert cone_pairs
+
+
+def test_cone_pair_scan_guard(monkeypatch):
+    """The Hom(A, B) walk of a stalk pair in different degrees keeps the
+    guard and count of the extension-class walk it replaces: on the
+    Kronecker quiver Hom(S2, P1) has dimension 2, so S2 in degree 0 by P1
+    in degree 1 runs within a budget of q^2 and trips the guard, named,
+    below it."""
+    cat = RepCategory(KRONECKER, 2)
+    S2, P1 = cat.intern(cat.simple(2)), cat.intern(cat.projective(1))
+    assert cat.hom_dim(S2.rep, P1.rep) == 2
+    zero = cat.zero_key()
+    k1, k2 = (S2, zero), (zero, P1)
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match=r"^extension-class enumeration: 2\^2 = 4 > "
+                                             r"SCAN_BUDGET 3$"):
+        SDH2Algebra(cat)._key_pair(k1, k2)
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 4)
+    alg = SDH2Algebra(cat)
+    assert _key_pair_outcome(alg._key_pair, k1, k2) == \
+        _key_pair_outcome(alg._resolution_pair, k1, k2)
 
 
 def test_ext_class_counts_scan_guard(monkeypatch):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from quiverhall.errors import PreconditionError
@@ -64,6 +66,38 @@ def test_full_reflection_suite_a2():
     cat = RepCategory(a_n_quiver(2), 2)
     checks = SinkReflection(cat, 2).checks()
     assert checks and all(c[1] == "pass" for c in checks)
+
+
+def test_t_hat_images_are_cached_per_term(monkeypatch):
+    """t_hat builds the image of each distinct basis term once over a whole
+    A2 q=3 reflection suite, and the elements it returns are its own: adding
+    to one in place leaves the next call unchanged."""
+    cat = RepCategory(a_n_quiver(2), 3)
+    refl = SinkReflection(cat, 2)
+    built = Counter()
+    seen = set()
+    build, t_hat = SinkReflection._term_image_uncached, SinkReflection.t_hat
+
+    def counted_build(self, c, key):
+        built[c, key[0].sig, key[1].sig] += 1
+        return build(self, c, key)
+
+    def recorded_t_hat(self, x):
+        seen.update((c, key[0].sig, key[1].sig) for c, key in x.terms)
+        return t_hat(self, x)
+
+    monkeypatch.setattr(SinkReflection, "_term_image_uncached", counted_build)
+    monkeypatch.setattr(SinkReflection, "t_hat", recorded_t_hat)
+    checks = refl.checks()
+    assert checks and all(c[1] == "pass" for c in checks)
+    assert set(built) == seen and set(built.values()) == {1}, built
+    x = refl.alg.reduce(refl.alg.F_class(cat.simple(2)))
+    want = dict(refl.t_hat(x).terms)
+    got = refl.t_hat(x)
+    got += got
+    for key, c in want.items():
+        got.add_term(key, c)
+    assert refl.t_hat(x).terms == want
 
 
 def test_bgp_formula_direct():
