@@ -157,23 +157,18 @@ class ChainMorphism:
                              {m: s.compose(other.maps[m]) for m, s in self.maps.items()})
 
 
-def zero_morphism(cat: RepCategory, dom: Rep, cod: Rep) -> RepMorphism:
-    return RepMorphism(dom, cod, [FpMatrix.zero(cat.p, cod.dim[i], dom.dim[i])
-                                  for i in range(cat.quiver.n)])
-
-
 def identity_morphism(cat: RepCategory, M: Rep) -> RepMorphism:
     return RepMorphism(M, M, [FpMatrix.identity(cat.p, d) for d in M.dim])
 
 
 def make_KP(cat: RepCategory, P: Rep) -> Cx2:
     """K_P = (P <-> P), d0 = id, d1 = 0: contractible."""
-    return Cx2(cat, P, P, identity_morphism(cat, P), zero_morphism(cat, P, P))
+    return Cx2(cat, P, P, identity_morphism(cat, P), cat.zero_map(P, P))
 
 
 def make_KPstar(cat: RepCategory, P: Rep) -> Cx2:
     """K_P* = (P <-> P), d0 = 0, d1 = id: the shift of K_P."""
-    return Cx2(cat, P, P, zero_morphism(cat, P, P), identity_morphism(cat, P))
+    return Cx2(cat, P, P, cat.zero_map(P, P), identity_morphism(cat, P))
 
 
 def middle_term(L, M, f=None):
@@ -217,7 +212,7 @@ def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
     and d1 the inclusion of the minimal projective resolution of H."""
     def res(H):
         P1, P0, incl, _ = cat.min_proj_resolution(H)
-        return Cx2(cat, P0, P1, zero_morphism(cat, P0, P1), incl)
+        return Cx2(cat, P0, P1, cat.zero_map(P0, P1), incl)
     return direct_sum([res(A), res(B).shift()])
 
 
@@ -374,8 +369,8 @@ class Cx2Tools(KrullSchmidt):
         Ext^1(L, M) is identified with chain maps L -> ΣM modulo homotopy.
         diag(λ, 1) is a chain isomorphism E(f) -> E(λf), so one class stands
         for the weight classes of its line (linalg.coset_points); the weights
-        sum to |Ext^1(L, M)|.  The guard bounds the p^(dim Ext^1) classes,
-        not the chain maps.
+        sum to |Ext^1(L, M)|.  The "extension-class enumeration" guard
+        (check_scan) bounds the p^(dim Ext^1) classes, not the chain maps.
         """
         SM = M.shift()
         basis = self.hom_basis(L, SM)

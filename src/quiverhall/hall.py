@@ -46,7 +46,6 @@ class HallAlgebra:
         self.q = cat.p
         self.cross_check = cross_check
         self._ext_cache = {}
-        self._hall_cache = {}
 
     # -- basic elements --------------------------------------------------
 
@@ -70,10 +69,7 @@ class HallAlgebra:
         """|{B' subset of ambient : B' iso sub, ambient/B' iso quot}|."""
         if tuple(a + b for a, b in zip(quot.dim, sub.dim)) != ambient.dim:
             return 0
-        ck = (quot.sig, ambient.sig, sub.sig)
-        if ck not in self._hall_cache:
-            self._hall_cache[ck] = self.cat.hall_count(quot.rep, ambient.rep, sub.rep)
-        return self._hall_cache[ck]
+        return self.cat.hall_count(quot.rep, ambient.rep, sub.rep)
 
     def aut_count(self, key: IsoClassKey) -> int:
         return self.cat.aut_count(key.rep)
@@ -85,7 +81,8 @@ class HallAlgebra:
         inside Hom(P1, bottom); the middle term of a class f is the pushout
         (bottom + P0)/(f, -incl)(P1).  λ·1_bottom + 1_P0 carries the pushout
         of f to that of λf, so one class per line is classified and counted
-        with its line's weight (linalg.coset_points).
+        with its line's weight (linalg.coset_points).  The "extension-class
+        enumeration" guard (check_scan) bounds the p^(dim Ext^1) classes.
         """
         ck = (top.sig, bottom.sig)
         if ck in self._ext_cache:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cx2 import Cx2, direct_sum, zero_morphism
+from .cx2 import Cx2, direct_sum
 from .errors import PreconditionError, ShapeError
 from .linalg import FpMatrix
 from .reps import Rep, RepCategory, RepMorphism
@@ -36,10 +36,10 @@ def lift_through_epi(cat: RepCategory, f: RepMorphism, e: RepMorphism) -> RepMor
     if not basis:
         if any(target):
             raise ShapeError("no lift exists (source not projective enough)")
-        return zero_morphism(cat, X, Y)
+        return cat.zero_map(X, Y)
     cols = [e.compose(h).entries_flat() for h in basis]
     if not cols[0]:
-        return zero_morphism(cat, X, Y)
+        return cat.zero_map(X, Y)
     B = FpMatrix.from_columns(cat.p, cols, len(cols[0]))
     y = B.solve(target)
     if y is None:
@@ -60,13 +60,13 @@ class Piece:
 def two_term_piece(alg: SDH2Algebra, V0: Rep, V1: Rep, d: RepMorphism) -> Piece:
     """Piece for X = (V0 <-> V1) with d0 = d, d1 = 0 (V1 nonzero)."""
     cat = alg.cat
-    X = Cx2(cat, V0, V1, d, zero_morphism(cat, V1, V0))
+    X = Cx2(cat, V0, V1, d, cat.zero_map(V1, V0))
     P1r, P0r, incl, proj = cat.min_proj_resolution(V1)
     lift = lift_through_epi(cat, d, proj)
     M0 = cat.direct_sum([V0, P1r])
     mats = [FpMatrix.hstack([lift.mats[i], incl.mats[i]]) for i in range(cat.quiver.n)]
     d0 = RepMorphism(M0, P0r, mats)
-    P = Cx2(cat, M0, P0r, d0, zero_morphism(cat, P0r, M0))
+    P = Cx2(cat, M0, P0r, d0, cat.zero_map(P0r, M0))
     zero = (0,) * cat.quiver.n
     ell = (alg.coords(P1r.dim), zero)
     tools = alg.tools
@@ -216,7 +216,7 @@ class SinkReflection:
                 # stalk piece: two_term(0, A) has homology in degree 1
                 A = cat.direct_sum(regular)
                 Z = cat.zero_rep
-                stalk = two_term_piece(self.alg, Z, A, zero_morphism(cat, Z, A))
+                stalk = two_term_piece(self.alg, Z, A, cat.zero_map(Z, A))
                 pieces.append(shift_piece(stalk) if degree == 0 else stalk)
             for _ in range(m_count):
                 # sink piece: (+)P_j -> tau^-(S_i) has homology (S_i, 0)

@@ -214,7 +214,7 @@ class KrullSchmidt:
         """(coeffs, weight) of one invertible element per invertible line of
         span(basis), weight being the number of invertible elements it stands
         for; the entries_flat() of the basis are square blocks with the given
-        sides.  The budget still bounds the p^k elements of the span."""
+        sides.  The caller's check_scan guard bounds the p^k span elements."""
         k = len(basis)
         check_scan(self.scan_prefix + guard, self.p, k)
         return invertible_combinations(self.p, [b.entries_flat() for b in basis], sides,
@@ -242,7 +242,9 @@ class KrullSchmidt:
         is nilpotent or invertible, and a scalar multiple of one is too.  The
         candidates are the basis of End X, which usually splits at once, then
         one endomorphism per nonzero line of End X, which certifies X
-        indecomposable when none splits.
+        indecomposable when none splits.  The "decompose guardrail"
+        (check_dim) bounds total_dim(X), the "endomorphism scan" (check_scan)
+        the p^(dim End X) elements of End X.
         """
         check_dim(self.scan_prefix + "decompose guardrail", X.total_dim(),
                   DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
@@ -308,7 +310,9 @@ class KrullSchmidt:
 
     def sub_objects(self, X, dims) -> list:
         """Every sub-object U of X with dims[k]-dimensional U[k], in product
-        order, one side at a time: a map is tested once both its sides are."""
+        order, one side at a time: a map is tested once both its sides are.
+        The "<kind> enumeration guardrail" (check_dim) bounds total_dim(X),
+        the "<kind> enumeration" (check_count) the subspace tuples."""
         kind, limit, name = self.sub_guard
         check_dim(kind + " enumeration guardrail", X.total_dim(), limit, name)
         sides = self.sides(X)
@@ -420,6 +424,7 @@ class RepCategory(KrullSchmidt):
         self._registry = {}
         self._canonical_cache = {}
         self._resolution_cache = {}
+        self._zero_map_cache = {}
         self._paths_cache = None
         self._forms = {}
         self.zero_rep = self.rep((0,) * quiver.n)
@@ -535,6 +540,14 @@ class RepCategory(KrullSchmidt):
 
     def euler_form_int(self, d, e) -> int:
         return self.quiver.euler_form(tuple(d), tuple(e))
+
+    def zero_map(self, M: Rep, N: Rep) -> RepMorphism:
+        """The zero morphism M -> N, built once per pair of signatures."""
+        ck = (M.signature(), N.signature())
+        if ck not in self._zero_map_cache:
+            self._zero_map_cache[ck] = RepMorphism(
+                M, N, [FpMatrix.zero(self.p, b, a) for a, b in zip(M.dim, N.dim)])
+        return self._zero_map_cache[ck]
 
     # ------------------------------------------------------------------
     # isomorphism, decomposition, canonical keys
@@ -762,7 +775,8 @@ class RepCategory(KrullSchmidt):
 
     def _reps_of_dim(self, d: tuple, ranks):
         """all_reps_of_dim(d), keeping only the representations whose arrow a
-        has rank ranks[a] unless ranks is None; the budget counts them all."""
+        has rank ranks[a] unless ranks is None.  The "representation
+        enumeration" guard (check_count) counts all of them, whatever ranks."""
         Q = self.quiver
         total = 1
         for s, t in Q.arrows:

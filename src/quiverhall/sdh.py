@@ -34,11 +34,11 @@ of which has homology in two or more degrees needs no such enumeration:
 
 * the zero key: [R_0] is the unit, so [R_0] . [R] = [R] . [R_0] = [R];
 * two stalk keys, with homology one module A, resp. B, in the same degree
-  m.  The grading's stalk_term(X, m) gives the class E_X of the stalk
-  complex with X in degree m, and for a hereditary category the stalk
-  classes multiply by the Ringel-Hall formula (the paper's theorem on
-  hereditary E; for Z/2 also Bridgeland, "Quantum groups via Hall algebras
-  of complexes", Ann. Math. 2013):
+  m.  stalk_term(X, m) gives the class E_X of the stalk complex with X in
+  degree m, and for a hereditary category the stalk classes multiply by the
+  Ringel-Hall formula (the paper's theorem on hereditary E; for Z/2 also
+  Bridgeland, "Quantum groups via Hall algebras of complexes", Ann. Math.
+  2013):
 
     E_A . E_B = sum over C of |Ext^1(A, B)_C| / |Hom(A, B)| . E_C,
 
@@ -85,7 +85,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cx2 import Cx2Tools, zero_morphism
+from .cx2 import Cx2Tools
 from .errors import ShapeError
 from .hall import HallAlgebra
 from .linalg import projective_points
@@ -105,8 +105,7 @@ class SemiDerivedAlgebra:
 
     A subclass names its complex class (complex_type, for degree()), builds
     the representative of a key (_representative), lists and builds lattice
-    points and keys (_slots, _from_slots), builds the class of a stalk
-    complex (stalk_term(A, m), one term) and wraps terms into its own
+    points and keys (_slots, _from_slots) and wraps terms into its own
     elements (element)."""
 
     def __init__(self, cat: RepCategory):
@@ -174,6 +173,19 @@ class SemiDerivedAlgebra:
             g_m = coords(rank d^m - dim P1(H^deg(m+1))).
         Every degree d must then have
             dim X^d = dim P0(H^d) + dim P1(H^deg(d+1)) + g_d + g_deg(d-1).
+
+        (g, key) is a complete isomorphism invariant in either grading: X ~ Y
+        exactly when normal_form(X)[1:] == normal_form(Y)[1:].  Isomorphic
+        complexes have isomorphic homology and equal ranks.  Conversely, over
+        the hereditary rep_k(Q) im d^m and ker d^m are projective, so X^m =
+        ker d^m (+) C^m with C^m ~ im d^m, and im d^(m-1) -> ker d^m, a
+        projective resolution of H^m, is P1(H^m) -> P0(H^m) plus some
+        G_(m-1) = G_(m-1): X is R_key plus G_m = G_m in degrees m, m + 1 over
+        all m (for Z/2 Bridgeland, Ann. Math. 2013, section 4).  rank d^m =
+        dim P1(H^(m+1)) + dim G_m, and a projective is fixed by its dimension
+        vector (an acyclic quiver has a unitriangular Cartan matrix), so g
+        fixes each G_m.  KrullSchmidt.is_isomorphic stays as the oracle of
+        this test (tests/test_invariants.py).
         """
         ck = X.signature()
         nf = self._nf_cache.get(ck)
@@ -227,6 +239,18 @@ class SemiDerivedAlgebra:
     def term(self, g, key, coeff=None) -> LinComb:
         c = coeff if coeff is not None else CoeffScalar.one(self.q)
         return self.element({(g, key): c})
+
+    def stalk_term(self, A, m: int) -> LinComb:
+        """The class of the stalk complex with A in degree m: the unit for
+        A = 0, else q^-hom(e, e) T_g . [R_key], key {deg(m): A}, with e the
+        coordinates of P1(A) and g = -e in slot deg(m - 1)."""
+        if A.is_zero():
+            return self.unit()
+        deg = self.complex_type.degree
+        e = self.coords(self.cat.min_proj_resolution(A)[0].dim)
+        g = self._from_slots({deg(m - 1): tuple(-x for x in e)} if any(e) else {}, self._zero)
+        key = self._from_slots({deg(m): self.cat.intern(A)}, self.cat.zero_key())
+        return self.term(g, key, q_power(self.q, -self.proj.hom_form(e, e)))
 
     # -- products --------------------------------------------------------------------
 
@@ -302,8 +326,8 @@ class SemiDerivedAlgebra:
     def _cone_pair(self, k1, k2, A, B, m, m2) -> tuple:
         """_key_pair of the stalk keys k1 (the iso class A in degree m) and
         k2 (B in degree m2 != m), from Hom(A, B) as the module docstring
-        derives it; the guard bounds the q^(dim Hom(A, B)) extension
-        classes, as in _resolution_pair."""
+        derives it.  The "extension-class enumeration" guard (check_scan)
+        bounds the q^(dim Hom(A, B)) extension classes."""
         cat = self.cat
         deg = self.complex_type.degree
         R1, R2 = self.rep_of_key(k1), self.rep_of_key(k2)
@@ -319,8 +343,7 @@ class SemiDerivedAlgebra:
         p1b = cat.min_proj_resolution(B.rep)[0].dim
         groups = {}
         for coeffs, weight in projective_points(self.q, len(basis)):
-            f = (cat.morphisms_from_coeffs(basis, coeffs) if basis
-                 else zero_morphism(cat, A.rep, B.rep))
+            f = cat.morphisms_from_coeffs(basis, coeffs) or cat.zero_map(A.rep, B.rep)
             ker = cat.sub_object(A.rep, cat.kernel_subspaces(f))
             coker = cat.quotient_object(B.rep, cat.image_subspaces(f))
             keys = {d: cat.intern(H) for d, H in ((m, ker), (m2, coker)) if not H.is_zero()}

@@ -103,22 +103,11 @@ class SDH2Algebra(SemiDerivedAlgebra):
 
     def E_class(self, A: Rep) -> LinComb:
         """Class of the stalk complex (0 <-> A) with A in degree 1."""
-        if A.is_zero():
-            return self.unit()
-        P1A, _P0A, _i, _p = self.cat.min_proj_resolution(A)
-        e1 = self.coords(P1A.dim)
-        z = self._zero
-        g = (tuple(-x for x in e1), z)
-        key = (self.cat.zero_key(), self.cat.intern(A))
-        coeff = q_power(self.q, -self.exp_g_h((e1, z), (e1, z)))
-        return self.term(g, key, coeff)
+        return self.stalk_term(A, 1)
 
     def F_class(self, A: Rep) -> LinComb:
-        return self.star(self.E_class(A))
-
-    def stalk_term(self, A: Rep, m: int) -> LinComb:
-        """Class of the stalk complex with A in degree m (mod 2)."""
-        return self.E_class(A) if m % 2 else self.F_class(A)
+        """Class of the stalk complex (A <-> 0) with A in degree 0."""
+        return self.stalk_term(A, 0)
 
     def K_class(self, alpha_dim) -> LinComb:
         return self.torus_term((self.coords(alpha_dim), self._zero))

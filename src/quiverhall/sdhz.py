@@ -18,7 +18,7 @@ or m, else 1.
 
 from __future__ import annotations
 
-from .cx2 import direct_sum, identity_morphism, zero_morphism
+from .cx2 import direct_sum, identity_morphism
 from .errors import (
     ShapeError,
     SignConventionBroken,
@@ -37,7 +37,7 @@ _HARD_HI = 24
 class CxB:
     """Bounded complex; comps[i] sits in degree lo + i, differentials raise degree."""
 
-    __slots__ = ("cat", "lo", "comps", "diffs", "_sig", "_zero_diffs")
+    __slots__ = ("cat", "lo", "comps", "diffs", "_sig")
 
     def __init__(self, cat: RepCategory, lo: int, comps, diffs):
         comps = list(comps)
@@ -75,7 +75,6 @@ class CxB:
         if comps and not (_HARD_LO <= lo and lo + len(comps) - 1 <= _HARD_HI):
             raise WindowExceeded("complex outside the hard degree window")
         self._sig = None
-        self._zero_diffs = {}
 
     @classmethod
     def _trusted(cls, cat: RepCategory, lo: int, comps, diffs) -> "CxB":
@@ -99,18 +98,12 @@ class CxB:
         return self.cat.zero_rep
 
     def diff(self, m: int) -> RepMorphism:
-        """d^m: component(m) -> component(m+1).  Past either end it is a zero
-        map, one of three (into the bottom, out of the top, between zeros),
-        each built on first use."""
+        """d^m: component(m) -> component(m+1); past either end the zero map
+        of the category between those components."""
         idx = m - self.lo
         if 0 <= idx < len(self.diffs):
             return self.diffs[idx]
-        end = m if m in (self.lo - 1, self.hi) else None
-        d = self._zero_diffs.get(end)
-        if d is None:
-            d = self._zero_diffs[end] = zero_morphism(self.cat, self.component(m),
-                                                      self.component(m + 1))
-        return d
+        return self.cat.zero_map(self.component(m), self.component(m + 1))
 
     def degrees(self):
         return range(self.lo, self.hi + 1) if self.comps else range(0)
@@ -244,17 +237,6 @@ class SDHZAlgebra(SemiDerivedAlgebra):
         if m - 1 < WINDOW_LO and not self.cat.min_proj_resolution(A)[0].is_zero():
             raise WindowExceeded(f"u generator at degree {m} needs torus slot {m-1}")
         return self.stalk_term(A, m)
-
-    def stalk_term(self, A: Rep, m: int) -> LinComb:
-        """u_gen(A, m) for nonzero A, without the window checks, which the
-        product applies to every term it returns."""
-        P1A, _P0A, _i, _p = self.cat.min_proj_resolution(A)
-        key = ((m, self.cat.intern(A)),)
-        if P1A.is_zero():
-            return self.term((), key)
-        e1 = self.coords(P1A.dim)
-        g = ((m - 1, tuple(-x for x in e1)),)
-        return self.term(g, key, q_power(self.q, -self.proj.hom_form(e1, e1)))
 
     def v_gen(self, alpha_dim, m: int) -> LinComb:
         """Torus generator for the class alpha at slot m (degrees m, m+1).

@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .cx2 import Cx2, direct_sum, make_KP, make_KPstar, squares_to_zero, zero_morphism
+from .cx2 import Cx2, direct_sum, make_KP, make_KPstar, squares_to_zero
 from .hall import HallAlgebra, verify_ringel
 from .linalg import line_index
 from .reflection import SinkReflection
-from .reps import ENUM_DIM_GUARD, RepCategory, check_dim
+from .reps import ENUM_DIM_GUARD, RepCategory, check_dim, check_scan
 from .scalars import CoeffScalar, q_power
 from .sdh2 import SDH2Algebra
 from .sdhz import SDHZAlgebra, v_complex
@@ -210,45 +210,38 @@ def suite_assoc_z2(cat: RepCategory, samples: int, seed: int) -> list:
 
 def proj_complex_pool(alg: SDH2Algebra, max_total: int) -> list:
     """Iso-class representatives of projective-component Z/2 complexes with
-    total component dimension <= max_total."""
+    total component dimension <= max_total: the first complex, in
+    enumeration order, of each (g, key) of alg.normal_form.  The "complex
+    pool enumeration" guard (check_scan) bounds, before any is built, the
+    p^(hom(M0, M1) + hom(M1, M0)) pairs (d0, d1) of the largest pair."""
     cat = alg.cat
-    tools = alg.tools
-    projs = [cat.zero_rep]
-    seen_dims = {projs[0].dim}
+    projs = {cat.zero_rep.dim: cat.zero_rep}
     # direct sums of indecomposable projectives with total dim <= max_total
     def extend(current):
         for i in range(1, cat.quiver.n + 1):
-            P = cat.projective(i)
-            cand = cat.direct_sum([current, P])
-            if cand.total_dim() <= max_total and cand.dim not in seen_dims:
-                seen_dims.add(cand.dim)
-                projs.append(cand)
+            cand = cat.direct_sum([current, cat.projective(i)])
+            if cand.total_dim() <= max_total and cand.dim not in projs:
+                projs[cand.dim] = cand
                 extend(cand)
-    for i in range(1, cat.quiver.n + 1):
-        P = cat.projective(i)
-        if P.total_dim() <= max_total:
-            if P.dim not in seen_dims:
-                seen_dims.add(P.dim)
-                projs.append(P)
-                extend(P)
+    extend(cat.zero_rep)
+    pairs = [(M0, M1) for M0 in projs.values() for M1 in projs.values()
+             if M0.total_dim() + M1.total_dim() <= max_total]
+    check_scan("complex pool enumeration", cat.p,
+               max(cat.hom_dim(M0, M1) + cat.hom_dim(M1, M0) for M0, M1 in pairs))
 
     def morphisms(S, T):
         # morphisms_from_coeffs gives None only for an empty basis
         basis = cat.hom_basis(S, T)
-        return [cat.morphisms_from_coeffs(basis, c) or zero_morphism(cat, S, T)
+        return [cat.morphisms_from_coeffs(basis, c) or cat.zero_map(S, T)
                 for c in product(range(cat.p), repeat=len(basis))]
 
-    pool = []
-    for M0 in projs:
-        for M1 in projs:
-            if M0.total_dim() + M1.total_dim() > max_total:
-                continue
-            for d0, d1 in product(morphisms(M0, M1), morphisms(M1, M0)):
-                if squares_to_zero(d0, d1):
-                    X = Cx2(cat, M0, M1, d0, d1)
-                    if not any(tools.is_isomorphic(X, Y) for Y in pool):
-                        pool.append(X)
-    return pool
+    pool = {}
+    for M0, M1 in pairs:
+        for d0, d1 in product(morphisms(M0, M1), morphisms(M1, M0)):
+            if squares_to_zero(d0, d1):
+                X = Cx2(cat, M0, M1, d0, d1)
+                pool.setdefault(alg.normal_form(X)[1:], X)
+    return list(pool.values())
 
 
 def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
@@ -265,19 +258,16 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
             route_a = alg.product2(alg.element_of(L), alg.element_of(M))
             # independent route: the Hall number of sub-complexes of each
             # middle, through the automorphism conversion, against the count
-            # of its extension classes.
-            middles = []
+            # of its extension classes; the middles are grouped by normal form.
+            middles = {}
             for _f, E, weight in tools.ext1_classes_proj(L, M):
-                for item in middles:
-                    if tools.is_isomorphic(item[0], E):
-                        item[1] += weight
-                        break
-                else:
-                    middles.append([E, weight])
+                nf = alg.normal_form(E)[1:]
+                X, n_ext = middles.get(nf, (E, 0))
+                middles[nf] = (X, n_ext + weight)
             hom_lm = tools.hom_dim(L, M)
             route_b = alg.zero()
             counts_ok = True
-            for X, n_ext in middles:
+            for X, n_ext in middles.values():
                 const = tools.riedtmann(tools.hall_count(L, X, M), L, X, M)
                 if const * cat.p ** hom_lm != n_ext:
                     counts_ok = False
@@ -396,7 +386,9 @@ def table_rows(cat: RepCategory, bound: int) -> list:
     subobjects of C isomorphic to B with quotient isomorphic to A, follows
     from it by Riedtmann's formula.  Subobjects are counted only in the
     sampled cross-check of product_pair, whose guard ENUM_DIM_GUARD bounds
-    the middle terms; a larger bound is rejected before any enumeration.
+    the middle terms.  The "submodule enumeration guardrail" (check_dim)
+    therefore bounds `bound`, the largest total dimension of a middle term,
+    by ENUM_DIM_GUARD, and rejects a larger one before any enumeration.
     """
     check_dim("submodule enumeration guardrail", bound, ENUM_DIM_GUARD, "ENUM_DIM_GUARD")
     alg = HallAlgebra(cat, cross_check="sampled")

@@ -6,7 +6,7 @@ RepCategory, a Cx2Tools or a HallAlgebra) take it as their first argument.
 from itertools import product
 from typing import Iterable
 
-from quiverhall.cx2 import Cx2, zero_morphism
+from quiverhall.cx2 import Cx2, squares_to_zero
 from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix
@@ -18,8 +18,8 @@ def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
     """Stalk complex with A in the given degree (0 or 1)."""
     Z = cat.zero_rep
     if degree % 2 == 0:
-        return Cx2(cat, A, Z, zero_morphism(cat, A, Z), zero_morphism(cat, Z, A))
-    return Cx2(cat, Z, A, zero_morphism(cat, Z, A), zero_morphism(cat, A, Z))
+        return Cx2(cat, A, Z, cat.zero_map(A, Z), cat.zero_map(Z, A))
+    return Cx2(cat, Z, A, cat.zero_map(Z, A), cat.zero_map(A, Z))
 
 
 def gl_elements(p: int, d: int) -> list:
@@ -109,3 +109,43 @@ def lattice_neg(g) -> tuple:
     """The negative of a Z-graded torus lattice element of sdhz."""
     return tuple(sorted((m, tuple(-x for x in c)) for m, c in g))
 
+
+
+def complex_pool_by_isomorphism(tools, max_total: int) -> list:
+    """The projective-component Z/2 complexes with total component dimension
+    <= max_total, the first of each isomorphism class kept, classes told
+    apart by pairwise is_isomorphic scans: the reference for
+    suites.proj_complex_pool, which keys them by normal form.  Components
+    are direct sums of indecomposable projectives, one per dimension vector,
+    built by adding one P_i at a time from each P_i."""
+    cat = tools.cat
+    projs = [cat.zero_rep]
+
+    def extend(current):
+        for i in range(1, cat.quiver.n + 1):
+            cand = cat.direct_sum([current, cat.projective(i)])
+            if cand.total_dim() <= max_total and all(cand.dim != P.dim for P in projs):
+                projs.append(cand)
+                extend(cand)
+    for i in range(1, cat.quiver.n + 1):
+        P = cat.projective(i)
+        if P.total_dim() <= max_total and all(P.dim != Q.dim for Q in projs):
+            projs.append(P)
+            extend(P)
+
+    def morphisms(S, T):
+        basis = cat.hom_basis(S, T)
+        return [cat.morphisms_from_coeffs(basis, c) or cat.zero_map(S, T)
+                for c in product(range(cat.p), repeat=len(basis))]
+
+    pool = []
+    for M0 in projs:
+        for M1 in projs:
+            if M0.total_dim() + M1.total_dim() > max_total:
+                continue
+            for d0, d1 in product(morphisms(M0, M1), morphisms(M1, M0)):
+                if squares_to_zero(d0, d1):
+                    X = Cx2(cat, M0, M1, d0, d1)
+                    if not any(tools.is_isomorphic(X, Y) for Y in pool):
+                        pool.append(X)
+    return pool

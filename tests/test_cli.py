@@ -204,6 +204,23 @@ def test_bridgeland_compare_past_q2(q, capsys):
     assert all(c["status"] == "pass" for c in checks)
 
 
+def test_bridgeland_compare_pool_past_scan_budget_exits_before_enumeration(capsys,
+                                                                          monkeypatch):
+    """The complex pool of the CLI (bound 3) walks 37^4 pairs of differentials
+    over one vertex at q = 37, past SCAN_BUDGET, so the run is refused
+    before any differential is built."""
+    def refuse(self, basis, coeffs):
+        raise AssertionError("differentials enumerated")
+
+    monkeypatch.setattr(RepCategory, "morphisms_from_coeffs", refuse)
+    code = main(["--quiver", str(EXAMPLES / "a1.json"), "--q", "37",
+                 "--suite", "bridgeland-compare"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: complex pool enumeration: 37^4 = 1874161 > "
+                            "SCAN_BUDGET 1048576\n")
+
+
 def test_kronecker_reflection_at_q5(capsys):
     """Stalk products read off Hall numbers: at q = 5 the extension classes
     in complexes between the resolutions of two Kronecker stalks span 5^12,

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     classify_acyclic_indec,
+    complex_pool_by_isomorphism,
     is_acyclic,
     reduce_against_rows,
     subspace_contains,
@@ -18,7 +19,6 @@ from quiverhall.cx2 import (
     make_KP,
     make_KPstar,
     middle_term,
-    zero_morphism,
 )
 from quiverhall import reps
 from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
@@ -394,7 +394,7 @@ def test_gradings_agree_on_two_term_complexes():
             pairs = []
             for X in proj_complex_pool(SDH2Algebra(cat), 3):
                 Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
-                Z = Cx2(cat, X.M0, X.M1, X.d0, zero_morphism(cat, X.M1, X.M0))
+                Z = Cx2(cat, X.M0, X.M1, X.d0, cat.zero_map(X.M1, X.M0))
                 pairs.append((Y, Z))
                 hY, hZ = tools.homology(Y), tools.homology(Z)
                 for b in (0, 1):
@@ -1065,9 +1065,9 @@ def test_ext1_classes_proj_scan_guard(monkeypatch):
     cat = RepCategory(Quiver(1, []), 3)
     k = cat.rep((1,))
     Z = cat.zero_rep
-    stalk0 = Cx2(cat, k, Z, zero_morphism(cat, k, Z), zero_morphism(cat, Z, k))
+    stalk0 = Cx2(cat, k, Z, cat.zero_map(k, Z), cat.zero_map(Z, k))
     L = direct_sum([stalk0, make_KP(cat, k)])
-    M = Cx2(cat, Z, k, zero_morphism(cat, Z, k), zero_morphism(cat, k, Z))
+    M = Cx2(cat, Z, k, cat.zero_map(Z, k), cat.zero_map(k, Z))
     tools = SDH2Algebra(cat).tools
     assert tools.hom_dim(L, M.shift()) == 2 and tools.homotopy_dim(L, M.shift()) == 1
     monkeypatch.setattr(reps, "SCAN_BUDGET", 2)
@@ -1076,6 +1076,50 @@ def test_ext1_classes_proj_scan_guard(monkeypatch):
         tools.ext1_classes_proj(L, M)
     monkeypatch.setattr(reps, "SCAN_BUDGET", 3)
     assert sum(w for _f, _E, w in tools.ext1_classes_proj(L, M)) == 3
+
+
+def test_complex_pool_scan_guard(monkeypatch):
+    """The complex pool is budgeted, before any complex is built, by the
+    p^(hom(M0, M1) + hom(M1, M0)) differentials of its largest pair of
+    components: over one vertex at bound 3 that is k + k^2 both ways,
+    2^4 at q = 2, so it builds within a budget of 16 and trips the guard,
+    named, below it."""
+    alg = SDH2Algebra(RepCategory(Quiver(1, []), 2))
+    want = [X.signature() for X in proj_complex_pool(alg, 3)]
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 15)
+    with pytest.raises(BudgetExceeded, match=r"^complex pool enumeration: 2\^4 = 16 > "
+                                             r"SCAN_BUDGET 15$"):
+        proj_complex_pool(alg, 3)
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 16)
+    assert [X.signature() for X in proj_complex_pool(alg, 3)] == want and len(want) == 16
+
+
+# The pools on which normal forms are checked against is_isomorphic.
+NORMAL_FORM_QUIVERS = (a_n_quiver(1), a_n_quiver(2), a_n_quiver(3),
+                       Quiver(4, [(1, 4), (2, 4), (3, 4)]), KRONECKER)
+
+
+def test_normal_form_is_the_isomorphism_class_on_complex_pools():
+    """On the bound-3 complex pools at q = 2 and 3, and at q = 2 on the
+    middle terms of the pool pairs of total dimension <= 4 (the
+    bridgeland-compare middles), two complexes have equal (g, key) of
+    normal_form exactly when is_isomorphic holds, and removing duplicates
+    by is_isomorphic, the pool's former route, gives the same pool."""
+    pairs = Counter()
+    for qv in NORMAL_FORM_QUIVERS:
+        for p in (2, 3):
+            alg = SDH2Algebra(RepCategory(qv, p))
+            tools = alg.tools
+            pool = proj_complex_pool(alg, 3)
+            assert [X.signature() for X in pool] == \
+                [X.signature() for X in complex_pool_by_isomorphism(tools, 3)]
+            objects = pool if p > 2 else _with_middle_terms(tools, pool, 4)
+            classes = [alg.normal_form(X)[1:] for X in objects]
+            for (X, a), (Y, b) in product(zip(objects, classes), repeat=2):
+                iso = tools.is_isomorphic(X, Y)
+                assert (a == b) == iso, (qv.n, p, X, Y)
+                pairs[iso] += X is not Y
+    assert pairs[True] > 2000 and pairs[False] > 100000, pairs
 
 
 def test_morphisms_from_coeffs_empty_basis_is_none():

@@ -246,3 +246,19 @@ def test_assoc_seeded_z():
         assert (alg.productZ(alg.productZ(x, y), z)
                 - alg.productZ(x, alg.productZ(y, z))).is_zero()
 
+
+
+def test_end_maps_are_shared_zero_maps():
+    """Past either end a bounded complex reads the zero map of its category
+    between those components, one object per pair of signatures, shared by
+    complexes with equal end components."""
+    cat = a2()
+    S1, P1 = cat.simple(1), cat.projective(1)
+    X, Y = stalk_cxb(cat, S1, 0), stalk_cxb(cat, cat.simple(1), 2)
+    into, out_of, between = X.diff(-1), X.diff(0), X.diff(5)
+    assert (into.dom.dim, into.cod.dim) == ((0, 0), (1, 0))
+    assert (out_of.dom.dim, out_of.cod.dim) == ((1, 0), (0, 0))
+    assert between.dom.is_zero() and between.cod.is_zero()
+    assert all(f.is_zero() for f in (into, out_of, between))
+    assert Y.diff(1) is into and Y.diff(2) is out_of and Y.diff(-7) is between
+    assert stalk_cxb(cat, P1, 0).diff(0) is not out_of
