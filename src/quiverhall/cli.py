@@ -82,6 +82,11 @@ def _report_text(report: Report, fmt: str) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # A flag the chosen mode ignores would let a run report what it never did.
+        if args.perturb and args.suite != "quantum-group":
+            raise EngineError("--perturb applies only to --suite quantum-group")
+        if args.sink is not None and args.suite != "reflection":
+            raise EngineError("--sink applies only to --suite reflection")
         with open(args.quiver, "r", encoding="utf-8") as fh:
             quiver = Quiver.from_json(fh.read())
         check_prime(args.q)

@@ -12,28 +12,26 @@ complex is sdhz.CxB.  Both expose one protocol:
   like(comps, mats)   a complex of the same grading with comps[m] in degree m
                       and the per-vertex matrices mats[m] of d^m
 
-Cx2Tools solves chain maps, homotopies, homology, extension classes and their
-middle terms, and builds sub- and quotient complexes, through this protocol
-alone.  The contractible complexes K_P and K_P* and minimal projective-component
-representatives of quasi-isomorphism classes also live here; Krull-Schmidt
-decomposition, isomorphism tests, automorphism and hom-space counts,
-sub-complex enumeration and Hall numbers are those of reps.KrullSchmidt.  The
-semi-derived algebras are in sdh (the core of both), sdh2 and sdhz.
+Cx2Tools supplies the two hooks of reps.KrullSchmidt for complexes, through
+this protocol alone: hom_equations (the chain-map equations in the flat layout
+of _layout) and morphism (flat entries split by degree into a ChainMorphism).
+On top of them it solves homotopies, homology, extension classes and their
+middle terms, and builds sub- and quotient complexes.  The contractible
+complexes K_P and K_P* and minimal projective-component representatives of
+quasi-isomorphism classes also live here; chain-map bases, coefficient
+combinations, images and kernels, Krull-Schmidt decomposition, isomorphism
+tests, automorphism and hom-space counts, sub-complex enumeration and Hall
+numbers are those of reps.KrullSchmidt.  The semi-derived algebras are in sdh
+(the core of both), sdh2 and sdhz.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import product
-from typing import Optional
 
 from .errors import CategoryMismatch, ShapeError, SignConventionBroken
-from .linalg import (
-    FpMatrix,
-    combine_flat,
-    coset_points,
-    split_flat,
-)
+from .linalg import FpMatrix, coset_points, split_flat
 from .reps import (
     DECOMPOSE_DIM_GUARD,
     KrullSchmidt,
@@ -42,7 +40,6 @@ from .reps import (
     RepMorphism,
     check_scan,
     corestrict,
-    intertwiners,
 )
 
 
@@ -148,6 +145,10 @@ class ChainMorphism:
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.maps.values())
 
+    def blocks(self) -> tuple:
+        """The matrices of entries_flat(), degree-major and vertex-minor."""
+        return tuple(m for s in self.maps.values() for m in s.mats)
+
     def is_isomorphism(self) -> bool:
         return (_dims(self.dom) == _dims(self.cod)
                 and all(s.is_isomorphism() for s in self.maps.values()))
@@ -209,10 +210,11 @@ def _homology_at(cat: RepCategory, comp: Rep, d_out: RepMorphism, d_in: RepMorph
 def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
     """Minimal projective-component complex with homology (A, B): res(A)
     plus the shift of res(B), where res(H) = (P0(H) <-> P1(H)) with d0 = 0
-    and d1 the inclusion of the minimal projective resolution of H."""
+    and d1 the inclusion of the minimal projective resolution of H, valid by
+    construction (only the direct sum is checked)."""
     def res(H):
         P1, P0, incl, _ = cat.min_proj_resolution(H)
-        return Cx2(cat, P0, P1, cat.zero_map(P0, P1), incl)
+        return Cx2._trusted(cat, P0, P1, cat.zero_map(P0, P1), incl)
     return direct_sum([res(A), res(B).shift()])
 
 
@@ -228,6 +230,7 @@ class Cx2Tools(KrullSchmidt):
     sub_guard = ("subcomplex", DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
     # The Krull-Schmidt core, under the names the rest of the engine uses.
     decompose2 = KrullSchmidt._summands
+    hom_basis = KrullSchmidt.hom_basis
     is_isomorphic = KrullSchmidt.is_isomorphic
     aut_count = KrullSchmidt.aut_count
     sub_complexes_with_dims = KrullSchmidt.sub_objects
@@ -235,7 +238,6 @@ class Cx2Tools(KrullSchmidt):
     def __init__(self, cat: RepCategory):
         super().__init__(cat.p)
         self.cat = cat
-        self._chain_cache = {}
         self._homotopy_cache = {}
         self._homology_cache = {}
 
@@ -261,41 +263,19 @@ class Cx2Tools(KrullSchmidt):
             size += shapes[-1][0] * shapes[-1][1]
         return degs, offsets, shapes, size
 
-    def _chain_map(self, U, V, degs, shapes, flat) -> ChainMorphism:
-        """The chain map U -> V with the given flat entries, in the layout
-        (degs, shapes) of U -> V."""
+    def morphism(self, U, V, flat) -> ChainMorphism:
+        """The chain map U -> V with the given flat entries, in the layout of
+        U -> V."""
+        degs, _, shapes, _ = self._layout(U, V)
         n = self.cat.quiver.n
-        mats = split_flat(self.cat.p, flat, shapes)
+        mats = split_flat(self.p, flat, shapes)
         return ChainMorphism(U, V, {
             m: RepMorphism(U.component(m), V.component(m), mats[k * n:(k + 1) * n])
             for k, m in enumerate(degs)}, flat)
 
-    def _from_coeffs(self, basis: list, coeffs, U, V) -> ChainMorphism:
-        """The chain map sum_i coeffs[i] * basis[i]: U -> V (zero for an
-        empty basis)."""
-        degs, _, shapes, size = self._layout(U, V)
-        flat = combine_flat(self.cat.p, [b.entries_flat() for b in basis], coeffs, size)
-        return self._chain_map(U, V, degs, shapes, flat)
-
-    def morphisms_from_coeffs(self, basis: list, coeffs) -> Optional[ChainMorphism]:
-        if not basis:
-            return None
-        return self._from_coeffs(basis, coeffs, basis[0].dom, basis[0].cod)
-
-    def hom_basis(self, L, M) -> list:
-        """Deterministic basis of the chain maps L -> M (a cached list)."""
-        self._check_same(L, M)
-        ck = (L.signature(), M.signature())
-        basis = self._chain_cache.get(ck)
-        if basis is None:
-            degs, _, shapes, _ = self._layout(L, M)
-            basis = self._chain_cache[ck] = [self._chain_map(L, M, degs, shapes, v)
-                                             for v in self._solve_chain_maps(L, M)]
-        return basis
-
-    def _solve_chain_maps(self, U, V) -> list:
-        """Flat basis of the chain maps U -> V: the intertwining equations of
-        each degree, then the squares s^(m+1) dU^m = dV^m s^m."""
+    def hom_equations(self, U, V) -> tuple:
+        """The chain maps U -> V in the layout of U -> V: the intertwining
+        equations of each degree, then the squares s^(m+1) dU^m = dV^m s^m."""
         degs, offsets, _, nvars = self._layout(U, V)
         arrows = self.cat.quiver.arrows
 
@@ -308,7 +288,7 @@ class Cx2Tools(KrullSchmidt):
                 for i, (dU, dV) in enumerate(zip(U.diff(m).mats, V.diff(m).mats)):
                     yield offsets.get((U.degree(m + 1), i)), dU, offsets.get((m, i)), dV
 
-        return intertwiners(self.cat.p, nvars, equations())
+        return nvars, equations()
 
     def homotopy_subspace(self, L, M) -> list:
         """rref rows (in flat chain-map coordinates) of the null-homotopic
@@ -379,7 +359,7 @@ class Cx2Tools(KrullSchmidt):
         check_scan("extension-class enumeration", p, len(basis) - len(homotopies))
         out = []
         for coeffs, weight in coset_points(p, [b.entries_flat() for b in basis], homotopies):
-            f = self._from_coeffs(basis, coeffs, L, SM)
+            f = self.morphisms_from_coeffs(L, SM, basis, coeffs)
             out.append((f, middle_term(L, M, f), weight))
         return out
 
@@ -404,11 +384,5 @@ class Cx2Tools(KrullSchmidt):
         diffs = mats[len(degs) * k:]
         ends = [m for m in degs if X.degree(m + 1) in comps]
         return X.like(comps, {m: diffs[j * n:(j + 1) * n] for j, m in enumerate(ends)})
-
-    def image_subspaces(self, f: ChainMorphism) -> tuple:
-        return tuple(U for s in f.maps.values() for U in self.cat.image_subspaces(s))
-
-    def kernel_subspaces(self, f: ChainMorphism) -> tuple:
-        return tuple(U for s in f.maps.values() for U in self.cat.kernel_subspaces(s))
 
     quotient_complex = KrullSchmidt.quotient_object

@@ -106,7 +106,7 @@ class HallAlgebra:
         D = cat.direct_sum([C, P0])
         restricted = [g.compose(incl).entries_flat() for g in HB0]
         for coeffs, weight in coset_points(p, [h.entries_flat() for h in HB1], restricted):
-            f = cat.morphisms_from_coeffs(HB1, coeffs)
+            f = cat.morphisms_from_coeffs(P1, C, HB1, coeffs)
             graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], (-incl.mats[i])])
                                         for i in range(cat.quiver.n)])
             k = cat.intern(cat.quotient_object(D, cat.image_subspaces(graph)))

@@ -29,22 +29,14 @@ from .sdh2 import SDH2Algebra
 
 def lift_through_epi(cat: RepCategory, f: RepMorphism, e: RepMorphism) -> RepMorphism:
     """g with e o g = f, solved on the hom space (f: X -> Z, e: Y ->> Z)."""
-    X, Z = f.dom, f.cod
-    Y = e.dom
+    X, Y = f.dom, e.dom
     basis = cat.hom_basis(X, Y)
     target = f.entries_flat()
-    if not basis:
-        if any(target):
-            raise ShapeError("no lift exists (source not projective enough)")
-        return cat.zero_map(X, Y)
     cols = [e.compose(h).entries_flat() for h in basis]
-    if not cols[0]:
-        return cat.zero_map(X, Y)
-    B = FpMatrix.from_columns(cat.p, cols, len(cols[0]))
-    y = B.solve(target)
+    y = FpMatrix.from_columns(cat.p, cols, len(target)).solve(target)
     if y is None:
         raise ShapeError("no lift exists (source not projective enough)")
-    return cat.morphisms_from_coeffs(basis, y)
+    return cat.morphisms_from_coeffs(X, Y, basis, y)
 
 
 @dataclass

@@ -139,6 +139,10 @@ class RepMorphism:
     def entries_flat(self) -> tuple:
         return tuple(x for m in self.mats for x in m.entries_flat())
 
+    def blocks(self) -> tuple:
+        """The matrices of entries_flat(), one per vertex."""
+        return self.mats
+
     def check_intertwining(self) -> bool:
         Q = self.dom.quiver
         for a, (s, t) in enumerate(Q.arrows):
@@ -178,37 +182,74 @@ class IsoClassKey:
 
 
 class KrullSchmidt:
-    """Hom spaces, Krull-Schmidt decomposition, isomorphism tests and
-    automorphism counts shared by the category of representations
-    (RepCategory) and that of complexes (cx2.Cx2Tools).
+    """Hom spaces, images and kernels, Krull-Schmidt decomposition,
+    isomorphism tests and automorphism counts shared by the category of
+    representations (RepCategory) and that of complexes (cx2.Cx2Tools).
 
     A subclass supplies scan_prefix (the prefix of its guards), sub_guard
     (the name, limit and limit name of the sub-object walk's guardrail),
     _check_same(X, Y) (CategoryMismatch unless both objects are its own),
-    hom_basis(X, Y) (a deterministic basis of morphisms X -> Y),
-    morphisms_from_coeffs(basis, coeffs) (the sum of coeffs[i] * basis[i];
-    None for an empty basis, which names no domain or codomain),
-    sides(X) (the square block sides of an endomorphism's entries_flat()),
-    structure_maps(X) (the (matrix, source side, target side) a sub-object
-    is stable under), from_structure(X, dims, mats) (its inverse: the object
-    of X's kind with these sides and structure maps, in the order of sides()
-    and structure_maps()), and image_subspaces and kernel_subspaces of an
-    endomorphism.  A sub-object U is a tuple of row bases in reduced echelon
-    form (each lead entry 1, the only nonzero entry of its column), one per
-    side, in sides() order; sub_object and quotient_object read coordinates
-    in them.  The objects have signature(), total_dim() and is_zero(); the
-    morphisms compose(), is_zero(), is_isomorphism() and entries_flat().
+    hom_equations(X, Y) (the number of unknowns of a flat morphism X -> Y
+    and its intertwiners equations), morphism(X, Y, flat) (the morphism
+    X -> Y with these flat entries), sides(X) (the square block sides of an
+    endomorphism's entries_flat()), structure_maps(X) (the (matrix, source
+    side, target side) a sub-object is stable under) and
+    from_structure(X, dims, mats) (its inverse: the object of X's kind with
+    these sides and structure maps, in the order of sides() and
+    structure_maps()).  A sub-object U is a tuple of row bases in reduced
+    echelon form (each lead entry 1, the only nonzero entry of its column),
+    one per side, in sides() order; sub_object and quotient_object read
+    coordinates in them.  The objects have signature(), total_dim() and
+    is_zero(); the morphisms compose(), is_zero(), is_isomorphism(),
+    entries_flat() and blocks() (the matrices of entries_flat(), in the
+    order of sides()).
     """
 
     scan_prefix = ""
 
     def __init__(self, p: int):
         self.p = p
+        self._hom_cache = {}
         self._aut_cache = {}
         self._groups_cache = {}
 
+    def hom_basis(self, X, Y) -> list:
+        """Deterministic basis of Hom(X, Y), solved once per pair of
+        signatures: one cached list, shared by equal-signature objects."""
+        self._check_same(X, Y)
+        key = (X.signature(), Y.signature())
+        basis = self._hom_cache.get(key)
+        if basis is None:
+            nvars, equations = self.hom_equations(X, Y)
+            basis = self._hom_cache[key] = [self.morphism(X, Y, v)
+                                            for v in intertwiners(self.p, nvars, equations)]
+        return basis
+
     def hom_dim(self, X, Y) -> int:
         return len(self.hom_basis(X, Y))
+
+    def morphisms_from_coeffs(self, X, Y, basis: list, coeffs):
+        """The morphism sum_i coeffs[i] * basis[i]: X -> Y, zero for an
+        empty basis."""
+        vecs = [b.entries_flat() for b in basis]
+        size = len(vecs[0]) if vecs else self.hom_equations(X, Y)[0]
+        return self.morphism(X, Y, combine_flat(self.p, vecs, coeffs, size))
+
+    def image_subspaces(self, f) -> tuple:
+        """Per-block reduced echelon row bases of the image of f."""
+        return tuple(tuple(m.column_space_basis()) for m in f.blocks())
+
+    def kernel_subspaces(self, f) -> tuple:
+        """Per-block reduced echelon row bases of the kernel of f."""
+        out = []
+        for m in f.blocks():
+            ker = m.kernel_basis()
+            if ker:
+                R, piv = FpMatrix(self.p, ker, cols=m.cols).rref()
+                out.append(tuple(R.data[:len(piv)]))
+            else:
+                out.append(())
+        return tuple(out)
 
     def invertible_coeffs(self, basis: list, sides, guard: str):
         """(coeffs, weight) of one invertible element per invertible line of
@@ -261,7 +302,7 @@ class KrullSchmidt:
             check_scan(self.scan_prefix + "endomorphism scan", self.p, k)
             # The zero vector comes first; the zero map never splits X.
             for coeffs, _ in islice(projective_points(self.p, k), 1, None):
-                yield self.morphisms_from_coeffs(basis, coeffs)
+                yield self.morphisms_from_coeffs(X, X, basis, coeffs)
 
         for f in candidates():
             split = self._fitting_split(X, f)
@@ -411,6 +452,8 @@ class RepCategory(KrullSchmidt):
     sub_guard = ("submodule", ENUM_DIM_GUARD, "ENUM_DIM_GUARD")
     # The Krull-Schmidt core, under the names the rest of the engine uses.
     decompose_reps = KrullSchmidt._summands
+    hom_basis = KrullSchmidt.hom_basis
+    morphisms_from_coeffs = KrullSchmidt.morphisms_from_coeffs
     is_isomorphic = KrullSchmidt.is_isomorphic
     aut_count = KrullSchmidt.aut_count
     submodules_with_dim = KrullSchmidt.sub_objects
@@ -419,7 +462,6 @@ class RepCategory(KrullSchmidt):
         check_prime(p)
         super().__init__(p)
         self.quiver = quiver
-        self._hom_cache = {}
         self._intern_cache = {}
         self._registry = {}
         self._canonical_cache = {}
@@ -521,22 +563,16 @@ class RepCategory(KrullSchmidt):
         if M.quiver != self.quiver or N.quiver != self.quiver or M.p != self.p or N.p != self.p:
             raise CategoryMismatch("representations over a different quiver or field")
 
-    def hom_basis(self, M: Rep, N: Rep) -> list:
-        """Deterministic basis of Hom(M, N) as RepMorphism objects."""
-        self._check_same(M, N)
-        key = (M.signature(), N.signature())
-        cached = self._hom_cache.get(key)
-        if cached is not None:
-            return [RepMorphism(M, N, mats) for mats in cached]
-        shapes = [(N.dim[i], M.dim[i]) for i in range(self.quiver.n)]
-        offsets = [0, *accumulate(r * c for r, c in shapes)]
-        # f_t X_a^M = X_a^N f_s for every arrow a: s -> t
-        flats = intertwiners(self.p, offsets[-1], (
-            (offsets[t - 1], M.maps[a], offsets[s - 1], N.maps[a])
-            for a, (s, t) in enumerate(self.quiver.arrows)))
-        basis_mats = [tuple(split_flat(self.p, v, shapes)) for v in flats]
-        self._hom_cache[key] = basis_mats
-        return [RepMorphism(M, N, mats) for mats in basis_mats]
+    def hom_equations(self, M: Rep, N: Rep) -> tuple:
+        """(number of unknowns, equations) of Hom(M, N): f_t X_a^M = X_a^N f_s
+        for every arrow a: s -> t, over the blocks f_i: M_i -> N_i, vertex by
+        vertex."""
+        offsets = [0, *accumulate(a * b for a, b in zip(M.dim, N.dim))]
+        return offsets[-1], ((offsets[t - 1], M.maps[a], offsets[s - 1], N.maps[a])
+                             for a, (s, t) in enumerate(self.quiver.arrows))
+
+    def morphism(self, M: Rep, N: Rep, flat) -> RepMorphism:
+        return RepMorphism(M, N, split_flat(self.p, flat, zip(N.dim, M.dim)))
 
     def euler_form_int(self, d, e) -> int:
         return self.quiver.euler_form(tuple(d), tuple(e))
@@ -550,16 +586,7 @@ class RepCategory(KrullSchmidt):
         return self._zero_map_cache[ck]
 
     # ------------------------------------------------------------------
-    # isomorphism, decomposition, canonical keys
-
-    def morphisms_from_coeffs(self, basis: list, coeffs) -> Optional[RepMorphism]:
-        if not basis:
-            return None
-        M, N = basis[0].dom, basis[0].cod
-        shapes = [(N.dim[i], M.dim[i]) for i in range(self.quiver.n)]
-        flat = combine_flat(self.p, [b.entries_flat() for b in basis], coeffs,
-                            sum(r * c for r, c in shapes))
-        return RepMorphism(M, N, split_flat(self.p, flat, shapes))
+    # sub-objects, quotients, canonical keys
 
     def sub_rep(self, C: Rep, U) -> tuple:
         """Subrepresentation on the reduced echelon row bases U=(U_1..U_n);
@@ -588,21 +615,6 @@ class RepCategory(KrullSchmidt):
                                                 for j in range(d)]
                                                for k in range(d) if k not in lead], d))
         return quo, RepMorphism(C, quo, projs)
-
-    def image_subspaces(self, f: RepMorphism) -> tuple:
-        """Per-vertex rref row bases of the image of a morphism."""
-        return tuple(tuple(m.column_space_basis()) for m in f.mats)
-
-    def kernel_subspaces(self, f: RepMorphism) -> tuple:
-        out = []
-        for i in range(self.quiver.n):
-            ker = f.mats[i].kernel_basis()
-            if ker:
-                R, piv = FpMatrix(self.p, ker, cols=f.dom.dim[i]).rref()
-                out.append(tuple(R.data[:len(piv)]))
-            else:
-                out.append(())
-        return tuple(out)
 
     def sides(self, M: Rep) -> tuple:
         return M.dim

@@ -343,7 +343,7 @@ class SemiDerivedAlgebra:
         p1b = cat.min_proj_resolution(B.rep)[0].dim
         groups = {}
         for coeffs, weight in projective_points(self.q, len(basis)):
-            f = cat.morphisms_from_coeffs(basis, coeffs) or cat.zero_map(A.rep, B.rep)
+            f = cat.morphisms_from_coeffs(A.rep, B.rep, basis, coeffs)
             ker = cat.sub_object(A.rep, cat.kernel_subspaces(f))
             coker = cat.quotient_object(B.rep, cat.image_subspaces(f))
             keys = {d: cat.intern(H) for d, H in ((m, ker), (m2, coker)) if not H.is_zero()}

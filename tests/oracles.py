@@ -135,7 +135,7 @@ def complex_pool_by_isomorphism(tools, max_total: int) -> list:
 
     def morphisms(S, T):
         basis = cat.hom_basis(S, T)
-        return [cat.morphisms_from_coeffs(basis, c) or cat.zero_map(S, T)
+        return [cat.morphisms_from_coeffs(S, T, basis, c)
                 for c in product(range(cat.p), repeat=len(basis))]
 
     pool = []

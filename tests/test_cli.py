@@ -209,7 +209,7 @@ def test_bridgeland_compare_pool_past_scan_budget_exits_before_enumeration(capsy
     """The complex pool of the CLI (bound 3) walks 37^4 pairs of differentials
     over one vertex at q = 37, past SCAN_BUDGET, so the run is refused
     before any differential is built."""
-    def refuse(self, basis, coeffs):
+    def refuse(self, X, Y, basis, coeffs):
         raise AssertionError("differentials enumerated")
 
     monkeypatch.setattr(RepCategory, "morphisms_from_coeffs", refuse)
@@ -303,6 +303,20 @@ def test_reflection_rejects_sink_out_of_range(quiver_files, capsys, sink):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: vertex {sink} out of range 1..2\n"
+
+
+@pytest.mark.parametrize("mode, flag, message", [
+    (["--suite", "ringel"], ["--perturb"], "--perturb applies only to --suite quantum-group"),
+    (["--table"], ["--perturb"], "--perturb applies only to --suite quantum-group"),
+    (["--suite", "quantum-group"], ["--sink", "2"], "--sink applies only to --suite reflection"),
+    (["--table"], ["--sink", "2"], "--sink applies only to --suite reflection"),
+])
+def test_flags_the_mode_ignores_are_bad_input(quiver_files, capsys, mode, flag, message):
+    """A negative control that controls nothing, or a sink no suite reads,
+    would otherwise exit 0 as if it had been honoured."""
+    code = main(["--quiver", quiver_files["a2"], "--q", "2"] + mode + flag)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_console_script_runs(quiver_files):

@@ -33,7 +33,7 @@ def test_chain_maps_contains_identity():
     found_id = False
     from itertools import product
     for coeffs in product(range(2), repeat=len(basis)):
-        f = tools._from_coeffs(basis, coeffs, X, X)
+        f = tools.morphisms_from_coeffs(X, X, basis, coeffs)
         if all(f.maps[0].mats[i] == FpMatrix.identity(2, X.M0.dim[i])
                for i in range(2)) and \
            all(f.maps[1].mats[i] == FpMatrix.identity(2, X.M1.dim[i])

@@ -15,10 +15,12 @@ from oracles import (
 )
 from quiverhall.cx2 import (
     Cx2,
+    Cx2Tools,
     direct_sum,
     make_KP,
     make_KPstar,
     middle_term,
+    minimal_complex,
 )
 from quiverhall import reps
 from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
@@ -72,7 +74,7 @@ def _scan_cx2_isos(tools, X, Y):
     are invertible."""
     basis = tools.hom_basis(X, Y)
     return (c for c in product(range(tools.cat.p), repeat=len(basis))
-            if tools._from_coeffs(basis, c, X, Y).is_isomorphism())
+            if tools.morphisms_from_coeffs(X, Y, basis, c).is_isomorphism())
 
 
 def test_cx2_aut_count_and_is_isomorphic_match_scan():
@@ -102,9 +104,9 @@ def _scan_rep_isos(cat, M, N):
     """Brute force: the morphisms M -> N, each built as an object, that are
     invertible."""
     basis = cat.hom_basis(M, N)
-    return (f for f in (cat.morphisms_from_coeffs(basis, c)
+    return (f for f in (cat.morphisms_from_coeffs(M, N, basis, c)
                         for c in product(range(cat.p), repeat=len(basis)))
-            if f is not None and f.is_isomorphism())
+            if f.is_isomorphism())
 
 
 def _conjugate(cat, M, rng):
@@ -173,9 +175,9 @@ def test_decompose_certifies_indecomposable_with_one_candidate_per_line(p, monke
     built = []
     build = kron.morphisms_from_coeffs
 
-    def counting(basis, coeffs):
+    def counting(X, Y, basis, coeffs):
         built.append(tuple(coeffs))
-        return build(basis, coeffs)
+        return build(X, Y, basis, coeffs)
 
     monkeypatch.setattr(kron, "morphisms_from_coeffs", counting)
     assert kron.decompose_reps(R) == [R]
@@ -197,7 +199,7 @@ def test_decompose_splits_into_fitting_indecomposables():
             assert not S.is_zero()
             basis = kron.hom_basis(S, S)
             for c in product(range(2), repeat=len(basis)):
-                f = h = kron.morphisms_from_coeffs(basis, c)
+                f = h = kron.morphisms_from_coeffs(S, S, basis, c)
                 for _ in range(sum(S.dim)):
                     h = h.compose(f)
                 assert h.is_zero() or f.is_isomorphism(), (X, S, c)
@@ -251,10 +253,11 @@ def test_flat_combination_matches_scale_and_add():
     tools = SDH2Algebra(cat).tools
     for X in proj_complex_pool(SDH2Algebra(cat), 3)[1:]:
         basis = tools.hom_basis(X, X)
-        rbasis = cat.hom_basis(X.M0, X.M0) or cat.hom_basis(X.M1, X.M1)
+        R = X.M0 if cat.hom_dim(X.M0, X.M0) else X.M1
+        rbasis = cat.hom_basis(R, R)
         for _ in range(5):
             c = [rng.randrange(-3, 6) for _ in basis]
-            f = tools._from_coeffs(basis, c, X, X)
+            f = tools.morphisms_from_coeffs(X, X, basis, c)
             g0, g1 = basis[0].maps[0].scale(c[0]), basis[0].maps[1].scale(c[0])
             for b, ci in zip(basis[1:], c[1:]):
                 g0, g1 = g0 + b.maps[0].scale(ci), g1 + b.maps[1].scale(ci)
@@ -263,7 +266,7 @@ def test_flat_combination_matches_scale_and_add():
             h = rbasis[0].scale(c[0])
             for b, ci in zip(rbasis[1:], c[1:]):
                 h = h + b.scale(ci)
-            assert cat.morphisms_from_coeffs(rbasis, c).mats == h.mats
+            assert cat.morphisms_from_coeffs(R, R, rbasis, c).mats == h.mats
 
 
 def _idempotent_scan(ks, X):
@@ -274,7 +277,7 @@ def _idempotent_scan(ks, X):
         return []
     basis = ks.hom_basis(X, X)
     for c in product(range(ks.p), repeat=len(basis)):
-        e = ks.morphisms_from_coeffs(basis, c)
+        e = ks.morphisms_from_coeffs(X, X, basis, c)
         if e.is_zero() or e.is_isomorphism() \
                 or e.compose(e).entries_flat() != e.entries_flat():
             continue
@@ -356,7 +359,7 @@ def test_cx2_ext1_classes_match_full_enumeration():
                     lines[alg.normal_form(E)] += w
                 # every chain map, so each class is met p^(homotopy dim) times
                 full = Counter(
-                    alg.normal_form(middle_term(L, M, tools._from_coeffs(basis, c, L, SM)))
+                    alg.normal_form(middle_term(L, M, tools.morphisms_from_coeffs(L, SM, basis, c)))
                     for c in product(range(p), repeat=len(basis)))
                 mult = p ** tools.homotopy_dim(L, SM)
                 assert full == Counter({k: n * mult for k, n in lines.items()}), (p, L, M)
@@ -379,7 +382,7 @@ def test_cxb_ext1_classes_match_full_enumeration():
                 for _f, E, w in tools.ext1_classes_proj(L, M):
                     lines[alg.normal_form(E)] += w
                 full = Counter(
-                    alg.normal_form(middle_term(L, M, tools._from_coeffs(basis, c, L, SM)))
+                    alg.normal_form(middle_term(L, M, tools.morphisms_from_coeffs(L, SM, basis, c)))
                     for c in product(range(p), repeat=len(basis)))
                 mult = p ** tools.homotopy_dim(L, SM)
                 assert full == Counter({k: n * mult for k, n in lines.items()}), (p, L, M)
@@ -424,7 +427,7 @@ def test_ext_class_counts_match_full_enumeration():
                     D = cat.direct_sum([C, P0])
                     full = Counter()
                     for c in product(range(p), repeat=len(HB1)):
-                        f = cat.morphisms_from_coeffs(HB1, c)
+                        f = cat.morphisms_from_coeffs(P1, C, HB1, c)
                         graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], -incl.mats[i]])
                                                     for i in range(cat.quiver.n)])
                         full[cat.intern(cat.quotient(D, cat.image_subspaces(graph))[0])] += 1
@@ -872,13 +875,21 @@ def test_from_structure_inverts_structure_maps():
 
 
 def test_shifts_pass_the_public_checks():
-    """shift builds its complex without the checks of the constructors; every
-    shift, once and twice, of the bridgeland-compare pool complexes (bound 3)
-    of WALK_POOLS and of their Z-graded two-term folds passes them."""
+    """shift, proj_complex_pool and the resolutions of minimal_complex build
+    their complexes without the checks of the constructors; every pool
+    complex (bound 3) of WALK_POOLS, every minimal complex of a pool
+    complex's homology pair, and every shift, once and twice, of the pool
+    complexes and of their Z-graded two-term folds passes them."""
     count = 0
     for qv, p in WALK_POOLS:
         cat = RepCategory(qv, p)
-        pool = proj_complex_pool(SDH2Algebra(cat), 3)
+        alg = SDH2Algebra(cat)
+        pool = proj_complex_pool(alg, 3)
+        for X in pool:
+            H = alg.tools.homology(X)
+            for Y in (X, minimal_complex(cat, H[0], H[1])):
+                assert Cx2(cat, Y.M0, Y.M1, Y.d0, Y.d1).signature() == Y.signature(), X
+                count += 1
         folds = [two_term_cxb(cat, 0, X.M0, X.M1, X.d0) for X in pool if not X.is_zero()]
         for X in pool + folds:
             for k in (1, 2, 3):
@@ -1122,9 +1133,60 @@ def test_normal_form_is_the_isomorphism_class_on_complex_pools():
     assert pairs[True] > 2000 and pairs[False] > 100000, pairs
 
 
-def test_morphisms_from_coeffs_empty_basis_is_none():
-    """Both categories give None for an empty basis, whose domain and
-    codomain are unknown."""
+def test_morphisms_from_coeffs_empty_basis_is_the_zero_morphism():
+    """Both categories give the zero morphism X -> Y for an empty basis:
+    Hom(P_1, S_2) = 0 on A2 although both have vertex 2, and so are the
+    chain maps K_P1 -> K_S2."""
     cat = RepCategory(a_n_quiver(2), 2)
-    assert cat.morphisms_from_coeffs([], ()) is None
-    assert SDH2Algebra(cat).tools.morphisms_from_coeffs([], ()) is None
+    P1, S2 = cat.projective(1), cat.simple(2)
+    assert cat.hom_basis(P1, S2) == []
+    f = cat.morphisms_from_coeffs(P1, S2, [], ())
+    assert (f.dom, f.cod) == (P1, S2) and f.mats == cat.zero_map(P1, S2).mats
+    assert f.entries_flat() == (0,)
+    tools = SDH2Algebra(cat).tools
+    X, Y = make_KP(cat, P1), make_KP(cat, S2)
+    assert tools.hom_basis(X, Y) == []
+    g = tools.morphisms_from_coeffs(X, Y, [], ())
+    assert (g.dom, g.cod) == (X, Y) and g.entries_flat() == (0, 0)
+    assert all(g.maps[m].mats == cat.zero_map(P1, S2).mats for m in (0, 1))
+
+
+def test_hom_basis_is_one_cached_list_per_signature_pair():
+    """hom_basis gives the same list object on a repeat call and for copies
+    of equal signature, for modules and for complexes."""
+    for qv, p in WALK_POOLS:
+        cat = RepCategory(qv, p)
+        tools = SDH2Algebra(cat).tools
+        copy = lambda M: cat.rep(M.dim, M.maps)
+        for M, N in product([cat.projective(1), cat.simple(2)], repeat=2):
+            basis = cat.hom_basis(M, N)
+            assert cat.hom_basis(M, N) is basis and cat.hom_basis(copy(M), copy(N)) is basis
+        for X in proj_complex_pool(SDH2Algebra(cat), 3):
+            X2 = Cx2(cat, copy(X.M0), copy(X.M1), X.d0, X.d1)
+            assert X2 is not X and tools.hom_basis(X, X) is tools.hom_basis(X2, X2)
+            assert tools.hom_basis(X2, X.shift()) is tools.hom_basis(X, X.shift())
+
+
+def test_chain_map_images_and_kernels_match_module_route():
+    """KrullSchmidt.image_subspaces and kernel_subspaces of a chain map, read
+    per block, equal the module results concatenated degree by degree (the
+    route of complexes before modules and complexes shared one layer), and
+    the image and kernel of each block add up to its source side: on each
+    basis element and one random element of End X, X a complex of
+    _walk_pools."""
+    rng = random.Random(11)
+    count = 0
+    for ks, objects in _walk_pools():
+        if not isinstance(ks, Cx2Tools):
+            continue
+        cat = ks.cat
+        for X in objects:
+            basis = ks.hom_basis(X, X)
+            coeffs = [rng.randrange(ks.p) for _ in basis]
+            for f in basis + [ks.morphisms_from_coeffs(X, X, basis, coeffs)]:
+                img, ker = ks.image_subspaces(f), ks.kernel_subspaces(f)
+                assert img == tuple(U for s in f.maps.values() for U in cat.image_subspaces(s))
+                assert ker == tuple(U for s in f.maps.values() for U in cat.kernel_subspaces(s))
+                assert tuple(len(a) + len(b) for a, b in zip(img, ker)) == ks.sides(X)
+                count += 1
+    assert count > 200, count
