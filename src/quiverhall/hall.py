@@ -20,6 +20,7 @@ rejected (exit 2) before any enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from .errors import ConversionMismatch
 from .linalg import FpMatrix, coset_points
 from .reps import IsoClassKey, RepCategory, RepMorphism, check_scan
@@ -83,6 +84,11 @@ class HallAlgebra:
         of f to that of λf, so one class per line is classified and counted
         with its line's weight (linalg.coset_points).  The "extension-class
         enumeration" guard (check_scan) bounds the p^(dim Ext^1) classes.
+        The split class (all of Ext^1 when Hom(P1, bottom) = 0, else the zero
+        coset) has middle bottom + top, whose key RepCategory.sum_key reads
+        off the parts of the two keys; every other middle is interned, which
+        classifies it by its hom vector on a Dynkin table and by its Fitting
+        decomposition otherwise.
         """
         ck = (top.sig, bottom.sig)
         if ck in self._ext_cache:
@@ -93,19 +99,18 @@ class HallAlgebra:
         C = bottom.rep
         P1, P0, incl, _proj = cat.min_proj_resolution(A)
         HB1 = cat.hom_basis(P1, C)
-        HB0 = cat.hom_basis(P0, C)
-        e1 = len(HB1)
-        counts = {}
-        if e1 == 0:
-            D = cat.direct_sum([C, A])
-            counts[cat.intern(D)] = 1
+        counts = {cat.sum_key([bottom, top]): 1}
+        if not HB1:
             self._ext_cache[ck] = counts
             return counts
+        HB0 = cat.hom_basis(P0, C)
         # dim Ext^1(A, C) = dim Hom(P1, C) - dim Hom(P0, C) + dim Hom(A, C)
-        check_scan("extension-class enumeration", p, e1 - len(HB0) + cat.hom_dim(A, C))
+        check_scan("extension-class enumeration", p, len(HB1) - len(HB0) + cat.hom_dim(A, C))
         D = cat.direct_sum([C, P0])
         restricted = [g.compose(incl).entries_flat() for g in HB0]
-        for coeffs, weight in coset_points(p, [h.entries_flat() for h in HB1], restricted):
+        # The zero vector comes first, with weight 1: the split class.
+        for coeffs, weight in islice(coset_points(p, [h.entries_flat() for h in HB1], restricted),
+                                     1, None):
             f = cat.morphisms_from_coeffs(P1, C, HB1, coeffs)
             graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], (-incl.mats[i])])
                                         for i in range(cat.quiver.n)])

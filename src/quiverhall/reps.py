@@ -154,14 +154,17 @@ class RepMorphism:
 
 
 class IsoClassKey:
-    """Interned key for an isomorphism class; holds a canonical representative."""
+    """Interned key for an isomorphism class; holds a canonical representative
+    and its parts, the canonical forms of its indecomposable summands (with
+    multiplicity, sorted by signature), whose direct sum it is."""
 
-    __slots__ = ("sig", "rep", "label", "_hash")
+    __slots__ = ("sig", "rep", "label", "parts", "_hash")
 
-    def __init__(self, sig, rep, label):
+    def __init__(self, sig, rep, label, parts):
         self.sig = sig
         self.rep = rep
         self.label = label
+        self.parts = parts
         self._hash = hash(sig)   # tuples do not cache theirs
 
     @property
@@ -226,7 +229,23 @@ class KrullSchmidt:
         return basis
 
     def hom_dim(self, X, Y) -> int:
-        return len(self.hom_basis(X, Y))
+        """dim Hom(X, Y).  Hom is additive, so when the summand classes of
+        both objects are cached (_groups_cache) and X and Y are not two single
+        indecomposables, it is sum m n dim Hom(S, T) over the classes [S, m]
+        of X and [T, n] of Y, and Hom(X, Y) is never solved."""
+        self._check_same(X, Y)
+        gx = self._groups_cache.get(X.signature())
+        gy = self._groups_cache.get(Y.signature())
+        if gx is None or gy is None or len(gx) == len(gy) == 1 and gx[0][1] == gy[0][1] == 1:
+            return len(self.hom_basis(X, Y))
+        return sum(m * n * self.hom_dim(S, T) for S, m in gx for T, n in gy)
+
+    def _solved_hom_dim(self, X, Y) -> int:
+        """dim Hom(X, Y) from the rank of its equations, caching no basis:
+        a hom vector solves one Hom per root brick and middle term, and
+        caching those bases held 37 MB, not 28, on D4 q=3 --table --bound 5."""
+        nvars, equations = self.hom_equations(X, Y)
+        return nvars and nvars - _equation_matrix(self.p, nvars, equations).rank()
 
     def morphisms_from_coeffs(self, X, Y, basis: list, coeffs):
         """The morphism sum_i coeffs[i] * basis[i]: X -> Y, zero for an
@@ -469,6 +488,8 @@ class RepCategory(KrullSchmidt):
         self._zero_map_cache = {}
         self._paths_cache = None
         self._forms = {}
+        self._root_bricks = []    # one per positive root, in _hom_order
+        self._root_bound = -1     # ... of every root of total dimension <= this
         self.zero_rep = self.rep((0,) * quiver.n)
 
     # ------------------------------------------------------------------
@@ -540,20 +561,19 @@ class RepCategory(KrullSchmidt):
         return Rep(Q, self.p, dim, mats)
 
     def direct_sum(self, reps: Iterable[Rep]) -> Rep:
+        """The block-diagonal sum: each summand's rows, padded with zeros
+        left and right to the columns of the other summands."""
         reps = list(reps)
         Q = self.quiver
-        if not reps:
-            return self.rep((0,) * Q.n)
         dim = tuple(sum(r.dim[i] for r in reps) for i in range(Q.n))
         mats = []
         for a, (s, t) in enumerate(Q.arrows):
-            blocks = []
-            for ri, r in enumerate(reps):
-                row = [FpMatrix.zero(self.p, r.dim[t - 1], r2.dim[s - 1])
-                       if rj != ri else r.maps[a]
-                       for rj, r2 in enumerate(reps)]
-                blocks.append(row)
-            mats.append(FpMatrix.block(self.p, blocks))
+            rows, left = [], 0
+            for r in reps:
+                pad, right = (0,) * left, (0,) * (dim[s - 1] - left - r.dim[s - 1])
+                rows.extend(pad + row + right for row in r.maps[a].data)
+                left += r.dim[s - 1]
+            mats.append(FpMatrix._trusted(self.p, rows, dim[s - 1]))
         return Rep(Q, self.p, dim, mats)
 
     # ------------------------------------------------------------------
@@ -651,25 +671,51 @@ class RepCategory(KrullSchmidt):
         return canon
 
     def canonical_rep(self, M: Rep) -> Rep:
-        """Canonical representative: sorted direct sum of canonical summands."""
-        parts = [self._canonical_indec(S) for S in self.decompose_reps(M)]
-        parts.sort(key=lambda r: r.signature())
-        return self.direct_sum(parts)
+        """Canonical representative: sorted direct sum of canonical summands,
+        registered (_key_of_parts) as the representative of M's key.  The
+        summands are read off M's hom vector when _parts_by_hom_vector
+        applies, else found by the Fitting decomposition."""
+        parts = self._parts_by_hom_vector(M)
+        if parts is None:
+            parts = [self._canonical_indec(S) for S in self.decompose_reps(M)]
+        return self._key_of_parts(sorted(parts, key=Rep.signature)).rep
+
+    def _key_of_parts(self, parts: list) -> IsoClassKey:
+        """The key of the direct sum of parts, canonical indecomposables
+        sorted by signature: the one registration path of keys.
+
+        The registry is keyed by the parts' signatures: canonical forms are
+        unique per class, so by Krull-Schmidt equal tuples are exactly equal
+        classes.  A new key also interns its representative and seeds
+        _groups_cache with the parts grouped by class (equal signatures), so
+        aut_count, is_isomorphic and hom_dim never decompose it."""
+        psig = tuple(S.signature() for S in parts)
+        key = self._registry.get(psig)
+        if key is None:
+            canon = self.direct_sum(parts)
+            csig = canon.signature()
+            key = self._registry[psig] = IsoClassKey(csig, canon, _label_for(canon), tuple(parts))
+            self._intern_cache[csig] = key
+            groups = {}
+            for S in parts:
+                groups.setdefault(S.signature(), [S, 0])[1] += 1
+            self._groups_cache.setdefault(csig, list(groups.values()))
+        return key
 
     def intern(self, M: Rep) -> IsoClassKey:
+        """The key of M's class: cached per signature; on a miss,
+        canonical_rep registers the key under its representative's."""
         sig = M.signature()
         key = self._intern_cache.get(sig)
-        if key is not None:
-            return key
-        canon = self.canonical_rep(M)
-        csig = canon.signature()
-        key = self._registry.get(csig)
         if key is None:
-            label = _label_for(canon)
-            key = IsoClassKey(csig, canon, label)
-            self._registry[csig] = key
-        self._intern_cache[sig] = key
+            key = self._intern_cache[sig] = self._intern_cache[self.canonical_rep(M).signature()]
         return key
+
+    def sum_key(self, keys) -> IsoClassKey:
+        """intern(direct_sum(reps)) for representatives reps of keys, from
+        their parts alone: by Krull-Schmidt the indecomposable summands of
+        a direct sum are those of its terms, so nothing is decomposed."""
+        return self._key_of_parts(sorted((S for k in keys for S in k.parts), key=Rep.signature))
 
     def zero_key(self) -> IsoClassKey:
         return self.intern(self.zero_rep)
@@ -828,33 +874,72 @@ class RepCategory(KrullSchmidt):
         positive root d (d >= 0 with <d, d> = 1).  Every brick of dimension d
         lies in that one class, so the first representation of dimension d
         with dim End = 1 is the first member of the class in the walk of
-        _canonical_indec: its own canonical form, registered with no search.
-        By Krull-Schmidt every class is a multiset of these, and canonical_rep
-        of any of its members is the direct sum of their canonical forms
-        sorted by signature, since each summand's orbit has one lex-least
-        member.  So the keys built here, with their signatures and labels, are
-        exactly those intern gives the enumerated representations, and reports
-        are byte-identical.  Each key's summand classes seed _groups_cache, so
-        aut_count and is_isomorphic do not decompose it again.
+        _canonical_indec: its own canonical form, registered with no search
+        and kept in _root_bricks for _parts_by_hom_vector.  By Krull-Schmidt
+        every class is a multiset of these, and canonical_rep of any of its
+        members is the direct sum of their canonical forms sorted by
+        signature, since each summand's orbit has one lex-least member.  So
+        the keys that _key_of_parts registers here, with their signatures and
+        labels, are exactly those intern gives the enumerated
+        representations, and reports are byte-identical.
         """
         Q = self.quiver
-        indecs = []
-        for d in _dim_vectors(Q.n, bound):
-            if Q.euler_form(d, d) == 1:
-                brick = next(R for R in self.all_reps_of_dim(d) if self.hom_dim(R, R) == 1)
-                indecs.append(self._register_form(brick))
-        indecs.sort(key=Rep.signature)
-        keys = []
-        for groups in _multisets(indecs, bound):
-            canon = self.direct_sum([S for S, m in groups for _ in range(m)])
-            csig = canon.signature()
-            key = self._registry.get(csig)
-            if key is None:
-                key = self._registry[csig] = IsoClassKey(csig, canon, _label_for(canon))
-            self._intern_cache[csig] = key
-            self._groups_cache.setdefault(csig, [[S, m] for S, m in groups])
-            keys.append(key)
-        return sorted(keys)
+        known = {S.dim for S in self._root_bricks}
+        bricks = self._root_bricks + [
+            self._register_form(next(R for R in self.all_reps_of_dim(d)
+                                     if self.hom_dim(R, R) == 1))
+            for d in _dim_vectors(Q.n, bound) if Q.euler_form(d, d) == 1 and d not in known]
+        self._root_bricks = self._hom_order(bricks)
+        self._root_bound = max(self._root_bound, bound)
+        indecs = sorted((S for S in bricks if S.total_dim() <= bound), key=Rep.signature)
+        return sorted(self._key_of_parts([S for S, m in groups for _ in range(m)])
+                      for groups in _multisets(indecs, bound))
+
+    def _hom_order(self, bricks: list) -> list:
+        """The bricks ordered so that Hom(X, Y) != 0 puts X before Y when
+        X != Y, layer by layer (Kahn): rep Q of a Dynkin quiver is
+        representation-directed, so such an order exists, and a cycle of
+        nonzero maps raises ShapeError (engine bug)."""
+        left, order = sorted(bricks, key=Rep.signature), []
+        while left:
+            first = [Y for Y in left if not any(X is not Y and self.hom_dim(X, Y) for X in left)]
+            if not first:
+                raise ShapeError("root bricks with a cycle of nonzero maps (engine bug)")
+            order += first
+            left = [Y for Y in left if Y not in first]
+        return order
+
+    def _parts_by_hom_vector(self, M: Rep) -> Optional[list]:
+        """M's canonical parts from its hom vector h_b = dim Hom(X_b, M) over
+        the root bricks X_b, or None unless a brick is registered for every
+        positive root b <= dim M (a Dynkin quiver whose _classes_from_roots
+        ran with a bound of at least M's total dimension).
+
+        This is exact: for a representation-finite algebra M ~ N exactly when
+        their hom vectors agree (Auslander, 1982).  By Gabriel's theorem
+        M = sum_b X_b^(m_b), so h = H m with H_ab = dim Hom(X_a, X_b).  Every
+        summand of M has dimension vector <= dim M, so m_b = 0 for every
+        other root and h restricted to the roots b <= dim M is H m over them
+        alone.  In the order of _hom_order H is unitriangular (a brick has
+        End = F_q), and a principal submatrix of a unitriangular matrix is
+        unitriangular, so back-substitution from the last of these roots gives
+        m.  A negative m_b or sum m_b b != dim M raises ShapeError (engine
+        bug).
+        """
+        if M.total_dim() > self._root_bound:
+            return None
+        roots = [X for X in self._root_bricks if all(a <= b for a, b in zip(X.dim, M.dim))]
+        mult = [0] * len(roots)
+        for k in reversed(range(len(roots))):
+            mult[k] = self._solved_hom_dim(roots[k], M) - sum(
+                self.hom_dim(roots[k], roots[j]) * mult[j]
+                for j in range(k + 1, len(roots)) if mult[j])
+            if mult[k] < 0:
+                raise ShapeError("negative multiplicity from a hom vector (engine bug)")
+        if tuple(sum(n * X.dim[i] for X, n in zip(roots, mult))
+                 for i in range(self.quiver.n)) != M.dim:
+            raise ShapeError("hom-vector summands miss the dimension vector (engine bug)")
+        return [X for X, n in zip(roots, mult) for _ in range(n)]
 
 
 class ProjectiveCoords:
@@ -910,6 +995,11 @@ def intertwiners(p: int, nvars: int, equations) -> list:
     """
     if nvars == 0:
         return []
+    return _equation_matrix(p, nvars, equations).kernel_basis()
+
+
+def _equation_matrix(p: int, nvars: int, equations) -> FpMatrix:
+    """The equations of intertwiners as one matrix on F_p^nvars, nvars > 0."""
     rows = []
     for o1, C, o2, D in equations:
         for r in range(D.rows):
@@ -921,8 +1011,7 @@ def intertwiners(p: int, nvars: int, equations) -> list:
                     row[o2 + k * C.cols + c] -= D.data[r][k]
                 if any(row):
                     rows.append(row)
-    A = FpMatrix(p, rows, cols=nvars) if rows else FpMatrix.zero(p, 1, nvars)
-    return A.kernel_basis()
+    return FpMatrix(p, rows, cols=nvars) if rows else FpMatrix.zero(p, 1, nvars)
 
 
 def echelon_coords(p: int, rows, v) -> tuple:

@@ -51,6 +51,22 @@ def base_change_orbit(cat: RepCategory, M: Rep) -> set:
             for c in product(*(range(len(g)) for g in gls))}
 
 
+def block_direct_sum(cat: RepCategory, reps: list) -> Rep:
+    """The direct sum assembled by FpMatrix.block, with one zero block per
+    pair of distinct summand positions: the reference for
+    RepCategory.direct_sum, which pads each summand's rows with zeros."""
+    Q = cat.quiver
+    dim = tuple(sum(r.dim[i] for r in reps) for i in range(Q.n))
+    if not reps:
+        return cat.rep(dim)
+    mats = [FpMatrix.block(cat.p, [[r.maps[a] if j == i else
+                                    FpMatrix.zero(cat.p, r.dim[t - 1], r2.dim[s - 1])
+                                    for j, r2 in enumerate(reps)]
+                                   for i, r in enumerate(reps)])
+            for a, (s, t) in enumerate(Q.arrows)]
+    return Rep(Q, cat.p, dim, mats)
+
+
 def hall_product(alg: HallAlgebra, x: LinComb, y: LinComb) -> LinComb:
     """The untwisted Hall product x o y."""
     return bilinear(x, y, lambda a, b: alg.product_pair(a, b).terms.items())

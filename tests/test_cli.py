@@ -151,7 +151,9 @@ def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
     # on a quiver with more than one vertex.
     ("a2", 2, ["--suite", "bridgeland-compare"],
      "947a0088033289377b0d874702d9599ab302fb8018e2a2e63d19f04de1c33d7b"),
-    # Three vertices: iso classes, canonical forms and Fitting splits of A3.
+    # Three vertices: iso classes and canonical forms of A3, middle terms
+    # read off hom vectors and split ones off sum_key; Fitting splits only
+    # of the sub-objects that the sampled cross-check counts.
     ("a3", 2, ["--table", "--bound", "4"],
      "c4aa00a77ffb3ab1deb80cb0d5ff7d9ca9ea301d0412f96fc6f2037688bcd515"),
     # The one row that decomposes reps (pieces_for_key) on three vertices.

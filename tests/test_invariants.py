@@ -27,7 +27,7 @@ from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix, echelon_subspaces
 from quiverhall.quiver import Quiver, a_n_quiver
-from quiverhall.reps import Rep, RepCategory, RepMorphism
+from quiverhall.reps import Rep, RepCategory, RepMorphism, intertwiners
 from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh import SemiDerivedAlgebra
 from quiverhall.sdh2 import SDH2Algebra
@@ -808,6 +808,23 @@ def _walk_pools():
         middles = {E.signature(): E for L, M in _ext_pairs(proj_complex_pool(alg, 3), 4)
                    for _f, E, _w in alg.tools.ext1_classes_proj(L, M)}
         yield alg.tools, list(middles.values())
+
+
+def test_additive_hom_dim_matches_the_solve():
+    """hom_dim, summed over the cached summand classes of both objects when
+    they are known, equals the dimension of the solved Hom(X, Y): on the
+    module keys and on the complexes of _walk_pools, every summand class
+    cached, over every pair of the first 40 objects of each pool."""
+    additive = 0
+    for ks, objects in _walk_pools():
+        objects = objects[:40]
+        for X in objects:
+            ks._groups(X)
+        for X, Y in product(objects, repeat=2):
+            solved = len(intertwiners(ks.p, *ks.hom_equations(X, Y)))
+            assert ks.hom_dim(X, Y) == solved, (X, Y)
+            additive += sum(m for _, m in ks._groups(X) + ks._groups(Y)) > 2
+    assert additive > 1000, additive
 
 
 def test_sub_object_walk_matches_filter_of_every_subspace_tuple():

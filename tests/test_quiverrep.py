@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oracles import base_change_orbit, ext1_dim, gl_elements, stalk_cx2
+from oracles import base_change_orbit, block_direct_sum, ext1_dim, gl_elements, stalk_cx2
 from quiverhall.errors import (
     BudgetExceeded,
     CategoryMismatch,
@@ -11,9 +11,11 @@ from quiverhall.errors import (
     NotInSubcategory,
     PreconditionError,
 )
+from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
+from quiverhall.suites import table_rows
 
 
 def a2(p=2):
@@ -470,6 +472,129 @@ def test_root_bricks_need_no_walk(quiver, q, monkeypatch):
         for R in cat.all_reps_of_dim(d):
             assert cat.intern(R) in keys
     assert walks == []
+
+
+A1_A2 = Quiver(3, [(2, 3)])
+
+
+@pytest.mark.parametrize("quiver, bound", [
+    (Quiver(1, []), 4), (a_n_quiver(2), 4), (a_n_quiver(3), 4), (D4, 4), (A1_A2, 4)])
+@pytest.mark.parametrize("q", [2, 3])
+def test_hom_vector_parts_match_fitting_parts(quiver, q, bound):
+    """Once iso_classes_up_to has registered the root bricks, the hom-vector
+    route classifies every representation up to the bound, with the parts
+    of the Fitting route (the canonical forms of decompose_reps' summands),
+    and intern gives the key that a category without root bricks, which
+    decomposes, gives."""
+    cat, fresh = RepCategory(quiver, q), RepCategory(quiver, q)
+    cat.iso_classes_up_to(bound)
+    count = 0
+    for d in _dims(quiver.n, bound, top=bound):
+        for R in cat.all_reps_of_dim(d):
+            parts = cat._parts_by_hom_vector(R)
+            fitting = [cat._canonical_indec(S) for S in cat.decompose_reps(R)]
+            assert sorted(map(Rep.signature, parts)) == sorted(map(Rep.signature, fitting)), R
+            key, oracle = cat.intern(R), fresh.intern(R)
+            assert (key.sig, key.label) == (oracle.sig, oracle.label), R
+            count += 1
+    assert count >= bound, count
+
+
+def test_hom_vector_route_needs_every_root_below_the_dimension():
+    """Past the bound of iso_classes_up_to, and on a category that never ran
+    it, _parts_by_hom_vector declines and intern decomposes."""
+    cat = RepCategory(a_n_quiver(3), 2)
+    M = cat.direct_sum([cat.projective(1), cat.projective(1)])
+    assert cat._parts_by_hom_vector(M) is None
+    cat.iso_classes_up_to(5)
+    assert cat._parts_by_hom_vector(M) is None
+    cat.iso_classes_up_to(6)
+    assert cat._parts_by_hom_vector(M) == [cat.intern(cat.projective(1)).rep] * 2
+
+
+@pytest.mark.parametrize("quiver", [a_n_quiver(3), D4, KRONECKER])
+@pytest.mark.parametrize("q", [2, 3])
+def test_sum_key_is_the_key_of_the_direct_sum(quiver, q):
+    """sum_key gives, from the parts of the keys alone, the key that
+    interning the built direct sum gives: in the same category and in a
+    fresh one that decomposes it."""
+    cat, fresh = RepCategory(quiver, q), RepCategory(quiver, q)
+    keys = cat.iso_classes_up_to(2)
+    assert cat.sum_key([]) is cat.zero_key()
+    for A, B in product(keys, repeat=2):
+        key = cat.sum_key([A, B])
+        D = cat.direct_sum([A.rep, B.rep])
+        oracle = fresh.intern(D)
+        assert (key.sig, key.label) == (oracle.sig, oracle.label), (A, B)
+        assert cat.intern(D) is key and cat.sum_key([B, A]) is key
+
+
+@pytest.mark.parametrize("quiver, q", [(a_n_quiver(3), 2), (D4, 3), (KRONECKER, 2)])
+def test_seeded_groups_match_a_fresh_decomposition(quiver, q):
+    """Every key registered by a table (its rows, split middles from
+    sum_key and the other middles from intern) seeds its summand classes,
+    and they are those of a fresh decomposition of its representative."""
+    cat, fresh = RepCategory(quiver, q), RepCategory(quiver, q)
+    table_rows(cat, 3)
+    keys = list(cat._registry.values())
+    for key in keys:
+        seeded = cat._groups_cache[key.sig]
+        assert [S for S, m in seeded for _ in range(m)] == list(key.parts), key
+        assert sorted((fresh.intern(S).sig, m) for S, m in seeded) == \
+            sorted((fresh.intern(S).sig, m) for S, m in fresh._groups(key.rep)), key
+    assert len(keys) > 20, len(keys)
+
+
+@pytest.mark.parametrize("quiver, q", [(a_n_quiver(2), 3), (a_n_quiver(3), 2), (D4, 2)])
+def test_dynkin_table_interns_without_fitting_decomposition(quiver, q, monkeypatch):
+    """A Dynkin table classifies every middle by its hom vector or by
+    sum_key: intern never runs a Fitting decomposition."""
+    cat = RepCategory(quiver, q)
+
+    def refuse(M):
+        raise AssertionError("Fitting decomposition inside intern")
+    monkeypatch.setattr(cat, "decompose_reps", refuse)
+    assert table_rows(cat, 4)
+
+
+@pytest.mark.parametrize("quiver", [a_n_quiver(3), KRONECKER])
+def test_split_only_extensions_solve_no_hom_from_the_cover(quiver, monkeypatch):
+    """When Hom(P1, C) = 0 the only extension is the split one: its middle
+    comes from sum_key and Hom(P0, C) is never solved."""
+    cat = RepCategory(quiver, 2)
+    keys = cat.iso_classes_up_to(3)
+    alg = HallAlgebra(cat)
+    solved = []
+    hom_basis = cat.hom_basis
+
+    def recording(X, Y):
+        solved.append((X.signature(), Y.signature()))
+        return hom_basis(X, Y)
+    monkeypatch.setattr(cat, "hom_basis", recording)
+    split_only = 0
+    for A, B in product(keys, repeat=2):
+        P1, P0, _incl, _proj = cat.min_proj_resolution(A.rep)
+        if cat.hom_dim(P1, B.rep):
+            continue
+        solved.clear()
+        assert alg.ext_class_counts(A, B) == {cat.sum_key([B, A]): 1}
+        assert set(solved) <= {(P1.signature(), B.sig)}, (A, B)
+        split_only += 1
+    assert split_only > 10, split_only
+
+
+@pytest.mark.parametrize("quiver", [a_n_quiver(3), D4, KRONECKER])
+def test_direct_sum_matches_block_construction(quiver):
+    """direct_sum, built row by row, gives the matrices that FpMatrix.block
+    gives, on the empty list and on every pair and triple (repeats
+    included) of the bound-2 keys, with the zero key among them."""
+    cat = RepCategory(quiver, 2)
+    reps_ = [k.rep for k in cat.iso_classes_up_to(2)]
+    assert cat.direct_sum([]) == block_direct_sum(cat, []) == cat.zero_rep
+    for n in (1, 2, 3):
+        for summands in product(reps_, repeat=n):
+            D, oracle = cat.direct_sum(summands), block_direct_sum(cat, list(summands))
+            assert D.dim == oracle.dim and D.maps == oracle.maps, summands
 
 
 def test_canonical_walk_budget():
