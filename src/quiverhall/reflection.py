@@ -1,25 +1,61 @@
 """BGP reflection at a sink as an isomorphism of reduced twisted algebras.
 
-The reflection functor is exact on the subcategory of representations without
-the sink simple as a summand.  Every basis element of the source algebra is
-rewritten, inside the source algebra, in terms of a canonical representative
-complex W whose components lie in that subcategory (stalk pieces for the
-regular part, and for each sink-simple homology summand the two-term complex
+The reflection functor s_i at the sink i is exact on the subcategory of
+representations without the sink simple S_i as a summand.  The image of a
+basis term [R_key] is found through a representative W of the homology
+class key = (H_0, H_1) whose components lie in that subcategory: per degree
+d, a stalk piece with the summands A of H_d other than S_i, and per copy of
+S_i in H_d a sink piece, the two-term complex
 
-    (+)_{j -> i} P_j  -->  tau^-(S_i)      (one-directional differential),
+    Psum = (+)_{j -> i} P_j  --can-->  tau^-(S_i)      (d1 = 0)
 
-whose homology is the sink simple).  The map then transports W componentwise
-and pushes the bookkeeping torus factors through the Weyl reflection on the
-lattice.  The twisted product is the multiplicative structure, so all
-conversions between the stored untwisted normal order and twisted products
-carry explicit componentwise-twist exponents.
+whose homology is S_i = ker can in degree 0, shifted for d = 1.  The map
+transports W componentwise to a complex W' over Q' and pushes the torus
+factors through the Weyl reflection on the lattice.  The twisted product is
+the multiplicative structure, so all conversions between the stored
+untwisted normal order and twisted products carry explicit
+componentwise-twist exponents.
+
+The class of W, and of W', is read off dimension data.  A two-term piece
+X = (V0 --d--> V1), V0 projective, with the minimal resolution
+0 -> P1 --incl--> P0 --proj--> V1 -> 0, is the quotient of the
+projective-component complex
+
+    P = (V0 (+) P1  --[lift | incl]-->  P0),      proj o lift = d,
+
+by the deflation (first projection, proj) whose kernel, P1 --incl--> ker
+proj, is contractible with lattice class ell = (coords(P1), 0).  So
+
+    [X] = q^(-<ell, X>) T_ell^(-1) . [P],
+
+and [P] is the normal form of P (sdh.SemiDerivedAlgebra._normal_term), which
+needs only:
+  * dim P^0 = dim V0 + dim P1 and dim P^1 = dim P0;
+  * rank d^P = dim P1 + rank d, because im d^P = proj^(-1)(im d)
+    (im incl = ker proj and proj o lift = d); the other differential is 0;
+  * H(P) = H(X), the kernel of the deflation being acyclic.
+A shift swaps both components, both ranks and both slots of ell, and a
+direct sum adds them all, so W needs no complex built, no lift solved and
+no homology computed.  The pieces:
+  * stalk of A: V0 = 0, V1 = A, d = 0, homology A in degree 1, shifted for
+    d = 0; dim P1(A) is the sum over the parts of A (IsoClassKey.parts).
+    Over Q' it is the stalk of s_i A, the sum of the reflected parts.
+  * sink piece: can is onto, so rank d^P = dim P0(tau^-).  s_i is left
+    exact, and R s_i M = coker((+)_{j -> i} M_j -> M_i) is 0 on Psum (no
+    S_i summand) and S_i' on S_i, so s_i takes 0 -> S_i -> Psum -> tau^- -> 0
+    to 0 -> s_i Psum -> s_i tau^- -> S_i' -> 0.  Over Q' the piece has
+    V0 = s_i Psum (projective: s_i P_j = P'_j for j != i), V1 = s_i tau^-
+    and d injective with cokernel S_i' in degree 1 (0 when shifted), so
+    rank d^P = dim P1(s_i tau^-) + dim s_i Psum.
+By Krull-Schmidt, H'_e is then the sum of the reflected parts of H_e other
+than S_i and one S_i' per copy of S_i in H_(1-e) (RepCategory.sum_key).
+tests/oracles.py keeps the route that builds every piece, lifts it,
+transports it with the reflected morphisms and reads its class off its
+homology (xi_by_pieces) as the oracle of xi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cx2 import Cx2, direct_sum
 from .errors import PreconditionError, ShapeError
 from .linalg import FpMatrix
 from .reps import Rep, RepCategory, RepMorphism
@@ -27,74 +63,39 @@ from .scalars import LinComb, q_power, v_power
 from .sdh2 import SDH2Algebra
 
 
-def lift_through_epi(cat: RepCategory, f: RepMorphism, e: RepMorphism) -> RepMorphism:
-    """g with e o g = f, solved on the hom space (f: X -> Z, e: Y ->> Z)."""
-    X, Y = f.dom, e.dom
-    basis = cat.hom_basis(X, Y)
-    target = f.entries_flat()
-    cols = [e.compose(h).entries_flat() for h in basis]
-    y = FpMatrix.from_columns(cat.p, cols, len(target)).solve(target)
-    if y is None:
-        raise ShapeError("no lift exists (source not projective enough)")
-    return cat.morphisms_from_coeffs(X, Y, basis, y)
+def _two_term(v0, v1, p1, p0, rank, shifted: bool) -> tuple:
+    """The dimension data (X, P, ranks of P, ell), each a pair of dimension
+    vectors over the degrees 0, 1, of the piece (V0 --d--> V1) of the module
+    docstring: V0, V1 of dimension v0, v1, d of rank rank, and V1 resolved
+    by P1 -> P0 of dimensions p1, p0; swapped when shifted."""
+    zero = (0,) * len(v0)
+    data = ((v0, v1), (_add(v0, p1), p0), (_add(p1, rank), zero), (p1, zero))
+    return tuple((b, a) for a, b in data) if shifted else data
 
 
-@dataclass
-class Piece:
-    """A complex with components avoiding the sink simple, together with a
-    projective-component resolution P ->> X whose kernel is the contractible
-    complex with lattice class ell."""
-    X: Cx2
-    P: Cx2
-    ell: tuple
+def _add(*vectors) -> tuple:
+    return tuple(map(sum, zip(*vectors)))
 
 
-def two_term_piece(alg: SDH2Algebra, V0: Rep, V1: Rep, d: RepMorphism) -> Piece:
-    """Piece for X = (V0 <-> V1) with d0 = d, d1 = 0 (V1 nonzero)."""
-    cat = alg.cat
-    X = Cx2(cat, V0, V1, d, cat.zero_map(V1, V0))
-    P1r, P0r, incl, proj = cat.min_proj_resolution(V1)
-    lift = lift_through_epi(cat, d, proj)
-    M0 = cat.direct_sum([V0, P1r])
-    mats = [FpMatrix.hstack([lift.mats[i], incl.mats[i]]) for i in range(cat.quiver.n)]
-    d0 = RepMorphism(M0, P0r, mats)
-    P = Cx2(cat, M0, P0r, d0, cat.zero_map(P0r, M0))
+def _stalk(cat: RepCategory, parts: list, shifted: bool) -> tuple:
+    """_two_term data of the stalk piece 0 -> (+) parts."""
+    res = [cat.min_proj_resolution(S)[:2] for S in parts]
     zero = (0,) * cat.quiver.n
-    ell = (alg.coords(P1r.dim), zero)
-    tools = alg.tools
-    if tools.homology_keys(P) != tools.homology_keys(X):
-        raise ShapeError("piece resolution has wrong homology (engine bug)")
-    return Piece(X, P, ell)
+    return _two_term(zero, _add(*(S.dim for S in parts)), _add(*(r[0].dim for r in res)),
+                     _add(*(r[1].dim for r in res)), zero, shifted)
 
 
-def shift_piece(p: Piece) -> Piece:
-    a, b = p.ell
-    return Piece(p.X.shift(), p.P.shift(), (b, a))
-
-
-def class_of_pieces(alg: SDH2Algebra, pieces) -> LinComb:
-    """Class of the direct sum of the pieces' complexes, via the piecewise
-    deflation from projective-component complexes with contractible kernel."""
-    cat = alg.cat
-    if not pieces:
-        return alg.unit()
-    X = direct_sum([p.X for p in pieces])
-    P = direct_sum([p.P for p in pieces])
-    zero = (0,) * cat.quiver.n
-    a = list(zero)
-    b = list(zero)
-    for p in pieces:
-        a = [x + y for x, y in zip(a, p.ell[0])]
-        b = [x + y for x, y in zip(b, p.ell[1])]
-    ell = (tuple(a), tuple(b))
-    elt = alg.product2(alg.torus_inverse_term(ell), alg.element_of(P))
-    elt = elt.scale_scalar(q_power(alg.q, -alg.exp_g_Y(ell, X)))
-    if len(elt.terms) != 1:
-        raise ShapeError("piece class is not a single normal-form term (engine bug)")
-    (g, key), _c = next(iter(elt.terms.items()))
-    if key != alg.tools.homology_keys(X):
-        raise ShapeError("piece class has wrong homology key (engine bug)")
-    return elt
+def _class_of_pieces(alg: SDH2Algebra, pieces: list, key) -> LinComb:
+    """[X] = q^(-<ell, X>) T_ell^(-1) . [P] for X, P and ell the direct sums
+    of the pieces' (_two_term data), key the homology of X."""
+    x, p, rank, ell = ([_add(*(pc[f][m] for pc in pieces)) for m in (0, 1)]
+                       for f in range(4))
+    ell = (alg.coords(ell[0]), alg.coords(ell[1]))
+    coeff, g, pkey = alg._normal_term({0: p[0], 1: p[1]}, {0: rank[0], 1: rank[1]},
+                                      {m: k for m, k in enumerate(key) if any(k.dim)})
+    elt = alg.product2(alg.torus_inverse_term(ell), alg.term(g, pkey, coeff))
+    return elt.scale_scalar(q_power(alg.q, -sum(
+        c * d for m in (0, 1) for c, d in zip(ell[m], x[m]))))
 
 
 class SinkReflection:
@@ -127,7 +128,6 @@ class SinkReflection:
                 mats.append(FpMatrix.zero(cat.p, self.Psum.dim[v - 1], Si.dim[v - 1]))
                 continue
             col = []
-            off = 0
             for a, j in zip(self.incoming, self.sources):
                 Pj = cat.projective(j)
                 # basis position of the length-one path (a) inside P_j at the sink
@@ -136,47 +136,28 @@ class SinkReflection:
                 sub = [0] * Pj.dim[sink - 1]
                 sub[idx] = 1
                 col.extend(sub)
-                off += Pj.dim[sink - 1]
             mats.append(FpMatrix.from_columns(cat.p, [col], len(col)))
         self.mono = RepMorphism(Si, self.Psum, mats)
         if not self.mono.check_intertwining():
             raise ShapeError("natural mono is not a morphism (engine bug)")
         img = cat.image_subspaces(self.mono)
         self.tau_minus, self.can = cat.quotient(self.Psum, img)
+        # the sink piece over Q and over Q', plain and shifted (_two_term)
+        self._si_sig = cat.intern(Si).parts[0].signature()
+        self._si2_key = self.cat2.intern(self.cat2.simple(sink))
+        tau, Psum2 = self.tau_minus, self.reflect_rep(self.Psum)
+        tau2 = self.reflect_rep(tau)
+        P1, P0 = cat.min_proj_resolution(tau)[:2]
+        P1b, P0b = self.cat2.min_proj_resolution(tau2)[:2]
+        self._sink_pieces = [
+            (_two_term(self.Psum.dim, tau.dim, P1.dim, P0.dim, tau.dim, d == 1),
+             _two_term(Psum2.dim, tau2.dim, P1b.dim, P0b.dim, Psum2.dim, d == 1))
+            for d in (0, 1)]
 
-    # -- module/morphism transport ---------------------------------------
+    # -- module transport ----------------------------------------------------
 
     def reflect_rep(self, M: Rep) -> Rep:
         return self.cat.reflect_sink(self.sink, M, self.cat2)
-
-    def reflect_morphism(self, f: RepMorphism) -> RepMorphism:
-        """Induced morphism between the reflected representations."""
-        M2 = self.reflect_rep(f.dom)
-        N2 = self.reflect_rep(f.cod)
-        p = self.cat.p
-        mats = []
-        for v in range(1, self.cat.quiver.n + 1):
-            if v != self.sink:
-                mats.append(f.mats[v - 1])
-                continue
-            KM = self.cat.sink_kernel(self.sink, f.dom)
-            KN = self.cat.sink_kernel(self.sink, f.cod)
-            blocks = []
-            for kk, sk in enumerate(self.sources):
-                row = []
-                for jj, sj in enumerate(self.sources):
-                    if jj == kk:
-                        row.append(f.mats[sk - 1])
-                    else:
-                        row.append(FpMatrix.zero(p, f.cod.dim[sk - 1],
-                                                 f.dom.dim[sj - 1]))
-                blocks.append(row)
-            big = FpMatrix.block(p, blocks) if blocks else FpMatrix.zero(p, 0, 0)
-            m = KN.solve_matrix(big @ KM)
-            if m is None:
-                raise ShapeError("reflected morphism leaves the kernel (engine bug)")
-            mats.append(m)
-        return RepMorphism(M2, N2, mats)
 
     # -- lattice transport --------------------------------------------------
 
@@ -190,51 +171,6 @@ class SinkReflection:
         return (self.alg2.coords(self.reflect_class(da)),
                 self.alg2.coords(self.reflect_class(db)))
 
-    # -- canonical pieces for a key -------------------------------------------
-
-    def pieces_for_key(self, key) -> list:
-        cat = self.cat
-        Si_key = cat.intern(cat.simple(self.sink))
-        pieces = []
-        for degree, hk in ((0, key[0]), (1, key[1])):
-            regular = []
-            m_count = 0
-            for summand in cat.decompose_reps(hk.rep):
-                if cat.intern(summand) == Si_key:
-                    m_count += 1
-                else:
-                    regular.append(summand)
-            if regular:
-                # stalk piece: two_term(0, A) has homology in degree 1
-                A = cat.direct_sum(regular)
-                Z = cat.zero_rep
-                stalk = two_term_piece(self.alg, Z, A, cat.zero_map(Z, A))
-                pieces.append(shift_piece(stalk) if degree == 0 else stalk)
-            for _ in range(m_count):
-                # sink piece: (+)P_j -> tau^-(S_i) has homology (S_i, 0)
-                xp = two_term_piece(self.alg, self.Psum, self.tau_minus, self.can)
-                pieces.append(xp if degree == 0 else shift_piece(xp))
-        return pieces
-
-    def reflect_piece(self, p: Piece) -> Piece:
-        """Transport a piece componentwise (components avoid the sink simple).
-
-        Pieces are two-term with a one-directional differential; the layout
-        (plain or shifted) is read off from which differential can be nonzero
-        and, for stalks, from which component is nonzero.
-        """
-        d0z = all(m.is_zero() for m in p.X.d0.mats)
-        d1z = all(m.is_zero() for m in p.X.d1.mats)
-        if not d1z or (d0z and d1z and p.X.M1.is_zero() and not p.X.M0.is_zero()):
-            # shifted layout: the underlying two-term complex is the shift
-            V0, V1, d = p.X.M1, p.X.M0, -p.X.d1
-            return shift_piece(two_term_piece(
-                self.alg2, self.reflect_rep(V0), self.reflect_rep(V1),
-                self.reflect_morphism(d)))
-        V0, V1, d = p.X.M0, p.X.M1, p.X.d0
-        return two_term_piece(self.alg2, self.reflect_rep(V0),
-                              self.reflect_rep(V1), self.reflect_morphism(d))
-
     # -- the map on reduced elements --------------------------------------------
 
     def xi(self, key) -> LinComb:
@@ -247,16 +183,28 @@ class SinkReflection:
         return out.like(out.terms)
 
     def _xi_uncached(self, key) -> LinComb:
+        """xi by the dimension data of the pieces of key and of their images
+        (module docstring)."""
         if key == self.alg.zero_key2():
             return self.alg2.reduced_unit()
-        pieces = self.pieces_for_key(key)
-        w_elt = class_of_pieces(self.alg, pieces)
-        (h, wkey), nu = next(iter(w_elt.terms.items()))
-        if wkey != key:
-            raise ShapeError("canonical representative has wrong key (engine bug)")
-        cw = self.alg.cw_exponent((h, self.alg.zero_key2()), (((0,) * self.cat.quiver.n,) * 2, key))
-        pieces2 = [self.reflect_piece(p) for p in pieces]
-        w2_elt = class_of_pieces(self.alg2, pieces2)
+        cat, cat2 = self.cat, self.cat2
+        pieces, pieces2, keys2 = [], [], ([], [])
+        for d in (0, 1):
+            regular = [S for S in key[d].parts if S.signature() != self._si_sig]
+            if regular:
+                reflected = [self.reflect_rep(S) for S in regular]
+                pieces.append(_stalk(cat, regular, d == 0))
+                pieces2.append(_stalk(cat2, reflected, d == 0))
+                keys2[d].extend(cat2.intern(S) for S in reflected)
+            m = len(key[d].parts) - len(regular)
+            sink, sink2 = self._sink_pieces[d]
+            pieces += [sink] * m
+            pieces2 += [sink2] * m
+            keys2[1 - d].extend([self._si2_key] * m)
+        w_elt = _class_of_pieces(self.alg, pieces, key)
+        [((h, _key), nu)] = w_elt.terms.items()
+        cw = self.alg.cw_exponent((h, self.alg.zero_key2()), (((0,) * cat.quiver.n,) * 2, key))
+        w2_elt = _class_of_pieces(self.alg2, pieces2, tuple(map(cat2.sum_key, keys2)))
         th = self.t_lattice(h)
         tneg = (tuple(-x for x in th[0]), tuple(-x for x in th[1]))
         torus_red = self.alg2.reduce(self.alg2.torus_term(tneg))

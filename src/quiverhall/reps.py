@@ -100,9 +100,9 @@ class Rep:
 
 
 class RepMorphism:
-    __slots__ = ("dom", "cod", "mats")
+    __slots__ = ("dom", "cod", "mats", "_flat")
 
-    def __init__(self, dom: Rep, cod: Rep, mats):
+    def __init__(self, dom: Rep, cod: Rep, mats, flat: tuple = None):
         self.dom = dom
         self.cod = cod
         mats = tuple(mats)
@@ -111,6 +111,7 @@ class RepMorphism:
             if m.rows != cod.dim[i] or m.cols != dom.dim[i]:
                 raise ShapeError("morphism component shape mismatch")
         self.mats = mats
+        self._flat = flat
 
     def compose(self, other: "RepMorphism") -> "RepMorphism":
         """self o other (apply other first)."""
@@ -137,7 +138,12 @@ class RepMorphism:
                 and all(m.is_invertible() for m in self.mats))
 
     def entries_flat(self) -> tuple:
-        return tuple(x for m in self.mats for x in m.entries_flat())
+        """The entries of the matrices, vertex by vertex and row-major: given
+        by the constructor or built on the first call, then kept, so a cached
+        hom basis is flattened once (KrullSchmidt.morphisms_from_coeffs)."""
+        if self._flat is None:
+            self._flat = tuple(x for m in self.mats for x in m.entries_flat())
+        return self._flat
 
     def blocks(self) -> tuple:
         """The matrices of entries_flat(), one per vertex."""
@@ -592,7 +598,7 @@ class RepCategory(KrullSchmidt):
                              for a, (s, t) in enumerate(self.quiver.arrows))
 
     def morphism(self, M: Rep, N: Rep, flat) -> RepMorphism:
-        return RepMorphism(M, N, split_flat(self.p, flat, zip(N.dim, M.dim)))
+        return RepMorphism(M, N, split_flat(self.p, flat, zip(N.dim, M.dim)), flat)
 
     def euler_form_int(self, d, e) -> int:
         return self.quiver.euler_form(tuple(d), tuple(e))

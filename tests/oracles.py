@@ -1,17 +1,21 @@
 """Test oracles: helpers that tests use to check the engine's behaviour, but
 that the engine itself never calls.  Those that read an engine object (a
-RepCategory, a Cx2Tools or a HallAlgebra) take it as their first argument.
+RepCategory, a Cx2Tools, a HallAlgebra, an SDH2Algebra or a SinkReflection)
+take it as their first argument.
 """
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from quiverhall.cx2 import Cx2, squares_to_zero
+from quiverhall.cx2 import Cx2, direct_sum, squares_to_zero
 from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix
-from quiverhall.reps import Rep, RepCategory, check_count, check_scan
-from quiverhall.scalars import LinComb, bilinear
+from quiverhall.reflection import SinkReflection
+from quiverhall.reps import Rep, RepCategory, RepMorphism, check_count, check_scan
+from quiverhall.scalars import LinComb, bilinear, q_power, v_power
+from quiverhall.sdh2 import SDH2Algebra
 
 
 def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
@@ -126,7 +130,6 @@ def lattice_neg(g) -> tuple:
     return tuple(sorted((m, tuple(-x for x in c)) for m, c in g))
 
 
-
 def complex_pool_by_isomorphism(tools, max_total: int) -> list:
     """The projective-component Z/2 complexes with total component dimension
     <= max_total, the first of each isomorphism class kept, classes told
@@ -165,3 +168,177 @@ def complex_pool_by_isomorphism(tools, max_total: int) -> list:
                     if not any(tools.is_isomorphic(X, Y) for Y in pool):
                         pool.append(X)
     return pool
+
+
+# ----------------------------------------------------------------------
+# the piece route of reflection.SinkReflection.xi
+
+
+def lift_through_epi(cat: RepCategory, f: RepMorphism, e: RepMorphism) -> RepMorphism:
+    """g with e o g = f, solved on the hom space (f: X -> Z, e: Y ->> Z)."""
+    X, Y = f.dom, e.dom
+    basis = cat.hom_basis(X, Y)
+    target = f.entries_flat()
+    cols = [e.compose(h).entries_flat() for h in basis]
+    y = FpMatrix.from_columns(cat.p, cols, len(target)).solve(target)
+    if y is None:
+        raise ShapeError("no lift exists (source not projective enough)")
+    return cat.morphisms_from_coeffs(X, Y, basis, y)
+
+
+@dataclass
+class Piece:
+    """A complex with components avoiding the sink simple, together with a
+    projective-component resolution P ->> X whose kernel is the contractible
+    complex with lattice class ell."""
+    X: Cx2
+    P: Cx2
+    ell: tuple
+
+
+def two_term_piece(alg: SDH2Algebra, V0: Rep, V1: Rep, d: RepMorphism) -> Piece:
+    """Piece for X = (V0 <-> V1) with d0 = d, d1 = 0 (V1 nonzero)."""
+    cat = alg.cat
+    X = Cx2(cat, V0, V1, d, cat.zero_map(V1, V0))
+    P1r, P0r, incl, proj = cat.min_proj_resolution(V1)
+    lift = lift_through_epi(cat, d, proj)
+    M0 = cat.direct_sum([V0, P1r])
+    mats = [FpMatrix.hstack([lift.mats[i], incl.mats[i]]) for i in range(cat.quiver.n)]
+    d0 = RepMorphism(M0, P0r, mats)
+    P = Cx2(cat, M0, P0r, d0, cat.zero_map(P0r, M0))
+    zero = (0,) * cat.quiver.n
+    ell = (alg.coords(P1r.dim), zero)
+    tools = alg.tools
+    if tools.homology_keys(P) != tools.homology_keys(X):
+        raise ShapeError("piece resolution has wrong homology (engine bug)")
+    return Piece(X, P, ell)
+
+
+def shift_piece(p: Piece) -> Piece:
+    a, b = p.ell
+    return Piece(p.X.shift(), p.P.shift(), (b, a))
+
+
+def class_of_pieces(alg: SDH2Algebra, pieces) -> LinComb:
+    """Class of the direct sum of the pieces' complexes, via the piecewise
+    deflation from projective-component complexes with contractible kernel."""
+    cat = alg.cat
+    if not pieces:
+        return alg.unit()
+    X = direct_sum([p.X for p in pieces])
+    P = direct_sum([p.P for p in pieces])
+    zero = (0,) * cat.quiver.n
+    a = list(zero)
+    b = list(zero)
+    for p in pieces:
+        a = [x + y for x, y in zip(a, p.ell[0])]
+        b = [x + y for x, y in zip(b, p.ell[1])]
+    ell = (tuple(a), tuple(b))
+    elt = alg.product2(alg.torus_inverse_term(ell), alg.element_of(P))
+    elt = elt.scale_scalar(q_power(alg.q, -alg.exp_g_Y(ell, X)))
+    if len(elt.terms) != 1:
+        raise ShapeError("piece class is not a single normal-form term (engine bug)")
+    (g, key), _c = next(iter(elt.terms.items()))
+    if key != alg.tools.homology_keys(X):
+        raise ShapeError("piece class has wrong homology key (engine bug)")
+    return elt
+
+
+def reflect_morphism(refl: SinkReflection, f: RepMorphism) -> RepMorphism:
+    """Induced morphism between the reflected representations."""
+    cat = refl.cat
+    M2 = refl.reflect_rep(f.dom)
+    N2 = refl.reflect_rep(f.cod)
+    p = cat.p
+    mats = []
+    for v in range(1, cat.quiver.n + 1):
+        if v != refl.sink:
+            mats.append(f.mats[v - 1])
+            continue
+        KM = cat.sink_kernel(refl.sink, f.dom)
+        KN = cat.sink_kernel(refl.sink, f.cod)
+        blocks = []
+        for kk, sk in enumerate(refl.sources):
+            row = []
+            for jj, sj in enumerate(refl.sources):
+                if jj == kk:
+                    row.append(f.mats[sk - 1])
+                else:
+                    row.append(FpMatrix.zero(p, f.cod.dim[sk - 1], f.dom.dim[sj - 1]))
+            blocks.append(row)
+        big = FpMatrix.block(p, blocks) if blocks else FpMatrix.zero(p, 0, 0)
+        m = KN.solve_matrix(big @ KM)
+        if m is None:
+            raise ShapeError("reflected morphism leaves the kernel (engine bug)")
+        mats.append(m)
+    return RepMorphism(M2, N2, mats)
+
+
+def pieces_for_key(refl: SinkReflection, key) -> list:
+    """The pieces of the canonical representative W of a homology key: one
+    stalk piece per degree for the summands other than the sink simple S_i,
+    and one two-term piece (+)P_j -> tau^-(S_i) per copy of S_i."""
+    cat = refl.cat
+    Si_key = cat.intern(cat.simple(refl.sink))
+    pieces = []
+    for degree, hk in ((0, key[0]), (1, key[1])):
+        regular = []
+        m_count = 0
+        for summand in cat.decompose_reps(hk.rep):
+            if cat.intern(summand) == Si_key:
+                m_count += 1
+            else:
+                regular.append(summand)
+        if regular:
+            # stalk piece: two_term(0, A) has homology in degree 1
+            A = cat.direct_sum(regular)
+            Z = cat.zero_rep
+            stalk = two_term_piece(refl.alg, Z, A, cat.zero_map(Z, A))
+            pieces.append(shift_piece(stalk) if degree == 0 else stalk)
+        for _ in range(m_count):
+            # sink piece: (+)P_j -> tau^-(S_i) has homology (S_i, 0)
+            xp = two_term_piece(refl.alg, refl.Psum, refl.tau_minus, refl.can)
+            pieces.append(xp if degree == 0 else shift_piece(xp))
+    return pieces
+
+
+def reflect_piece(refl: SinkReflection, p: Piece) -> Piece:
+    """Transport a piece componentwise (components avoid the sink simple).
+
+    Pieces are two-term with a one-directional differential; the layout
+    (plain or shifted) is read off from which differential can be nonzero
+    and, for stalks, from which component is nonzero.
+    """
+    d0z = all(m.is_zero() for m in p.X.d0.mats)
+    d1z = all(m.is_zero() for m in p.X.d1.mats)
+    if not d1z or (d0z and d1z and p.X.M1.is_zero() and not p.X.M0.is_zero()):
+        # shifted layout: the underlying two-term complex is the shift
+        V0, V1, d = p.X.M1, p.X.M0, -p.X.d1
+        return shift_piece(two_term_piece(
+            refl.alg2, refl.reflect_rep(V0), refl.reflect_rep(V1),
+            reflect_morphism(refl, d)))
+    V0, V1, d = p.X.M0, p.X.M1, p.X.d0
+    return two_term_piece(refl.alg2, refl.reflect_rep(V0),
+                          refl.reflect_rep(V1), reflect_morphism(refl, d))
+
+
+def xi_by_pieces(refl: SinkReflection, key) -> LinComb:
+    """SinkReflection.xi by the piece route: the class of the pieces of key
+    over Q, each piece transported by the reflection functor, the class of
+    the transported pieces over Q', and the same torus and scalar factors."""
+    alg, alg2 = refl.alg, refl.alg2
+    if key == alg.zero_key2():
+        return alg2.reduced_unit()
+    pieces = pieces_for_key(refl, key)
+    w_elt = class_of_pieces(alg, pieces)
+    (h, wkey), nu = next(iter(w_elt.terms.items()))
+    if wkey != key:
+        raise ShapeError("canonical representative has wrong key (engine bug)")
+    zero = (0,) * refl.cat.quiver.n
+    cw = alg.cw_exponent((h, alg.zero_key2()), ((zero, zero), key))
+    w2_elt = class_of_pieces(alg2, [reflect_piece(refl, p) for p in pieces])
+    th = refl.t_lattice(h)
+    tneg = (tuple(-x for x in th[0]), tuple(-x for x in th[1]))
+    torus_red = alg2.reduce(alg2.torus_term(tneg))
+    out = alg2.reduced_product(torus_red, alg2.reduce(w2_elt))
+    return out.scale_scalar(nu.inverse() * v_power(refl.q, cw))

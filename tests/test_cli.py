@@ -156,7 +156,8 @@ def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
     # of the sub-objects that the sampled cross-check counts.
     ("a3", 2, ["--table", "--bound", "4"],
      "c4aa00a77ffb3ab1deb80cb0d5ff7d9ca9ea301d0412f96fc6f2037688bcd515"),
-    # The one row that decomposes reps (pieces_for_key) on three vertices.
+    # Reflection on three vertices: the images of basis terms are read off
+    # the parts and resolution dimensions of their keys (SinkReflection.xi).
     ("a3", 3, ["--suite", "reflection"],
      "0721c6d6917a0db28650d762cfacec34f438bb8c45136abee6fa1cc2c6b75b79"),
     # A non-Dynkin quiver: the only row whose Fitting decomposer certifies

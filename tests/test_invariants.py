@@ -1184,6 +1184,31 @@ def test_hom_basis_is_one_cached_list_per_signature_pair():
             assert tools.hom_basis(X2, X.shift()) is tools.hom_basis(X, X.shift())
 
 
+def test_morphisms_from_coeffs_match_matrices_flattened_afresh():
+    """morphisms_from_coeffs reads the flat vector each basis morphism keeps;
+    its combination equals the one of the basis matrices flattened afresh,
+    and so does the flat vector the result keeps: on the first 12 objects
+    of each pool of _walk_pools (modules and complexes), one random
+    coefficient vector per pair with Hom(X, Y) != 0."""
+    rng = random.Random(13)
+    counts = Counter()
+    for ks, objects in _walk_pools():
+        for X, Y in product(objects[:12], repeat=2):
+            basis = ks.hom_basis(X, Y)
+            if not basis:
+                continue
+            c = [rng.randrange(ks.p) for _ in basis]
+            f = ks.morphisms_from_coeffs(X, Y, basis, c)
+            fresh = [tuple(x for m in b.blocks() for x in m.entries_flat()) for b in basis]
+            want = tuple(sum(ci * v[k] for ci, v in zip(c, fresh)) % ks.p
+                         for k in range(len(fresh[0])))
+            assert [b.entries_flat() for b in basis] == fresh
+            assert tuple(x for m in f.blocks() for x in m.entries_flat()) == want
+            assert f.entries_flat() == want
+            counts[type(ks).__name__] += 1
+    assert min(counts.values()) > 100, counts
+
+
 def test_chain_map_images_and_kernels_match_module_route():
     """KrullSchmidt.image_subspaces and kernel_subspaces of a chain map, read
     per block, equal the module results concatenated degree by degree (the

@@ -1,12 +1,27 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import oracles
+from oracles import class_of_pieces, lift_through_epi, pieces_for_key, xi_by_pieces
+from quiverhall.cx2 import Cx2Tools
 from quiverhall.errors import PreconditionError
-from quiverhall.quiver import a_n_quiver
-from quiverhall.reflection import SinkReflection, class_of_pieces, lift_through_epi
+from quiverhall.quiver import Quiver, a_n_quiver
+from quiverhall.reflection import SinkReflection
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import v_power
+from quiverhall.suites import suite_reflection
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_quivers"
+
+
+def _example(name: str) -> Quiver:
+    return Quiver.from_json((EXAMPLES / f"{name}.json").read_text())
+
+
+def _sinks(Q: Quiver) -> list:
+    return [v for v in range(1, Q.n + 1) if Q.is_sink(v) and Q.arrows_into(v)]
 
 
 def test_not_a_sink_rejected():
@@ -39,15 +54,15 @@ def test_class_of_pieces_matches_generator_classes():
     alg = refl.alg
     for A in (cat.simple(1), cat.projective(1)):
         key = (cat.intern(A), cat.zero_key())
-        got = class_of_pieces(alg, refl.pieces_for_key(key))
+        got = class_of_pieces(alg, pieces_for_key(refl, key))
         assert (got - alg.F_class(A)).is_zero()
         key = (cat.zero_key(), cat.intern(A))
-        got = class_of_pieces(alg, refl.pieces_for_key(key))
+        got = class_of_pieces(alg, pieces_for_key(refl, key))
         assert (got - alg.E_class(A)).is_zero()
     # the sink key uses the two-term piece; its class is a single term in
     # the right quasi-isomorphism class (torus part included)
     key = (cat.intern(cat.simple(2)), cat.zero_key())
-    got = class_of_pieces(alg, refl.pieces_for_key(key))
+    got = class_of_pieces(alg, pieces_for_key(refl, key))
     assert len(got.terms) == 1
     (_g, k), _c = next(iter(got.terms.items()))
     assert k == key
@@ -122,3 +137,46 @@ def test_reflection_respects_quantum_torus_structure():
         for b in classes:
             assert Q.symmetrized_euler(a, b) == \
                 Q2.symmetrized_euler(refl.reflect_class(a), refl.reflect_class(b))
+
+
+@pytest.mark.parametrize("name,q", [("a2", 2), ("a2", 3), ("a3", 2), ("kronecker", 2),
+                                    ("kronecker", 3), ("d4", 2)])
+def test_xi_equals_piece_route(monkeypatch, name, q):
+    """xi, read off dimension data, equals the piece route (which builds,
+    lifts, transports and classifies every piece) on every key that the
+    reflection suite reaches, at every sink with an incoming arrow."""
+    keys = []
+    build = SinkReflection._xi_uncached
+
+    def recorded(self, key):
+        keys.append(key)
+        return build(self, key)
+
+    monkeypatch.setattr(SinkReflection, "_xi_uncached", recorded)
+    Q = _example(name)
+    for sink in _sinks(Q):
+        keys.clear()
+        refl = SinkReflection(RepCategory(Q, q), sink)
+        checks = refl.checks()
+        assert checks and all(c[1] == "pass" for c in checks)
+        assert len(keys) > 10
+        for key in keys:
+            assert refl.xi(key).terms == xi_by_pieces(refl, key).terms, key
+
+
+def test_reflection_suite_builds_no_pieces(monkeypatch):
+    """A whole A3 q=3 reflection suite computes no homology of a complex
+    and lifts nothing through an epi: xi reads its pieces' classes off
+    dimension data."""
+    calls = Counter()
+    for owner, name in ((Cx2Tools, "homology"), (oracles, "lift_through_epi")):
+        f = getattr(owner, name)
+
+        def counted(*args, f=f, name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(owner, name, counted)
+    Q = _example("a3")
+    checks = suite_reflection(RepCategory(Q, 3), _sinks(Q)[0])
+    assert checks and all(c[1] == "pass" for c in checks)
+    assert calls == Counter(), calls
