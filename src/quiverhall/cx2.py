@@ -1,11 +1,13 @@
 """Complexes of quiver representations in either grading, and one engine for both.
 
-A Z/2-graded complex (Cx2) is a pair of representations with differentials
-both ways composing to zero, read as a 2-periodic complex; a Z-graded bounded
-complex is sdhz.CxB.  Both expose one protocol:
+One class, Complex, holds a complex of either grading: its components from
+degree lo up, its differentials and the grading's period, 2 for Z/2 and None
+for Z.  A Z/2-graded complex is a pair of representations with differentials
+both ways composing to zero, read as a 2-periodic complex; a Z-graded one is
+bounded.  The protocol the engine reads is written once for both:
 
   degrees()           the degrees of the components, in increasing order
-  degree(m)           how the complex reads the integer m (Cx2: m mod 2)
+  degree(m)           how the complex reads the integer m (Z/2: m mod 2)
   component(m)        the representation in degree m
   diff(m)             the differential component(m) -> component(m + 1)
   shift(k=1)          Sigma^k, differentials negated k times
@@ -17,7 +19,7 @@ this protocol alone: hom_equations (the chain-map equations in the flat layout
 of _layout) and morphism (flat entries split by degree into a ChainMorphism).
 On top of them it solves homotopies, homology, extension classes and their
 middle terms, and builds sub- and quotient complexes.  The contractible
-complexes K_P and K_P* and minimal projective-component representatives of
+complexes P = P and minimal projective-component representatives of Z/2
 quasi-isomorphism classes also live here; chain-map bases, coefficient
 combinations, images and kernels, Krull-Schmidt decomposition, isomorphism
 tests, automorphism and hom-space counts, sub-complex enumeration and Hall
@@ -30,7 +32,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 
-from .errors import CategoryMismatch, ShapeError, SignConventionBroken
+from .errors import CategoryMismatch, ShapeError, SignConventionBroken, WindowExceeded
 from .linalg import FpMatrix, coset_points, split_flat
 from .reps import (
     DECOMPOSE_DIM_GUARD,
@@ -42,77 +44,136 @@ from .reps import (
     corestrict,
 )
 
+# The hard degree window of Z-graded complexes: building one with a nonzero
+# component outside it raises WindowExceeded.
+_HARD_LO = -24
+_HARD_HI = 24
 
-class Cx2:
-    """Z/2-graded complex (M0 <-> M1) with d1 o d0 = d0 o d1 = 0."""
 
-    __slots__ = ("cat", "M0", "M1", "d0", "d1", "_sig")
+class Complex:
+    """comps[i] in degree lo + i and diffs[i] = d^(lo + i), in the grading of
+    period: 2 for Z/2, None for Z.
 
-    def __init__(self, cat: RepCategory, M0: Rep, M1: Rep, d0: RepMorphism, d1: RepMorphism):
-        self.cat = cat
-        self.M0 = M0
-        self.M1 = M1
-        self.d0 = d0
-        self.d1 = d1
-        if not (d0.check_intertwining() and d1.check_intertwining()):
-            raise ShapeError("differentials are not morphisms of representations")
-        if not squares_to_zero(d0, d1):
-            raise SignConventionBroken("d o d != 0 in Z/2 complex")
-        self._sig = None
+    Every construction, checked or trusted, puts the complex in the normal
+    shape of its grading.  A Z/2 complex sits in degrees 0, 1, with both
+    differentials (a component or a differential not given is zero).  A Z
+    complex keeps the differentials between its components only, loses
+    zero end components (lo is 0 when none is left) and must lie in
+    [_HARD_LO, _HARD_HI].  The constructor then checks the endpoints, that
+    each differential is a morphism and that d o d = 0 in every degree."""
+
+    __slots__ = ("cat", "lo", "comps", "diffs", "period", "_sig")
+
+    def __init__(self, cat: RepCategory, lo: int, comps, diffs, period: int = None):
+        self._wrap(cat, lo, comps, diffs, period)
+        n = len(self.comps)
+        if len(self.diffs) != (n if period else max(n - 1, 0)) or (period and n != period):
+            raise ShapeError("need one differential per degree (but the top of a Z complex)")
+        for m, d in zip(self.degrees(), self.diffs):
+            if (d.dom.signature(), d.cod.signature()) != (
+                    self.component(m).signature(), self.component(m + 1).signature()):
+                raise ShapeError("differential endpoints mismatch")
+            if not d.check_intertwining():
+                raise ShapeError("differential is not a morphism")
+        for m in self.degrees():
+            if not all((b @ a).is_zero() for a, b in zip(self.diff(m).mats, self.diff(m + 1).mats)):
+                raise SignConventionBroken("d o d != 0 in complex")
+
+    def _wrap(self, cat: RepCategory, lo: int, comps, diffs, period) -> None:
+        """Set the fields in the normal shape of the class docstring."""
+        comps, diffs = list(comps), list(diffs)
+        if period:
+            comps += [cat.zero_rep] * (period - len(comps))
+            diffs += [cat.zero_map(comps[i], comps[(i + 1) % period])
+                      for i in range(len(diffs), period)]
+            k = -lo % period   # the position of degree 0
+            comps, diffs, lo = comps[k:] + comps[:k], diffs[k:] + diffs[:k], 0
+        else:
+            while comps and comps[0].is_zero():
+                del comps[0], diffs[:1]
+                lo += 1
+            while comps and comps[-1].is_zero():
+                del comps[-1], diffs[-1:]
+            if not comps:
+                lo = 0
+            elif not (_HARD_LO <= lo and lo + len(comps) - 1 <= _HARD_HI):
+                raise WindowExceeded("complex outside the hard degree window")
+        self.cat, self.lo, self.period, self._sig = cat, lo, period, None
+        self.comps, self.diffs = tuple(comps), tuple(diffs)
 
     @classmethod
-    def _trusted(cls, cat: RepCategory, M0: Rep, M1: Rep, d0: RepMorphism,
-                 d1: RepMorphism) -> "Cx2":
-        """Wrap differentials already known to be morphisms with d o d = 0,
-        such as those of a shifted complex, skipping the checks of __init__."""
+    def _trusted(cls, cat: RepCategory, lo: int, comps, diffs, period: int = None) -> "Complex":
+        """Wrap differentials already known to form a complex, such as those
+        of a shift, skipping the checks of __init__ but not the normal shape."""
         X = object.__new__(cls)
-        X.cat, X.M0, X.M1, X.d0, X.d1, X._sig = cat, M0, M1, d0, d1, None
+        X._wrap(cat, lo, comps, diffs, period)
         return X
 
     def signature(self) -> tuple:
         if self._sig is None:
-            self._sig = (self.M0.signature(), self.M1.signature(),
-                         tuple(m.entries_flat() for m in self.d0.mats),
-                         tuple(m.entries_flat() for m in self.d1.mats))
+            self._sig = (self.period, self.lo, tuple(c.signature() for c in self.comps),
+                         tuple(tuple(m.entries_flat() for m in d.mats) for d in self.diffs))
         return self._sig
 
     def total_dim(self) -> int:
-        return self.M0.total_dim() + self.M1.total_dim()
+        return sum(c.total_dim() for c in self.comps)
 
     def is_zero(self) -> bool:
-        return self.M0.is_zero() and self.M1.is_zero()
+        return all(c.is_zero() for c in self.comps)
 
-    def degrees(self) -> tuple:
-        return (0, 1)
+    def degrees(self) -> range:
+        return range(self.lo, self.lo + len(self.comps))
 
-    @staticmethod
-    def degree(m: int) -> int:
-        return m % 2
+    def degree(self, m: int) -> int:
+        return m % self.period if self.period else m
 
     def component(self, m: int) -> Rep:
-        return self.M1 if m % 2 else self.M0
+        i = self.degree(m) - self.lo
+        return self.comps[i] if 0 <= i < len(self.comps) else self.cat.zero_rep
 
     def diff(self, m: int) -> RepMorphism:
-        """d^m: component(m) -> component(m + 1)."""
-        return self.d1 if m % 2 else self.d0
+        """d^m: component(m) -> component(m + 1); past either end of a Z
+        complex the zero map of the category between those components."""
+        i = self.degree(m) - self.lo
+        if 0 <= i < len(self.diffs):
+            return self.diffs[i]
+        return self.cat.zero_map(self.component(m), self.component(m + 1))
 
-    def shift(self, k: int = 1) -> "Cx2":
-        if k % 2 == 0:
-            return self
-        return Cx2._trusted(self.cat, self.M1, self.M0, -self.d1, -self.d0)
+    def shift(self, k: int = 1) -> "Complex":
+        """Sigma^k: component(m) of the shift is component(m + k) and d^m is
+        (-1)^k diff(m + k), that is the same tuples from degree lo - k."""
+        diffs = self.diffs if k % 2 == 0 else [-d for d in self.diffs]
+        return Complex._trusted(self.cat, self.lo - k, self.comps, diffs, self.period)
 
-    def like(self, comps: dict, mats: dict) -> "Cx2":
-        M0, M1 = comps[0], comps[1]
-        return Cx2(self.cat, M0, M1, RepMorphism(M0, M1, mats[0]), RepMorphism(M1, M0, mats[1]))
+    def like(self, comps: dict, mats: dict) -> "Complex":
+        """The complex of this grading with comps[m] in degree m, over
+        consecutive degrees, and d^m the per-vertex matrices mats[m], for
+        each degree m with d^m inside the complex.  The caller vouches that
+        they form a complex: middle_term's block differentials and
+        from_structure's sub-objects and quotients are valid by construction."""
+        degs = list(comps)
+        return Complex._trusted(self.cat, degs[0] if degs else 0, comps.values(), [
+            RepMorphism(comps[m], comps[self.degree(m + 1)], mats[m]) for m in degs if m in mats
+        ], self.period)
 
     def __eq__(self, other):
-        return isinstance(other, Cx2) and self.signature() == other.signature()
+        return type(other) is Complex and self.signature() == other.signature()
 
     def __hash__(self):
         return hash(self.signature())
 
     def __repr__(self):
-        return f"Cx2(dim0={self.M0.dim}, dim1={self.M1.dim})"
+        return f"Complex(period={self.period}, lo={self.lo}, dims={[c.dim for c in self.comps]})"
+
+
+def Cx2(cat: RepCategory, M0: Rep, M1: Rep, d0: RepMorphism, d1: RepMorphism) -> Complex:
+    """The checked Z/2-graded complex M0 <-> M1 with d^0 = d0 and d^1 = d1."""
+    return Complex(cat, 0, (M0, M1), (d0, d1), 2)
+
+
+def zero_complex(cat: RepCategory, period: int = None) -> Complex:
+    """The zero complex of the grading with this period."""
+    return Complex._trusted(cat, 0, (), (), period)
 
 
 def squares_to_zero(d0: RepMorphism, d1: RepMorphism) -> bool:
@@ -158,24 +219,19 @@ class ChainMorphism:
                              {m: s.compose(other.maps[m]) for m, s in self.maps.items()})
 
 
-def identity_morphism(cat: RepCategory, M: Rep) -> RepMorphism:
-    return RepMorphism(M, M, [FpMatrix.identity(cat.p, d) for d in M.dim])
-
-
-def make_KP(cat: RepCategory, P: Rep) -> Cx2:
-    """K_P = (P <-> P), d0 = id, d1 = 0: contractible."""
-    return Cx2(cat, P, P, identity_morphism(cat, P), cat.zero_map(P, P))
-
-
-def make_KPstar(cat: RepCategory, P: Rep) -> Cx2:
-    """K_P* = (P <-> P), d0 = 0, d1 = id: the shift of K_P."""
-    return Cx2(cat, P, P, cat.zero_map(P, P), identity_morphism(cat, P))
+def contractible(cat: RepCategory, P: Rep, m: int, period: int = None) -> Complex:
+    """The contractible complex P = P in degrees m, m + 1 of the grading with
+    this period: d^m = id, and for Z/2 d^(m + 1) = 0, so K_P for even m and
+    K_P* for odd m."""
+    ident = RepMorphism(P, P, [FpMatrix.identity(cat.p, d) for d in P.dim])
+    return Complex._trusted(cat, m, (P, P), (ident,), period)
 
 
 def middle_term(L, M, f=None):
     """Extension of L by M along a chain map f: L -> ΣM, with block
     differential [[d_M, f], [0, d_L]] in each degree; f = None gives the
-    direct sum M (+) L.  d*d = 0 is validated on construction."""
+    direct sum M (+) L.  For f None or a chain map (as hom_basis gives) the
+    block differentials form a complex, so it is built unchecked."""
     cat = L.cat
     p = cat.p
     degs = set(L.degrees()) | set(M.degrees())
@@ -207,14 +263,14 @@ def _homology_at(cat: RepCategory, comp: Rep, d_out: RepMorphism, d_in: RepMorph
     return cat.quotient_object(K, cat.image_subspaces(d_in))
 
 
-def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Cx2:
-    """Minimal projective-component complex with homology (A, B): res(A)
+def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Complex:
+    """Minimal Z/2 projective-component complex with homology (A, B): res(A)
     plus the shift of res(B), where res(H) = (P0(H) <-> P1(H)) with d0 = 0
-    and d1 the inclusion of the minimal projective resolution of H, valid by
-    construction (only the direct sum is checked)."""
+    and d1 the inclusion of the minimal projective resolution of H, all valid
+    by construction."""
     def res(H):
         P1, P0, incl, _ = cat.min_proj_resolution(H)
-        return Cx2._trusted(cat, P0, P1, cat.zero_map(P0, P1), incl)
+        return Complex._trusted(cat, 0, (P0, P1), (cat.zero_map(P0, P1), incl), 2)
     return direct_sum([res(A), res(B).shift()])
 
 

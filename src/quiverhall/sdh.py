@@ -85,7 +85,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cx2 import Cx2Tools
+from .cx2 import Cx2Tools, zero_complex
 from .errors import ShapeError
 from .hall import HallAlgebra
 from .linalg import projective_points
@@ -103,8 +103,9 @@ class NormalForm(NamedTuple):
 class SemiDerivedAlgebra:
     """The grading-independent part of SDH2Algebra and SDHZAlgebra.
 
-    A subclass names its complex class (complex_type, for degree()), builds
-    the representative of a key (_representative), lists and builds lattice
+    A subclass sets the period of its grading (period: 2 for Z/2, None for
+    Z), which gives the degree map deg of its complexes, builds the
+    representative of a key (_representative), lists and builds lattice
     points and keys (_slots, _from_slots) and wraps terms into its own
     elements (element)."""
 
@@ -116,6 +117,7 @@ class SemiDerivedAlgebra:
         self.proj = ProjectiveCoords(cat)
         self.coords = self.proj.coords
         self.dim_of_coords = self.proj.dim_of_coords
+        self.deg = zero_complex(cat, self.period).degree
         self._zero = (0,) * cat.quiver.n
         self._rep_cache = {}
         self._nf_cache = {}
@@ -158,7 +160,7 @@ class SemiDerivedAlgebra:
 
     def exp_g_h(self, g, h) -> int:
         """log_q of the Euler form between two torus lattice points."""
-        deg = self.complex_type.degree
+        deg = self.deg
         return sum(self.proj.hom_form(c, d) for m, c in self._slots(g) if any(c)
                    for l, d in self._slots(h) if l in (deg(m), deg(m - 1)))
 
@@ -204,7 +206,7 @@ class SemiDerivedAlgebra:
         homology classes keys[m], by the rank formula and the ledger of
         normal_form (a degree missing from dims has a zero component)."""
         cat = self.cat
-        deg = self.complex_type.degree
+        deg = self.deg
         res = {m: cat.min_proj_resolution(k.rep) for m, k in keys.items()}
         zero = self._zero
 
@@ -246,7 +248,7 @@ class SemiDerivedAlgebra:
         coordinates of P1(A) and g = -e in slot deg(m - 1)."""
         if A.is_zero():
             return self.unit()
-        deg = self.complex_type.degree
+        deg = self.deg
         e = self.coords(self.cat.min_proj_resolution(A)[0].dim)
         g = self._from_slots({deg(m - 1): tuple(-x for x in e)} if any(e) else {}, self._zero)
         key = self._from_slots({deg(m): self.cat.intern(A)}, self.cat.zero_key())
@@ -329,7 +331,7 @@ class SemiDerivedAlgebra:
         derives it.  The "extension-class enumeration" guard (check_scan)
         bounds the q^(dim Hom(A, B)) extension classes."""
         cat = self.cat
-        deg = self.complex_type.degree
+        deg = self.deg
         R1, R2 = self.rep_of_key(k1), self.rep_of_key(k2)
         hom = self.tools.hom_dim(R1, R2)
         if deg(m2) != deg(m + 1):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .cx2 import Cx2, minimal_complex
+from .cx2 import Complex, minimal_complex
 from .hall import serre_checks
 from .reps import Rep
 from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
@@ -50,7 +50,7 @@ _reduced_str = partial(_format_terms, reduced=True)
 
 
 class SDH2Algebra(SemiDerivedAlgebra):
-    complex_type = Cx2
+    period = 2
 
     # Bound in this class body, so that a per-class trace (bench/tracer.py)
     # counts them apart from the Z-graded algebra's.
@@ -68,7 +68,7 @@ class SDH2Algebra(SemiDerivedAlgebra):
     def _from_slots(slots: dict, zero) -> tuple:
         return (slots.get(0, zero), slots.get(1, zero))
 
-    def _representative(self, key) -> Cx2:
+    def _representative(self, key) -> Complex:
         return minimal_complex(self.cat, key[0].rep, key[1].rep)
 
     def zero_key2(self) -> tuple:
@@ -129,7 +129,7 @@ class SDH2Algebra(SemiDerivedAlgebra):
         g, key = term_key
         R = self.rep_of_key(key)
         extra = self.dim_of_coords(tuple(x + y for x, y in zip(*g)))
-        return tuple(tuple(u + v for u, v in zip(M.dim, extra)) for M in (R.M0, R.M1))
+        return tuple(tuple(u + v for u, v in zip(M.dim, extra)) for M in R.comps)
 
     def _cw(self, c1, c2) -> int:
         """log_v of the componentwise twist between terms of classes c1, c2."""
@@ -154,7 +154,7 @@ class SDH2Algebra(SemiDerivedAlgebra):
 
     def _comp_sum(self, key) -> tuple:
         R = self.rep_of_key(key)
-        return tuple(u + v for u, v in zip(R.M0.dim, R.M1.dim))
+        return tuple(map(sum, zip(*(M.dim for M in R.comps))))
 
     def reduce(self, x: LinComb) -> LinComb:
         """Quotient by K_alpha * K_alpha^* = 1.

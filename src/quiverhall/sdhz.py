@@ -1,7 +1,7 @@
 """The Z-graded semi-derived Hall algebra of bounded complexes over rep_k(Q).
 
-Bounded complexes (CxB) follow the complex protocol of cx2, whose Cx2Tools
-solves their chain maps, homotopies, homology and extension classes.
+Bounded complexes are cx2.Complex with no period; Cx2Tools solves their
+chain maps, homotopies, homology and extension classes.
 Elements are combinations of T_g . [R_key] with
 
   g    a finitely supported map  degree -> Z^n  (exponents of the classes of
@@ -18,152 +18,32 @@ or m, else 1.
 
 from __future__ import annotations
 
-from .cx2 import direct_sum, identity_morphism
-from .errors import (
-    ShapeError,
-    SignConventionBroken,
-    WindowExceeded,
-)
-from .reps import Rep, RepCategory, RepMorphism
+from .cx2 import _HARD_LO, Complex, contractible, direct_sum, zero_complex
+from .errors import ShapeError, WindowExceeded
+from .reps import Rep, RepCategory
 from .scalars import CoeffScalar, LinComb, q_power
 from .sdh import SemiDerivedAlgebra
 
 WINDOW_LO = -8
 WINDOW_HI = 8
-_HARD_LO = -24
-_HARD_HI = 24
 
 
-class CxB:
-    """Bounded complex; comps[i] sits in degree lo + i, differentials raise degree."""
-
-    __slots__ = ("cat", "lo", "comps", "diffs", "_sig")
-
-    def __init__(self, cat: RepCategory, lo: int, comps, diffs):
-        comps = list(comps)
-        diffs = list(diffs)
-        # trim zero components at both ends
-        while comps and comps[0].is_zero():
-            comps.pop(0)
-            if diffs:
-                diffs.pop(0)
-            lo += 1
-        while comps and comps[-1].is_zero():
-            comps.pop()
-            if diffs:
-                diffs.pop()
-        self._wrap(cat, lo, comps, diffs)
-        if len(self.diffs) != max(len(self.comps) - 1, 0):
-            raise ShapeError("need one differential per adjacent pair")
-        for i, d in enumerate(self.diffs):
-            if not d.check_intertwining():
-                raise ShapeError("differential is not a morphism")
-            if d.dom.dim != self.comps[i].dim or d.cod.dim != self.comps[i + 1].dim:
-                raise ShapeError("differential endpoints mismatch")
-        for i in range(len(self.diffs) - 1):
-            for m in range(cat.quiver.n):
-                if not (self.diffs[i + 1].mats[m] @ self.diffs[i].mats[m]).is_zero():
-                    raise SignConventionBroken("d o d != 0 in bounded complex")
-
-    def _wrap(self, cat: RepCategory, lo: int, comps, diffs) -> None:
-        """Set the fields from nonzero end components and their differentials;
-        only the hard degree window is checked."""
-        self.cat = cat
-        self.lo = lo
-        self.comps = tuple(comps)
-        self.diffs = tuple(diffs)
-        if comps and not (_HARD_LO <= lo and lo + len(comps) - 1 <= _HARD_HI):
-            raise WindowExceeded("complex outside the hard degree window")
-        self._sig = None
-
-    @classmethod
-    def _trusted(cls, cat: RepCategory, lo: int, comps, diffs) -> "CxB":
-        """Wrap components with nonzero ends and differentials already known
-        to form a complex, such as those of a shifted complex, skipping the
-        checks of __init__ but the hard degree window."""
-        X = object.__new__(cls)
-        X._wrap(cat, lo, comps, diffs)
-        return X
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.comps) - 1 if self.comps else self.lo - 1
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def component(self, m: int) -> Rep:
-        if self.comps and self.lo <= m <= self.hi:
-            return self.comps[m - self.lo]
-        return self.cat.zero_rep
-
-    def diff(self, m: int) -> RepMorphism:
-        """d^m: component(m) -> component(m+1); past either end the zero map
-        of the category between those components."""
-        idx = m - self.lo
-        if 0 <= idx < len(self.diffs):
-            return self.diffs[idx]
-        return self.cat.zero_map(self.component(m), self.component(m + 1))
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1) if self.comps else range(0)
-
-    @staticmethod
-    def degree(m: int) -> int:
-        return m
-
-    def total_dim(self) -> int:
-        return sum(c.total_dim() for c in self.comps)
-
-    def shift(self, k: int = 1) -> "CxB":
-        """Sigma^k: component(m) of the shift is component(m + k), with the
-        differentials negated k times."""
-        if self.is_zero():
-            return self
-        diffs = self.diffs if k % 2 == 0 else [-d for d in self.diffs]
-        return CxB._trusted(self.cat, self.lo - k, self.comps, diffs)
-
-    def like(self, comps: dict, mats: dict) -> "CxB":
-        """comps over consecutive degrees, mats[m] for each degree but the last."""
-        degs = list(comps)
-        return CxB(self.cat, degs[0] if degs else 0, comps.values(),
-                   [RepMorphism(comps[m], comps[m + 1], mats[m]) for m in degs[:-1]])
-
-    def signature(self):
-        if self._sig is None:
-            self._sig = (self.lo if self.comps else 0,
-                         tuple(c.signature() for c in self.comps),
-                         tuple(tuple(m.entries_flat() for m in d.mats) for d in self.diffs))
-        return self._sig
-
-    def __eq__(self, other):
-        return isinstance(other, CxB) and self.signature() == other.signature()
-
-    def __hash__(self):
-        return hash(self.signature())
-
-    def __repr__(self):
-        return f"CxB(lo={self.lo}, dims={[c.dim for c in self.comps]})"
+def CxB(cat: RepCategory, lo: int, comps, diffs) -> Complex:
+    """The checked bounded complex with comps[i] in degree lo + i and
+    d^(lo + i) = diffs[i]."""
+    return Complex(cat, lo, comps, diffs)
 
 
-def zero_cxb(cat: RepCategory) -> CxB:
-    return CxB(cat, 0, [], [])
+def stalk_cxb(cat: RepCategory, A: Rep, m: int) -> Complex:
+    """The stalk complex with A in degree m: no differential to check."""
+    return Complex._trusted(cat, m, (A,), ())
 
 
-def stalk_cxb(cat: RepCategory, A: Rep, m: int) -> CxB:
-    if A.is_zero():
-        return zero_cxb(cat)
-    return CxB(cat, m, [A], [])
-
-
-def two_term_cxb(cat: RepCategory, m: int, dom: Rep, cod: Rep, d: RepMorphism) -> CxB:
-    """Complex with dom in degree m, cod in degree m+1 and differential d."""
-    return CxB(cat, m, [dom, cod], [d])
-
-
-def v_complex(cat: RepCategory, A: Rep, m: int) -> CxB:
-    """The contractible complex A = A concentrated in degrees m, m+1."""
-    return two_term_cxb(cat, m, A, A, identity_morphism(cat, A))
+def _resolution(cat: RepCategory, A: Rep, m: int) -> Complex:
+    """The minimal projective resolution P1(A) -> P0(A) in degrees m - 1, m,
+    valid by construction."""
+    P1, P0, incl, _ = cat.min_proj_resolution(A)
+    return Complex._trusted(cat, m - 1, (P1, P0), (incl,))
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +61,7 @@ def _sdhz_str(terms) -> str:
 
 
 class SDHZAlgebra(SemiDerivedAlgebra):
-    complex_type = CxB
+    period = None
 
     # Bound in this class body, so that a per-class trace (bench/tracer.py)
     # counts them apart from the Z/2-graded algebra's.
@@ -213,14 +93,9 @@ class SDHZAlgebra(SemiDerivedAlgebra):
             if not (WINDOW_LO <= m <= WINDOW_HI):
                 raise WindowExceeded(f"torus slot {m} outside [-8, 8]")
 
-    def _representative(self, hom) -> CxB:
-        parts = []
-        for m, k in hom:
-            P1, P0, incl, _ = self.cat.min_proj_resolution(k.rep)
-            if P0.is_zero():
-                continue
-            parts.append(two_term_cxb(self.cat, m - 1, P1, P0, incl))
-        return direct_sum(parts) if parts else zero_cxb(self.cat)
+    def _representative(self, hom) -> Complex:
+        parts = [_resolution(self.cat, k.rep, m) for m, k in hom]
+        return direct_sum(parts) if parts else zero_complex(self.cat)
 
     # -- constructors -------------------------------------------------------------
 
@@ -263,7 +138,7 @@ class SDHZAlgebra(SemiDerivedAlgebra):
         hard window is checked before the key-pair lookup, and the homology
         key, then the torus lattice, of every term on every call."""
         R2 = self.rep_of_key(t2[1])
-        if not R2.is_zero() and R2.lo - 1 < _HARD_LO:
+        if not R2.is_zero() and R2.degrees()[0] - 1 < _HARD_LO:
             raise WindowExceeded("shift leaves the hard window")
         out = super()._product_terms(t1, t2)
         for g, key in out:
@@ -276,31 +151,20 @@ class SDHZAlgebra(SemiDerivedAlgebra):
     def _proj_replacement(self, spec) -> tuple:
         """(R, K) with a deflation quasi-isomorphism R ->> X, K acyclic kernel,
         for X a u-stalk or a concrete v-complex."""
-        kind = spec[0]
+        kind, A, m = spec
+        P1A, P0A, _, _ = self.cat.min_proj_resolution(A)
         if kind == "u":
-            _, A, m = spec
-            P1A, P0A, incl, _ = self.cat.min_proj_resolution(A)
-            R = two_term_cxb(self.cat, m - 1, P1A, P0A, incl) if not P0A.is_zero() \
-                else zero_cxb(self.cat)
-            K = v_complex(self.cat, P1A, m - 1) if not P1A.is_zero() else zero_cxb(self.cat)
-            return R, K
+            return _resolution(self.cat, A, m), contractible(self.cat, P1A, m - 1)
         if kind == "vA":
-            _, A, m = spec
-            if A.is_zero():
-                return zero_cxb(self.cat), zero_cxb(self.cat)
-            P1A, P0A, incl, proj = self.cat.min_proj_resolution(A)
-            R = v_complex(self.cat, P0A, m)
-            K = v_complex(self.cat, P1A, m) if not P1A.is_zero() else zero_cxb(self.cat)
-            return R, K
+            return contractible(self.cat, P0A, m), contractible(self.cat, P1A, m)
         raise ShapeError(f"unknown generator spec {kind}")
 
-    def _concrete(self, spec) -> CxB:
-        kind = spec[0]
+    def _concrete(self, spec) -> Complex:
+        kind, A, m = spec
         if kind == "u":
-            return stalk_cxb(self.cat, spec[1], spec[2])
+            return stalk_cxb(self.cat, A, m)
         if kind == "vA":
-            return v_complex(self.cat, spec[1], spec[2]) if not spec[1].is_zero() \
-                else zero_cxb(self.cat)
+            return contractible(self.cat, A, m)
         raise ShapeError(f"unknown generator spec {kind}")
 
     def euler_exponent_concrete(self, spec1, spec2) -> int:
@@ -320,11 +184,11 @@ class SDHZAlgebra(SemiDerivedAlgebra):
         if Y.is_zero():
             return 0
         e = self.tools.hom_dim(R, Y)
-        if not R.is_zero():
-            width = (Y.hi - R.lo) if not Y.is_zero() else 0
-            for p_ in range(1, width + 2):
+        degs = R.degrees()
+        if degs:
+            for p_ in range(1, Y.degrees()[-1] - degs[0] + 2):
                 Yp = Y.shift(p_)
-                if Yp.hi < R.lo or Yp.lo > R.hi:
+                if Yp.degrees()[-1] < degs[0] or Yp.degrees()[0] > degs[-1]:
                     continue
                 d = self.tools.hom_k_dim(R, Yp)
                 e += d if p_ % 2 == 0 else -d

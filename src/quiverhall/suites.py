@@ -10,14 +10,14 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .cx2 import Cx2, direct_sum, make_KP, make_KPstar, squares_to_zero
+from .cx2 import Complex, contractible, direct_sum, squares_to_zero
 from .hall import HallAlgebra, verify_ringel
 from .linalg import line_index
 from .reflection import SinkReflection
 from .reps import ENUM_DIM_GUARD, RepCategory, check_dim, check_scan
 from .scalars import CoeffScalar, q_power
 from .sdh2 import SDH2Algebra
-from .sdhz import SDHZAlgebra, v_complex
+from .sdhz import SDHZAlgebra
 
 
 def _row(name, lhs, rhs):
@@ -239,7 +239,7 @@ def proj_complex_pool(alg: SDH2Algebra, max_total: int) -> list:
         for d0, d1 in product(morphisms(M0, M1), morphisms(M1, M0)):
             # d0 and d1 span hom spaces, so only d o d = 0 needs a check
             if squares_to_zero(d0, d1):
-                X = Cx2._trusted(cat, M0, M1, d0, d1)
+                X = Complex._trusted(cat, 0, (M0, M1), (d0, d1), 2)
                 pool.setdefault(alg.normal_form(X)[1:], X)
     return list(pool.values())
 
@@ -272,8 +272,8 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
                 if const * cat.p ** hom_lm != n_ext:
                     counts_ok = False
                 route_b += alg.element_of(X).scale_scalar(CoeffScalar.of(cat.p, const))
-            name = (f"bridgeland L(dims {L.M0.dim}|{L.M1.dim}) "
-                    f"M(dims {M.M0.dim}|{M.M1.dim})")
+            name = (f"bridgeland L(dims {L.component(0).dim}|{L.component(1).dim}) "
+                    f"M(dims {M.component(0).dim}|{M.component(1).dim})")
             status = "pass" if counts_ok and (route_a - route_b).is_zero() else "fail"
             out.append((name, status, str(route_a), str(route_b)))
     return out
@@ -352,7 +352,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         H1 = rng.choice(small + [cat.zero_rep])
         Mrep = alg2.rep_of_key((cat.intern(H0), cat.intern(H1)))
         P = rng.choice(projs)
-        K = make_KP(cat, P) if rng.random() < 0.5 else make_KPstar(cat, P)
+        K = contractible(cat, P, 0 if rng.random() < 0.5 else 1, 2)
         L = _drawn_middle(tools2.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = alg2.element_of(L)
         rhs = alg2.element_of(direct_sum([K, Mrep]))
@@ -364,7 +364,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         Mrep = algz.rep_of_key(((m, cat.intern(A)),))
         P = rng.choice(projs)
         slot = rng.choice((m - 1, m))
-        K = v_complex(cat, P, slot)
+        K = contractible(cat, P, slot)
         L = _drawn_middle(toolsz.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = algz.element_of(L)
         rhs = algz.element_of(direct_sum([K, Mrep]))

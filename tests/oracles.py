@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from quiverhall.cx2 import Cx2, direct_sum, squares_to_zero
+from quiverhall.cx2 import Complex, Cx2, direct_sum, squares_to_zero
 from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix
@@ -18,7 +18,7 @@ from quiverhall.scalars import LinComb, bilinear, q_power, v_power
 from quiverhall.sdh2 import SDH2Algebra
 
 
-def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Cx2:
+def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Complex:
     """Stalk complex with A in the given degree (0 or 1)."""
     Z = cat.zero_rep
     if degree % 2 == 0:
@@ -97,18 +97,18 @@ def is_acyclic(tools, X) -> bool:
     return all(H.is_zero() for H in tools.homology(X).values())
 
 
-def classify_acyclic_indec(Z: Cx2) -> tuple:
+def classify_acyclic_indec(Z: Complex) -> tuple:
     """('K', P) or ('K*', P) for an indecomposable contractible summand.
 
     An indecomposable acyclic complex with projective components has one
     differential exactly zero; the other is then an isomorphism.
     """
-    d0zero = all(m.is_zero() for m in Z.d0.mats)
-    d1zero = all(m.is_zero() for m in Z.d1.mats)
+    d0zero = all(m.is_zero() for m in Z.diff(0).mats)
+    d1zero = all(m.is_zero() for m in Z.diff(1).mats)
     if d1zero and not d0zero:
-        return ("K", Z.M0)
+        return ("K", Z.component(0))
     if d0zero and not d1zero:
-        return ("K*", Z.M1)
+        return ("K*", Z.component(1))
     raise ShapeError("acyclic indecomposable with both differentials nonzero")
 
 
@@ -191,8 +191,8 @@ class Piece:
     """A complex with components avoiding the sink simple, together with a
     projective-component resolution P ->> X whose kernel is the contractible
     complex with lattice class ell."""
-    X: Cx2
-    P: Cx2
+    X: Complex
+    P: Complex
     ell: tuple
 
 
@@ -309,15 +309,15 @@ def reflect_piece(refl: SinkReflection, p: Piece) -> Piece:
     (plain or shifted) is read off from which differential can be nonzero
     and, for stalks, from which component is nonzero.
     """
-    d0z = all(m.is_zero() for m in p.X.d0.mats)
-    d1z = all(m.is_zero() for m in p.X.d1.mats)
-    if not d1z or (d0z and d1z and p.X.M1.is_zero() and not p.X.M0.is_zero()):
+    d0z = all(m.is_zero() for m in p.X.diff(0).mats)
+    d1z = all(m.is_zero() for m in p.X.diff(1).mats)
+    if not d1z or (d0z and d1z and p.X.component(1).is_zero() and not p.X.component(0).is_zero()):
         # shifted layout: the underlying two-term complex is the shift
-        V0, V1, d = p.X.M1, p.X.M0, -p.X.d1
+        V0, V1, d = p.X.component(1), p.X.component(0), -p.X.diff(1)
         return shift_piece(two_term_piece(
             refl.alg2, refl.reflect_rep(V0), refl.reflect_rep(V1),
             reflect_morphism(refl, d)))
-    V0, V1, d = p.X.M0, p.X.M1, p.X.d0
+    V0, V1, d = p.X.component(0), p.X.component(1), p.X.diff(0)
     return two_term_piece(refl.alg2, refl.reflect_rep(V0),
                           refl.reflect_rep(V1), reflect_morphism(refl, d))
 

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from oracles import classify_acyclic_indec, gl_elements
-from quiverhall.cx2 import direct_sum, make_KP, make_KPstar
+from quiverhall.cx2 import contractible, direct_sum
 from quiverhall.hall import HallAlgebra, verify_ringel
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import Rep, RepCategory, RepMorphism
@@ -150,22 +150,22 @@ def test_criterion_08_acyclic_decomposition_uniqueness():
         parts = []
         for _ in range(rng.randint(1, 2)):
             P = rng.choice((P1, P2))
-            parts.append(make_KP(cat, P) if rng.random() < 0.5
-                         else make_KPstar(cat, P))
+            parts.append(contractible(cat, P, 0, 2) if rng.random() < 0.5
+                         else contractible(cat, P, 1, 2))
         X = direct_sum(parts)
-        g0 = [rng.choice(gl_elements(cat.p, d)) for d in X.M0.dim]
-        g1 = [rng.choice(gl_elements(cat.p, d)) for d in X.M1.dim]
-        M0c = Rep(cat.quiver, cat.p, X.M0.dim,
-                  [g0[1] @ X.M0.maps[0] @ g0[0].inverse()])
-        M1c = Rep(cat.quiver, cat.p, X.M1.dim,
-                  [g1[1] @ X.M1.maps[0] @ g1[0].inverse()])
+        g0 = [rng.choice(gl_elements(cat.p, d)) for d in X.component(0).dim]
+        g1 = [rng.choice(gl_elements(cat.p, d)) for d in X.component(1).dim]
+        M0c = Rep(cat.quiver, cat.p, X.component(0).dim,
+                  [g0[1] @ X.component(0).maps[0] @ g0[0].inverse()])
+        M1c = Rep(cat.quiver, cat.p, X.component(1).dim,
+                  [g1[1] @ X.component(1).maps[0] @ g1[0].inverse()])
         Xc = Cx2(cat, M0c, M1c,
-                 RepMorphism(M0c, M1c, [g1[i] @ X.d0.mats[i] @ g0[i].inverse()
+                 RepMorphism(M0c, M1c, [g1[i] @ X.diff(0).mats[i] @ g0[i].inverse()
                                         for i in range(2)]),
-                 RepMorphism(M1c, M0c, [g0[i] @ X.d1.mats[i] @ g1[i].inverse()
+                 RepMorphism(M1c, M0c, [g0[i] @ X.diff(1).mats[i] @ g1[i].inverse()
                                         for i in range(2)]))
-        want = sorted((("K" if all(m.is_zero() for m in pc.d1.mats) else "K*"),
-                       cat.intern(pc.M0)) for pc in parts)
+        want = sorted((("K" if all(m.is_zero() for m in pc.diff(1).mats) else "K*"),
+                       cat.intern(pc.component(0))) for pc in parts)
         got = sorted((classify_acyclic_indec(Z)[0],
                       cat.intern(classify_acyclic_indec(Z)[1]))
                      for Z in tools.decompose2(Xc))

@@ -4,17 +4,19 @@ import pytest
 
 from oracles import classify_acyclic_indec, gl_elements, is_acyclic, stalk_cx2
 from quiverhall.cx2 import (
+    _HARD_HI,
+    _HARD_LO,
+    Cx2,
     Cx2Tools,
+    contractible,
     direct_sum,
-    make_KP,
-    make_KPstar,
     minimal_complex,
 )
-from quiverhall.errors import NotASubmodule, SignConventionBroken
+from quiverhall.errors import NotASubmodule, ShapeError, SignConventionBroken, WindowExceeded
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory, RepMorphism
-from quiverhall.sdhz import two_term_cxb
+from quiverhall.sdhz import CxB
 
 
 def a2(p=2):
@@ -34,9 +36,9 @@ def test_chain_maps_contains_identity():
     from itertools import product
     for coeffs in product(range(2), repeat=len(basis)):
         f = tools.morphisms_from_coeffs(X, X, basis, coeffs)
-        if all(f.maps[0].mats[i] == FpMatrix.identity(2, X.M0.dim[i])
+        if all(f.maps[0].mats[i] == FpMatrix.identity(2, X.component(0).dim[i])
                for i in range(2)) and \
-           all(f.maps[1].mats[i] == FpMatrix.identity(2, X.M1.dim[i])
+           all(f.maps[1].mats[i] == FpMatrix.identity(2, X.component(1).dim[i])
                for i in range(2)):
             found_id = True
     assert found_id
@@ -47,7 +49,7 @@ def test_chain_maps_K_to_K_is_hom():
     tools = Cx2Tools(cat)
     for A in (cat.simple(2), cat.projective(1)):
         for B in (cat.simple(2), cat.projective(1)):
-            KA, KB = make_KP(cat, A), make_KP(cat, B)
+            KA, KB = contractible(cat, A, 0, 2), contractible(cat, B, 0, 2)
             assert tools.hom_dim(KA, KB) == cat.hom_dim(A, B)
 
 
@@ -55,7 +57,7 @@ def test_homotopy_dim_of_KP_endos():
     cat = a2()
     tools = Cx2Tools(cat)
     P = cat.projective(1)
-    KP = make_KP(cat, P)
+    KP = contractible(cat, P, 0, 2)
     # all chain endomorphisms of a contractible complex are null-homotopic
     assert tools.homotopy_dim(KP, KP) == tools.hom_dim(KP, KP)
     assert tools.homotopy_dim(KP, KP) == cat.hom_dim(P, P)
@@ -80,7 +82,7 @@ def test_homology_examples():
     cat = a2()
     tools = Cx2Tools(cat)
     P = cat.projective(1)
-    H0, H1 = tools.homology(make_KP(cat, P)).values()
+    H0, H1 = tools.homology(contractible(cat, P, 0, 2)).values()
     assert H0.is_zero() and H1.is_zero()
     A = cat.simple(1)
     H0, H1 = tools.homology(stalk_cx2(cat, A, 0)).values()
@@ -94,7 +96,7 @@ def test_KP_shift_is_KPstar():
     cat = a2()
     tools = Cx2Tools(cat)
     P = cat.projective(1)
-    assert tools.is_isomorphic(make_KP(cat, P).shift(), make_KPstar(cat, P))
+    assert tools.is_isomorphic(contractible(cat, P, 0, 2).shift(), contractible(cat, P, 1, 2))
     X = minimal_complex(cat, cat.simple(1), cat.simple(2))
     assert tools.is_isomorphic(X.shift().shift(), X)
 
@@ -103,12 +105,12 @@ def test_decompose_KP_sum():
     cat = a2()
     tools = Cx2Tools(cat)
     P1, P2 = cat.projective(1), cat.projective(2)
-    X = make_KP(cat, cat.direct_sum([P1, P2]))
+    X = contractible(cat, cat.direct_sum([P1, P2]), 0, 2)
     parts = tools.decompose2(X)
-    labels = sorted(classify_acyclic_indec(Z)[0] + str(Z.M0.dim)
+    labels = sorted(classify_acyclic_indec(Z)[0] + str(Z.component(0).dim)
                     for Z in parts)
     assert labels == ["K(0, 1)", "K(1, 1)"]
-    Y = direct_sum([make_KP(cat, P1), make_KPstar(cat, P2)])
+    Y = direct_sum([contractible(cat, P1, 0, 2), contractible(cat, P2, 1, 2)])
     kinds = sorted((classify_acyclic_indec(Z)[0],
                     cat.intern(classify_acyclic_indec(Z)[1]).dim)
                    for Z in tools.decompose2(Y))
@@ -121,7 +123,7 @@ def test_minimal_complex_examples():
     Z = cat.rep((0, 0))
     assert minimal_complex(cat, Z, Z).is_zero()
     X = minimal_complex(cat, cat.simple(2), Z)
-    assert X.M0.dim == (0, 1) and X.M1.dim == (0, 0)
+    assert X.component(0).dim == (0, 1) and X.component(1).dim == (0, 0)
     X = minimal_complex(cat, cat.simple(1), cat.simple(2))
     H0, H1 = tools.homology(X).values()
     assert cat.is_isomorphic(H0, cat.simple(1))
@@ -168,7 +170,8 @@ def test_middle_term_d_squared_validated():
     L = minimal_complex(cat, cat.simple(1), cat.simple(2))
     M = minimal_complex(cat, cat.simple(2), cat.simple(1))
     for f, E, _w in tools.ext1_classes_proj(L, M):
-        assert E.M0.dim == tuple(a + b for a, b in zip(M.M0.dim, L.M0.dim))
+        assert E.component(0).dim == tuple(
+            a + b for a, b in zip(M.component(0).dim, L.component(0).dim))
 
 
 def test_long_exact_sequence_dimension_bounds():
@@ -204,29 +207,28 @@ def test_acyclic_decomposition_unique_seeded():
         parts = []
         for _ in range(rng.randint(1, 2)):
             P = rng.choice((P1, P2))
-            parts.append(make_KP(cat, P) if rng.random() < 0.5
-                         else make_KPstar(cat, P))
+            parts.append(contractible(cat, P, 0, 2) if rng.random() < 0.5
+                         else contractible(cat, P, 1, 2))
         X = direct_sum(parts)
         # conjugate the whole complex by a random per-vertex base change,
         # applied to both gradings and the representation structure
-        g0 = [rng.choice(gl_elements(cat.p, d)) for d in X.M0.dim]
-        g1 = [rng.choice(gl_elements(cat.p, d)) for d in X.M1.dim]
+        g0 = [rng.choice(gl_elements(cat.p, d)) for d in X.component(0).dim]
+        g1 = [rng.choice(gl_elements(cat.p, d)) for d in X.component(1).dim]
         from quiverhall.reps import Rep
-        M0c = Rep(cat.quiver, cat.p, X.M0.dim,
-                  [g0[1] @ X.M0.maps[0] @ g0[0].inverse()])
-        M1c = Rep(cat.quiver, cat.p, X.M1.dim,
-                  [g1[1] @ X.M1.maps[0] @ g1[0].inverse()])
-        from quiverhall.cx2 import Cx2
+        M0c = Rep(cat.quiver, cat.p, X.component(0).dim,
+                  [g0[1] @ X.component(0).maps[0] @ g0[0].inverse()])
+        M1c = Rep(cat.quiver, cat.p, X.component(1).dim,
+                  [g1[1] @ X.component(1).maps[0] @ g1[0].inverse()])
         Xc = Cx2(cat, M0c, M1c,
                  RepMorphism(M0c, M1c,
-                             [g1[i] @ X.d0.mats[i] @ g0[i].inverse()
+                             [g1[i] @ X.diff(0).mats[i] @ g0[i].inverse()
                               for i in range(2)]),
                  RepMorphism(M1c, M0c,
-                             [g0[i] @ X.d1.mats[i] @ g1[i].inverse()
+                             [g0[i] @ X.diff(1).mats[i] @ g1[i].inverse()
                               for i in range(2)]))
         want = sorted(
-            (("K" if all(m.is_zero() for m in p_.d1.mats) else "K*"),
-             cat.intern(p_.M0))
+            (("K" if all(m.is_zero() for m in p_.diff(1).mats) else "K*"),
+             cat.intern(p_.component(0)))
             for p_ in parts)
         got = sorted((classify_acyclic_indec(Z)[0],
                       cat.intern(classify_acyclic_indec(Z)[1]))
@@ -238,9 +240,9 @@ def test_sub_and_quotient_complexes():
     cat = a2()
     tools = Cx2Tools(cat)
     P = cat.projective(1)
-    X = make_KP(cat, P)
+    X = contractible(cat, P, 0, 2)
     # its Z-graded fold, with U indexed by degree through the same engine
-    Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
+    Y = CxB(cat, 0, X.comps, [X.diff(0)])
     subs = tools.sub_complexes_with_dims(X, (0, 1, 0, 1))
     assert subs
     for U in subs:
@@ -250,7 +252,7 @@ def test_sub_and_quotient_complexes():
         for Z, Zy in ((S, tools.sub_object(Y, U)), (Q, tools.quotient_complex(Y, U))):
             assert [Zy.component(m).signature() for m in (0, 1)] == \
                 [Z.component(m).signature() for m in (0, 1)]
-            assert Zy.diff(0).mats == Z.d0.mats
+            assert Zy.diff(0).mats == Z.diff(0).mats
 
 
 def test_non_subcomplex_is_refused():
@@ -258,7 +260,7 @@ def test_non_subcomplex_is_refused():
     stable under d0 = id, so neither a sub- nor a quotient complex exists."""
     cat = vect()
     tools = Cx2Tools(cat)
-    X = make_KP(cat, cat.rep((1,)))
+    X = contractible(cat, cat.rep((1,)), 0, 2)
     U = (((1,),), ())
     for build in (tools.sub_object, tools.quotient_complex):
         with pytest.raises(NotASubmodule):
@@ -268,12 +270,39 @@ def test_non_subcomplex_is_refused():
 
 
 def test_sign_convention_guard():
-    cat = vect()
-    k = cat.rep((1,))
-    ident = RepMorphism(k, k, [FpMatrix.identity(2, 1)])
-    from quiverhall.cx2 import Cx2
-    with pytest.raises(SignConventionBroken):
-        Cx2(cat, k, k, ident, ident)
+    """The one checked constructor, in both gradings (Cx2 for Z/2, CxB for
+    Z): a differential that is no morphism or has the wrong endpoints raises
+    ShapeError, d o d != 0 raises SignConventionBroken, and a Z complex
+    outside the hard degree window raises WindowExceeded, on the checked
+    path and on the trusted one of shift.  Each flawed case has a valid
+    neighbour that builds."""
+    cat = a2()
+    S1, S2, P1 = cat.simple(1), cat.simple(2), cat.projective(1)
+    zero = cat.zero_map
+    ident = RepMorphism(P1, P1, [FpMatrix.identity(2, 1)] * 2)
+    no_morphism = RepMorphism(P1, P1, [FpMatrix.identity(2, 1), FpMatrix.zero(2, 1, 1)])
+    assert not no_morphism.check_intertwining()
+    cases = [
+        (ShapeError, Cx2, (cat, P1, P1, no_morphism, zero(P1, P1))),
+        (ShapeError, CxB, (cat, 0, [P1, P1], [no_morphism])),
+        (ShapeError, Cx2, (cat, S1, S2, zero(S1, S1), zero(S2, S1))),
+        (ShapeError, CxB, (cat, 0, [S1, S2], [zero(S1, S1)])),
+        (ShapeError, CxB, (cat, 0, [P1, P1], [])),
+        (SignConventionBroken, Cx2, (cat, P1, P1, ident, ident)),
+        (SignConventionBroken, CxB, (cat, 0, [P1, P1, P1], [ident, ident])),
+        (WindowExceeded, CxB, (cat, _HARD_HI, [S1, S1], [zero(S1, S1)])),
+        (WindowExceeded, CxB, (cat, _HARD_LO - 1, [S1], [])),
+    ]
+    for error, build, args in cases:
+        with pytest.raises(error):
+            build(*args)
+    with pytest.raises(WindowExceeded):
+        CxB(cat, _HARD_HI, [S1], []).shift(-1)
+    valid = [Cx2(cat, P1, P1, ident, zero(P1, P1)), CxB(cat, 0, [P1, P1], [ident]),
+             Cx2(cat, S1, S2, zero(S1, S2), zero(S2, S1)), CxB(cat, 0, [S1, S2], [zero(S1, S2)]),
+             CxB(cat, 0, [P1, P1, P1], [ident, zero(P1, P1)]),
+             CxB(cat, _HARD_HI, [S1], []), CxB(cat, _HARD_LO, [S1], [])]
+    assert [X.period for X in valid] == [2, None, 2, None, None, None, None]
 
 
 def test_decompose2_indecomposable_is_itself():

@@ -14,13 +14,14 @@ from oracles import (
     subspace_contains,
 )
 from quiverhall.cx2 import (
+    Complex,
     Cx2,
     Cx2Tools,
+    contractible,
     direct_sum,
-    make_KP,
-    make_KPstar,
     middle_term,
     minimal_complex,
+    zero_complex,
 )
 from quiverhall import reps
 from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
@@ -31,7 +32,7 @@ from quiverhall.reps import Rep, RepCategory, RepMorphism, intertwiners
 from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh import SemiDerivedAlgebra
 from quiverhall.sdh2 import SDH2Algebra
-from quiverhall.sdhz import WINDOW_LO, CxB, SDHZAlgebra, two_term_cxb, v_complex, zero_cxb
+from quiverhall.sdhz import WINDOW_LO, CxB, SDHZAlgebra, stalk_cxb
 from quiverhall.suites import (
     proj_complex_pool,
     suite_presentation_uv,
@@ -93,7 +94,7 @@ def test_cx2_aut_count_and_is_isomorphic_match_scan():
             for X in pool + [X.shift() for X in pool]:
                 hits = 0
                 for Y in pool:
-                    same_dims = X.M0.dim == Y.M0.dim and X.M1.dim == Y.M1.dim
+                    same_dims = all(X.component(m).dim == Y.component(m).dim for m in (0, 1))
                     brute = same_dims and any(True for _ in _scan_cx2_isos(tools, X, Y))
                     assert tools.is_isomorphic(X, Y) == brute, (p, X, Y)
                     hits += brute
@@ -253,7 +254,7 @@ def test_flat_combination_matches_scale_and_add():
     tools = SDH2Algebra(cat).tools
     for X in proj_complex_pool(SDH2Algebra(cat), 3)[1:]:
         basis = tools.hom_basis(X, X)
-        R = X.M0 if cat.hom_dim(X.M0, X.M0) else X.M1
+        R = X.component(0) if cat.hom_dim(X.component(0), X.component(0)) else X.component(1)
         rbasis = cat.hom_basis(R, R)
         for _ in range(5):
             c = [rng.randrange(-3, 6) for _ in basis]
@@ -319,9 +320,9 @@ def test_complex_decomposition_matches_idempotent_scan():
             alg = SDH2Algebra(cat)
             tools = alg.tools
             projs = [cat.projective(i) for i in range(1, cat.quiver.n + 1)]
-            sums = [direct_sum([make_KP(cat, P), make_KPstar(cat, Q)])
+            sums = [direct_sum([contractible(cat, P, 0, 2), contractible(cat, Q, 1, 2)])
                     for P in projs for Q in projs]
-            sums += [direct_sum([v_complex(cat, P, 0), v_complex(cat, Q, m)])
+            sums += [direct_sum([contractible(cat, P, 0), contractible(cat, Q, m)])
                      for P in projs for Q in projs for m in (-1, 0, 1)]
             for X in _with_middle_terms(tools, proj_complex_pool(alg, 3), 4) + sums:
                 got, want = tools.decompose2(X), _idempotent_scan(tools, X)
@@ -329,10 +330,16 @@ def test_complex_decomposition_matches_idempotent_scan():
                 for Z in got:
                     match = next(W for W in want if tools.is_isomorphic(Z, W))
                     want.remove(match)
-                    if isinstance(Z, Cx2) and is_acyclic(tools, Z):
+                    if Z.period == 2 and is_acyclic(tools, Z):
                         (k1, P1), (k2, P2) = (classify_acyclic_indec(Z),
                                               classify_acyclic_indec(match))
                         assert (k1, cat.intern(P1)) == (k2, cat.intern(P2)), (p, X)
+
+
+def _fold(X):
+    """The Z-graded two-term complex with the components and d^0 of the Z/2
+    complex X in degrees 0, 1."""
+    return CxB(X.cat, 0, X.comps, [X.diff(0)])
 
 
 def _a1_a2(p):
@@ -373,7 +380,7 @@ def test_cxb_ext1_classes_match_full_enumeration():
             pool = []
             for X in proj_complex_pool(SDH2Algebra(cat), 3):
                 if not X.is_zero():
-                    Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
+                    Y = _fold(X)
                     pool += [Y, Y.shift(1)]
             for L, M in _ext_pairs(pool, _bound(p) + 1):
                 SM = M.shift(1)
@@ -396,8 +403,9 @@ def test_gradings_agree_on_two_term_complexes():
             tools = SDH2Algebra(cat).tools
             pairs = []
             for X in proj_complex_pool(SDH2Algebra(cat), 3):
-                Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
-                Z = Cx2(cat, X.M0, X.M1, X.d0, cat.zero_map(X.M1, X.M0))
+                Y = _fold(X)
+                Z = Cx2(cat, X.component(0), X.component(1), X.diff(0),
+                        cat.zero_map(X.component(1), X.component(0)))
                 pairs.append((Y, Z))
                 hY, hZ = tools.homology(Y), tools.homology(Z)
                 for b in (0, 1):
@@ -468,7 +476,7 @@ def test_reduction_well_defined_across_lifts():
         g2 = (tuple(a + x for a, x in zip(g[0], s)),
               tuple(b + x for b, x in zip(g[1], s)))
         R = alg.rep_of_key(key)
-        comps = tuple(u + v for u, v in zip(R.M0.dim, R.M1.dim))
+        comps = tuple(u + v for u, v in zip(R.component(0).dim, R.component(1).dim))
         lam = q_power(2, cat.euler_form_int(alg.dim_of_coords(s), comps))
         return alg.term(g2, key, lam)
 
@@ -585,7 +593,7 @@ def _ledger_walk_nf(alg, X):
                        if not H.is_zero()))
     res = {m: cat.min_proj_resolution(k.rep) for m, k in key}
     zero = (0,) * cat.quiver.n
-    lo, hi = (X.lo, X.hi) if not X.is_zero() else (0, -1)
+    lo, hi = (X.degrees()[0], X.degrees()[-1]) if not X.is_zero() else (0, -1)
     if key:
         lo = min(lo, key[0][0] - 1)
     ell = {}
@@ -607,15 +615,15 @@ def _z2_rank_nf(alg, X):
     beta = [im d1] - [P1(H0)], with <K_(alpha,beta), R> read off R^0, R^1."""
     cat = alg.cat
     k0, k1 = (cat.intern(H) for H in alg.tools.homology(X).values())
-    rank0 = tuple(m.rank() for m in X.d0.mats)
-    rank1 = tuple(m.rank() for m in X.d1.mats)
+    rank0 = tuple(m.rank() for m in X.diff(0).mats)
+    rank1 = tuple(m.rank() for m in X.diff(1).mats)
     P1H0 = cat.min_proj_resolution(k0.rep)[0]
     P1H1 = cat.min_proj_resolution(k1.rep)[0]
     alpha = alg.coords(tuple(r - d for r, d in zip(rank0, P1H1.dim)))
     beta = alg.coords(tuple(r - d for r, d in zip(rank1, P1H0.dim)))
     R = alg.rep_of_key((k0, k1))
-    exp = (sum(a * d for a, d in zip(alpha, R.M0.dim))
-           + sum(b * d for b, d in zip(beta, R.M1.dim)))
+    exp = (sum(a * d for a, d in zip(alpha, R.component(0).dim))
+           + sum(b * d for b, d in zip(beta, R.component(1).dim)))
     return q_power(alg.q, exp), (alpha, beta), (k0, k1)
 
 
@@ -643,7 +651,7 @@ def test_normal_forms_match_grading_specific_oracles():
             poolz = []
             for X in pool2:
                 if not X.is_zero():
-                    Y = two_term_cxb(cat, 0, X.M0, X.M1, X.d0)
+                    Y = _fold(X)
                     poolz += [Y, Y.shift(1), Y.shift(-2)]
             for X in _with_middle_terms(alg2.tools, pool2, 4):
                 assert alg2.normal_form(X) == _z2_rank_nf(alg2, X), (p, n, X)
@@ -753,22 +761,21 @@ def test_sub_objects_quotients_and_homology_match_columnwise_oracles():
                     for U in tools.sub_complexes_with_dims(X, tools.sides(M)):
                         U0, U1 = U[:cat.quiver.n], U[cat.quiver.n:]
                         S = tools.sub_object(X, U)
-                        (S0, i0), (S1, i1) = (_sub_rep_oracle(cat, X.M0, U0),
-                                              _sub_rep_oracle(cat, X.M1, U1))
+                        (S0, i0), (S1, i1) = (_sub_rep_oracle(cat, X.component(0), U0),
+                                              _sub_rep_oracle(cat, X.component(1), U1))
                         assert S.signature() == Cx2(
-                            cat, S0, S1, _restrict_oracle(cat, X.d0, S0, i0, S1, i1),
-                            _restrict_oracle(cat, X.d1, S1, i1, S0, i0)).signature()
+                            cat, S0, S1, _restrict_oracle(cat, X.diff(0), S0, i0, S1, i1),
+                            _restrict_oracle(cat, X.diff(1), S1, i1, S0, i0)).signature()
                         Qc = tools.quotient_complex(X, U)
-                        (Q0, p0), (Q1, p1) = (_quotient_oracle(cat, X.M0, U0),
-                                              _quotient_oracle(cat, X.M1, U1))
+                        (Q0, p0), (Q1, p1) = (_quotient_oracle(cat, X.component(0), U0),
+                                              _quotient_oracle(cat, X.component(1), U1))
                         assert Qc.signature() == Cx2(
-                            cat, Q0, Q1, _induce_quotient_oracle(cat, X.d0, Q0, p0, Q1, p1),
-                            _induce_quotient_oracle(cat, X.d1, Q1, p1, Q0, p0)).signature()
+                            cat, Q0, Q1, _induce_quotient_oracle(cat, X.diff(0), Q0, p0, Q1, p1),
+                            _induce_quotient_oracle(cat, X.diff(1), Q1, p1, Q0, p0)).signature()
                         counts["sub-complexes"] += 1
                     middles[X.signature()] = X
             folds = [Y for X in pool if not X.is_zero()
-                     for Y in (two_term_cxb(cat, 0, X.M0, X.M1, X.d0),
-                               two_term_cxb(cat, 0, X.M0, X.M1, X.d0).shift(1))]
+                     for Y in (_fold(X), _fold(X).shift(1))]
             for X in pool + list(middles.values()) + folds:
                 H = tools.homology(X)
                 assert {m: H[m].signature() for m in X.degrees()} == {
@@ -875,50 +882,76 @@ def test_from_structure_inverts_structure_maps():
     """from_structure(X, sides(X), the matrices of structure_maps(X)) gives X
     back: on the modules of the bound-3 iso classes of WALK_POOLS, on the
     bridgeland-compare pool complexes (bound 3), on their Z-graded two-term
-    folds and on the zero CxB."""
+    folds and on the zero Z complex."""
     counts = Counter()
     for qv, p in WALK_POOLS:
         cat = RepCategory(qv, p)
         alg = SDH2Algebra(cat)
         pool = proj_complex_pool(alg, 3)
-        folds = [two_term_cxb(cat, 0, X.M0, X.M1, X.d0) for X in pool if not X.is_zero()]
+        folds = [_fold(X) for X in pool if not X.is_zero()]
         for ks, objects in ((cat, [k.rep for k in cat.iso_classes_up_to(3)]),
-                            (alg.tools, pool + folds + [zero_cxb(cat)])):
+                            (alg.tools, pool + folds + [zero_complex(cat)])):
             for X in objects:
                 Y = ks.from_structure(X, ks.sides(X), [f for f, _, _ in ks.structure_maps(X)])
                 assert Y.signature() == X.signature(), X
-                counts[type(X).__name__] += 1
-    assert min(counts.values()) > 20, counts
+                counts[getattr(X, "period", "module")] += 1
+    assert len(counts) == 3 and min(counts.values()) > 20, counts
 
 
 def test_shifts_pass_the_public_checks():
-    """shift, proj_complex_pool and the resolutions of minimal_complex build
-    their complexes without the checks of the constructors; every pool
-    complex (bound 3) of WALK_POOLS, every minimal complex of a pool
-    complex's homology pair, and every shift, once and twice, of the pool
-    complexes and of their Z-graded two-term folds passes them."""
-    count = 0
+    """shift, contractible, stalk_cxb, proj_complex_pool, the resolutions of
+    minimal_complex and of the Z representatives (sdhz._resolution),
+    middle_term (direct sums, and the middles of ext1_classes_proj over
+    chain maps from hom_basis) and from_structure (sub_object and
+    quotient_object) build their complexes without the checks of the
+    constructor.  On each of WALK_POOLS, in both gradings, the public
+    constructor rebuilds every complex they build with an equal signature:
+    the pool complexes (bound 3), the representatives of their homology
+    and the stalks of its modules, the contractible complexes on the indecomposable projectives, and, from
+    the pool complexes and from their Z-graded two-term folds and the
+    shifts of these, the shifts once, twice and three times, the direct
+    sums and extension middles of the pairs of total dimension at most 3,
+    and the images and kernels of the basis endomorphisms of each distinct
+    middle as sub-objects and quotients."""
+    counts = Counter()
+
+    def check(kind, Y):
+        Z = Complex(Y.cat, Y.lo, Y.comps, Y.diffs, Y.period)
+        assert Z.signature() == Y.signature(), (kind, Y)
+        counts[kind, Y.period] += 1
+
     for qv, p in WALK_POOLS:
         cat = RepCategory(qv, p)
-        alg = SDH2Algebra(cat)
+        alg, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+        tools = alg.tools
         pool = proj_complex_pool(alg, 3)
         for X in pool:
-            H = alg.tools.homology(X)
-            for Y in (X, minimal_complex(cat, H[0], H[1])):
-                assert Cx2(cat, Y.M0, Y.M1, Y.d0, Y.d1).signature() == Y.signature(), X
-                count += 1
-        folds = [two_term_cxb(cat, 0, X.M0, X.M1, X.d0) for X in pool if not X.is_zero()]
-        for X in pool + folds:
-            for k in (1, 2, 3):
-                Y = X.shift(k)
-                if isinstance(Y, Cx2):
-                    Z = Cx2(cat, Y.M0, Y.M1, Y.d0, Y.d1)
-                else:
-                    Z = CxB(cat, Y.lo, Y.comps, Y.diffs)
-                    assert Y.lo == X.lo - k
-                assert Z.signature() == Y.signature(), (X, k)
-                count += 1
-    assert count > 100, count
+            H = tools.homology(X)
+            check("pool", X)
+            check("minimal", minimal_complex(cat, H[0], H[1]))
+            check("minimal", algz.rep_of_key(tuple(
+                (m, cat.intern(Hm)) for m, Hm in H.items() if not Hm.is_zero())))
+            for m, Hm in H.items():
+                check("stalk", stalk_cxb(cat, Hm, m))
+        for i, m in product(range(1, qv.n + 1), (-1, 0, 1)):
+            for period in (2, None):
+                check("contractible", contractible(cat, cat.projective(i), m, period))
+        folds = [_fold(X) for X in pool if not X.is_zero()]
+        for objects in (pool, folds + [Y.shift(1) for Y in folds]):
+            for X, k in product(objects, (1, 2, 3)):
+                check("shift", X.shift(k))
+                assert X.period or X.shift(k).lo == X.lo - k
+            middles = {}
+            for L, M in _ext_pairs(objects, 3):
+                check("direct sum", direct_sum([L, M]))
+                for _f, E, _w in tools.ext1_classes_proj(L, M):
+                    check("middle", E)
+                    middles[E.signature()] = E
+            for E in middles.values():
+                for f in tools.hom_basis(E, E):
+                    check("sub-object", tools.sub_object(E, tools.image_subspaces(f)))
+                    check("quotient", tools.quotient_object(E, tools.kernel_subspaces(f)))
+    assert len(counts) == 16 and min(counts.values()) > 15, counts
 
 
 # The pools of the stalk-pair cross-check: (quiver, q, bound of the iso classes).
@@ -1094,7 +1127,7 @@ def test_ext1_classes_proj_scan_guard(monkeypatch):
     k = cat.rep((1,))
     Z = cat.zero_rep
     stalk0 = Cx2(cat, k, Z, cat.zero_map(k, Z), cat.zero_map(Z, k))
-    L = direct_sum([stalk0, make_KP(cat, k)])
+    L = direct_sum([stalk0, contractible(cat, k, 0, 2)])
     M = Cx2(cat, Z, k, cat.zero_map(Z, k), cat.zero_map(k, Z))
     tools = SDH2Algebra(cat).tools
     assert tools.hom_dim(L, M.shift()) == 2 and tools.homotopy_dim(L, M.shift()) == 1
@@ -1161,7 +1194,7 @@ def test_morphisms_from_coeffs_empty_basis_is_the_zero_morphism():
     assert (f.dom, f.cod) == (P1, S2) and f.mats == cat.zero_map(P1, S2).mats
     assert f.entries_flat() == (0,)
     tools = SDH2Algebra(cat).tools
-    X, Y = make_KP(cat, P1), make_KP(cat, S2)
+    X, Y = contractible(cat, P1, 0, 2), contractible(cat, S2, 0, 2)
     assert tools.hom_basis(X, Y) == []
     g = tools.morphisms_from_coeffs(X, Y, [], ())
     assert (g.dom, g.cod) == (X, Y) and g.entries_flat() == (0, 0)
@@ -1179,7 +1212,7 @@ def test_hom_basis_is_one_cached_list_per_signature_pair():
             basis = cat.hom_basis(M, N)
             assert cat.hom_basis(M, N) is basis and cat.hom_basis(copy(M), copy(N)) is basis
         for X in proj_complex_pool(SDH2Algebra(cat), 3):
-            X2 = Cx2(cat, copy(X.M0), copy(X.M1), X.d0, X.d1)
+            X2 = Cx2(cat, copy(X.component(0)), copy(X.component(1)), X.diff(0), X.diff(1))
             assert X2 is not X and tools.hom_basis(X, X) is tools.hom_basis(X2, X2)
             assert tools.hom_basis(X2, X.shift()) is tools.hom_basis(X, X.shift())
 

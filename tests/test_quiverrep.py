@@ -300,11 +300,11 @@ def test_budget_guardrails():
 
 
 def test_budget_message_names_guard_and_size():
-    from quiverhall.cx2 import Cx2Tools, make_KP
+    from quiverhall.cx2 import Cx2Tools, contractible
 
     cat = RepCategory(Quiver(1, []), 3)
     tools = Cx2Tools(cat)
-    K = make_KP(cat, cat.rep((4,)))
+    K = contractible(cat, cat.rep((4,)), 0, 2)
     # Four copies of K_k, each with End = k: |GL_4(F_3)|, with no scan.
     assert tools.aut_count(K) == 24261120
     with pytest.raises(BudgetExceeded, match=r"^complex endomorphism scan: 3\^16 = 43046721 "
@@ -318,11 +318,11 @@ def test_budget_message_names_guard_and_size():
 def test_isomorphism_and_aut_refuse_another_category():
     """Objects of another category are refused before any comparison, even
     when their signatures agree: S1 over 1 -> 2 and over 2 -> 1."""
-    from quiverhall.cx2 import Cx2Tools, make_KP
+    from quiverhall.cx2 import Cx2Tools, contractible
 
     cat, other = a2(), RepCategory(Quiver(2, [(2, 1)]), 2)
     S, T = cat.simple(1), other.simple(1)
-    X, Y = make_KP(cat, S), make_KP(other, T)
+    X, Y = contractible(cat, S, 0, 2), contractible(other, T, 0, 2)
     assert S.signature() == T.signature() and X.signature() == Y.signature()
     tools = Cx2Tools(cat)
     for call in (lambda: cat.is_isomorphic(S, T), lambda: cat.aut_count(T),

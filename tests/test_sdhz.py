@@ -9,7 +9,7 @@ from quiverhall.quiver import a_n_quiver
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import CoeffScalar, q_power
 from quiverhall.cx2 import direct_sum
-from quiverhall.sdhz import SDHZAlgebra, stalk_cxb
+from quiverhall.sdhz import CxB, SDHZAlgebra, stalk_cxb
 from quiverhall.suites import suite_euler_lemmas, suite_presentation_uv
 
 
@@ -31,8 +31,7 @@ def class_of_stalk_sum(alg, stalks):
     W = direct_sum(W_parts)
     for A, m in stalks:
         P1A, P0A, incl, _ = cat.min_proj_resolution(A)
-        from quiverhall.sdhz import two_term_cxb
-        parts_R.append(two_term_cxb(cat, m - 1, P1A, P0A, incl))
+        parts_R.append(CxB(cat, m - 1, [P1A, P0A], [incl]))
         if not P1A.is_zero():
             ell = alg.lattice_add(ell, ((m - 1, alg.coords(P1A.dim)),))
     R = direct_sum(parts_R)
