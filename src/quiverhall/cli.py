@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--suite", choices=sorted(SUITES), help="verification suite")
     mode.add_argument("--table", action="store_true",
                       help="emit the structure-constant table")
-    p.add_argument("--bound", type=int, default=3,
+    p.add_argument("--bound", type=int, default=None,
                    help="total dimension bound for --table (default 3)")
     p.add_argument("--samples", type=int, default=20,
                    help="sample count for randomized suites (default 20)")
@@ -87,12 +87,15 @@ def main(argv=None) -> int:
             raise EngineError("--perturb applies only to --suite quantum-group")
         if args.sink is not None and args.suite != "reflection":
             raise EngineError("--sink applies only to --suite reflection")
+        if args.bound is not None and not args.table:
+            raise EngineError("--bound applies only to --table")
+        bound = 3 if args.bound is None else args.bound
         with open(args.quiver, "r", encoding="utf-8") as fh:
             quiver = Quiver.from_json(fh.read())
         check_prime(args.q)
         if args.samples < 1:
             raise EngineError("--samples must be >= 1")
-        if args.bound < 0:
+        if bound < 0:
             raise EngineError("--bound must be >= 0")
         cat = RepCategory(quiver, args.q)
     except (OSError, ValueError, EngineError, json.JSONDecodeError) as exc:
@@ -101,7 +104,7 @@ def main(argv=None) -> int:
 
     try:
         if args.table:
-            text, code = _table_text(table_rows(cat, args.bound), args.format), 0
+            text, code = _table_text(table_rows(cat, bound), args.format), 0
         else:
             sink = args.sink
             if args.suite == "reflection" and sink is None:

@@ -24,7 +24,7 @@ from itertools import islice
 from .errors import ConversionMismatch
 from .linalg import FpMatrix, coset_points
 from .reps import IsoClassKey, RepCategory, RepMorphism, check_scan
-from .scalars import CoeffScalar, LinComb, bilinear, v_power
+from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
 
 
 def _hall_str(terms) -> str:
@@ -129,11 +129,12 @@ class HallAlgebra:
         the inverse of _riedtmann_value.  A √q part or a value that is not a
         non-negative integer raises ConversionMismatch: it can only be an
         engine bug."""
-        g = const.a * self.aut_count(middle) / (self.aut_count(top) * self.aut_count(bottom))
-        if const.b or g < 0 or g.denominator != 1:
+        g, r = divmod(const.A * self.aut_count(middle),
+                      const.D * self.aut_count(top) * self.aut_count(bottom))
+        if const.B or g < 0 or r:
             raise ConversionMismatch(f"Riedtmann Hall number from constant {const} "
                                      f"is not a non-negative integer at middle {middle.label}")
-        return int(g)
+        return g
 
     def _should_cross_check(self, top, bottom, middle) -> bool:
         if self.cross_check == "always":
@@ -145,15 +146,16 @@ class HallAlgebra:
         """[top] o [bottom] expanded in the basis."""
         counts = self.ext_class_counts(top, bottom)
         hom = self.cat.hom_dim(top.rep, bottom.rep)
+        inv = q_power(self.q, -hom)
         terms = {}
         for mid, n in counts.items():
-            val = Fraction(n, self.q ** hom)
+            val = inv.scale(n)
             if self._should_cross_check(top, bottom, mid):
                 conv = self._riedtmann_value(top, bottom, mid)
-                if conv != val:
+                if CoeffScalar.of(self.q, conv) != val:
                     raise ConversionMismatch(
                         f"structure constant mismatch at middle {mid.label}")
-            terms[mid] = CoeffScalar.of(self.q, val)
+            terms[mid] = val
         return self.element(terms)
 
     # -- products ----------------------------------------------------------

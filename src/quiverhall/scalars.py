@@ -3,11 +3,18 @@
 Every coefficient in the engine is an element a + b*v with v = sqrt(q) and
 a, b rational.  Since q is prime, v is irrational and the pair (a, b) is
 unique, so equality of scalars is equality of the pairs.  No floats anywhere.
+
+A scalar is stored as three ints, x = (A + B*v) / D, kept in lowest terms:
+D > 0 and gcd(A, B, D) = 1 after every operation (zero is (0, 0, 1)).  The
+triple is then unique too, so == and hash compare the ints, and a ring
+operation is integer arithmetic and one gcd.  The rational parts a = A/D
+and b = B/D are read as Fractions on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import PreconditionError
 
@@ -24,49 +31,89 @@ def check_prime(p: int) -> int:
     return p
 
 
-_ZERO = Fraction(0)
+def _rational(value) -> tuple:
+    """(numerator, denominator > 0) of an exact rational: an int, a Fraction
+    or anything Fraction() reads exactly, such as "1/3".  A float is
+    rejected: its binary value is rarely the rational that was meant."""
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, float):
+        raise PreconditionError(f"scalars are exact; got the float {value!r}")
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) prints it (d > 0)."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 class CoeffScalar:
-    """An element a + b*sqrt(q) of Q(sqrt(q)), stored exactly."""
+    """An element (A + B*sqrt(q)) / D of Q(sqrt(q)), stored exactly in
+    lowest terms (module docstring)."""
 
-    __slots__ = ("q", "a", "b")
+    __slots__ = ("q", "A", "B", "D")
 
     def __init__(self, q: int, a=0, b=0):
-        self.q = q
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        (na, da), (nb, db) = _rational(a), _rational(b)
+        CoeffScalar._set(self, q, na * db, nb * da, da * db)
 
     @staticmethod
-    def _trusted(q: int, a: Fraction, b: Fraction) -> "CoeffScalar":
-        """A scalar from components that are already Fractions, without the
+    def _set(x: "CoeffScalar", q: int, A: int, B: int, D: int) -> "CoeffScalar":
+        """Store (A + B*v) / D into x in lowest terms; D must be > 0."""
+        if D != 1:
+            g = gcd(A, B, D)
+            if g != 1:
+                A //= g
+                B //= g
+                D //= g
+        x.q = q
+        x.A = A
+        x.B = B
+        x.D = D
+        return x
+
+    @staticmethod
+    def _new(q: int, A: int, B: int, D: int) -> "CoeffScalar":
+        """The scalar (A + B*v) / D, for ints with D > 0, without the
         coercion of the public constructor; the ring operations build their
         results this way."""
-        x = object.__new__(CoeffScalar)
-        x.q = q
-        x.a = a
-        x.b = b
-        return x
+        return CoeffScalar._set(object.__new__(CoeffScalar), q, A, B, D)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(q: int) -> "CoeffScalar":
-        return CoeffScalar(q, 0, 0)
+        return CoeffScalar._new(q, 0, 0, 1)
 
     @staticmethod
     def one(q: int) -> "CoeffScalar":
-        return CoeffScalar(q, 1, 0)
+        return CoeffScalar._new(q, 1, 0, 1)
 
     @staticmethod
     def of(q: int, value) -> "CoeffScalar":
         """Rational value as a scalar."""
-        return CoeffScalar(q, Fraction(value), 0)
+        n, d = _rational(value)
+        return CoeffScalar._new(q, n, 0, d)
+
+    # -- parts ----------------------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part a of a + b*v."""
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient b of v in a + b*v."""
+        return Fraction(self.B, self.D)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.A and not self.B
 
     # -- ring operations ----------------------------------------------
 
@@ -76,42 +123,50 @@ class CoeffScalar:
 
     def __add__(self, other: "CoeffScalar") -> "CoeffScalar":
         self._check(other)
-        return CoeffScalar._trusted(self.q, self.a + other.a, self.b + other.b)
+        D, F = self.D, other.D
+        if D == F:
+            return CoeffScalar._new(self.q, self.A + other.A, self.B + other.B, D)
+        return CoeffScalar._new(self.q, self.A * F + other.A * D,
+                                self.B * F + other.B * D, D * F)
 
     def __sub__(self, other: "CoeffScalar") -> "CoeffScalar":
         self._check(other)
-        return CoeffScalar._trusted(self.q, self.a - other.a, self.b - other.b)
+        D, F = self.D, other.D
+        if D == F:
+            return CoeffScalar._new(self.q, self.A - other.A, self.B - other.B, D)
+        return CoeffScalar._new(self.q, self.A * F - other.A * D,
+                                self.B * F - other.B * D, D * F)
 
     def __neg__(self) -> "CoeffScalar":
-        return CoeffScalar._trusted(self.q, -self.a, -self.b)
+        x = object.__new__(CoeffScalar)
+        x.q, x.A, x.B, x.D = self.q, -self.A, -self.B, self.D
+        return x
 
     def __mul__(self, other: "CoeffScalar") -> "CoeffScalar":
         self._check(other)
-        a, b, c, d, q = self.a, self.b, other.a, other.b, self.q
+        A, B, C, E, q = self.A, self.B, other.A, other.B, self.q
         # Most engine scalars are pure rationals or pure multiples of v, so
-        # the products with a zero component are skipped.
-        if not b:
-            return CoeffScalar._trusted(q, a * c, a * d)
-        if not d:
-            return CoeffScalar._trusted(q, a * c, b * c)
-        if not a:
-            return CoeffScalar._trusted(q, q * b * d, b * c)
-        if not c:
-            return CoeffScalar._trusted(q, q * b * d, a * d)
-        return CoeffScalar._trusted(q, a * c + q * b * d, a * d + b * c)
+        # the products with a zero part are skipped.
+        if not B:
+            return CoeffScalar._new(q, A * C, A * E, self.D * other.D)
+        if not E:
+            return CoeffScalar._new(q, A * C, B * C, self.D * other.D)
+        return CoeffScalar._new(q, A * C + q * B * E, A * E + B * C, self.D * other.D)
 
     def scale(self, r) -> "CoeffScalar":
-        if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
-        return CoeffScalar._trusted(self.q, self.a * r, self.b * r)
+        n, d = _rational(r)
+        return CoeffScalar._new(self.q, self.A * n, self.B * n, self.D * d)
 
     def inverse(self) -> "CoeffScalar":
-        # (a + b v)^(-1) = (a - b v) / (a^2 - q b^2); the norm is nonzero
-        # for (a, b) != (0, 0) because sqrt(q) is irrational.
+        # ((A + B v) / D)^(-1) = D (A - B v) / (A^2 - q B^2); the norm is
+        # nonzero for (A, B) != (0, 0) because sqrt(q) is irrational.
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        norm = self.a * self.a - self.q * self.b * self.b
-        return CoeffScalar._trusted(self.q, self.a / norm, -self.b / norm)
+        A, B, D = self.A, self.B, self.D
+        norm = A * A - self.q * B * B
+        if norm < 0:
+            norm, D = -norm, -D
+        return CoeffScalar._new(self.q, D * A, -D * B, norm)
 
     def __truediv__(self, other: "CoeffScalar") -> "CoeffScalar":
         return self * other.inverse()
@@ -134,12 +189,13 @@ class CoeffScalar:
         return (
             isinstance(other, CoeffScalar)
             and self.q == other.q
-            and self.a == other.a
-            and self.b == other.b
+            and self.A == other.A
+            and self.B == other.B
+            and self.D == other.D
         )
 
     def __hash__(self):
-        return hash((self.q, self.a, self.b))
+        return hash((self.q, self.A, self.B, self.D))
 
     def __repr__(self) -> str:
         return f"CoeffScalar(q={self.q}, {self})"
@@ -148,31 +204,35 @@ class CoeffScalar:
         return format_scalar(self)
 
 
-_q_powers = {}
+_v_powers = {}
+
+
+def v_power(q: int, e: int) -> CoeffScalar:
+    """v**e with v = sqrt(q), for integer e (possibly negative).
+
+    Results are memoised per (q, e); scalars are immutable, so callers may
+    share them."""
+    x = _v_powers.get((q, e))
+    if x is None:
+        k, odd = divmod(e, 2)         # v^e = v^odd * q^k
+        num, den = (q ** k, 1) if k >= 0 else (1, q ** -k)
+        x = _v_powers[(q, e)] = (CoeffScalar._new(q, 0, num, den) if odd
+                                 else CoeffScalar._new(q, num, 0, den))
+    return x
 
 
 def q_power(q: int, m) -> CoeffScalar:
     """q**m for m in (1/2)Z, exactly.  q_power(1/2) is v = sqrt(q).
 
-    Results are memoised per (q, m); scalars are immutable, so callers may
-    share them.  A rejected exponent is never stored."""
-    x = _q_powers.get((q, m))
-    if x is not None:
-        return x
-    e = Fraction(m)
-    if e.denominator == 1:
-        x = CoeffScalar._trusted(q, Fraction(q) ** e.numerator, _ZERO)
-    elif e.denominator == 2:
-        x = CoeffScalar._trusted(q, _ZERO, Fraction(q) ** int(e - Fraction(1, 2)))
-    else:
-        raise PreconditionError(f"q_power exponent must be a half-integer, got {e}")
-    _q_powers[(q, m)] = x
-    return x
-
-
-def v_power(q: int, e: int) -> CoeffScalar:
-    """v**e with v = sqrt(q), for integer e (possibly negative)."""
-    return q_power(q, Fraction(e, 2))
+    Results are shared with v_power's memo; a rejected exponent is never
+    stored."""
+    if isinstance(m, int):
+        return v_power(q, 2 * m)
+    if not isinstance(m, Fraction):
+        m = Fraction(m)
+    if m.denominator > 2:
+        raise PreconditionError(f"q_power exponent must be a half-integer, got {m}")
+    return v_power(q, m.numerator * (2 // m.denominator))
 
 
 def v_binomial(q: int, n: int, k: int) -> CoeffScalar:
@@ -289,15 +349,15 @@ def format_scalar(x: CoeffScalar) -> str:
     if x.is_zero():
         return "0"
     parts = []
-    if x.a != 0:
-        parts.append(str(x.a))
-    if x.b != 0:
-        if x.b == 1:
+    if x.A:
+        parts.append(_ratio_str(x.A, x.D))
+    if x.B:
+        if x.B == x.D:
             bs = "v"
-        elif x.b == -1:
+        elif x.B == -x.D:
             bs = "-v"
         else:
-            bs = f"{x.b}*v"
+            bs = f"{_ratio_str(x.B, x.D)}*v"
         if parts and not bs.startswith("-"):
             parts.append("+" + bs)
         else:

@@ -82,7 +82,6 @@ of which has homology in two or more degrees needs no such enumeration:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cx2 import Cx2Tools, zero_complex
@@ -261,9 +260,17 @@ class SemiDerivedAlgebra:
 
     def _product_terms(self, t1, t2) -> dict:
         """The product of two basis terms, as a fresh {term: coefficient}
-        dict.  [R1] . [R2] is cached per homology-key pair (_key_pair); the
-        torus twist of g1, g2 against each term's acyclic part is applied
-        here, per call."""
+        dict (_product_exponents)."""
+        q = self.q
+        return {t: c * q_power(q, e) if e else c
+                for t, c, e in self._product_exponents(t1, t2)}
+
+    def _product_exponents(self, t1, t2):
+        """The product of two basis terms as (term, c, e) items: it is the sum
+        of c * q^e * term.  [R1] . [R2] is cached per homology-key pair
+        (_key_pair), and c is its coefficient; the torus twist of g1, g2
+        against each term's acyclic part is the integer e, computed here,
+        per call."""
         g1, k1 = t1
         g2, k2 = t2
         hom, terms = self._key_pair(k1, k2)
@@ -271,11 +278,8 @@ class SemiDerivedAlgebra:
         base_exp = (self.exp_g_Y(g2, R1) - self.exp_Y_g(R1, g2)
                     - self.exp_g_h(g1, g2) - hom)
         g12 = self.lattice_add(g1, g2)
-        out = {}
         for (ell, key), c in terms:
-            e = base_exp - self.exp_g_h(g12, ell)
-            out[(self.lattice_add(g12, ell), key)] = c * q_power(self.q, e) if e else c
-        return out
+            yield (self.lattice_add(g12, ell), key), c, base_exp - self.exp_g_h(g12, ell)
 
     def _key_pair(self, k1, k2) -> tuple:
         """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
@@ -315,7 +319,7 @@ class SemiDerivedAlgebra:
         hom = self.tools.hom_dim(RA, RB)
         gAB = self.lattice_add(gA, gB)
         base = self.exp_g_Y(gB, RA) - self.exp_Y_g(RA, gB) - self.exp_g_h(gA, gB) - hom
-        scale = (cA * cB).inverse().scale(Fraction(1, q ** self.cat.hom_dim(A.rep, B.rep)))
+        scale = (cA * cB).inverse() * q_power(q, -self.cat.hom_dim(A.rep, B.rep))
         neg = self._lattice_neg(gAB)
         terms = []
         for C, count in self.hall.ext_class_counts(A, B).items():

@@ -177,7 +177,41 @@ class SDH2Algebra(SemiDerivedAlgebra):
         return self.element({((c, z), key): coeff for (c, key), coeff in x.terms.items()})
 
     def reduced_product(self, x: LinComb, y: LinComb) -> LinComb:
-        return self.reduce(self.twisted_product2(self.lift(x), self.lift(y)))
+        """The product of the reduced twisted algebra,
+        reduce(twisted_product2(lift(x), lift(y))), in one pass.
+
+        Lift the reduced terms s, t to the K-slot as s', t'.  twisted_product2
+        gives s' * t' = sum of v^cw c q^e T_(a,b) . [R_key], with cw =
+        cw_exponent(s', t') and (T_(a,b) . [R_key], c, e) running over
+        _product_exponents(s', t').  reduce takes T_(a,b) . [R_key] to
+        q^(-<B, R_key^0 + R_key^1>) times the reduced term (a - b, key), B the
+        class of b.  So each item adds c * v^n to (a - b, key), with the one
+        integer exponent
+
+            n = cw + 2 (e - <B, R_key^0 + R_key^1>),
+
+        and its scalar is multiplied once, by v^n, instead of once per stage.
+        The composed route is the oracle of this one (tests/test_sdh2.py).
+        """
+        q, z = self.q, self._zero
+        euler = self.cat.euler_form_int
+
+        def lifted(terms):
+            """{reduced term: (lifted term, its component classes)}."""
+            out = {}
+            for c, key in terms:
+                t = ((c, z), key)
+                out[c, key] = (t, self.comp_classes(t))
+            return out
+        lx, ly = lifted(x.terms), lifted(y.terms)
+
+        def pair(s, t):
+            (s2, cs), (t2, ct) = lx[s], ly[t]
+            cw = self._cw(cs, ct)
+            for ((a, b), key), c, e in self._product_exponents(s2, t2):
+                n = cw + 2 * (e - euler(self.dim_of_coords(b), self._comp_sum(key)))
+                yield (tuple(i - j for i, j in zip(a, b)), key), c * v_power(q, n) if n else c
+        return bilinear(x, y, pair)
 
     def reduced_star(self, x: LinComb) -> LinComb:
         """Shift involution on the reduced algebra.

@@ -5,6 +5,7 @@ take it as their first argument.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
@@ -16,6 +17,68 @@ from quiverhall.reflection import SinkReflection
 from quiverhall.reps import Rep, RepCategory, RepMorphism, check_count, check_scan
 from quiverhall.scalars import LinComb, bilinear, q_power, v_power
 from quiverhall.sdh2 import SDH2Algebra
+
+
+class FractionScalar:
+    """a + b*sqrt(q) with a, b Fractions: the reference for the integer
+    scalars.CoeffScalar.  Each ring operation is the textbook formula on the
+    pair (a, b), which is unique because sqrt(q) is irrational."""
+
+    __slots__ = ("q", "a", "b")
+
+    def __init__(self, q: int, a=0, b=0):
+        self.q, self.a, self.b = q, Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return FractionScalar(self.q, self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return FractionScalar(self.q, self.a - o.a, self.b - o.b)
+
+    def __neg__(self):
+        return FractionScalar(self.q, -self.a, -self.b)
+
+    def __mul__(self, o):
+        return FractionScalar(self.q, self.a * o.a + self.q * self.b * o.b,
+                              self.a * o.b + self.b * o.a)
+
+    def scale(self, r):
+        return FractionScalar(self.q, self.a * Fraction(r), self.b * Fraction(r))
+
+    def inverse(self):
+        norm = self.a * self.a - self.q * self.b * self.b
+        return FractionScalar(self.q, self.a / norm, -self.b / norm)
+
+    def __eq__(self, o):
+        return (self.q, self.a, self.b) == (o.q, o.a, o.b)
+
+    def __hash__(self):
+        return hash((self.q, self.a, self.b))
+
+    def __str__(self):
+        return format_fraction_scalar(self)
+
+
+def format_fraction_scalar(x: FractionScalar) -> str:
+    """The rendering scalars.format_scalar must reproduce: '1', '-1/2', 'v',
+    '1/2+3*v', with each part printed as its Fraction."""
+    if not x.a and not x.b:
+        return "0"
+    parts = []
+    if x.a != 0:
+        parts.append(str(x.a))
+    if x.b != 0:
+        if x.b == 1:
+            bs = "v"
+        elif x.b == -1:
+            bs = "-v"
+        else:
+            bs = f"{x.b}*v"
+        if parts and not bs.startswith("-"):
+            parts.append("+" + bs)
+        else:
+            parts.append(bs)
+    return "".join(parts)
 
 
 def stalk_cx2(cat: RepCategory, A: Rep, degree: int) -> Complex:
@@ -74,6 +137,13 @@ def block_direct_sum(cat: RepCategory, reps: list) -> Rep:
 def hall_product(alg: HallAlgebra, x: LinComb, y: LinComb) -> LinComb:
     """The untwisted Hall product x o y."""
     return bilinear(x, y, lambda a, b: alg.product_pair(a, b).terms.items())
+
+
+def composed_reduced_product(alg: SDH2Algebra, x: LinComb, y: LinComb) -> LinComb:
+    """x * y in the reduced twisted algebra by the composed route: lift both
+    factors to the K-slot, multiply there and reduce.  The reference for
+    SDH2Algebra.reduced_product, which does the three stages in one pass."""
+    return alg.reduce(alg.twisted_product2(alg.lift(x), alg.lift(y)))
 
 
 def reduce_against_rows(p: int, rows: list, v: Iterable[int]) -> tuple:

@@ -260,6 +260,16 @@ def test_table_vect(quiver_files, capsys):
     assert kk[0]["A"] == kk[0]["B"] == "M[1]"
 
 
+def test_table_bound_defaults_to_three(quiver_files, capsys):
+    outs = []
+    for bound in ([], ["--bound", "3"]):
+        assert main(["--quiver", quiver_files["a2"], "--q", "2", "--table", *bound]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    dims = {r["C"].split("]")[0] for r in json.loads(outs[0])}
+    assert "M[3,0" in dims and "M[4,0" not in dims
+
+
 def test_table_a2_q3(quiver_files, capsys):
     a2q3 = main(["--quiver", quiver_files["a2"], "--q", "3",
                  "--table", "--bound", "2"])
@@ -313,10 +323,12 @@ def test_reflection_rejects_sink_out_of_range(quiver_files, capsys, sink):
     (["--table"], ["--perturb"], "--perturb applies only to --suite quantum-group"),
     (["--suite", "quantum-group"], ["--sink", "2"], "--sink applies only to --suite reflection"),
     (["--table"], ["--sink", "2"], "--sink applies only to --suite reflection"),
+    (["--suite", "ringel"], ["--bound", "5"], "--bound applies only to --table"),
+    (["--suite", "quantum-group"], ["--bound", "3"], "--bound applies only to --table"),
 ])
 def test_flags_the_mode_ignores_are_bad_input(quiver_files, capsys, mode, flag, message):
-    """A negative control that controls nothing, or a sink no suite reads,
-    would otherwise exit 0 as if it had been honoured."""
+    """A negative control that controls nothing, or a sink or a bound no
+    suite reads, would otherwise exit 0 as if it had been honoured."""
     code = main(["--quiver", quiver_files["a2"], "--q", "2"] + mode + flag)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"

@@ -1,10 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from oracles import FractionScalar
 from quiverhall.errors import PreconditionError
 from quiverhall.scalars import CoeffScalar, check_prime, q_power, v_power
+
+# Every prime size class the engine meets, up to the largest check_prime takes.
+PRIMES = (2, 3, 5, 7, 11, 13, 97)
 
 
 def test_sqrt2_difference_of_squares():
@@ -141,3 +146,132 @@ def test_mixing_q_raises():
     for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
         with pytest.raises(PreconditionError, match="mixing scalars"):
             op()
+
+
+def _canonical(x):
+    """x after asserting the stored invariant: (A + B*v) / D in ints, with
+    D > 0 and gcd(A, B, D) = 1."""
+    assert all(type(t) is int for t in (x.A, x.B, x.D))
+    assert x.D > 0 and gcd(x.A, x.B, x.D) == 1
+    return x
+
+
+def _v_oracle(q, e):
+    """v^e as a FractionScalar, from the exponent alone."""
+    k, odd = divmod(e, 2)
+    qk = Fraction(q) ** k
+    return FractionScalar(q, 0, qk) if odd else FractionScalar(q, qk, 0)
+
+
+def _draw(rng, q):
+    """A random scalar and the same value as a FractionScalar, built apart:
+    (a + b*v) times, half the time, v to a large power."""
+    def part():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    a, b = part(), part()
+    x, ox = CoeffScalar(q, a, b), FractionScalar(q, a, b)
+    if rng.random() < 0.5:
+        e = rng.randint(-40, 40)
+        x, ox = x * v_power(q, e), ox * _v_oracle(q, e)
+    return _canonical(x), ox
+
+
+def _agrees(x, ox) -> bool:
+    return (x.q, x.a, x.b) == (ox.q, ox.a, ox.b) and str(x) == str(ox)
+
+
+def test_v_power_matches_fraction_oracle():
+    for q in PRIMES:
+        for e in range(-60, 61):
+            assert _agrees(_canonical(v_power(q, e)), _v_oracle(q, e))
+            if e % 2 == 0:
+                assert q_power(q, e // 2) is v_power(q, e)
+            assert q_power(q, Fraction(e, 2)) is v_power(q, e)
+
+
+def test_ring_ops_match_fraction_oracle_seeded():
+    rng = random.Random(24)
+    for _ in range(600):
+        q = rng.choice(PRIMES)
+        (x, ox), (y, oy) = _draw(rng, q), _draw(rng, q)
+        r = rng.choice((0, 1, -3, q ** 9, Fraction(-2, 9), Fraction(5, q ** 7), "7/6"))
+        cases = [(x + y, ox + oy), (x - y, ox - oy), (-x, -ox), (x * y, ox * oy),
+                 (x.scale(r), ox.scale(r))]
+        if not x.is_zero():
+            cases += [(x.inverse(), ox.inverse()), (y / x, oy * ox.inverse()),
+                      (x ** -3, ox.inverse() * ox.inverse() * ox.inverse())]
+        for got, want in cases:
+            assert _agrees(_canonical(got), want)
+        assert x.is_zero() == (not ox.a and not ox.b)
+        assert (x == y) == (ox == oy)
+        assert (x + y == y + x) and hash(x + y) == hash(y + x)
+
+
+def test_format_matches_fraction_oracle():
+    for q in (2, 97):
+        for a in (0, 1, -1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 6)):
+            for b in (0, 1, -1, 3, Fraction(-1, 2), Fraction(5, 9), Fraction(-9, 6)):
+                x = CoeffScalar(q, a, b)
+                assert str(x) == str(FractionScalar(q, a, b))
+                assert str(x * v_power(q, 31)) == str(FractionScalar(q, a, b) * _v_oracle(q, 31))
+
+
+def test_equal_values_by_different_routes_hash_equal():
+    rng = random.Random(31)
+    for _ in range(300):
+        q = rng.choice(PRIMES)
+        (x, ox), (y, _oy) = _draw(rng, q), _draw(rng, q)
+        if x.is_zero() or y.is_zero():
+            continue
+        r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        e = rng.randint(-30, 30)
+        routes = [
+            CoeffScalar(q, ox.a, ox.b),
+            CoeffScalar(q, str(ox.a), str(ox.b)),
+            x.scale(r).scale(1 / r),
+            x.inverse().inverse(),
+            x * y * y.inverse(),
+            (x + x).scale(Fraction(1, 2)),
+            x * v_power(q, e) * v_power(q, -e),
+            -(-x),
+            x + y - y,
+        ]
+        for z in routes:
+            assert z == x and hash(z) == hash(x)
+            _canonical(z)
+    assert hash(CoeffScalar.of(5, Fraction(6, 4))) == hash(CoeffScalar(5, 3).scale(Fraction(1, 2)))
+
+
+def test_ring_ops_build_no_fraction(monkeypatch):
+    q = 7
+    x, y = CoeffScalar(q, Fraction(1, 3), -2), CoeffScalar(q, 5, Fraction(2, 21))
+    r = Fraction(3, 7)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: -x, lambda: x.inverse(),
+               lambda: x.scale(4), lambda: x.scale(r), lambda: x / y, lambda: x == y,
+               lambda: hash(x), lambda: str(x), lambda: CoeffScalar.of(q, r),
+               lambda: v_power(q, 77), lambda: q_power(q, -5)):
+        op()
+    monkeypatch.undo()
+    assert built == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CoeffScalar(2, 0.1),
+    lambda: CoeffScalar(2, 1, 0.5),
+    lambda: CoeffScalar.of(2, 0.25),
+    lambda: CoeffScalar.one(2).scale(0.1),
+])
+def test_floats_are_rejected(build):
+    """A float is rarely the rational meant (0.1 is 3602879701896397/2^55)."""
+    with pytest.raises(PreconditionError, match="exact"):
+        build()

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import classify_acyclic_indec, is_acyclic, stalk_cx2
+from oracles import classify_acyclic_indec, composed_reduced_product, is_acyclic, stalk_cx2
 from quiverhall.cx2 import (
     contractible,
     direct_sum,
@@ -10,6 +12,7 @@ from quiverhall.cx2 import (
 )
 from quiverhall.hall import HallAlgebra
 from quiverhall.quiver import Quiver, a_n_quiver
+from quiverhall.reflection import SinkReflection
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import CoeffScalar, q_power, v_power
 from quiverhall.sdh2 import SDH2Algebra
@@ -367,3 +370,77 @@ def test_embedding_minus_side():
             for C, c in hall.twisted_product(hall.cls(A), hall.cls(B)).terms.items():
                 img = img + alg.F_class(C.rep).scale_scalar(c)
             assert (lhs - img).is_zero()
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_quivers"
+
+
+@pytest.mark.parametrize("name, p", [("a2", 2), ("a2", 3), ("a2", 13), ("a3", 2),
+                                     ("kronecker", 3), ("d4", 2)])
+def test_fused_reduced_product_matches_composed_route(monkeypatch, name, p):
+    """Every reduced product the quantum-group and reflection suites take
+    equals lift, twisted_product2 and reduce composed, term for term."""
+    fused = SDH2Algebra.reduced_product
+    checked = []
+
+    def cross_checked(alg, x, y):
+        got = fused(alg, x, y)
+        assert got.terms == composed_reduced_product(alg, x, y).terms
+        checked.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(SDH2Algebra, "reduced_product", cross_checked)
+    quiver = Quiver.from_json((EXAMPLES / f"{name}.json").read_text())
+    cat = RepCategory(quiver, p)
+    rows = SDH2Algebra(cat).verify_quantum_group()
+    for sink in range(1, quiver.n + 1):
+        if quiver.is_sink(sink) and quiver.arrows_into(sink):
+            rows += SinkReflection(cat, sink).checks()
+    assert rows and all(r[1] == "pass" for r in rows)
+    assert len(checked) > 20 and max(checked) > 1
+
+
+def _reduced_pool(alg):
+    """Reduced images of stalk, torus and two-sided classes of A2."""
+    cat = alg.cat
+    reps = [cat.simple(1), cat.simple(2), cat.projective(1)]
+    out = [alg.reduce(alg.E_class(M)) for M in reps]
+    out += [alg.reduce(alg.F_class(M)) for M in reps]
+    out += [alg.reduce(alg.K_class(cat.simple(1).dim)),
+            alg.reduce(alg.Kstar_class(cat.simple(2).dim))]
+    out += [alg.reduce(alg.element_of(minimal_complex(cat, A, B)))
+            for A in reps for B in reps]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fused_reduced_product_on_multi_term_elements_seeded(monkeypatch, p):
+    """Random combinations with coefficients in Q(v), and their products,
+    multiply as by the composed route; the fused route never builds the
+    unreduced product."""
+    cat = a2(p)
+    alg = SDH2Algebra(cat)
+    pool = _reduced_pool(alg)
+    rng = random.Random(40 + p)
+
+    def combination():
+        out = alg.reduced_zero()
+        for x in rng.sample(pool, rng.randint(2, 4)):
+            c = CoeffScalar(p, Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2))
+            out += x.scale_scalar(c * v_power(p, rng.randint(-6, 6)))
+        return out
+
+    pairs = []
+    for _ in range(6):
+        x, y = combination(), combination()
+        pairs += [(x, y), (alg.reduced_product(x, y), combination())]
+    wants = [composed_reduced_product(alg, x, y) for x, y in pairs]
+
+    def refuse(*_args):
+        raise AssertionError("reduced_product called twisted_product2")
+
+    monkeypatch.setattr(SDH2Algebra, "twisted_product2", refuse)
+    for (x, y), want in zip(pairs, wants):
+        got = alg.reduced_product(x, y)
+        assert got.terms == want.terms
+    assert max(len(w.terms) for w in wants) > 4
