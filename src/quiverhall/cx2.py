@@ -19,8 +19,9 @@ this protocol alone: hom_equations (the chain-map equations in the flat layout
 of _layout) and morphism (flat entries split by degree into a ChainMorphism).
 On top of them it solves homotopies, homology, extension classes and their
 middle terms, and builds sub- and quotient complexes.  The contractible
-complexes P = P and minimal projective-component representatives of Z/2
-quasi-isomorphism classes also live here; chain-map bases, coefficient
+complexes P = P and the resolution complexes P1(A) -> P0(A) of either
+grading, whose direct sums represent the homology classes of both
+semi-derived algebras, also live here; chain-map bases, coefficient
 combinations, images and kernels, Krull-Schmidt decomposition, isomorphism
 tests, automorphism and hom-space counts, sub-complex enumeration and Hall
 numbers are those of reps.KrullSchmidt.  The semi-derived algebras are in sdh
@@ -41,7 +42,7 @@ from .reps import (
     RepCategory,
     RepMorphism,
     check_scan,
-    corestrict,
+    echelon_coords,
 )
 
 # The hard degree window of Z-graded complexes: building one with a nonzero
@@ -255,23 +256,33 @@ def direct_sum(parts: list):
 
 
 def _homology_at(cat: RepCategory, comp: Rep, d_out: RepMorphism, d_in: RepMorphism) -> Rep:
-    """ker d_out / im d_in at one component."""
-    K, incl = cat.sub_rep(comp, cat.kernel_subspaces(d_out))
-    d_in = corestrict(d_in, incl)
-    if d_in is None:
-        raise ShapeError("image not inside kernel (engine bug)")
-    return cat.quotient_object(K, cat.image_subspaces(d_in))
+    """ker d_out / im d_in at one component.  At each vertex the image of
+    d_in is read in the kernel's reduced echelon rows U: the echelon_coords
+    of each reduced echelon image row.  These coordinate rows are in reduced
+    echelon form already: an image row in span(U) leads at the lead of its
+    first nonzero coordinate, and it is 0 at the other image rows' leads."""
+    U = cat.kernel_subspaces(d_out)
+    image = []
+    for rows, im in zip(U, cat.image_subspaces(d_in)):
+        read = [echelon_coords(cat.p, rows, v) for v in im]
+        if any(any(residual) for _, residual in read):
+            raise ShapeError("image not inside kernel (engine bug)")
+        image.append(tuple(coords for coords, _ in read))
+    return cat.quotient_object(cat.sub_object(comp, U), tuple(image))
+
+
+def resolution(cat: RepCategory, A: Rep, m: int, period: int = None) -> Complex:
+    """The minimal projective resolution P1(A) -> P0(A) of A in degrees
+    m - 1, m of the grading with this period, valid by construction: the
+    representative of the stalk class of A in degree m."""
+    P1, P0, incl, _ = cat.min_proj_resolution(A)
+    return Complex._trusted(cat, m - 1, (P1, P0), (incl,), period)
 
 
 def minimal_complex(cat: RepCategory, A: Rep, B: Rep) -> Complex:
-    """Minimal Z/2 projective-component complex with homology (A, B): res(A)
-    plus the shift of res(B), where res(H) = (P0(H) <-> P1(H)) with d0 = 0
-    and d1 the inclusion of the minimal projective resolution of H, all valid
-    by construction."""
-    def res(H):
-        P1, P0, incl, _ = cat.min_proj_resolution(H)
-        return Complex._trusted(cat, 0, (P0, P1), (cat.zero_map(P0, P1), incl), 2)
-    return direct_sum([res(A), res(B).shift()])
+    """Minimal Z/2 projective-component complex with homology (A, B): the
+    resolution of A in degree 0 plus that of B in degree 1."""
+    return direct_sum([resolution(cat, A, 0, 2), resolution(cat, B, 1, 2)])
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,8 @@ class Rep:
             raise ShapeError("one matrix per arrow required")
         for a, (s, t) in enumerate(quiver.arrows):
             m = maps[a]
+            if m.p != p:
+                raise CategoryMismatch(f"map for arrow {a} is over F_{m.p}, expected F_{p}")
             if m.rows != self.dim[t - 1] or m.cols != self.dim[s - 1]:
                 raise ShapeError(f"map for arrow {a} has shape {m.rows}x{m.cols}, "
                                  f"expected {self.dim[t-1]}x{self.dim[s-1]}")
@@ -1038,21 +1040,6 @@ def maps_into(p: int, maps, U) -> bool:
     rows U[s] into the span of U[t]: the one stability test of sub-objects."""
     return not any(any(echelon_coords(p, U[t], f.mul_vec(row))[1])
                    for f, s, t in maps for row in U[s])
-
-
-def corestrict(f: RepMorphism, incl: RepMorphism) -> Optional[RepMorphism]:
-    """The g with incl o g = f, for an inclusion incl whose columns at each
-    vertex are reduced echelon rows (as sub_rep builds it), or None when f
-    does not factor through it."""
-    p = f.dom.p
-    mats = []
-    for e, m in zip(incl.mats, f.mats):
-        rows = e.transpose().data
-        read = [echelon_coords(p, rows, col) for col in m.transpose().data]
-        if any(any(residual) for _, residual in read):
-            return None
-        mats.append(_from_columns(p, [coords for coords, _ in read], len(rows)))
-    return RepMorphism(f.dom, incl.dom, mats)
 
 
 def _from_columns(p: int, cols, nrows: int) -> FpMatrix:

@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cx2 import Cx2Tools, zero_complex
+from .cx2 import Cx2Tools, direct_sum, resolution, zero_complex
 from .errors import ShapeError
 from .hall import HallAlgebra
 from .linalg import projective_points
@@ -103,10 +103,9 @@ class SemiDerivedAlgebra:
     """The grading-independent part of SDH2Algebra and SDHZAlgebra.
 
     A subclass sets the period of its grading (period: 2 for Z/2, None for
-    Z), which gives the degree map deg of its complexes, builds the
-    representative of a key (_representative), lists and builds lattice
-    points and keys (_slots, _from_slots) and wraps terms into its own
-    elements (element)."""
+    Z), which gives the degree map deg of its complexes and the grading of
+    the key representatives, lists and builds lattice points and keys
+    (_slots, _from_slots) and wraps terms into its own elements (element)."""
 
     def __init__(self, cat: RepCategory):
         self.cat = cat
@@ -123,11 +122,20 @@ class SemiDerivedAlgebra:
         self._pair_cache = {}
 
     def rep_of_key(self, key):
-        """R_key, the representative complex of a key, built once per key."""
+        """R_key, the representative complex of a key, built once per key
+        (_representative)."""
         R = self._rep_cache.get(key)
         if R is None:
             R = self._rep_cache[key] = self._representative(key)
         return R
+
+    def _representative(self, key):
+        """The direct sum of the resolutions P1(H^m) -> P0(H^m) in degrees
+        m - 1, m over the nonzero homology H^m of the key; the zero complex
+        for none."""
+        parts = [resolution(self.cat, k.rep, m, self.period)
+                 for m, k in self._homology_parts(key)]
+        return direct_sum(parts) if parts else zero_complex(self.cat, self.period)
 
     def lattice_add(self, g, h) -> tuple:
         """The sum of two torus lattice points."""

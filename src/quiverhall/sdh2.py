@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .cx2 import Complex, minimal_complex
 from .hall import serre_checks
 from .reps import Rep
 from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
@@ -58,7 +57,7 @@ class SDH2Algebra(SemiDerivedAlgebra):
     normal_form = SemiDerivedAlgebra.normal_form
 
     # ------------------------------------------------------------------
-    # lattice points, keys and their representatives
+    # lattice points and keys
 
     @staticmethod
     def _slots(g) -> tuple:
@@ -67,9 +66,6 @@ class SDH2Algebra(SemiDerivedAlgebra):
     @staticmethod
     def _from_slots(slots: dict, zero) -> tuple:
         return (slots.get(0, zero), slots.get(1, zero))
-
-    def _representative(self, key) -> Complex:
-        return minimal_complex(self.cat, key[0].rep, key[1].rep)
 
     def zero_key2(self) -> tuple:
         z = self.cat.zero_key()
@@ -214,18 +210,9 @@ class SDH2Algebra(SemiDerivedAlgebra):
         return bilinear(x, y, pair)
 
     def reduced_star(self, x: LinComb) -> LinComb:
-        """Shift involution on the reduced algebra.
-
-        Computed by lifting to the K-slot, starring there (which moves the
-        lattice to the K*-slot) and reducing back; the reduction conversion
-        contributes q^(-<C, R^0 + R^1>) with C the class of the lattice point.
-        """
-        out = self.reduced_element({})
-        for (c, (h0, h1)), coeff in x.terms.items():
-            C = self.dim_of_coords(c)
-            cc = coeff * q_power(self.q, -self.cat.euler_form_int(C, self._comp_sum((h1, h0))))
-            out.add_term((tuple(-x for x in c), (h1, h0)), cc)
-        return out
+        """Shift involution on the reduced algebra: lift to the K-slot, star
+        there (which moves the lattice to the K*-slot) and reduce back."""
+        return self.reduce(self.star(self.lift(x)))
 
     def reduced_unit(self) -> LinComb:
         return self.reduce(self.unit())

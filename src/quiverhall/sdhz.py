@@ -18,7 +18,7 @@ or m, else 1.
 
 from __future__ import annotations
 
-from .cx2 import _HARD_LO, Complex, contractible, direct_sum, zero_complex
+from .cx2 import _HARD_LO, Complex, contractible, resolution, zero_complex
 from .errors import ShapeError, WindowExceeded
 from .reps import Rep, RepCategory
 from .scalars import CoeffScalar, LinComb, q_power
@@ -37,13 +37,6 @@ def CxB(cat: RepCategory, lo: int, comps, diffs) -> Complex:
 def stalk_cxb(cat: RepCategory, A: Rep, m: int) -> Complex:
     """The stalk complex with A in degree m: no differential to check."""
     return Complex._trusted(cat, m, (A,), ())
-
-
-def _resolution(cat: RepCategory, A: Rep, m: int) -> Complex:
-    """The minimal projective resolution P1(A) -> P0(A) in degrees m - 1, m,
-    valid by construction."""
-    P1, P0, incl, _ = cat.min_proj_resolution(A)
-    return Complex._trusted(cat, m - 1, (P1, P0), (incl,))
 
 
 # ----------------------------------------------------------------------
@@ -70,8 +63,8 @@ class SDHZAlgebra(SemiDerivedAlgebra):
 
     def __init__(self, cat: RepCategory):
         super().__init__(cat)
+        self._pieces_cache = {}
         self._euler_cache = {}
-        self._proj_cache = {}
 
     # -- lattice / key plumbing ---------------------------------------------
 
@@ -92,10 +85,6 @@ class SDHZAlgebra(SemiDerivedAlgebra):
         for m, _c in g:
             if not (WINDOW_LO <= m <= WINDOW_HI):
                 raise WindowExceeded(f"torus slot {m} outside [-8, 8]")
-
-    def _representative(self, hom) -> Complex:
-        parts = [_resolution(self.cat, k.rep, m) for m, k in hom]
-        return direct_sum(parts) if parts else zero_complex(self.cat)
 
     # -- constructors -------------------------------------------------------------
 
@@ -148,39 +137,53 @@ class SDHZAlgebra(SemiDerivedAlgebra):
 
     # -- Euler pairings of generators, by linear algebra -----------------------
 
-    def _proj_replacement(self, spec) -> tuple:
-        """(R, K) with a deflation quasi-isomorphism R ->> X, K acyclic kernel,
-        for X a u-stalk or a concrete v-complex."""
-        kind, A, m = spec
-        P1A, P0A, _, _ = self.cat.min_proj_resolution(A)
-        if kind == "u":
-            return _resolution(self.cat, A, m), contractible(self.cat, P1A, m - 1)
-        if kind == "vA":
-            return contractible(self.cat, P0A, m), contractible(self.cat, P1A, m)
-        raise ShapeError(f"unknown generator spec {kind}")
+    def euler_pairZ(self, spec1, spec2) -> CoeffScalar:
+        """The multiplicative Euler form of two generator symbols ("u", A, m)
+        and ("v", alpha, m), bilinear over their signed pieces (_pieces)."""
+        e = sum(s1 * s2 * self._exponent(R, K, Y)
+                for s1, R, K, _ in self._pieces(spec1) for s2, _, _, Y in self._pieces(spec2))
+        return q_power(self.q, e)
 
-    def _concrete(self, spec) -> Complex:
+    def _pieces(self, spec) -> list:
+        """[(sign, R, K, X)]: the symbol is the signed sum of the complexes X,
+        each with a deflation quasi-isomorphism R ->> X from a complex R with
+        projective components, of acyclic kernel K.  A u-symbol is the stalk
+        of A in degree m, with its resolution and P1(A) = P1(A) in degrees
+        m - 1, m; a v-symbol is P = P in degrees m, m + 1 on the projective
+        sums P of the positive and the negative parts of alpha's coordinates,
+        each its own replacement, with K = 0.  Built once per symbol."""
+        out = self._pieces_cache.get(spec)
+        if out is not None:
+            return out
+        cat = self.cat
         kind, A, m = spec
         if kind == "u":
-            return stalk_cxb(self.cat, A, m)
-        if kind == "vA":
-            return contractible(self.cat, A, m)
-        raise ShapeError(f"unknown generator spec {kind}")
+            P1A = cat.min_proj_resolution(A)[0]
+            out = [(1, resolution(cat, A, m), contractible(cat, P1A, m - 1), stalk_cxb(cat, A, m))]
+        elif kind == "v":
+            out = []
+            a = self.coords(A)
+            for sign in (1, -1):
+                P = cat.direct_sum([self.proj.projectives[j]
+                                    for j, x in enumerate(a) for _ in range(sign * x)])
+                if not P.is_zero():
+                    X = contractible(cat, P, m)
+                    out.append((sign, X, zero_complex(cat), X))
+        else:
+            raise ShapeError(f"unknown generator spec {kind}")
+        self._pieces_cache[spec] = out
+        return out
 
-    def euler_exponent_concrete(self, spec1, spec2) -> int:
-        """log_q of the multiplicative Euler form between two generator
-        complexes, from chain-map/homotopy dimensions (independent of any
-        closed-form identity)."""
-        ck = ((spec1[0], spec1[1].signature(), spec1[2]),
-              (spec2[0], spec2[1].signature(), spec2[2]))
-        e = self._euler_cache.get(ck)
+    def _exponent(self, R, K, Y) -> int:
+        """log_q of the multiplicative Euler form of X against Y, for R ->> X
+        with acyclic kernel K, from chain-map and homotopy dimensions
+        (independent of any closed-form identity); computed once per triple."""
+        e = self._euler_cache.get((R, K, Y))
         if e is None:
-            e = self._euler_cache[ck] = self._euler_exponent_uncached(spec1, spec2)
+            e = self._euler_cache[R, K, Y] = self._exponent_uncached(R, K, Y)
         return e
 
-    def _euler_exponent_uncached(self, spec1, spec2) -> int:
-        Y = self._concrete(spec2)
-        R, K = self._proj_replacement(spec1)
+    def _exponent_uncached(self, R, K, Y) -> int:
         if Y.is_zero():
             return 0
         e = self.tools.hom_dim(R, Y)
@@ -194,35 +197,3 @@ class SDHZAlgebra(SemiDerivedAlgebra):
                 e += d if p_ % 2 == 0 else -d
         e -= self.tools.hom_dim(K, Y)
         return e
-
-    def euler_pairZ(self, spec1, spec2) -> CoeffScalar:
-        """Euler form on generator symbols; bilinear over the +/- split of
-        v-type classes."""
-        parts1 = self._split(spec1)
-        parts2 = self._split(spec2)
-        e = 0
-        for s1, sign1 in parts1:
-            for s2, sign2 in parts2:
-                e += sign1 * sign2 * self.euler_exponent_concrete(s1, s2)
-        return q_power(self.q, e)
-
-    def _split(self, spec) -> list:
-        if spec[0] == "u":
-            return [(spec, 1)]
-        if spec[0] == "v":
-            _, alpha, m = spec
-            a = self.coords(alpha)
-            parts = ((tuple(max(s * x, 0) for x in a), s) for s in (1, -1))
-            return [(("vA", self._proj_of_dims(c), m), s) for c, s in parts if any(c)]
-        raise ShapeError(f"unknown generator spec {spec[0]}")
-
-    def _proj_of_dims(self, coeffs) -> Rep:
-        """The direct sum of coeffs[j] copies of each indecomposable
-        projective P_j, built once per coefficient tuple."""
-        P = self._proj_cache.get(coeffs)
-        if P is None:
-            parts = []
-            for j, c in enumerate(coeffs):
-                parts.extend([self.proj.projectives[j]] * c)
-            P = self._proj_cache[coeffs] = self.cat.direct_sum(parts)
-        return P

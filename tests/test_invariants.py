@@ -899,8 +899,8 @@ def test_from_structure_inverts_structure_maps():
 
 
 def test_shifts_pass_the_public_checks():
-    """shift, contractible, stalk_cxb, proj_complex_pool, the resolutions of
-    minimal_complex and of the Z representatives (sdhz._resolution),
+    """shift, contractible, stalk_cxb, proj_complex_pool, the resolutions
+    (cx2.resolution) of minimal_complex and of the Z key representatives,
     middle_term (direct sums, and the middles of ext1_classes_proj over
     chain maps from hom_basis) and from_structure (sub_object and
     quotient_object) build their complexes without the checks of the
@@ -952,6 +952,35 @@ def test_shifts_pass_the_public_checks():
                     check("sub-object", tools.sub_object(E, tools.image_subspaces(f)))
                     check("quotient", tools.quotient_object(E, tools.kernel_subspaces(f)))
     assert len(counts) == 16 and min(counts.values()) > 15, counts
+
+
+def test_key_representatives_are_their_own_normal_forms():
+    """On each of WALK_POOLS, for both algebras and every key that the
+    homology of the bound-3 pool reaches (for Z, of its two-term folds and
+    their shifts by -1 and 1), normal_form(rep_of_key(key)) is (1, the zero
+    lattice point, key), and component d of the representative has
+    dimension dim P0(H^d) + dim P1(H^(d+1))."""
+    counts = Counter()
+    for qv, p in WALK_POOLS:
+        cat = RepCategory(qv, p)
+        alg, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+        pool = proj_complex_pool(alg, 3)
+        folds = [_fold(X) for X in pool if not X.is_zero()]
+        sources = {alg: pool, algz: folds + [Y.shift(k) for Y in folds for k in (-1, 1)]}
+        for a, objects in sources.items():
+            keys = {a._from_slots({m: cat.intern(H) for m, H in a.tools.homology(X).items()
+                                   if not H.is_zero()}, cat.zero_key()) for X in objects}
+            zero = (0,) * qv.n
+            for key in keys:
+                R = a.rep_of_key(key)
+                assert a.normal_form(R) == (q_power(p, 0), a._from_slots({}, a._zero), key)
+                res = {m: cat.min_proj_resolution(k.rep) for m, k in a._homology_parts(key)}
+                for d in set(R.degrees()) | {a.deg(m + e) for m in res for e in (-1, 0)}:
+                    p0 = res[d][1].dim if d in res else zero
+                    p1 = res[a.deg(d + 1)][0].dim if a.deg(d + 1) in res else zero
+                    assert R.component(d).dim == tuple(map(sum, zip(p0, p1))), (key, d)
+                counts[a.period] += 1
+    assert counts[2] > 40 and counts[None] > 80, counts
 
 
 # The pools of the stalk-pair cross-check: (quiver, q, bound of the iso classes).

@@ -10,6 +10,7 @@ from quiverhall.errors import (
     NotASubmodule,
     NotInSubcategory,
     PreconditionError,
+    ShapeError,
 )
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix
@@ -329,6 +330,24 @@ def test_isomorphism_and_aut_refuse_another_category():
                  lambda: tools.is_isomorphic(X, Y), lambda: tools.aut_count(Y)):
         with pytest.raises(CategoryMismatch):
             call()
+
+
+def test_rep_construction_errors():
+    """Rep refuses a dimension vector of the wrong length, a wrong number of
+    maps and a map of the wrong shape (ShapeError), and a map over another
+    field (CategoryMismatch, naming the arrow and both fields): over F_2 the
+    F_5 matrix [[3]] would give signature entry 3, unequal to the same
+    representation built from [[1]]."""
+    cat = a2()
+    Q = cat.quiver
+    for build in (lambda: Rep(Q, 2, (1,), [FpMatrix(2, [[1]])]),
+                  lambda: Rep(Q, 2, (1, 1), []),
+                  lambda: cat.rep((1, 1), [FpMatrix(2, [[1, 0]])])):
+        with pytest.raises(ShapeError):
+            build()
+    with pytest.raises(CategoryMismatch, match=r"^map for arrow 0 is over F_5, expected F_2$"):
+        cat.rep((1, 1), [FpMatrix(5, [[3]])])
+    assert cat.rep((1, 1), [FpMatrix(2, [[1]])]) == cat.rep((1, 1), [[[3]]]) == cat.projective(1)
 
 
 def test_enumeration_budget_messages_name_guard_size_and_limit():

@@ -5,7 +5,7 @@ import pytest
 from oracles import lattice_neg
 from quiverhall.errors import WindowExceeded
 from quiverhall.hall import HallAlgebra
-from quiverhall.quiver import a_n_quiver
+from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import CoeffScalar, q_power
 from quiverhall.cx2 import direct_sum
@@ -139,6 +139,41 @@ def test_euler_pair_examples():
 def test_euler_lemmas_suite():
     checks = suite_euler_lemmas(a2())
     assert checks and all(c[1] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("quiver, q", [
+    (a_n_quiver(2), 2), (a_n_quiver(3), 3), (Quiver(2, [(1, 2), (1, 2)]), 2)])
+def test_euler_pieces_replace_their_symbols(quiver, q):
+    """For every u- and v-symbol of the euler-lemmas suite at degrees 0-2,
+    each piece (sign, R, K, X) has an acyclic K, dim R^d = dim X^d + dim K^d
+    in every degree, and R and X have the same interned homology; the signs
+    of a v-symbol's pieces reassemble alpha's coordinates."""
+    cat = RepCategory(quiver, q)
+    alg = SDHZAlgebra(cat)
+    tools = alg.tools
+
+    def homology(X):
+        return {m: cat.intern(H) for m, H in tools.homology(X).items() if not H.is_zero()}
+
+    mods = [cat.simple(i) for i in range(1, quiver.n + 1)] + [cat.projective(1)]
+    symbols = [(kind, x, m) for m in (0, 1, 2) for M in mods
+               for kind, x in (("u", M), ("v", M.dim), ("v", tuple(-d for d in M.dim)))]
+    for spec in symbols:
+        pieces = alg._pieces(spec)
+        for _sign, R, K, X in pieces:
+            assert homology(K) == {}, spec
+            for d in set(R.degrees()) | set(X.degrees()) | set(K.degrees()):
+                assert R.component(d).dim == tuple(
+                    map(sum, zip(X.component(d).dim, K.component(d).dim))), (spec, d)
+            assert homology(R) == homology(X), spec
+        if spec[0] == "u":
+            assert [s for s, *_ in pieces] == [1]
+        else:
+            total = (0,) * quiver.n
+            for s, _R, _K, X in pieces:
+                coords = alg.coords(X.component(spec[2]).dim)
+                total = tuple(t + s * c for t, c in zip(total, coords))
+            assert total == alg.coords(spec[1]), spec
 
 
 def test_presentation_suite_full():
