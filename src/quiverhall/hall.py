@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from .errors import ConversionMismatch
 from .linalg import FpMatrix, coset_points
+from .report import check_row
 from .reps import IsoClassKey, RepCategory, RepMorphism, check_scan
 from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
 
@@ -226,16 +227,14 @@ def serre_checks(cat: RepCategory, gens: dict, tag: str = "") -> list:
 
 def verify_ringel(cat: RepCategory):
     """Check that E_i = [S_i]/(q-1) satisfies the quantum Serre relations
-    in the twisted Hall algebra.  Returns [(name, status, lhs, rhs)]."""
+    in the twisted Hall algebra.  Returns report rows (report.check_row)."""
     alg = HallAlgebra(cat)
     q = alg.q
     inv = CoeffScalar.of(q, Fraction(1, q - 1))
     gens = {i: alg.cls(cat.simple(i)).scale_scalar(inv)
             for i in range(1, cat.quiver.n + 1)}
-    checks = []
-    for name, residual in serre_checks(cat, gens):
-        status = "pass" if residual.is_zero() else "fail"
-        checks.append((name, status, str(residual), "0"))
+    checks = [check_row(name, residual, alg.zero())
+              for name, residual in serre_checks(cat, gens)]
     if cat.quiver.n == 1:
-        checks.append(("serre(vacuous)", "pass", "0", "0"))
+        checks.append(check_row("serre(vacuous)", alg.zero(), alg.zero()))
     return checks

@@ -1,44 +1,20 @@
-"""Machine-readable verification reports."""
+"""Machine-readable verification reports: one row (FIELDS) per checked identity."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+FIELDS = ("name", "status", "lhs", "rhs")
 
 
-@dataclass
-class Check:
-    name: str
-    status: str
-    lhs: str
-    rhs: str
+def check_row(name: str, lhs, rhs) -> tuple:
+    """The report row of the identity lhs = rhs between two elements or two
+    scalars: status "pass" exactly when lhs - rhs is zero, and both sides
+    rendered, so a failure is diagnosable from the report alone."""
+    return (name, "pass" if (lhs - rhs).is_zero() else "fail", str(lhs), str(rhs))
 
 
-@dataclass
-class Report:
-    suite: str
-    q: int
-    quiver: dict
-    seed: int
-    checks: list = field(default_factory=list)
-
-    def add(self, name: str, status: str, lhs: str, rhs: str) -> None:
-        self.checks.append(Check(name, status, lhs, rhs))
-
-    def add_all(self, rows) -> None:
-        for name, status, lhs, rhs in rows:
-            self.add(name, status, lhs, rhs)
-
-    def all_pass(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    def to_json(self) -> str:
-        obj = {
-            "suite": self.suite,
-            "q": self.q,
-            "quiver": self.quiver,
-            "seed": self.seed,
-            "checks": [{"name": c.name, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
-                       for c in self.checks],
-        }
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def report_json(suite: str, q: int, quiver: dict, seed: int, rows) -> str:
+    obj = {"suite": suite, "q": q, "quiver": quiver, "seed": seed,
+           "checks": [dict(zip(FIELDS, row)) for row in rows]}
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -112,6 +112,9 @@ class RepMorphism:
             m = mats[i]
             if m.rows != cod.dim[i] or m.cols != dom.dim[i]:
                 raise ShapeError("morphism component shape mismatch")
+            if m.p != dom.p:
+                raise CategoryMismatch(f"morphism component at vertex {i + 1} is over "
+                                       f"F_{m.p}, expected F_{dom.p}")
         self.mats = mats
         self._flat = flat
 
@@ -733,20 +736,8 @@ class RepCategory(KrullSchmidt):
 
     def radical_subspaces(self, A: Rep) -> tuple:
         """rad A = sum of arrow images (valid for path algebras)."""
-        out = []
-        for i in range(self.quiver.n):
-            gens = []
-            for a, (s, t) in enumerate(self.quiver.arrows):
-                if t == i + 1:
-                    for c in range(A.dim[s - 1]):
-                        col = tuple(A.maps[a].data[r][c] for r in range(A.dim[i]))
-                        gens.append(col)
-            if gens:
-                R, piv = FpMatrix(self.p, gens, cols=A.dim[i]).rref()
-                out.append(tuple(R.data[:len(piv)]))
-            else:
-                out.append(())
-        return tuple(out)
+        return tuple(tuple(self._incoming(A, i).column_space_basis())
+                     for i in range(1, self.quiver.n + 1))
 
     def min_proj_resolution(self, A: Rep):
         """0 -> P1 -> P0 -> A -> 0 with P0 the projective cover.
@@ -827,9 +818,14 @@ class RepCategory(KrullSchmidt):
     def sink_kernel(self, i: int, M: Rep) -> FpMatrix:
         """Kernel of (X_a)_a: (+)_{a: s -> i} M_s -> M_i over the arrows into
         i, as the matrix whose columns are its echelonized basis."""
-        blocks = [M.maps[a] for a in self.quiver.arrows_into(i)]
-        phi = FpMatrix.hstack(blocks) if blocks else FpMatrix.zero(self.p, M.dim[i - 1], 0)
+        phi = self._incoming(M, i)
         return FpMatrix.from_columns(self.p, phi.kernel_basis(), phi.cols)
+
+    def _incoming(self, M: Rep, i: int) -> FpMatrix:
+        """(X_a)_a: (+)_{a: s -> i} M_s -> M_i, the arrows into i side by
+        side in arrow order; of width 0 when no arrow comes in."""
+        blocks = [M.maps[a] for a in self.quiver.arrows_into(i)]
+        return FpMatrix.hstack(blocks) if blocks else FpMatrix.zero(self.p, M.dim[i - 1], 0)
 
     # ------------------------------------------------------------------
     # enumeration of isomorphism classes

@@ -43,7 +43,7 @@ of which has homology in two or more degrees needs no such enumeration:
     E_A . E_B = sum over C of |Ext^1(A, B)_C| / |Hom(A, B)| . E_C,
 
   with the counts |Ext^1(A, B)_C| of HallAlgebra.ext_class_counts.  Write
-  E_X = gamma_X T_(g_X) [R_X].  By _product_terms, the term (ell, key) of
+  E_X = gamma_X T_(g_X) [R_X].  By _product_exponents, the term (ell, key) of
   the key pair, with coefficient c, contributes
     gamma_A gamma_B c q^(base - <g_A + g_B, ell>) T_(g_A + g_B + ell) [R_key]
   to E_A . E_B, where hom = hom_dim(R_A, R_B) and
@@ -264,14 +264,12 @@ class SemiDerivedAlgebra:
     # -- products --------------------------------------------------------------------
 
     def product(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear(x, y, lambda s, t: self._product_terms(s, t).items())
-
-    def _product_terms(self, t1, t2) -> dict:
-        """The product of two basis terms, as a fresh {term: coefficient}
-        dict (_product_exponents)."""
         q = self.q
-        return {t: c * q_power(q, e) if e else c
-                for t, c, e in self._product_exponents(t1, t2)}
+
+        def pair(s, t):
+            for term, c, e in self._product_exponents(s, t):
+                yield term, c * q_power(q, e) if e else c
+        return bilinear(x, y, pair)
 
     def _product_exponents(self, t1, t2):
         """The product of two basis terms as (term, c, e) items: it is the sum

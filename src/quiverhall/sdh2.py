@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from .hall import serre_checks
+from .report import check_row
 from .reps import Rep
 from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
 from .sdh import SemiDerivedAlgebra
@@ -55,6 +56,10 @@ class SDH2Algebra(SemiDerivedAlgebra):
     # counts them apart from the Z-graded algebra's.
     product2 = SemiDerivedAlgebra.product
     normal_form = SemiDerivedAlgebra.normal_form
+
+    def __init__(self, cat):
+        super().__init__(cat)
+        self._classes_cache = {}
 
     # ------------------------------------------------------------------
     # lattice points and keys
@@ -121,28 +126,37 @@ class SDH2Algebra(SemiDerivedAlgebra):
 
     def comp_classes(self, term_key) -> tuple:
         """K_0 classes (dimension-vector valued) of the degree-0 and degree-1
-        components of a normal-form term's representative complex."""
-        g, key = term_key
-        R = self.rep_of_key(key)
-        extra = self.dim_of_coords(tuple(x + y for x, y in zip(*g)))
-        return tuple(tuple(u + v for u, v in zip(M.dim, extra)) for M in R.comps)
-
-    def _cw(self, c1, c2) -> int:
-        """log_v of the componentwise twist between terms of classes c1, c2."""
-        euler = self.cat.euler_form_int
-        return euler(c1[0], c2[0]) + euler(c1[1], c2[1])
+        components of a normal-form term's representative complex; computed
+        once per term."""
+        out = self._classes_cache.get(term_key)
+        if out is None:
+            g, key = term_key
+            R = self.rep_of_key(key)
+            extra = self.dim_of_coords(tuple(x + y for x, y in zip(*g)))
+            out = self._classes_cache[term_key] = tuple(
+                tuple(u + v for u, v in zip(M.dim, extra)) for M in R.comps)
+        return out
 
     def cw_exponent(self, t1, t2) -> int:
         """log_v of the componentwise twist between two basis terms."""
-        return self._cw(self.comp_classes(t1), self.comp_classes(t2))
+        (a0, a1), (b0, b1) = self.comp_classes(t1), self.comp_classes(t2)
+        euler = self.cat.euler_form_int
+        return euler(a0, b0) + euler(a1, b1)
+
+    def _twisted_exponents(self, s, t):
+        """The twisted product of two basis terms as (term, c, n) items: it is
+        the sum of c * v^n * term, where n = cw_exponent(s, t) + 2e over the
+        items (term, c, e) of _product_exponents(s, t)."""
+        cw = self.cw_exponent(s, t)
+        for term, c, e in self._product_exponents(s, t):
+            yield term, c, cw + 2 * e
 
     def twisted_product2(self, x: LinComb, y: LinComb) -> LinComb:
-        cx = {t: self.comp_classes(t) for t in x.terms}
-        cy = {t: self.comp_classes(t) for t in y.terms}
+        q = self.q
 
         def pair(s, t):
-            tw = v_power(self.q, self._cw(cx[s], cy[t]))
-            return ((k, c * tw) for k, c in self._product_terms(s, t).items())
+            for term, c, n in self._twisted_exponents(s, t):
+                yield term, c * v_power(q, n) if n else c
         return bilinear(x, y, pair)
 
     # ------------------------------------------------------------------
@@ -177,35 +191,24 @@ class SDH2Algebra(SemiDerivedAlgebra):
         reduce(twisted_product2(lift(x), lift(y))), in one pass.
 
         Lift the reduced terms s, t to the K-slot as s', t'.  twisted_product2
-        gives s' * t' = sum of v^cw c q^e T_(a,b) . [R_key], with cw =
-        cw_exponent(s', t') and (T_(a,b) . [R_key], c, e) running over
-        _product_exponents(s', t').  reduce takes T_(a,b) . [R_key] to
-        q^(-<B, R_key^0 + R_key^1>) times the reduced term (a - b, key), B the
-        class of b.  So each item adds c * v^n to (a - b, key), with the one
-        integer exponent
+        gives s' * t' = sum of c v^n T_(a,b) . [R_key] over the items
+        (T_(a,b) . [R_key], c, n) of _twisted_exponents(s', t').  reduce
+        takes T_(a,b) . [R_key] to q^(-<B, R_key^0 + R_key^1>) times the
+        reduced term (a - b, key), B the class of b.  So each item adds
+        c * v^n' to (a - b, key), with the one integer exponent
 
-            n = cw + 2 (e - <B, R_key^0 + R_key^1>),
+            n' = n - 2 <B, R_key^0 + R_key^1>,
 
-        and its scalar is multiplied once, by v^n, instead of once per stage.
+        and its scalar is multiplied once, by v^n', instead of once per stage.
         The composed route is the oracle of this one (tests/test_sdh2.py).
         """
         q, z = self.q, self._zero
         euler = self.cat.euler_form_int
 
-        def lifted(terms):
-            """{reduced term: (lifted term, its component classes)}."""
-            out = {}
-            for c, key in terms:
-                t = ((c, z), key)
-                out[c, key] = (t, self.comp_classes(t))
-            return out
-        lx, ly = lifted(x.terms), lifted(y.terms)
-
         def pair(s, t):
-            (s2, cs), (t2, ct) = lx[s], ly[t]
-            cw = self._cw(cs, ct)
-            for ((a, b), key), c, e in self._product_exponents(s2, t2):
-                n = cw + 2 * (e - euler(self.dim_of_coords(b), self._comp_sum(key)))
+            for ((a, b), key), c, n in self._twisted_exponents(((s[0], z), s[1]),
+                                                               ((t[0], z), t[1])):
+                n -= 2 * euler(self.dim_of_coords(b), self._comp_sum(key))
                 yield (tuple(i - j for i, j in zip(a, b)), key), c * v_power(q, n) if n else c
         return bilinear(x, y, pair)
 
@@ -255,10 +258,10 @@ class SDH2Algebra(SemiDerivedAlgebra):
                 aij = Q.symmetrized_euler(self.cat.simple(i).dim, self.cat.simple(j).dim)
                 lhs = g["K"][i] * g["E"][j] * g["Kinv"][i]
                 rhs = g["E"][j].scale_scalar(v_power(q, aij))
-                checks.append((f"K{i}E{j}K{i}^-1 = v^{aij} E{j}", lhs, rhs))
+                checks.append(check_row(f"K{i}E{j}K{i}^-1 = v^{aij} E{j}", lhs, rhs))
                 lhsf = g["K"][i] * g["F"][j] * g["Kinv"][i]
                 rhsf = g["F"][j].scale_scalar(v_power(q, -aij))
-                checks.append((f"K{i}F{j}K{i}^-1 = v^-{aij} F{j}", lhsf, rhsf))
+                checks.append(check_row(f"K{i}F{j}K{i}^-1 = v^-{aij} F{j}", lhsf, rhsf))
         for i in range(1, Q.n + 1):
             for j in range(1, Q.n + 1):
                 lhs = g["E"][i] * g["F"][j] - g["F"][j] * g["E"][i]
@@ -266,14 +269,10 @@ class SDH2Algebra(SemiDerivedAlgebra):
                     rhs = (g["K"][i] - g["Kinv"][i]).scale_scalar(comm_inv)
                 else:
                     rhs = self.reduced_zero()
-                checks.append((f"[E{i},F{j}]", lhs, rhs))
+                checks.append(check_row(f"[E{i},F{j}]", lhs, rhs))
         for fam in ("E", "F"):
-            checks += [(name, lhs, self.reduced_zero())
+            checks += [check_row(name, lhs, self.reduced_zero())
                        for name, lhs in serre_checks(self.cat, g[fam], f"-{fam}")]
-        out = []
-        for name, lhs, rhs in checks:
-            status = "pass" if (lhs - rhs).is_zero() else "fail"
-            out.append((name, status, str(lhs), str(rhs)))
         if Q.n == 1:
-            out.append(("serre(vacuous)", "pass", "0", "0"))
-        return out
+            checks.append(check_row("serre(vacuous)", self.reduced_zero(), self.reduced_zero()))
+        return checks

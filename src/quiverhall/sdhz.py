@@ -122,18 +122,18 @@ class SDHZAlgebra(SemiDerivedAlgebra):
 
     # -- product ----------------------------------------------------------------
 
-    def _product_terms(self, t1, t2) -> dict:
-        """SemiDerivedAlgebra._product_terms inside the degree window: the
+    def _product_exponents(self, t1, t2):
+        """SemiDerivedAlgebra._product_exponents inside the degree window: the
         hard window is checked before the key-pair lookup, and the homology
         key, then the torus lattice, of every term on every call."""
         R2 = self.rep_of_key(t2[1])
         if not R2.is_zero() and R2.degrees()[0] - 1 < _HARD_LO:
             raise WindowExceeded("shift leaves the hard window")
-        out = super()._product_terms(t1, t2)
-        for g, key in out:
+        for item in super()._product_exponents(t1, t2):
+            g, key = item[0]
             self.window_check_key(key)
             self.window_check_lattice(g)
-        return out
+            yield item
 
     # -- Euler pairings of generators, by linear algebra -----------------------
 

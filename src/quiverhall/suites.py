@@ -1,6 +1,6 @@
 """Named verification suites driven by the command line.
 
-Every suite returns a list of (name, status, lhs, rhs) rows with both sides
+Every suite returns a list of report rows (report.check_row) with both sides
 of each identity rendered in expanded basis form, so a failure is diagnosable
 from the report alone.  All suites are deterministic given (quiver, q, seed).
 """
@@ -14,15 +14,11 @@ from .cx2 import Complex, contractible, direct_sum, squares_to_zero
 from .hall import HallAlgebra, verify_ringel
 from .linalg import line_index
 from .reflection import SinkReflection
+from .report import check_row
 from .reps import ENUM_DIM_GUARD, RepCategory, check_dim, check_scan
 from .scalars import CoeffScalar, q_power
 from .sdh2 import SDH2Algebra
 from .sdhz import SDHZAlgebra
-
-
-def _row(name, lhs, rhs):
-    ok = (lhs - rhs).is_zero() if hasattr(lhs, "is_zero") else lhs == rhs
-    return (name, "pass" if ok else "fail", str(lhs), str(rhs))
 
 
 # ----------------------------------------------------------------------
@@ -41,70 +37,47 @@ def suite_presentation_uv(cat: RepCategory) -> list:
     alg = SDHZAlgebra(cat)
     q = cat.p
     n = cat.quiver.n
+    euler = cat.euler_form_int
     qm1 = CoeffScalar.of(q, q - 1)
     simples = [cat.simple(i) for i in range(1, n + 1)]
     classes = [("+S%d" % i, s.dim) for i, s in enumerate(simples, start=1)]
     classes += [("-S%d" % i, tuple(-d for d in s.dim))
                 for i, s in enumerate(simples, start=1)]
+    u = {(i, d): alg.u_gen(S, d) for i, S in enumerate(simples, start=1) for d in range(4)}
+    v = {(a, d): alg.v_gen(al, d) for a, al in classes for d in range(4)}
+
+    def commute(name, x, y, e=0):
+        """The row of the q-commutation x y = q^e y x."""
+        return check_row(name, x * y, (y * x).scale_scalar(q_power(q, e)))
+
     out = []
-    ms = (0, 1)
-    for m in ms:
+    for m in (0, 1):
         p_ = m + 2
         for i in range(1, n + 1):
-            ui_m = alg.u_gen(simples[i - 1], m)
             for j in range(1, n + 1):
-                uj_m1 = alg.u_gen(simples[j - 1], m + 1)
-                uj_p = alg.u_gen(simples[j - 1], p_)
-                lhs = alg.productZ(ui_m, uj_m1) - alg.productZ(uj_m1, ui_m)
-                rhs = alg.v_gen(simples[i - 1].dim, m).scale_scalar(qm1) \
-                    if i == j else alg.zero()
-                out.append(_row(f"(U) u[{i},{m}]u[{j},{m+1}] comm, middle v_(S{i},{m})",
-                                lhs, rhs))
-                lhs2 = alg.productZ(ui_m, uj_p) - alg.productZ(uj_p, ui_m)
-                out.append(_row(f"(U) u[{i},{m}]u[{j},{p_}] commute", lhs2, alg.zero()))
-        for aname, al in classes:
-            va_m = alg.v_gen(al, m)
-            for bname, be in classes:
-                vb_m = alg.v_gen(be, m)
-                vb_m1 = alg.v_gen(be, m + 1)
-                vb_p = alg.v_gen(be, p_)
-                e_ab = cat.euler_form_int(al, be)
-                e_ba = cat.euler_form_int(be, al)
-                lhs = alg.productZ(va_m, vb_m)
-                rhs = alg.productZ(vb_m, va_m).scale_scalar(q_power(q, e_ba - e_ab))
-                out.append(_row(f"(V) v[{aname},{m}]v[{bname},{m}]", lhs, rhs))
-                lhs = alg.productZ(va_m, vb_m1)
-                rhs = alg.productZ(vb_m1, va_m).scale_scalar(q_power(q, e_ba))
-                out.append(_row(f"(V) v[{aname},{m}]v[{bname},{m+1}]", lhs, rhs))
-                lhs = alg.productZ(va_m, vb_p)
-                rhs = alg.productZ(vb_p, va_m)
-                out.append(_row(f"(V) v[{aname},{m}]v[{bname},{p_}]", lhs, rhs))
-            for j in range(1, n + 1):
-                uj_m1 = alg.u_gen(simples[j - 1], m + 1)
-                uj_p = alg.u_gen(simples[j - 1], p_)
-                e_sa = cat.euler_form_int(simples[j - 1].dim, al)
-                lhs = alg.productZ(va_m, uj_m1)
-                rhs = alg.productZ(uj_m1, va_m).scale_scalar(q_power(q, e_sa))
-                out.append(_row(f"(UV) v[{aname},{m}]u[{j},{m+1}]", lhs, rhs))
-                lhs = alg.productZ(va_m, uj_p)
-                rhs = alg.productZ(uj_p, va_m)
-                out.append(_row(f"(UV) v[{aname},{m}]u[{j},{p_}]", lhs, rhs))
-        for i in range(1, n + 1):
-            ui_m = alg.u_gen(simples[i - 1], m)
-            for bname, be in classes:
-                vb_m = alg.v_gen(be, m)
-                vb_m1 = alg.v_gen(be, m + 1)
-                vb_p = alg.v_gen(be, p_)
-                e_bs = cat.euler_form_int(be, simples[i - 1].dim)
-                lhs = alg.productZ(ui_m, vb_m)
-                rhs = alg.productZ(vb_m, ui_m).scale_scalar(q_power(q, e_bs))
-                out.append(_row(f"(UV) u[{i},{m}]v[{bname},{m}]", lhs, rhs))
-                lhs = alg.productZ(ui_m, vb_m1)
-                rhs = alg.productZ(vb_m1, ui_m)
-                out.append(_row(f"(UV) u[{i},{m}]v[{bname},{m+1}]", lhs, rhs))
-                lhs = alg.productZ(ui_m, vb_p)
-                rhs = alg.productZ(vb_p, ui_m)
-                out.append(_row(f"(UV) u[{i},{m}]v[{bname},{p_}]", lhs, rhs))
+                x, y, z = u[i, m], u[j, m + 1], u[j, p_]
+                rhs = v[f"+S{i}", m].scale_scalar(qm1) if i == j else alg.zero()
+                out.append(check_row(f"(U) u[{i},{m}]u[{j},{m+1}] comm, middle v_(S{i},{m})",
+                                     x * y - y * x, rhs))
+                out.append(check_row(f"(U) u[{i},{m}]u[{j},{p_}] commute",
+                                     x * z - z * x, alg.zero()))
+        for a, al in classes:
+            for b, be in classes:
+                out += [commute(f"(V) v[{a},{m}]v[{b},{m}]", v[a, m], v[b, m],
+                                euler(be, al) - euler(al, be)),
+                        commute(f"(V) v[{a},{m}]v[{b},{m+1}]", v[a, m], v[b, m + 1],
+                                euler(be, al)),
+                        commute(f"(V) v[{a},{m}]v[{b},{p_}]", v[a, m], v[b, p_])]
+            for j, S in enumerate(simples, start=1):
+                out += [commute(f"(UV) v[{a},{m}]u[{j},{m+1}]", v[a, m], u[j, m + 1],
+                                euler(S.dim, al)),
+                        commute(f"(UV) v[{a},{m}]u[{j},{p_}]", v[a, m], u[j, p_])]
+        for i, S in enumerate(simples, start=1):
+            for b, be in classes:
+                out += [commute(f"(UV) u[{i},{m}]v[{b},{m}]", u[i, m], v[b, m],
+                                euler(be, S.dim)),
+                        commute(f"(UV) u[{i},{m}]v[{b},{m+1}]", u[i, m], v[b, m + 1]),
+                        commute(f"(UV) u[{i},{m}]v[{b},{p_}]", u[i, m], v[b, p_])]
     return out
 
 
@@ -125,16 +98,16 @@ def suite_euler_lemmas(cat: RepCategory) -> list:
                 for bname, B in mods:
                     got = alg.euler_pairZ(("v", al, m), ("u", B, nn))
                     want = q_power(q, cat.euler_form_int(al, B.dim) if m == nn else 0)
-                    out.append(_row(f"<v[{aname},{m}], u[{bname},{nn}]>", got, want))
+                    out.append(check_row(f"<v[{aname},{m}], u[{bname},{nn}]>", got, want))
                     got = alg.euler_pairZ(("u", B, nn), ("v", al, m))
                     want = q_power(q, cat.euler_form_int(B.dim, al)
                                    if m == nn - 1 else 0)
-                    out.append(_row(f"<u[{bname},{nn}], v[{aname},{m}]>", got, want))
+                    out.append(check_row(f"<u[{bname},{nn}], v[{aname},{m}]>", got, want))
                 for bname, be in classes:
                     got = alg.euler_pairZ(("v", al, m), ("v", be, nn))
                     d = (1 if m == nn else 0) + (1 if m == nn + 1 else 0)
                     want = q_power(q, d * cat.euler_form_int(al, be))
-                    out.append(_row(f"<v[{aname},{m}], v[{bname},{nn}]>", got, want))
+                    out.append(check_row(f"<v[{aname},{m}], v[{bname},{nn}]>", got, want))
             for aname, A in mods:
                 for bname, B in mods:
                     got = alg.euler_pairZ(("u", A, m), ("u", B, nn))
@@ -144,8 +117,8 @@ def suite_euler_lemmas(cat: RepCategory) -> list:
                         e = cat.euler_form_int(A.dim, B.dim)
                     else:
                         e = 0
-                    out.append(_row(f"<u[{aname},{m}], u[{bname},{nn}]>",
-                                    got, q_power(q, e)))
+                    out.append(check_row(f"<u[{aname},{m}], u[{bname},{nn}]>",
+                                         got, q_power(q, e)))
     return out
 
 
@@ -168,7 +141,7 @@ def suite_assoc_z(cat: RepCategory, samples: int, seed: int) -> list:
         (nx, x), (ny, y), (nz, z) = (rng.choice(gens) for _ in range(3))
         lhs = alg.productZ(alg.productZ(x, y), z)
         rhs = alg.productZ(x, alg.productZ(y, z))
-        out.append(_row(f"assoc-z #{k}: ({nx}{ny}){nz} = {nx}({ny}{nz})", lhs, rhs))
+        out.append(check_row(f"assoc-z #{k}: ({nx}{ny}){nz} = {nx}({ny}{nz})", lhs, rhs))
     return out
 
 
@@ -197,10 +170,10 @@ def suite_assoc_z2(cat: RepCategory, samples: int, seed: int) -> list:
         x, y, z = rand_term(), rand_term(), rand_term()
         lhs = alg.product2(alg.product2(x, y), z)
         rhs = alg.product2(x, alg.product2(y, z))
-        out.append(_row(f"assoc-z2 #{k} (plain)", lhs, rhs))
+        out.append(check_row(f"assoc-z2 #{k} (plain)", lhs, rhs))
         lhs = alg.twisted_product2(alg.twisted_product2(x, y), z)
         rhs = alg.twisted_product2(x, alg.twisted_product2(y, z))
-        out.append(_row(f"assoc-z2 #{k} (twisted)", lhs, rhs))
+        out.append(check_row(f"assoc-z2 #{k} (twisted)", lhs, rhs))
     return out
 
 
@@ -311,11 +284,11 @@ def suite_torus_commutation(cat: RepCategory) -> list:
             inv2 = alg.torus_inverse_term(g2)
             lhs = alg.product2(inv1, inv2)
             rhs = alg.torus_inverse_term(g12).scale_scalar(alg.torus_euler(g2, g1))
-            out.append(_row(f"inv-inv {n1},{n2}", lhs, rhs))
+            out.append(check_row(f"inv-inv {n1},{n2}", lhs, rhs))
             lhs = alg.product2(inv1, alg.torus_term(g2))
             rhs = alg.product2(alg.torus_term(g2), inv1).scale_scalar(
                 alg.torus_euler(g1, g2) * alg.torus_euler(g2, g1).inverse())
-            out.append(_row(f"inv-comm {n1},{n2}", lhs, rhs))
+            out.append(check_row(f"inv-comm {n1},{n2}", lhs, rhs))
     return out
 
 
@@ -356,8 +329,8 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         L = _drawn_middle(tools2.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = alg2.element_of(L)
         rhs = alg2.element_of(direct_sum([K, Mrep]))
-        out.append(_row(f"z2 conflation #{k} (H0={H0.dim}, H1={H1.dim}, K on {P.dim})",
-                        lhs, rhs))
+        out.append(check_row(f"z2 conflation #{k} (H0={H0.dim}, H1={H1.dim}, K on {P.dim})",
+                             lhs, rhs))
     for k in range(samples - half):
         A = rng.choice(small)
         m = rng.choice((0, 1))
@@ -368,8 +341,8 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         L = _drawn_middle(toolsz.ext1_classes_proj(Mrep, K), cat.p, rng)
         lhs = algz.element_of(L)
         rhs = algz.element_of(direct_sum([K, Mrep]))
-        out.append(_row(f"z conflation #{k} (A={A.dim}@{m}, v on {P.dim}@{slot})",
-                        lhs, rhs))
+        out.append(check_row(f"z conflation #{k} (A={A.dim}@{m}, v on {P.dim}@{slot})",
+                             lhs, rhs))
     return out
 
 

@@ -185,6 +185,11 @@ def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
     # A Dynkin quiver of type D, whose table is built from its positive roots.
     ("d4", 3, ["--table", "--bound", "4"],
      "a98dd59b4198635f3e0063a71484ac6b13f5ae6647dae7bc7bfb15d927e1e8a4"),
+    # The CSV rendering of the report rows, under the header of report.FIELDS.
+    ("a2", 3, ["--suite", "quantum-group", "--format", "csv"],
+     "e5efc22595becb01fa0aa8e13f1676778ded13f84481a40e9fbb0ca8899ada2a"),
+    ("a3", 3, ["--suite", "reflection", "--format", "csv"],
+     "53fc48ec0405a0f1dbe9b0b0038f266fce143a4a628370747fcdf9ee43cc61ed"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building
@@ -194,6 +199,16 @@ def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     assert main(["--quiver", str(EXAMPLES / f"{quiver}.json"), "--q", str(q),
                  "--out", str(out)] + args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_golden_failing_report_bytes(tmp_path):
+    """The negative control's report: failing rows render like passing
+    ones, and the run exits 1."""
+    out = tmp_path / "out.json"
+    assert main(["--quiver", str(EXAMPLES / "a2.json"), "--q", "2", "--out", str(out),
+                 "--suite", "quantum-group", "--perturb"]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "2c71aa708a9aa95d5e3dd2bca56a82aa964ba224cb4a0f7d37874d934317d03c"
 
 
 @pytest.mark.parametrize("q", [3, 5])

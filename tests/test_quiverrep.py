@@ -337,7 +337,8 @@ def test_rep_construction_errors():
     maps and a map of the wrong shape (ShapeError), and a map over another
     field (CategoryMismatch, naming the arrow and both fields): over F_2 the
     F_5 matrix [[3]] would give signature entry 3, unequal to the same
-    representation built from [[1]]."""
+    representation built from [[1]].  RepMorphism refuses a matrix over
+    another field in the same way, naming the vertex."""
     cat = a2()
     Q = cat.quiver
     for build in (lambda: Rep(Q, 2, (1,), [FpMatrix(2, [[1]])]),
@@ -348,6 +349,10 @@ def test_rep_construction_errors():
     with pytest.raises(CategoryMismatch, match=r"^map for arrow 0 is over F_5, expected F_2$"):
         cat.rep((1, 1), [FpMatrix(5, [[3]])])
     assert cat.rep((1, 1), [FpMatrix(2, [[1]])]) == cat.rep((1, 1), [[[3]]]) == cat.projective(1)
+    S1 = cat.simple(1)
+    with pytest.raises(CategoryMismatch,
+                       match=r"^morphism component at vertex 1 is over F_5, expected F_2$"):
+        RepMorphism(S1, S1, [FpMatrix(5, [[3]]), FpMatrix(2, [], cols=0)])
 
 
 def test_enumeration_budget_messages_name_guard_size_and_limit():
