@@ -78,6 +78,26 @@ of which has homology in two or more degrees needs no such enumeration:
     q^<T_g, R_key> T_g [R_key] of E.  Scaling f by a unit keeps ker f and
     coker f, so one f per line of Hom(A, B), weighted by the size of its
     line, stands for every class (linalg.projective_points).
+
+Each key pair is computed once per orbit of the shift where the grading
+lets it.  The shift Sigma of C_{Z/2}(P) is an exact automorphism: it keeps
+Hom, homotopies and Ext^1, takes R_key to a complex isomorphic to R_(Sigma
+key), the key with its two degrees swapped, and swaps the slots of every
+lattice point (K_P with K_P^*).  A middle term E of R1 by R2 goes to the
+middle term Sigma E of Sigma R1 by Sigma R2, with the same weight, and
+normal_form(Sigma E) has the coefficient of normal_form(E), since
+<T_g, R_key> pairs slot m of g with degree m of R_key.  So the key pair of
+(Sigma k1, Sigma k2) has the hom and the coefficients of the pair (k1, k2),
+term by term, with each ell and key swapped: _partner_pair reads it off
+the cache when the partner is there.  Pairs with the zero key are always
+computed first-hand (they are the unit's product).  For Z, re-indexing
+degrees is the same kind of automorphism, but key pairs are not shared
+along it (sdhz only shares its Euler exponents across translates).
+
+The torus twist of a product reads one integer form per (key, slot)
+(_twist): <T_g, R> pairs g_m with dim R^m, since <P_j, M> = dim M_j on a
+hereditary path algebra, and <R, T_g> pairs g_m with the Euler forms
+<dim R^(m+1), dim P_j>; both are fixed once R = R_key is.
 """
 
 from __future__ import annotations
@@ -120,6 +140,7 @@ class SemiDerivedAlgebra:
         self._rep_cache = {}
         self._nf_cache = {}
         self._pair_cache = {}
+        self._form_cache = {}
 
     def rep_of_key(self, key):
         """R_key, the representative complex of a key, built once per key
@@ -163,6 +184,22 @@ class SemiDerivedAlgebra:
             for j, cj in enumerate(c):
                 if cj:
                     e += cj * self.cat.euler_form_int(dim, self.proj.projectives[j].dim)
+        return e
+
+    def _twist(self, key, g) -> int:
+        """exp_g_Y(g, R) - exp_Y_g(R, g) for R = R_key: the dot product of
+        each slot g_m with the form of (key, m), built once per (key, m)
+        (module docstring)."""
+        e = 0
+        for m, c in self._slots(g):
+            form = self._form_cache.get((key, m))
+            if form is None:
+                R = self.rep_of_key(key)
+                d0, d1 = R.component(m).dim, R.component(m + 1).dim
+                form = self._form_cache[key, m] = tuple(
+                    a - self.cat.euler_form_int(d1, P.dim)
+                    for a, P in zip(d0, self.proj.projectives))
+            e += sum(cj * fj for cj, fj in zip(c, form))
         return e
 
     def exp_g_h(self, g, h) -> int:
@@ -275,14 +312,12 @@ class SemiDerivedAlgebra:
         """The product of two basis terms as (term, c, e) items: it is the sum
         of c * q^e * term.  [R1] . [R2] is cached per homology-key pair
         (_key_pair), and c is its coefficient; the torus twist of g1, g2
-        against each term's acyclic part is the integer e, computed here,
-        per call."""
+        against each term's acyclic part is the integer e, computed here
+        per call from the cached forms of k1 (_twist)."""
         g1, k1 = t1
         g2, k2 = t2
         hom, terms = self._key_pair(k1, k2)
-        R1 = self.rep_of_key(k1)
-        base_exp = (self.exp_g_Y(g2, R1) - self.exp_Y_g(R1, g2)
-                    - self.exp_g_h(g1, g2) - hom)
+        base_exp = self._twist(k1, g2) - self.exp_g_h(g1, g2) - hom
         g12 = self.lattice_add(g1, g2)
         for (ell, key), c in terms:
             yield (self.lattice_add(g12, ell), key), c, base_exp - self.exp_g_h(g12, ell)
@@ -294,7 +329,9 @@ class SemiDerivedAlgebra:
         data (module docstring): the unit, the Hall numbers for two stalks in
         one degree (_stalk_pair) and Hom(A, B) for two stalks in different
         degrees (_cone_pair).  A key with homology in two or more degrees
-        takes the extension classes of the resolutions (_resolution_pair)."""
+        takes the extension classes of the resolutions (_resolution_pair).
+        A pair of nonzero keys whose shift partner is cached is read off it
+        (_partner_pair)."""
         cached = self._pair_cache.get((k1, k2))
         if cached is not None:
             return cached
@@ -302,6 +339,8 @@ class SemiDerivedAlgebra:
         if not h1 or not h2:
             one = CoeffScalar.one(self.q)
             cached = (0, [((self._from_slots({}, self._zero), k1 if h1 else k2), one)])
+        elif (partner := self._partner_pair(k1, k2)) is not None:
+            cached = partner
         elif len(h1) == len(h2) == 1:
             (m, A), (m2, B) = h1[0], h2[0]
             cached = (self._stalk_pair(A, B, m) if m == m2
@@ -310,6 +349,12 @@ class SemiDerivedAlgebra:
             cached = self._resolution_pair(k1, k2)
         self._pair_cache[(k1, k2)] = cached
         return cached
+
+    def _partner_pair(self, k1, k2):
+        """_key_pair of (k1, k2) read off the cached pair of their shift
+        partners, or None (module docstring); the grading's hook, and a
+        grading that shares no pairs along its shift keeps this None."""
+        return None
 
     def _homology_parts(self, key) -> list:
         """[(degree, iso class)] of the nonzero homology of a key."""
@@ -324,7 +369,7 @@ class SemiDerivedAlgebra:
         RA, RB = self.rep_of_key(kA), self.rep_of_key(kB)
         hom = self.tools.hom_dim(RA, RB)
         gAB = self.lattice_add(gA, gB)
-        base = self.exp_g_Y(gB, RA) - self.exp_Y_g(RA, gB) - self.exp_g_h(gA, gB) - hom
+        base = self._twist(kA, gB) - self.exp_g_h(gA, gB) - hom
         scale = (cA * cB).inverse() * q_power(q, -self.cat.hom_dim(A.rep, B.rep))
         neg = self._lattice_neg(gAB)
         terms = []

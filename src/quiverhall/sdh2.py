@@ -45,6 +45,10 @@ def _format_terms(terms, reduced: bool) -> str:
     return " + ".join(bits)
 
 
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 _plain_str = partial(_format_terms, reduced=False)
 _reduced_str = partial(_format_terms, reduced=True)
 
@@ -71,6 +75,16 @@ class SDH2Algebra(SemiDerivedAlgebra):
     @staticmethod
     def _from_slots(slots: dict, zero) -> tuple:
         return (slots.get(0, zero), slots.get(1, zero))
+
+    def _partner_pair(self, k1, k2):
+        """The key pair of the shift partners ((H1, H0), (H1', H0')), if
+        cached, with each term's lattice slots and key degrees swapped: the
+        same hom and coefficients (sdh module docstring)."""
+        cached = self._pair_cache.get(((k1[1], k1[0]), (k2[1], k2[0])))
+        if cached is None:
+            return None
+        hom, terms = cached
+        return hom, [(((ell[1], ell[0]), (key[1], key[0])), c) for (ell, key), c in terms]
 
     def zero_key2(self) -> tuple:
         z = self.cat.zero_key()
@@ -173,12 +187,13 @@ class SDH2Algebra(SemiDerivedAlgebra):
         the reduction ideal lives in the twisted algebra, where the torus is
         the plain group algebra.  Rewriting T_(a,b) = T_(a-b,0) * T_(b,b) and
         dropping the shift-invariant factor converts the coefficient by
-        q^(-<B, R^0 + R^1>) with B the class carried by the K*-slot.
+        q^(-<B, R^0 + R^1>) with B the class carried by the K*-slot.  B is
+        the sum of the b_j P_j, and <P_j, M> = dim M_j on a hereditary path
+        algebra, so the exponent is the dot product of b with dim R^0 + R^1.
         """
         out = self.reduced_element({})
         for ((a, b), key), c in x.terms.items():
-            B = self.dim_of_coords(b)
-            c = c * q_power(self.q, -self.cat.euler_form_int(B, self._comp_sum(key)))
+            c = c * q_power(self.q, -_dot(b, self._comp_sum(key)))
             out.add_term((tuple(x1 - y1 for x1, y1 in zip(a, b)), key), c)
         return out
 
@@ -199,16 +214,16 @@ class SDH2Algebra(SemiDerivedAlgebra):
 
             n' = n - 2 <B, R_key^0 + R_key^1>,
 
-        and its scalar is multiplied once, by v^n', instead of once per stage.
+        (the dot product of b with dim R_key^0 + R_key^1, as in reduce) and
+        its scalar is multiplied once, by v^n', instead of once per stage.
         The composed route is the oracle of this one (tests/test_sdh2.py).
         """
         q, z = self.q, self._zero
-        euler = self.cat.euler_form_int
 
         def pair(s, t):
             for ((a, b), key), c, n in self._twisted_exponents(((s[0], z), s[1]),
                                                                ((t[0], z), t[1])):
-                n -= 2 * euler(self.dim_of_coords(b), self._comp_sum(key))
+                n -= 2 * _dot(b, self._comp_sum(key))
                 yield (tuple(i - j for i, j in zip(a, b)), key), c * v_power(q, n) if n else c
         return bilinear(x, y, pair)
 

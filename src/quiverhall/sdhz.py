@@ -177,10 +177,20 @@ class SDHZAlgebra(SemiDerivedAlgebra):
     def _exponent(self, R, K, Y) -> int:
         """log_q of the multiplicative Euler form of X against Y, for R ->> X
         with acyclic kernel K, from chain-map and homotopy dimensions
-        (independent of any closed-form identity); computed once per triple."""
-        e = self._euler_cache.get((R, K, Y))
+        (independent of any closed-form identity).
+
+        Re-indexing all degrees by one t keeps Hom, homotopies and the
+        shifts Y[p] that _exponent_uncached visits, so triples related by a
+        common translation share one computation: the cache is keyed by the
+        triple translated so that its lowest nonzero degree is 0 (a zero
+        complex keys as itself, whatever the offset).  A miss is computed at
+        the original degrees, so no translated complex is built."""
+        triple = (R, K, Y)
+        lo = min((X.lo for X in triple if X.comps), default=0)
+        ck = tuple((X.lo - lo,) + X.signature()[2:] if X.comps else () for X in triple)
+        e = self._euler_cache.get(ck)
         if e is None:
-            e = self._euler_cache[R, K, Y] = self._exponent_uncached(R, K, Y)
+            e = self._euler_cache[ck] = self._exponent_uncached(R, K, Y)
         return e
 
     def _exponent_uncached(self, R, K, Y) -> int:

@@ -82,6 +82,12 @@ def suite_presentation_uv(cat: RepCategory) -> list:
 
 
 def suite_euler_lemmas(cat: RepCategory) -> list:
+    """The multiplicative Euler forms of u- and v-symbols in degrees 0, 1, 2
+    against their closed forms, each computed by linear algebra over the
+    signed pieces of the symbols (SDHZAlgebra.euler_pairZ).  Rows whose
+    piece triples are related by a common translation of degrees, such as
+    <u[A, m], u[B, n]> at (0, 1) and (1, 2), share one computation of each
+    such triple (SDHZAlgebra._exponent)."""
     alg = SDHZAlgebra(cat)
     q = cat.p
     n = cat.quiver.n

@@ -4,6 +4,7 @@ RepCategory, a Cx2Tools, a HallAlgebra, an SDH2Algebra or a SinkReflection)
 take it as their first argument.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from quiverhall.errors import ShapeError
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix
 from quiverhall.reflection import SinkReflection
+from quiverhall.report import FIELDS
 from quiverhall.reps import Rep, RepCategory, RepMorphism, check_count, check_scan
 from quiverhall.scalars import LinComb, bilinear, q_power, v_power
 from quiverhall.sdh2 import SDH2Algebra
@@ -144,6 +146,14 @@ def composed_reduced_product(alg: SDH2Algebra, x: LinComb, y: LinComb) -> LinCom
     factors to the K-slot, multiply there and reduce.  The reference for
     SDH2Algebra.reduced_product, which does the three stages in one pass."""
     return alg.reduce(alg.twisted_product2(alg.lift(x), alg.lift(y)))
+
+
+def report_json_by_dumps(suite: str, q: int, quiver: dict, seed: int, rows) -> str:
+    """The report by the pure-Python encoder over the whole object: the
+    reference for report.report_json, which renders the rows apart."""
+    obj = {"suite": suite, "q": q, "quiver": quiver, "seed": seed,
+           "checks": [dict(zip(FIELDS, row)) for row in rows]}
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def reduce_against_rows(p: int, rows: list, v: Iterable[int]) -> tuple:

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import report_json_by_dumps
 from quiverhall.cli import main
+from quiverhall.quiver import a_n_quiver
+from quiverhall.report import report_json
 from quiverhall.reps import RepCategory
+from quiverhall.suites import SUITES
 
 A1 = '{"vertices": 1, "arrows": []}'
 A2 = '{"vertices": 2, "arrows": [[1, 2]]}'
@@ -190,6 +194,16 @@ def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
      "e5efc22595becb01fa0aa8e13f1676778ded13f84481a40e9fbb0ca8899ada2a"),
     ("a3", 3, ["--suite", "reflection", "--format", "csv"],
      "53fc48ec0405a0f1dbe9b0b0038f266fce143a4a628370747fcdf9ee43cc61ed"),
+    # The Z-graded algebra on three vertices: Euler pairings of generator
+    # symbols (triples that differ by a common translation share one
+    # computation) and the (U)/(V)/(UV) relations of its presentation.
+    ("a3", 3, ["--suite", "euler-lemmas"],
+     "c9dcdcad256bdee6c8a7e6527e6f3b3ab0c1c902c9ea9d6cc19ac767cb6e68e1"),
+    ("a3", 3, ["--suite", "presentation-uv"],
+     "0c9810cf3ef1e7b4d06c16ab45bf9a5292affe1640c23646e866de017e6a0460"),
+    # Z/2 products on three vertices whose key pairs include Sigma-partners.
+    ("a3", 3, ["--suite", "assoc-z2", "--samples", "1", "--seed", "0"],
+     "1a10a9fe90a7adbbab8a8eeeccf4a6c237f804f8245755bb894c105917cdb810"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building
@@ -209,6 +223,26 @@ def test_golden_failing_report_bytes(tmp_path):
                  "--suite", "quantum-group", "--perturb"]) == 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "2c71aa708a9aa95d5e3dd2bca56a82aa964ba224cb4a0f7d37874d934317d03c"
+
+
+def test_report_json_matches_the_whole_object_dump():
+    """report_json renders the rows apart from the rest of the report, and
+    its bytes are those of json.dumps over the whole object
+    (report_json_by_dumps): on the rows of every suite, on no rows, and on
+    rows with quotes, backslashes, newlines, control and non-ASCII
+    characters."""
+    cat = RepCategory(a_n_quiver(2), 2)
+    quiver = json.loads(cat.quiver.to_json())
+    cases = [(suite, SUITES[suite](cat, 2, 0, 2, False)) for suite in sorted(SUITES)]
+    assert all(rows for _suite, rows in cases)
+    cases += [("ringel", []), ("quantum-group", [
+        ('say "x" \\ y\nz', "fail", "\u00e9 \u2211 \U0001d54a", "\t\x00\x7f \u2603"),
+        ("", "pass", "\\", '"'),
+    ])]
+    for suite, rows in cases:
+        for seed in (0, 7):
+            assert report_json(suite, 2, quiver, seed, rows) == \
+                report_json_by_dumps(suite, 2, quiver, seed, rows), suite
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -28,12 +28,14 @@ from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix, echelon_subspaces
 from quiverhall.quiver import Quiver, a_n_quiver
+from quiverhall.reflection import SinkReflection
 from quiverhall.reps import Rep, RepCategory, RepMorphism, intertwiners
 from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh import SemiDerivedAlgebra
 from quiverhall.sdh2 import SDH2Algebra
 from quiverhall.sdhz import WINDOW_LO, CxB, SDHZAlgebra, stalk_cxb
 from quiverhall.suites import (
+    SUITES,
     proj_complex_pool,
     suite_presentation_uv,
     suite_quotient_relations,
@@ -1012,8 +1014,11 @@ def test_stalk_key_pairs_match_resolution_route():
         nonzero = [k for k in classes if any(k.dim)]
         hall = HallAlgebra(cat, cross_check="sampled")
         zero = cat.zero_key()
-        alg2, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
-        cases = [(alg2, m, lambda k, m=m: (zero, k) if m else (k, zero)) for m in (0, 1)]
+        algz = SDHZAlgebra(cat)
+        # one Z/2 algebra per degree, so that neither reads its pairs off
+        # the shift partners of the other degree
+        cases = [(SDH2Algebra(cat), m, lambda k, m=m: (zero, k) if m else (k, zero))
+                 for m in (0, 1)]
         cases += [(algz, m, lambda k, m=m: ((m, k),) if any(k.dim) else ()) for m in (-1, 0, 1)]
         for alg, m, key in cases:
             for A, B in product(classes, classes):
@@ -1057,12 +1062,13 @@ def test_cone_key_pairs_match_resolution_route():
         cat = RepCategory(qv, p)
         nonzero = [k for k in cat.iso_classes_up_to(min(bound, 2)) if any(k.dim)]
         zero = cat.zero_key()
-        alg2, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+        algz = SDHZAlgebra(cat)
 
         def z2(k, m):
             return (zero, k) if m else (k, zero)
 
-        cases = [(alg2, z2, m, 1 - m) for m in (0, 1)]
+        # one Z/2 algebra per orientation, as in the stalk-pair test
+        cases = [(SDH2Algebra(cat), z2, m, 1 - m) for m in (0, 1)]
         cases += [(algz, lambda k, m: ((m, k),), 0, m2) for m2 in (-2, -1, 1, 2)]
         for alg, key, m, m2 in cases:
             for A, B in product(nonzero, nonzero):
@@ -1294,3 +1300,136 @@ def test_chain_map_images_and_kernels_match_module_route():
                 assert tuple(len(a) + len(b) for a, b in zip(img, ker)) == ks.sides(X)
                 count += 1
     assert count > 200, count
+
+
+# ----------------------------------------------------------------------
+# caches shared along the shift
+
+
+D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
+ROUTES = ("stalk", "cone", "resolution")
+# The pools of the shift-partner cross-check: (quiver, q).
+PARTNER_POOLS = ((a_n_quiver(2), 2), (a_n_quiver(2), 3), (a_n_quiver(3), 2),
+                 (KRONECKER, 2), (KRONECKER, 3), (D4, 2))
+
+
+def _count_calls(monkeypatch, calls, cls, name, label):
+    """Count in calls[label, grading period] the calls of cls.name that
+    return a value (not None)."""
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        out = method(self, *args)
+        if out is not None:
+            calls[label, self.period] += 1
+        return out
+    monkeypatch.setattr(cls, name, counted)
+
+
+def _partner_keys(cat):
+    """Z/2 keys whose pairs take every route: a simple or P1 in one degree
+    (stalk pairs in one degree, cone pairs across) and two simples in both
+    degrees (resolution pairs)."""
+    zero = cat.zero_key()
+    simples = [cat.intern(cat.simple(i)) for i in range(1, cat.quiver.n + 1)]
+    mods = simples + [cat.intern(cat.projective(1))]
+    return ([(A, zero) for A in mods] + [(zero, A) for A in mods]
+            + [(simples[0], simples[-1]), (simples[-1], simples[0])])
+
+
+def test_key_pairs_served_by_shift_partners_match_first_hand(monkeypatch):
+    """A pair of nonzero Z/2 keys whose shift partner is cached is read off
+    it (_partner_pair).  Every ordered pair of _partner_keys, with its pair
+    cache emptied and its partner computed first, is served so, and equals
+    the same pair computed first-hand (no partner lookups) on a fresh
+    algebra; both orientations of each partner pair are served in turn."""
+    calls = Counter()
+    for route in ROUTES:
+        _count_calls(monkeypatch, calls, SemiDerivedAlgebra, f"_{route}_pair", route)
+    for qv, p in PARTNER_POOLS:
+        cat = RepCategory(qv, p)
+        keys = _partner_keys(cat)
+        served, first = SDH2Algebra(cat), SDH2Algebra(cat)
+        first._partner_pair = lambda k1, k2: None
+        for k1, k2 in product(keys, keys):
+            served._pair_cache.clear()
+            served._key_pair((k1[1], k1[0]), (k2[1], k2[0]))
+            assert served._partner_pair(k1, k2) is not None
+            assert _key_pair_outcome(served._key_pair, k1, k2) == \
+                _key_pair_outcome(first._key_pair, k1, k2), (qv.arrows, p, k1, k2)
+    assert {route for route, _period in calls} == set(ROUTES)
+
+
+def _euler_lemma_specs(cat, t):
+    """The generator symbols of suite_euler_lemmas, translated by t."""
+    n = cat.quiver.n
+    mods = [cat.simple(i) for i in range(1, n + 1)] + ([cat.projective(1)] if n > 1 else [])
+    classes = [M.dim for M in mods] + [tuple(-d for d in M.dim) for M in mods]
+    return ([("v", al, m + t) for al in classes for m in (0, 1, 2)]
+            + [("u", B, m + t) for B in mods for m in (0, 1, 2)])
+
+
+def test_euler_exponents_shared_across_translates():
+    """_exponent keys its cache by the triple (R, K, Y) translated to lowest
+    nonzero degree 0.  On every triple that euler-lemmas reaches, and on
+    each of them translated by -3..3, it equals _exponent_uncached at the
+    triple's own degrees; the triples include zero K (v-symbols and the
+    u-symbol of the projective P1) and nonzero K, and the translates add no
+    cache entry to those of the untranslated triples."""
+    for qv, p in ((a_n_quiver(2), 2), (a_n_quiver(3), 3)):
+        cat = RepCategory(qv, p)
+        alg = SDHZAlgebra(cat)
+        for t in (0, -3, -2, -1, 1, 2, 3):
+            specs = _euler_lemma_specs(cat, t)
+            triples = {(R, K, Y) for s1, s2 in product(specs, specs)
+                       for _s1, R, K, _X in alg._pieces(s1) for _s2, _R, _K, Y in alg._pieces(s2)}
+            assert any(K.is_zero() for _R, K, _Y in triples)
+            assert any(not K.is_zero() for _R, K, _Y in triples)
+            for R, K, Y in triples:
+                assert alg._exponent(R, K, Y) == alg._exponent_uncached(R, K, Y), (t, R, K, Y)
+            if t == 0:
+                entries = len(alg._euler_cache)
+            assert len(alg._euler_cache) == entries < len(triples), t
+
+
+def test_reflection_star_rows_read_no_shift_partners(monkeypatch):
+    """The rows *t_i = t_i* of the reflection suite compute both sides, xi
+    and the term images among them, with no key pair read off a shift
+    partner, so the row stays an independent check of the shift."""
+    def refuse(self, k1, k2):
+        raise AssertionError("shift-partner lookup")
+
+    monkeypatch.setattr(SDH2Algebra, "_partner_pair", refuse)
+    for qv, sink in ((a_n_quiver(2), 2), (a_n_quiver(3), 3), (KRONECKER, 2)):
+        refl = SinkReflection(RepCategory(qv, 3), sink)
+        for name, x in refl.generator_elements():
+            lhs = refl.t_hat(refl.alg.reduced_star(x))
+            rhs = refl.alg2.reduced_star(refl.t_hat(x))
+            assert (lhs - rhs).is_zero(), name
+
+
+# The suites of one pass of the benchmark's "suites" workload (its negative
+# controls aside), with its sample counts and seed 0.
+SUITE_PASS = {"ringel": 0, "presentation-uv": 0, "euler-lemmas": 0, "assoc-z": 1,
+              "assoc-z2": 1, "quantum-group": 0, "reflection": 0,
+              "torus-commutation": 0, "quotient-relations": 2}
+
+
+def test_shift_orbit_cache_counts(monkeypatch):
+    """One pass of SUITE_PASS on A2 at q = 2, 3 and A3 at q = 3 computes 495
+    Euler triples from scratch (891 when each triple had its own), and 142
+    of its 272 pairs of nonzero Z/2 keys first-hand, reading the other 130
+    off their shift partners; the Z key pairs are all first-hand."""
+    calls = Counter()
+    for route in ROUTES:
+        _count_calls(monkeypatch, calls, SemiDerivedAlgebra, f"_{route}_pair", route)
+    _count_calls(monkeypatch, calls, SDH2Algebra, "_partner_pair", "partner")
+    _count_calls(monkeypatch, calls, SDHZAlgebra, "_exponent_uncached", "euler")
+    for qv, p in ((a_n_quiver(2), 2), (a_n_quiver(2), 3), (a_n_quiver(3), 3)):
+        for suite, samples in SUITE_PASS.items():
+            rows = SUITES[suite](RepCategory(qv, p), samples, 0, qv.n, False)
+            assert rows and all(row[1] == "pass" for row in rows), suite
+    assert calls == {("euler", None): 495,
+                     ("stalk", 2): 80, ("cone", 2): 51, ("resolution", 2): 11,
+                     ("partner", 2): 130,
+                     ("stalk", None): 2, ("cone", None): 140, ("resolution", None): 2}
