@@ -204,6 +204,20 @@ def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
     # Z/2 products on three vertices whose key pairs include Sigma-partners.
     ("a3", 3, ["--suite", "assoc-z2", "--samples", "1", "--seed", "0"],
      "1a10a9fe90a7adbbab8a8eeeccf4a6c237f804f8245755bb894c105917cdb810"),
+    # Single-stalk key pairs that no resolution oracle reaches: same-degree
+    # stalks whose classes in complexes would span 5^12 (Kronecker q=5
+    # reflection), stalks in adjacent and far degrees of the Z grading, and
+    # the D4 stalk keys of both algebras.
+    ("kronecker", 5, ["--suite", "reflection"],
+     "d332da9f084070fcc93b344edc2bf0b5298152f7a5ae6b98c104411d2722fd3c"),
+    ("kronecker", 3, ["--suite", "presentation-uv"],
+     "e66c7cc9b1897b27c4e6d26e2e15138a9a64ebb2208a992b9f0fe94db7c9c92b"),
+    ("kronecker", 5, ["--suite", "assoc-z"],
+     "0f73f3256d35262568cc2bd305240ffd0ebecc69c364c681317def84cb671424"),
+    ("d4", 3, ["--suite", "reflection"],
+     "218ce1d09094a0d25cd80ae6a0a01a49dc8a057259e7b89ab01dec37090b1d7c"),
+    ("d4", 3, ["--suite", "presentation-uv"],
+     "8294b8c23d9bfb7aa2f7a82240e3ec5d592658b8bacc862ed07118421bb5004a"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building
