@@ -403,9 +403,6 @@ class Cx2Tools(KrullSchmidt):
                 for m in X.degrees()}
         return cached
 
-    def homology_keys(self, X) -> tuple:
-        return tuple(self.cat.intern(H) for H in self.homology(X).values())
-
     # -- extension classes ------------------------------------------------
 
     def ext1_classes_proj(self, L, M) -> list:

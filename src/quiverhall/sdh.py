@@ -26,58 +26,49 @@ grading's degree():
 For Z/2 the last rule counts each of the four slot pairs once.
 
 A product of two basis terms needs one product [R1] . [R2] of
-representatives per pair of homology keys (_key_pair), given by its middle
-terms in normal form.  In general these are read off the extension classes
-of R1 by R2 in the category of complexes (Cx2Tools.ext1_classes_proj), a
-space much larger than the Ext^1 of the homology.  A pair of keys neither
-of which has homology in two or more degrees needs no such enumeration:
+representatives per pair of homology keys (_key_pair): the extension
+classes of R1 by R2, each middle term E taken to its normal form
+q^c T_ell . [R_key] and weighted by the number of classes it stands for,
+summed per (ell, key) (_grouped).  In general these classes are read off
+the category of complexes (Cx2Tools.ext1_classes_proj), a space much larger
+than the Ext^1 of the homology.  A pair of keys neither of which has
+homology in two or more degrees needs no such enumeration:
 
 * the zero key: [R_0] is the unit, so [R_0] . [R] = [R] . [R_0] = [R];
-* two stalk keys, with homology one module A, resp. B, in the same degree
-  m.  stalk_term(X, m) gives the class E_X of the stalk complex with X in
-  degree m, and for a hereditary category the stalk classes multiply by the
-  Ringel-Hall formula (the paper's theorem on hereditary E; for Z/2 also
-  Bridgeland, "Quantum groups via Hall algebras of complexes", Ann. Math.
-  2013):
-
-    E_A . E_B = sum over C of |Ext^1(A, B)_C| / |Hom(A, B)| . E_C,
-
-  with the counts |Ext^1(A, B)_C| of HallAlgebra.ext_class_counts.  Write
-  E_X = gamma_X T_(g_X) [R_X].  By _product_exponents, the term (ell, key) of
-  the key pair, with coefficient c, contributes
-    gamma_A gamma_B c q^(base - <g_A + g_B, ell>) T_(g_A + g_B + ell) [R_key]
-  to E_A . E_B, where hom = hom_dim(R_A, R_B) and
-    base = <T_(g_B), R_A> - <R_A, T_(g_B)> - <g_A, g_B> - hom
-  (all pairings as exponents of q).  Matching this against gamma_C T_(g_C)
-  [R_C] term by term gives one key-pair term per middle term C: ell is
-  g_C - g_A - g_B, key is key_C, and c is
-    |Ext^1(A, B)_C| / |Hom(A, B)| . gamma_C / gamma_A gamma_B
-      . q^(<g_A + g_B, ell> - base).
-
-* two stalk keys in different degrees, A in degree m and B in degree
-  m2 != m, with R1 = P1(A) -> P0(A) in degrees m - 1, m and R2 =
-  P1(B) -> P0(B) in degrees m2 - 1, m2.  R1 has projective components, so
-  Ext^1(R1, R2) is the chain maps R1 -> Sigma R2 up to homotopy: the
-  morphisms A[-m] -> B[1 - m2] of the derived category, Ext^(m - m2 + 1)(A, B)
-  (for Z/2 the sum over the exponents of that parity).  For a hereditary
-  category only the exponents 0 and 1 survive, and 1 is the same-degree case.
-  - deg(m2) != deg(m + 1), which only Z allows (m2 < m or m2 > m + 1):
-    Ext^1(R1, R2) = 0, so the one middle term is R2 (+) R1.  It has the
-    homology key {m: A, m2: B}, and each d^l has the rank of the
-    differential of the one resolution it lives in, dim P1(H^(l+1)), so g = 0
-    and [R1] . [R2] = q^-hom [R_key] with hom = hom_dim(R1, R2).
-  - deg(m2) = deg(m + 1), Z with m2 = m + 1 and every pair for Z/2:
+* two stalk keys, A in degree m and B in degree m2, with R1 = P1(A) ->
+  P0(A) in degrees m - 1, m and R2 = P1(B) -> P0(B) in degrees m2 - 1, m2.
+  R1 has projective components, so Ext^1(R1, R2) is the chain maps
+  R1 -> Sigma R2 up to homotopy: the morphisms A[-m] -> B[1 - m2] of the
+  derived category, Ext^(m - m2 + 1)(A, B) (for Z/2 the sum over the
+  exponents of that parity).  For a hereditary category only the exponents
+  0 and 1 survive.  Every middle term E has the components of R2 (+) R1,
+  so its homology and the ranks of its differentials give its normal form
+  by the rank formula of normal_form (_normal_term):
+  - m2 = m: Ext^1(R1, R2) = Ext^1(A, B), and every class has as its
+    representative a chain map f with f^m = 0, that is a map
+    P1(A) -> P0(B).  The long exact homology sequence of R2 -> E -> R1
+    gives H^(m-1)(E) = 0 and H^m(E) = C, the middle term of the class in
+    Ext^1(A, B).  So rank d^(m-1) = dim P1(A) + dim P1(B), d^m = 0, and
+    HallAlgebra.ext_class_counts counts the classes with middle term C:
+    the stalk classes multiply by the Ringel-Hall formula (the paper's
+    theorem on hereditary E; for Z/2 also Bridgeland, "Quantum groups via
+    Hall algebras of complexes", Ann. Math. 2013).
+  - deg(m2) = deg(m + 1), Z with m2 = m + 1 and Z/2 with m2 != m:
     Ext^1(R1, R2) = Hom(A, B).  The long exact homology sequence of
     R2 -> E -> R1 has connecting map f: A = H^m(R1) -> H^(m+1)(R2) = B, the
     class of E, so E has homology ker f in degree m and coker f in degree
-    m + 1, and the components of R2 (+) R1.  In E, d^(m-1) is injective on
-    P1(A), the only component it does not kill, so rank d^(m-1) = dim P1(A);
-    H^(m+1) = coker f is the cokernel of d^m into P0(B), so
-    rank d^m = dim P0(B) - dim coker f = dim P1(B) + dim A - dim ker f.  The
-    rank formula of normal_form turns these into the normal form
-    q^<T_g, R_key> T_g [R_key] of E.  Scaling f by a unit keeps ker f and
-    coker f, so one f per line of Hom(A, B), weighted by the size of its
-    line, stands for every class (linalg.projective_points).
+    m + 1.  In E, d^(m-1) is injective on P1(A), the only component it
+    does not kill, so rank d^(m-1) = dim P1(A); H^(m+1) = coker f is the
+    cokernel of d^m into P0(B), so
+    rank d^m = dim P0(B) - dim coker f = dim P1(B) + dim A - dim ker f.
+    Scaling f by a unit keeps ker f and coker f, so one f per line of
+    Hom(A, B), weighted by the size of its line, stands for every class
+    (linalg.projective_points).
+  - any other m2, which only Z allows (m2 < m or m2 > m + 1):
+    Ext^1(R1, R2) = 0, so the one class is the split one, E = R2 (+) R1,
+    with homology A in degree m and B in degree m2, and each d^l has the
+    rank of the differential of the one resolution it lives in:
+    rank d^(m-1) = dim P1(A), rank d^(m2-1) = dim P1(B).
 
 Each key pair is computed once per orbit of the shift where the grading
 lets it.  The shift Sigma of C_{Z/2}(P) is an exact automorphism: it keeps
@@ -165,10 +156,6 @@ class SemiDerivedAlgebra:
             out[m] = tuple(a + b for a, b in zip(out[m], c)) if m in out else c
         return self._from_slots({m: c for m, c in out.items() if any(c)}, self._zero)
 
-    def _lattice_neg(self, g) -> tuple:
-        return self._from_slots({m: tuple(-x for x in c) for m, c in self._slots(g)},
-                                self._zero)
-
     # -- exponent pairings -------------------------------------------------------
 
     def exp_g_Y(self, g, Y) -> int:
@@ -176,18 +163,8 @@ class SemiDerivedAlgebra:
         return sum(cj * dj for m, c in self._slots(g)
                    for cj, dj in zip(c, Y.component(m).dim))
 
-    def exp_Y_g(self, Y, g) -> int:
-        """log_q <Y, T_g>; Y must have projective components."""
-        e = 0
-        for m, c in self._slots(g):
-            dim = Y.component(m + 1).dim
-            for j, cj in enumerate(c):
-                if cj:
-                    e += cj * self.cat.euler_form_int(dim, self.proj.projectives[j].dim)
-        return e
-
     def _twist(self, key, g) -> int:
-        """exp_g_Y(g, R) - exp_Y_g(R, g) for R = R_key: the dot product of
+        """log_q <T_g, R> - log_q <R, T_g> for R = R_key: the dot product of
         each slot g_m with the form of (key, m), built once per (key, m)
         (module docstring)."""
         e = 0
@@ -326,12 +303,11 @@ class SemiDerivedAlgebra:
         """(hom_dim(R1, R2), [((ell, key), coeff), ...]) for the homology keys
         k1, k2: [R1] . [R2] is q^-hom times the sum of coeff * T_ell . [R_key].
         Cached per pair.  Zero-key and single-stalk pairs come from module
-        data (module docstring): the unit, the Hall numbers for two stalks in
-        one degree (_stalk_pair) and Hom(A, B) for two stalks in different
-        degrees (_cone_pair).  A key with homology in two or more degrees
-        takes the extension classes of the resolutions (_resolution_pair).
-        A pair of nonzero keys whose shift partner is cached is read off it
-        (_partner_pair)."""
+        data (module docstring): the unit, and the classes of two stalks read
+        off Ext^1 or Hom of their modules (_stalk_pair).  A key with homology
+        in two or more degrees takes the extension classes of the
+        resolutions (_resolution_pair).  A pair of nonzero keys whose shift
+        partner is cached is read off it (_partner_pair)."""
         cached = self._pair_cache.get((k1, k2))
         if cached is not None:
             return cached
@@ -342,9 +318,7 @@ class SemiDerivedAlgebra:
         elif (partner := self._partner_pair(k1, k2)) is not None:
             cached = partner
         elif len(h1) == len(h2) == 1:
-            (m, A), (m2, B) = h1[0], h2[0]
-            cached = (self._stalk_pair(A, B, m) if m == m2
-                      else self._cone_pair(k1, k2, A, B, m, m2))
+            cached = self._stalk_pair(k1, k2, *h1[0], *h2[0])
         else:
             cached = self._resolution_pair(k1, k2)
         self._pair_cache[(k1, k2)] = cached
@@ -360,69 +334,60 @@ class SemiDerivedAlgebra:
         """[(degree, iso class)] of the nonzero homology of a key."""
         return [(m, k) for m, k in self._slots(key) if any(k.dim)]
 
-    def _stalk_pair(self, A, B, m) -> tuple:
-        """_key_pair of the stalk keys of the iso classes A, B in degree m, by
-        the Ringel-Hall formula of the module docstring."""
-        q = self.q
-        [((gA, kA), cA)] = self.stalk_term(A.rep, m).terms.items()
-        [((gB, kB), cB)] = self.stalk_term(B.rep, m).terms.items()
-        RA, RB = self.rep_of_key(kA), self.rep_of_key(kB)
-        hom = self.tools.hom_dim(RA, RB)
-        gAB = self.lattice_add(gA, gB)
-        base = self._twist(kA, gB) - self.exp_g_h(gA, gB) - hom
-        scale = (cA * cB).inverse() * q_power(q, -self.cat.hom_dim(A.rep, B.rep))
-        neg = self._lattice_neg(gAB)
-        terms = []
-        for C, count in self.hall.ext_class_counts(A, B).items():
-            [((gC, kC), cC)] = self.stalk_term(C.rep, m).terms.items()
-            ell = self.lattice_add(gC, neg)
-            c = cC * scale.scale(count) * q_power(q, self.exp_g_h(gAB, ell) - base)
-            terms.append(((ell, kC), c))
-        return hom, terms
-
-    def _cone_pair(self, k1, k2, A, B, m, m2) -> tuple:
+    def _stalk_pair(self, k1, k2, m, A, m2, B) -> tuple:
         """_key_pair of the stalk keys k1 (the iso class A in degree m) and
-        k2 (B in degree m2 != m), from Hom(A, B) as the module docstring
-        derives it.  The "extension-class enumeration" guard (check_scan)
-        bounds the q^(dim Hom(A, B)) extension classes."""
+        k2 (B in degree m2), from the classes of R1 by R2 that the module
+        docstring derives, each as (weight, homology, differential ranks)
+        and taken to its normal form by _normal_term: the middle terms of
+        Ext^1(A, B) for m2 = m, one f per line of Hom(A, B) for
+        deg(m2) = deg(m + 1), and the split class for any other m2.  The
+        "extension-class enumeration" guard (check_scan) bounds the
+        q^(dim Hom(A, B)) classes of the Hom walk, as ext_class_counts
+        bounds its own."""
         cat = self.cat
         deg = self.deg
         R1, R2 = self.rep_of_key(k1), self.rep_of_key(k2)
-        hom = self.tools.hom_dim(R1, R2)
-        if deg(m2) != deg(m + 1):
-            key = self._from_slots({m: A, m2: B}, cat.zero_key())
-            return hom, [((self._from_slots({}, self._zero), key), CoeffScalar.one(self.q))]
-        basis = cat.hom_basis(A.rep, B.rep)
-        check_scan("extension-class enumeration", self.q, len(basis))
         dims = {d: tuple(map(sum, zip(R1.component(d).dim, R2.component(d).dim)))
                 for d in set(R1.degrees()) | set(R2.degrees())}
         p1a = cat.min_proj_resolution(A.rep)[0].dim
         p1b = cat.min_proj_resolution(B.rep)[0].dim
-        groups = {}
-        for coeffs, weight in projective_points(self.q, len(basis)):
-            f = cat.morphisms_from_coeffs(A.rep, B.rep, basis, coeffs)
-            ker = cat.sub_object(A.rep, cat.kernel_subspaces(f))
-            coker = cat.quotient_object(B.rep, cat.image_subspaces(f))
-            keys = {d: cat.intern(H) for d, H in ((m, ker), (m2, coker)) if not H.is_zero()}
-            ranks = {deg(m - 1): p1a,
-                     m: tuple(b + a - k for b, a, k in zip(p1b, A.dim, ker.dim))}
-            coeff, g, key = self._normal_term(dims, ranks, keys)
-            c = coeff.scale(weight)
-            groups[g, key] = groups[g, key] + c if (g, key) in groups else c
-        return hom, list(groups.items())
+        if m2 == m:
+            p1ab = tuple(a + b for a, b in zip(p1a, p1b))
+            classes = [(count, {m: C}, {deg(m - 1): p1ab})
+                       for C, count in self.hall.ext_class_counts(A, B).items()]
+        elif deg(m2) == deg(m + 1):
+            basis = cat.hom_basis(A.rep, B.rep)
+            check_scan("extension-class enumeration", self.q, len(basis))
+            classes = []
+            for coeffs, weight in projective_points(self.q, len(basis)):
+                f = cat.morphisms_from_coeffs(A.rep, B.rep, basis, coeffs)
+                ker = cat.sub_object(A.rep, cat.kernel_subspaces(f))
+                coker = cat.quotient_object(B.rep, cat.image_subspaces(f))
+                keys = {d: cat.intern(H) for d, H in ((m, ker), (m2, coker)) if not H.is_zero()}
+                ranks = {deg(m - 1): p1a,
+                         m: tuple(b + a - k for b, a, k in zip(p1b, A.dim, ker.dim))}
+                classes.append((weight, keys, ranks))
+        else:
+            classes = [(1, {m: A, m2: B}, {m - 1: p1a, m2 - 1: p1b})]
+        return self.tools.hom_dim(R1, R2), self._grouped(
+            (weight, self._normal_term(dims, ranks, keys)) for weight, keys, ranks in classes)
 
     def _resolution_pair(self, k1, k2) -> tuple:
-        """_key_pair uncached, by enumeration: the middle terms of Ext^1(R1, R2)
-        grouped by normal form T_ell . [R_key], each with the sum of
-        coeff * weight over its classes.  The coefficients are positive, so
-        no group cancels."""
+        """_key_pair uncached, by enumeration: the middle terms of
+        Ext^1(R1, R2) in normal form (_grouped)."""
         R1 = self.rep_of_key(k1)
         R2 = self.rep_of_key(k2)
-        hom = self.tools.hom_dim(R1, R2)
+        return self.tools.hom_dim(R1, R2), self._grouped(
+            (weight, self.normal_form(E)) for _f, E, weight in self.tools.ext1_classes_proj(R1, R2))
+
+    @staticmethod
+    def _grouped(classes) -> list:
+        """[((ell, key), coeff)] of extension classes given as (weight,
+        normal form) items: per T_ell . [R_key], the sum of coeff * weight
+        over its classes.  The coefficients are positive, so no group
+        cancels."""
         groups = {}
-        for _f, E, weight in self.tools.ext1_classes_proj(R1, R2):
-            coeff, ell, key = self.normal_form(E)
-            gk = (ell, key)
+        for weight, (coeff, ell, key) in classes:
             c = coeff.scale(weight)
-            groups[gk] = groups[gk] + c if gk in groups else c
-        return hom, list(groups.items())
+            groups[ell, key] = groups[ell, key] + c if (ell, key) in groups else c
+        return list(groups.items())

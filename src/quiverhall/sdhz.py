@@ -76,15 +76,16 @@ class SDHZAlgebra(SemiDerivedAlgebra):
     def _from_slots(slots: dict, zero) -> tuple:
         return tuple(sorted(slots.items()))
 
-    def window_check_key(self, hom) -> None:
-        for m, _k in hom:
-            if not (WINDOW_LO <= m <= WINDOW_HI):
-                raise WindowExceeded(f"homology degree {m} outside [-8, 8]")
-
-    def window_check_lattice(self, g) -> None:
-        for m, _c in g:
-            if not (WINDOW_LO <= m <= WINDOW_HI):
-                raise WindowExceeded(f"torus slot {m} outside [-8, 8]")
+    @staticmethod
+    def window_check(g, key) -> None:
+        """Refuse a term whose homology key has a degree outside
+        [WINDOW_LO, WINDOW_HI], or whose torus lattice has a slot outside
+        [WINDOW_LO, WINDOW_HI - 1]: slot m lives in degrees m and m + 1."""
+        for what, points, hi in (("homology degree", key, WINDOW_HI),
+                                 ("torus slot", g, WINDOW_HI - 1)):
+            for m, _x in points:
+                if not WINDOW_LO <= m <= hi:
+                    raise WindowExceeded(f"{what} {m} outside [{WINDOW_LO}, {hi}]")
 
     # -- constructors -------------------------------------------------------------
 
@@ -124,15 +125,13 @@ class SDHZAlgebra(SemiDerivedAlgebra):
 
     def _product_exponents(self, t1, t2):
         """SemiDerivedAlgebra._product_exponents inside the degree window: the
-        hard window is checked before the key-pair lookup, and the homology
-        key, then the torus lattice, of every term on every call."""
+        hard window is checked before the key-pair lookup, and every term
+        on every call (window_check)."""
         R2 = self.rep_of_key(t2[1])
         if not R2.is_zero() and R2.degrees()[0] - 1 < _HARD_LO:
             raise WindowExceeded("shift leaves the hard window")
         for item in super()._product_exponents(t1, t2):
-            g, key = item[0]
-            self.window_check_key(key)
-            self.window_check_lattice(g)
+            self.window_check(*item[0])
             yield item
 
     # -- Euler pairings of generators, by linear algebra -----------------------

@@ -1,7 +1,7 @@
 """Test oracles: helpers that tests use to check the engine's behaviour, but
 that the engine itself never calls.  Those that read an engine object (a
-RepCategory, a Cx2Tools, a HallAlgebra, an SDH2Algebra or a SinkReflection)
-take it as their first argument.
+RepCategory, a Cx2Tools, a HallAlgebra, a semi-derived algebra or a
+SinkReflection) take it as their first argument.
 """
 
 import json
@@ -177,6 +177,24 @@ def is_acyclic(tools, X) -> bool:
     return all(H.is_zero() for H in tools.homology(X).values())
 
 
+def homology_keys(tools, X) -> tuple:
+    """The iso classes of the homology of X over X.degrees()."""
+    return tuple(tools.cat.intern(H) for H in tools.homology(X).values())
+
+
+def exp_Y_g(alg, Y, g) -> int:
+    """log_q <Y, T_g> by the Euler forms <dim Y^(m+1), dim P_j>; Y must
+    have projective components.  The reference for the second pairing of
+    SemiDerivedAlgebra._twist."""
+    e = 0
+    for m, c in alg._slots(g):
+        dim = Y.component(m + 1).dim
+        for j, cj in enumerate(c):
+            if cj:
+                e += cj * alg.cat.euler_form_int(dim, alg.proj.projectives[j].dim)
+    return e
+
+
 def classify_acyclic_indec(Z: Complex) -> tuple:
     """('K', P) or ('K*', P) for an indecomposable contractible summand.
 
@@ -289,7 +307,7 @@ def two_term_piece(alg: SDH2Algebra, V0: Rep, V1: Rep, d: RepMorphism) -> Piece:
     zero = (0,) * cat.quiver.n
     ell = (alg.coords(P1r.dim), zero)
     tools = alg.tools
-    if tools.homology_keys(P) != tools.homology_keys(X):
+    if homology_keys(tools, P) != homology_keys(tools, X):
         raise ShapeError("piece resolution has wrong homology (engine bug)")
     return Piece(X, P, ell)
 
@@ -319,7 +337,7 @@ def class_of_pieces(alg: SDH2Algebra, pieces) -> LinComb:
     if len(elt.terms) != 1:
         raise ShapeError("piece class is not a single normal-form term (engine bug)")
     (g, key), _c = next(iter(elt.terms.items()))
-    if key != alg.tools.homology_keys(X):
+    if key != homology_keys(alg.tools, X):
         raise ShapeError("piece class has wrong homology key (engine bug)")
     return elt
 

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     classify_acyclic_indec,
     complex_pool_by_isomorphism,
+    exp_Y_g,
     is_acyclic,
     reduce_against_rows,
     subspace_contains,
@@ -23,7 +24,7 @@ from quiverhall.cx2 import (
     minimal_complex,
     zero_complex,
 )
-from quiverhall import reps
+from quiverhall import reps, sdh
 from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix, echelon_subspaces
@@ -514,7 +515,7 @@ def _sdh2_product_oracle(alg, t1, t2):
     with the torus twist of each class applied there, and no caching."""
     (g1, k1), (g2, k2) = t1, t2
     R1, R2 = alg.rep_of_key(k1), alg.rep_of_key(k2)
-    base_exp = (alg.exp_g_Y(g2, R1) - alg.exp_Y_g(R1, g2) - alg.exp_g_h(g1, g2)
+    base_exp = (alg.exp_g_Y(g2, R1) - exp_Y_g(alg, R1, g2) - alg.exp_g_h(g1, g2)
                 - alg.tools.hom_dim(R1, R2))
     g12 = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(g1, g2))
     out = LinComb(alg.q)
@@ -530,7 +531,7 @@ def _sdhz_product_oracle(alg, t1, t2):
     """The Z-graded counterpart of _sdh2_product_oracle."""
     (g1, k1), (g2, k2) = t1, t2
     R1, R2 = alg.rep_of_key(k1), alg.rep_of_key(k2)
-    base_exp = (alg.exp_g_Y(g2, R1) - alg.exp_Y_g(R1, g2) - alg.exp_g_h(g1, g2)
+    base_exp = (alg.exp_g_Y(g2, R1) - exp_Y_g(alg, R1, g2) - alg.exp_g_h(g1, g2)
                 - alg.tools.hom_dim(R1, R2))
     g12 = alg.lattice_add(g1, g2)
     out = LinComb(alg.q)
@@ -1096,26 +1097,27 @@ def test_cone_key_pairs_match_resolution_route():
 def test_single_stalk_pairs_skip_resolution_route(monkeypatch):
     """Every pair of single-stalk keys comes from module data: A3 q=3
     presentation-uv and A2 q=3 reflection pass without one call of
-    _resolution_pair on such a pair, and take some pairs from Hom(A, B)."""
-    stalk_pairs, cone_pairs = [], []
-    resolution_pair, cone_pair = SemiDerivedAlgebra._resolution_pair, SemiDerivedAlgebra._cone_pair
+    _resolution_pair on such a pair, and take some pairs from the lines of
+    Hom(A, B)."""
+    stalk_pairs, hom_walks = [], []
+    resolution_pair, lines = SemiDerivedAlgebra._resolution_pair, sdh.projective_points
 
     def counted_resolution_pair(self, k1, k2):
         if len(self._homology_parts(k1)) == len(self._homology_parts(k2)) == 1:
             stalk_pairs.append((k1, k2))
         return resolution_pair(self, k1, k2)
 
-    def counted_cone_pair(self, *args):
-        cone_pairs.append(args)
-        return cone_pair(self, *args)
+    def counted_lines(*args):
+        hom_walks.append(args)
+        return lines(*args)
 
     monkeypatch.setattr(SemiDerivedAlgebra, "_resolution_pair", counted_resolution_pair)
-    monkeypatch.setattr(SemiDerivedAlgebra, "_cone_pair", counted_cone_pair)
+    monkeypatch.setattr(sdh, "projective_points", counted_lines)
     for rows in (suite_presentation_uv(RepCategory(a_n_quiver(3), 3)),
                  suite_reflection(RepCategory(a_n_quiver(2), 3), 2)):
         assert rows and all(row[1] == "pass" for row in rows)
     assert not stalk_pairs
-    assert cone_pairs
+    assert hom_walks
 
 
 def test_cone_pair_scan_guard(monkeypatch):
@@ -1307,7 +1309,7 @@ def test_chain_map_images_and_kernels_match_module_route():
 
 
 D4 = Quiver(4, [(1, 4), (2, 4), (3, 4)])
-ROUTES = ("stalk", "cone", "resolution")
+ROUTES = ("stalk", "resolution")
 # The pools of the shift-partner cross-check: (quiver, q).
 PARTNER_POOLS = ((a_n_quiver(2), 2), (a_n_quiver(2), 3), (a_n_quiver(3), 2),
                  (KRONECKER, 2), (KRONECKER, 3), (D4, 2))
@@ -1328,7 +1330,7 @@ def _count_calls(monkeypatch, calls, cls, name, label):
 
 def _partner_keys(cat):
     """Z/2 keys whose pairs take every route: a simple or P1 in one degree
-    (stalk pairs in one degree, cone pairs across) and two simples in both
+    (stalk pairs, in one degree and across) and two simples in both
     degrees (resolution pairs)."""
     zero = cat.zero_key()
     simples = [cat.intern(cat.simple(i)) for i in range(1, cat.quiver.n + 1)]
@@ -1430,6 +1432,6 @@ def test_shift_orbit_cache_counts(monkeypatch):
             rows = SUITES[suite](RepCategory(qv, p), samples, 0, qv.n, False)
             assert rows and all(row[1] == "pass" for row in rows), suite
     assert calls == {("euler", None): 495,
-                     ("stalk", 2): 80, ("cone", 2): 51, ("resolution", 2): 11,
+                     ("stalk", 2): 131, ("resolution", 2): 11,
                      ("partner", 2): 130,
-                     ("stalk", None): 2, ("cone", None): 140, ("resolution", None): 2}
+                     ("stalk", None): 142, ("resolution", None): 2}

@@ -9,7 +9,7 @@ from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import CoeffScalar, q_power
 from quiverhall.cx2 import direct_sum
-from quiverhall.sdhz import CxB, SDHZAlgebra, stalk_cxb
+from quiverhall.sdhz import WINDOW_HI, CxB, SDHZAlgebra, stalk_cxb
 from quiverhall.suites import suite_euler_lemmas, suite_presentation_uv
 
 
@@ -255,7 +255,7 @@ def test_window_guards():
     torus = alg.term(((9, (1, 0)),), ())
     homology = alg.term((), ((9, S1),))
     both = alg.term(((9, (1, 0)),), ((9, S1),))
-    cases = ((torus, "torus slot 9 outside \\[-8, 8\\]"),
+    cases = ((torus, "torus slot 9 outside \\[-8, 7\\]"),
              (homology, "homology degree 9 outside \\[-8, 8\\]"),
              (both, "homology degree 9 outside \\[-8, 8\\]"))
     for x, message in cases:
@@ -263,6 +263,22 @@ def test_window_guards():
             for lhs, rhs in ((x, alg.unit()), (alg.unit(), x)):
                 with pytest.raises(WindowExceeded, match=message):
                     alg.productZ(lhs, rhs)
+
+
+def test_torus_slot_window_matches_v_gen():
+    """Torus slot m lives in degrees m and m + 1, so a product refuses a
+    term at slot WINDOW_HI, as v_gen refuses that slot, and keeps one at
+    slot WINDOW_HI - 1, whose degrees are both inside the window."""
+    cat = a2()
+    alg = SDHZAlgebra(cat)
+    with pytest.raises(WindowExceeded):
+        alg.v_gen((1, 0), WINDOW_HI)
+    top = alg.term(((WINDOW_HI, (1, 0)),), ())
+    for lhs, rhs in ((top, alg.unit()), (alg.unit(), top)):
+        with pytest.raises(WindowExceeded, match="torus slot 8 outside \\[-8, 7\\]"):
+            alg.productZ(lhs, rhs)
+    below = alg.v_gen((1, 0), WINDOW_HI - 1)
+    assert alg.productZ(below, alg.unit()) == below == alg.productZ(alg.unit(), below)
 
 
 def test_assoc_seeded_z():
