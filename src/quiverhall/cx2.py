@@ -6,6 +6,7 @@ for Z.  A Z/2-graded complex is a pair of representations with differentials
 both ways composing to zero, read as a 2-periodic complex; a Z-graded one is
 bounded.  The protocol the engine reads is written once for both:
 
+  period              the grading: 2 for Z/2, None for Z
   degrees()           the degrees of the components, in increasing order
   degree(m)           how the complex reads the integer m (Z/2: m mod 2)
   component(m)        the representation in degree m
@@ -14,11 +15,14 @@ bounded.  The protocol the engine reads is written once for both:
   like(comps, mats)   a complex of the same grading with comps[m] in degree m
                       and the per-vertex matrices mats[m] of d^m
 
-Cx2Tools supplies the two hooks of reps.KrullSchmidt for complexes, through
-this protocol alone: hom_equations (the chain-map equations in the flat layout
-of _layout) and morphism (flat entries split by degree into a ChainMorphism).
-On top of them it solves homotopies, homology, extension classes and their
-middle terms, and builds sub- and quotient complexes.  The contractible
+Cx2Tools supplies the hooks of reps.KrullSchmidt for complexes, through this
+protocol alone: hom_equations (the chain-map equations in the flat layout of
+_layout), morphism (flat entries split by degree into a ChainMorphism), sides,
+structure_maps and from_structure (the arrow maps of each degree, then the
+differentials, over sides ordered by degree) and frame (the period and the
+degrees, all that from_structure reads of a complex).  On top of them it
+solves homotopies, homology, extension classes and their middle terms, and
+builds sub- and quotient complexes.  The contractible
 complexes P = P and the resolution complexes P1(A) -> P0(A) of either
 grading, whose direct sums represent the homology classes of both
 semi-derived algebras, also live here; chain-map bases, coefficient
@@ -448,5 +452,9 @@ class Cx2Tools(KrullSchmidt):
         diffs = mats[len(degs) * k:]
         ends = [m for m in degs if X.degree(m + 1) in comps]
         return X.like(comps, {m: diffs[j * n:(j + 1) * n] for j, m in enumerate(ends)})
+
+    def frame(self, X) -> tuple:
+        """The period and the degrees of X, which from_structure reads."""
+        return X.period, X.degrees()
 
     quotient_complex = KrullSchmidt.quotient_object

@@ -207,12 +207,13 @@ class KrullSchmidt:
     and its intertwiners equations), morphism(X, Y, flat) (the morphism
     X -> Y with these flat entries), sides(X) (the square block sides of an
     endomorphism's entries_flat()), structure_maps(X) (the (matrix, source
-    side, target side) a sub-object is stable under) and
+    side, target side) a sub-object is stable under),
     from_structure(X, dims, mats) (its inverse: the object of X's kind with
     these sides and structure maps, in the order of sides() and
-    structure_maps()).  A sub-object U is a tuple of row bases in reduced
-    echelon form (each lead entry 1, the only nonzero entry of its column),
-    one per side, in sides() order; sub_object and quotient_object read
+    structure_maps()) and frame(X) (all that from_structure reads of X).
+    A sub-object U is a tuple of row bases in reduced echelon form (each
+    lead entry 1, the only nonzero entry of its column), one per side, in
+    sides() order; sub_object, quotient_object and hall_count read
     coordinates in them.  The objects have signature(), total_dim() and
     is_zero(); the morphisms compose(), is_zero(), is_isomorphism(),
     entries_flat() and blocks() (the matrices of entries_flat(), in the
@@ -382,11 +383,15 @@ class KrullSchmidt:
     def sub_objects(self, X, dims) -> list:
         """Every sub-object U of X with dims[k]-dimensional U[k], in product
         order, one side at a time: a map is tested once both its sides are.
-        The "<kind> enumeration guardrail" (check_dim) bounds total_dim(X),
-        the "<kind> enumeration" (check_count) the subspace tuples."""
+        ShapeError unless dims has one entry per side of X.  The "<kind>
+        enumeration guardrail" (check_dim) bounds total_dim(X), the "<kind>
+        enumeration" (check_count) the subspace tuples."""
         kind, limit, name = self.sub_guard
-        check_dim(kind + " enumeration guardrail", X.total_dim(), limit, name)
         sides = self.sides(X)
+        if len(dims) != len(sides):
+            raise ShapeError(f"{len(dims)} sub-object dimensions for an object "
+                             f"with {len(sides)} sides")
+        check_dim(kind + " enumeration guardrail", X.total_dim(), limit, name)
         count = 1
         for c, d in zip(sides, dims):
             count *= gaussian_binomial(c, d, self.p)
@@ -403,45 +408,76 @@ class KrullSchmidt:
         return found
 
     def sub_object(self, X, U):
-        """The sub-object of X on U: column j of each restricted structure map
-        f: s -> t holds the coordinates of f U[s][j] in U[t]; NotASubmodule
-        unless U spans a sub-object."""
-        p = self.p
-        mats = []
-        for f, s, t in self.structure_maps(X):
-            cols = []
-            for row in U[s]:
-                coords, residual = echelon_coords(p, U[t], f.mul_vec(row))
-                if any(residual):
-                    raise NotASubmodule("subspaces not stable under the structure maps")
-                cols.append(coords)
-            mats.append(_from_columns(p, cols, len(U[t])))
-        return self.from_structure(X, tuple(map(len, U)), mats)
+        """The sub-object of X on U, its structure maps read off the leads of
+        U (_restricted_rows); NotASubmodule unless U spans a sub-object."""
+        maps = self.structure_maps(X)
+        if not maps_into(self.p, maps, U):
+            raise NotASubmodule("subspaces not stable under the structure maps")
+        return self._from_rows(X, maps, tuple(map(len, U)),
+                               _restricted_rows(self.p, maps, U))
 
     def quotient_object(self, X, U):
-        """The quotient of X by the sub-object on U: each structure map
-        f: s -> t, its columns reduced against U[t], read at the free positions
-        (those that lead no row of U) of t and of s; NotASubmodule unless U
-        spans a sub-object."""
-        p = self.p
+        """The quotient of X by the sub-object on U, its structure maps read
+        at the free positions, those that lead no row of U (_quotient_rows);
+        NotASubmodule unless U spans a sub-object."""
         maps = self.structure_maps(X)
-        if not maps_into(p, maps, U):
+        if not maps_into(self.p, maps, U):
             raise NotASubmodule("subspaces not stable under the structure maps")
         free = [_free_positions(u, c) for u, c in zip(U, self.sides(X))]
-        mats = []
-        for f, s, t in maps:
-            cols = f.transpose().data
-            residuals = [echelon_coords(p, U[t], cols[j])[1] for j in free[s]]
-            mats.append(_from_columns(p, [[r[i] for i in free[t]] for r in residuals],
-                                      len(free[t])))
-        return self.from_structure(X, tuple(map(len, free)), mats)
+        return self._from_rows(X, maps, tuple(map(len, free)),
+                               _quotient_rows(self.p, maps, U, free))
+
+    def _from_rows(self, X, maps, dims, rows):
+        """from_structure(X, dims, ...) on the rows of each structure map of
+        X's kind, one per (f, s, t) of maps."""
+        return self.from_structure(X, dims, [FpMatrix._trusted(self.p, r, dims[s])
+                                             for r, (_, s, _) in zip(rows, maps)])
+
+    def _flat(self, X, Y):
+        """(sides(Y), the rows of Y's structure maps) when Y has X's frame,
+        else None: the data from_structure(X, ...) gives Y back from."""
+        if self.frame(Y) != self.frame(X):
+            return None
+        return self.sides(Y), tuple(f.data for f, _, _ in self.structure_maps(Y))
 
     def hall_count(self, quot, X, sub) -> int:
         """The Hall number: how many sub-objects of X are isomorphic to sub
-        with quotient isomorphic to quot."""
-        return sum(1 for U in self.sub_objects(X, self.sides(sub))
-                   if self.is_isomorphic(self.sub_object(X, U), sub)
-                   and self.is_isomorphic(self.quotient_object(X, U), quot))
+        with quotient isomorphic to quot.
+
+        The walk has proved each sub-object U stable, so the structure maps
+        of U and of X/U are read straight off U's echelon rows with no second
+        stability test.  Each of the two is then decided against sub (quot)
+        on these flat data, its sides and the rows of its structure maps:
+        - equal data: isomorphic.  from_structure reads only the frame of X
+          and gives sub back from sub's own flat data, so when sub has X's
+          frame (_flat), equal data build an object with sub's signature,
+          the first test that is_isomorphic passes;
+        - other sides, or a structure map of another rank: not isomorphic,
+          since an isomorphism is invertible on each side and intertwines
+          each structure map;
+        - otherwise the object is built and is_isomorphic decides.
+        """
+        self._check_same(quot, X)
+        self._check_same(X, sub)
+        subs = self.sub_objects(X, self.sides(sub))
+        p, maps, sides = self.p, self.structure_maps(X), self.sides(X)
+
+        def isomorphic(dims, rows, want, Y) -> bool:
+            if (dims, rows) == want:
+                return True
+            if want is not None and (dims != want[0] or _ranks(p, maps, dims, rows)
+                                     != _ranks(p, maps, dims, want[1])):
+                return False
+            return self.is_isomorphic(self._from_rows(X, maps, dims, rows), Y)
+
+        want_sub, want_quot = self._flat(X, sub), self._flat(X, quot)
+        count = 0
+        for U in subs:
+            if isomorphic(tuple(map(len, U)), _restricted_rows(p, maps, U), want_sub, sub):
+                free = [_free_positions(u, c) for u, c in zip(U, sides)]
+                count += isomorphic(tuple(map(len, free)), _quotient_rows(p, maps, U, free),
+                                    want_quot, quot)
+        return count
 
     def riedtmann(self, g: int, quot, X, sub) -> Fraction:
         """|Ext^1(quot, sub)_X| / |Hom(quot, sub)| = g |Aut quot| |Aut sub| / |Aut X|
@@ -631,6 +667,10 @@ class RepCategory(KrullSchmidt):
 
     def from_structure(self, C: Rep, dims, mats) -> Rep:
         return Rep(self.quiver, self.p, dims, mats)
+
+    def frame(self, C: Rep) -> tuple:
+        """Nothing: from_structure reads only the quiver and the field."""
+        return ()
 
     def quotient(self, C: Rep, U) -> tuple:
         """Quotient of C by the subrepresentation with reduced echelon row
@@ -1038,6 +1078,40 @@ def maps_into(p: int, maps, U) -> bool:
                    for f, s, t in maps for row in U[s])
 
 
+def _restricted_rows(p: int, maps, U) -> tuple:
+    """The rows of each structure map (f, s, t) restricted to the stable
+    reduced echelon rows U: entry (k, j) is the coordinate of f U[s][j] along
+    U[t][k], which is its entry at the lead of U[t][k] (echelon_coords)."""
+    return tuple(tuple(tuple(sum(a * b for a, b in zip(lead, u)) % p for u in U[s])
+                       for lead in [f.data[row.index(1)] for row in U[t]])
+                 for f, s, t in maps)
+
+
+def _ranks(p: int, maps, dims, rows) -> tuple:
+    """The rank of each structure map (f, s, t) with these rows."""
+    return tuple(FpMatrix._trusted(p, r, dims[s]).rank() for r, (_, s, _) in zip(rows, maps))
+
+
+def _quotient_rows(p: int, maps, U, free) -> tuple:
+    """The rows of each structure map (f, s, t) on the quotient by the
+    sub-object on the reduced echelon rows U, at the free positions of each
+    side: column j of f, reduced against U[t] (echelon_coords), read at
+    free[t].  So row i is f's row i less U[t][k][i] times f's row at the lead
+    of U[t][k], over the rows k of U[t], read at free[s]."""
+    out = []
+    for f, s, t in maps:
+        leads = [(u, f.data[u.index(1)]) for u in U[t]]
+        rows = []
+        for i in free[t]:
+            r = f.data[i]
+            for u, lead_row in leads:
+                if u[i]:
+                    r = [a - u[i] * b for a, b in zip(r, lead_row)]
+            rows.append(tuple(r[j] % p for j in free[s]))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
 def _from_columns(p: int, cols, nrows: int) -> FpMatrix:
     """The nrows x len(cols) matrix with the given columns, whose entries
     are already reduced mod p."""
@@ -1045,8 +1119,8 @@ def _from_columns(p: int, cols, nrows: int) -> FpMatrix:
 
 
 def _free_positions(rows, n: int) -> list:
-    """The positions in range(n) that lead none of the echelon rows."""
-    leads = {next((j for j, a in enumerate(row) if a), None) for row in rows}
+    """The positions in range(n) that lead none of the reduced echelon rows."""
+    leads = {row.index(1) for row in rows}
     return [j for j in range(n) if j not in leads]
 
 

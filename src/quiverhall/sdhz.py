@@ -94,14 +94,13 @@ class SDHZAlgebra(SemiDerivedAlgebra):
         return LinComb(self.q, terms, self.productZ, _sdhz_str)
 
     def u_gen(self, A: Rep, m: int) -> LinComb:
-        """Class of the stalk complex with A in degree m."""
-        if A.is_zero():
-            return self.unit()
-        if not (WINDOW_LO <= m <= WINDOW_HI):
-            raise WindowExceeded(f"u generator at degree {m} leaves the window")
-        if m - 1 < WINDOW_LO and not self.cat.min_proj_resolution(A)[0].is_zero():
-            raise WindowExceeded(f"u generator at degree {m} needs torus slot {m-1}")
-        return self.stalk_term(A, m)
+        """Class of the stalk complex with A in degree m, its one term
+        inside the window (window_check): degree m, and slot m - 1 unless A
+        is projective."""
+        x = self.stalk_term(A, m)
+        for g, key in x.terms:
+            self.window_check(g, key)
+        return x
 
     def v_gen(self, alpha_dim, m: int) -> LinComb:
         """Torus generator for the class alpha at slot m (degrees m, m+1).
@@ -114,12 +113,12 @@ class SDHZAlgebra(SemiDerivedAlgebra):
         the splitting in the untwisted torus; the lattice basis element is the
         canonical choice and is what the structure constants produce.)
         """
-        if not (WINDOW_LO <= m and m + 1 <= WINDOW_HI):
-            raise WindowExceeded(f"v generator at slot {m} leaves the window")
         a = self.coords(alpha_dim)
+        g = ((m, a),)
+        self.window_check(g, ())   # slot m, even for the zero class
         if not any(a):
             return self.unit()
-        return self.term(((m, a),), ())
+        return self.term(g, ())
 
     # -- product ----------------------------------------------------------------
 

@@ -440,3 +440,12 @@ def xi_by_pieces(refl: SinkReflection, key) -> LinComb:
     torus_red = alg2.reduce(alg2.torus_term(tneg))
     out = alg2.reduced_product(torus_red, alg2.reduce(w2_elt))
     return out.scale_scalar(nu.inverse() * v_power(refl.q, cw))
+
+
+def hall_count_by_objects(ks, quot, X, sub) -> int:
+    """The Hall number of quot, X and sub by building every sub-object of X
+    of sub's sides and its quotient, and testing both with is_isomorphic:
+    the oracle of KrullSchmidt.hall_count, which reads flat data instead."""
+    return sum(1 for U in ks.sub_objects(X, ks.sides(sub))
+               if ks.is_isomorphic(ks.sub_object(X, U), sub)
+               and ks.is_isomorphic(ks.quotient_object(X, U), quot))

@@ -218,6 +218,15 @@ def test_unwritable_out_exits_two(quiver_files, capsys, mode, out):
      "218ce1d09094a0d25cd80ae6a0a01a49dc8a057259e7b89ab01dec37090b1d7c"),
     ("d4", 3, ["--suite", "presentation-uv"],
      "8294b8c23d9bfb7aa2f7a82240e3ec5d592658b8bacc862ed07118421bb5004a"),
+    # Route B's Hall counts at a larger field, on three vertices and on a
+    # D4 quiver, whose sub-objects and quotients are compared by their flat
+    # structure data before any is built.
+    ("a1", 5, ["--suite", "bridgeland-compare"],
+     "90bc02c14c6de61422b39f54e667a145ec569bdf7a2b83d37150c126aea6b5db"),
+    ("a3", 2, ["--suite", "bridgeland-compare"],
+     "a0a4910e429407b220807f696e5a0e3e07609f60c50fefb87143ad4ce421e8e8"),
+    ("d4", 2, ["--suite", "bridgeland-compare"],
+     "d2359aa226c147963ae2025343ce51da5f49d6ba85f28bf62484ccbde8a75581"),
 ])
 def test_golden_report_bytes(tmp_path, quiver, q, args, sha256):
     """Reports stay byte-identical to those of the exhaustive object-building

@@ -11,12 +11,13 @@ from quiverhall.cx2 import (
     contractible,
     direct_sum,
     minimal_complex,
+    resolution,
 )
 from quiverhall.errors import NotASubmodule, ShapeError, SignConventionBroken, WindowExceeded
 from quiverhall.linalg import FpMatrix
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reps import RepCategory, RepMorphism
-from quiverhall.sdhz import CxB
+from quiverhall.sdhz import CxB, stalk_cxb
 
 
 def a2(p=2):
@@ -267,6 +268,22 @@ def test_non_subcomplex_is_refused():
             build(X, U)
     assert tools.sub_complexes_with_dims(X, (1, 0)) == []
     assert tools.sub_complexes_with_dims(X, (0, 1)) == [((), ((1,),))]
+
+
+def test_sub_object_dimensions_of_another_length_are_refused():
+    """On A2 the resolution of S1 spans two degrees, four sides, and the stalk
+    of its degree-0 component one degree, two sides: the walk and the Hall
+    count refuse the stalk's dimensions with a ShapeError naming both
+    lengths, where the walk dropped the extra sides and the count raised a
+    bare IndexError."""
+    cat = a2()
+    tools = Cx2Tools(cat)
+    X = resolution(cat, cat.simple(1), 1)
+    sub = stalk_cxb(cat, X.component(0), 0)
+    with pytest.raises(ShapeError, match="2 sub-object dimensions .* 4 sides"):
+        tools.sub_complexes_with_dims(X, tools.sides(sub))
+    with pytest.raises(ShapeError, match="2 sub-object dimensions .* 4 sides"):
+        tools.hall_count(stalk_cxb(cat, X.component(1), 1), X, sub)
 
 
 def test_sign_convention_guard():

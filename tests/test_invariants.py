@@ -10,6 +10,7 @@ from oracles import (
     classify_acyclic_indec,
     complex_pool_by_isomorphism,
     exp_Y_g,
+    hall_count_by_objects,
     is_acyclic,
     reduce_against_rows,
     subspace_contains,
@@ -879,6 +880,76 @@ def test_module_hall_count_matches_interned_key_count():
                     assert cat.hall_count(A.rep, C.rep, B.rep) == by_keys[A, B], (A, B, C)
                     nonzero += by_keys[A, B] > 0
     assert nonzero > 50, nonzero
+
+
+# The pools of bridgeland-compare at the CLI's pool bound 3.
+BRIDGELAND_POOLS = tuple((qv, p) for qv in (Quiver(1, []), a_n_quiver(2), a_n_quiver(3))
+                         for p in (2, 3)) + ((Quiver(2, [(1, 2), (1, 2)]), 2),)
+
+
+def _hall_count_triples():
+    """(name, engine, triples): for each of BRIDGELAND_POOLS ("pool") every
+    (L, X, M) of its pool pairs of total dimension <= 4 with X a middle term
+    of the pool (one per normal form) of the sides of M (+) L, and ("folds")
+    the Z-graded folds of those with X a middle term of L by M, where M
+    spans as many degrees as X; for each of WALK_POOLS ("modules") every
+    (A, C, B) of the bound-3 module classes with dim C = dim A + dim B."""
+    for qv, p in BRIDGELAND_POOLS:
+        alg = SDH2Algebra(RepCategory(qv, p))
+        tools = alg.tools
+        pairs = _ext_pairs(proj_complex_pool(alg, 3), 4)
+        routes = []
+        for L, M in pairs:
+            found = {}
+            for _f, E, _w in tools.ext1_classes_proj(L, M):
+                found.setdefault(alg.normal_form(E)[1:], E)
+            routes += [(L, X, M) for X in found.values()]
+        middles = {X.signature(): X for _, X, _ in routes}
+        yield "pool", tools, [(L, X, M) for L, M in pairs for X in middles.values()
+                              if tools.sides(X) == tuple(a + b for a, b in
+                                                         zip(tools.sides(M), tools.sides(L)))]
+        folds = [tuple(map(_fold, triple)) for triple in routes]
+        yield "folds", tools, [(L, X, M) for L, X, M in folds
+                               if len(tools.sides(M)) == len(tools.sides(X))]
+    for qv, p in WALK_POOLS:
+        cat = RepCategory(qv, p)
+        reps_ = [k.rep for k in cat.iso_classes_up_to(3)]
+        yield "modules", cat, [(A, C, B) for C in reps_ for A in reps_ for B in reps_
+                               if tuple(a + b for a, b in zip(A.dim, B.dim)) == C.dim]
+
+
+def _counting(counts, key, fn):
+    def counted(*args):
+        counts[key] += 1
+        return fn(*args)
+    return counted
+
+
+def test_hall_count_matches_object_building_oracle(monkeypatch):
+    """hall_count, which decides sub-objects and quotients from their flat
+    data, equals the count that builds each of them and tests it with
+    is_isomorphic (oracles.hall_count_by_objects) on every triple of
+    _hall_count_triples, zero counts included.  On the complex pools and the
+    modules it builds an object for at most 10% of the sub-objects and
+    quotients that it tests (_restricted_rows and _quotient_rows calls), so
+    the fast path cannot quietly stop being taken.  On the folds the
+    quotient often spans other degrees than X (another frame), and then
+    is_isomorphic decides on the built object."""
+    counts = Counter()
+    for name, ks, triples in _hall_count_triples():
+        with monkeypatch.context() as m:
+            for fn in ("_restricted_rows", "_quotient_rows"):
+                m.setattr(reps, fn, _counting(counts, ("tested", name), getattr(reps, fn)))
+            m.setattr(ks, "from_structure",
+                      _counting(counts, ("built", name), ks.from_structure))
+            got = [ks.hall_count(*triple) for triple in triples]
+        assert got == [hall_count_by_objects(ks, *triple) for triple in triples], name
+        counts["nonzero", name] += sum(g > 0 for g in got)
+        counts["zero", name] += got.count(0)
+    assert min(counts["nonzero", name] for name in ("pool", "folds", "modules")) > 150 \
+        and min(counts["zero", name] for name in ("pool", "modules")) > 150, counts
+    for name in ("pool", "modules"):
+        assert counts["built", name] <= counts["tested", name] // 10, counts
 
 
 def test_from_structure_inverts_structure_maps():

@@ -242,12 +242,14 @@ def test_homology_additivity_disjoint_supports():
 def test_window_guards():
     cat = a2()
     alg = SDHZAlgebra(cat)
-    with pytest.raises(WindowExceeded):
+    # Each generator's one term goes through window_check.
+    with pytest.raises(WindowExceeded, match="homology degree 9 outside \\[-8, 8\\]"):
         alg.u_gen(cat.simple(1), 9)
-    with pytest.raises(WindowExceeded):
-        alg.u_gen(cat.simple(1), -8)  # needs torus slot -9
-    with pytest.raises(WindowExceeded):
-        alg.v_gen((1, 0), 8)
+    with pytest.raises(WindowExceeded, match="torus slot -9 outside \\[-8, 7\\]"):
+        alg.u_gen(cat.simple(1), -8)  # P1(S1) sits in degree -9
+    for alpha in ((1, 0), (0, 0)):   # the zero class too
+        with pytest.raises(WindowExceeded, match="torus slot 8 outside \\[-8, 7\\]"):
+            alg.v_gen(alpha, 8)
     assert alg.u_gen(cat.simple(2), -8) is not None  # projective: no slot below
     # Products check the homology key, then the torus lattice, of every
     # term, on every call: a cached key pair must not skip the checks.
