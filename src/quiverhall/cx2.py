@@ -16,19 +16,19 @@ bounded.  The protocol the engine reads is written once for both:
                       and the per-vertex matrices mats[m] of d^m
 
 Cx2Tools supplies the hooks of reps.KrullSchmidt for complexes, through this
-protocol alone: hom_equations (the chain-map equations in the flat layout of
-_layout), morphism (flat entries split by degree into a ChainMorphism), sides,
-structure_maps and from_structure (the arrow maps of each degree, then the
-differentials, over sides ordered by degree) and frame (the period and the
-degrees, all that from_structure reads of a complex).  On top of them it
-solves homotopies, homology, extension classes and their middle terms, and
-builds sub- and quotient complexes.  The contractible
-complexes P = P and the resolution complexes P1(A) -> P0(A) of either
-grading, whose direct sums represent the homology classes of both
-semi-derived algebras, also live here; chain-map bases, coefficient
-combinations, images and kernels, Krull-Schmidt decomposition, isomorphism
-tests, automorphism and hom-space counts, sub-complex enumeration and Hall
-numbers are those of reps.KrullSchmidt.  The semi-derived algebras are in sdh
+protocol alone: span (the degrees from the lowest to the highest of two
+complexes, always 0, 1 for Z/2), sides and structure_maps (the arrow maps of
+each degree over the span, then the differentials, over sides ordered by
+degree), morphism (flat entries split by those sides into a ChainMorphism)
+and from_structure (their inverse over a complex's own degrees).  On top of
+them it solves homotopies, homology, extension classes and their middle
+terms, and builds sub- and quotient complexes.  The contractible complexes
+P = P and the resolution complexes P1(A) -> P0(A) of either grading, whose
+direct sums represent the homology classes of both semi-derived algebras,
+also live here; the chain-map equations and bases, coefficient combinations,
+images and kernels, Krull-Schmidt decomposition, isomorphism tests,
+automorphism and hom-space counts, sub-complex enumeration and Hall numbers
+are those of reps.KrullSchmidt.  The semi-derived algebras are in sdh
 (the core of both), sdh2 and sdhz.
 """
 
@@ -186,14 +186,9 @@ def squares_to_zero(d0: RepMorphism, d1: RepMorphism) -> bool:
     return all((b @ a).is_zero() and (a @ b).is_zero() for a, b in zip(d0.mats, d1.mats))
 
 
-def _dims(X) -> dict:
-    """{degree: dimension vector} of a complex of either grading."""
-    return {m: X.component(m).dim for m in X.degrees()}
-
-
 class ChainMorphism:
     """A chain map dom -> cod of complexes of either grading: one RepMorphism
-    per degree of Cx2Tools._layout(dom, cod)."""
+    per degree that both complexes occupy."""
 
     __slots__ = ("dom", "cod", "maps", "_flat")
 
@@ -216,7 +211,7 @@ class ChainMorphism:
         return tuple(m for s in self.maps.values() for m in s.mats)
 
     def is_isomorphism(self) -> bool:
-        return (_dims(self.dom) == _dims(self.cod)
+        return (self.dom.degrees() == self.cod.degrees()
                 and all(s.is_isomorphism() for s in self.maps.values()))
 
     def compose(self, other: "ChainMorphism") -> "ChainMorphism":
@@ -232,6 +227,15 @@ def contractible(cat: RepCategory, P: Rep, m: int, period: int = None) -> Comple
     return Complex._trusted(cat, m, (P, P), (ident,), period)
 
 
+def _span(U, V) -> range:
+    """The degrees from the lowest to the highest of the complexes U and V
+    of one grading: 0, 1 for Z/2."""
+    du, dv = U.degrees(), V.degrees()
+    if not du or not dv:
+        return du or dv
+    return range(min(du.start, dv.start), max(du.stop, dv.stop))
+
+
 def middle_term(L, M, f=None):
     """Extension of L by M along a chain map f: L -> ΣM, with block
     differential [[d_M, f], [0, d_L]] in each degree; f = None gives the
@@ -239,8 +243,7 @@ def middle_term(L, M, f=None):
     block differentials form a complex, so it is built unchecked."""
     cat = L.cat
     p = cat.p
-    degs = set(L.degrees()) | set(M.degrees())
-    span = range(min(degs, default=0), max(degs, default=-1) + 1)
+    span = _span(L, M)
     comps = {m: cat.direct_sum([M.component(m), L.component(m)]) for m in span}
     mats = {}
     for m in span:
@@ -310,56 +313,30 @@ class Cx2Tools(KrullSchmidt):
         super().__init__(cat.p)
         self.cat = cat
         self._homotopy_cache = {}
-        self._homology_cache = {}
 
     def _check_same(self, L, M) -> None:
         if L.cat is not self.cat or M.cat is not self.cat:
             raise CategoryMismatch("complexes from a different category context")
 
-    def sides(self, X) -> tuple:
-        return sum(_dims(X).values(), ())
+    span = staticmethod(_span)
 
-    def _layout(self, U, V) -> tuple:
-        """(degrees, offsets, shapes, size) of the flat chain maps U -> V:
-        over the degrees of both, one row-major block of the given shape per
-        degree and vertex, degree-major and vertex-minor, the block of
-        (degree, vertex) starting at offsets[degree, vertex]."""
-        degs = [m for m in U.degrees() if m in V.degrees()]
-        offsets = {}
-        shapes = []
-        size = 0
-        for m, i in product(degs, range(self.cat.quiver.n)):
-            offsets[m, i] = size
-            shapes.append((V.component(m).dim[i], U.component(m).dim[i]))
-            size += shapes[-1][0] * shapes[-1][1]
-        return degs, offsets, shapes, size
+    def sides(self, X, span=None) -> tuple:
+        """The dimension vectors of X's components over span, X's degrees by
+        default, one after another."""
+        return sum((c.dim for c in (X.comps if span is None else map(X.component, span))), ())
 
     def morphism(self, U, V, flat) -> ChainMorphism:
         """The chain map U -> V with the given flat entries, in the layout of
-        U -> V."""
-        degs, _, shapes, _ = self._layout(U, V)
+        U -> V: one RepMorphism per degree of both, split by the sides over
+        those degrees.  The other degrees of span(U, V) have empty blocks,
+        U or V being zero there."""
+        du, dv = U.degrees(), V.degrees()
+        both = range(max(du.start, dv.start), min(du.stop, dv.stop))
         n = self.cat.quiver.n
-        mats = split_flat(self.p, flat, shapes)
+        mats = split_flat(self.p, flat, zip(self.sides(V, both), self.sides(U, both)))
         return ChainMorphism(U, V, {
             m: RepMorphism(U.component(m), V.component(m), mats[k * n:(k + 1) * n])
-            for k, m in enumerate(degs)}, flat)
-
-    def hom_equations(self, U, V) -> tuple:
-        """The chain maps U -> V in the layout of U -> V: the intertwining
-        equations of each degree, then the squares s^(m+1) dU^m = dV^m s^m."""
-        degs, offsets, _, nvars = self._layout(U, V)
-        arrows = self.cat.quiver.arrows
-
-        def equations():
-            for m in degs:
-                Um, Vm = U.component(m), V.component(m)
-                for a, (s, t) in enumerate(arrows):
-                    yield offsets[m, t - 1], Um.maps[a], offsets[m, s - 1], Vm.maps[a]
-            for m in U.degrees():
-                for i, (dU, dV) in enumerate(zip(U.diff(m).mats, V.diff(m).mats)):
-                    yield offsets.get((U.degree(m + 1), i)), dU, offsets.get((m, i)), dV
-
-        return nvars, equations()
+            for k, m in enumerate(both)}, flat)
 
     def homotopy_subspace(self, L, M) -> list:
         """rref rows (in flat chain-map coordinates) of the null-homotopic
@@ -369,7 +346,10 @@ class Cx2Tools(KrullSchmidt):
         if cached is not None:
             return cached
         cat = self.cat
-        _, offsets, _, size = self._layout(L, M)
+        span, offsets = self._layout(L, M)
+        size = offsets[-1]
+        # the offset of the block of each (degree, vertex), the sides' order
+        block = dict(zip(product(span, range(cat.quiver.n)), offsets))
         gens = []
         # null-homotopic maps are chain maps, so with none there is nothing to do
         for m in L.degrees() if self.hom_basis(L, M) else ():
@@ -377,10 +357,10 @@ class Cx2Tools(KrullSchmidt):
                 vec = [0] * size
                 for deg, t in ((m, M.diff(m - 1).compose(h)),
                                (L.degree(m - 1), h.compose(L.diff(m - 1)))):
-                    # a degree outside the layout has only empty blocks
+                    # a degree outside the span has only empty blocks
                     for i, mat in enumerate(t.mats):
                         for j, x in enumerate(mat.entries_flat()):
-                            vec[offsets[deg, i] + j] += x
+                            vec[block[deg, i] + j] += x
                 if any(vec):
                     gens.append(vec)
         rows = []
@@ -399,13 +379,8 @@ class Cx2Tools(KrullSchmidt):
 
     def homology(self, X) -> dict:
         """{degree: homology representation} over X.degrees()."""
-        ck = X.signature()
-        cached = self._homology_cache.get(ck)
-        if cached is None:
-            cached = self._homology_cache[ck] = {
-                m: _homology_at(self.cat, X.component(m), X.diff(m), X.diff(m - 1))
+        return {m: _homology_at(self.cat, X.component(m), X.diff(m), X.diff(m - 1))
                 for m in X.degrees()}
-        return cached
 
     # -- extension classes ------------------------------------------------
 
@@ -431,11 +406,11 @@ class Cx2Tools(KrullSchmidt):
             out.append((f, middle_term(L, M, f), weight))
         return out
 
-    def structure_maps(self, X) -> list:
+    def structure_maps(self, X, span=None) -> list:
         """The arrow maps of each component, then (d^m at vertex i, its source
-        side, its target side), over sides(X)."""
+        side, its target side), over sides(X, span)."""
         n = self.cat.quiver.n
-        off = {m: k * n for k, m in enumerate(X.degrees())}
+        off = {m: k * n for k, m in enumerate(X.degrees() if span is None else span)}
         return [(f, off[m] + s, off[m] + t) for m in off
                 for f, s, t in self.cat.structure_maps(X.component(m))] + [
             (f, off[m] + i, off[X.degree(m + 1)] + i) for m in off if X.degree(m + 1) in off
@@ -452,9 +427,5 @@ class Cx2Tools(KrullSchmidt):
         diffs = mats[len(degs) * k:]
         ends = [m for m in degs if X.degree(m + 1) in comps]
         return X.like(comps, {m: diffs[j * n:(j + 1) * n] for j, m in enumerate(ends)})
-
-    def frame(self, X) -> tuple:
-        """The period and the degrees of X, which from_structure reads."""
-        return X.period, X.degrees()
 
     quotient_complex = KrullSchmidt.quotient_object

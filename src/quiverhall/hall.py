@@ -47,7 +47,6 @@ class HallAlgebra:
         self.cat = cat
         self.q = cat.p
         self.cross_check = cross_check
-        self._ext_cache = {}
 
     # -- basic elements --------------------------------------------------
 
@@ -89,11 +88,10 @@ class HallAlgebra:
         coset) has middle bottom + top, whose key RepCategory.sum_key reads
         off the parts of the two keys; every other middle is interned, which
         classifies it by its hom vector on a Dynkin table and by its Fitting
-        decomposition otherwise.
+        decomposition otherwise.  Nothing is cached: SemiDerivedAlgebra._key_pair
+        caches the stalk pairs that call it, and a Hall product asks for a
+        pair of keys about once.
         """
-        ck = (top.sig, bottom.sig)
-        if ck in self._ext_cache:
-            return self._ext_cache[ck]
         cat = self.cat
         p = self.q
         A = top.rep
@@ -102,7 +100,6 @@ class HallAlgebra:
         HB1 = cat.hom_basis(P1, C)
         counts = {cat.sum_key([bottom, top]): 1}
         if not HB1:
-            self._ext_cache[ck] = counts
             return counts
         HB0 = cat.hom_basis(P0, C)
         # dim Ext^1(A, C) = dim Hom(P1, C) - dim Hom(P0, C) + dim Hom(A, C)
@@ -117,7 +114,6 @@ class HallAlgebra:
                                         for i in range(cat.quiver.n)])
             k = cat.intern(cat.quotient_object(D, cat.image_subspaces(graph)))
             counts[k] = counts.get(k, 0) + weight
-        self._ext_cache[ck] = counts
         return counts
 
     def _riedtmann_value(self, top, bottom, middle) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, islice, product
+from math import prod
 from typing import Iterable, Optional
 
 from .errors import (
@@ -200,17 +201,20 @@ class KrullSchmidt:
     isomorphism tests and automorphism counts shared by the category of
     representations (RepCategory) and that of complexes (cx2.Cx2Tools).
 
-    A subclass supplies scan_prefix (the prefix of its guards), sub_guard
-    (the name, limit and limit name of the sub-object walk's guardrail),
-    _check_same(X, Y) (CategoryMismatch unless both objects are its own),
-    hom_equations(X, Y) (the number of unknowns of a flat morphism X -> Y
-    and its intertwiners equations), morphism(X, Y, flat) (the morphism
-    X -> Y with these flat entries), sides(X) (the square block sides of an
-    endomorphism's entries_flat()), structure_maps(X) (the (matrix, source
-    side, target side) a sub-object is stable under),
-    from_structure(X, dims, mats) (its inverse: the object of X's kind with
-    these sides and structure maps, in the order of sides() and
-    structure_maps()) and frame(X) (all that from_structure reads of X).
+    An object's structure is stated once, over a span of degrees: None for
+    modules, a range of degrees for complexes.  A subclass supplies
+    scan_prefix (the prefix of its guards), sub_guard (the name, limit and
+    limit name of the sub-object walk's guardrail), _check_same(X, Y)
+    (CategoryMismatch unless both objects are its own), span(X, Y) (the
+    degrees a morphism X -> Y is read over), sides(X, span=None) (the
+    dimensions of X's spaces over span, X's own degrees by default, a
+    component outside them reading as zero), structure_maps(X, span=None)
+    (the (matrix, source side, target side) that a sub-object is stable
+    under and a morphism intertwines, over the same sides),
+    morphism(X, Y, flat) (the morphism X -> Y with these flat entries, in
+    the layout of hom_equations) and from_structure(X, dims, mats) (the
+    inverse of the two: the object of X's kind and degrees with these sides
+    and structure maps, in the order of sides() and structure_maps()).
     A sub-object U is a tuple of row bases in reduced echelon form (each
     lead entry 1, the only nonzero entry of its column), one per side, in
     sides() order; sub_object, quotient_object and hall_count read
@@ -235,10 +239,32 @@ class KrullSchmidt:
         key = (X.signature(), Y.signature())
         basis = self._hom_cache.get(key)
         if basis is None:
-            nvars, equations = self.hom_equations(X, Y)
-            basis = self._hom_cache[key] = [self.morphism(X, Y, v)
-                                            for v in intertwiners(self.p, nvars, equations)]
+            basis = self._hom_cache[key] = [
+                self.morphism(X, Y, v) for v in intertwiners(self.p, *self.hom_equations(X, Y))]
         return basis
+
+    def _layout(self, X, Y) -> tuple:
+        """(span(X, Y), offsets) of the flat morphisms X -> Y: one row-major
+        block of sides(Y) by sides(X) per side over the span, the block of
+        side k at offsets[k], their total size last.  A side outside X or Y
+        has a block of size zero."""
+        span = self.span(X, Y)
+        return span, [0, *accumulate(a * b for a, b in zip(self.sides(X, span),
+                                                           self.sides(Y, span)))]
+
+    def hom_equations(self, X, Y) -> tuple:
+        """(number of unknowns, equations) of Hom(X, Y) in the layout of
+        _layout: phi_t f = g phi_s for each pair of corresponding structure
+        maps f of X and g of Y from side s to side t.  The equations are
+        built only as the solver reads them."""
+        span, offsets = self._layout(X, Y)
+
+        def equations():
+            for (f, s, t), (g, _, _) in zip(self.structure_maps(X, span),
+                                            self.structure_maps(Y, span)):
+                yield offsets[t], f, offsets[s], g
+
+        return offsets[-1], equations()
 
     def hom_dim(self, X, Y) -> int:
         """dim Hom(X, Y).  Hom is additive, so when the summand classes of
@@ -263,7 +289,7 @@ class KrullSchmidt:
         """The morphism sum_i coeffs[i] * basis[i]: X -> Y, zero for an
         empty basis."""
         vecs = [b.entries_flat() for b in basis]
-        size = len(vecs[0]) if vecs else self.hom_equations(X, Y)[0]
+        size = len(vecs[0]) if vecs else self._layout(X, Y)[1][-1]
         return self.morphism(X, Y, combine_flat(self.p, vecs, coeffs, size))
 
     def image_subspaces(self, f) -> tuple:
@@ -433,25 +459,20 @@ class KrullSchmidt:
         return self.from_structure(X, dims, [FpMatrix._trusted(self.p, r, dims[s])
                                              for r, (_, s, _) in zip(rows, maps)])
 
-    def _flat(self, X, Y):
-        """(sides(Y), the rows of Y's structure maps) when Y has X's frame,
-        else None: the data from_structure(X, ...) gives Y back from."""
-        if self.frame(Y) != self.frame(X):
-            return None
-        return self.sides(Y), tuple(f.data for f, _, _ in self.structure_maps(Y))
-
     def hall_count(self, quot, X, sub) -> int:
         """The Hall number: how many sub-objects of X are isomorphic to sub
         with quotient isomorphic to quot.
 
-        The walk has proved each sub-object U stable, so the structure maps
-        of U and of X/U are read straight off U's echelon rows with no second
-        stability test.  Each of the two is then decided against sub (quot)
-        on these flat data, its sides and the rows of its structure maps:
-        - equal data: isomorphic.  from_structure reads only the frame of X
-          and gives sub back from sub's own flat data, so when sub has X's
-          frame (_flat), equal data build an object with sub's signature,
-          the first test that is_isomorphic passes;
+        sub and quot are read over X's degrees (span(X, X)), and one with a
+        component outside them is no sub-object or quotient of X: the count
+        is 0.  The walk has proved each sub-object U stable, so the structure
+        maps of U and of X/U are read straight off U's echelon rows with no
+        second stability test.  Each of the two is then decided against sub
+        (quot) on these flat data, its sides and the rows of its structure
+        maps, read over the same span:
+        - equal data: isomorphic.  from_structure gives sub back from its
+          own flat data over X's degrees, so equal data build an object with
+          sub's signature, the first test that is_isomorphic passes;
         - other sides, or a structure map of another rank: not isomorphic,
           since an isomorphism is invertible on each side and intertwines
           each structure map;
@@ -459,18 +480,22 @@ class KrullSchmidt:
         """
         self._check_same(quot, X)
         self._check_same(X, sub)
-        subs = self.sub_objects(X, self.sides(sub))
+        span = self.span(X, X)
+        wants = [(self.sides(Y, span), tuple(f.data for f, _, _ in self.structure_maps(Y, span)))
+                 for Y in (sub, quot)]
+        if any(sum(dims) != Y.total_dim() for (dims, _), Y in zip(wants, (sub, quot))):
+            return 0
+        want_sub, want_quot = wants
+        subs = self.sub_objects(X, want_sub[0])
         p, maps, sides = self.p, self.structure_maps(X), self.sides(X)
 
         def isomorphic(dims, rows, want, Y) -> bool:
             if (dims, rows) == want:
                 return True
-            if want is not None and (dims != want[0] or _ranks(p, maps, dims, rows)
-                                     != _ranks(p, maps, dims, want[1])):
+            if dims != want[0] or _ranks(p, maps, dims, rows) != _ranks(p, maps, dims, want[1]):
                 return False
             return self.is_isomorphic(self._from_rows(X, maps, dims, rows), Y)
 
-        want_sub, want_quot = self._flat(X, sub), self._flat(X, quot)
         count = 0
         for U in subs:
             if isomorphic(tuple(map(len, U)), _restricted_rows(p, maps, U), want_sub, sub):
@@ -630,13 +655,9 @@ class RepCategory(KrullSchmidt):
         if M.quiver != self.quiver or N.quiver != self.quiver or M.p != self.p or N.p != self.p:
             raise CategoryMismatch("representations over a different quiver or field")
 
-    def hom_equations(self, M: Rep, N: Rep) -> tuple:
-        """(number of unknowns, equations) of Hom(M, N): f_t X_a^M = X_a^N f_s
-        for every arrow a: s -> t, over the blocks f_i: M_i -> N_i, vertex by
-        vertex."""
-        offsets = [0, *accumulate(a * b for a, b in zip(M.dim, N.dim))]
-        return offsets[-1], ((offsets[t - 1], M.maps[a], offsets[s - 1], N.maps[a])
-                             for a, (s, t) in enumerate(self.quiver.arrows))
+    def span(self, M: Rep, N: Rep) -> None:
+        """None: a representation has no degrees."""
+        return None
 
     def morphism(self, M: Rep, N: Rep, flat) -> RepMorphism:
         return RepMorphism(M, N, split_flat(self.p, flat, zip(N.dim, M.dim)), flat)
@@ -661,16 +682,12 @@ class RepCategory(KrullSchmidt):
         sub = self.sub_object(C, U)
         return sub, RepMorphism(sub, C, [_from_columns(self.p, u, d) for u, d in zip(U, C.dim)])
 
-    def structure_maps(self, C: Rep) -> list:
+    def structure_maps(self, C: Rep, span=None) -> list:
         """(X_a, s - 1, t - 1) for each arrow a: s -> t."""
         return [(m, s - 1, t - 1) for m, (s, t) in zip(C.maps, self.quiver.arrows)]
 
     def from_structure(self, C: Rep, dims, mats) -> Rep:
         return Rep(self.quiver, self.p, dims, mats)
-
-    def frame(self, C: Rep) -> tuple:
-        """Nothing: from_structure reads only the quiver and the field."""
-        return ()
 
     def quotient(self, C: Rep, U) -> tuple:
         """Quotient of C by the subrepresentation with reduced echelon row
@@ -687,7 +704,7 @@ class RepCategory(KrullSchmidt):
                                                for k in range(d) if k not in lead], d))
         return quo, RepMorphism(C, quo, projs)
 
-    def sides(self, M: Rep) -> tuple:
+    def sides(self, M: Rep, span=None) -> tuple:
         return M.dim
 
     def _canonical_indec(self, M: Rep) -> Rep:
@@ -876,22 +893,36 @@ class RepCategory(KrullSchmidt):
         return self._reps_of_dim(tuple(d), None)
 
     def _reps_of_dim(self, d: tuple, ranks):
-        """all_reps_of_dim(d), keeping only the representations whose arrow a
-        has rank ranks[a] unless ranks is None.  The "representation
-        enumeration" guard (check_count) counts all of them, whatever ranks."""
-        Q = self.quiver
-        total = 1
-        for s, t in Q.arrows:
-            total *= self.p ** (d[t - 1] * d[s - 1])
-        check_count("representation enumeration", total, "representations")
+        """all_reps_of_dim(d), or, with ranks given, those of its
+        representations whose arrow a has rank ranks[a] and whose arrow 0 is
+        the least matrix of its rank.
+
+        These meet every base-change orbit of these ranks in its lex-least
+        member, its first in the walk of all_reps_of_dim: arrow 0 joins two
+        distinct vertices s and t (the quiver is acyclic) and GL_t x GL_s is
+        transitive on the t x s matrices of one rank, so some member of the
+        orbit has the least of them at arrow 0, and no member a lesser one.
+        The "representation enumeration" guard (check_count) bounds the
+        representations yielded, prod_a p^(r_a c_a) over the arrows a of
+        shape r_a x c_a (over a >= 1 when ranks are given), and the matrices
+        built, sum_a p^(r_a c_a)."""
+        Q, p = self.quiver, self.p
+        sizes = [p ** (d[t - 1] * d[s - 1]) for s, t in Q.arrows]
+        check_count("representation enumeration", prod(sizes[1:] if ranks else sizes),
+                    "representations")
+        check_count("representation enumeration", sum(sizes), "matrices")
         spaces = []
         for a, (s, t) in enumerate(Q.arrows):
             r, c = d[t - 1], d[s - 1]
-            mats = [FpMatrix(self.p, [ent[k * c:(k + 1) * c] for k in range(r)], cols=c)
-                    for ent in product(range(self.p), repeat=r * c)]
-            spaces.append(mats if ranks is None else [m for m in mats if m.rank() == ranks[a]])
+            mats = [FpMatrix(p, [ent[k * c:(k + 1) * c] for k in range(r)], cols=c)
+                    for ent in product(range(p), repeat=r * c)]
+            if ranks:
+                mats = [m for m in mats if m.rank() == ranks[a]]
+                if a == 0:
+                    mats = mats[:1]
+            spaces.append(mats)
         for combo in product(*spaces):
-            yield Rep(Q, self.p, d, list(combo))
+            yield Rep(Q, p, d, list(combo))
 
     def iso_classes_up_to(self, bound: int) -> list:
         """Sorted IsoClassKeys of all classes with total dimension <= bound:

@@ -7,7 +7,7 @@ SinkReflection) take it as their first argument.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable
 
 from quiverhall.cx2 import Complex, Cx2, direct_sum, squares_to_zero
@@ -444,8 +444,40 @@ def xi_by_pieces(refl: SinkReflection, key) -> LinComb:
 
 def hall_count_by_objects(ks, quot, X, sub) -> int:
     """The Hall number of quot, X and sub by building every sub-object of X
-    of sub's sides and its quotient, and testing both with is_isomorphic:
-    the oracle of KrullSchmidt.hall_count, which reads flat data instead."""
-    return sum(1 for U in ks.sub_objects(X, ks.sides(sub))
+    with sub's sides over X's degrees and its quotient, and testing both
+    with is_isomorphic: the oracle of KrullSchmidt.hall_count, which reads
+    flat data instead."""
+    return sum(1 for U in ks.sub_objects(X, ks.sides(sub, ks.span(X, X)))
                if ks.is_isomorphic(ks.sub_object(X, U), sub)
                and ks.is_isomorphic(ks.quotient_object(X, U), quot))
+
+
+def module_hom_equations(cat: RepCategory, M: Rep, N: Rep) -> tuple:
+    """(number of unknowns, equations) of Hom(M, N), written for modules:
+    f_t X_a^M = X_a^N f_s for every arrow a: s -> t, over the blocks
+    f_i: M_i -> N_i, vertex by vertex.  The reference for
+    KrullSchmidt.hom_equations on a RepCategory."""
+    offsets = [0, *accumulate(a * b for a, b in zip(M.dim, N.dim))]
+    return offsets[-1], [(offsets[t - 1], M.maps[a], offsets[s - 1], N.maps[a])
+                         for a, (s, t) in enumerate(cat.quiver.arrows)]
+
+
+def chain_map_equations(tools, U, V) -> tuple:
+    """(number of unknowns, equations) of the chain maps U -> V, written for
+    complexes: one row-major block per degree of both U and V and vertex,
+    degree-major; the intertwining equations of each of those degrees, then
+    the squares s^(m+1) dU^m = dV^m s^m over the degrees m of U, a block
+    outside the layout having a zero source or target.  The reference for
+    KrullSchmidt.hom_equations on a Cx2Tools, which reads blocks over the
+    span of both complexes instead."""
+    degs = [m for m in U.degrees() if m in V.degrees()]
+    offsets, size = {}, 0
+    for m, i in product(degs, range(tools.cat.quiver.n)):
+        offsets[m, i] = size
+        size += V.component(m).dim[i] * U.component(m).dim[i]
+    equations = [(offsets[m, t - 1], U.component(m).maps[a], offsets[m, s - 1],
+                  V.component(m).maps[a])
+                 for m in degs for a, (s, t) in enumerate(tools.cat.quiver.arrows)]
+    return size, equations + [
+        (offsets.get((U.degree(m + 1), i)), dU, offsets.get((m, i)), dV)
+        for m in U.degrees() for i, (dU, dV) in enumerate(zip(U.diff(m).mats, V.diff(m).mats))]

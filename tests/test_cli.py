@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -360,6 +362,21 @@ def test_csv_format(quiver_files, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert text.splitlines()[0] == "name,status,lhs,rhs"
+
+
+def test_table_csv_rows_equal_json_rows(quiver_files, capsys):
+    """--table --format csv writes the rows of the JSON table, in its order,
+    under the header A,B,C,hall_number,bridgeland_constant."""
+    texts = {}
+    for fmt in ("json", "csv"):
+        assert main(["--quiver", quiver_files["a2"], "--q", "3", "--table", "--bound", "3",
+                     "--format", fmt]) == 0
+        texts[fmt] = capsys.readouterr().out
+    rows = json.loads(texts["json"])
+    reader = csv.DictReader(io.StringIO(texts["csv"]))
+    assert reader.fieldnames == ["A", "B", "C", "hall_number", "bridgeland_constant"]
+    assert list(reader) == [{k: str(v) for k, v in row.items()} for row in rows]
+    assert len(rows) > 20
 
 
 def test_reflection_default_sink(quiver_files, capsys):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import classify_acyclic_indec, gl_elements, is_acyclic, stalk_cx2
+from oracles import (
+    classify_acyclic_indec,
+    gl_elements,
+    hall_count_by_objects,
+    is_acyclic,
+    stalk_cx2,
+)
 from quiverhall.cx2 import (
     _HARD_HI,
     _HARD_LO,
@@ -271,19 +277,38 @@ def test_non_subcomplex_is_refused():
 
 
 def test_sub_object_dimensions_of_another_length_are_refused():
-    """On A2 the resolution of S1 spans two degrees, four sides, and the stalk
-    of its degree-0 component one degree, two sides: the walk and the Hall
-    count refuse the stalk's dimensions with a ShapeError naming both
-    lengths, where the walk dropped the extra sides and the count raised a
-    bare IndexError."""
+    """On A2 the resolution X of S1 spans two degrees, four sides, and the
+    stalk of its degree-0 component one degree, two sides: the walk refuses
+    the stalk's dimensions with a ShapeError naming both lengths.  The Hall
+    count reads the stalks over X's degrees, and counts 0, since X^0 is not
+    stable under the differential."""
     cat = a2()
     tools = Cx2Tools(cat)
     X = resolution(cat, cat.simple(1), 1)
     sub = stalk_cxb(cat, X.component(0), 0)
     with pytest.raises(ShapeError, match="2 sub-object dimensions .* 4 sides"):
         tools.sub_complexes_with_dims(X, tools.sides(sub))
-    with pytest.raises(ShapeError, match="2 sub-object dimensions .* 4 sides"):
-        tools.hall_count(stalk_cxb(cat, X.component(1), 1), X, sub)
+    quot = stalk_cxb(cat, X.component(1), 1)
+    assert tools.hall_count(quot, X, sub) == hall_count_by_objects(tools, quot, X, sub) == 0
+
+
+def test_hall_count_of_stalks_in_fewer_degrees():
+    """On A2 at q = 2, the contractible X = (P1 = P1) in degrees 0, 1 has
+    exactly one sub-complex, its degree-1 component, isomorphic to the stalk
+    of P1 in degree 1 with quotient the stalk of P1 in degree 0; both stalks
+    occupy fewer degrees than X and are read over X's.  A stalk with a
+    component outside X's degrees counts 0, though over X's degrees it reads
+    as the zero sub-object or quotient of X."""
+    cat = a2()
+    tools = Cx2Tools(cat)
+    P1 = cat.projective(1)
+    X = contractible(cat, P1, 0)
+    for quot, sub, count in ((stalk_cxb(cat, P1, 0), stalk_cxb(cat, P1, 1), 1),
+                             (stalk_cxb(cat, P1, 1), stalk_cxb(cat, P1, 0), 0),
+                             (X, stalk_cxb(cat, P1, 2), 0),
+                             (stalk_cxb(cat, P1, -1), X, 0)):
+        assert tools.hall_count(quot, X, sub) == hall_count_by_objects(tools, quot, X, sub) \
+            == count, (quot, sub)
 
 
 def test_sign_convention_guard():

@@ -7,11 +7,13 @@ from itertools import product
 import pytest
 
 from oracles import (
+    chain_map_equations,
     classify_acyclic_indec,
     complex_pool_by_isomorphism,
     exp_Y_g,
     hall_count_by_objects,
     is_acyclic,
+    module_hom_equations,
     reduce_against_rows,
     subspace_contains,
 )
@@ -838,6 +840,37 @@ def test_additive_hom_dim_matches_the_solve():
     assert additive > 1000, additive
 
 
+def test_hom_bases_match_equations_written_per_category():
+    """KrullSchmidt.hom_equations, one builder over the sides and structure
+    maps of both objects over their span, solves to the flat hom bases of
+    the equations written per category (oracles.module_hom_equations and
+    chain_map_equations): both are read off the unique rref, so the flat
+    layouts agree.  On every pair of the first 30 objects of each of
+    _walk_pools, and for the complexes on every pair of Z-graded two-term
+    folds of 12 of them, each also in degrees 1, 2 and in degrees 3, 4:
+    the same, overlapping and disjoint degrees."""
+    counts = Counter()
+    for ks, objects in _walk_pools():
+        objects = objects[:30]
+        if isinstance(ks, RepCategory):
+            oracle, groups = module_hom_equations, [("modules", objects)]
+        else:
+            folds = [_fold(X) for X in objects[:12] if not X.is_zero()]
+            oracle = chain_map_equations
+            groups = [("Z/2", objects),
+                      ("Z", folds + [Y.shift(k) for Y in folds for k in (-1, -3)])]
+        for name, group in groups:
+            for X, Y in product(group, repeat=2):
+                basis = [f.entries_flat() for f in ks.hom_basis(X, Y)]
+                assert basis == intertwiners(ks.p, *oracle(ks, X, Y)), (X, Y)
+                kind = name
+                if name == "Z" and X.degrees() != Y.degrees():
+                    kind = "overlapping" if set(X.degrees()) & set(Y.degrees()) else "disjoint"
+                counts[kind, bool(basis)] += 1
+    assert min(counts[name, True] for name in ("modules", "Z/2", "Z", "overlapping")) > 100 \
+        and counts["disjoint", False] > 100, counts
+
+
 def test_sub_object_walk_matches_filter_of_every_subspace_tuple():
     """The walk, which tests each structure map as soon as both its sides
     are chosen, gives the tuples, in order, that sub_object builds (its
@@ -891,8 +924,8 @@ def _hall_count_triples():
     """(name, engine, triples): for each of BRIDGELAND_POOLS ("pool") every
     (L, X, M) of its pool pairs of total dimension <= 4 with X a middle term
     of the pool (one per normal form) of the sides of M (+) L, and ("folds")
-    the Z-graded folds of those with X a middle term of L by M, where M
-    spans as many degrees as X; for each of WALK_POOLS ("modules") every
+    the Z-graded folds of those with X a middle term of L by M, M or L often
+    spanning fewer degrees than X; for each of WALK_POOLS ("modules") every
     (A, C, B) of the bound-3 module classes with dim C = dim A + dim B."""
     for qv, p in BRIDGELAND_POOLS:
         alg = SDH2Algebra(RepCategory(qv, p))
@@ -908,9 +941,7 @@ def _hall_count_triples():
         yield "pool", tools, [(L, X, M) for L, M in pairs for X in middles.values()
                               if tools.sides(X) == tuple(a + b for a, b in
                                                          zip(tools.sides(M), tools.sides(L)))]
-        folds = [tuple(map(_fold, triple)) for triple in routes]
-        yield "folds", tools, [(L, X, M) for L, X, M in folds
-                               if len(tools.sides(M)) == len(tools.sides(X))]
+        yield "folds", tools, [tuple(map(_fold, triple)) for triple in routes]
     for qv, p in WALK_POOLS:
         cat = RepCategory(qv, p)
         reps_ = [k.rep for k in cat.iso_classes_up_to(3)]
@@ -929,12 +960,11 @@ def test_hall_count_matches_object_building_oracle(monkeypatch):
     """hall_count, which decides sub-objects and quotients from their flat
     data, equals the count that builds each of them and tests it with
     is_isomorphic (oracles.hall_count_by_objects) on every triple of
-    _hall_count_triples, zero counts included.  On the complex pools and the
-    modules it builds an object for at most 10% of the sub-objects and
-    quotients that it tests (_restricted_rows and _quotient_rows calls), so
-    the fast path cannot quietly stop being taken.  On the folds the
-    quotient often spans other degrees than X (another frame), and then
-    is_isomorphic decides on the built object."""
+    _hall_count_triples, zero counts included.  On each of them it builds
+    an object for at most 10% of the sub-objects and quotients that it tests
+    (_restricted_rows and _quotient_rows calls), so the fast path cannot
+    quietly stop being taken: on the folds too, whose sub or quotient often
+    spans fewer degrees than X and is read over X's."""
     counts = Counter()
     for name, ks, triples in _hall_count_triples():
         with monkeypatch.context() as m:
@@ -948,7 +978,7 @@ def test_hall_count_matches_object_building_oracle(monkeypatch):
         counts["zero", name] += got.count(0)
     assert min(counts["nonzero", name] for name in ("pool", "folds", "modules")) > 150 \
         and min(counts["zero", name] for name in ("pool", "modules")) > 150, counts
-    for name in ("pool", "modules"):
+    for name in ("pool", "folds", "modules"):
         assert counts["built", name] <= counts["tested", name] // 10, counts
 
 

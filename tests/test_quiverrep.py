@@ -622,15 +622,25 @@ def test_direct_sum_matches_block_construction(quiver):
 
 
 def test_canonical_walk_budget():
-    """The walk is bounded by the representations of the dimension vector:
-    a 3-arrow Kronecker brick of dimension (2, 2) at q = 5 is refused, with
-    5^12 representations against 480^2 base changes."""
-    cat = RepCategory(Quiver(2, [(1, 2)] * 3), 5)
-    M = cat.rep((2, 2), [[[1, 0], [0, 1]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]])
+    """The canonical walk never advances arrow 0, so it is bounded by the
+    representations over the other arrows and by the matrices it builds.  A
+    4-arrow Kronecker brick of dimension (2, 2) at q = 5 is refused with
+    5^12 representations of arrows 1-3; the preprojective Kronecker module
+    of dimension (4, 5) at q = 2 (arrow maps [I; 0] and [0; I]) with 2 * 2^20
+    matrices, its 2^20 representations being within the budget."""
+    cat = RepCategory(Quiver(2, [(1, 2)] * 4), 5)
+    M = cat.rep((2, 2), [[[1, 0], [0, 1]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]]])
     assert cat.hom_dim(M, M) == 1
     with pytest.raises(BudgetExceeded, match=r"^representation enumeration: 244140625 "
                                              r"representations > SCAN_BUDGET 1048576$"):
         cat.intern(M)
+    cat = RepCategory(Quiver(2, [(1, 2)] * 2), 2)
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    P = cat.rep((4, 5), [ident + [[0] * 4], [[0] * 4] + ident])
+    assert cat.hom_dim(P, P) == 1
+    with pytest.raises(BudgetExceeded, match=r"^representation enumeration: 2097152 "
+                                             r"matrices > SCAN_BUDGET 1048576$"):
+        cat.intern(P)
 
 
 @pytest.mark.parametrize("quiver, dynkin", [
