@@ -345,68 +345,6 @@ def line_index(p: int, coeffs) -> int:
     return 1 + sum(p ** (k - j - 1) for j in range(lead + 1, k)) + tail
 
 
-def invertible_combinations(p: int, vecs, sides, points):
-    """Yield each (coeffs, weight) of points whose combination of vecs is
-    invertible.
-
-    vecs are flat entry vectors made of square row-major blocks with the
-    given sides, back to back; a combination is invertible when every block
-    is.  The partial sums of the prefix shared with the previous tuple are
-    reused, so a walk in itertools.product order (or the projective_points
-    order, a subsequence of it) adds about one vector per tuple, and each
-    block is tested on plain lists without building a matrix.
-    """
-    k = len(vecs)
-    partial = [[0] * sum(n * n for n in sides)]   # partial[j]: sum of j terms
-    prev = ()
-    for point in points:
-        coeffs = point[0]
-        if prev and coeffs[:-1] == prev[:-1]:
-            j = k - 1
-        else:
-            j = 0
-            while j < len(prev) and coeffs[j] == prev[j]:
-                j += 1
-        del partial[j + 1:]
-        flat = partial[j]
-        for i in range(j, k):
-            c = coeffs[i]
-            if c:
-                flat = [(a + c * x) % p for a, x in zip(flat, vecs[i])]
-            partial.append(flat)
-        prev = coeffs
-        off = 0
-        for n in sides:
-            if not _block_invertible(p, flat, off, n):
-                break
-            off += n * n
-        else:
-            yield point
-
-
-def _block_invertible(p: int, flat, off: int, n: int) -> bool:
-    if n < 2:
-        return n == 0 or flat[off] != 0
-    if n == 2:
-        return (flat[off] * flat[off + 3] - flat[off + 1] * flat[off + 2]) % p != 0
-    m = [flat[off + r * n:off + (r + 1) * n] for r in range(n)]
-    for c in range(n):
-        for pr in range(c, n):
-            if m[pr][c]:
-                break
-        else:
-            return False
-        m[c], m[pr] = m[pr], m[c]
-        row = m[c]
-        inv = pow(row[c], -1, p)
-        for i in range(c + 1, n):
-            f = m[i][c]
-            if f:
-                f = f * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
-    return True
-
-
 def echelon_subspaces(p: int, n: int, d: int):
     """Yield all d-dimensional subspaces of F_p^n as rref row bases.
 

@@ -10,7 +10,7 @@ across runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, chain, islice, product
 from math import prod
 from typing import Iterable, Optional
 
@@ -27,7 +27,6 @@ from .linalg import (
     combine_flat,
     echelon_subspaces,
     gaussian_binomial,
-    invertible_combinations,
     projective_points,
     split_flat,
 )
@@ -308,16 +307,6 @@ class KrullSchmidt:
                 out.append(())
         return tuple(out)
 
-    def invertible_coeffs(self, basis: list, sides, guard: str):
-        """(coeffs, weight) of one invertible element per invertible line of
-        span(basis), weight being the number of invertible elements it stands
-        for; the entries_flat() of the basis are square blocks with the given
-        sides.  The caller's check_scan guard bounds the p^k span elements."""
-        k = len(basis)
-        check_scan(self.scan_prefix + guard, self.p, k)
-        return invertible_combinations(self.p, [b.entries_flat() for b in basis], sides,
-                                       projective_points(self.p, k))
-
     def _fitting_split(self, X, f):
         """Split X = im(f^N) + ker(f^N), N >= total_dim(X), when f is neither
         nilpotent nor invertible (Fitting's lemma); returns (S1, S2) or None."""
@@ -333,35 +322,37 @@ class KrullSchmidt:
             return None
         return S1, S2
 
+    def _lines(self, X, basis):
+        """Yield (f, weight) for one endomorphism f of X on each nonzero line
+        of span(basis) in End X, weight being the number of nonzero elements
+        on that line.  The "endomorphism scan" (check_scan) bounds the
+        p^(len(basis)) elements walked."""
+        check_scan(self.scan_prefix + "endomorphism scan", self.p, len(basis))
+        # The zero vector comes first: it is no unit and never splits X.
+        for coeffs, weight in islice(projective_points(self.p, len(basis)), 1, None):
+            yield self.morphisms_from_coeffs(X, X, basis, coeffs), weight
+
     def _summands(self, X) -> list:
         """Indecomposable direct summands of X, as concrete sub-objects.
 
         By Fitting's lemma X is indecomposable exactly when every endomorphism
         is nilpotent or invertible, and a scalar multiple of one is too.  The
         candidates are the basis of End X, which usually splits at once, then
-        one endomorphism per nonzero line of End X, which certifies X
-        indecomposable when none splits.  The "decompose guardrail"
-        (check_dim) bounds total_dim(X), the "endomorphism scan" (check_scan)
-        the p^(dim End X) elements of End X.
+        the endomorphisms of the line walk (_lines), one per nonzero line of
+        End X, which certify X indecomposable when none splits.  A brick
+        (dim End X = 1) is indecomposable with no candidate.  The "decompose
+        guardrail" (check_dim) bounds total_dim(X), the line walk's
+        "endomorphism scan" (check_scan) the p^(dim End X) elements of End X.
         """
         check_dim(self.scan_prefix + "decompose guardrail", X.total_dim(),
                   DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
         if X.is_zero():
             return []
         basis = self.hom_basis(X, X)
-        k = len(basis)
-        if k == 1:
+        if len(basis) == 1:
             return [X]
-
-        def candidates():
-            # Built one at a time: the first basis element usually splits.
-            yield from basis
-            check_scan(self.scan_prefix + "endomorphism scan", self.p, k)
-            # The zero vector comes first; the zero map never splits X.
-            for coeffs, _ in islice(projective_points(self.p, k), 1, None):
-                yield self.morphisms_from_coeffs(X, X, basis, coeffs)
-
-        for f in candidates():
+        # Built one at a time: the first basis element usually splits.
+        for f in chain(basis, (f for f, _ in self._lines(X, basis))):
             split = self._fitting_split(X, f)
             if split is not None:
                 return self._summands(split[0]) + self._summands(split[1])
@@ -518,8 +509,10 @@ class KrullSchmidt:
         D_j = End S_j / rad End S_j having some order Q_j, and an endomorphism
         is invertible when its image there is: |Aut X| = |rad End X| *
         prod_j |GL_{m_j}(D_j)|.  The local ring End S_j has the units outside
-        its radical, so Q_j = q^k / (q^k - |Aut S_j|), k = dim End S_j, and
-        |Aut S_j| comes from a scan of End S_j (k = 1 for a brick).
+        its radical, so Q_j = q^k / (q^k - |Aut S_j|), k = dim End S_j.  A
+        brick (k = 1, End S_j = F_q) has Q_j = q and walks nothing; otherwise
+        |Aut S_j| is the weight of the lines of End S_j whose endomorphism is
+        invertible, read off the line walk (_lines) that _summands uses.
         """
         self._check_same(X, X)
         sig = X.signature()
@@ -528,9 +521,10 @@ class KrullSchmidt:
             units, orders = 1, 1
             for S, m in self._groups(X):
                 basis = self.hom_basis(S, S)
-                qk = q ** len(basis)
-                Q = qk // (qk - sum(w for _, w in self.invertible_coeffs(
-                    basis, self.sides(S), "endomorphism scan")))
+                Q = q
+                if len(basis) > 1:
+                    qk = q ** len(basis)
+                    Q = qk // (qk - sum(w for f, w in self._lines(S, basis) if f.is_isomorphism()))
                 units *= _gl_order(m, Q)
                 orders *= Q ** (m * m)
             self._aut_cache[sig] = q ** self.hom_dim(X, X) * units // orders
@@ -581,7 +575,7 @@ class RepCategory(KrullSchmidt):
     def simple(self, i: int) -> Rep:
         Q = self.quiver
         if not (1 <= i <= Q.n):
-            raise IndexError(f"vertex {i} out of range")
+            raise PreconditionError(f"vertex {i} out of range 1..{Q.n}")
         dim = tuple(1 if v == i else 0 for v in range(1, Q.n + 1))
         return self.rep(dim)
 
@@ -611,7 +605,7 @@ class RepCategory(KrullSchmidt):
         """P_i: basis given by paths starting at i, arrows act by appending."""
         Q = self.quiver
         if not (1 <= i <= Q.n):
-            raise IndexError(f"vertex {i} out of range")
+            raise PreconditionError(f"vertex {i} out of range 1..{Q.n}")
         paths = self._paths()[i]
         at_vertex = {v: [] for v in range(1, Q.n + 1)}
         for idx, (path, end) in enumerate(paths):

@@ -25,6 +25,7 @@ from quiverhall.cx2 import (
     direct_sum,
     middle_term,
     minimal_complex,
+    resolution,
     zero_complex,
 )
 from quiverhall import reps, sdh
@@ -47,7 +48,7 @@ from quiverhall.suites import (
     suite_torus_commutation,
 )
 
-# The extension-class enumerators and the invertible scans walk one vector
+# The extension-class enumerators and the line walk over End visit one vector
 # per line of F_q^k with weight q - 1.  The scan tests below check them
 # against a walk over every vector, whose classes and morphisms are built
 # one by one; at q = 2 lines and vectors coincide, so q = 3 and 5 matter.
@@ -149,9 +150,11 @@ def test_rep_is_isomorphic_matches_scan():
 
 def test_rep_aut_count_scan_fallback():
     # k^2 over the one-vertex quiver is a sum of two bricks, so its count
-    # comes from the GL formula; the scan fallback needs a non-brick summand.
+    # comes from the GL formula; the line walk of aut_count needs a non-brick
+    # summand.  weighted_scan sums the weights of the invertible lines of
+    # the whole End M.
     def weighted_scan(cat, M):
-        return sum(w for _, w in cat.invertible_coeffs(cat.hom_basis(M, M), M.dim, "test"))
+        return sum(w for f, w in cat._lines(M, cat.hom_basis(M, M)) if f.is_isomorphism())
 
     for p in PRIMES:
         cat = RepCategory(Quiver(1, []), p)
@@ -189,6 +192,78 @@ def test_decompose_certifies_indecomposable_with_one_candidate_per_line(p, monke
     monkeypatch.setattr(kron, "morphisms_from_coeffs", counting)
     assert kron.decompose_reps(R) == [R]
     assert len(built) == p + 1
+
+
+def _non_bricks(kron):
+    """Indecomposable Kronecker representations whose End is not F_q, with
+    |Aut|: (I, J_2) with End = k[x]/(x^2), (I, J_3) with End = k[x]/(x^3),
+    and (I, C), C the companion matrix of an irreducible x^2 + a x + b,
+    with End = F_(q^2)."""
+    p = kron.p
+    a, b = next((a, b) for a in range(p) for b in range(p)
+                if all((x * x + a * x + b) % p for x in range(p)))
+    return [
+        (kron.rep((2, 2), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]), 2, (p - 1) * p),
+        (kron.rep((3, 3), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]]),
+         3, (p - 1) * p * p),
+        (kron.rep((2, 2), [[[1, 0], [0, 1]], [[0, -b % p], [1, -a % p]]]), 2, p * p - 1),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_aut_count_of_non_bricks_matches_scan(p):
+    """|Aut| of an indecomposable with a local End of either residue kind,
+    k[x]/(x^n) (residue field F_q) or F_(q^2) (residue field F_(q^2)): the
+    closed form, the scan of every endomorphism, and aut_count agree.  The
+    minimal resolutions of these modules, in both gradings, are
+    indecomposable complexes with a 2- or 3-dimensional End too, and their
+    aut_count matches the scan of every chain endomorphism."""
+    kron = RepCategory(KRONECKER, p)
+    tools = Cx2Tools(kron)
+    for R, k, aut in _non_bricks(kron):
+        assert kron.decompose_reps(R) == [R] and kron.hom_dim(R, R) == k
+        assert kron.aut_count(R) == sum(1 for _ in _scan_rep_isos(kron, R, R)) == aut
+        for period in (2, None):
+            X = resolution(kron, R, 0, period)
+            assert tools.decompose2(X) == [X] and tools.hom_dim(X, X) == k
+            assert tools.aut_count(X) == sum(1 for _ in _scan_cx2_isos(tools, X, X))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_aut_count_walks_one_line_per_nonzero_line_of_a_non_brick_end(p, monkeypatch):
+    """aut_count walks no line for a brick class and (q^k - 1)/(q - 1)
+    lines, one per nonzero line of End S, for a class S with dim End S = k,
+    whatever its multiplicity.  The summand classes are found first, so
+    only aut_count's own walk is counted."""
+    kron = RepCategory(KRONECKER, p)
+    tools = Cx2Tools(kron)
+    built = []
+
+    def counting(build):
+        def wrapped(X, Y, basis, coeffs):
+            built.append(tuple(coeffs))
+            return build(X, Y, basis, coeffs)
+        return wrapped
+
+    monkeypatch.setattr(kron, "morphisms_from_coeffs", counting(kron.morphisms_from_coeffs))
+    monkeypatch.setattr(tools, "morphisms_from_coeffs", counting(tools.morphisms_from_coeffs))
+    S1, brick = kron.simple(1), kron.rep((1, 1), [[[1]], [[0]]])
+    for ks, X, lines in [(kron, S1, 0), (kron, brick, 0), (kron, kron.direct_sum([S1, brick]), 0),
+                         (tools, contractible(kron, brick, 0, 2), 0)]:
+        ks._groups(X)
+        built.clear()
+        ks.aut_count(X)
+        assert len(built) == lines, (X, built)
+    for R, k, _ in _non_bricks(kron):
+        lines = (p ** k - 1) // (p - 1)
+        # R, S1, R where the decompose guardrail allows, else R, S1.
+        summed = kron.direct_sum([R, S1, R][:3 if R.total_dim() < 6 else 2])
+        for ks, X in [(kron, R), (kron, summed),
+                      (tools, resolution(kron, R, 0, 2)), (tools, resolution(kron, R, 1, None))]:
+            ks._groups(X)
+            built.clear()
+            ks.aut_count(X)
+            assert len(built) == lines and (0,) * k not in built, (X, built)
 
 
 def test_decompose_splits_into_fitting_indecomposables():

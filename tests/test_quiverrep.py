@@ -310,7 +310,7 @@ def test_budget_message_names_guard_and_size():
     assert tools.aut_count(K) == 24261120
     with pytest.raises(BudgetExceeded, match=r"^complex endomorphism scan: 3\^16 = 43046721 "
                                              r"> SCAN_BUDGET 1048576$"):
-        tools.invertible_coeffs(tools.hom_basis(K, K), tools.sides(K), "endomorphism scan")
+        next(tools._lines(K, tools.hom_basis(K, K)))
     with pytest.raises(BudgetExceeded, match=r"^decompose guardrail: total dimension 13 "
                                              r"> DECOMPOSE_DIM_GUARD 12$"):
         a2().aut_count(a2().rep((7, 6)))
@@ -661,6 +661,16 @@ def test_quiver_rejects_cycles_and_bad_arrows():
         Quiver(2, [(1, 2), (2, 1)])
     with pytest.raises(PreconditionError):
         Quiver(2, [(1, 3)])
+
+
+def test_simple_and_projective_refuse_vertices_out_of_range():
+    """A vertex outside 1..n is a typed precondition error, as in
+    Quiver.is_sink, not a bare IndexError."""
+    cat = a2()
+    for i in (0, 3):
+        for build in (cat.simple, cat.projective):
+            with pytest.raises(PreconditionError, match=rf"^vertex {i} out of range 1\.\.2$"):
+                build(i)
 
 
 def test_quiver_json_roundtrip():
