@@ -17,7 +17,7 @@ from .quiver import Quiver
 from .report import FIELDS, report_json
 from .reps import RepCategory
 from .scalars import check_prime
-from .suites import SUITES, table_rows
+from .suites import SAMPLED_SUITES, SUITES, table_rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,9 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the structure-constant table")
     p.add_argument("--bound", type=int, default=None,
                    help="total dimension bound for --table (default 3)")
-    p.add_argument("--samples", type=int, default=20,
-                   help="sample count for randomized suites (default 20)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample count for the randomized suites: "
+                        f"{', '.join(SAMPLED_SUITES)} (default 20)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed for the randomized suites (default 0)")
     p.add_argument("--sink", type=int, default=None,
                    help="sink vertex for the reflection suite (default: first "
                         "sink with an incoming arrow)")
@@ -68,9 +70,9 @@ def _table_text(rows, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _report_text(rows, args, quiver: Quiver) -> str:
+def _report_text(rows, args, quiver: Quiver, seed: int) -> str:
     if args.format == "json":
-        return report_json(args.suite, args.q, json.loads(quiver.to_json()), args.seed, rows)
+        return report_json(args.suite, args.q, json.loads(quiver.to_json()), seed, rows)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(FIELDS)
@@ -88,11 +90,16 @@ def main(argv=None) -> int:
             raise EngineError("--sink applies only to --suite reflection")
         if args.bound is not None and not args.table:
             raise EngineError("--bound applies only to --table")
+        for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None and args.suite not in SAMPLED_SUITES:
+                raise EngineError(f"{flag} applies only to --suite {', '.join(SAMPLED_SUITES)}")
         bound = 3 if args.bound is None else args.bound
+        samples = 20 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
         with open(args.quiver, "r", encoding="utf-8") as fh:
             quiver = Quiver.from_json(fh.read())
         check_prime(args.q)
-        if args.samples < 1:
+        if samples < 1:
             raise EngineError("--samples must be >= 1")
         if bound < 0:
             raise EngineError("--bound must be >= 0")
@@ -112,8 +119,8 @@ def main(argv=None) -> int:
                 if not sinks:
                     raise EngineError("quiver has no sink with an incoming arrow")
                 sink = sinks[0]
-            rows = SUITES[args.suite](cat, args.samples, args.seed, sink, args.perturb)
-            text = _report_text(rows, args, quiver)
+            rows = SUITES[args.suite](cat, samples, seed, sink, args.perturb)
+            text = _report_text(rows, args, quiver, seed)
             code = 0 if all(row[1] == "pass" for row in rows) else 1
     except EngineError as exc:
         sys.stderr.write(f"error: {exc}\n")

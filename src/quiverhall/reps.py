@@ -403,8 +403,12 @@ class KrullSchmidt:
         ShapeError unless dims has one entry per side of X.  The "<kind>
         enumeration guardrail" (check_dim) bounds total_dim(X), the "<kind>
         enumeration" (check_count) the subspace tuples."""
+        return self._sub_object_walk(X, dims, self.sides(X), self.structure_maps(X))
+
+    def _sub_object_walk(self, X, dims, sides, structure) -> list:
+        """sub_objects(X, dims) over X's sides and structure maps, which the
+        caller has built (hall_count reads them again)."""
         kind, limit, name = self.sub_guard
-        sides = self.sides(X)
         if len(dims) != len(sides):
             raise ShapeError(f"{len(dims)} sub-object dimensions for an object "
                              f"with {len(sides)} sides")
@@ -416,7 +420,7 @@ class KrullSchmidt:
         if not count:
             return []
         closing = [[] for _ in sides]
-        for f, s, t in self.structure_maps(X):
+        for f, s, t in structure:
             closing[max(s, t)].append((f, s, t))
         found = [()]
         for c, d, maps in zip(sides, dims, closing):
@@ -477,8 +481,8 @@ class KrullSchmidt:
         if any(sum(dims) != Y.total_dim() for (dims, _), Y in zip(wants, (sub, quot))):
             return 0
         want_sub, want_quot = wants
-        subs = self.sub_objects(X, want_sub[0])
         p, maps, sides = self.p, self.structure_maps(X), self.sides(X)
+        subs = self._sub_object_walk(X, want_sub[0], sides, maps)
 
         def isomorphic(dims, rows, want, Y) -> bool:
             if (dims, rows) == want:
@@ -509,26 +513,29 @@ class KrullSchmidt:
         D_j = End S_j / rad End S_j having some order Q_j, and an endomorphism
         is invertible when its image there is: |Aut X| = |rad End X| *
         prod_j |GL_{m_j}(D_j)|.  The local ring End S_j has the units outside
-        its radical, so Q_j = q^k / (q^k - |Aut S_j|), k = dim End S_j.  A
-        brick (k = 1, End S_j = F_q) has Q_j = q and walks nothing; otherwise
-        |Aut S_j| is the weight of the lines of End S_j whose endomorphism is
-        invertible, read off the line walk (_lines) that _summands uses.
+        its radical, so Q_j = q^k / (q^k - |Aut S_j|), k = dim End S_j
+        (residue_order).  A brick (k = 1, End S_j = F_q) has Q_j = q and
+        walks nothing; otherwise |Aut S_j| is the weight of the lines of
+        End S_j whose endomorphism is invertible, read off the line walk
+        (_lines) that _summands uses.  The product is aut_order's.
         """
         self._check_same(X, X)
         sig = X.signature()
         if sig not in self._aut_cache:
-            q = self.p
-            units, orders = 1, 1
-            for S, m in self._groups(X):
-                basis = self.hom_basis(S, S)
-                Q = q
-                if len(basis) > 1:
-                    qk = q ** len(basis)
-                    Q = qk // (qk - sum(w for f, w in self._lines(S, basis) if f.is_isomorphism()))
-                units *= _gl_order(m, Q)
-                orders *= Q ** (m * m)
-            self._aut_cache[sig] = q ** self.hom_dim(X, X) * units // orders
+            self._aut_cache[sig] = aut_order(self.p, self.hom_dim(X, X), [
+                (m, self.residue_order(S)) for S, m in self._groups(X)])
         return self._aut_cache[sig]
+
+    def residue_order(self, S) -> int:
+        """Q = |End S / rad End S| for an indecomposable S: q for a brick
+        (dim End S = 1) with no walk, otherwise q^k / (q^k - |Aut S|),
+        k = dim End S, with |Aut S| the weight of the lines of End S whose
+        endomorphism is invertible (_lines)."""
+        basis = self.hom_basis(S, S)
+        if len(basis) == 1:
+            return self.p
+        qk = self.p ** len(basis)
+        return qk // (qk - sum(w for f, w in self._lines(S, basis) if f.is_isomorphism()))
 
 
 class RepCategory(KrullSchmidt):
@@ -1147,6 +1154,18 @@ def _free_positions(rows, n: int) -> list:
     """The positions in range(n) that lead none of the reduced echelon rows."""
     leads = {row.index(1) for row in rows}
     return [j for j in range(n) if j not in leads]
+
+
+def aut_order(q: int, end_dim: int, classes) -> int:
+    """|Aut X| = q^(dim End X) * prod_j |GL_{m_j}(F_{Q_j})| / Q_j^(m_j^2) for
+    End X of dimension end_dim over F_q and one (m_j, Q_j) per class of
+    indecomposable summands of X: its multiplicity and the order of its
+    residue field (KrullSchmidt.aut_count)."""
+    units, orders = 1, 1
+    for m, Q in classes:
+        units *= _gl_order(m, Q)
+        orders *= Q ** (m * m)
+    return q ** end_dim * units // orders
 
 
 def _gl_order(n: int, p: int) -> int:

@@ -89,6 +89,32 @@ The torus twist of a product reads one integer form per (key, slot)
 (_twist): <T_g, R> pairs g_m with dim R^m, since <P_j, M> = dim M_j on a
 hereditary path algebra, and <R, T_g> pairs g_m with the Euler forms
 <dim R^(m+1), dim P_j>; both are fixed once R = R_key is.
+
+|Aut X| of a projective-component complex is read off its class (g, key),
+once per class, with nothing decomposed (aut_count).  By normal_form, X is
+R_key (+) K, K the sum of g_mj copies of K_j^m, the contractible P_j = P_j
+in degrees m, m + 1, over the slots m and projectives P_j.  So the classes
+of indecomposable summands of X, with their multiplicities, are:
+* the resolution res(S) = P1(S) -> P0(S) in degrees m - 1, m of each
+  indecomposable part S of the homology class of the key in degree m
+  (IsoClassKey.parts, where equal signatures are one class), as often as S
+  occurs there.  A map S -> S lifts to a chain map of res(S), and a chain
+  map of res(S) that induces 0 on S sends P0(S) into d(P1(S)), inside
+  rad P0(S) since the resolution is minimal, so it is nilpotent.  So
+  End res(S) is local with the residue field of End S, of order
+  Q = KrullSchmidt.residue_order(S);
+* K_j^m, g_mj times, with End K_j^m = End P_j = k (Q is acyclic) and Q = q.
+End X is End R_key + Hom(R_key, K) + Hom(K, X).  A chain map K_j^m -> Y is
+fixed by its component P_j -> Y^m and a chain map Y -> K_j^m by its
+component Y^(m+1) -> P_j, so
+  dim End X = dim End R_key
+              + sum over m, j of g_mj ((dim X^m)_j + hom(R_key^(m+1), P_j)),
+the first term one hom_dim per key, the middle one the pairing
+exp_g_Y(g, X), the last one proj.hom_form on the coordinates of
+R_key^(m+1).  reps.aut_order turns these into |Aut X| by the formula of
+KrullSchmidt.aut_count, and riedtmann is KrullSchmidt's Riedtmann
+conversion over this count.  Cx2Tools.aut_count, which Fitting-decomposes
+X, is its oracle.
 """
 
 from __future__ import annotations
@@ -99,7 +125,7 @@ from .cx2 import Cx2Tools, direct_sum, resolution, zero_complex
 from .errors import ShapeError
 from .hall import HallAlgebra
 from .linalg import projective_points
-from .reps import ProjectiveCoords, RepCategory, check_scan
+from .reps import KrullSchmidt, ProjectiveCoords, RepCategory, aut_order, check_scan
 from .scalars import CoeffScalar, LinComb, bilinear, q_power
 
 
@@ -132,6 +158,7 @@ class SemiDerivedAlgebra:
         self._nf_cache = {}
         self._pair_cache = {}
         self._form_cache = {}
+        self._aut_cache = {}
 
     def rep_of_key(self, key):
         """R_key, the representative complex of a key, built once per key
@@ -244,6 +271,37 @@ class SemiDerivedAlgebra:
         g = self._from_slots({m: self.coords(s) for m, s in slots.items() if any(s)}, zero)
         key = self._from_slots(keys, cat.zero_key())
         return NormalForm(q_power(self.q, self.exp_g_Y(g, self.rep_of_key(key))), g, key)
+
+    # -- automorphism counts -------------------------------------------------------
+
+    # The Riedtmann conversion of KrullSchmidt, over the aut_count below.
+    riedtmann = KrullSchmidt.riedtmann
+
+    def aut_count(self, X) -> int:
+        """|Aut X| of a projective-component complex, read off its normal
+        form once per class (g, key), with nothing decomposed (module
+        docstring): aut_order over the summand classes, the resolution of
+        each indecomposable part of each homology class of the key and the
+        contractible P_j = P_j of each nonzero g_mj, and
+            dim End X = dim End R_key
+                        + sum over m, j of g_mj ((dim X^m)_j + hom(R^(m+1), P_j))."""
+        _, g, key = self.normal_form(X)
+        aut = self._aut_cache.get((g, key))
+        if aut is not None:
+            return aut
+        q, R = self.q, self.rep_of_key(key)
+        classes = []
+        for _, k in self._homology_parts(key):
+            counts = {}
+            for S in k.parts:
+                counts.setdefault(S.signature(), [S, 0])[1] += 1
+            classes += [(n, self.cat.residue_order(S)) for S, n in counts.values()]
+        end_dim = self.tools.hom_dim(R, R) + self.exp_g_Y(g, X)
+        for m, c in self._slots(g):
+            end_dim += self.proj.hom_form(self.coords(R.component(m + 1).dim), c)
+            classes += [(n, q) for n in c if n]
+        aut = self._aut_cache[g, key] = aut_order(q, end_dim, classes)
+        return aut
 
     # -- elements ------------------------------------------------------------------
 

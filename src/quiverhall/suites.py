@@ -236,8 +236,9 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
                 continue
             route_a = alg.product2(alg.element_of(L), alg.element_of(M))
             # independent route: the Hall number of sub-complexes of each
-            # middle, through the automorphism conversion, against the count
-            # of its extension classes; the middles are grouped by normal form.
+            # middle, through the automorphism conversion (|Aut| read off
+            # normal forms), against the count of its extension classes; the
+            # middles are grouped by normal form.
             middles = {}
             for _f, E, weight in tools.ext1_classes_proj(L, M):
                 nf = alg.normal_form(E)[1:]
@@ -247,7 +248,7 @@ def suite_bridgeland_compare(cat: RepCategory, max_total: int = 4) -> list:
             route_b = alg.zero()
             counts_ok = True
             for X, n_ext in middles.values():
-                const = tools.riedtmann(tools.hall_count(L, X, M), L, X, M)
+                const = alg.riedtmann(tools.hall_count(L, X, M), L, X, M)
                 if const * cat.p ** hom_lm != n_ext:
                     counts_ok = False
                 route_b += alg.element_of(X).scale_scalar(CoeffScalar.of(cat.p, const))
@@ -401,3 +402,5 @@ SUITES = {
     "torus-commutation": lambda cat, samples, seed, sink, perturb: suite_torus_commutation(cat),
     "quotient-relations": lambda cat, samples, seed, sink, perturb: suite_quotient_relations(cat, samples, seed),
 }
+# The suites that draw samples, the only ones that read samples and seed.
+SAMPLED_SUITES = ("assoc-z", "assoc-z2", "quotient-relations")

@@ -13,7 +13,7 @@ from quiverhall.cli import main
 from quiverhall.quiver import a_n_quiver
 from quiverhall.report import report_json
 from quiverhall.reps import RepCategory
-from quiverhall.suites import SUITES
+from quiverhall.suites import SAMPLED_SUITES, SUITES
 
 A1 = '{"vertices": 1, "arrows": []}'
 A2 = '{"vertices": 2, "arrows": [[1, 2]]}'
@@ -322,6 +322,14 @@ def test_report_determinism(quiver_files):
     assert len(report["checks"]) == 6
 
 
+def test_unsampled_suites_report_seed_zero(quiver_files, capsys):
+    """A suite that draws no samples is run without --samples and --seed
+    and reports the default seed 0, as before those flags were refused."""
+    assert set(SAMPLED_SUITES) <= set(SUITES) and ", ".join(SAMPLED_SUITES) == SAMPLED
+    assert main(["--quiver", quiver_files["a1"], "--q", "2", "--suite", "torus-commutation"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
 def test_table_vect(quiver_files, capsys):
     code = main(["--quiver", quiver_files["a1"], "--q", "2",
                  "--table", "--bound", "2"])
@@ -407,6 +415,9 @@ def test_reflection_rejects_sink_out_of_range(quiver_files, capsys, sink):
     assert captured.err == f"error: vertex {sink} out of range 1..2\n"
 
 
+SAMPLED = "assoc-z, assoc-z2, quotient-relations"
+
+
 @pytest.mark.parametrize("mode, flag, message", [
     (["--suite", "ringel"], ["--perturb"], "--perturb applies only to --suite quantum-group"),
     (["--table"], ["--perturb"], "--perturb applies only to --suite quantum-group"),
@@ -414,10 +425,16 @@ def test_reflection_rejects_sink_out_of_range(quiver_files, capsys, sink):
     (["--table"], ["--sink", "2"], "--sink applies only to --suite reflection"),
     (["--suite", "ringel"], ["--bound", "5"], "--bound applies only to --table"),
     (["--suite", "quantum-group"], ["--bound", "3"], "--bound applies only to --table"),
+    (["--suite", "ringel"], ["--seed", "7"], f"--seed applies only to --suite {SAMPLED}"),
+    (["--suite", "bridgeland-compare"], ["--seed", "0"], f"--seed applies only to --suite {SAMPLED}"),
+    (["--table"], ["--samples", "5"], f"--samples applies only to --suite {SAMPLED}"),
+    (["--suite", "reflection"], ["--samples", "20"], f"--samples applies only to --suite {SAMPLED}"),
 ])
 def test_flags_the_mode_ignores_are_bad_input(quiver_files, capsys, mode, flag, message):
-    """A negative control that controls nothing, or a sink or a bound no
-    suite reads, would otherwise exit 0 as if it had been honoured."""
+    """A negative control that controls nothing, or a sink, a bound, a
+    sample count or a seed no suite reads, would otherwise exit 0 as if it
+    had been honoured (a report would name a seed it never drew), even
+    when the value given is the default."""
     code = main(["--quiver", quiver_files["a2"], "--q", "2"] + mode + flag)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"

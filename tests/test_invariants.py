@@ -42,6 +42,7 @@ from quiverhall.sdhz import WINDOW_LO, CxB, SDHZAlgebra, stalk_cxb
 from quiverhall.suites import (
     SUITES,
     proj_complex_pool,
+    suite_bridgeland_compare,
     suite_presentation_uv,
     suite_quotient_relations,
     suite_reflection,
@@ -264,6 +265,56 @@ def test_aut_count_walks_one_line_per_nonzero_line_of_a_non_brick_end(p, monkeyp
             built.clear()
             ks.aut_count(X)
             assert len(built) == lines and (0,) * k not in built, (X, built)
+
+
+def test_aut_count_off_normal_forms_matches_decomposition():
+    """SemiDerivedAlgebra.aut_count reads |Aut X| off the class (g, key) of
+    X and decomposes nothing; Cx2Tools.aut_count, which Fitting-decomposes
+    X, is its oracle, on objects within DECOMPOSE_DIM_GUARD: the
+    bridgeland-compare pools and the middle terms of their products (A1 and
+    A2 at q = 2, 3, Kronecker at q = 2), their Z folds in degrees 0, 1 and
+    1, 2, and the resolutions of the Kronecker non-bricks (residue field F_q
+    or F_(q^2)) in either grading, alone and next to a contractible or the
+    resolution of a projective."""
+    checked = Counter()
+
+    def check(source, alg, X):
+        if X.total_dim() <= reps.DECOMPOSE_DIM_GUARD:
+            assert alg.aut_count(X) == alg.tools.aut_count(X), (alg.q, X)
+            checked[source] += 1
+
+    for cat in _a1_a2(2) + _a1_a2(3) + [RepCategory(KRONECKER, 2)]:
+        alg, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+        objects = _with_middle_terms(alg.tools, proj_complex_pool(alg, 3), 4)
+        for X in objects:
+            check("pool", alg, X)
+            if not X.is_zero():
+                check("fold", algz, _fold(X))
+                check("fold", algz, _fold(X).shift(-1))
+    for p in (2, 3):
+        kron = RepCategory(KRONECKER, p)
+        P2 = kron.projective(2)
+        for period, alg in ((2, SDH2Algebra(kron)), (None, SDHZAlgebra(kron))):
+            extras = [contractible(kron, P2, 0, period), contractible(kron, P2, 1, period),
+                      resolution(kron, P2, 1, period)]
+            for R, _, _ in _non_bricks(kron):
+                X = resolution(kron, R, 0, period)
+                for Y in [X] + [direct_sum([X, E]) for E in extras]:
+                    check("non-brick", alg, Y)
+    assert checked["pool"] > 700 and checked["fold"] > 1400, checked
+    assert checked["non-brick"] > 30, checked
+
+
+def test_bridgeland_compare_decomposes_no_complex(monkeypatch):
+    """Route B of bridgeland-compare reads each |Aut| off normal forms, so
+    the suite passes on A2 at q = 2 with the Fitting decomposition of
+    complexes (Cx2Tools._groups) made to raise."""
+    def refuse(self, X):
+        raise AssertionError(f"{X} decomposed")
+
+    monkeypatch.setattr(Cx2Tools, "_groups", refuse)
+    rows = suite_bridgeland_compare(RepCategory(a_n_quiver(2), 2), 3)
+    assert len(rows) > 10 and all(row[1] == "pass" for row in rows)
 
 
 def test_decompose_splits_into_fitting_indecomposables():
