@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import EngineError
 from .quiver import Quiver
@@ -58,9 +59,23 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+# One table row as json.dumps(sort_keys=True, indent=2) renders it inside the
+# top-level list, with the fields in sorted order.
+_TABLE_ROW = ('  {\n    "A": %s,\n    "B": %s,\n    "C": %s,\n'
+              '    "bridgeland_constant": %s,\n    "hall_number": %d\n  }')
+
+
 def _table_text(rows, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        # json.dumps(rows, sort_keys=True, indent=2) + "\n", byte for byte, with
+        # the strings rendered by the C encoder (report.report_json).
+        if not rows:
+            return "[]\n"
+        enc = encode_basestring_ascii
+        return "[\n" + ",\n".join(
+            _TABLE_ROW % (enc(r["A"]), enc(r["B"]), enc(r["C"]),
+                          enc(r["bridgeland_constant"]), r["hall_number"])
+            for r in rows) + "\n]\n"
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=["A", "B", "C", "hall_number",
                                         "bridgeland_constant"])

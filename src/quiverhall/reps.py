@@ -653,7 +653,10 @@ class RepCategory(KrullSchmidt):
     # hom spaces
 
     def _check_same(self, M: Rep, N: Rep) -> None:
-        if M.quiver != self.quiver or N.quiver != self.quiver or M.p != self.p or N.p != self.p:
+        # The identity test first: nearly every Rep shares the category's quiver.
+        Q = self.quiver
+        if ((M.quiver is not Q and M.quiver != Q) or (N.quiver is not Q and N.quiver != Q)
+                or M.p != self.p or N.p != self.p):
             raise CategoryMismatch("representations over a different quiver or field")
 
     def span(self, M: Rep, N: Rep) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from operator import add
 
 from .hall import serre_checks
 from .report import check_row
@@ -75,6 +76,12 @@ class SDH2Algebra(SemiDerivedAlgebra):
     @staticmethod
     def _from_slots(slots: dict, zero) -> tuple:
         return (slots.get(0, zero), slots.get(1, zero))
+
+    @staticmethod
+    def lattice_add(g, h) -> tuple:
+        """The sum of two torus lattice points, slot by slot: _from_slots
+        fills both slots of every point."""
+        return (tuple(map(add, g[0], h[0])), tuple(map(add, g[1], h[1])))
 
     def _partner_pair(self, k1, k2):
         """The key pair of the shift partners ((H1, H0), (H1', H0')), if

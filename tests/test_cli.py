@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from oracles import report_json_by_dumps
-from quiverhall.cli import main
+from quiverhall.cli import _table_text, main
 from quiverhall.quiver import a_n_quiver
 from quiverhall.report import report_json
 from quiverhall.reps import RepCategory
-from quiverhall.suites import SAMPLED_SUITES, SUITES
+from quiverhall.suites import SAMPLED_SUITES, SUITES, table_rows
 
 A1 = '{"vertices": 1, "arrows": []}'
 A2 = '{"vertices": 2, "arrows": [[1, 2]]}'
@@ -370,6 +370,21 @@ def test_csv_format(quiver_files, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert text.splitlines()[0] == "name,status,lhs,rhs"
+
+
+def test_table_json_matches_the_stdlib_dump():
+    """The JSON table renders its rows with the C string encoder into a
+    fixed template; its bytes are those of json.dumps(rows, sort_keys=True,
+    indent=2) on no rows, on the rows of the A2 q=3 bound-4 table, and on
+    labels with quotes, backslashes, newlines and non-ASCII characters."""
+    real = table_rows(RepCategory(a_n_quiver(2), 3), 4)
+    odd = [{"A": 'say "x"', "B": "a\\b\nc", "C": "\u00e9 \u2211 \U0001d54a",
+            "hall_number": 0, "bridgeland_constant": "\t\x00\x7f \u2603"},
+           {"A": "", "B": "\\", "C": '"', "hall_number": 12345678901234567890,
+            "bridgeland_constant": "(1/2)*v"}]
+    assert len(real) > 100
+    for rows in ([], real, odd):
+        assert _table_text(rows, "json") == json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
 def test_table_csv_rows_equal_json_rows(quiver_files, capsys):

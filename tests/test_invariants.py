@@ -552,6 +552,19 @@ def test_gradings_agree_on_two_term_complexes():
                     assert tools.homotopy_subspace(Y1, Y2) == tools.homotopy_subspace(Z1, Z2)
 
 
+def _full_ext_walk(cat, C, P1, P0, incl, HB1) -> Counter:
+    """The middle of every element of Hom(P1, C), interned and counted."""
+    p = cat.p
+    D = cat.direct_sum([C, P0])
+    full = Counter()
+    for c in product(range(p), repeat=len(HB1)):
+        f = cat.morphisms_from_coeffs(P1, C, HB1, c)
+        graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], -incl.mats[i]])
+                                    for i in range(cat.quiver.n)])
+        full[cat.intern(cat.quotient(D, cat.image_subspaces(graph))[0])] += 1
+    return full
+
+
 def test_ext_class_counts_match_full_enumeration():
     for p in PRIMES:
         for cat in _a1_a2(p):
@@ -564,19 +577,34 @@ def test_ext_class_counts_match_full_enumeration():
                     HB1 = cat.hom_basis(P1, C)
                     if not HB1 or sum(A.dim) + sum(B.dim) > _bound(p) + 1:
                         continue
-                    D = cat.direct_sum([C, P0])
-                    full = Counter()
-                    for c in product(range(p), repeat=len(HB1)):
-                        f = cat.morphisms_from_coeffs(P1, C, HB1, c)
-                        graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], -incl.mats[i]])
-                                                    for i in range(cat.quiver.n)])
-                        full[cat.intern(cat.quotient(D, cat.image_subspaces(graph))[0])] += 1
+                    full = _full_ext_walk(cat, C, P1, P0, incl, HB1)
                     # each class is met once per element of Hom(P0, C) o incl
                     restricted = [g.compose(incl).entries_flat()
                                   for g in cat.hom_basis(P0, C)]
                     mult = p ** (FpMatrix(p, restricted).rank() if restricted else 0)
                     counts = hall.ext_class_counts(A, B)
                     assert full == Counter({k: n * mult for k, n in counts.items()}), (p, A, B)
+    # dim Ext^1(A, C) = hom(A, C) - <A, C>, the exponent ext_class_counts
+    # reads before any resolution, against the resolution's count; where it
+    # is 0 but Hom(P1, C) is not (the pairs ext_class_counts no longer
+    # walks), the full walk over Hom(P1, C) meets the split class alone.
+    for quiver in (a_n_quiver(3), D4, KRONECKER):
+        cat = RepCategory(quiver, 2)
+        keys = cat.iso_classes_up_to(3)
+        skipped = 0
+        for A in keys:
+            P1, P0, incl, _ = cat.min_proj_resolution(A.rep)
+            for B in keys:
+                C = B.rep
+                HB1 = cat.hom_basis(P1, C)
+                hom = cat.hom_dim(A.rep, C)
+                ext = hom - cat.euler_form_int(A.dim, B.dim)
+                assert ext == len(HB1) - len(cat.hom_basis(P0, C)) + hom, (quiver, A, B)
+                if not ext and HB1:
+                    full = _full_ext_walk(cat, C, P1, P0, incl, HB1)
+                    assert full == Counter({cat.sum_key([B, A]): 2 ** len(HB1)}), (quiver, A, B)
+                    skipped += 1
+        assert skipped, quiver
 
 
 def test_torus_commutation_suite():

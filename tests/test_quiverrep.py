@@ -332,6 +332,21 @@ def test_isomorphism_and_aut_refuse_another_category():
             call()
 
 
+def test_equal_quiver_objects_share_a_category():
+    """A Rep over an equal but distinct Quiver object belongs to the
+    category; one over another quiver or another field does not."""
+    cat = a2()
+    same = Rep(a_n_quiver(2), 2, (1, 1), [FpMatrix(2, [[1]])])
+    assert same.quiver is not cat.quiver and same.quiver == cat.quiver
+    P1 = cat.projective(1)
+    assert cat.is_isomorphic(same, P1) and cat.hom_dim(same, P1) == 1
+    for other in (Rep(Quiver(2, [(2, 1)]), 2, (1, 1), [FpMatrix(2, [[1]])]),
+                  Rep(a_n_quiver(2), 3, (1, 1), [FpMatrix(3, [[1]])])):
+        for call in (lambda: cat.hom_dim(other, P1), lambda: cat.hom_dim(P1, other)):
+            with pytest.raises(CategoryMismatch):
+                call()
+
+
 def test_rep_construction_errors():
     """Rep refuses a dimension vector of the wrong length, a wrong number of
     maps and a map of the wrong shape (ShapeError), and a map over another
@@ -583,8 +598,10 @@ def test_dynkin_table_interns_without_fitting_decomposition(quiver, q, monkeypat
 
 @pytest.mark.parametrize("quiver", [a_n_quiver(3), KRONECKER])
 def test_split_only_extensions_solve_no_hom_from_the_cover(quiver, monkeypatch):
-    """When Hom(P1, C) = 0 the only extension is the split one: its middle
-    comes from sum_key and Hom(P0, C) is never solved."""
+    """When dim Ext^1(A, C) = hom(A, C) - <A, C> is 0 the only extension is
+    the split one: its middle comes from sum_key, no resolution of A is
+    built, and the only Hom solved is Hom(A, C) or one between summands of
+    A and C, so neither Hom(P1, C) nor Hom(P0, C) from the cover."""
     cat = RepCategory(quiver, 2)
     keys = cat.iso_classes_up_to(3)
     alg = HallAlgebra(cat)
@@ -594,17 +611,21 @@ def test_split_only_extensions_solve_no_hom_from_the_cover(quiver, monkeypatch):
     def recording(X, Y):
         solved.append((X.signature(), Y.signature()))
         return hom_basis(X, Y)
+
+    def refuse(A):
+        raise AssertionError("projective resolution of an Ext-free pair")
     monkeypatch.setattr(cat, "hom_basis", recording)
-    split_only = 0
+    monkeypatch.setattr(cat, "min_proj_resolution", refuse)
+    ext_free = 0
     for A, B in product(keys, repeat=2):
-        P1, P0, _incl, _proj = cat.min_proj_resolution(A.rep)
-        if cat.hom_dim(P1, B.rep):
+        if cat.hom_dim(A.rep, B.rep) != cat.euler_form_int(A.dim, B.dim):
             continue
         solved.clear()
         assert alg.ext_class_counts(A, B) == {cat.sum_key([B, A]): 1}
-        assert set(solved) <= {(P1.signature(), B.sig)}, (A, B)
-        split_only += 1
-    assert split_only > 10, split_only
+        assert set(solved) <= {(X.signature(), Y.signature())
+                               for X in (A.rep, *A.parts) for Y in (B.rep, *B.parts)}, (A, B)
+        ext_free += 1
+    assert ext_free > 10, ext_free
 
 
 @pytest.mark.parametrize("quiver", [a_n_quiver(3), D4, KRONECKER])

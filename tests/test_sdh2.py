@@ -16,6 +16,7 @@ from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reflection import SinkReflection
 from quiverhall.reps import RepCategory
 from quiverhall.scalars import CoeffScalar, q_power, v_power
+from quiverhall.sdh import SemiDerivedAlgebra
 from quiverhall.sdh2 import SDH2Algebra
 
 
@@ -44,6 +45,21 @@ def test_torus_euler_examples():
             KP_i = contractible(cat, cat.projective(i + 1), 0, 2)
             KP_j = contractible(cat, cat.projective(j + 1), 0, 2)
             assert alg.tools.hom_dim(KP_i, KP_j) == hom
+
+
+def test_lattice_add_matches_the_slot_dict_route():
+    """SDH2Algebra adds lattice points slot by slot; the sums are those of
+    SemiDerivedAlgebra.lattice_add on random pairs, zero sums included."""
+    cat = RepCategory(a_n_quiver(3), 2)
+    alg = SDH2Algebra(cat)
+    rng = random.Random(5)
+
+    def point():
+        return tuple(tuple(rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(3)) for _ in range(2))
+    for _ in range(300):
+        g, h = point(), point()
+        for b in (h, tuple(tuple(-x for x in c) for c in g)):
+            assert alg.lattice_add(g, b) == SemiDerivedAlgebra.lattice_add(alg, g, b), (g, b)
 
 
 def test_torus_euler_bilinear_seeded():
