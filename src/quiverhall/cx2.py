@@ -38,14 +38,13 @@ from functools import reduce
 from itertools import product
 
 from .errors import CategoryMismatch, ShapeError, SignConventionBroken, WindowExceeded
-from .linalg import FpMatrix, coset_points, split_flat
+from .linalg import FpMatrix, split_flat
 from .reps import (
     DECOMPOSE_DIM_GUARD,
     KrullSchmidt,
     Rep,
     RepCategory,
     RepMorphism,
-    check_scan,
     echelon_coords,
 )
 
@@ -390,21 +389,19 @@ class Cx2Tools(KrullSchmidt):
         projective components of L.
 
         Ext^1(L, M) is identified with chain maps L -> ΣM modulo homotopy.
+        The zero chain map comes first, with weight 1: the split class.
         diag(λ, 1) is a chain isomorphism E(f) -> E(λf), so one class stands
-        for the weight classes of its line (linalg.coset_points); the weights
-        sum to |Ext^1(L, M)|.  The "extension-class enumeration" guard
-        (check_scan) bounds the p^(dim Ext^1) classes, not the chain maps.
+        for the weight classes of its line, walked modulo the homotopies
+        (lines); the weights sum to |Ext^1(L, M)|.  The "extension-class
+        enumeration" guard of lines bounds the p^(dim Ext^1) classes, not
+        the chain maps, before any middle term is built.
         """
         SM = M.shift()
         basis = self.hom_basis(L, SM)
-        homotopies = self.homotopy_subspace(L, SM)
-        p = self.cat.p
-        check_scan("extension-class enumeration", p, len(basis) - len(homotopies))
-        out = []
-        for coeffs, weight in coset_points(p, [b.entries_flat() for b in basis], homotopies):
-            f = self.morphisms_from_coeffs(L, SM, basis, coeffs)
-            out.append((f, middle_term(L, M, f), weight))
-        return out
+        walk = list(self.lines(L, SM, basis, "extension-class enumeration",
+                               self.homotopy_subspace(L, SM)))
+        zero = self.morphisms_from_coeffs(L, SM, basis, [0] * len(basis))
+        return [(f, middle_term(L, M, f), weight) for f, weight in [(zero, 1)] + walk]
 
     def structure_maps(self, X, span=None) -> list:
         """The arrow maps of each component, then (d^m at vertex i, its source

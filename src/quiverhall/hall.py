@@ -22,9 +22,8 @@ rejected (exit 2) before any enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from .errors import ConversionMismatch
-from .linalg import FpMatrix, coset_points
+from .linalg import FpMatrix
 from .report import check_row
 from .reps import IsoClassKey, RepCategory, RepMorphism, check_scan
 from .scalars import CoeffScalar, LinComb, bilinear, q_power, v_power
@@ -89,8 +88,10 @@ class HallAlgebra:
         cosets of Hom(P0, bottom) o incl inside Hom(P1, bottom); the middle
         term of a class f is the pushout (bottom + P0)/(f, -incl)(P1).
         λ·1_bottom + 1_P0 carries the pushout of f to that of λf, so one
-        class per line is classified and counted with its line's weight
-        (linalg.coset_points).  The split class (the zero coset) has middle
+        class per nonzero line of the quotient is classified and counted
+        with its line's weight (KrullSchmidt.lines, whose guard reads the
+        same exponent off the quotient, though Hom(P0, bottom) o incl may be
+        spanned dependently).  The split class (the zero coset) has middle
         bottom + top, whose key RepCategory.sum_key reads off the parts of
         the two keys; every other middle is interned, which classifies it
         by its hom vector on a Dynkin table and by its Fitting decomposition
@@ -112,10 +113,7 @@ class HallAlgebra:
         HB0 = cat.hom_basis(P0, C)
         D = cat.direct_sum([C, P0])
         restricted = [g.compose(incl).entries_flat() for g in HB0]
-        # The zero vector comes first, with weight 1: the split class.
-        for coeffs, weight in islice(coset_points(p, [h.entries_flat() for h in HB1], restricted),
-                                     1, None):
-            f = cat.morphisms_from_coeffs(P1, C, HB1, coeffs)
+        for f, weight in cat.lines(P1, C, HB1, "extension-class enumeration", restricted):
             graph = RepMorphism(P1, D, [FpMatrix.vstack([f.mats[i], (-incl.mats[i])])
                                         for i in range(cat.quiver.n)])
             k = cat.intern(cat.quotient_object(D, cat.image_subspaces(graph)))
@@ -148,11 +146,13 @@ class HallAlgebra:
     def product_pair(self, top: IsoClassKey, bottom: IsoClassKey) -> LinComb:
         """[top] o [bottom] expanded in the basis."""
         counts = self.ext_class_counts(top, bottom)
-        hom = self.cat.hom_dim(top.rep, bottom.rep)
-        inv = q_power(self.q, -hom)
+        # The counts add up to |Ext^1| = q^(hom - <top, bottom>), so n / |Hom|
+        # is (n / total) q^(-<top, bottom>), with no second hom_dim.
+        total = sum(counts.values())
+        inv = q_power(self.q, -self.cat.euler_form_int(top.dim, bottom.dim))
         terms = {}
         for mid, n in counts.items():
-            val = inv.scale(n)
+            val = inv.scale(Fraction(n, total))
             if self._should_cross_check(top, bottom, mid):
                 conv = self._riedtmann_value(top, bottom, mid)
                 if CoeffScalar.of(self.q, conv) != val:

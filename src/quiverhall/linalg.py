@@ -17,7 +17,7 @@ from .errors import ShapeError
 class FpMatrix:
     __slots__ = ("p", "rows", "cols", "data")
 
-    def __init__(self, p: int, data: Iterable[Iterable[int]], rows: int = None, cols: int = None):
+    def __init__(self, p: int, data: Iterable[Iterable[int]], cols: int = None):
         self.p = p
         rows_t = tuple(tuple(int(x) % p for x in row) for row in data)
         if rows_t:
@@ -27,10 +27,8 @@ class FpMatrix:
         else:
             ncols = cols if cols is not None else 0
         self.data = rows_t
-        self.rows = len(rows_t) if rows is None else rows
+        self.rows = len(rows_t)
         self.cols = ncols
-        if rows is not None and rows != len(rows_t):
-            raise ShapeError("row count mismatch")
 
     @classmethod
     def _trusted(cls, p: int, data, cols: int) -> "FpMatrix":
@@ -310,39 +308,36 @@ def projective_points(p: int, k: int):
 
 
 def coset_points(p: int, basis, sub):
-    """Yield (coeffs, weight) for one vector on each line of span(basis)/span(sub).
+    """(k, points): k = dim span(basis)/span(sub), and points yields
+    (coeffs, weight) for one vector on each line of that quotient.
 
-    basis and sub are lists of flat vectors, with sub inside span(basis).
-    coeffs are coordinates in basis that vanish at the pivots of sub's
-    coordinates, so they run over a complement of span(sub): every coset
-    stands on exactly one line, and the weights (those of
-    projective_points) sum to the number of cosets.
+    basis and sub are lists of flat vectors, basis independent and sub
+    inside span(basis); sub may be dependent, so k counts its rank, not its
+    length.  coeffs are coordinates in basis that vanish at the pivots of
+    sub's coordinates, so they run over a complement of span(sub): every
+    coset stands on exactly one line, and the weights (those of
+    projective_points, the zero vector first) sum to p^k.  The solve runs at
+    the call, so a sub outside the span raises ShapeError there; an empty
+    sub needs none.
     """
     t = len(basis)
-    Bmat = FpMatrix.from_columns(p, basis, len(basis[0]) if basis else 0)
-    coords = Bmat.solve_matrix(FpMatrix.from_columns(p, sub, Bmat.rows))
-    if coords is None:
-        raise ShapeError("subspace outside the span of the basis (engine bug)")
-    pivots = set(coords.transpose().rref()[1]) if sub else set()
+    pivots = set()
+    if sub:
+        Bmat = FpMatrix.from_columns(p, basis, len(basis[0]) if basis else 0)
+        coords = Bmat.solve_matrix(FpMatrix.from_columns(p, sub, Bmat.rows))
+        if coords is None:
+            raise ShapeError("subspace outside the span of the basis (engine bug)")
+        pivots = set(coords.transpose().rref()[1])
     free = [j for j in range(t) if j not in pivots]
-    for vals, weight in projective_points(p, len(free)):
-        coeffs = [0] * t
-        for pos, v in zip(free, vals):
-            coeffs[pos] = v
-        yield coeffs, weight
 
+    def points():
+        for vals, weight in projective_points(p, len(free)):
+            coeffs = [0] * t
+            for pos, v in zip(free, vals):
+                coeffs[pos] = v
+            yield coeffs, weight
 
-def line_index(p: int, coeffs) -> int:
-    """Position in projective_points(p, len(coeffs)) of the line through coeffs."""
-    k = len(coeffs)
-    lead = next((i for i, x in enumerate(coeffs) if x % p), None)
-    if lead is None:
-        return 0
-    inv = pow(coeffs[lead], -1, p)
-    tail = 0
-    for x in coeffs[lead + 1:]:
-        tail = tail * p + x * inv % p
-    return 1 + sum(p ** (k - j - 1) for j in range(lead + 1, k)) + tail
+    return len(free), points()
 
 
 def echelon_subspaces(p: int, n: int, d: int):

@@ -25,9 +25,9 @@ from .errors import (
 from .linalg import (
     FpMatrix,
     combine_flat,
+    coset_points,
     echelon_subspaces,
     gaussian_binomial,
-    projective_points,
     split_flat,
 )
 from .quiver import Quiver
@@ -322,15 +322,19 @@ class KrullSchmidt:
             return None
         return S1, S2
 
-    def _lines(self, X, basis):
-        """Yield (f, weight) for one endomorphism f of X on each nonzero line
-        of span(basis) in End X, weight being the number of nonzero elements
-        on that line.  The "endomorphism scan" (check_scan) bounds the
-        p^(len(basis)) elements walked."""
-        check_scan(self.scan_prefix + "endomorphism scan", self.p, len(basis))
-        # The zero vector comes first: it is no unit and never splits X.
-        for coeffs, weight in islice(projective_points(self.p, len(basis)), 1, None):
-            yield self.morphisms_from_coeffs(X, X, basis, coeffs), weight
+    def lines(self, X, Y, basis, guard: str, modulo=()):
+        """Yield (f, weight) for one morphism f: X -> Y on each nonzero line
+        of span(basis)/span(modulo) in Hom(X, Y), weight being the number of
+        classes on that line (linalg.coset_points); modulo is a list of flat
+        vectors inside span(basis), dependent or not.  The weights sum to
+        p^k - 1, k the dimension of the quotient, which bounds the walk under
+        guard (check_scan) before the first morphism is built.  The zero
+        class is neither yielded nor built: it is no unit, splits nothing,
+        and is the split extension."""
+        k, points = coset_points(self.p, [b.entries_flat() for b in basis], modulo)
+        check_scan(guard, self.p, k)
+        for coeffs, weight in islice(points, 1, None):
+            yield self.morphisms_from_coeffs(X, Y, basis, coeffs), weight
 
     def _summands(self, X) -> list:
         """Indecomposable direct summands of X, as concrete sub-objects.
@@ -338,11 +342,12 @@ class KrullSchmidt:
         By Fitting's lemma X is indecomposable exactly when every endomorphism
         is nilpotent or invertible, and a scalar multiple of one is too.  The
         candidates are the basis of End X, which usually splits at once, then
-        the endomorphisms of the line walk (_lines), one per nonzero line of
-        End X, which certify X indecomposable when none splits.  A brick
-        (dim End X = 1) is indecomposable with no candidate.  The "decompose
-        guardrail" (check_dim) bounds total_dim(X), the line walk's
-        "endomorphism scan" (check_scan) the p^(dim End X) elements of End X.
+        one endomorphism per nonzero line of End X (lines), which certify X
+        indecomposable when none splits.  A brick (dim End X = 1) is
+        indecomposable with no candidate.  The "decompose guardrail"
+        (check_dim) bounds total_dim(X), the "endomorphism scan" guard of
+        lines the p^(dim End X) elements of End X, and only once the basis
+        has failed to split X.
         """
         check_dim(self.scan_prefix + "decompose guardrail", X.total_dim(),
                   DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
@@ -352,7 +357,8 @@ class KrullSchmidt:
         if len(basis) == 1:
             return [X]
         # Built one at a time: the first basis element usually splits.
-        for f in chain(basis, (f for f, _ in self._lines(X, basis))):
+        scan = self.lines(X, X, basis, self.scan_prefix + "endomorphism scan")
+        for f in chain(basis, (f for f, _ in scan)):
             split = self._fitting_split(X, f)
             if split is not None:
                 return self._summands(split[0]) + self._summands(split[1])
@@ -516,8 +522,9 @@ class KrullSchmidt:
         its radical, so Q_j = q^k / (q^k - |Aut S_j|), k = dim End S_j
         (residue_order).  A brick (k = 1, End S_j = F_q) has Q_j = q and
         walks nothing; otherwise |Aut S_j| is the weight of the lines of
-        End S_j whose endomorphism is invertible, read off the line walk
-        (_lines) that _summands uses.  The product is aut_order's.
+        End S_j whose endomorphism is invertible, read off the walk over
+        the lines of End S_j (lines) that _summands also takes.  The product
+        is aut_order's.
         """
         self._check_same(X, X)
         sig = X.signature()
@@ -530,12 +537,14 @@ class KrullSchmidt:
         """Q = |End S / rad End S| for an indecomposable S: q for a brick
         (dim End S = 1) with no walk, otherwise q^k / (q^k - |Aut S|),
         k = dim End S, with |Aut S| the weight of the lines of End S whose
-        endomorphism is invertible (_lines)."""
+        endomorphism is invertible, walked under the "endomorphism scan"
+        guard (lines)."""
         basis = self.hom_basis(S, S)
         if len(basis) == 1:
             return self.p
         qk = self.p ** len(basis)
-        return qk // (qk - sum(w for f, w in self._lines(S, basis) if f.is_isomorphism()))
+        scan = self.lines(S, S, basis, self.scan_prefix + "endomorphism scan")
+        return qk // (qk - sum(w for f, w in scan if f.is_isomorphism()))
 
 
 class RepCategory(KrullSchmidt):

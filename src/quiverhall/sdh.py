@@ -61,9 +61,9 @@ homology in two or more degrees needs no such enumeration:
     does not kill, so rank d^(m-1) = dim P1(A); H^(m+1) = coker f is the
     cokernel of d^m into P0(B), so
     rank d^m = dim P0(B) - dim coker f = dim P1(B) + dim A - dim ker f.
-    Scaling f by a unit keeps ker f and coker f, so one f per line of
-    Hom(A, B), weighted by the size of its line, stands for every class
-    (linalg.projective_points).
+    Scaling f by a unit keeps ker f and coker f, so one f per nonzero line
+    of Hom(A, B), weighted by the size of its line, stands for every class
+    (KrullSchmidt.lines).  The class f = 0 is the split one below.
   - any other m2, which only Z allows (m2 < m or m2 > m + 1):
     Ext^1(R1, R2) = 0, so the one class is the split one, E = R2 (+) R1,
     with homology A in degree m and B in degree m2, and each d^l has the
@@ -96,9 +96,10 @@ R_key (+) K, K the sum of g_mj copies of K_j^m, the contractible P_j = P_j
 in degrees m, m + 1, over the slots m and projectives P_j.  So the classes
 of indecomposable summands of X, with their multiplicities, are:
 * the resolution res(S) = P1(S) -> P0(S) in degrees m - 1, m of each
-  indecomposable part S of the homology class of the key in degree m
-  (IsoClassKey.parts, where equal signatures are one class), as often as S
-  occurs there.  A map S -> S lifts to a chain map of res(S), and a chain
+  indecomposable part S of the homology class of the key in degree m, as
+  often as S occurs there (the parts grouped by class, which
+  RepCategory._key_of_parts caches for every key where _groups reads it).
+  A map S -> S lifts to a chain map of res(S), and a chain
   map of res(S) that induces 0 on S sends P0(S) into d(P1(S)), inside
   rad P0(S) since the resolution is minimal, so it is nilpotent.  So
   End res(S) is local with the residue field of End S, of order
@@ -124,8 +125,7 @@ from typing import NamedTuple
 from .cx2 import Cx2Tools, direct_sum, resolution, zero_complex
 from .errors import ShapeError
 from .hall import HallAlgebra
-from .linalg import projective_points
-from .reps import KrullSchmidt, ProjectiveCoords, RepCategory, aut_order, check_scan
+from .reps import KrullSchmidt, ProjectiveCoords, RepCategory, aut_order
 from .scalars import CoeffScalar, LinComb, bilinear, q_power
 
 
@@ -281,8 +281,9 @@ class SemiDerivedAlgebra:
         """|Aut X| of a projective-component complex, read off its normal
         form once per class (g, key), with nothing decomposed (module
         docstring): aut_order over the summand classes, the resolution of
-        each indecomposable part of each homology class of the key and the
-        contractible P_j = P_j of each nonzero g_mj, and
+        each class of indecomposable parts of each homology class of the key
+        (read off the key's seeded _groups, so nothing is decomposed) and
+        the contractible P_j = P_j of each nonzero g_mj, and
             dim End X = dim End R_key
                         + sum over m, j of g_mj ((dim X^m)_j + hom(R^(m+1), P_j))."""
         _, g, key = self.normal_form(X)
@@ -292,10 +293,7 @@ class SemiDerivedAlgebra:
         q, R = self.q, self.rep_of_key(key)
         classes = []
         for _, k in self._homology_parts(key):
-            counts = {}
-            for S in k.parts:
-                counts.setdefault(S.signature(), [S, 0])[1] += 1
-            classes += [(n, self.cat.residue_order(S)) for S, n in counts.values()]
+            classes += [(n, self.cat.residue_order(S)) for S, n in self.cat._groups(k.rep)]
         end_dim = self.tools.hom_dim(R, R) + self.exp_g_Y(g, X)
         for m, c in self._slots(g):
             end_dim += self.proj.hom_form(self.coords(R.component(m + 1).dim), c)
@@ -397,11 +395,12 @@ class SemiDerivedAlgebra:
         k2 (B in degree m2), from the classes of R1 by R2 that the module
         docstring derives, each as (weight, homology, differential ranks)
         and taken to its normal form by _normal_term: the middle terms of
-        Ext^1(A, B) for m2 = m, one f per line of Hom(A, B) for
-        deg(m2) = deg(m + 1), and the split class for any other m2.  The
-        "extension-class enumeration" guard (check_scan) bounds the
-        q^(dim Hom(A, B)) classes of the Hom walk, as ext_class_counts
-        bounds its own."""
+        Ext^1(A, B) for m2 = m; for any other m2 the split class, written
+        once as data (A in degree m, B in degree m2), then for
+        deg(m2) = deg(m + 1), where it is the class f = 0, one f per nonzero
+        line of Hom(A, B) (KrullSchmidt.lines).  The "extension-class
+        enumeration" guard of lines bounds the q^(dim Hom(A, B)) classes of
+        that walk, as ext_class_counts bounds its own."""
         cat = self.cat
         deg = self.deg
         R1, R2 = self.rep_of_key(k1), self.rep_of_key(k2)
@@ -413,20 +412,17 @@ class SemiDerivedAlgebra:
             p1ab = tuple(a + b for a, b in zip(p1a, p1b))
             classes = [(count, {m: C}, {deg(m - 1): p1ab})
                        for C, count in self.hall.ext_class_counts(A, B).items()]
-        elif deg(m2) == deg(m + 1):
+        else:
+            classes = [(1, {m: A, m2: B}, {deg(m - 1): p1a, deg(m2 - 1): p1b})]
+        if deg(m2) == deg(m + 1):
             basis = cat.hom_basis(A.rep, B.rep)
-            check_scan("extension-class enumeration", self.q, len(basis))
-            classes = []
-            for coeffs, weight in projective_points(self.q, len(basis)):
-                f = cat.morphisms_from_coeffs(A.rep, B.rep, basis, coeffs)
+            for f, weight in cat.lines(A.rep, B.rep, basis, "extension-class enumeration"):
                 ker = cat.sub_object(A.rep, cat.kernel_subspaces(f))
                 coker = cat.quotient_object(B.rep, cat.image_subspaces(f))
                 keys = {d: cat.intern(H) for d, H in ((m, ker), (m2, coker)) if not H.is_zero()}
                 ranks = {deg(m - 1): p1a,
                          m: tuple(b + a - k for b, a, k in zip(p1b, A.dim, ker.dim))}
                 classes.append((weight, keys, ranks))
-        else:
-            classes = [(1, {m: A, m2: B}, {m - 1: p1a, m2 - 1: p1b})]
         return self.tools.hom_dim(R1, R2), self._grouped(
             (weight, self._normal_term(dims, ranks, keys)) for weight, keys, ranks in classes)
 

@@ -12,7 +12,6 @@ from itertools import product
 
 from .cx2 import Complex, contractible, direct_sum, squares_to_zero
 from .hall import HallAlgebra, verify_ringel
-from .linalg import line_index
 from .reflection import SinkReflection
 from .report import check_row
 from .reps import ENUM_DIM_GUARD, RepCategory, check_dim, check_scan
@@ -299,17 +298,15 @@ def suite_torus_commutation(cat: RepCategory) -> list:
     return out
 
 
-def _drawn_middle(classes, p: int, rng):
-    """Middle term of a uniform draw among all p^k extension classes: the
-    drawn number's k base-p digits name a class, and classes lists the one
-    on its line (weights as in linalg.projective_points)."""
-    total = sum(weight for _f, _E, weight in classes)
-    k = 0
-    while p ** k < total:
-        k += 1
-    r = rng.randrange(total)
-    digits = [r // p ** (k - 1 - i) % p for i in range(k)]
-    return classes[line_index(p, digits)][1]
+def _drawn_middle(classes, rng):
+    """Middle term of a uniform draw among all extension classes: classes
+    lists one class per line with the number of classes on it, and the
+    drawn number falls among the weights of exactly one."""
+    r = rng.randrange(sum(weight for _f, _E, weight in classes))
+    for _f, E, weight in classes:
+        if r < weight:
+            return E
+        r -= weight
 
 
 def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
@@ -333,7 +330,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         Mrep = alg2.rep_of_key((cat.intern(H0), cat.intern(H1)))
         P = rng.choice(projs)
         K = contractible(cat, P, 0 if rng.random() < 0.5 else 1, 2)
-        L = _drawn_middle(tools2.ext1_classes_proj(Mrep, K), cat.p, rng)
+        L = _drawn_middle(tools2.ext1_classes_proj(Mrep, K), rng)
         lhs = alg2.element_of(L)
         rhs = alg2.element_of(direct_sum([K, Mrep]))
         out.append(check_row(f"z2 conflation #{k} (H0={H0.dim}, H1={H1.dim}, K on {P.dim})",
@@ -345,7 +342,7 @@ def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
         P = rng.choice(projs)
         slot = rng.choice((m - 1, m))
         K = contractible(cat, P, slot)
-        L = _drawn_middle(toolsz.ext1_classes_proj(Mrep, K), cat.p, rng)
+        L = _drawn_middle(toolsz.ext1_classes_proj(Mrep, K), rng)
         lhs = algz.element_of(L)
         rhs = algz.element_of(direct_sum([K, Mrep]))
         out.append(check_row(f"z conflation #{k} (A={A.dim}@{m}, v on {P.dim}@{slot})",

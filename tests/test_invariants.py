@@ -1,6 +1,7 @@
 """Cross-cutting property tests tying the layers together."""
 
 import random
+import sys
 from collections import Counter
 from itertools import product
 
@@ -28,19 +29,20 @@ from quiverhall.cx2 import (
     resolution,
     zero_complex,
 )
-from quiverhall import reps, sdh
+from quiverhall import reps
 from quiverhall.errors import BudgetExceeded, NotASubmodule, WindowExceeded
 from quiverhall.hall import HallAlgebra
 from quiverhall.linalg import FpMatrix, echelon_subspaces
 from quiverhall.quiver import Quiver, a_n_quiver
 from quiverhall.reflection import SinkReflection
-from quiverhall.reps import Rep, RepCategory, RepMorphism, intertwiners
+from quiverhall.reps import KrullSchmidt, Rep, RepCategory, RepMorphism, intertwiners
 from quiverhall.scalars import LinComb, q_power
 from quiverhall.sdh import SemiDerivedAlgebra
 from quiverhall.sdh2 import SDH2Algebra
 from quiverhall.sdhz import WINDOW_LO, CxB, SDHZAlgebra, stalk_cxb
 from quiverhall.suites import (
     SUITES,
+    _drawn_middle,
     proj_complex_pool,
     suite_bridgeland_compare,
     suite_presentation_uv,
@@ -155,7 +157,8 @@ def test_rep_aut_count_scan_fallback():
     # summand.  weighted_scan sums the weights of the invertible lines of
     # the whole End M.
     def weighted_scan(cat, M):
-        return sum(w for f, w in cat._lines(M, cat.hom_basis(M, M)) if f.is_isomorphism())
+        scan = cat.lines(M, M, cat.hom_basis(M, M), "endomorphism scan")
+        return sum(w for f, w in scan if f.is_isomorphism())
 
     for p in PRIMES:
         cat = RepCategory(Quiver(1, []), p)
@@ -1355,19 +1358,22 @@ def test_single_stalk_pairs_skip_resolution_route(monkeypatch):
     _resolution_pair on such a pair, and take some pairs from the lines of
     Hom(A, B)."""
     stalk_pairs, hom_walks = [], []
-    resolution_pair, lines = SemiDerivedAlgebra._resolution_pair, sdh.projective_points
+    resolution_pair, lines = SemiDerivedAlgebra._resolution_pair, KrullSchmidt.lines
 
     def counted_resolution_pair(self, k1, k2):
         if len(self._homology_parts(k1)) == len(self._homology_parts(k2)) == 1:
             stalk_pairs.append((k1, k2))
         return resolution_pair(self, k1, k2)
 
-    def counted_lines(*args):
-        hom_walks.append(args)
-        return lines(*args)
+    # A walk called from _stalk_pair itself is one over Hom(A, B); those of
+    # ext_class_counts, which it also calls, are over Ext^1(A, B).
+    def counted_lines(self, *args):
+        if sys._getframe(1).f_code.co_name == "_stalk_pair":
+            hom_walks.append(args[:2])
+        return lines(self, *args)
 
     monkeypatch.setattr(SemiDerivedAlgebra, "_resolution_pair", counted_resolution_pair)
-    monkeypatch.setattr(sdh, "projective_points", counted_lines)
+    monkeypatch.setattr(KrullSchmidt, "lines", counted_lines)
     for rows in (suite_presentation_uv(RepCategory(a_n_quiver(3), 3)),
                  suite_reflection(RepCategory(a_n_quiver(2), 3), 2)):
         assert rows and all(row[1] == "pass" for row in rows)
@@ -1429,6 +1435,88 @@ def test_ext1_classes_proj_scan_guard(monkeypatch):
         tools.ext1_classes_proj(L, M)
     monkeypatch.setattr(reps, "SCAN_BUDGET", 3)
     assert sum(w for _f, _E, w in tools.ext1_classes_proj(L, M)) == 3
+
+
+def _assert_lines_meet_each_coset_once(p, walk, basis, modulo):
+    """The zero class and the lines of walk meet each coset of
+    span(basis)/span(modulo) on exactly one nonzero multiple, every coset
+    being met, and the weights, p - 1 each, sum to p^k - 1."""
+    vecs = [b.entries_flat() for b in basis]
+    rows = []
+    if modulo:
+        R, piv = FpMatrix(p, modulo, cols=len(vecs[0])).rref()
+        rows = list(R.data[:len(piv)])
+    cosets = {reduce_against_rows(p, rows, [sum(c * x for c, x in zip(coeffs, col))
+                                            for col in zip(*vecs)])
+              for coeffs in product(range(p), repeat=len(vecs))}
+    met = [reduce_against_rows(p, rows, [0] * len(vecs[0]))]
+    met += [reduce_against_rows(p, rows, [lam * x for x in f.entries_flat()])
+            for f, _w in walk for lam in range(1, p)]
+    assert len(met) == len(set(met)) and set(met) == cosets
+    assert all(w == p - 1 for _f, w in walk)
+    assert sum(w for _f, w in walk) == len(cosets) - 1
+    return len(cosets)
+
+
+def test_lines_meet_each_coset_on_one_line(monkeypatch):
+    """KrullSchmidt.lines against every combination of the basis, on the
+    three kinds of space it walks: End of a non-brick Kronecker module, the
+    classes Hom(P1, C) modulo Hom(P0, C) o incl of a Hall table, spanned
+    dependently, and chain maps modulo homotopies.  With the dependent
+    span, the guard reads p^k off the quotient: it trips below p^k and
+    passes at p^k."""
+    for p in (3, 5):
+        kron = RepCategory(KRONECKER, p)
+        R = kron.rep((2, 2), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+        basis = kron.hom_basis(R, R)
+        walk = list(kron.lines(R, R, basis, "endomorphism scan"))
+        assert _assert_lines_meet_each_coset_once(p, walk, basis, ()) == p * p
+
+    cat = RepCategory(a_n_quiver(3), 2)
+    keys = [k for k in cat.iso_classes_up_to(4) if any(k.dim)]
+    for A, C in product(keys, keys):
+        P1, P0, incl, _proj = cat.min_proj_resolution(A.rep)
+        basis = cat.hom_basis(P1, C.rep)
+        restricted = [g.compose(incl).entries_flat() for g in cat.hom_basis(P0, C.rep)]
+        rank = FpMatrix(2, restricted).rank() if restricted else 0
+        if 0 < rank < len(restricted) and len(basis) - rank >= 2:
+            break
+    else:
+        pytest.fail("no pair with a dependent, nonzero Hom(P0, C) o incl")
+    k = len(basis) - rank
+    walk = list(cat.lines(P1, C.rep, basis, "extension-class enumeration", restricted))
+    assert _assert_lines_meet_each_coset_once(2, walk, basis, restricted) == 2 ** k
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 2 ** k - 1)
+    with pytest.raises(BudgetExceeded, match=rf"^extension-class enumeration: 2\^{k} = "):
+        next(cat.lines(P1, C.rep, basis, "extension-class enumeration", restricted))
+    monkeypatch.setattr(reps, "SCAN_BUDGET", 2 ** k)
+    assert list(cat.lines(P1, C.rep, basis, "extension-class enumeration", restricted))
+    monkeypatch.undo()
+
+    cat = RepCategory(Quiver(1, []), 3)
+    k1, Z = cat.rep((1,)), cat.zero_rep
+    stalk0 = Cx2(cat, k1, Z, cat.zero_map(k1, Z), cat.zero_map(Z, k1))
+    L = direct_sum([stalk0, contractible(cat, k1, 0, 2)])
+    SM = Cx2(cat, Z, k1, cat.zero_map(Z, k1), cat.zero_map(k1, Z)).shift()
+    tools = SDH2Algebra(cat).tools
+    basis, homotopies = tools.hom_basis(L, SM), tools.homotopy_subspace(L, SM)
+    walk = list(tools.lines(L, SM, basis, "extension-class enumeration", homotopies))
+    assert _assert_lines_meet_each_coset_once(3, walk, basis, homotopies) == 3
+
+
+def test_drawn_middle_returns_each_class_by_its_weight():
+    """Over every number a stub rng can draw, _drawn_middle returns each
+    class exactly as often as its weight."""
+    class Stub:
+        def randrange(self, n):
+            return self.r
+
+    classes = [(None, "split", 1), (None, "a", 4), (None, "b", 4), (None, "c", 16)]
+    total = sum(w for _f, _E, w in classes)
+    rng, drawn = Stub(), Counter()
+    for rng.r in range(total):
+        drawn[_drawn_middle(classes, rng)] += 1
+    assert drawn == {E: w for _f, E, w in classes}
 
 
 def test_complex_pool_scan_guard(monkeypatch):

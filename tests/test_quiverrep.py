@@ -310,7 +310,7 @@ def test_budget_message_names_guard_and_size():
     assert tools.aut_count(K) == 24261120
     with pytest.raises(BudgetExceeded, match=r"^complex endomorphism scan: 3\^16 = 43046721 "
                                              r"> SCAN_BUDGET 1048576$"):
-        next(tools._lines(K, tools.hom_basis(K, K)))
+        next(tools.lines(K, K, tools.hom_basis(K, K), "complex endomorphism scan"))
     with pytest.raises(BudgetExceeded, match=r"^decompose guardrail: total dimension 13 "
                                              r"> DECOMPOSE_DIM_GUARD 12$"):
         a2().aut_count(a2().rep((7, 6)))
