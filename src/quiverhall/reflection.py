@@ -79,11 +79,12 @@ def _add(*vectors) -> tuple:
 
 
 def _stalk(cat: RepCategory, parts: list, shifted: bool) -> tuple:
-    """_two_term data of the stalk piece 0 -> (+) parts."""
-    res = [cat.min_proj_resolution(S)[:2] for S in parts]
+    """_two_term data of the stalk piece 0 -> (+) parts, its resolution
+    read off the tops of the parts (RepCategory.resolution_dims)."""
+    res = [cat.resolution_dims(S) for S in parts]
     zero = (0,) * cat.quiver.n
-    return _two_term(zero, _add(*(S.dim for S in parts)), _add(*(r[0].dim for r in res)),
-                     _add(*(r[1].dim for r in res)), zero, shifted)
+    return _two_term(zero, _add(*(S.dim for S in parts)), _add(*(r[0] for r in res)),
+                     _add(*(r[1] for r in res)), zero, shifted)
 
 
 def _class_of_pieces(alg: SDH2Algebra, pieces: list, key) -> LinComb:
@@ -138,11 +139,11 @@ class SinkReflection:
         self._si2_key = self.cat2.intern(self.cat2.simple(sink))
         tau, Psum2 = self.tau_minus, self.reflect_rep(self.Psum)
         tau2 = self.reflect_rep(tau)
-        P1, P0 = cat.min_proj_resolution(tau)[:2]
-        P1b, P0b = self.cat2.min_proj_resolution(tau2)[:2]
+        p1, p0 = cat.resolution_dims(tau)
+        p1b, p0b = self.cat2.resolution_dims(tau2)
         self._sink_pieces = [
-            (_two_term(self.Psum.dim, tau.dim, P1.dim, P0.dim, tau.dim, d == 1),
-             _two_term(Psum2.dim, tau2.dim, P1b.dim, P0b.dim, Psum2.dim, d == 1))
+            (_two_term(self.Psum.dim, tau.dim, p1, p0, tau.dim, d == 1),
+             _two_term(Psum2.dim, tau2.dim, p1b, p0b, Psum2.dim, d == 1))
             for d in (0, 1)]
 
     # -- module transport ----------------------------------------------------

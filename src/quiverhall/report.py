@@ -14,9 +14,11 @@ _ROW = '    {\n      "lhs": %s,\n      "name": %s,\n      "rhs": %s,\n      "sta
 
 def check_row(name: str, lhs, rhs) -> tuple:
     """The report row of the identity lhs = rhs between two elements or two
-    scalars: status "pass" exactly when lhs - rhs is zero, and both sides
-    rendered, so a failure is diagnosable from the report alone."""
-    return (name, "pass" if (lhs - rhs).is_zero() else "fail", str(lhs), str(rhs))
+    scalars: status "pass" exactly when lhs == rhs, and both sides rendered,
+    so a failure is diagnosable from the report alone.  Equality is exact
+    with no difference built: LinComb keeps its terms normalized with the
+    zero ones dropped, and CoeffScalar its scalars in lowest terms."""
+    return (name, "pass" if lhs == rhs else "fail", str(lhs), str(rhs))
 
 
 def report_json(suite: str, q: int, quiver: dict, seed: int, rows) -> str:

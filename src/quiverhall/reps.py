@@ -230,6 +230,7 @@ class KrullSchmidt:
         self._hom_cache = {}
         self._aut_cache = {}
         self._groups_cache = {}
+        self._units_cache = {}
 
     def hom_basis(self, X, Y) -> list:
         """Deterministic basis of Hom(X, Y), solved once per pair of
@@ -307,14 +308,18 @@ class KrullSchmidt:
                 out.append(())
         return tuple(out)
 
-    def _fitting_split(self, X, f):
-        """Split X = im(f^N) + ker(f^N), N >= total_dim(X), when f is neither
-        nilpotent nor invertible (Fitting's lemma); returns (S1, S2) or None."""
+    @staticmethod
+    def _fitting_power(X, f):
+        """f^N for an endomorphism f of X, N >= total_dim(X): zero exactly
+        when f is nilpotent, invertible exactly when f is."""
         h = f
         for _ in range(max(X.total_dim().bit_length(), 1)):
             h = h.compose(h)
-        if h.is_zero() or h.is_isomorphism():
-            return None
+        return h
+
+    def _fitting_split(self, X, h):
+        """Split X = im h + ker h for h = f^N (_fitting_power) neither zero nor
+        invertible (Fitting's lemma); returns (S1, S2) or None."""
         S1 = self.sub_object(X, self.image_subspaces(h))
         S2 = self.sub_object(X, self.kernel_subspaces(h))
         if S1.total_dim() + S2.total_dim() != X.total_dim() \
@@ -348,6 +353,11 @@ class KrullSchmidt:
         (check_dim) bounds total_dim(X), the "endomorphism scan" guard of
         lines the p^(dim End X) elements of End X, and only once the basis
         has failed to split X.
+
+        The certifying walk decides every unit on the way, since f is
+        invertible exactly when f^N is: the weights of its invertible lines
+        add up to |Aut X|, recorded per signature (_units_cache) for
+        residue_order, which then walks End X no second time.
         """
         check_dim(self.scan_prefix + "decompose guardrail", X.total_dim(),
                   DECOMPOSE_DIM_GUARD, "DECOMPOSE_DIM_GUARD")
@@ -356,12 +366,21 @@ class KrullSchmidt:
         basis = self.hom_basis(X, X)
         if len(basis) == 1:
             return [X]
-        # Built one at a time: the first basis element usually splits.
+        # Built one at a time: the first basis element usually splits.  The
+        # basis comes again among the lines, so it counts no unit here.
         scan = self.lines(X, X, basis, self.scan_prefix + "endomorphism scan")
-        for f in chain(basis, (f for f, _ in scan)):
-            split = self._fitting_split(X, f)
+        units = 0
+        for f, weight in chain(((f, 0) for f in basis), scan):
+            h = self._fitting_power(X, f)
+            if h.is_zero():
+                continue
+            if h.is_isomorphism():
+                units += weight
+                continue
+            split = self._fitting_split(X, h)
             if split is not None:
                 return self._summands(split[0]) + self._summands(split[1])
+        self._units_cache[X.signature()] = units
         return [X]
 
     def _groups(self, X) -> list:
@@ -522,9 +541,9 @@ class KrullSchmidt:
         its radical, so Q_j = q^k / (q^k - |Aut S_j|), k = dim End S_j
         (residue_order).  A brick (k = 1, End S_j = F_q) has Q_j = q and
         walks nothing; otherwise |Aut S_j| is the weight of the lines of
-        End S_j whose endomorphism is invertible, read off the walk over
-        the lines of End S_j (lines) that _summands also takes.  The product
-        is aut_order's.
+        End S_j whose endomorphism is invertible, which the walk of
+        _summands over the lines of End S_j records as it certifies S_j
+        (residue_order).  The product is aut_order's.
         """
         self._check_same(X, X)
         sig = X.signature()
@@ -536,15 +555,21 @@ class KrullSchmidt:
     def residue_order(self, S) -> int:
         """Q = |End S / rad End S| for an indecomposable S: q for a brick
         (dim End S = 1) with no walk, otherwise q^k / (q^k - |Aut S|),
-        k = dim End S, with |Aut S| the weight of the lines of End S whose
+        k = dim End S.  |Aut S| is the one that _summands recorded when its
+        walk certified S (or, for a module, a member of the class whose
+        canonical form S is), else the weight of the lines of End S whose
         endomorphism is invertible, walked under the "endomorphism scan"
-        guard (lines)."""
+        guard (lines) and recorded."""
         basis = self.hom_basis(S, S)
         if len(basis) == 1:
             return self.p
         qk = self.p ** len(basis)
-        scan = self.lines(S, S, basis, self.scan_prefix + "endomorphism scan")
-        return qk // (qk - sum(w for f, w in scan if f.is_isomorphism()))
+        units = self._units_cache.get(S.signature())
+        if units is None:
+            scan = self.lines(S, S, basis, self.scan_prefix + "endomorphism scan")
+            units = self._units_cache[S.signature()] = sum(
+                w for f, w in scan if f.is_isomorphism())
+        return qk // (qk - units)
 
 
 class RepCategory(KrullSchmidt):
@@ -567,6 +592,8 @@ class RepCategory(KrullSchmidt):
         self._registry = {}
         self._canonical_cache = {}
         self._resolution_cache = {}
+        self._resolution_dims_cache = {}
+        self._projective_dims = None
         self._zero_map_cache = {}
         self._paths_cache = None
         self._forms = {}
@@ -736,8 +763,12 @@ class RepCategory(KrullSchmidt):
             shape = _shape(M)
             iso = lambda R: self._indecomposables_isomorphic(M, R)
             canon = next(filter(iso, self._forms.get(shape, ())), None)
-            self._canonical_cache[sig] = canon or self._register_form(
+            canon = self._canonical_cache[sig] = canon or self._register_form(
                 next(filter(iso, self._reps_of_dim(*shape))))
+            # |Aut| is a class invariant: the one _summands recorded for M
+            # serves the canonical form too.
+            if sig in self._units_cache:
+                self._units_cache.setdefault(canon.signature(), self._units_cache[sig])
         return self._canonical_cache[sig]
 
     def _register_form(self, canon: Rep) -> Rep:
@@ -808,6 +839,31 @@ class RepCategory(KrullSchmidt):
         """rad A = sum of arrow images (valid for path algebras)."""
         return tuple(tuple(self._incoming(A, i).column_space_basis())
                      for i in range(1, self.quiver.n + 1))
+
+    def resolution_dims(self, A: Rep) -> tuple:
+        """(dim P1, dim P0) of the minimal projective resolution of A, read
+        off the top of A with nothing built: rad A is the sum of the arrow
+        images (radical_subspaces), so top_i = dim A_i - the rank of the
+        arrows into i, the projective cover P0 is the sum of top_i copies of
+        P_i, and P1 = ker(P0 ->> A) has dim P0 - dim A.  Cached per
+        signature; min_proj_resolution, which builds both, is its oracle."""
+        sig = A.signature()
+        dims = self._resolution_dims_cache.get(sig)
+        if dims is None:
+            if self._projective_dims is None:
+                # dim P_i at v: the paths from i that end at v
+                self._projective_dims = [
+                    tuple(sum(end == v for _, end in self._paths()[i])
+                          for v in range(1, self.quiver.n + 1))
+                    for i in range(1, self.quiver.n + 1)]
+            p0 = [0] * self.quiver.n
+            for i, (a, P) in enumerate(zip(A.dim, self._projective_dims), start=1):
+                top = a - self._incoming(A, i).rank() if a else 0
+                for v, d in enumerate(P):
+                    p0[v] += top * d
+            dims = self._resolution_dims_cache[sig] = (
+                tuple(x - a for x, a in zip(p0, A.dim)), tuple(p0))
+        return dims
 
     def min_proj_resolution(self, A: Rep):
         """0 -> P1 -> P0 -> A -> 0 with P0 the projective cover.

@@ -70,6 +70,38 @@ homology in two or more degrees needs no such enumeration:
     rank of the differential of the one resolution it lives in:
     rank d^(m-1) = dim P1(A), rank d^(m2-1) = dim P1(B).
 
+Every number that this bookkeeping reads off a representative R_key comes
+from module data: no complex is built, no resolution computed and no chain
+map solved for it (rep_of_key builds R_key only where a complex is walked,
+in _resolution_pair).  Both facts below are additive over the parts of a
+homology class (IsoClassKey.parts), the indecomposable summands, so each is
+read per part and cached:
+* the dimensions (RepCategory.resolution_dims, _res_dims, _key_dims).  Over
+  a path algebra rad S is the sum of the arrow images, so the top of S has
+  top_i = dim S_i - (the rank of the arrows into i); the projective cover
+  P0(S) is the sum of top_i copies of P_i, and P1(S) = ker(P0(S) ->> S) has
+  dim P0(S) - dim S.  So R_key^d = P0(H^d) + P1(H^deg(d+1)).
+* Hom between representatives (_key_hom).  Take a part S in degree m of k1
+  and a part T in degree m2 of k2, res(S) = P1(S) -> P0(S) in degrees
+  m - 1, m and res(T) = P1(T) -> P0(T) in degrees m2 - 1, m2.  The chain
+  maps res(S) -> res(T) have dimension
+  - hom(S, T) + hom(P0(S), P1(T)) for m2 = m.  Up to homotopy they are the
+    morphisms S -> T of the derived category, Hom(S, T) (for Z/2 plus the
+    Ext^(2i)(S, T), which vanish on a hereditary category).  A homotopy
+    h: P0(S) -> P1(T) gives the null-homotopic map (h d_S, d_T h), and
+    h -> d_T h is injective because d_T is; for Z/2 the other homotopy
+    component, P1(S) -> P0(T), composes with the zero differentials
+    P0 -> P1 on both sides and gives 0;
+  - hom(P1(S), P0(T)) for deg(m2) = deg(m - 1) != m2.  Only P1(S) and P0(T)
+    share a degree, m - 1, and each differential out of or into it meets a
+    zero component, so every such map commutes; for Z/2, where P0(S) and
+    P1(T) share degree m, a component f: P0(S) -> P1(T) has d_T f = 0 (the
+    differential P0(S) -> P1(S) is zero), so f = 0;
+  - 0 otherwise, only for Z: the degrees do not overlap, or m2 = m + 1 and
+    the one component f: P0(S) -> P1(T) has d_T f = 0, so f = 0.
+  The projective Homs are ProjectiveCoords.hom_form of the coordinates of
+  the dimension vectors; Cx2Tools.hom_dim on rep_of_key is the oracle.
+
 Each key pair is computed once per orbit of the shift where the grading
 lets it.  The shift Sigma of C_{Z/2}(P) is an exact automorphism: it keeps
 Hom, homotopies and Ext^1, takes R_key to a complex isomorphic to R_(Sigma
@@ -88,7 +120,8 @@ along it (sdhz only shares its Euler exponents across translates).
 The torus twist of a product reads one integer form per (key, slot)
 (_twist): <T_g, R> pairs g_m with dim R^m, since <P_j, M> = dim M_j on a
 hereditary path algebra, and <R, T_g> pairs g_m with the Euler forms
-<dim R^(m+1), dim P_j>; both are fixed once R = R_key is.
+<dim R^(m+1), dim P_j>; both are fixed by the component dimensions of
+R = R_key (_key_dims).
 
 |Aut X| of a projective-component complex is read off its class (g, key),
 once per class, with nothing decomposed (aut_count).  By normal_form, X is
@@ -110,16 +143,17 @@ fixed by its component P_j -> Y^m and a chain map Y -> K_j^m by its
 component Y^(m+1) -> P_j, so
   dim End X = dim End R_key
               + sum over m, j of g_mj ((dim X^m)_j + hom(R_key^(m+1), P_j)),
-the first term one hom_dim per key, the middle one the pairing
-exp_g_Y(g, X), the last one proj.hom_form on the coordinates of
-R_key^(m+1).  reps.aut_order turns these into |Aut X| by the formula of
-KrullSchmidt.aut_count, and riedtmann is KrullSchmidt's Riedtmann
-conversion over this count.  Cx2Tools.aut_count, which Fitting-decomposes
+the first term the Hom formula above once per key (_key_hom), the middle
+one the pairing exp_g_Y(g, X), the last one proj.hom_form on the
+coordinates of R_key^(m+1) (_key_dims).  reps.aut_order turns these into
+|Aut X| by the formula of KrullSchmidt.aut_count, and riedtmann is
+KrullSchmidt's Riedtmann conversion over this count.  Cx2Tools.aut_count, which Fitting-decomposes
 X, is its oracle.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .cx2 import Cx2Tools, direct_sum, resolution, zero_complex
@@ -155,6 +189,8 @@ class SemiDerivedAlgebra:
         self.deg = zero_complex(cat, self.period).degree
         self._zero = (0,) * cat.quiver.n
         self._rep_cache = {}
+        self._res_cache = {}
+        self._dims_cache = {}
         self._nf_cache = {}
         self._pair_cache = {}
         self._form_cache = {}
@@ -162,7 +198,9 @@ class SemiDerivedAlgebra:
 
     def rep_of_key(self, key):
         """R_key, the representative complex of a key, built once per key
-        (_representative)."""
+        (_representative), for the routes that walk it; the bookkeeping of
+        products reads its dimensions and Homs off module data instead
+        (_key_dims, _key_hom)."""
         R = self._rep_cache.get(key)
         if R is None:
             R = self._rep_cache[key] = self._representative(key)
@@ -175,6 +213,52 @@ class SemiDerivedAlgebra:
         parts = [resolution(self.cat, k.rep, m, self.period)
                  for m, k in self._homology_parts(key)]
         return direct_sum(parts) if parts else zero_complex(self.cat, self.period)
+
+    # -- module data of key representatives ---------------------------------------
+
+    def _res_dims(self, k) -> tuple:
+        """(dim P1, dim P0) of the minimal resolution of the iso class k: the
+        sum of RepCategory.resolution_dims over its parts, built once per
+        class."""
+        dims = self._res_cache.get(k)
+        if dims is None:
+            parts = [self.cat.resolution_dims(S) for S in k.parts]
+            dims = self._res_cache[k] = tuple(
+                tuple(map(sum, zip(self._zero, *(d[i] for d in parts)))) for i in (0, 1))
+        return dims
+
+    def _key_dims(self, key) -> dict:
+        """{d: dim R_key^d} over the degrees d where R_key is nonzero, with no
+        complex built: R_key^d = P0(H^d) + P1(H^deg(d+1)) (_res_dims).  Built
+        once per key."""
+        dims = self._dims_cache.get(key)
+        if dims is None:
+            deg, dims = self.deg, {}
+            for m, k in self._homology_parts(key):
+                for d, v in zip((deg(m - 1), m), self._res_dims(k)):
+                    if any(v):
+                        dims[d] = tuple(map(add, dims[d], v)) if d in dims else v
+            self._dims_cache[key] = dims
+        return dims
+
+    def _key_hom(self, k1, k2) -> int:
+        """dim Hom(R1, R2) of the chain maps between the representatives of
+        two keys, by the resolution formula of the module docstring: over
+        each degree m of k1 and m2 of k2, with A = H^m(k1) and B = H^m2(k2),
+        hom(A, B) + hom(P0(A), P1(B)) for m2 = m, hom(P1(A), P0(B)) for
+        deg(m2) = deg(m - 1) != m2, else 0.  The projective Homs are read off
+        ProjectiveCoords.hom_form, and nothing is solved on complexes."""
+        hom_form, coords, deg = self.proj.hom_form, self.coords, self.deg
+        e = 0
+        for m, A in self._homology_parts(k1):
+            p1a, p0a = self._res_dims(A)
+            for m2, B in self._homology_parts(k2):
+                p1b, p0b = self._res_dims(B)
+                if m2 == m:
+                    e += self.cat.hom_dim(A.rep, B.rep) + hom_form(coords(p0a), coords(p1b))
+                elif deg(m2) == deg(m - 1):
+                    e += hom_form(coords(p1a), coords(p0b))
+        return e
 
     def lattice_add(self, g, h) -> tuple:
         """The sum of two torus lattice points."""
@@ -190,16 +274,23 @@ class SemiDerivedAlgebra:
         return sum(cj * dj for m, c in self._slots(g)
                    for cj, dj in zip(c, Y.component(m).dim))
 
+    def _exp_g_key(self, g, key) -> int:
+        """exp_g_Y(g, R_key), off the component dimensions of the key
+        (_key_dims)."""
+        dims = self._key_dims(key)
+        return sum(cj * dj for m, c in self._slots(g) if m in dims
+                   for cj, dj in zip(c, dims[m]))
+
     def _twist(self, key, g) -> int:
         """log_q <T_g, R> - log_q <R, T_g> for R = R_key: the dot product of
         each slot g_m with the form of (key, m), built once per (key, m)
-        (module docstring)."""
+        from the component dimensions of the key (module docstring)."""
         e = 0
         for m, c in self._slots(g):
             form = self._form_cache.get((key, m))
             if form is None:
-                R = self.rep_of_key(key)
-                d0, d1 = R.component(m).dim, R.component(m + 1).dim
+                dims, zero = self._key_dims(key), self._zero
+                d0, d1 = dims.get(m, zero), dims.get(self.deg(m + 1), zero)
                 form = self._form_cache[key, m] = tuple(
                     a - self.cat.euler_form_int(d1, P.dim)
                     for a, P in zip(d0, self.proj.projectives))
@@ -252,14 +343,15 @@ class SemiDerivedAlgebra:
         """The normal form of a projective-component complex with components
         of dimension dims[d], differentials d^m of rank ranks[m] and nonzero
         homology classes keys[m], by the rank formula and the ledger of
-        normal_form (a degree missing from dims has a zero component)."""
+        normal_form (a degree missing from dims has a zero component).  The
+        resolutions are read as dimensions (_res_dims), and nothing is built."""
         cat = self.cat
         deg = self.deg
-        res = {m: cat.min_proj_resolution(k.rep) for m, k in keys.items()}
+        res = {m: self._res_dims(k) for m, k in keys.items()}
         zero = self._zero
 
         def p_dim(m, i):
-            return res[deg(m)][i].dim if deg(m) in res else zero
+            return res[deg(m)][i] if deg(m) in res else zero
 
         slots = {m: tuple(r - d for r, d in zip(rank, p_dim(m + 1, 0)))
                  for m, rank in ranks.items()}
@@ -270,7 +362,7 @@ class SemiDerivedAlgebra:
                 raise ShapeError("acyclic ledger does not close (engine bug)")
         g = self._from_slots({m: self.coords(s) for m, s in slots.items() if any(s)}, zero)
         key = self._from_slots(keys, cat.zero_key())
-        return NormalForm(q_power(self.q, self.exp_g_Y(g, self.rep_of_key(key))), g, key)
+        return NormalForm(q_power(self.q, self._exp_g_key(g, key)), g, key)
 
     # -- automorphism counts -------------------------------------------------------
 
@@ -290,13 +382,13 @@ class SemiDerivedAlgebra:
         aut = self._aut_cache.get((g, key))
         if aut is not None:
             return aut
-        q, R = self.q, self.rep_of_key(key)
+        q, dims, zero = self.q, self._key_dims(key), self._zero
         classes = []
         for _, k in self._homology_parts(key):
             classes += [(n, self.cat.residue_order(S)) for S, n in self.cat._groups(k.rep)]
-        end_dim = self.tools.hom_dim(R, R) + self.exp_g_Y(g, X)
+        end_dim = self._key_hom(key, key) + self.exp_g_Y(g, X)
         for m, c in self._slots(g):
-            end_dim += self.proj.hom_form(self.coords(R.component(m + 1).dim), c)
+            end_dim += self.proj.hom_form(self.coords(dims.get(self.deg(m + 1), zero)), c)
             classes += [(n, q) for n in c if n]
         aut = self._aut_cache[g, key] = aut_order(q, end_dim, classes)
         return aut
@@ -326,9 +418,10 @@ class SemiDerivedAlgebra:
         if A.is_zero():
             return self.unit()
         deg = self.deg
-        e = self.coords(self.cat.min_proj_resolution(A)[0].dim)
+        k = self.cat.intern(A)
+        e = self.coords(self._res_dims(k)[0])
         g = self._from_slots({deg(m - 1): tuple(-x for x in e)} if any(e) else {}, self._zero)
-        key = self._from_slots({deg(m): self.cat.intern(A)}, self.cat.zero_key())
+        key = self._from_slots({deg(m): k}, self.cat.zero_key())
         return self.term(g, key, q_power(self.q, -self.proj.hom_form(e, e)))
 
     # -- products --------------------------------------------------------------------
@@ -400,14 +493,13 @@ class SemiDerivedAlgebra:
         deg(m2) = deg(m + 1), where it is the class f = 0, one f per nonzero
         line of Hom(A, B) (KrullSchmidt.lines).  The "extension-class
         enumeration" guard of lines bounds the q^(dim Hom(A, B)) classes of
-        that walk, as ext_class_counts bounds its own."""
+        that walk, as ext_class_counts bounds its own.  The dimensions and
+        the hom come from module data (_key_dims, _res_dims, _key_hom)."""
         cat = self.cat
         deg = self.deg
-        R1, R2 = self.rep_of_key(k1), self.rep_of_key(k2)
-        dims = {d: tuple(map(sum, zip(R1.component(d).dim, R2.component(d).dim)))
-                for d in set(R1.degrees()) | set(R2.degrees())}
-        p1a = cat.min_proj_resolution(A.rep)[0].dim
-        p1b = cat.min_proj_resolution(B.rep)[0].dim
+        d1, d2, zero = self._key_dims(k1), self._key_dims(k2), self._zero
+        dims = {d: tuple(map(add, d1.get(d, zero), d2.get(d, zero))) for d in d1.keys() | d2.keys()}
+        p1a, p1b = self._res_dims(A)[0], self._res_dims(B)[0]
         if m2 == m:
             p1ab = tuple(a + b for a, b in zip(p1a, p1b))
             classes = [(count, {m: C}, {deg(m - 1): p1ab})
@@ -423,7 +515,7 @@ class SemiDerivedAlgebra:
                 ranks = {deg(m - 1): p1a,
                          m: tuple(b + a - k for b, a, k in zip(p1b, A.dim, ker.dim))}
                 classes.append((weight, keys, ranks))
-        return self.tools.hom_dim(R1, R2), self._grouped(
+        return self._key_hom(k1, k2), self._grouped(
             (weight, self._normal_term(dims, ranks, keys)) for weight, keys, ranks in classes)
 
     def _resolution_pair(self, k1, k2) -> tuple:

@@ -147,15 +147,16 @@ class SDH2Algebra(SemiDerivedAlgebra):
 
     def comp_classes(self, term_key) -> tuple:
         """K_0 classes (dimension-vector valued) of the degree-0 and degree-1
-        components of a normal-form term's representative complex; computed
-        once per term."""
+        components of a normal-form term's representative complex, read off
+        the component dimensions of the key (_key_dims); computed once per
+        term."""
         out = self._classes_cache.get(term_key)
         if out is None:
             g, key = term_key
-            R = self.rep_of_key(key)
+            dims, zero = self._key_dims(key), self._zero
             extra = self.dim_of_coords(tuple(x + y for x, y in zip(*g)))
             out = self._classes_cache[term_key] = tuple(
-                tuple(u + v for u, v in zip(M.dim, extra)) for M in R.comps)
+                tuple(u + v for u, v in zip(dims.get(d, zero), extra)) for d in (0, 1))
         return out
 
     def cw_exponent(self, t1, t2) -> int:
@@ -184,8 +185,10 @@ class SDH2Algebra(SemiDerivedAlgebra):
     # reduction
 
     def _comp_sum(self, key) -> tuple:
-        R = self.rep_of_key(key)
-        return tuple(map(sum, zip(*(M.dim for M in R.comps))))
+        """dim R_key^0 + dim R_key^1, off the component dimensions of the key
+        (_key_dims)."""
+        dims, zero = self._key_dims(key), self._zero
+        return tuple(map(add, dims.get(0, zero), dims.get(1, zero)))
 
     def reduce(self, x: LinComb) -> LinComb:
         """Quotient by K_alpha * K_alpha^* = 1.

@@ -124,10 +124,11 @@ class SDHZAlgebra(SemiDerivedAlgebra):
 
     def _product_exponents(self, t1, t2):
         """SemiDerivedAlgebra._product_exponents inside the degree window: the
-        hard window is checked before the key-pair lookup, and every term
-        on every call (window_check)."""
-        R2 = self.rep_of_key(t2[1])
-        if not R2.is_zero() and R2.degrees()[0] - 1 < _HARD_LO:
+        hard window is checked before the key-pair lookup, on the lowest
+        nonzero degree of R_key for the key of t2 (_key_dims, no complex
+        built), and every term on every call (window_check)."""
+        dims = self._key_dims(t2[1])
+        if dims and min(dims) - 1 < _HARD_LO:
             raise WindowExceeded("shift leaves the hard window")
         for item in super()._product_exponents(t1, t2):
             self.window_check(*item[0])

@@ -311,7 +311,16 @@ def _drawn_middle(classes, rng):
 
 def suite_quotient_relations(cat: RepCategory, samples: int, seed: int) -> list:
     """Conflations with acyclic kernel: the class of the middle equals the
-    class of (kernel + cokernel), in both gradings."""
+    class of (kernel + cokernel), in both gradings.
+
+    The kernel K is contractible (P = P on an indecomposable projective),
+    so Sigma K is zero in the homotopy category, every chain map M -> Sigma K
+    is null-homotopic and Ext^1(M, K) = 0: ext1_classes_proj lists the split
+    class alone, and every row checks a split conflation, L = K (+) M.  (An
+    acyclic complex with projective components over a hereditary algebra is
+    contractible, so no kernel of this kind gives a non-split one.)  The
+    draw of _drawn_middle among these classes stays, since the random
+    stream it advances fixes the later rows of the report."""
     rng = random.Random(seed)
     alg2 = SDH2Algebra(cat)
     algz = SDHZAlgebra(cat)

@@ -236,9 +236,11 @@ def test_aut_count_of_non_bricks_matches_scan(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_aut_count_walks_one_line_per_nonzero_line_of_a_non_brick_end(p, monkeypatch):
     """aut_count walks no line for a brick class and (q^k - 1)/(q - 1)
-    lines, one per nonzero line of End S, for a class S with dim End S = k,
-    whatever its multiplicity.  The summand classes are found first, so
-    only aut_count's own walk is counted."""
+    lines, one per nonzero line of End S, for an indecomposable S with
+    dim End S = k: the one walk of _summands, which certifies S and records
+    |Aut S| as it goes.  So residue_order walks none after it, nor does
+    aut_count once the summand classes are found, whatever their
+    multiplicity."""
     kron = RepCategory(KRONECKER, p)
     tools = Cx2Tools(kron)
     built = []
@@ -260,14 +262,48 @@ def test_aut_count_walks_one_line_per_nonzero_line_of_a_non_brick_end(p, monkeyp
         assert len(built) == lines, (X, built)
     for R, k, _ in _non_bricks(kron):
         lines = (p ** k - 1) // (p - 1)
-        # R, S1, R where the decompose guardrail allows, else R, S1.
-        summed = kron.direct_sum([R, S1, R][:3 if R.total_dim() < 6 else 2])
-        for ks, X in [(kron, R), (kron, summed),
-                      (tools, resolution(kron, R, 0, 2)), (tools, resolution(kron, R, 1, None))]:
-            ks._groups(X)
+        for ks, X in [(kron, R), (tools, resolution(kron, R, 0, 2)),
+                      (tools, resolution(kron, R, 1, None))]:
             built.clear()
             ks.aut_count(X)
             assert len(built) == lines and (0,) * k not in built, (X, built)
+            built.clear()
+            ks.residue_order(X)
+            assert not built, (X, built)
+        # R, S1, R where the decompose guardrail allows, else R, S1.
+        summed = kron.direct_sum([R, S1, R][:3 if R.total_dim() < 6 else 2])
+        kron._groups(summed)
+        built.clear()
+        kron.aut_count(summed)
+        assert not built, (summed, built)
+
+
+def test_summands_walk_records_aut_of_a_non_brick(monkeypatch):
+    """The Kronecker module (I_3, J_3) at q = 3 has End = k[x]/(x^3): lines
+    walks End once, in the walk of _summands that certifies it, and
+    residue_order reads |Aut| off that walk, both for the module itself and
+    for the canonical form registered for its class (another module).
+    |Aut| is (q - 1) q^2, as test_aut_count_of_non_bricks_matches_scan
+    counts it."""
+    walks = []
+    lines = KrullSchmidt.lines
+
+    def counted_lines(self, X, Y, *args):
+        walks.append(X.signature())
+        return lines(self, X, Y, *args)
+
+    monkeypatch.setattr(KrullSchmidt, "lines", counted_lines)
+    kron = RepCategory(KRONECKER, 3)
+    R, k, aut = _non_bricks(kron)[1]
+    assert k == 3 and kron.aut_count(R) == aut == 2 * 3 ** 2
+    assert walks == [R.signature()]
+    walks.clear()
+    kron = RepCategory(KRONECKER, 3)
+    key = kron.intern(R)
+    [canon] = key.parts
+    assert canon.signature() != R.signature()
+    assert kron.aut_count(key.rep) == kron.aut_count(canon) == aut
+    assert walks == [R.signature()]
 
 
 def test_aut_count_off_normal_forms_matches_decomposition():
@@ -1778,3 +1814,166 @@ def test_shift_orbit_cache_counts(monkeypatch):
                      ("stalk", 2): 131, ("resolution", 2): 11,
                      ("partner", 2): 130,
                      ("stalk", None): 142, ("resolution", None): 2}
+
+
+def _key_hom_pools():
+    """(category, bound of the iso classes) of STALK_POOLS and of D4 at
+    q = 2, bound 2."""
+    return [(RepCategory(qv, p), bound) for qv, p, bound in STALK_POOLS + ((D4, 2, 2),)]
+
+
+def test_resolution_dims_match_min_proj_resolution():
+    """RepCategory.resolution_dims reads (dim P1, dim P0) off the top of a
+    module; on every class of the pools (and every part of it) it gives
+    the dimensions of the resolution that min_proj_resolution builds."""
+    checked = 0
+    for cat, bound in _key_hom_pools():
+        for k in cat.iso_classes_up_to(bound):
+            for M in (k.rep,) + k.parts:
+                P1, P0 = cat.min_proj_resolution(M)[:2]
+                assert cat.resolution_dims(M) == (P1.dim, P0.dim), (cat.quiver.arrows, M)
+                checked += 1
+    assert checked > 100, checked
+
+
+def test_key_hom_matches_chain_maps_of_representatives():
+    """_key_hom, the resolution formula for Hom between key
+    representatives, equals Cx2Tools.hom_dim on the complexes rep_of_key
+    builds: on every pair of stalk keys of the pools (Z/2 in either
+    degree; Z with the second key's degree m2 - m in -2..3 from the
+    first's), and on pairs with keys in two degrees (Z/2 (A, B) over the
+    classes of total dimension 1, Z the same in degrees 0, 1 and -1, 1)."""
+    pairs = Counter()
+    for cat, bound in _key_hom_pools():
+        classes = cat.iso_classes_up_to(bound)
+        nonzero = [k for k in classes if any(k.dim)]
+        small = [k for k in nonzero if sum(k.dim) == 1]
+        zero = cat.zero_key()
+        alg, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+
+        def check(a, k1, k2, kind):
+            R1, R2 = a.rep_of_key(k1), a.rep_of_key(k2)
+            assert a._key_hom(k1, k2) == a.tools.hom_dim(R1, R2), (cat.quiver.arrows, k1, k2)
+            pairs[kind, a.period] += 1
+
+        stalks = [(A, zero) for A in nonzero] + [(zero, A) for A in nonzero]
+        for k1, k2 in product(stalks, stalks):
+            check(alg, k1, k2, "stalk")
+        two = list(product(small, small))
+        for k1, k2 in product(two, two + stalks):
+            check(alg, k1, k2, "two")
+            check(alg, k2, k1, "two")
+        for A, B, m2 in product(nonzero, nonzero, range(-2, 4)):
+            check(algz, ((0, A),), ((m2, B),), "stalk")
+        twoz = [((lo, A), (1, B)) for A, B in product(small, small) for lo in (-1, 0)]
+        stalksz = [((m, A),) for A in small for m in range(-2, 4)]
+        for k1, k2 in product(twoz, twoz + stalksz):
+            check(algz, k1, k2, "two")
+            check(algz, k2, k1, "two")
+    assert min(pairs.values()) > 500, pairs
+
+
+def test_key_bookkeeping_builds_no_complex(monkeypatch):
+    """Whole A3 q=3 reflection, quantum-group and presentation-uv runs make
+    no call of rep_of_key, min_proj_resolution or Cx2Tools.hom_basis from
+    the bookkeeping of key representatives (the functions in key_data, the
+    helpers they read among them), whose every number comes from module
+    data.  A call is charged to the innermost of these functions, or of the
+    routes that walk complexes or resolve modules (_resolution_pair and the
+    Hall numbers of ext_class_counts), on its stack; the Hall numbers read
+    by _stalk_pair are seen resolving modules, so the spy sees through it."""
+    from quiverhall import reflection
+
+    key_data = {f.__code__ for f in (
+        SemiDerivedAlgebra._stalk_pair, SemiDerivedAlgebra._normal_term,
+        SemiDerivedAlgebra._twist, SemiDerivedAlgebra.stalk_term,
+        SemiDerivedAlgebra.aut_count, SemiDerivedAlgebra._key_hom,
+        SemiDerivedAlgebra._key_dims, SemiDerivedAlgebra._res_dims,
+        SemiDerivedAlgebra._exp_g_key, SDH2Algebra.comp_classes, SDH2Algebra._comp_sum,
+        SDHZAlgebra._product_exponents, reflection._stalk)}
+    walks = {SemiDerivedAlgebra._resolution_pair.__code__,
+             HallAlgebra.ext_class_counts.__code__}
+    calls = Counter()
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def charged(*args):
+            f = sys._getframe(1)
+            while f is not None and f.f_code not in key_data and f.f_code not in walks:
+                f = f.f_back
+            calls[name, f and f.f_code.co_name, f is not None and f.f_code in key_data] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, charged)
+
+    spy(SemiDerivedAlgebra, "rep_of_key")
+    spy(RepCategory, "min_proj_resolution")
+    spy(Cx2Tools, "hom_basis")
+    qv = a_n_quiver(3)
+    sink = next(v for v in range(1, qv.n + 1) if qv.is_sink(v) and qv.arrows_into(v))
+    for suite in ("reflection", "quantum-group", "presentation-uv"):
+        rows = SUITES[suite](RepCategory(qv, 3), 0, 0, sink, False)
+        assert rows and all(row[1] == "pass" for row in rows), suite
+    assert not [c for c in calls if c[2]], calls
+    assert calls["min_proj_resolution", "ext_class_counts", False] > 0, calls
+
+
+def test_check_row_equality_agrees_with_zero_difference(monkeypatch):
+    """report.check_row passes a row by lhs == rhs, with no difference
+    built.  On every row of A2 q=2, 3 quantum-group (with its --perturb
+    negative control), reflection, presentation-uv, assoc-z2 and
+    quotient-relations, and A3 q=3 ringel, torus-commutation,
+    presentation-uv and reflection, that
+    predicate agrees with (lhs - rhs).is_zero(), on passing and failing
+    rows alike."""
+    import quiverhall.hall
+    import quiverhall.report
+    import quiverhall.reflection
+    import quiverhall.sdh2
+    import quiverhall.suites
+
+    outcomes = Counter()
+    check_row = quiverhall.report.check_row
+
+    def both(name, lhs, rhs):
+        row = check_row(name, lhs, rhs)
+        outcomes[row[1], (lhs - rhs).is_zero()] += 1
+        return row
+
+    for module in (quiverhall.hall, quiverhall.reflection, quiverhall.sdh2, quiverhall.suites):
+        monkeypatch.setattr(module, "check_row", both)
+    runs = [(a_n_quiver(2), p, suite, perturb) for p in (2, 3) for suite, perturb in (
+        ("quantum-group", False), ("quantum-group", True), ("reflection", False),
+        ("presentation-uv", False), ("assoc-z2", False), ("quotient-relations", False))]
+    runs += [(a_n_quiver(3), 3, suite, False) for suite in (
+        "ringel", "torus-commutation", "presentation-uv", "reflection")]
+    for qv, p, suite, perturb in runs:
+        SUITES[suite](RepCategory(qv, p), 2, 0, qv.n, perturb)
+    assert set(outcomes) == {("pass", True), ("fail", False)}, outcomes
+    assert outcomes["pass", True] > 1000, outcomes
+
+
+def test_quotient_relations_conflations_are_split():
+    """suite_quotient_relations draws its conflations from
+    ext1_classes_proj(M, K) with K contractible, so Ext^1(M, K) = 0: over
+    the suite's pools (M the representative of a key of simples, P1 and 0,
+    K on each indecomposable projective in each slot it draws), in both
+    gradings, the one class is the split one, of weight 1, with the zero
+    chain map and the middle term K (+) M."""
+    classes = Counter()
+    for qv, p in ((a_n_quiver(2), 3), (a_n_quiver(3), 2), (KRONECKER, 3)):
+        cat = RepCategory(qv, p)
+        alg2, algz = SDH2Algebra(cat), SDHZAlgebra(cat)
+        small = [cat.simple(i) for i in range(1, qv.n + 1)] + [cat.projective(1)]
+        projs = [cat.projective(i) for i in range(1, qv.n + 1)]
+        cases = [(alg2, alg2.rep_of_key((cat.intern(H0), cat.intern(H1))),
+                  contractible(cat, P, slot, 2))
+                 for H0, H1 in product(small + [cat.zero_rep], repeat=2)
+                 for P in projs for slot in (0, 1)]
+        cases += [(algz, algz.rep_of_key(((m, cat.intern(A)),)), contractible(cat, P, slot))
+                  for A in small for m in (0, 1) for P in projs for slot in (m - 1, m)]
+        for alg, M, K in cases:
+            [(f, E, weight)] = alg.tools.ext1_classes_proj(M, K)
+            assert weight == 1 and f.is_zero() and E == direct_sum([K, M]), (M, K)
+            classes[alg.period] += 1
+    assert classes[2] > 100 and classes[None] > 50, classes
